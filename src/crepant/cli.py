@@ -3,8 +3,8 @@ construction and verification, and machine-readable reporting.
 
 Reports are JSON with sorted keys; identical inputs produce byte-identical
 reports apart from the wall_time_ms field.  Exit codes: 0 success, 1 property
-failure, 2 parse or schema error, 3 closure cap exceeded, 4 unsupported
-dimension.
+failure, 2 parse, schema or input error (including a symmetry with no valid
+invariant core), 3 closure cap exceeded, 4 unsupported dimension.
 """
 
 from __future__ import annotations
@@ -58,6 +58,8 @@ def parse_entry(token: str) -> exactmath.CycloInt:
             if j == i + 1:
                 raise ParseError(f"bad root token in {token!r}")
             m = int(token[i + 1 : j])
+            if m < 1:
+                raise ParseError(f"root of unity z{m} in {token!r} needs a conductor >= 1")
             k = 1
             if j < len(token) and token[j] == "^":
                 j += 1
@@ -674,6 +676,7 @@ def main(argv=None) -> int:
         toric.NotSpecialLinear,
         toric.NotInvariant,
         toric.NotInvariantTriangulation,
+        toric.DegenerateOrbit,
         orbifold.InconsistentSheet,
         orbifold.MissingValue,
         ValueError,

@@ -2,12 +2,14 @@ import json
 
 import pytest
 
+from crepant import toric
 from crepant.cli import (
     EXIT_CAP,
     EXIT_FAIL,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_UNSUPPORTED,
+    ParseError,
     main,
     parse_entry,
     parse_h_generator,
@@ -206,3 +208,31 @@ def test_verify_determinism(capsys):
     rep2.pop("wall_time_ms")
     assert rc1 == rc2 == EXIT_OK
     assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
+
+
+def test_toric_identity_perm_n3(capsys):
+    rc, rep = run(["toric", "--n", "3", "--gen", "1,1,18@20", "--perm", "id"], capsys)
+    assert rc == EXIT_OK
+    res = rep["results"]
+    assert res["adjusted"] is True and res["crepant"] is True
+    assert res["lefschetz"] == res["fixed_count"] == res["simplex_count"] == 20
+
+
+def test_zero_conductor_is_a_parse_error(capsys):
+    with pytest.raises(ParseError):
+        parse_entry("z0")
+    rc = main(["group", "--gens", "[[z0]]"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_PARSE
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_degenerate_orbit_is_an_input_error(monkeypatch, capsys):
+    def no_core(*args, **kwargs):
+        raise toric.DegenerateOrbit("no area-one invariant core triangle exists")
+
+    monkeypatch.setattr(toric, "adjusted_triangulation", no_core)
+    rc = main(["toric", "--fixture", "z5sq-cycle"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_PARSE
+    assert err == "error: no area-one invariant core triangle exists\n"

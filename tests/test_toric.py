@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from crepant.cli import _random_lattice_instance
+from crepant.exactmath import _solve_in_basis
 from crepant.toric import (
     DegenerateOrbit,
     NotInvariant,
@@ -28,6 +30,11 @@ from crepant.toric import (
     triangulation_to_document,
     verify_adjusted,
     verify_crepant,
+    sublattice_in_subspace,
+    _action_in_lattice_coords,
+    _det_fraction,
+    _orient,
+    _quotient_action,
 )
 
 SWAP2 = PermSymmetry.from_cycles(2, [(0, 1)])
@@ -292,3 +299,187 @@ def test_randomized_instances_smoke():
         rep = symmetry_report(lp, sym)
         assert rep["equal"], (lp.generators, sym.perm)
         assert rep["crepant"] and rep["adjusted"]
+
+
+# ---------------------------------------------------------------------------
+# differential test: the facet-pairing certificate against the pairwise check
+
+
+def _smith_volume(vertices, lp):
+    """Normalized volume through the induced lattice's normal form."""
+    edges = [[x - y for x, y in zip(v, vertices[0])] for v in vertices[1:]]
+    induced = [list(b) for b in sublattice_in_subspace(lp, edges)]
+    if len(induced) != len(edges):
+        raise ValueError("degenerate simplex")
+    return abs(_det_fraction([_solve_in_basis(e, induced) for e in edges]))
+
+
+def _triangles_overlap(a, b):
+    """Sutherland-Hodgman clip of one triangle by the other in the chart that
+    drops the last coordinate; the interiors overlap iff the clip has area."""
+    poly = [v[:2] for v in a.vertices]
+    if _orient(*a.vertices) < 0:
+        poly.reverse()
+    clip = [v[:2] for v in b.vertices]
+    if _orient(*b.vertices) < 0:
+        clip.reverse()
+    out = poly
+    for i in range(3):
+        p0, p1 = clip[i], clip[(i + 1) % 3]
+
+        def side(q):
+            return (p1[0] - p0[0]) * (q[1] - p0[1]) - (p1[1] - p0[1]) * (q[0] - p0[0])
+
+        inp, out = out, []
+        for j in range(len(inp)):
+            cur, nxt = inp[j], inp[(j + 1) % len(inp)]
+            dc, dn = side(cur), side(nxt)
+            if dc >= 0:
+                out.append(cur)
+            if (dc >= 0) != (dn >= 0):
+                t = dc / (dc - dn)
+                out.append(tuple(x + t * (y - x) for x, y in zip(cur, nxt)))
+    area = sum(
+        out[i][0] * out[(i + 1) % len(out)][1] - out[(i + 1) % len(out)][0] * out[i][1]
+        for i in range(len(out))
+    )
+    return len(out) >= 3 and area != 0
+
+
+def _pairwise_reference(tri, lp):
+    """Quadratic crepancy check: vertices in N on the base simplex, every
+    triangle unimodular by the Smith route, volumes summing to |N/M|, and no
+    two interiors overlapping."""
+    for s in tri.simplices:
+        if s.dim != 2:
+            return False
+        for v in s.vertices:
+            if sum(v) != 1 or min(v) < 0 or not lp.contains(v):
+                return False
+        try:
+            if _smith_volume(s.vertices, lp) != 1:
+                return False
+        except ValueError:
+            return False
+    if len(tri.simplices) != lp.order:
+        return False
+    sims = tri.simplices
+    boxes = [[(min(c), max(c)) for c in list(zip(*s.vertices))[:2]] for s in sims]
+    return not any(
+        all(max(p[0], q[0]) < min(p[1], q[1]) for p, q in zip(boxes[a], boxes[b]))
+        and _triangles_overlap(sims[a], sims[b])
+        for a in range(len(sims))
+        for b in range(a + 1, len(sims))
+    )
+
+
+def _overlapping_flip(sims):
+    """Replace (a,b,d) of an adjacent pair (a,b,c), (a,b,d) forming a convex
+    quadrilateral by the flip triangle (a,c,d): unimodular, so the volume sum
+    is unchanged, but it overlaps (a,b,c)."""
+    for i, s in enumerate(sims):
+        for j, t in enumerate(sims):
+            shared = set(s.vertices) & set(t.vertices)
+            if i == j or len(shared) != 2:
+                continue
+            a, b = sorted(shared)
+            (c,) = set(s.vertices) - shared
+            (d,) = set(t.vertices) - shared
+            if _orient(c, d, a) * _orient(c, d, b) < 0:
+                return [u for k, u in enumerate(sims) if k != j] + [QSimplex.of(a, c, d)]
+    return None
+
+
+def _mutations(tri, lp, rng):
+    sims = list(tri.simplices)
+    i = rng.randrange(len(sims))
+    yield "dropped", sims[:i] + sims[i + 1 :]
+    yield "duplicated", sims + [sims[i]]
+    s = sims[i]
+    k = rng.randrange(3)
+    outside = [p for p in lp.base_points() if p not in s.vertices]
+    target = rng.choice(outside + [tri.simplices[0].centroid()])
+    moved = QSimplex.of(*s.vertices[:k], target, *s.vertices[k + 1 :])
+    yield "moved", sims[:i] + sims[i + 1 :] + [moved]
+    flipped = _overlapping_flip(sims)
+    if flipped is not None:
+        yield "overlap", flipped
+
+
+def test_certificate_matches_pairwise_reference():
+    rng = random.Random(20261018)
+    seen = {}
+    for _ in range(24):
+        lp, sym = _random_lattice_instance(rng)
+        tri = adjusted_triangulation(lp, sym)
+        assert verify_crepant(tri, lp).ok and _pairwise_reference(tri, lp)
+        for kind, sims in _mutations(tri, lp, rng):
+            mutated = Triangulation.of(sims)
+            rep = verify_crepant(mutated, lp)
+            assert rep.ok == _pairwise_reference(mutated, lp), (kind, lp.generators)
+            assert not rep.ok and rep.failures, (kind, lp.generators)
+            assert rep.contact_flags == ()
+            seen[kind] = seen.get(kind, 0) + 1
+    assert set(seen) == {"dropped", "duplicated", "moved", "overlap"}
+    assert seen["overlap"] >= 12
+
+
+def test_certificate_names_the_facet_witness(z5sq):
+    lp, sym = z5sq
+    tri = adjusted_triangulation(lp, sym)
+    flipped = _overlapping_flip(list(tri.simplices))
+    rep = verify_crepant(Triangulation.of(flipped), lp)
+    assert not rep.ok
+    assert not any("volume" in f for f in rep.failures)
+    assert any(
+        f.startswith("interior facet") and "shared by 1 simplices, expected 2" in f
+        for f in rep.failures
+    )
+
+
+def test_volume_routes_agree_on_maximal_simplices():
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(30):
+        lp, _ = _random_lattice_instance(rng)
+        pts = lp.base_points()
+        for _ in range(6):
+            verts = rng.sample(pts, 3)
+            if rng.random() < 0.3:
+                # off-lattice vertices at height one exercise the scaling
+                verts[0] = QSimplex.of(*verts).centroid()
+            try:
+                smith = _smith_volume(verts, lp)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    normalized_volume(verts, lp)
+                continue
+            assert normalized_volume(verts, lp) == smith
+            checked += 1
+    for m in range(1, 12):
+        lp = build_lattice_pair(2, [((1, m - 1), m)] if m > 1 else [])
+        pts = lp.base_points()
+        a, b = pts[0], pts[-1]
+        assert normalized_volume((a, b), lp) == _smith_volume((a, b), lp) == m
+    assert checked >= 120
+
+
+def test_symmetry_outside_lattice_raises():
+    lp = build_lattice_pair(3, [((1, 0, 2), 3)])
+    with pytest.raises(NotInvariant):
+        _action_in_lattice_coords(lp, SWAP3)
+    plain = build_lattice_pair(3, [])
+    S = _action_in_lattice_coords(plain, SWAP3)
+    with pytest.raises(NotInvariant):
+        _quotient_action(plain, S, [(Fraction(1), Fraction(0), Fraction(0))])
+
+
+def test_certificate_rejects_a_fold():
+    # both segments end at 1/2 from the same side: the shared point is paired
+    # but the covering folds back on itself
+    lp = build_lattice_pair(2, [((1, 3), 4)])
+    half, quarter = (Fraction(1, 2),) * 2, (Fraction(3, 4), Fraction(1, 4))
+    fold = Triangulation.of([QSimplex.of((1, 0), half), QSimplex.of(quarter, half)])
+    rep = verify_crepant(fold, lp)
+    assert not rep.ok
+    assert any("lie on the same side of their facet" in f for f in rep.failures)
