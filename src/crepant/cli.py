@@ -223,10 +223,16 @@ def cmd_group(args, command) -> int:
 
 
 def _class_equation_holds(group, classes) -> bool:
+    """|class| * |centralizer| = |G| for every class, and the classes cover G.
+
+    Only the centralizer's order is needed, so it is counted off the table.
+    """
     total = 0
     for cl in classes.classes:
-        cent = groups.centralizer(group, cl[0])
-        if len(cl) * cent.order != group.order:
+        i = cl[0]
+        row = group.table[i]
+        cent_order = sum(1 for x, x_row in enumerate(group.table) if x_row[i] == row[x])
+        if len(cl) * cent_order != group.order:
             return False
         total += len(cl)
     return total == group.order

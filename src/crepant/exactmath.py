@@ -23,11 +23,20 @@ __all__ = [
     "smith_normal_form",
     "lattice_index",
     "LatticeError",
+    "ExactnessError",
 ]
 
 
 class LatticeError(ValueError):
     """Rank mismatch or non-containment between lattices."""
+
+
+class ExactnessError(ArithmeticError):
+    """A result that must stay in the integers would leave them.
+
+    Raised for division by a non-monic polynomial and for a cyclotomic
+    remainder, a field norm or a unimodular inverse that is not integral.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +62,8 @@ def _poly_mul(a, b) -> tuple[int, ...]:
 
 def _poly_divmod(num, den) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Division of integer polynomials; den must be monic."""
-    assert den and den[-1] == 1
+    if not den or den[-1] != 1:
+        raise ExactnessError(f"divisor {den!r} is not monic")
     rem = list(num)
     quo = [0] * max(len(num) - len(den) + 1, 0)
     for i in range(len(rem) - len(den), -1, -1):
@@ -84,7 +94,10 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
         if m % d == 0:
             den = _poly_mul(den, cyclotomic_polynomial(d))
     quo, rem = _poly_divmod(num, den)
-    assert not rem, f"x^{m}-1 not divisible by product of lower cyclotomics"
+    if rem:
+        raise ExactnessError(
+            f"x^{m}-1 leaves remainder {rem!r} on division by the lower cyclotomics"
+        )
     return quo
 
 
@@ -255,7 +268,8 @@ class CycloInt:
         for k in range(1, m + 1):
             if gcd(k, m) == 1:
                 out = out * self.galois(k)
-        assert all(x == 0 for x in out.coeffs[1:]), "norm must be rational"
+        if any(out.coeffs[1:]):
+            raise ExactnessError(f"norm of {self!r} is not rational: {out!r}")
         return out.coeffs[0]
 
     def root_of_unity_order(self) -> int | None:
@@ -392,7 +406,8 @@ class IntMat:
         for i in range(n):
             for j in range(n):
                 v = frac[i][n + j]
-                assert v.denominator == 1
+                if v.denominator != 1:
+                    raise ExactnessError(f"inverse entry ({i}, {j}) is {v}, not an integer")
                 out.append(int(v))
         return IntMat(n, n, tuple(out))
 

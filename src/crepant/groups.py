@@ -3,6 +3,16 @@
 Closure from generators, conjugacy classes, centralizers, the action of an
 outer symmetry by conjugation, and counting of invariant classes.  Groups are
 immutable after closure; every query is a pure function of the stored data.
+
+Matrix arithmetic grows with |G|·|gens|, never with |G|².  Closure multiplies
+each element by each generator once and records the generator columns
+x -> x·g together with a Schreier tree (every element's breadth-first parent
+and the generator that reached it); the multiplication table is then filled by
+integer lookups along the tree.  An outer action conjugates only the stored
+generators and extends the map along the table, proving it a homomorphism on
+every edge x -> x·g.  This is the Schreier-tree/Dimino closure of Holt, Eick
+and O'Brien, *Handbook of Computational Group Theory* (2005), §4.1, and of
+Butler, *Fundamental Algorithms for Permutation Groups* (LNCS 559).
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ __all__ = [
     "compatible_class_filter",
     "CapExceeded",
     "ElementNotInGroup",
+    "IncompatibleElements",
     "NotNormalizing",
     "StabilizerNotSubgroup",
 ]
@@ -37,6 +48,10 @@ class CapExceeded(RuntimeError):
 
 class ElementNotInGroup(ValueError):
     pass
+
+
+class IncompatibleElements(ValueError):
+    """Matrices of different sizes or conductors were multiplied."""
 
 
 class NotNormalizing(ValueError):
@@ -117,7 +132,11 @@ class GroupElement:
         )
 
     def mul(self, other: GroupElement) -> GroupElement:
-        assert self.conductor == other.conductor and self.n == other.n
+        if self.conductor != other.conductor or self.n != other.n:
+            raise IncompatibleElements(
+                f"cannot multiply a {self.n}x{self.n} matrix at conductor {self.conductor} "
+                f"by a {other.n}x{other.n} matrix at conductor {other.conductor}"
+            )
         n = self.n
         if self.is_diagonal() and other.is_diagonal():
             zero = CycloInt.from_int(0, self.conductor)
@@ -215,13 +234,16 @@ class FiniteMatrixGroup:
     """Closed matrix group with elements ordered by canonical key.
 
     The multiplication table maps index pairs to indices; inverses are read
-    off the table.  An optional normalizer realizes a projective quotient by
-    mapping every raw product to its canonical representative.
+    off the table.  ``generators`` holds the indices of a generating set, the
+    only elements an outer action conjugates as matrices.  An optional
+    normalizer realizes a projective quotient by mapping every raw product to
+    its canonical representative.
     """
 
     elements: tuple[GroupElement, ...]
     table: tuple[tuple[int, ...], ...]
     identity_index: int
+    generators: tuple[int, ...]
     normalizer: Optional[Normalizer] = None
     _inverse: tuple[int, ...] = field(default=())
 
@@ -269,7 +291,11 @@ class FiniteMatrixGroup:
         )
 
     def subgroup(self, indices) -> FiniteMatrixGroup:
-        """Subgroup on a closed subset of element indices, reindexed by key."""
+        """Subgroup on a closed subset of element indices, reindexed by key.
+
+        Its generators are chosen greedily from the table: each element in
+        index order that the generators so far do not reach joins them.
+        """
         idx = sorted(set(indices), key=lambda i: self.elements[i].key())
         pos = {g: k for k, g in enumerate(idx)}
         for i in idx:
@@ -280,7 +306,13 @@ class FiniteMatrixGroup:
         elements = tuple(self.elements[i] for i in idx)
         ident = pos[self.identity_index]
         inv = tuple(pos[self.inv(i)] for i in idx)
-        return FiniteMatrixGroup(elements, table, ident, self.normalizer, inv)
+        gens: list[int] = []
+        reached = {ident}
+        for i in range(len(idx)):
+            if i not in reached:
+                gens.append(i)
+                reached = set(_span(table, ident, gens))
+        return FiniteMatrixGroup(elements, table, ident, tuple(gens), self.normalizer, inv)
 
     def element_orders(self) -> list[int]:
         out = []
@@ -293,6 +325,19 @@ class FiniteMatrixGroup:
         return out
 
 
+def _span(table, identity: int, generators: Sequence[int]) -> list[int]:
+    """Indices reached from the identity by right multiplication, in BFS order."""
+    queue, seen = [identity], {identity}
+    for x in queue:  # the queue grows while it is scanned
+        row = table[x]
+        for g in generators:
+            y = row[g]
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return queue
+
+
 def close_group(
     generators: Sequence[GroupElement],
     cap: int = 10_000,
@@ -301,8 +346,16 @@ def close_group(
     """Smallest matrix group containing the generators.
 
     Breadth-first closure under right multiplication; raises CapExceeded when
-    the element count passes the cap.  Element order is by canonical key, so
-    the result is independent of generator order.
+    the element count passes the cap.  The search makes the only matrix
+    products, one x·g per element and generator.  It records the generator
+    columns (x -> index of x·g) and a Schreier tree: for every element b
+    but the identity, the element parent(b) and generator g it was first
+    reached from, b = parent(b)·g.
+
+    Elements are then ordered by canonical key, so the result is independent
+    of generator order, and each table row a is filled along the tree in BFS
+    order by a·b = (a·parent(b))·g, one integer lookup per entry.  Inverses
+    are read off the rows.
     """
     if not generators:
         raise ValueError("at least one generator required")
@@ -322,42 +375,50 @@ def close_group(
     ident = GroupElement.identity(n, m)
     if normalizer is not None:
         ident = normalizer(ident)
-    seen = {ident.key(): ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                p = x.mul(g)
-                if normalizer is not None:
-                    p = normalizer(p)
-                if p.key() not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded(f"closure exceeded cap of {cap}")
-                    seen[p.key()] = p
-                    nxt.append(p)
-        frontier = nxt
-
-    elements = tuple(sorted(seen.values(), key=lambda e: e.key()))
-    index = {e.key(): i for i, e in enumerate(elements)}
-    table = []
-    for a in elements:
-        row = []
-        for b in elements:
-            p = a.mul(b)
+    found = [ident]  # breadth-first order
+    keys = [ident.key()]
+    index = {keys[0]: 0}
+    parent, via = [-1], [-1]
+    columns: list[list[int]] = [[] for _ in gens]
+    for x_index, x in enumerate(found):  # the list grows while it is scanned
+        for k, g in enumerate(gens):
+            p = x.mul(g)
             if normalizer is not None:
                 p = normalizer(p)
-            row.append(index[p.key()])
+            key = p.key()
+            j = index.get(key)
+            if j is None:
+                if len(found) >= cap:
+                    raise CapExceeded(f"closure exceeded cap of {cap}")
+                j = index[key] = len(found)
+                found.append(p)
+                keys.append(key)
+                parent.append(x_index)
+                via.append(k)
+            columns[k].append(j)
+
+    by_key = sorted(range(len(found)), key=keys.__getitem__)
+    pos = [0] * len(found)
+    for r, i in enumerate(by_key):
+        pos[i] = r
+    columns = [[pos[col[i]] for i in by_key] for col in columns]
+    identity_index = pos[0]
+    steps = [(pos[b], pos[parent[b]], columns[via[b]]) for b in range(1, len(found))]
+    table = []
+    for a in range(len(found)):
+        row = [0] * len(found)
+        row[identity_index] = a
+        for b, p, col in steps:
+            row[b] = col[row[p]]
         table.append(tuple(row))
-    table = tuple(table)
-    identity_index = index[ident.key()]
-    inverse = [0] * len(elements)
-    for i in range(len(elements)):
-        for j in range(len(elements)):
-            if table[i][j] == identity_index:
-                inverse[i] = j
-                break
-    return FiniteMatrixGroup(elements, table, identity_index, normalizer, tuple(inverse))
+    return FiniteMatrixGroup(
+        elements=tuple(found[i] for i in by_key),
+        table=tuple(table),
+        identity_index=identity_index,
+        generators=tuple(col[identity_index] for col in columns),
+        normalizer=normalizer,
+        _inverse=tuple(row.index(identity_index) for row in table),
+    )
 
 
 @dataclass(frozen=True)
@@ -379,14 +440,26 @@ class ConjClassSet:
 
 
 def conjugacy_classes(group: FiniteMatrixGroup) -> ConjClassSet:
-    """Exact conjugacy classes; representatives are the minimal canonical keys."""
-    n = group.order
-    remaining = set(range(n))
+    """Exact conjugacy classes; representatives are the minimal canonical keys.
+
+    A class is the orbit of an element under conjugation by the generators
+    alone, since those conjugations generate every inner automorphism.
+    """
+    table = group.table
+    conjugators = [(g, group.inv(g)) for g in group.generators]
+    assigned = [False] * group.order
     classes = []
-    while remaining:
-        a = min(remaining)
-        orbit = {group.conj(a, b) for b in range(n)}
-        remaining -= orbit
+    for a in range(group.order):
+        if assigned[a]:
+            continue
+        assigned[a] = True
+        orbit = [a]
+        for x in orbit:  # the orbit grows while it is scanned
+            for g, g_inv in conjugators:
+                y = table[table[g][x]][g_inv]
+                if not assigned[y]:
+                    assigned[y] = True
+                    orbit.append(y)
         classes.append(tuple(sorted(orbit)))
     classes.sort(key=lambda cl: group.elements[cl[0]].key())
     reps = tuple(cl[0] for cl in classes)
@@ -416,41 +489,73 @@ class OuterAction:
 
 
 def outer_action(group: FiniteMatrixGroup, h: GroupElement) -> OuterAction:
-    """Build the conjugation action g -> h g h^-1, checking every element."""
+    """Build the conjugation action g -> h g h^-1 from the group's generators.
+
+    Only the stored generators are conjugated as matrices, with h^-1 taken as
+    adjugate over determinant; a generator whose conjugate leaves the group
+    raises NotNormalizing.  That is the whole normalizing test, because the
+    conjugates of the generators generate the conjugate of the group.
+
+    The map is extended along a breadth-first search of the table from the
+    identity by perm[x·g] = perm[x]·perm[g], and the same identity is checked
+    on every edge x -> x·g the search meets.  Since every element is a word
+    in the generators, this proves perm a homomorphism; with the bijection
+    check it is an automorphism, equal to conjugation by h on every element.
+    """
     m = lcm(group.elements[0].conductor, h.conductor)
     hh = h.lift(m)
     det = hh.det()
     if det.is_zero():
         raise ValueError("symmetry must be invertible")
     adj = _adjugate(hh)
-    perm = []
-    for e in group.elements:
-        num = hh.mul(e.lift(m)).mul(adj)
+    images = []
+    for gi in group.generators:
+        num = hh.mul(group.elements[gi].lift(m)).mul(adj)
         ent = []
         for row in num.entries:
             out_row = []
             for x in row:
                 q = cyclo_div_exact(x, det)
                 if q is None:
-                    raise NotNormalizing("conjugate has non-integral entries")
+                    raise NotNormalizing(
+                        f"conjugate of generator {gi} has non-integral entries"
+                    )
                 out_row.append(q)
             ent.append(tuple(out_row))
         cand = GroupElement.from_matrix(ent)
         if group.normalizer is not None:
             cand = group.normalizer(cand)
         try:
-            perm.append(group.index_of(cand))
+            images.append(group.index_of(cand))
         except ElementNotInGroup:
-            raise NotNormalizing("conjugate falls outside the group") from None
+            raise NotNormalizing(f"conjugate of generator {gi} falls outside the group") from None
+
+    table = group.table
+    order = _span(table, group.identity_index, group.generators)
+    if len(order) != group.order:
+        raise ValueError("the stored generators do not generate the group")
+    perm = [-1] * group.order
+    perm[group.identity_index] = group.identity_index
+    for x in order:  # breadth-first, so perm[x] is set before x is scanned
+        row, image_row = table[x], table[perm[x]]
+        for g, hg in zip(group.generators, images):
+            y, hy = row[g], image_row[hg]
+            if perm[y] < 0:
+                perm[y] = hy
+            elif perm[y] != hy:
+                raise NotNormalizing(
+                    f"conjugation is not a homomorphism at element {x} times generator {g}"
+                )
     if sorted(perm) != list(range(group.order)):
         raise NotNormalizing("conjugation is not a bijection of the element set")
 
     classes = conjugacy_classes(group)
-    class_perm = []
-    for cl in classes.classes:
-        image = {perm[i] for i in cl}
-        class_perm.append(next(k for k, c in enumerate(classes.classes) if image == set(c)))
-    return OuterAction(group, h, tuple(perm), classes, tuple(class_perm))
+    class_index = [0] * group.order
+    for k, cl in enumerate(classes.classes):
+        for i in cl:
+            class_index[i] = k
+    class_perm = tuple(class_index[perm[cl[0]]] for cl in classes.classes)
+    return OuterAction(group, h, tuple(perm), classes, class_perm)
 
 
 def invariant_class_count(action: OuterAction) -> int:

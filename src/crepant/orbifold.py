@@ -647,7 +647,11 @@ def _curve_quotient_euler(
     for g in image:
         blocks = _partition_blocks(g)
         total += section_euler(d, [len(b) for b in blocks])
-    assert total % len(image) == 0
+    if total % len(image):
+        raise InconsistentSheet(
+            f"block {block}: fixed-set Euler sum {total} is not a multiple of "
+            f"the image order {len(image)}"
+        )
     return total // len(image)
 
 
@@ -703,7 +707,11 @@ def quintic_sheet(variant: str = "swap") -> GSpaceSheet:
     # identity-class Euler value: average of its table row
     id_label = _pattern_label((0,) * 5)
     row = sum(pairs[(id_label, _pattern_label(b))] for b in patterns)
-    assert row % len(patterns) == 0
+    if row % len(patterns):
+        raise InconsistentSheet(
+            f"class {id_label}: pair-table row sum {row} is not a multiple of "
+            f"the group order {len(patterns)}"
+        )
     classes = [
         ClassRecord(
             c.label,

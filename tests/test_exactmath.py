@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from crepant.exactmath import (
     CycloInt,
+    ExactnessError,
     IntMat,
     LatticeError,
     cyclo_div_exact,
@@ -15,7 +16,7 @@ from crepant.exactmath import (
     row_lattice_basis,
     smith_normal_form,
 )
-from crepant.exactmath import _poly_mul
+from crepant.exactmath import _poly_divmod, _poly_mul
 
 
 def test_cyclotomic_polynomial_small():
@@ -150,3 +151,9 @@ def test_lattice_index_errors():
         lattice_index([[1, 0]], [[0, 1]])
     with pytest.raises(LatticeError):
         lattice_index([[1, 0], [0, 1]], [[2, 0], [0, 2]])
+
+
+def test_poly_divmod_rejects_non_monic_divisor():
+    assert _poly_divmod((-1, 0, 1), (-1, 1)) == ((1, 1), ())
+    with pytest.raises(ExactnessError, match=r"\(1, 2\) is not monic"):
+        _poly_divmod((1, 0, 1), (1, 2))

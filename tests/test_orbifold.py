@@ -236,3 +236,11 @@ def test_mckay_check_report():
     assert rep["equal"] and rep["resolution_lefschetz"] == 3
     rep2 = mckay_check(4, e6_diagram())
     assert not rep2["equal"]
+
+
+def test_burnside_average_must_be_integral():
+    # an averaged fixed-set count over a set that is not a group need not be
+    # an integer; the block and the sum are named instead of returning junk
+    assert ob._curve_quotient_euler([(0, 0, 0), (0, 1, 2)], (0, 1, 2), 5) == -5
+    with pytest.raises(InconsistentSheet, match=r"block \(0, 1, 2\): .* sum -5"):
+        ob._curve_quotient_euler([(0, 0, 0), (0, 0, 1)], (0, 1, 2), 5)
