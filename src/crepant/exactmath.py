@@ -20,6 +20,7 @@ __all__ = [
     "CycloInt",
     "cyclotomic_polynomial",
     "cyclo_mul",
+    "zeta_sum_is_zero",
     "smith_normal_form",
     "lattice_index",
     "LatticeError",
@@ -119,6 +120,20 @@ def _reduce_mod_cyclotomic(coeffs: list[int], m: int) -> tuple[int, ...]:
     out = coeffs[:deg]
     out += [0] * (deg - len(out))
     return tuple(out)
+
+
+def zeta_sum_is_zero(m: int, exponents) -> bool:
+    """Whether the sum of zeta_m^k over the multiset of exponents k is zero.
+
+    The sum is the value at zeta_m of the polynomial whose coefficient of
+    X^j counts the exponents congruent to j mod m; it vanishes exactly when
+    the m-th cyclotomic polynomial, the minimal polynomial of zeta_m,
+    divides that polynomial, i.e. when its reduction is zero.
+    """
+    coeffs = [0] * m
+    for k in exponents:
+        coeffs[k % m] += 1
+    return not any(_reduce_mod_cyclotomic(coeffs, m))
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
-from .exactmath import CycloInt
+from .exactmath import zeta_sum_is_zero
 
 __all__ = [
     "ClassRecord",
@@ -63,6 +64,7 @@ __all__ = [
 LIT = "literature"  # value quoted from the source analysis, not recomputed here
 DERIVED = "derived"
 TRIVIAL = "trivial"
+PROVENANCE_TAGS = (LIT, DERIVED, TRIVIAL)
 
 
 class MissingValue(ValueError):
@@ -310,6 +312,15 @@ def sheet_to_document(sheet: GSpaceSheet) -> dict:
     return doc
 
 
+def _json_bool(record: dict, key: str) -> bool:
+    value = record[key]
+    if not isinstance(value, bool):
+        raise ValueError(
+            f"{key} of {record.get('label')!r} must be true or false, not {value!r}"
+        )
+    return value
+
+
 def sheet_from_document(doc: dict) -> GSpaceSheet:
     try:
         classes = tuple(
@@ -317,7 +328,7 @@ def sheet_from_document(doc: dict) -> GSpaceSheet:
                 str(c["label"]),
                 int(c["size"]),
                 int(c["centralizer_order"]),
-                bool(c["in_ch"]),
+                _json_bool(c, "in_ch"),
                 None if c.get("euler_quotient") is None else int(c["euler_quotient"]),
                 None
                 if c.get("lefschetz_quotient") is None
@@ -337,19 +348,31 @@ def sheet_from_document(doc: dict) -> GSpaceSheet:
                     None
                     if s.get("lefschetz_stratum") is None
                     else int(s["lefschetz_stratum"]),
-                    bool(s["h_invariant"]),
+                    _json_bool(s, "h_invariant"),
                     int(s["con_h"]),
                 )
                 for s in doc["strata"]
             )
         pairs = None
         if "commuting_pairs" in doc:
-            pairs = {(a, b): int(v) for a, b, v in doc["commuting_pairs"]}
+            pairs = {(str(a), str(b)): int(v) for a, b, v in doc["commuting_pairs"]}
         sheet = GSpaceSheet(
             int(doc["group_order"]), classes, strata, pairs, dict(doc.get("metadata", {}))
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed sheet document: {exc}") from exc
+    for c in classes:
+        for key, tag in c.provenance.items():
+            if tag not in PROVENANCE_TAGS:
+                raise ValueError(
+                    f"class {c.label!r}: provenance tag {tag!r} of {key} is not one of "
+                    + ", ".join(PROVENANCE_TAGS)
+                )
+    labels = {c.label for c in classes}
+    for pair in pairs or ():
+        for label in pair:
+            if label not in labels:
+                raise ValueError(f"commuting pair {list(pair)}: label {label!r} names no class")
     sheet.validate()
     return sheet
 
@@ -501,10 +524,14 @@ def _partition_blocks(pattern: Sequence[int]) -> list[tuple[int, ...]]:
 def pair_euler(d: int, pattern_a: Sequence[int], pattern_b: Sequence[int]) -> int:
     """Euler characteristic of the double fixed set of two commuting diagonal
     maps: sections indexed by the common refinement of the eigenvalue blocks."""
+    return sum(fermat_euler(d, size) for size in _common_block_sizes(pattern_a, pattern_b))
+
+
+def _common_block_sizes(pattern_a: Sequence[int], pattern_b: Sequence[int]):
     blocks: dict[tuple[int, int], int] = {}
-    for i, (a, b) in enumerate(zip(pattern_a, pattern_b)):
-        blocks[(a, b)] = blocks.get((a, b), 0) + 1
-    return sum(fermat_euler(d, size) for size in blocks.values())
+    for ab in zip(pattern_a, pattern_b):
+        blocks[ab] = blocks.get(ab, 0) + 1
+    return blocks.values()
 
 
 def _cycles_of(src: Sequence[int]) -> list[tuple[int, ...]]:
@@ -536,63 +563,67 @@ def twisted_fixed_euler(
     The fixed locus splits over eigenvalues; each eigenvalue contributes a
     projective subspace spanned by one vector per compatible permutation
     cycle, on which the hypersurface restricts to a twisted Fermat form whose
-    coefficients are exact sums of roots of unity.  Supports that are not
+    coefficient kappa is a sum of roots of unity.  Supports that are not
     unions of compatible cycles contribute nothing.
+
+    Every root of unity is held as an integer residue k mod N standing for
+    zeta_N^k, with N = q * lcm(cycle lengths).  A cycle of length l with
+    exponent sum e has the l-th roots of zeta_q^e as its eigenvalue
+    candidates, zeta_{ql}^{e+qk}; since ql divides N these are the residues
+    (e+qk) * N/(ql), zeta_q^a is a * N/q, and products and powers of them
+    (the walk along a cycle, the terms x^d of kappa) stay in the group of
+    N-th roots.  So multiplication is addition of residues, a power is a
+    multiple, equality is equality mod N, and the candidates deduplicate in
+    a set.  The one question that is not about a single root is whether
+    kappa = sum of zeta_N^{d*x} vanishes: that is whether the polynomial
+    sum of X^{d*x mod N} is divisible by the minimal polynomial Phi_N of
+    zeta_N, which one reduction modulo Phi_N decides exactly
+    (`exactmath.zeta_sum_is_zero`).
     """
-    n = len(exponents)
     cycles = _cycles_of(src)
-    support_sets = [frozenset(t) for t in supports]
+    n_root = q * lcm(*(len(cyc) for cyc in cycles))
+    unit_q = n_root // q  # the residue of zeta_q
+    sums = [sum(exponents[i] for i in cyc) % q for cyc in cycles]
 
-    # eigenvalue candidates per cycle, as exact roots of unity
-    candidates: list[CycloInt] = []
-    for cyc in cycles:
+    eigenvalues: set[int] = set()
+    for cyc, e in zip(cycles, sums):
         l = len(cyc)
-        e = sum(exponents[i] for i in cyc) % q
-        for k in range(l):
-            candidates.append(CycloInt.zeta(q * l, e + q * k))
-    eigenvalues: list[CycloInt] = []
-    for c in candidates:
-        if not any(c == seen for seen in eigenvalues):
-            eigenvalues.append(c)
+        scale = n_root // (q * l)
+        eigenvalues.update((e + q * k) * scale for k in range(l))
 
+    cycle_sets = [frozenset(cyc) for cyc in cycles]
+    support_sets = [frozenset(t) for t in supports]
     total = 0
     for lam in eigenvalues:
-        compatible = []
-        for cyc in cycles:
-            l = len(cyc)
-            rho = CycloInt.zeta(q, sum(exponents[i] for i in cyc) % q)
-            if lam**l == rho:
-                compatible.append(cyc)
+        compatible = [
+            c
+            for c, (cyc, e) in enumerate(zip(cycles, sums))
+            if (len(cyc) * lam - e * unit_q) % n_root == 0
+        ]
         if not compatible:
             continue
         kappa_zero = {}
-        for cyc in compatible:
-            unit = CycloInt.from_int(1, lam.conductor)
-            kappa = unit**d
-            x = unit
-            for step in range(1, len(cyc)):
-                x = lam * x * _zeta_inverse(q, exponents[cyc[step - 1]])
-                kappa = kappa + x**d
-            kappa_zero[cyc] = kappa.is_zero()
+        for c in compatible:
+            cyc = cycles[c]
+            x = 0  # the walk starts at the unit, residue 0
+            terms = [0]
+            for i in cyc[:-1]:
+                x += lam - exponents[i] * unit_q
+                terms.append(d * x)
+            kappa_zero[c] = zeta_sum_is_zero(n_root, terms)
         for T in support_sets:
-            inside = [cyc for cyc in compatible if set(cyc) <= T]
-            if not inside:
-                continue
+            inside = [c for c in compatible if cycle_sets[c] <= T]
             for r in range(1, len(inside) + 1):
                 for B in itertools.combinations(inside, r):
-                    if frozenset().union(*[set(c) for c in B]) != T:
+                    if frozenset().union(*[cycle_sets[c] for c in B]) != T:
                         continue
-                    zeros = sum(1 for cyc in B if kappa_zero[cyc])
+                    zeros = sum(1 for c in B if kappa_zero[c])
                     nonzeros = len(B) - zeros
                     if zeros == 0:
                         total += full_support_euler(d, nonzeros)
                     elif nonzeros == 0 and len(B) == 1:
                         total += 1
     return total
-
-
-def _zeta_inverse(q: int, a: int) -> CycloInt:
-    return CycloInt.zeta(q, (-a) % q)
 
 
 # ---------------------------------------------------------------------------
@@ -670,8 +701,10 @@ def quintic_sheet(variant: str = "swap") -> GSpaceSheet:
     patterns = _quintic_patterns()
     identity_lefschetz = 8 if variant == "swap" else 0
 
+    labels = [_pattern_label(p) for p in patterns]
+
     classes = []
-    for p in patterns:
+    for p, label in zip(patterns, labels):
         blocks = _partition_blocks(p)
         section_blocks = [b for b in blocks if len(b) >= 2]
         in_ch = _conjugate_pattern(p, inv, d) == p
@@ -696,17 +729,21 @@ def quintic_sheet(variant: str = "swap") -> GSpaceSheet:
             lefschetz = identity_lefschetz if is_identity else 2
             prov["lefschetz_quotient"] = LIT
         classes.append(
-            ClassRecord(_pattern_label(p), 1, 125, in_ch, euler, lefschetz, prov, fixed_dim)
+            ClassRecord(label, 1, 125, in_ch, euler, lefschetz, prov, fixed_dim)
         )
 
+    # pair_euler with the Fermat Euler characteristics looked up by block size
+    euler_by_size = [fermat_euler(d, m) for m in range(len(inv) + 1)]
     pairs = {}
-    for a in patterns:
-        for b in patterns:
-            pairs[(_pattern_label(a), _pattern_label(b))] = pair_euler(d, a, b)
+    for a, label_a in zip(patterns, labels):
+        for b, label_b in zip(patterns, labels):
+            pairs[(label_a, label_b)] = sum(
+                euler_by_size[size] for size in _common_block_sizes(a, b)
+            )
 
     # identity-class Euler value: average of its table row
     id_label = _pattern_label((0,) * 5)
-    row = sum(pairs[(id_label, _pattern_label(b))] for b in patterns)
+    row = sum(pairs[(id_label, label)] for label in labels)
     if row % len(patterns):
         raise InconsistentSheet(
             f"class {id_label}: pair-table row sum {row} is not a multiple of "
@@ -831,10 +868,7 @@ def derived_quotient_lefschetz(
     for b in blocks:
         for size in range(2, len(b) + 1):
             supports.extend(frozenset(T) for T in itertools.combinations(b, size))
-    total = 0
-    for g in patterns:
-        twisted = tuple((g[i]) % d for i in range(len(g)))
-        total += twisted_fixed_euler(d, d, twisted, inv, supports)
+    total = sum(twisted_fixed_euler(d, d, g, inv, supports) for g in patterns)
     return Fraction(total, len(patterns))
 
 

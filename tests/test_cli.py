@@ -146,6 +146,75 @@ def test_orbifold_sheet_file(tmp_path, capsys):
     assert rep["results"]["lefschetz"] == 1
 
 
+def _sheet_with_pairs():
+    # two points swapped by the group of order two, with the identity symmetry
+    return {
+        "group_order": 2,
+        "classes": [
+            {"label": "e", "size": 1, "centralizer_order": 2, "in_ch": True,
+             "euler_quotient": 1, "lefschetz_quotient": 1,
+             "provenance": {"euler_quotient": "derived"}},
+            {"label": "g", "size": 1, "centralizer_order": 2, "in_ch": False,
+             "euler_quotient": 0},
+        ],
+        "strata": [
+            {"label": "free", "stabilizer_order": 1, "euler_stratum": 2,
+             "lefschetz_stratum": 2, "h_invariant": True, "con_h": 1},
+        ],
+        "commuting_pairs": [["e", "e", 2], ["e", "g", 0], ["g", "e", 0], ["g", "g", 0]],
+    }
+
+
+def _run_sheet(doc, tmp_path, capsys):
+    path = tmp_path / "doc.sheet"
+    path.write_text(json.dumps(doc))
+    rc = main(["orbifold", "--sheet", str(path)])
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_orbifold_sheet_with_pairs_passes(tmp_path, capsys):
+    rc, out, _ = _run_sheet(_sheet_with_pairs(), tmp_path, capsys)
+    assert rc == EXIT_OK
+    assert json.loads(out)["results"]["euler"] == 1
+
+
+@pytest.mark.parametrize("where,key", [("classes", "in_ch"), ("strata", "h_invariant")])
+def test_orbifold_sheet_rejects_non_boolean_flags(tmp_path, capsys, where, key):
+    doc = _sheet_with_pairs()
+    doc[where][0][key] = "false"  # a string, which bool() would read as True
+    rc, out, err = _run_sheet(doc, tmp_path, capsys)
+    label = doc[where][0]["label"]
+    assert rc == EXIT_PARSE and out == ""
+    assert err.count("\n") == 1 and f"{key} of {label!r}" in err and "'false'" in err
+
+
+def test_orbifold_sheet_rejects_unknown_provenance_tag(tmp_path, capsys):
+    doc = _sheet_with_pairs()
+    doc["classes"][1]["provenance"] = {"euler_quotient": "quoted"}
+    rc, out, err = _run_sheet(doc, tmp_path, capsys)
+    assert rc == EXIT_PARSE and out == ""
+    assert err.count("\n") == 1 and "class 'g'" in err and "'quoted'" in err
+
+
+def test_orbifold_sheet_rejects_pair_naming_no_class(tmp_path, capsys):
+    doc = _sheet_with_pairs()
+    # keeps the double count equal, so only the label check can refuse it
+    doc["commuting_pairs"].append(["nope", "nada", 0])
+    rc, out, err = _run_sheet(doc, tmp_path, capsys)
+    assert rc == EXIT_PARSE and out == ""
+    assert err.count("\n") == 1 and "label 'nope' names no class" in err
+
+
+def test_saved_quintic_sheet_round_trips(tmp_path, capsys):
+    path = tmp_path / "quintic.sheet"
+    rc, first = run(["orbifold", "--fixture", "quintic-swap", "--save", str(path)], capsys)
+    assert rc == EXIT_OK
+    rc, again = run(["orbifold", "--sheet", str(path)], capsys)
+    assert rc == EXIT_OK
+    assert again["results"] == first["results"]
+
+
 def test_orbifold_schema_violation(tmp_path, capsys):
     path = tmp_path / "bad.sheet"
     path.write_text(json.dumps({"group_order": 2, "classes": []}))

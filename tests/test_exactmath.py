@@ -15,6 +15,7 @@ from crepant.exactmath import (
     lattice_index,
     row_lattice_basis,
     smith_normal_form,
+    zeta_sum_is_zero,
 )
 from crepant.exactmath import _poly_divmod, _poly_mul
 
@@ -157,3 +158,48 @@ def test_poly_divmod_rejects_non_monic_divisor():
     assert _poly_divmod((-1, 0, 1), (-1, 1)) == ((1, 1), ())
     with pytest.raises(ExactnessError, match=r"\(1, 2\) is not monic"):
         _poly_divmod((1, 0, 1), (1, 2))
+
+
+# ---------------------------------------------------------------------------
+# vanishing of sums of roots of unity
+
+
+@pytest.mark.parametrize("m", range(2, 31))
+def test_all_mth_roots_sum_to_zero(m):
+    assert zeta_sum_is_zero(m, range(m))
+    assert zeta_sum_is_zero(m, range(-m, 2 * m))  # exponents are read mod m
+
+
+@pytest.mark.parametrize("m", range(2, 31))
+def test_qth_roots_inside_mth_roots_sum_to_zero(m):
+    for q in range(2, m + 1):
+        if m % q == 0:
+            assert zeta_sum_is_zero(m, [j * (m // q) for j in range(q)])
+            # one root short of the subgroup: what is left is minus that root
+            assert not zeta_sum_is_zero(m, [j * (m // q) for j in range(1, q)])
+
+
+@pytest.mark.parametrize("m", range(1, 31))
+def test_single_root_never_vanishes(m):
+    for k in range(m):
+        assert not zeta_sum_is_zero(m, [k])
+    assert not zeta_sum_is_zero(1, [0, 0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 30),
+    extra=st.lists(st.integers(-40, 40), max_size=6),
+    cosets=st.lists(st.tuples(st.integers(2, 30), st.integers(-40, 40)), max_size=3),
+)
+def test_zeta_sum_matches_cycloint_sum(m, extra, cosets):
+    # rotated subgroups of roots sum to zero, so multisets built from them
+    # (with or without extra roots) probe both answers
+    exponents = list(extra)
+    for q, shift in cosets:
+        if m % q == 0:
+            exponents += [shift + j * (m // q) for j in range(q)]
+    total = CycloInt.from_int(0, m)
+    for k in exponents:
+        total = total + CycloInt.zeta(m, k)
+    assert zeta_sum_is_zero(m, exponents) == total.is_zero()

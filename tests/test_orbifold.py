@@ -1,9 +1,14 @@
+import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crepant import orbifold as ob
+from crepant.exactmath import CycloInt
 from crepant.fixtures import (
     complete_intersection_symmetry,
     quintic_symmetry,
@@ -244,3 +249,179 @@ def test_burnside_average_must_be_integral():
     assert ob._curve_quotient_euler([(0, 0, 0), (0, 1, 2)], (0, 1, 2), 5) == -5
     with pytest.raises(InconsistentSheet, match=r"block \(0, 1, 2\): .* sum -5"):
         ob._curve_quotient_euler([(0, 0, 0), (0, 0, 1)], (0, 1, 2), 5)
+
+
+# ---------------------------------------------------------------------------
+# the residue engine against the CycloInt engine it replaced
+
+
+def _reference_twisted_fixed_euler(d, q, exponents, src, supports):
+    """The twisted-sector count with every root of unity a dense CycloInt:
+    eigenvalues compared pairwise, powers by repeated products."""
+    cycles = ob._cycles_of(src)
+    support_sets = [frozenset(t) for t in supports]
+
+    candidates = []
+    for cyc in cycles:
+        l = len(cyc)
+        e = sum(exponents[i] for i in cyc) % q
+        for k in range(l):
+            candidates.append(CycloInt.zeta(q * l, e + q * k))
+    eigenvalues = []
+    for c in candidates:
+        if not any(c == seen for seen in eigenvalues):
+            eigenvalues.append(c)
+
+    total = 0
+    for lam in eigenvalues:
+        compatible = []
+        for cyc in cycles:
+            l = len(cyc)
+            rho = CycloInt.zeta(q, sum(exponents[i] for i in cyc) % q)
+            if lam**l == rho:
+                compatible.append(cyc)
+        if not compatible:
+            continue
+        kappa_zero = {}
+        for cyc in compatible:
+            unit = CycloInt.from_int(1, lam.conductor)
+            kappa = unit**d
+            x = unit
+            for step in range(1, len(cyc)):
+                x = lam * x * CycloInt.zeta(q, (-exponents[cyc[step - 1]]) % q)
+                kappa = kappa + x**d
+            kappa_zero[cyc] = kappa.is_zero()
+        for T in support_sets:
+            inside = [cyc for cyc in compatible if set(cyc) <= T]
+            for r in range(1, len(inside) + 1):
+                for B in itertools.combinations(inside, r):
+                    if frozenset().union(*[set(c) for c in B]) != T:
+                        continue
+                    zeros = sum(1 for cyc in B if kappa_zero[cyc])
+                    nonzeros = len(B) - zeros
+                    if zeros == 0:
+                        total += full_support_euler(d, nonzeros)
+                    elif nonzeros == 0 and len(B) == 1:
+                        total += 1
+    return total
+
+
+def _recorded_calls(monkeypatch, build):
+    """Distinct argument tuples of every twisted_fixed_euler call made by build()."""
+    calls = {}
+    engine = ob.twisted_fixed_euler
+
+    def recording(d, q, exponents, src, supports):
+        key = (d, q, tuple(exponents), tuple(src), tuple(frozenset(t) for t in supports))
+        if key not in calls:
+            calls[key] = engine(d, q, exponents, src, supports)
+        return calls[key]
+
+    monkeypatch.setattr(ob, "twisted_fixed_euler", recording)
+    build()
+    monkeypatch.undo()
+    return calls
+
+
+def _assert_matches_reference(calls):
+    for (d, q, exponents, src, supports), value in calls.items():
+        expected = _reference_twisted_fixed_euler(d, q, exponents, src, supports)
+        assert value == expected, (d, q, exponents, src, supports)
+
+
+def test_residue_engine_matches_reference_on_quintic_sheets(monkeypatch):
+    calls = _recorded_calls(
+        monkeypatch, lambda: [quintic_sheet(v) for v in ("swap", "swap-two-pairs")]
+    )
+    assert len(calls) == 850  # 425 twisted-sector counts per sheet, all distinct
+    assert any(calls.values())
+    _assert_matches_reference(calls)
+
+
+def test_residue_engine_matches_reference_on_derived_lefschetz(monkeypatch):
+    pats = ob._quintic_patterns()
+
+    def build():
+        for variant in ("swap", "swap-two-pairs"):
+            inv = ob._quintic_involution(variant)
+            for p in pats:
+                derived_quotient_lefschetz(pats, p, inv, 5)
+
+    calls = _recorded_calls(monkeypatch, build)
+    assert len(calls) > 1000
+    _assert_matches_reference(calls)
+
+
+# one permutation of each cycle type of five points, then arbitrary ones
+_CYCLE_TYPE_REPS = [
+    (0, 1, 2, 3, 4),
+    (1, 0, 2, 3, 4),
+    (1, 0, 3, 2, 4),
+    (1, 2, 0, 3, 4),
+    (1, 2, 0, 4, 3),
+    (1, 2, 3, 0, 4),
+    (1, 2, 3, 4, 0),
+]
+
+
+@st.composite
+def _twisted_inputs(draw):
+    src = draw(st.one_of(st.sampled_from(_CYCLE_TYPE_REPS), st.permutations(range(5))))
+    cycles = ob._cycles_of(src)
+    # supports: unions of cycles (the ones that can contribute) and arbitrary sets
+    unions = st.lists(st.sampled_from(cycles), min_size=1, unique=True).map(
+        lambda cs: frozenset().union(*cs)
+    )
+    arbitrary = st.frozensets(st.integers(0, 4), min_size=1, max_size=5)
+    return (
+        draw(st.integers(2, 9)),
+        draw(st.integers(2, 7)),
+        tuple(draw(st.lists(st.integers(-9, 18), min_size=5, max_size=5))),
+        src,
+        draw(st.lists(st.one_of(unions, arbitrary), max_size=4)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_twisted_inputs())
+def test_residue_engine_matches_reference_on_random_inputs(args):
+    q, d, exponents, src, supports = args
+    expected = _reference_twisted_fixed_euler(d, q, exponents, src, supports)
+    assert twisted_fixed_euler(d, q, exponents, src, supports) == expected
+
+
+@pytest.mark.parametrize("src", _CYCLE_TYPE_REPS)
+def test_residue_engine_matches_reference_on_a_grid(src):
+    # every union of cycles as a support, every q and d of the random test,
+    # and seeded exponent vectors that hypothesis would rarely pick
+    cycles = ob._cycles_of(src)
+    supports = [
+        frozenset().union(*cs)
+        for r in range(1, len(cycles) + 1)
+        for cs in itertools.combinations(cycles, r)
+    ]
+    rng = random.Random(len(cycles) * 10 + len(cycles[0]))
+    for q in range(2, 10):
+        for d in range(2, 8):
+            for _ in range(3):
+                exponents = [rng.randrange(q) for _ in range(5)]
+                expected = _reference_twisted_fixed_euler(d, q, exponents, src, supports)
+                assert twisted_fixed_euler(d, q, exponents, src, supports) == expected, (
+                    q, d, exponents
+                )
+
+
+def test_quintic_sheet_makes_no_cyclotomic_products(monkeypatch):
+    calls = []
+    original = CycloInt.__mul__
+
+    def counting_mul(self, other):
+        calls.append(None)
+        return original(self, other)
+
+    monkeypatch.setattr(CycloInt, "__mul__", counting_mul)
+    monkeypatch.setattr(CycloInt, "__rmul__", counting_mul)
+    assert CycloInt.zeta(5) * CycloInt.zeta(5, 4) == 1 and len(calls) == 1  # patch is live
+    calls.clear()
+    quintic_sheet("swap")
+    assert calls == []
