@@ -11,8 +11,6 @@ lives in crepant.cli.
 from .exactmath import (
     CycloInt,
     IntMat,
-    Rat,
-    cyclo_mul,
     cyclotomic_polynomial,
     lattice_index,
     smith_normal_form,

@@ -1,8 +1,9 @@
 """Exact arithmetic foundation.
 
-Arbitrary-precision integers and rationals, integer-matrix normal forms, and
-cyclotomic integers with decidable equality.  Nothing in this module (or in
-anything built on it) uses floating point.
+Arbitrary-precision integers and rationals, integer-matrix normal forms,
+rational elimination, permutation cycles, and cyclotomic integers with
+decidable equality.  Nothing in this module (or in anything built on it)
+uses floating point.
 """
 
 from __future__ import annotations
@@ -11,16 +12,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-
-Rat = Fraction
+from typing import Sequence
 
 __all__ = [
-    "Rat",
     "IntMat",
     "CycloInt",
     "cyclotomic_polynomial",
-    "cyclo_mul",
     "zeta_sum_is_zero",
+    "permutation_cycles",
     "smith_normal_form",
     "lattice_index",
     "LatticeError",
@@ -246,25 +245,10 @@ class CycloInt:
             return self
         common = lcm(conductor, self.conductor)
         target = [CycloInt.zeta(conductor, j).lift(common).coeffs for j in range(_phi_degree(conductor))]
-        vec = self.lift(common).coeffs
-        rows = len(target)
-        cols = len(vec)
-        aug = [[Fraction(target[i][j]) for i in range(rows)] for j in range(cols)]
-        for j in range(cols):
-            aug[j].append(Fraction(vec[j]))
-        _gauss_reduce(aug)
-        coords = [Fraction(0)] * rows
-        for r in aug:
-            lead = next((k for k in range(rows) if r[k] != 0), None)
-            if lead is None:
-                if r[rows] != 0:
-                    return None
-                continue
-            coords[lead] = r[rows]
-        if any(c.denominator != 1 for c in coords):
+        coords = _solve_in_basis(self.lift(common).coeffs, target)
+        if coords is None or any(c.denominator != 1 for c in coords):
             return None
-        cand = CycloInt(conductor, tuple(int(c) for c in coords))
-        return cand if cand.lift(common).coeffs == vec else None
+        return CycloInt(conductor, tuple(int(c) for c in coords))
 
     def galois(self, k: int) -> CycloInt:
         """Image under the field automorphism zeta -> zeta^k, gcd(k, m) = 1."""
@@ -305,11 +289,6 @@ class CycloInt:
         return f"CycloInt(m={self.conductor}, {list(self.coeffs)})"
 
 
-def cyclo_mul(a: CycloInt, b: CycloInt) -> CycloInt:
-    """Product of cyclotomic integers (conductors lifted to their lcm)."""
-    return a * b
-
-
 def cyclo_div_exact(a: CycloInt, b: CycloInt) -> CycloInt | None:
     """a / b when the quotient is a cyclotomic integer, else None."""
     m = lcm(a.conductor, b.conductor)
@@ -331,7 +310,7 @@ def cyclo_div_exact(a: CycloInt, b: CycloInt) -> CycloInt | None:
 
 
 # ---------------------------------------------------------------------------
-# integer matrices and normal forms
+# integer matrices
 
 
 @dataclass(frozen=True)
@@ -414,25 +393,37 @@ class IntMat:
         d = self.det()
         if d not in (1, -1):
             raise ValueError("matrix is not unimodular")
-        n = self.rows
-        frac = [[Fraction(self.get(i, j)) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        _gauss_reduce(frac)
+        inverse = _rational_inverse(self.to_rows())
         out = []
-        for i in range(n):
-            for j in range(n):
-                v = frac[i][n + j]
+        for i, row in enumerate(inverse):
+            for j, v in enumerate(row):
                 if v.denominator != 1:
                     raise ExactnessError(f"inverse entry ({i}, {j}) is {v}, not an integer")
                 out.append(int(v))
-        return IntMat(n, n, tuple(out))
+        return IntMat(self.rows, self.cols, tuple(out))
 
 
-def _gauss_reduce(a: list[list[Fraction]]) -> None:
-    """In-place reduced row echelon over the rationals."""
+# ---------------------------------------------------------------------------
+# rational elimination
+
+
+def _gauss_reduce(a: list[list]) -> list[int]:
+    """In-place reduced row echelon form over the rationals.
+
+    Every entry is converted to Fraction first, so integer input stays exact
+    under division.  Returns the pivot column of each nonzero row; those rows
+    come first, in order, and every later row is zero.  This is the one
+    rational row reduction; the readers below interpret its result.
+    """
+    for i, row in enumerate(a):
+        a[i] = [Fraction(x) for x in row]
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    r = 0
+    pivots: list[int] = []
     for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
         piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
         if piv is None:
             continue
@@ -443,9 +434,72 @@ def _gauss_reduce(a: list[list[Fraction]]) -> None:
             if i != r and a[i][c] != 0:
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == rows:
-            break
+        pivots.append(c)
+    return pivots
+
+
+def _solve_in_basis(vec: Sequence, basis: Sequence[Sequence]) -> list[Fraction] | None:
+    """Coordinates of vec in the row span of basis, or None if outside.
+
+    The system is consistent exactly when the reduced augmented matrix has no
+    pivot in its last column; coordinates of non-pivot basis rows are zero.
+    """
+    rows = len(basis)
+    aug = [[basis[i][j] for i in range(rows)] + [vec[j]] for j in range(len(vec))]
+    pivots = _gauss_reduce(aug)
+    if rows in pivots:
+        return None
+    coords = [Fraction(0)] * rows
+    for r, c in enumerate(pivots):
+        coords[c] = aug[r][rows]
+    # the recombination is exact by construction; checking it is cheap
+    for j, x in enumerate(vec):
+        if sum(coords[i] * basis[i][j] for i in range(rows)) != x:
+            return None
+    return coords
+
+
+def _nullspace(rows: Sequence[Sequence]) -> list[list[Fraction]]:
+    """Basis of {y : rows . y = 0} over the rationals, one vector per free column."""
+    if not rows:
+        return []
+    a = [list(r) for r in rows]
+    pivots = _gauss_reduce(a)
+    out = []
+    for j in range(len(a[0])):
+        if j in pivots:
+            continue
+        y = [Fraction(0)] * len(a[0])
+        y[j] = Fraction(1)
+        for r, c in enumerate(pivots):
+            y[c] = -a[r][j]
+        out.append(y)
+    return out
+
+
+def _rational_inverse(rows: Sequence[Sequence]) -> list[list[Fraction]]:
+    """Inverse of a square rational matrix, read off the reduction of [A | I]."""
+    n = len(rows)
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    if _gauss_reduce(aug)[:n] != list(range(n)):
+        raise ZeroDivisionError("matrix is singular")
+    return [r[n:] for r in aug]
+
+
+def _rational_det(rows: Sequence[Sequence]) -> Fraction:
+    """Determinant of a square rational matrix.
+
+    Scaling every entry by the common denominator D keeps the arithmetic in
+    integers (Bareiss elimination in ``IntMat.det``); the determinant of the
+    scaled n-by-n matrix is D^n times the one sought.
+    """
+    den = lcm(*(Fraction(x).denominator for r in rows for x in r))
+    scaled = IntMat.from_rows([[int(x * den) for x in r] for r in rows])
+    return Fraction(scaled.det(), den ** len(rows))
+
+
+# ---------------------------------------------------------------------------
+# integer normal forms
 
 
 def _snf_pivot(a: list[list[int]], t: int) -> tuple[int, int] | None:
@@ -539,40 +593,13 @@ def smith_normal_form(a: IntMat) -> tuple[IntMat, IntMat, IntMat]:
 # rational lattice bases
 
 
-def _rat_rows(mat) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in mat]
-
-
-def _solve_in_basis(vec: list[Fraction], basis: list[list[Fraction]]) -> list[Fraction] | None:
-    """Coordinates of vec in the row span of basis, or None if outside."""
-    rows = len(basis)
-    cols = len(vec)
-    aug = [[basis[i][j] for i in range(rows)] for j in range(cols)]
-    for j in range(cols):
-        aug[j].append(vec[j])
-    _gauss_reduce(aug)
-    coords = [Fraction(0)] * rows
-    for r in aug:
-        lead = next((k for k in range(rows) if r[k] != 0), None)
-        if lead is None:
-            if r[rows] != 0:
-                return None
-            continue
-        coords[lead] = r[rows]
-    # verify (gauss left the system in rref; recombination check is cheap)
-    for j in range(cols):
-        if sum(coords[i] * basis[i][j] for i in range(rows)) != vec[j]:
-            return None
-    return coords
-
-
 def row_lattice_basis(rows) -> list[list[Fraction]]:
     """Basis of the lattice generated by rational row vectors.
 
     Scales to an integer matrix, takes the Smith decomposition U*A*V = D, and
     reads the basis off the nonzero rows of D*V^-1.
     """
-    rows = _rat_rows(rows)
+    rows = [[Fraction(x) for x in row] for row in rows]
     if not rows:
         return []
     den = 1
@@ -596,13 +623,11 @@ def lattice_index(sub_basis, super_basis) -> int:
     Both bases must span the same rational subspace and the sub lattice must be
     contained in the super lattice; the index is |det| of the change of basis.
     """
-    sub = _rat_rows(sub_basis)
-    sup = _rat_rows(super_basis)
-    if len(sub) != len(sup):
+    if len(sub_basis) != len(super_basis):
         raise LatticeError("bases have different ranks")
     coords = []
-    for v in sub:
-        c = _solve_in_basis(v, sup)
+    for v in sub_basis:
+        c = _solve_in_basis(v, super_basis)
         if c is None:
             raise LatticeError("bases do not span the same subspace")
         if any(x.denominator != 1 for x in c):
@@ -612,3 +637,28 @@ def lattice_index(sub_basis, super_basis) -> int:
     if d == 0:
         raise LatticeError("sub basis is degenerate")
     return abs(d)
+
+
+# ---------------------------------------------------------------------------
+# permutations
+
+
+def permutation_cycles(images: Sequence[int]) -> list[tuple[int, ...]]:
+    """Cycles of the permutation i -> images[i].
+
+    Each cycle starts at its least index and the cycles come in the order of
+    those indices, so fixed points appear as one-element cycles.
+    """
+    seen: set[int] = set()
+    out = []
+    for i in range(len(images)):
+        if i in seen:
+            continue
+        cyc = [i]
+        j = images[i]
+        while j != i:
+            cyc.append(j)
+            j = images[j]
+        seen.update(cyc)
+        out.append(tuple(cyc))
+    return out

@@ -26,10 +26,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from typing import Optional, Sequence
 
-from .exactmath import zeta_sum_is_zero
+from .exactmath import permutation_cycles, zeta_sum_is_zero
 
 __all__ = [
     "ClassRecord",
@@ -321,20 +321,32 @@ def _json_bool(record: dict, key: str) -> bool:
     return value
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer; a float, a string or a boolean is refused, naming what."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def _json_int_field(record: dict, key: str, optional: bool = False) -> Optional[int]:
+    """An integer field of a labelled record; an optional one may be null or absent."""
+    if optional and record.get(key) is None:
+        return None
+    return _json_int(record[key], f"{key} of {record.get('label')!r}")
+
+
 def sheet_from_document(doc: dict) -> GSpaceSheet:
     try:
         classes = tuple(
             ClassRecord(
                 str(c["label"]),
-                int(c["size"]),
-                int(c["centralizer_order"]),
+                _json_int_field(c, "size"),
+                _json_int_field(c, "centralizer_order"),
                 _json_bool(c, "in_ch"),
-                None if c.get("euler_quotient") is None else int(c["euler_quotient"]),
-                None
-                if c.get("lefschetz_quotient") is None
-                else int(c["lefschetz_quotient"]),
+                _json_int_field(c, "euler_quotient", optional=True),
+                _json_int_field(c, "lefschetz_quotient", optional=True),
                 dict(c.get("provenance", {})),
-                c.get("fixed_dim"),
+                _json_int_field(c, "fixed_dim", optional=True),
             )
             for c in doc["classes"]
         )
@@ -343,21 +355,26 @@ def sheet_from_document(doc: dict) -> GSpaceSheet:
             strata = tuple(
                 StratumRecord(
                     str(s["label"]),
-                    int(s["stabilizer_order"]),
-                    None if s.get("euler_stratum") is None else int(s["euler_stratum"]),
-                    None
-                    if s.get("lefschetz_stratum") is None
-                    else int(s["lefschetz_stratum"]),
+                    _json_int_field(s, "stabilizer_order"),
+                    _json_int_field(s, "euler_stratum", optional=True),
+                    _json_int_field(s, "lefschetz_stratum", optional=True),
                     _json_bool(s, "h_invariant"),
-                    int(s["con_h"]),
+                    _json_int_field(s, "con_h"),
                 )
                 for s in doc["strata"]
             )
         pairs = None
         if "commuting_pairs" in doc:
-            pairs = {(str(a), str(b)): int(v) for a, b, v in doc["commuting_pairs"]}
+            pairs = {
+                (str(a), str(b)): _json_int(v, f"commuting pair {[a, b]!r}")
+                for a, b, v in doc["commuting_pairs"]
+            }
         sheet = GSpaceSheet(
-            int(doc["group_order"]), classes, strata, pairs, dict(doc.get("metadata", {}))
+            _json_int(doc["group_order"], "group_order"),
+            classes,
+            strata,
+            pairs,
+            dict(doc.get("metadata", {})),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed sheet document: {exc}") from exc
@@ -496,14 +513,7 @@ def full_support_euler(d: int, m: int) -> int:
     """Euler characteristic of the locus with every coordinate nonzero."""
     out = 0
     for j in range(m + 1):
-        out += (-1) ** (m - j) * _binom(m, j) * fermat_euler(d, j)
-    return out
-
-
-def _binom(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
+        out += (-1) ** (m - j) * comb(m, j) * fermat_euler(d, j)
     return out
 
 
@@ -532,22 +542,6 @@ def _common_block_sizes(pattern_a: Sequence[int], pattern_b: Sequence[int]):
     for ab in zip(pattern_a, pattern_b):
         blocks[ab] = blocks.get(ab, 0) + 1
     return blocks.values()
-
-
-def _cycles_of(src: Sequence[int]) -> list[tuple[int, ...]]:
-    seen: set[int] = set()
-    out = []
-    for i in range(len(src)):
-        if i in seen:
-            continue
-        cyc = [i]
-        j = src[i]
-        while j != i:
-            cyc.append(j)
-            j = src[j]
-        seen.update(cyc)
-        out.append(tuple(cyc))
-    return out
 
 
 def twisted_fixed_euler(
@@ -580,7 +574,7 @@ def twisted_fixed_euler(
     zeta_N, which one reduction modulo Phi_N decides exactly
     (`exactmath.zeta_sum_is_zero`).
     """
-    cycles = _cycles_of(src)
+    cycles = permutation_cycles(src)
     n_root = q * lcm(*(len(cyc) for cyc in cycles))
     unit_q = n_root // q  # the residue of zeta_q
     sums = [sum(exponents[i] for i in cyc) % q for cyc in cycles]

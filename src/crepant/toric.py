@@ -21,15 +21,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm, prod
 from typing import Optional, Sequence
 
 from .exactmath import (
     IntMat,
     LatticeError,
-    _gauss_reduce,
+    _nullspace,
+    _rational_det,
+    _rational_inverse,
     _solve_in_basis,
     lattice_index,
+    permutation_cycles,
     row_lattice_basis,
     smith_normal_form,
 )
@@ -119,16 +122,11 @@ class LatticePair:
     def basis_inverse(self) -> list[list[Fraction]]:
         cache = getattr(self, "_binv", None)
         if cache is None:
-            k = self.n
-            aug = [list(self.basis[i]) + [Fraction(int(i == j)) for j in range(k)] for i in range(k)]
-            # invert by row reduction of [B | I]
-            rows = [[aug[i][j] for j in range(2 * k)] for i in range(k)]
-            _gauss_reduce(rows)
-            cache = [[rows[i][k + j] for j in range(k)] for i in range(k)]
+            cache = _rational_inverse(self.basis)
             object.__setattr__(self, "_binv", cache)
         return cache
 
-    def coords(self, x) -> Optional[tuple[Fraction, ...]]:
+    def coords(self, x) -> tuple[Fraction, ...]:
         """Coordinates of a vector in the N basis (always defined, full rank)."""
         binv = self.basis_inverse()
         x = _vec(x)
@@ -140,11 +138,7 @@ class LatticePair:
         return all(c.denominator == 1 for c in self.coords(x))
 
     def denominator(self) -> int:
-        d = 1
-        for row in self.basis:
-            for v in row:
-                d = lcm(d, v.denominator)
-        return d
+        return lcm(*(v.denominator for row in self.basis for v in row))
 
     def base_points(self) -> list[Vec]:
         """All points of N on the base simplex, in lexicographic order."""
@@ -196,32 +190,11 @@ def build_lattice_pair(n: int, generators: Sequence[tuple[Sequence[int], int]]) 
     for vec, m in gens:
         rows.append([Fraction(v, m) for v in vec])
     basis = [tuple(r) for r in row_lattice_basis(rows)]
-    det = _det_fraction(basis)
+    det = _rational_det(basis)
     order = Fraction(1) / abs(det)
     if order.denominator != 1:
         raise LatticeError(f"overlattice covolume {abs(det)} is not the reciprocal of an index")
     return LatticePair(n, tuple(gens), tuple(basis), int(order))
-
-
-def _det_fraction(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    n = len(rows)
-    a = [list(map(Fraction, r)) for r in rows]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = a[c][c]
-        a[c] = [x / inv for x in a[c]]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return det
 
 
 # ---------------------------------------------------------------------------
@@ -261,28 +234,14 @@ class PermSymmetry:
         return tuple(out)
 
     def cycles(self) -> list[tuple[int, ...]]:
-        seen, out = set(), []
-        for i in range(self.n):
-            if i in seen:
-                continue
-            cyc = [i]
-            j = self.perm[i]
-            while j != i:
-                cyc.append(j)
-                j = self.perm[j]
-            seen.update(cyc)
-            out.append(tuple(cyc))
-        return out
+        return permutation_cycles(self.perm)
 
     def cycle_type(self) -> tuple[int, ...]:
         return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
 
     @property
     def order(self) -> int:
-        out = 1
-        for c in self.cycles():
-            out = lcm(out, len(c))
-        return out
+        return lcm(*(len(c) for c in self.cycles()))
 
     def matrix(self) -> IntMat:
         n = self.n
@@ -340,20 +299,17 @@ class Triangulation:
     """Set of maximal simplices, plus an optional coarse certificate.
 
     The certificate is a coarser triangulation whose invariant simplices are
-    standard, together with the index of the coarse simplex containing each
-    fine one.
+    standard.
     """
 
     simplices: tuple[QSimplex, ...]
     coarse: Optional[tuple[QSimplex, ...]] = None
-    coarse_assignment: Optional[tuple[int, ...]] = None
 
     @staticmethod
-    def of(simplices, coarse=None, coarse_assignment=None) -> Triangulation:
+    def of(simplices, coarse=None) -> Triangulation:
         return Triangulation(
             tuple(sorted(simplices, key=lambda s: s.vertices)),
             tuple(coarse) if coarse is not None else None,
-            tuple(coarse_assignment) if coarse_assignment is not None else None,
         )
 
     @property
@@ -387,38 +343,12 @@ def _integer_kernel_rows(a: IntMat) -> list[list[int]]:
     return out
 
 
-def _rational_nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of {y : rows . y = 0} over the rationals (column vectors as rows)."""
-    if not rows:
-        return []
-    m, n = len(rows), len(rows[0])
-    a = [list(map(Fraction, r)) for r in rows]
-    _gauss_reduce(a)
-    pivots = []
-    for r in a:
-        lead = next((k for k in range(n) if r[k] != 0), None)
-        if lead is not None:
-            pivots.append(lead)
-    free = [j for j in range(n) if j not in pivots]
-    out = []
-    for j in free:
-        y = [Fraction(0)] * n
-        y[j] = Fraction(1)
-        for r in a:
-            lead = next((k for k in range(n) if r[k] != 0), None)
-            if lead is not None:
-                y[lead] = -r[j]
-        out.append(y)
-    return out
-
-
 def sublattice_in_subspace(lp: LatticePair, span_rows: Sequence[Vec]) -> list[Vec]:
     """Basis of the lattice N intersected with a rational subspace."""
     n = lp.n
-    span = [list(map(Fraction, r)) for r in span_rows]
-    if not span:
+    if not span_rows:
         return []
-    complement = _rational_nullspace(span)
+    complement = _nullspace(span_rows)
     if not complement:
         return [tuple(r) for r in lp.basis]
     cols = []
@@ -464,11 +394,11 @@ def normalized_volume(vertices: Sequence[Vec], lp: LatticePair) -> Fraction:
         raise ValueError("simplex is degenerate or lattice does not span it")
     coords = []
     for e in edges:
-        c = _solve_in_basis(list(e), [list(b) for b in induced])
+        c = _solve_in_basis(e, induced)
         if c is None:
             raise ValueError("edge outside induced lattice span")
         coords.append(c)
-    return abs(_det_fraction(coords))
+    return abs(_rational_det(coords))
 
 
 def _height_one_volume(verts: Sequence[Vec], lp: LatticePair) -> Fraction:
@@ -478,12 +408,9 @@ def _height_one_volume(verts: Sequence[Vec], lp: LatticePair) -> Fraction:
     height-one vector plus a basis of the height-zero lattice; in it the
     vertex matrix is block triangular and its determinant is the volume of
     the edges in the induced lattice.  Changing to the standard basis divides
-    the determinant by the covolume 1/|N/M|.  Scaling the vertices by a common
-    denominator keeps the arithmetic in integers.
+    the determinant by the covolume 1/|N/M|.
     """
-    den = lcm(*(x.denominator for v in verts for x in v))
-    det = IntMat.from_rows([[int(x * den) for x in v] for v in verts]).det()
-    return Fraction(abs(det) * lp.order, den ** lp.n)
+    return abs(_rational_det(verts)) * lp.order
 
 
 # ---------------------------------------------------------------------------
@@ -599,9 +526,7 @@ def adjusted_triangulation(
     if lp.n == 2:
         pts = lp.base_points()
         simplices = [QSimplex.of(a, b) for a, b in zip(pts, pts[1:])]
-        return Triangulation.of(
-        simplices, coarse=simplices, coarse_assignment=range(len(simplices))
-    )
+        return Triangulation.of(simplices, coarse=simplices)
 
     if sym.order == 1:
         return _triangulate_trivial(lp, reverse)
@@ -614,20 +539,14 @@ def _units(n: int) -> list[Vec]:
     return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
 
 
-def _sorted_points(points, reverse: bool):
-    return sorted(points, reverse=reverse)
-
-
 def _triangulate_trivial(lp: LatticePair, reverse: bool) -> Triangulation:
     e = _units(3)
     base = [(e[0], e[1], e[2])]
-    pts = [p for p in _sorted_points(lp.base_points(), reverse) if p not in e]
+    pts = [p for p in sorted(lp.base_points(), reverse=reverse) if p not in e]
     tris = _insert_points(base, pts)
     simplices = [QSimplex.of(*t) for t in tris]
     # every simplex is invariant, so the certificate is the fine triangulation
-    return Triangulation.of(
-        simplices, coarse=simplices, coarse_assignment=range(len(simplices))
-    )
+    return Triangulation.of(simplices, coarse=simplices)
 
 
 def _triangulate_mirror(lp: LatticePair, sym: PermSymmetry, reverse: bool) -> Triangulation:
@@ -636,21 +555,13 @@ def _triangulate_mirror(lp: LatticePair, sym: PermSymmetry, reverse: bool) -> Tr
     k = next(c[0] for c in sym.cycles() if len(c) == 1)
     mid = tuple((e[i][t] + e[j][t]) / 2 for t in range(3))
 
-    def half_points(strict=False):
-        out = []
-        for p in lp.base_points():
-            if p[i] > p[j] or (not strict and p[i] == p[j]):
-                out.append(p)
-        return out
+    def half_points():
+        return [p for p in lp.base_points() if p[i] >= p[j]]
 
-    simplices: list[QSimplex] = []
     if lp.contains(mid):
         region = [(e[i], mid, e[k])]
-        pts = [p for p in _sorted_points(half_points(), reverse) if p not in (e[i], mid, e[k])]
-        half = _insert_points(region, pts)
-        for t in half:
-            simplices.append(QSimplex.of(*t))
-            simplices.append(QSimplex.of(*t).image(sym))
+        pts = [p for p in sorted(half_points(), reverse=reverse) if p not in (e[i], mid, e[k])]
+        return _orbit_triangulation(_insert_points(region, pts), sym)
     else:
         fixed_line = sorted(
             (p for p in lp.base_points() if p[i] == p[j]), key=lambda p: p[k]
@@ -674,24 +585,27 @@ def _triangulate_mirror(lp: LatticePair, sym: PermSymmetry, reverse: bool) -> Tr
             region.append((e[i], p, w))
         if _orient(e[i], w, e[k]) != 0:
             region.append((e[i], w, e[k]))
-        if not region:
-            # the straddling triangle already covers the whole base simplex
-            return Triangulation.of(
-                [QSimplex.of(*t1)], coarse=[QSimplex.of(*t1)], coarse_assignment=[0]
-            )
         corner_pts = [
             q
-            for q in _sorted_points(half_points(), reverse)
+            for q in sorted(half_points(), reverse=reverse)
             if q not in (e[i], p, w, e[k]) and q not in t1
         ]
-        half = _insert_points(region, corner_pts)
-        simplices.append(QSimplex.of(*t1))
-        for t in half:
-            simplices.append(QSimplex.of(*t))
-            simplices.append(QSimplex.of(*t).image(sym))
-    uniq = {s.vertices: s for s in simplices}
-    out = list(uniq.values())
-    return Triangulation.of(out, coarse=out, coarse_assignment=range(len(out)))
+        # with no region left the straddling triangle covers the base simplex
+        half = _insert_points(region, corner_pts) if region else []
+        return _orbit_triangulation(half, sym, core=[QSimplex.of(*t1)])
+
+
+def _orbit_triangulation(tris, sym: PermSymmetry, core=()) -> Triangulation:
+    """The invariant core simplices, then each triangle with its images under
+    the symmetry, each simplex once; the result is its own certificate."""
+    simplices = {s.vertices: s for s in core}
+    for t in tris:
+        s = QSimplex.of(*t)
+        for _ in range(sym.order):
+            simplices.setdefault(s.vertices, s)
+            s = s.image(sym)
+    out = list(simplices.values())
+    return Triangulation.of(out, coarse=out)
 
 
 def _flip_one_diagonal(tris: list[tuple[Vec, Vec, Vec]]) -> list[tuple[Vec, Vec, Vec]]:
@@ -728,7 +642,7 @@ def _triangulate_rotation(lp: LatticePair, sym: PermSymmetry, reverse: bool) -> 
         sector = [(center, e[0], e[sym.perm[0]])]
         members = [
             p
-            for p in _sorted_points(pts, reverse)
+            for p in sorted(pts, reverse=reverse)
             if p != center
             and p not in e
             and _point_in_triangle(p, sector[0]) != "out"
@@ -736,13 +650,7 @@ def _triangulate_rotation(lp: LatticePair, sym: PermSymmetry, reverse: bool) -> 
         tris = _insert_points(sector, members)
         if reverse:
             tris = _flip_one_diagonal(tris)
-        simplices = []
-        for t in tris:
-            s = QSimplex.of(*t)
-            simplices.extend([s, s.image(sym), s.image(sym).image(sym)])
-        uniq = {s.vertices: s for s in simplices}
-        out = list(uniq.values())
-        return Triangulation.of(out, coarse=out, coarse_assignment=range(len(out)))
+        return _orbit_triangulation(tris, sym)
 
     # invariant core: orbit triangle of the lattice point nearest the center
     candidates = []
@@ -761,7 +669,7 @@ def _triangulate_rotation(lp: LatticePair, sym: PermSymmetry, reverse: bool) -> 
     w2, w3 = sym.apply(w1), sym.apply(sym.apply(w1))
 
     if core.vertices == QSimplex.of(*e).vertices:
-        return Triangulation.of([core], coarse=[core], coarse_assignment=[0])
+        return _orbit_triangulation([], sym, core=[core])
 
     for v1 in e:
         v2 = sym.apply(v1)
@@ -782,7 +690,7 @@ def _triangulate_rotation(lp: LatticePair, sym: PermSymmetry, reverse: bool) -> 
             corners = {v for t in start for v in t}
             members = [
                 p
-                for p in _sorted_points(pts, reverse)
+                for p in sorted(pts, reverse=reverse)
                 if p not in corners
                 and any(_point_in_triangle(p, t) != "out" for t in start)
                 and _point_in_triangle(p, (w1, w2, w3)) == "out"
@@ -793,13 +701,7 @@ def _triangulate_rotation(lp: LatticePair, sym: PermSymmetry, reverse: bool) -> 
                 continue
             if reverse:
                 tris = _flip_one_diagonal(tris)
-            simplices = [core]
-            for t in tris:
-                s = QSimplex.of(*t)
-                simplices.extend([s, s.image(sym), s.image(sym).image(sym)])
-            uniq = {s.vertices: s for s in simplices}
-            out = list(uniq.values())
-            cand = Triangulation.of(out, coarse=out, coarse_assignment=range(len(out)))
+            cand = _orbit_triangulation(tris, sym, core=[core])
             if verify_crepant(cand, lp):
                 return cand
     raise DegenerateOrbit("no sector decomposition found around the invariant core")
@@ -981,23 +883,21 @@ def orbit_records(tri: Triangulation, lp: LatticePair, sym: PermSymmetry) -> lis
     """Orbit record for every invariant face, including the empty face."""
     if not tri.is_symmetric(sym):
         raise NotInvariantTriangulation("symmetry does not map the triangulation to itself")
-    records = []
     S = _action_in_lattice_coords(lp, sym)
-    eye = IntMat.identity(lp.n)
-    diff = IntMat.from_rows(
-        [[eye.get(i, j) - S.get(i, j) for j in range(lp.n)] for i in range(lp.n)]
-    )
-    records.append(OrbitRecord(None, lp.n, S, diff.det()))
+    records = [OrbitRecord(None, lp.n, S, _det_one_minus(S))]
     for f in tri.all_faces():
         if f.image(sym).vertices != f.vertices:
             continue
         A = _quotient_action(lp, S, f.vertices)
-        q = A.rows
-        d = IntMat.from_rows(
-            [[(1 if i == j else 0) - A.get(i, j) for j in range(q)] for i in range(q)]
-        ).det() if q else 1
-        records.append(OrbitRecord(f, q, A, d))
+        records.append(OrbitRecord(f, A.rows, A, _det_one_minus(A)))
     return records
+
+
+def _det_one_minus(a: IntMat) -> int:
+    """det(I - A) for a square integer matrix A (1 for the empty matrix)."""
+    n = a.rows
+    diff = [[int(i == j) - a.get(i, j) for j in range(n)] for i in range(n)]
+    return IntMat.from_rows(diff).det()
 
 
 def toric_lefschetz(tri: Triangulation, lp: LatticePair, sym: PermSymmetry) -> int:
@@ -1024,12 +924,7 @@ def block_det(s: int) -> int:
     for i in range(s - 1):
         rows.append([1 if j == i + 1 else 0 for j in range(s)])
     rows.append([-1] * s)
-    a = IntMat.from_rows(rows)
-    eye = IntMat.identity(s)
-    diff = IntMat.from_rows(
-        [[eye.get(i, j) - a.get(i, j) for j in range(s)] for i in range(s)]
-    )
-    return diff.det()
+    return _det_one_minus(IntMat.from_rows(rows))
 
 
 def count_fixed_elements(lp: LatticePair, sym: PermSymmetry) -> int:
@@ -1044,10 +939,8 @@ def count_fixed_elements(lp: LatticePair, sym: PermSymmetry) -> int:
 
 def fixed_sublattice_index(lp: LatticePair, sym: PermSymmetry) -> int:
     """Index of M-in-the-fixed-subspace inside N-in-the-fixed-subspace."""
-    span = fixed_subspace(sym)
-    m_basis = [list(map(Fraction, v)) for v in span]  # cycle sums are an M-basis
-    n_basis = sublattice_in_subspace(lp, span)
-    return lattice_index(m_basis, n_basis)
+    span = fixed_subspace(sym)  # the cycle sums are a basis of M in the subspace
+    return lattice_index(span, sublattice_in_subspace(lp, span))
 
 
 # ---------------------------------------------------------------------------
@@ -1094,11 +987,7 @@ def standard_pair(cycle_lengths: Sequence[int], transverse_lengths: Sequence[int
         at += l
     m_indices = list(range(at, n))
 
-    images = list(range(n))
-    for block in blocks:
-        for pos, idx in enumerate(block):
-            images[idx] = block[(pos + 1) % len(block)]
-    perm = PermSymmetry(tuple(images))
+    perm = PermSymmetry.from_cycles(n, blocks)
 
     barys = []
     for block in blocks:
@@ -1126,41 +1015,20 @@ def fixed_locus_of(simplex: QSimplex, sym: PermSymmetry) -> QSimplex:
     For an affine action permuting the vertices this is the convex hull of
     the per-cycle vertex averages.
     """
-    verts = list(simplex.vertices)
-    images = [sym.apply(v) for v in verts]
-    vperm = []
-    for img in images:
-        vperm.append(verts.index(img))
-    seen, cents = set(), []
-    for i in range(len(verts)):
-        if i in seen:
-            continue
-        cyc = [i]
-        j = vperm[i]
-        while j != i:
-            cyc.append(j)
-            j = vperm[j]
-        seen.update(cyc)
-        k = len(cyc)
-        cents.append(tuple(sum(verts[c][t] for c in cyc) / k for t in range(len(verts[0]))))
-    return QSimplex.of(*cents)
+    dim = len(simplex.vertices[0])
+    return QSimplex.of(
+        *(
+            tuple(sum(v[t] for v in cyc) / len(cyc) for t in range(dim))
+            for cyc in _vertex_cycles(simplex, sym)
+        )
+    )
 
 
-def _vertex_cycle_lengths(simplex: QSimplex, sym: PermSymmetry) -> list[int]:
-    verts = list(simplex.vertices)
-    vperm = [verts.index(sym.apply(v)) for v in verts]
-    seen, out = set(), []
-    for i in range(len(verts)):
-        if i in seen:
-            continue
-        cyc = [i]
-        j = vperm[i]
-        while j != i:
-            cyc.append(j)
-            j = vperm[j]
-        seen.update(cyc)
-        out.append(len(cyc))
-    return sorted(out, reverse=True)
+def _vertex_cycles(simplex: QSimplex, sym: PermSymmetry) -> list[tuple[Vec, ...]]:
+    """Cycles of the symmetry on the vertices of an invariant simplex."""
+    verts = simplex.vertices
+    images = [verts.index(sym.apply(v)) for v in verts]
+    return [tuple(verts[i] for i in cyc) for cyc in permutation_cycles(images)]
 
 
 def is_g_standard(
@@ -1180,15 +1048,14 @@ def is_g_standard(
     """
     if sigma.image(sym).vertices != sigma.vertices:
         raise NotInvariant("simplex is not invariant under the symmetry")
-    lengths = _vertex_cycle_lengths(sigma, sym)
+    lengths = [len(cyc) for cyc in _vertex_cycles(sigma, sym)]
     fixed = fixed_locus_of(sigma, sym)
     trivial_action = all(l == 1 for l in lengths)
 
     # pointwise-fixed vertices must sit on the fixed locus
     for v in sigma.vertices:
         if sym.apply(v) == v and v not in fixed.vertices:
-            span = [list(f) for f in fixed.vertices]
-            if _solve_in_basis(list(v), span) is None:
+            if _solve_in_basis(v, fixed.vertices) is None:
                 return False
 
     if tri is not None and not trivial_action:
@@ -1207,15 +1074,12 @@ def is_g_standard(
                     return False
 
     if fixed.dim >= 1:
-        denom = 1
-        for l in lengths:
-            denom *= l
         lattice = lp if lp is not None else _standard_lattice(len(sigma.vertices[0]))
         try:
             vol = normalized_volume(fixed.vertices, lattice)
         except ValueError:
             return False
-        if vol != Fraction(1, denom):
+        if vol != Fraction(1, prod(lengths)):
             return False
     return True
 
@@ -1224,40 +1088,60 @@ def _point_in_triangle_nd(p: Vec, simplex: QSimplex) -> bool:
     """Barycentric containment test for a point in a simplex of any dimension."""
     verts = simplex.vertices
     base = verts[0]
-    edges = [list(_vsub(v, base)) for v in verts[1:]]
+    edges = [_vsub(v, base) for v in verts[1:]]
     if not edges:
         return p == base
-    c = _solve_in_basis(list(_vsub(p, base)), edges)
+    c = _solve_in_basis(_vsub(p, base), edges)
     if c is None:
         return False
     return all(x >= 0 for x in c) and sum(c) <= 1
 
 
 def _standard_lattice(n: int) -> LatticePair:
-    rows = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-    return LatticePair(n, (), rows, 1)
+    return LatticePair(n, (), tuple(_units(n)), 1)
 
 
 def verify_adjusted(tri: Triangulation, lp: LatticePair, sym: PermSymmetry) -> bool:
     """Every maximal invariant simplex of the coarse certificate is standard."""
     coarse = tri.coarse if tri.coarse is not None else tri.simplices
     coarse_tri = Triangulation.of(coarse)
-    faces = coarse_tri.all_faces()
-    invariant = [f for f in faces if f.image(sym).vertices == f.vertices]
-    maximal = []
-    for f in invariant:
-        if not any(
-            set(f.vertices) < set(g.vertices) for g in invariant if g.vertices != f.vertices
-        ):
-            maximal.append(f)
-    for f in maximal:
-        restricted = Triangulation.of(
-            [s for s in coarse_tri.simplices if set(s.vertices) <= set(f.vertices)]
-            or [f]
-        )
+    vertex_sets = [(s, frozenset(s.vertices)) for s in coarse_tri.simplices]
+    for f in _maximal_invariant_faces(coarse_tri.simplices, sym):
+        inside = frozenset(f.vertices)
+        restricted = Triangulation.of([s for s, vs in vertex_sets if vs <= inside] or [f])
         if not is_g_standard(f, restricted, sym, lp):
             return False
     return True
+
+
+def _maximal_invariant_faces(
+    simplices: Sequence[QSimplex], sym: PermSymmetry
+) -> list[QSimplex]:
+    """The invariant faces of the simplices contained in no larger one.
+
+    A face is invariant when the symmetry permutes its vertices.  The
+    vertices of a simplex whose whole orbit lies in that simplex span its
+    largest invariant face, and every invariant face lies in one simplex, so
+    the maximal invariant faces are the maximal sets among these, one per
+    simplex at most.  Faces come in sorted vertex order.
+    """
+    largest = set()
+    for s in simplices:
+        # drop vertices whose image has left the set until none is dropped;
+        # the symmetry has finite order, so a whole orbit stays
+        keep = frozenset(s.vertices)
+        while True:
+            stay = frozenset(v for v in keep if sym.apply(v) in keep)
+            if stay == keep:
+                break
+            keep = stay
+        if keep:
+            largest.add(keep)
+    return [
+        QSimplex(tuple(sorted(f)))
+        for f in sorted(largest, key=sorted)
+        if not any(f < g for g in largest)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1280,23 +1164,16 @@ def symmetry_report(
     fixed_count = count_fixed_elements(lp, sym)
     index = fixed_sublattice_index(lp, sym)
     cyc = [len(c) for c in sym.cycles() if len(c) > 1]
-    prod = 1
-    for c in cyc:
-        prod *= c
-    span = fixed_subspace(sym)
-    fixed_poly = _fixed_polytope(lp, sym)
-    if fixed_poly is not None and fixed_poly.dim >= 1:
+    fixed_poly = _fixed_polytope(sym)
+    if fixed_poly.dim >= 1:
         vol = normalized_volume(fixed_poly.vertices, lp)
         zero_dim = False
     else:
         vol = Fraction(1)
         zero_dim = True
-    k = len(cyc)
-    fact = 1
-    for i in range(2, k + 1):
-        fact *= i
-    claim_one = prod * vol * fact
-    claim_two_rhs = Fraction(fixed_count, prod * fact) if prod * fact else Fraction(fixed_count)
+    scale = prod(cyc) * factorial(len(cyc))
+    claim_one = vol * scale
+    claim_two_rhs = Fraction(fixed_count, scale)
     return {
         "dimension": lp.n,
         "group_order": lp.order,
@@ -1319,15 +1196,12 @@ def symmetry_report(
     }
 
 
-def _fixed_polytope(lp: LatticePair, sym: PermSymmetry) -> Optional[QSimplex]:
-    """Intersection of the fixed subspace with the base simplex, as a simplex."""
-    cycles = sym.cycles()
-    verts = []
-    for cyc in cycles:
-        verts.append(tuple(Fraction(1 if i in cyc else 0, len(cyc)) for i in range(sym.n)))
-    # the fixed polytope is the simplex on the per-cycle barycenters
-    uniq = sorted(set(verts))
-    return QSimplex(tuple(uniq))
+def _fixed_polytope(sym: PermSymmetry) -> QSimplex:
+    """Intersection of the fixed subspace with the base simplex: the simplex
+    on the per-cycle barycenters."""
+    return QSimplex.of(
+        *(tuple(Fraction(int(i in cyc), len(cyc)) for i in range(sym.n)) for cyc in sym.cycles())
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1336,10 +1210,6 @@ def _fixed_polytope(lp: LatticePair, sym: PermSymmetry) -> Optional[QSimplex]:
 
 def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
-def _parse_frac(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def triangulation_to_document(tri: Triangulation, lp: LatticePair) -> dict:
@@ -1360,21 +1230,23 @@ def triangulation_to_document(tri: Triangulation, lp: LatticePair) -> dict:
         doc["certificate"] = {
             "vertices": [",".join(_frac_str(x) for x in v) for v in cverts],
             "simplices": [[cindex[v] for v in s.vertices] for s in tri.coarse],
-            "assignment": list(tri.coarse_assignment or ()),
         }
     return doc
 
 
 def triangulation_from_document(doc: dict) -> tuple[Triangulation, LatticePair]:
+    """Inverse of triangulation_to_document.
+
+    A certificate's ``assignment`` key, written by earlier versions, is
+    accepted and ignored.
+    """
     lat = doc["lattice"]
     lp = build_lattice_pair(lat["n"], [(tuple(v), m) for v, m in lat["generators"]])
-    vertices = [tuple(_parse_frac(p) for p in s.split(",")) for s in doc["vertices"]]
+    vertices = [tuple(Fraction(p) for p in s.split(",")) for s in doc["vertices"]]
     simplices = [QSimplex(tuple(sorted(vertices[i] for i in idx))) for idx in doc["simplices"]]
     coarse = None
-    assignment = None
     if "certificate" in doc:
         cert = doc["certificate"]
-        cverts = [tuple(_parse_frac(p) for p in s.split(",")) for s in cert["vertices"]]
+        cverts = [tuple(Fraction(p) for p in s.split(",")) for s in cert["vertices"]]
         coarse = [QSimplex(tuple(sorted(cverts[i] for i in idx))) for idx in cert["simplices"]]
-        assignment = cert.get("assignment")
-    return Triangulation.of(simplices, coarse=coarse, coarse_assignment=assignment), lp
+    return Triangulation.of(simplices, coarse=coarse), lp

@@ -10,7 +10,7 @@ import random
 import pytest
 
 from crepant import fixtures, groups, orbifold, toric
-from crepant.cli import main
+from crepant.cli import _random_lattice_instance, main
 
 
 def _announce(num, text):
@@ -86,33 +86,6 @@ def test_acceptance_5_mckay_sweep_n2():
     _announce(5, "dimension-2 sweep: toric Lefschetz = fixed elements = invariant classes, n <= 30")
 
 
-def _random_instance(rng):
-    order = rng.choice([2, 3])
-    sym = (
-        toric.PermSymmetry.from_cycles(3, [(0, 1)])
-        if order == 2
-        else toric.PermSymmetry.from_cycles(3, [(0, 1, 2)])
-    )
-    while True:
-        m = rng.randint(2, 7)
-        gens = []
-        for _ in range(rng.randint(1, 2)):
-            a, b = rng.randint(0, m - 1), rng.randint(0, m - 1)
-            vec = [a, b, (-(a + b)) % m]
-            for _ in range(order):
-                gens.append((tuple(vec), m))
-                nxt = [0, 0, 0]
-                for i, v in enumerate(vec):
-                    nxt[sym.perm[i]] = v
-                vec = nxt
-        try:
-            lp = toric.build_lattice_pair(3, gens)
-        except toric.NotSpecialLinear:
-            continue
-        if lp.order <= 49 and sym.preserves(lp):
-            return lp, sym
-
-
 def test_acceptance_6_toric_n3(z5sq):
     lp, sym = z5sq
     rep = toric.symmetry_report(lp, sym)
@@ -125,7 +98,7 @@ def test_acceptance_6_toric_n3(z5sq):
 
     rng = random.Random(2026)
     for _ in range(50):
-        inst, isym = _random_instance(rng)
+        inst, isym = _random_lattice_instance(rng)
         audit = toric.symmetry_report(inst, isym)
         assert audit["equal"], (inst.generators, isym.perm)
         assert audit["crepant"] and audit["adjusted"], (inst.generators, isym.perm)

@@ -206,6 +206,68 @@ def test_orbifold_sheet_rejects_pair_naming_no_class(tmp_path, capsys):
     assert err.count("\n") == 1 and "label 'nope' names no class" in err
 
 
+def _set_group_order(doc, value):
+    doc["group_order"] = value
+    return "group_order"
+
+
+def _set_pair_value(doc, value):
+    doc["commuting_pairs"][1][2] = value
+    return "['e', 'g']"
+
+
+def _set_field(where, key):
+    def setter(doc, value):
+        doc[where][-1][key] = value
+        return f"{key} of {doc[where][-1]['label']!r}"
+
+    return setter
+
+
+# one case per family of integer fields: required class and stratum counts,
+# the optional Euler/Lefschetz values, fixed_dim, the group order and the
+# commuting-pair values
+@pytest.mark.parametrize(
+    "setter,value",
+    [
+        (_set_field("classes", "size"), 1.9),
+        (_set_field("classes", "centralizer_order"), True),
+        (_set_field("classes", "euler_quotient"), "0"),
+        (_set_field("strata", "lefschetz_stratum"), 2.0),
+        (_set_field("strata", "stabilizer_order"), "1"),
+        (_set_field("strata", "con_h"), 1.5),
+        (_set_field("classes", "fixed_dim"), "x"),
+        (_set_group_order, 2.0),
+        (_set_pair_value, False),
+    ],
+    ids=[
+        "size",
+        "centralizer_order",
+        "euler_quotient",
+        "lefschetz_stratum",
+        "stabilizer_order",
+        "con_h",
+        "fixed_dim",
+        "group_order",
+        "pair_value",
+    ],
+)
+def test_orbifold_sheet_rejects_non_integral_numbers(tmp_path, capsys, setter, value):
+    doc = _sheet_with_pairs()
+    where = setter(doc, value)
+    rc, out, err = _run_sheet(doc, tmp_path, capsys)
+    assert rc == EXIT_PARSE and out == ""
+    assert err.count("\n") == 1 and where in err and repr(value) in err
+
+
+def test_orbifold_sheet_accepts_integer_and_null_fixed_dim(tmp_path, capsys):
+    doc = _sheet_with_pairs()
+    doc["classes"][0]["fixed_dim"] = 0
+    doc["classes"][1]["fixed_dim"] = None
+    rc, out, _ = _run_sheet(doc, tmp_path, capsys)
+    assert rc == EXIT_OK
+
+
 def test_saved_quintic_sheet_round_trips(tmp_path, capsys):
     path = tmp_path / "quintic.sheet"
     rc, first = run(["orbifold", "--fixture", "quintic-swap", "--save", str(path)], capsys)

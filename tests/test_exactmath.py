@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -10,14 +11,23 @@ from crepant.exactmath import (
     IntMat,
     LatticeError,
     cyclo_div_exact,
-    cyclo_mul,
     cyclotomic_polynomial,
     lattice_index,
+    permutation_cycles,
     row_lattice_basis,
     smith_normal_form,
     zeta_sum_is_zero,
 )
-from crepant.exactmath import _poly_divmod, _poly_mul
+from crepant.exactmath import (
+    _gauss_reduce,
+    _nullspace,
+    _poly_divmod,
+    _poly_mul,
+    _rational_det,
+    _rational_inverse,
+    _solve_in_basis,
+)
+from test_toric import _det_fraction
 
 
 def test_cyclotomic_polynomial_small():
@@ -40,11 +50,11 @@ def test_cyclotomic_product_identity(m):
 
 def test_root_of_unity_products():
     z5 = CycloInt.zeta(5)
-    assert cyclo_mul(z5, z5**4).is_one()
+    assert (z5 * z5**4).is_one()
     z4 = CycloInt.zeta(4)
-    assert cyclo_mul(z4, z4) == -1
+    assert z4 * z4 == -1
     # lift both factors to conductor 9 and reduce
-    assert cyclo_mul(CycloInt.zeta(3), CycloInt.zeta(9)) == CycloInt.zeta(9, 4)
+    assert CycloInt.zeta(3) * CycloInt.zeta(9) == CycloInt.zeta(9, 4)
 
 
 def test_cyclo_equality_across_conductors():
@@ -203,3 +213,105 @@ def test_zeta_sum_matches_cycloint_sum(m, extra, cosets):
     for k in exponents:
         total = total + CycloInt.zeta(m, k)
     assert zeta_sum_is_zero(m, exponents) == total.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the rational-elimination kernel and its readers
+
+
+@st.composite
+def _rational_matrices(draw, square=False):
+    """Matrices up to 5x5: integer-only or rational, often singular.
+
+    Integer-only matrices keep plain int entries, so the kernel must convert
+    them itself; a copied row scaled by a constant makes the rank drop.
+    """
+    rows = draw(st.integers(1, 5))
+    cols = rows if square else draw(st.integers(1, 5))
+    integral = draw(st.booleans())
+    entry = (
+        st.integers(-4, 4)
+        if integral
+        else st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=6))
+    )
+    mat = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    if rows > 1 and draw(st.booleans()):
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+        scale = draw(entry)
+        mat[i] = [scale * x for x in mat[j]] if i != j else [0] * cols
+    return mat
+
+
+def _reference_rank(mat):
+    """Rank over the rationals: nonzero Smith invariants of the scaled matrix."""
+    den = lcm(*(Fraction(x).denominator for r in mat for x in r))
+    _, d, _ = smith_normal_form(IntMat.from_rows([[int(x * den) for x in r] for r in mat]))
+    return sum(1 for i in range(min(d.rows, d.cols)) if d.get(i, i))
+
+
+def _all_fractions(values):
+    return all(type(x) is Fraction for x in values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_matrices(), st.data())
+def test_solve_in_basis_recombines_or_refuses(basis, data):
+    cols = len(basis[0])
+    if data.draw(st.booleans()):
+        weights = data.draw(st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis)))
+        vec = [sum(w * row[j] for w, row in zip(weights, basis)) for j in range(cols)]
+    else:
+        vec = data.draw(st.lists(st.integers(-4, 4), min_size=cols, max_size=cols))
+    coords = _solve_in_basis(vec, basis)
+    inside = _reference_rank(basis + [vec]) == _reference_rank(basis)
+    assert (coords is not None) == inside
+    if coords is not None:
+        assert len(coords) == len(basis) and _all_fractions(coords)
+        assert [sum(c * row[j] for c, row in zip(coords, basis)) for j in range(cols)] == vec
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_matrices())
+def test_nullspace_is_annihilated_and_has_full_size(mat):
+    null = _nullspace(mat)
+    cols = len(mat[0])
+    assert len(null) == cols - _reference_rank(mat)
+    for y in null:
+        assert len(y) == cols and _all_fractions(y)
+        assert all(sum(a * b for a, b in zip(row, y)) == 0 for row in mat)
+    if null:
+        assert _reference_rank(null) == len(null)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_matrices(square=True))
+def test_rational_inverse_and_integer_route_determinant(mat):
+    n = len(mat)
+    det = _rational_det(mat)
+    assert type(det) is Fraction
+    assert det == _det_fraction(mat)
+    if det == 0:
+        with pytest.raises(ZeroDivisionError):
+            _rational_inverse(mat)
+        return
+    inv = _rational_inverse(mat)
+    assert all(_all_fractions(row) for row in inv)
+    product = [[sum(inv[i][k] * mat[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def test_kernel_keeps_integer_input_exact():
+    # plain ints with a non-integral quotient: 1/3 must stay a Fraction
+    a = [[3, 1], [6, 5]]
+    pivots = _gauss_reduce(a)
+    assert pivots == [0, 1]
+    assert a == [[1, 0], [0, 1]] and all(_all_fractions(r) for r in a)
+    assert _solve_in_basis([1, 0], [[3, 0], [0, 1]]) == [Fraction(1, 3), 0]
+    assert _all_fractions(_solve_in_basis([1, 0], [[3, 0], [0, 1]]))
+    assert CycloInt.from_int(3, 6).try_reduce(3) == 3
+
+
+def test_permutation_cycles_start_at_least_index():
+    assert permutation_cycles([]) == []
+    assert permutation_cycles([0, 1]) == [(0,), (1,)]
+    assert permutation_cycles([2, 0, 1, 4, 3, 5]) == [(0, 2, 1), (3, 4), (5,)]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crepant import orbifold as ob
-from crepant.exactmath import CycloInt
+from crepant.exactmath import CycloInt, permutation_cycles
 from crepant.fixtures import (
     complete_intersection_symmetry,
     quintic_symmetry,
@@ -258,7 +258,7 @@ def test_burnside_average_must_be_integral():
 def _reference_twisted_fixed_euler(d, q, exponents, src, supports):
     """The twisted-sector count with every root of unity a dense CycloInt:
     eigenvalues compared pairwise, powers by repeated products."""
-    cycles = ob._cycles_of(src)
+    cycles = permutation_cycles(src)
     support_sets = [frozenset(t) for t in supports]
 
     candidates = []
@@ -367,7 +367,7 @@ _CYCLE_TYPE_REPS = [
 @st.composite
 def _twisted_inputs(draw):
     src = draw(st.one_of(st.sampled_from(_CYCLE_TYPE_REPS), st.permutations(range(5))))
-    cycles = ob._cycles_of(src)
+    cycles = permutation_cycles(src)
     # supports: unions of cycles (the ones that can contribute) and arbitrary sets
     unions = st.lists(st.sampled_from(cycles), min_size=1, unique=True).map(
         lambda cs: frozenset().union(*cs)
@@ -394,7 +394,7 @@ def test_residue_engine_matches_reference_on_random_inputs(args):
 def test_residue_engine_matches_reference_on_a_grid(src):
     # every union of cycles as a support, every q and d of the random test,
     # and seeded exponent vectors that hypothesis would rarely pick
-    cycles = ob._cycles_of(src)
+    cycles = permutation_cycles(src)
     supports = [
         frozenset().union(*cs)
         for r in range(1, len(cycles) + 1)

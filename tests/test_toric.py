@@ -32,7 +32,7 @@ from crepant.toric import (
     verify_crepant,
     sublattice_in_subspace,
     _action_in_lattice_coords,
-    _det_fraction,
+    _maximal_invariant_faces,
     _orient,
     _quotient_action,
 )
@@ -269,33 +269,10 @@ def test_serialization_round_trip(z5sq):
     assert json.dumps(triangulation_to_document(back, lp2), sort_keys=True) == blob
 
 
-def _random_instance(rng):
-    order = rng.choice([2, 3])
-    sym = SWAP3 if order == 2 else ROT3
-    while True:
-        m = rng.randint(2, 7)
-        gens = []
-        for _ in range(rng.randint(1, 2)):
-            a, b = rng.randint(0, m - 1), rng.randint(0, m - 1)
-            vec = [a, b, (-(a + b)) % m]
-            for _ in range(order):
-                gens.append((tuple(vec), m))
-                nxt = [0, 0, 0]
-                for i, v in enumerate(vec):
-                    nxt[sym.perm[i]] = v
-                vec = nxt
-        try:
-            lp = build_lattice_pair(3, gens)
-        except NotSpecialLinear:
-            continue
-        if lp.order <= 49 and sym.preserves(lp):
-            return lp, sym
-
-
 def test_randomized_instances_smoke():
     rng = random.Random(11)
     for _ in range(12):
-        lp, sym = _random_instance(rng)
+        lp, sym = _random_lattice_instance(rng)
         rep = symmetry_report(lp, sym)
         assert rep["equal"], (lp.generators, sym.perm)
         assert rep["crepant"] and rep["adjusted"]
@@ -303,6 +280,28 @@ def test_randomized_instances_smoke():
 
 # ---------------------------------------------------------------------------
 # differential test: the facet-pairing certificate against the pairwise check
+
+
+def _det_fraction(rows):
+    """Determinant by Fraction elimination, independent of the code under test."""
+    n = len(rows)
+    a = [list(map(Fraction, r)) for r in rows]
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        inv = a[c][c]
+        a[c] = [x / inv for x in a[c]]
+        for i in range(c + 1, n):
+            if a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
 
 
 def _smith_volume(vertices, lp):
@@ -483,3 +482,54 @@ def test_certificate_rejects_a_fold():
     rep = verify_crepant(fold, lp)
     assert not rep.ok
     assert any("lie on the same side of their facet" in f for f in rep.failures)
+
+
+# ---------------------------------------------------------------------------
+# differential test: maximal invariant faces per simplex against all pairs
+
+
+def _reference_maximal_invariant_faces(simplices, sym):
+    """Every invariant face, compared with every other one."""
+    faces = Triangulation.of(simplices).all_faces()
+    invariant = [frozenset(f.vertices) for f in faces if f.image(sym).vertices == f.vertices]
+    return [
+        QSimplex(tuple(sorted(f))) for f in invariant if not any(f < g for g in invariant)
+    ]
+
+
+def _compare_maximal_faces(tri, lp, sym):
+    """The per-simplex search finds the reference's faces, and verify_adjusted
+    gives the verdict is_g_standard gives on the reference's faces."""
+    simplices = tri.coarse if tri.coarse is not None else tri.simplices
+    got = _maximal_invariant_faces(simplices, sym)
+    want = _reference_maximal_invariant_faces(simplices, sym)
+    assert len(got) == len({f.vertices for f in got})
+    assert {f.vertices for f in got} == {f.vertices for f in want}, (lp.generators, sym.perm)
+    coarse = [(s, frozenset(s.vertices)) for s in Triangulation.of(simplices).simplices]
+    verdict = True
+    for f in want:
+        inside = frozenset(f.vertices)
+        restricted = Triangulation.of([s for s, vs in coarse if vs <= inside] or [f])
+        verdict = verdict and is_g_standard(f, restricted, sym, lp)
+    assert verify_adjusted(tri, lp, sym) == verdict
+
+
+def test_maximal_invariant_faces_match_all_pairs_reference_3d():
+    rng = random.Random(4242)
+    ident = PermSymmetry.identity(3)
+    for _ in range(200):
+        lp, sym = _random_lattice_instance(rng)
+        tri = adjusted_triangulation(lp, sym)
+        _compare_maximal_faces(tri, lp, sym)
+        _compare_maximal_faces(tri, lp, ident)
+    for m in range(3, 13):
+        lp = build_lattice_pair(3, [((1, 1, m - 2), m)])
+        _compare_maximal_faces(adjusted_triangulation(lp, ident), lp, ident)
+
+
+@pytest.mark.parametrize("m", range(2, 31))
+def test_maximal_invariant_faces_match_all_pairs_reference_2d(m):
+    lp = build_lattice_pair(2, [((1, m - 1), m)])
+    for sym in (SWAP2, PermSymmetry.identity(2)):
+        _compare_maximal_faces(adjusted_triangulation(lp, sym), lp, sym)
+        _compare_maximal_faces(adjusted_triangulation(lp, sym), lp, SWAP2)
