@@ -682,7 +682,6 @@ def main(argv=None) -> int:
         toric.NotSpecialLinear,
         toric.NotInvariant,
         toric.NotInvariantTriangulation,
-        toric.DegenerateOrbit,
         orbifold.InconsistentSheet,
         orbifold.MissingValue,
         ValueError,

@@ -346,13 +346,6 @@ class IntMat:
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> IntMat:
-        return IntMat(
-            self.cols,
-            self.rows,
-            tuple(self.get(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
-
     def mul(self, other: IntMat) -> IntMat:
         if self.cols != other.rows:
             raise ValueError("shape mismatch")

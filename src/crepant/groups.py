@@ -126,38 +126,25 @@ class GroupElement:
     def key(self) -> tuple:
         return tuple(x.coeffs for row in self.entries for x in row)
 
-    def is_diagonal(self) -> bool:
-        return all(
-            self.entries[i][j].is_zero() for i in range(self.n) for j in range(self.n) if i != j
-        )
-
     def mul(self, other: GroupElement) -> GroupElement:
         if self.conductor != other.conductor or self.n != other.n:
             raise IncompatibleElements(
                 f"cannot multiply a {self.n}x{self.n} matrix at conductor {self.conductor} "
                 f"by a {other.n}x{other.n} matrix at conductor {other.conductor}"
             )
-        n = self.n
-        if self.is_diagonal() and other.is_diagonal():
-            zero = CycloInt.from_int(0, self.conductor)
-            ent = tuple(
-                tuple(
-                    self.entries[i][i] * other.entries[i][i] if i == j else zero for j in range(n)
-                )
-                for i in range(n)
-            )
-            return GroupElement(n, self.conductor, ent)
-        ent = tuple(
-            tuple(
-                sum(
-                    (self.entries[i][k] * other.entries[k][j] for k in range(n)),
-                    CycloInt.from_int(0, self.conductor),
-                )
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        return GroupElement(n, self.conductor, ent)
+        # products of zero entries are skipped: the matrices of monomial and
+        # diagonal groups are mostly zeros
+        support = [[(j, b) for j, b in enumerate(row) if not b.is_zero()] for row in other.entries]
+        zero = CycloInt.from_int(0, self.conductor)
+        rows = []
+        for row in self.entries:
+            out = [zero] * self.n
+            for k, a in enumerate(row):
+                if not a.is_zero():
+                    for j, b in support[k]:
+                        out[j] = out[j] + a * b
+            rows.append(tuple(out))
+        return GroupElement(self.n, self.conductor, tuple(rows))
 
     def det(self) -> CycloInt:
         return _det(self.entries, self.conductor)
@@ -431,12 +418,6 @@ class ConjClassSet:
     @property
     def count(self) -> int:
         return len(self.classes)
-
-    def class_of(self, index: int) -> int:
-        for k, cl in enumerate(self.classes):
-            if index in cl:
-                return k
-        raise ValueError("index outside partition")
 
 
 def conjugacy_classes(group: FiniteMatrixGroup) -> ConjClassSet:

@@ -4,9 +4,13 @@ crepant triangulations.
 The base simplex (the face of the unit simplex in the hyperplane where the
 coordinates sum to one) is triangulated by simplices with vertices in the
 overlattice N; unimodular triangulations correspond to crepant resolutions,
-and a coordinate-permutation symmetry acts on everything.  The orbit-sum
-evaluator computes the Lefschetz number of the symmetry on the resolution as
-a sum of det(I - sigma) terms over invariant faces.
+and a coordinate-permutation symmetry acts on everything.  The symmetric
+triangulation is built once per symmetry from one fundamental domain,
+triangulated with all of its lattice points, and its images around one
+invariant core triangle; ``verify_crepant`` and ``verify_adjusted`` certify
+the result.  The orbit-sum evaluator computes the Lefschetz number of the
+symmetry on the resolution as a sum of det(I - sigma) terms over invariant
+faces.
 
 All geometry is exact: points are tuples of Fractions, and every test on a
 maximal simplex is an integer determinant.  A maximal simplex of the base
@@ -64,7 +68,6 @@ __all__ = [
     "triangulation_from_document",
     "NotSpecialLinear",
     "UnsupportedDimension",
-    "DegenerateOrbit",
     "NotInvariant",
     "NotInvariantTriangulation",
 ]
@@ -78,10 +81,6 @@ class NotSpecialLinear(ValueError):
 
 class UnsupportedDimension(ValueError):
     """Triangulation construction is only available in dimensions 2 and 3."""
-
-
-class DegenerateOrbit(RuntimeError):
-    """No valid invariant core simplex exists for the requested symmetry."""
 
 
 class NotInvariant(ValueError):
@@ -236,9 +235,6 @@ class PermSymmetry:
     def cycles(self) -> list[tuple[int, ...]]:
         return permutation_cycles(self.perm)
 
-    def cycle_type(self) -> tuple[int, ...]:
-        return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
-
     @property
     def order(self) -> int:
         return lcm(*(len(c) for c in self.cycles()))
@@ -296,21 +292,13 @@ class QSimplex:
 
 @dataclass(frozen=True)
 class Triangulation:
-    """Set of maximal simplices, plus an optional coarse certificate.
-
-    The certificate is a coarser triangulation whose invariant simplices are
-    standard.
-    """
+    """Set of maximal simplices in sorted vertex order."""
 
     simplices: tuple[QSimplex, ...]
-    coarse: Optional[tuple[QSimplex, ...]] = None
 
     @staticmethod
-    def of(simplices, coarse=None) -> Triangulation:
-        return Triangulation(
-            tuple(sorted(simplices, key=lambda s: s.vertices)),
-            tuple(coarse) if coarse is not None else None,
-        )
+    def of(simplices) -> Triangulation:
+        return Triangulation(tuple(sorted(simplices, key=lambda s: s.vertices)))
 
     @property
     def vertex_set(self) -> tuple[Vec, ...]:
@@ -417,66 +405,46 @@ def _height_one_volume(verts: Sequence[Vec], lp: LatticePair) -> Fraction:
 # planar triangulation machinery (the base simplex in dimension 3 is a polygon)
 
 
-def _chart(x: Vec) -> tuple[Fraction, Fraction]:
-    """Affine chart on the base plane: drop the last coordinate."""
-    return (x[0], x[1])
-
-
 def _orient(a: Vec, b: Vec, c: Vec) -> int:
-    (ax, ay), (bx, by), (cx, cy) = _chart(a), _chart(b), _chart(c)
-    v = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    """Sign of the turn a, b, c in the base plane, read in the affine chart
+    that drops the last coordinate."""
+    v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
     return (v > 0) - (v < 0)
 
 
-def _on_segment(p: Vec, a: Vec, b: Vec) -> bool:
-    if _orient(a, b, p) != 0:
-        return False
-    (px, py), (ax, ay), (bx, by) = _chart(p), _chart(a), _chart(b)
-    return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
-
-
 def _point_in_triangle(p: Vec, tri: tuple[Vec, Vec, Vec]) -> str:
-    """'in', 'edge', or 'out' (exact)."""
+    """'in', 'edge', or 'out' (exact); a degenerate triangle holds nothing."""
     a, b, c = tri
     s = _orient(a, b, c)
-    if s == 0:
+    sides = {_orient(a, b, p), _orient(b, c, p), _orient(c, a, p)}
+    if s == 0 or -s in sides:
         return "out"
-    o1, o2, o3 = _orient(a, b, p), _orient(b, c, p), _orient(c, a, p)
-    if o1 == s and o2 == s and o3 == s:
-        return "in"
-    if (o1 == s or o1 == 0) and (o2 == s or o2 == 0) and (o3 == s or o3 == 0):
-        return "edge"
-    return "out"
+    return "in" if sides == {s} else "edge"
 
 
 def _insert_points(triangles: list[tuple[Vec, Vec, Vec]], points: Sequence[Vec]) -> list[tuple[Vec, Vec, Vec]]:
     """Incremental insertion of points into a planar triangulation.
 
     Each point either splits its containing triangle into three or splits the
-    one or two triangles adjacent to the edge it lies on.  Inserting every
-    lattice point of the region leaves only empty lattice triangles, which in
-    a planar lattice have normalized area one.
+    one or two triangles adjacent to the edge it lies on (the edge whose line
+    holds it: a point on the boundary of a triangle, not a vertex, is on one
+    edge line only).  Inserting every lattice point of the region leaves only
+    empty lattice triangles, which in a planar lattice have normalized area
+    one.
     """
     tris = list(triangles)
     for p in points:
         if any(p in t for t in tris):
             continue
-        placed = False
         for idx, t in enumerate(tris):
             where = _point_in_triangle(p, t)
             if where == "in":
                 a, b, c = t
                 tris[idx : idx + 1] = [(a, b, p), (b, c, p), (c, a, p)]
-                placed = True
                 break
             if where == "edge":
                 a, b, c = t
-                for e0, e1, opp in ((a, b, c), (b, c, a), (c, a, b)):
-                    if _on_segment(p, e0, e1):
-                        edge = (e0, e1)
-                        break
-                else:  # pragma: no cover
-                    continue
+                edge = next(e for e in ((a, b), (b, c), (c, a)) if _orient(*e, p) == 0)
                 new = []
                 for t2 in tris:
                     if edge[0] in t2 and edge[1] in t2:
@@ -486,9 +454,8 @@ def _insert_points(triangles: list[tuple[Vec, Vec, Vec]], points: Sequence[Vec])
                     else:
                         new.append(t2)
                 tris = new
-                placed = True
                 break
-        if not placed:
+        else:
             raise ValueError(f"point {p} is outside the region being triangulated")
     return tris
 
@@ -502,13 +469,15 @@ def adjusted_triangulation(
 ) -> Triangulation:
     """Symmetry-adjusted unimodular triangulation of the base simplex.
 
-    The construction follows the dimension and the order of the symmetry:
-    full subdivision for a one-dimensional base; mirrored halves (with a
-    straddling area-one triangle when the midpoint of the opposite side is
-    not a lattice point) for an order-two symmetry in dimension three; a
-    rotated sector around an invariant core triangle for order three.
-    Raises UnsupportedDimension for n >= 4 and DegenerateOrbit when no valid
-    invariant core exists.
+    A one-dimensional base is cut at every lattice point.  A base triangle is
+    built from one fundamental domain of the symmetry and its invariant core
+    (``_fundamental_domain``): the domain is triangulated with all of its
+    lattice points, so every triangle is an empty lattice triangle and has
+    normalized area one by Pick's theorem, and the symmetry maps the pieces
+    around the core.  ``revlex`` inserts the points in reverse order and then
+    flips one interior diagonal of the domain, which gives a second, distinct
+    triangulation whenever the domain has one.  Raises UnsupportedDimension
+    for n >= 4.
     """
     if lp.n < 2:
         raise UnsupportedDimension("base simplex needs dimension >= 2")
@@ -516,96 +485,93 @@ def adjusted_triangulation(
         raise UnsupportedDimension("construction is limited to dimensions 2 and 3")
     if not sym.preserves(lp):
         raise NotInvariant("symmetry does not preserve the lattice")
-    if sym.order not in (1, 2, 3):
-        raise DegenerateOrbit(f"symmetry order {sym.order} not supported")
 
     reverse = insertion_order == "revlex"
     if insertion_order not in ("lex", "revlex"):
         raise ValueError("insertion_order must be 'lex' or 'revlex'")
 
+    pts = sorted(lp.base_points(), reverse=reverse)
     if lp.n == 2:
-        pts = lp.base_points()
-        simplices = [QSimplex.of(a, b) for a, b in zip(pts, pts[1:])]
-        return Triangulation.of(simplices, coarse=simplices)
+        return Triangulation.of([QSimplex.of(a, b) for a, b in zip(pts, pts[1:])])
 
-    if sym.order == 1:
-        return _triangulate_trivial(lp, reverse)
-    if sym.order == 2:
-        return _triangulate_mirror(lp, sym, reverse)
-    return _triangulate_rotation(lp, sym, reverse)
+    polygon, core = _fundamental_domain(pts, sym)
+    # repeated vertices mark sides that have shrunk to a point
+    domain = [v for k, v in enumerate(polygon) if v != polygon[k - 1]]
+    if len(domain) == 4 and _orient(*domain[:3]) != _orient(domain[0], *domain[2:]):
+        # cut the quadrilateral along the diagonal that runs inside it
+        domain = domain[1:] + domain[:1]
+    tris = [(domain[0], domain[t], domain[t + 1]) for t in range(1, len(domain) - 1)]
+    members = [p for p in pts if any(_point_in_triangle(p, t) != "out" for t in tris)]
+    tris = _insert_points(tris, members)
+    if reverse:
+        tris = _flip_one_diagonal(tris)
+    return _orbit_triangulation(tris, sym, core)
 
 
 def _units(n: int) -> list[Vec]:
     return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
 
 
-def _triangulate_trivial(lp: LatticePair, reverse: bool) -> Triangulation:
+def _fundamental_domain(
+    pts: Sequence[Vec], sym: PermSymmetry
+) -> tuple[list[Vec], list[QSimplex]]:
+    """A fundamental domain of the symmetry on the base triangle T (a polygon
+    in cyclic order, given the lattice points ``pts`` of T) and the invariant
+    core triangle, if any, that the domain and its images surround.
+
+    - Identity: T, no core.
+    - Reflection in the line x_i = x_j through e_k: the half on the side of
+      e_i less the core (w, p, sigma p), for w the lowest lattice point of
+      the mirror and p the lattice point of the side e_i e_j nearest the
+      mirror.  If the midpoint of that side is in N, w = p is the midpoint
+      and there is no core.  Else the core has area one: for a lattice
+      vector g of height one above the side, g + sigma g is an invariant
+      vector of height two, so the lattice points of the mirror (e_k among
+      them) come every one or two heights; missing height zero, they come
+      every two, and w lies at height one above the unit segment (sigma p, p).
+    - Rotation of order three about the centre c: the quadrilateral
+      (w, v, rho v, rho w) for w the lattice point nearest c and v the corner
+      of the largest coordinate of w; the core is the orbit triangle of w
+      unless w = c.  The rotation keeps the Euclidean metric of the base
+      plane, so the lattice is hexagonal and a centre c outside N is the
+      centre of an area-one lattice triangle, which lies inside T (the next
+      lattice points from c are twice as far, so the corners of T are the
+      core or the inscribed circle of T holds it).  As seen from c, w lies
+      within 60 degrees of v, so the segment w v meets the core in w alone
+      and its images cut the ring around the core into three copies of the
+      domain.  If w lies on a side of T, the copies are the corner triangles
+      (w, corner, rho w).
+    """
     e = _units(3)
-    base = [(e[0], e[1], e[2])]
-    pts = [p for p in sorted(lp.base_points(), reverse=reverse) if p not in e]
-    tris = _insert_points(base, pts)
-    simplices = [QSimplex.of(*t) for t in tris]
-    # every simplex is invariant, so the certificate is the fine triangulation
-    return Triangulation.of(simplices, coarse=simplices)
+    if sym.order == 1:
+        return e, []
+    if sym.order == 2:
+        (i, j) = next(c for c in sym.cycles() if len(c) == 2)
+        k = 3 - i - j
+        w = min((q for q in pts if q[i] == q[j]), key=lambda q: q[k])
+        p = min((q for q in pts if q[k] == 0 and q[i] >= q[j]), key=lambda q: q[i])
+        core = [] if p == w else [QSimplex.of(w, p, sym.apply(p))]
+        return [e[i], p, w, e[k]], core
+    centre = _vec([Fraction(1, 3)] * 3)
+    w = min(pts, key=lambda q: (sum((a - b) ** 2 for a, b in zip(q, centre)), q))
+    core = [] if w == centre else [QSimplex.of(w, sym.apply(w), sym.apply(sym.apply(w)))]
+    if w.count(0) == 1:
+        z = w.index(0)
+        return [w, e[sym.perm[sym.perm[z]]], sym.apply(w)], core
+    v = e[w.index(max(w))]
+    return [w, v, sym.apply(v), sym.apply(w)], core
 
 
-def _triangulate_mirror(lp: LatticePair, sym: PermSymmetry, reverse: bool) -> Triangulation:
-    e = _units(3)
-    (i, j) = next(c for c in sym.cycles() if len(c) == 2)
-    k = next(c[0] for c in sym.cycles() if len(c) == 1)
-    mid = tuple((e[i][t] + e[j][t]) / 2 for t in range(3))
-
-    def half_points():
-        return [p for p in lp.base_points() if p[i] >= p[j]]
-
-    if lp.contains(mid):
-        region = [(e[i], mid, e[k])]
-        pts = [p for p in sorted(half_points(), reverse=reverse) if p not in (e[i], mid, e[k])]
-        return _orbit_triangulation(_insert_points(region, pts), sym)
-    else:
-        fixed_line = sorted(
-            (p for p in lp.base_points() if p[i] == p[j]), key=lambda p: p[k]
-        )
-        if not fixed_line:
-            raise DegenerateOrbit("no lattice points on the fixed segment")
-        w = fixed_line[0]  # smallest fixed-vertex coordinate: closest to the opposite side
-        side = sorted((p for p in lp.base_points() if p[k] == 0), key=lambda p: p[i])
-        above = [p for p in side if p[i] > Fraction(1, 2)]
-        t1 = None
-        for p in sorted(above, key=lambda p: p[i]):
-            cand = QSimplex.of(w, p, sym.apply(p))
-            if cand.dim == 2 and normalized_volume(cand.vertices, lp) == 1:
-                t1 = (w, p, sym.apply(p))
-                break
-        if t1 is None:
-            raise DegenerateOrbit("no area-one straddling triangle exists")
-        w_, p, _ = t1
-        region = []
-        if _orient(e[i], p, w) != 0:
-            region.append((e[i], p, w))
-        if _orient(e[i], w, e[k]) != 0:
-            region.append((e[i], w, e[k]))
-        corner_pts = [
-            q
-            for q in sorted(half_points(), reverse=reverse)
-            if q not in (e[i], p, w, e[k]) and q not in t1
-        ]
-        # with no region left the straddling triangle covers the base simplex
-        half = _insert_points(region, corner_pts) if region else []
-        return _orbit_triangulation(half, sym, core=[QSimplex.of(*t1)])
-
-
-def _orbit_triangulation(tris, sym: PermSymmetry, core=()) -> Triangulation:
+def _orbit_triangulation(tris, sym: PermSymmetry, core) -> Triangulation:
     """The invariant core simplices, then each triangle with its images under
-    the symmetry, each simplex once; the result is its own certificate."""
+    the symmetry, each simplex once."""
     simplices = {s.vertices: s for s in core}
     for t in tris:
         s = QSimplex.of(*t)
         for _ in range(sym.order):
             simplices.setdefault(s.vertices, s)
             s = s.image(sym)
-    out = list(simplices.values())
-    return Triangulation.of(out, coarse=out)
+    return Triangulation.of(simplices.values())
 
 
 def _flip_one_diagonal(tris: list[tuple[Vec, Vec, Vec]]) -> list[tuple[Vec, Vec, Vec]]:
@@ -615,96 +581,19 @@ def _flip_one_diagonal(tris: list[tuple[Vec, Vec, Vec]]) -> list[tuple[Vec, Vec,
     so it turns one unimodular triangulation of a region into another.
     """
     sets = [frozenset(t) for t in tris]
-    for i in range(len(tris)):
-        for j in range(i + 1, len(tris)):
-            shared = sets[i] & sets[j]
-            if len(shared) != 2:
-                continue
+    for i, j in itertools.combinations(range(len(tris)), 2):
+        shared = sets[i] & sets[j]
+        if len(shared) == 2:
             a, b = sorted(shared)
-            c = next(v for v in tris[i] if v not in shared)
-            d = next(v for v in tris[j] if v not in shared)
-            if _orient(a, b, c) * _orient(a, b, d) >= 0:
-                continue
-            if _orient(c, d, a) * _orient(c, d, b) >= 0:
-                continue
-            out = [t for k, t in enumerate(tris) if k not in (i, j)]
-            out.extend([(c, d, a), (c, d, b)])
-            return out
+            (c,) = sets[i] - shared
+            (d,) = sets[j] - shared
+            if (
+                _orient(a, b, c) * _orient(a, b, d) < 0
+                and _orient(c, d, a) * _orient(c, d, b) < 0
+            ):
+                rest = [t for k, t in enumerate(tris) if k not in (i, j)]
+                return rest + [(c, d, a), (c, d, b)]
     return tris
-
-
-def _triangulate_rotation(lp: LatticePair, sym: PermSymmetry, reverse: bool) -> Triangulation:
-    e = _units(3)
-    center = _vec([Fraction(1, 3)] * 3)
-    pts = lp.base_points()
-
-    if lp.contains(center):
-        sector = [(center, e[0], e[sym.perm[0]])]
-        members = [
-            p
-            for p in sorted(pts, reverse=reverse)
-            if p != center
-            and p not in e
-            and _point_in_triangle(p, sector[0]) != "out"
-        ]
-        tris = _insert_points(sector, members)
-        if reverse:
-            tris = _flip_one_diagonal(tris)
-        return _orbit_triangulation(tris, sym)
-
-    # invariant core: orbit triangle of the lattice point nearest the center
-    candidates = []
-    for w in pts:
-        orbit = QSimplex.of(w, sym.apply(w), sym.apply(sym.apply(w)))
-        if orbit.dim != 2:
-            continue
-        if normalized_volume(orbit.vertices, lp) != 1:
-            continue
-        dist = sum((a - b) ** 2 for a, b in zip(w, center))
-        candidates.append((dist, w, orbit))
-    if not candidates:
-        raise DegenerateOrbit("no area-one invariant core triangle exists")
-    candidates.sort(key=lambda c: (c[0], c[1]))
-    _, w1, core = candidates[0]
-    w2, w3 = sym.apply(w1), sym.apply(sym.apply(w1))
-
-    if core.vertices == QSimplex.of(*e).vertices:
-        return _orbit_triangulation([], sym, core=[core])
-
-    for v1 in e:
-        v2 = sym.apply(v1)
-        starts = [[(w1, v1, v2), (w1, v2, w2)], [(w1, v1, w2)], [(w1, v2, w2)]]
-        for start in starts:
-            if any(_orient(*t) == 0 for t in start):
-                continue
-            if len({_orient(*t) for t in start}) != 1:
-                continue
-            try:
-                sector_area = sum(
-                    normalized_volume(QSimplex.of(*t).vertices, lp) for t in start
-                )
-            except ValueError:
-                continue
-            if 1 + 3 * sector_area != lp.order:
-                continue
-            corners = {v for t in start for v in t}
-            members = [
-                p
-                for p in sorted(pts, reverse=reverse)
-                if p not in corners
-                and any(_point_in_triangle(p, t) != "out" for t in start)
-                and _point_in_triangle(p, (w1, w2, w3)) == "out"
-            ]
-            try:
-                tris = _insert_points(list(start), members)
-            except ValueError:
-                continue
-            if reverse:
-                tris = _flip_one_diagonal(tris)
-            cand = _orbit_triangulation(tris, sym, core=[core])
-            if verify_crepant(cand, lp):
-                return cand
-    raise DegenerateOrbit("no sector decomposition found around the invariant core")
 
 
 # ---------------------------------------------------------------------------
@@ -1102,11 +991,10 @@ def _standard_lattice(n: int) -> LatticePair:
 
 
 def verify_adjusted(tri: Triangulation, lp: LatticePair, sym: PermSymmetry) -> bool:
-    """Every maximal invariant simplex of the coarse certificate is standard."""
-    coarse = tri.coarse if tri.coarse is not None else tri.simplices
-    coarse_tri = Triangulation.of(coarse)
-    vertex_sets = [(s, frozenset(s.vertices)) for s in coarse_tri.simplices]
-    for f in _maximal_invariant_faces(coarse_tri.simplices, sym):
+    """Every maximal invariant face of the triangulation is standard, judged
+    by ``is_g_standard`` with the simplices that lie inside it."""
+    vertex_sets = [(s, frozenset(s.vertices)) for s in tri.simplices]
+    for f in _maximal_invariant_faces(tri.simplices, sym):
         inside = frozenset(f.vertices)
         restricted = Triangulation.of([s for s, vs in vertex_sets if vs <= inside] or [f])
         if not is_g_standard(f, restricted, sym, lp):
@@ -1216,7 +1104,7 @@ def triangulation_to_document(tri: Triangulation, lp: LatticePair) -> dict:
     """Structured document for a triangulation; round-trips bit-exactly."""
     vertices = tri.vertex_set
     vindex = {v: i for i, v in enumerate(vertices)}
-    doc = {
+    return {
         "lattice": {
             "n": lp.n,
             "generators": [[list(vec), m] for vec, m in lp.generators],
@@ -1224,29 +1112,16 @@ def triangulation_to_document(tri: Triangulation, lp: LatticePair) -> dict:
         "vertices": [",".join(_frac_str(x) for x in v) for v in vertices],
         "simplices": [[vindex[v] for v in s.vertices] for s in tri.simplices],
     }
-    if tri.coarse is not None:
-        cverts = sorted({v for s in tri.coarse for v in s.vertices})
-        cindex = {v: i for i, v in enumerate(cverts)}
-        doc["certificate"] = {
-            "vertices": [",".join(_frac_str(x) for x in v) for v in cverts],
-            "simplices": [[cindex[v] for v in s.vertices] for s in tri.coarse],
-        }
-    return doc
 
 
 def triangulation_from_document(doc: dict) -> tuple[Triangulation, LatticePair]:
     """Inverse of triangulation_to_document.
 
-    A certificate's ``assignment`` key, written by earlier versions, is
-    accepted and ignored.
+    The ``certificate`` block (with its ``assignment`` key) that earlier
+    versions wrote is accepted and ignored.
     """
     lat = doc["lattice"]
     lp = build_lattice_pair(lat["n"], [(tuple(v), m) for v, m in lat["generators"]])
     vertices = [tuple(Fraction(p) for p in s.split(",")) for s in doc["vertices"]]
     simplices = [QSimplex(tuple(sorted(vertices[i] for i in idx))) for idx in doc["simplices"]]
-    coarse = None
-    if "certificate" in doc:
-        cert = doc["certificate"]
-        cverts = [tuple(Fraction(p) for p in s.split(",")) for s in cert["vertices"]]
-        coarse = [QSimplex(tuple(sorted(cverts[i] for i in idx))) for idx in cert["simplices"]]
-    return Triangulation.of(simplices, coarse=coarse), lp
+    return Triangulation.of(simplices), lp

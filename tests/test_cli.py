@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from crepant import toric
 from crepant.cli import (
     EXIT_CAP,
     EXIT_FAIL,
@@ -356,14 +355,3 @@ def test_zero_conductor_is_a_parse_error(capsys):
     err = capsys.readouterr().err
     assert rc == EXIT_PARSE
     assert err.startswith("error:") and err.count("\n") == 1
-
-
-def test_degenerate_orbit_is_an_input_error(monkeypatch, capsys):
-    def no_core(*args, **kwargs):
-        raise toric.DegenerateOrbit("no area-one invariant core triangle exists")
-
-    monkeypatch.setattr(toric, "adjusted_triangulation", no_core)
-    rc = main(["toric", "--fixture", "z5sq-cycle"])
-    err = capsys.readouterr().err
-    assert rc == EXIT_PARSE
-    assert err == "error: no area-one invariant core triangle exists\n"

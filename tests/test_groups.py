@@ -252,6 +252,26 @@ def test_mul_rejects_mismatched_elements():
         GroupElement.identity(2).mul(GroupElement.identity(3))
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    st.sampled_from([1, 4, 5, 12]),
+    st.lists(st.tuples(st.integers(-2, 2), st.integers(0, 11)), min_size=18, max_size=18),
+)
+def test_mul_matches_the_dense_product(m, spec):
+    """The product that skips zero entries equals the sum over every k."""
+    entries = [CycloInt.zeta(m, k) * c for c, k in spec]
+    a, b = (
+        GroupElement(3, m, tuple(tuple(entries[s + r : s + r + 3]) for r in (0, 3, 6)))
+        for s in (0, 9)
+    )
+    zero = CycloInt.from_int(0, m)
+    dense = tuple(
+        tuple(sum((a.entries[i][k] * b.entries[k][j] for k in range(3)), zero) for j in range(3))
+        for i in range(3)
+    )
+    assert a.mul(b).entries == dense
+
+
 # ---------------------------------------------------------------------------
 # differential tests: the generator-only closure and outer action against the
 # quadratic routines they replaced

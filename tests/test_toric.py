@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from crepant import toric
 from crepant.cli import _random_lattice_instance
 from crepant.exactmath import _solve_in_basis
 from crepant.toric import (
-    DegenerateOrbit,
     NotInvariant,
     NotSpecialLinear,
     PermSymmetry,
@@ -269,6 +269,24 @@ def test_serialization_round_trip(z5sq):
     assert json.dumps(triangulation_to_document(back, lp2), sort_keys=True) == blob
 
 
+def test_old_document_with_certificate_loads(z5sq):
+    lp, sym = z5sq
+    doc = triangulation_to_document(adjusted_triangulation(lp, sym), lp)
+    assert set(doc) == {"lattice", "vertices", "simplices"}
+    old = dict(
+        doc,
+        certificate={
+            "vertices": doc["vertices"],
+            "simplices": doc["simplices"],
+            "assignment": list(range(len(doc["simplices"]))),
+        },
+    )
+    back, lp2 = triangulation_from_document(json.loads(json.dumps(old)))
+    assert bool(verify_crepant(back, lp2)) and verify_adjusted(back, lp2, sym)
+    assert toric_lefschetz(back, lp2, sym) == 1
+    assert triangulation_to_document(back, lp2) == doc
+
+
 def test_randomized_instances_smoke():
     rng = random.Random(11)
     for _ in range(12):
@@ -500,16 +518,15 @@ def _reference_maximal_invariant_faces(simplices, sym):
 def _compare_maximal_faces(tri, lp, sym):
     """The per-simplex search finds the reference's faces, and verify_adjusted
     gives the verdict is_g_standard gives on the reference's faces."""
-    simplices = tri.coarse if tri.coarse is not None else tri.simplices
-    got = _maximal_invariant_faces(simplices, sym)
-    want = _reference_maximal_invariant_faces(simplices, sym)
+    got = _maximal_invariant_faces(tri.simplices, sym)
+    want = _reference_maximal_invariant_faces(tri.simplices, sym)
     assert len(got) == len({f.vertices for f in got})
     assert {f.vertices for f in got} == {f.vertices for f in want}, (lp.generators, sym.perm)
-    coarse = [(s, frozenset(s.vertices)) for s in Triangulation.of(simplices).simplices]
+    vertex_sets = [(s, frozenset(s.vertices)) for s in tri.simplices]
     verdict = True
     for f in want:
         inside = frozenset(f.vertices)
-        restricted = Triangulation.of([s for s, vs in coarse if vs <= inside] or [f])
+        restricted = Triangulation.of([s for s, vs in vertex_sets if vs <= inside] or [f])
         verdict = verdict and is_g_standard(f, restricted, sym, lp)
     assert verify_adjusted(tri, lp, sym) == verdict
 
@@ -533,3 +550,55 @@ def test_maximal_invariant_faces_match_all_pairs_reference_2d(m):
     for sym in (SWAP2, PermSymmetry.identity(2)):
         _compare_maximal_faces(adjusted_triangulation(lp, sym), lp, sym)
         _compare_maximal_faces(adjusted_triangulation(lp, sym), lp, SWAP2)
+
+
+# ---------------------------------------------------------------------------
+# the fundamental-domain constructor across lattice families
+
+
+def _constructor_cases():
+    for m in range(2, 12):
+        yield build_lattice_pair(3, [((1, m - 1, 0), m), ((0, 1, m - 1), m)]), ROT3
+    for m in range(2, 61):
+        lp = build_lattice_pair(3, [((1, 1, m - 2), m)])
+        yield lp, PermSymmetry.identity(3)
+        yield lp, SWAP3
+    rng = random.Random(5)
+    for _ in range(150):
+        yield _random_lattice_instance(rng)
+    # the core vertices are the edge midpoints, so the domain is a corner triangle
+    yield build_lattice_pair(3, [((1, 1, 0), 2), ((0, 1, 1), 2), ((1, 0, 1), 2)]), ROT3
+
+
+def _expected_invariant_simplices(lp, sym):
+    """Every simplex for the identity; otherwise one core triangle exactly
+    when the fixed point on the mirrored side (or the centre) is not in N."""
+    if sym.order == 1:
+        return lp.order
+    if sym.order == 2:
+        i, j = next(c for c in sym.cycles() if len(c) == 2)
+        point = tuple(Fraction(int(t in (i, j)), 2) for t in range(3))
+    else:
+        point = (Fraction(1, 3),) * 3
+    return 0 if lp.contains(point) else 1
+
+
+def test_fundamental_domain_constructor_sweep(monkeypatch):
+    real_verify = toric.verify_crepant
+    calls = []
+    monkeypatch.setattr(toric, "verify_crepant", lambda *args: calls.append(args))
+    builds = 0
+    for lp, sym in _constructor_cases():
+        for order in ("lex", "revlex"):
+            tri = adjusted_triangulation(lp, sym, order)
+            assert calls == []
+            case = (lp.generators, sym.perm, order)
+            rep = real_verify(tri, lp)
+            assert rep.ok and rep.simplex_count == lp.order, case
+            assert verify_adjusted(tri, lp, sym), case
+            lef = toric_lefschetz(tri, lp, sym)
+            assert lef == count_fixed_elements(lp, sym) == fixed_sublattice_index(lp, sym), case
+            invariant = sum(1 for s in tri.simplices if s.image(sym).vertices == s.vertices)
+            assert invariant == _expected_invariant_simplices(lp, sym), case
+            builds += 1
+    assert builds == 2 * (10 + 2 * 59 + 150 + 1)
