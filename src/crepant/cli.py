@@ -10,6 +10,7 @@ invariant core), 3 closure cap exceeded, 4 unsupported dimension.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import random
@@ -267,10 +268,14 @@ def cmd_toric(args, command) -> int:
             tri, lp = toric.triangulation_from_document(json.load(fh))
         sym = parse_permutation(args.perm or "id", lp.n)
         rep = toric.verify_crepant(tri, lp)
+        try:
+            lefschetz = toric.toric_lefschetz(tri, lp, sym)
+        except toric.NotInvariantTriangulation:
+            lefschetz = None
         results = {
             "crepant": bool(rep),
             "simplices": rep.simplex_count,
-            "lefschetz": toric.toric_lefschetz(tri, lp, sym) if tri.is_symmetric(sym) else None,
+            "lefschetz": lefschetz,
             "failures": list(rep.failures),
             "contact_flags": list(rep.contact_flags),
         }
@@ -651,9 +656,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged, and a
+    build costs more than most commands of a one-process sweep."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

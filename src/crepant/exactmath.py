@@ -8,6 +8,7 @@ uses floating point.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -260,17 +261,6 @@ class CycloInt:
             c[(i * k) % m] += x
         return CycloInt(m, _reduce_mod_cyclotomic(c, m))
 
-    def norm(self) -> int:
-        """Field norm down to the rationals; always a rational integer."""
-        m = self.conductor
-        out = CycloInt.from_int(1, m)
-        for k in range(1, m + 1):
-            if gcd(k, m) == 1:
-                out = out * self.galois(k)
-        if any(out.coeffs[1:]):
-            raise ExactnessError(f"norm of {self!r} is not rational: {out!r}")
-        return out.coeffs[0]
-
     def root_of_unity_order(self) -> int | None:
         """Multiplicative order if this is a root of unity, else None.
 
@@ -289,24 +279,44 @@ class CycloInt:
         return f"CycloInt(m={self.conductor}, {list(self.coeffs)})"
 
 
-def cyclo_div_exact(a: CycloInt, b: CycloInt) -> CycloInt | None:
-    """a / b when the quotient is a cyclotomic integer, else None."""
-    m = lcm(a.conductor, b.conductor)
-    a, b = a.lift(m), b.lift(m)
-    n = b.norm()
-    if n == 0:
-        raise ZeroDivisionError("division by zero cyclotomic integer")
-    cof = CycloInt.from_int(1, m)
-    for k in range(2, m + 1):
-        if gcd(k, m) == 1:
-            cof = cof * b.galois(k)
-    if m == 1:
-        cof = CycloInt.from_int(1, 1)
-        n = b.coeffs[0]
-    num = a * cof
-    if any(x % n for x in num.coeffs):
+class CycloDivisor:
+    """A nonzero cyclotomic integer b prepared for exact division.
+
+    a / b = a * c / N(b) for the Galois cofactor c, the product of the
+    conjugates of b other than b itself, and the field norm N(b) = b * c.
+    Both are computed once here, so dividing many entries by one determinant
+    costs one product each.
+    """
+
+    __slots__ = ("conductor", "cofactor", "norm")
+
+    def __init__(self, b: CycloInt):
+        m = b.conductor
+        cof = CycloInt.from_int(1, m)
+        for k in range(2, m + 1):
+            if gcd(k, m) == 1:
+                cof = cof * b.galois(k)
+        norm = b * cof
+        if any(norm.coeffs[1:]):
+            raise ExactnessError(f"norm of {b!r} is not rational: {norm!r}")
+        if norm.coeffs[0] == 0:
+            raise ZeroDivisionError("division by zero cyclotomic integer")
+        self.conductor = m
+        self.cofactor = cof
+        self.norm = norm.coeffs[0]
+
+
+def cyclo_div_exact(a: CycloInt, b: CycloInt | CycloDivisor) -> CycloInt | None:
+    """a / b when the quotient is a cyclotomic integer, else None.
+
+    A CycloDivisor b must have a conductor that a's conductor divides.
+    """
+    if isinstance(b, CycloInt):
+        b = CycloDivisor(b.lift(lcm(a.conductor, b.conductor)))
+    num = a.lift(b.conductor) * b.cofactor
+    if any(x % b.norm for x in num.coeffs):
         return None
-    return CycloInt(m, tuple(x // n for x in num.coeffs))
+    return CycloInt(b.conductor, tuple(x // b.norm for x in num.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +359,11 @@ class IntMat:
     def mul(self, other: IntMat) -> IntMat:
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            r = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(r[k] * other.get(k, j) for k in range(self.cols)))
-        return IntMat(self.rows, other.cols, tuple(out))
+        cols = [other.entries[j :: other.cols] for j in range(other.cols)]
+        rows = [self.row(i) for i in range(self.rows)]
+        return IntMat(
+            self.rows, other.cols, tuple(sum(map(operator.mul, r, c)) for r in rows for c in cols)
+        )
 
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination."""
@@ -382,18 +391,37 @@ class IntMat:
         return sign * a[n - 1][n - 1]
 
     def inverse_unimodular(self) -> IntMat:
-        """Inverse of a unimodular matrix (integer entries guaranteed)."""
+        """Inverse of a unimodular matrix by integer row reduction of [A | I].
+
+        Euclidean row steps clear each column below its pivot; with
+        determinant +-1 every pivot ends as +-1, so back substitution stays in
+        the integers.  A pivot of any other size raises ExactnessError.
+        """
         d = self.det()
         if d not in (1, -1):
             raise ValueError("matrix is not unimodular")
-        inverse = _rational_inverse(self.to_rows())
-        out = []
-        for i, row in enumerate(inverse):
-            for j, v in enumerate(row):
-                if v.denominator != 1:
-                    raise ExactnessError(f"inverse entry ({i}, {j}) is {v}, not an integer")
-                out.append(int(v))
-        return IntMat(self.rows, self.cols, tuple(out))
+        n = self.rows
+        a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.to_rows())]
+        for c in range(n):
+            while True:
+                p = min((i for i in range(c, n) if a[i][c]), key=lambda i: abs(a[i][c]))
+                a[c], a[p] = a[p], a[c]
+                rest = [i for i in range(c + 1, n) if a[i][c]]
+                if not rest:
+                    break
+                for i in rest:
+                    q = a[i][c] // a[c][c]
+                    a[i] = [x - q * y for x, y in zip(a[i], a[c])]
+            if a[c][c] not in (1, -1):
+                raise ExactnessError(f"pivot {a[c][c]} in column {c} of a unimodular matrix")
+            if a[c][c] == -1:
+                a[c] = [-x for x in a[c]]
+        for c in range(n - 1, -1, -1):
+            for i in range(c):
+                q = a[i][c]
+                if q:
+                    a[i] = [x - q * y for x, y in zip(a[i], a[c])]
+        return IntMat(n, n, tuple(x for r in a for x in r[n:]))
 
 
 # ---------------------------------------------------------------------------
@@ -452,31 +480,11 @@ def _solve_in_basis(vec: Sequence, basis: Sequence[Sequence]) -> list[Fraction] 
     return coords
 
 
-def _nullspace(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Basis of {y : rows . y = 0} over the rationals, one vector per free column."""
-    if not rows:
-        return []
-    a = [list(r) for r in rows]
-    pivots = _gauss_reduce(a)
-    out = []
-    for j in range(len(a[0])):
-        if j in pivots:
-            continue
-        y = [Fraction(0)] * len(a[0])
-        y[j] = Fraction(1)
-        for r, c in enumerate(pivots):
-            y[c] = -a[r][j]
-        out.append(y)
-    return out
-
-
-def _rational_inverse(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Inverse of a square rational matrix, read off the reduction of [A | I]."""
-    n = len(rows)
-    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-    if _gauss_reduce(aug)[:n] != list(range(n)):
-        raise ZeroDivisionError("matrix is singular")
-    return [r[n:] for r in aug]
+def _integer_rows(rows: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
+    """The common denominator D of rational rows (ints or Fractions) and the
+    integer rows D*r."""
+    den = lcm(*(x.denominator for r in rows for x in r))
+    return den, [[x.numerator * (den // x.denominator) for x in r] for r in rows]
 
 
 def _rational_det(rows: Sequence[Sequence]) -> Fraction:
@@ -486,9 +494,8 @@ def _rational_det(rows: Sequence[Sequence]) -> Fraction:
     integers (Bareiss elimination in ``IntMat.det``); the determinant of the
     scaled n-by-n matrix is D^n times the one sought.
     """
-    den = lcm(*(Fraction(x).denominator for r in rows for x in r))
-    scaled = IntMat.from_rows([[int(x * den) for x in r] for r in rows])
-    return Fraction(scaled.det(), den ** len(rows))
+    den, scaled = _integer_rows(rows)
+    return Fraction(IntMat.from_rows(scaled).det(), den ** len(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -592,15 +599,10 @@ def row_lattice_basis(rows) -> list[list[Fraction]]:
     Scales to an integer matrix, takes the Smith decomposition U*A*V = D, and
     reads the basis off the nonzero rows of D*V^-1.
     """
-    rows = [[Fraction(x) for x in row] for row in rows]
     if not rows:
         return []
-    den = 1
-    for r in rows:
-        for x in r:
-            den = lcm(den, x.denominator)
-    A = IntMat.from_rows([[int(x * den) for x in r] for r in rows])
-    _, D, V = smith_normal_form(A)
+    den, scaled = _integer_rows(rows)
+    _, D, V = smith_normal_form(IntMat.from_rows(scaled))
     DVinv = D.mul(V.inverse_unimodular())
     basis = []
     for i in range(DVinv.rows):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from math import lcm
 from typing import Callable, Optional, Sequence
 
-from .exactmath import CycloInt, cyclo_div_exact
+from .exactmath import CycloDivisor, CycloInt, cyclo_div_exact
 
 __all__ = [
     "GroupElement",
@@ -489,6 +489,7 @@ def outer_action(group: FiniteMatrixGroup, h: GroupElement) -> OuterAction:
     if det.is_zero():
         raise ValueError("symmetry must be invertible")
     adj = _adjugate(hh)
+    divisor = CycloDivisor(det)
     images = []
     for gi in group.generators:
         num = hh.mul(group.elements[gi].lift(m)).mul(adj)
@@ -496,7 +497,7 @@ def outer_action(group: FiniteMatrixGroup, h: GroupElement) -> OuterAction:
         for row in num.entries:
             out_row = []
             for x in row:
-                q = cyclo_div_exact(x, det)
+                q = cyclo_div_exact(x, divisor)
                 if q is None:
                     raise NotNormalizing(
                         f"conjugate of generator {gi} has non-integral entries"

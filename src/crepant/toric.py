@@ -12,12 +12,23 @@ the result.  The orbit-sum evaluator computes the Lefschetz number of the
 symmetry on the resolution as a sum of det(I - sigma) terms over invariant
 faces.
 
-All geometry is exact: points are tuples of Fractions, and every test on a
-maximal simplex is an integer determinant.  A maximal simplex of the base
-simplex has its vertices at height one (coordinate sum one), so its
-normalized volume is |det V| * |N/M| for the matrix V of its vertices; scaled
-by the lattice denominator this is an integer identity.  Volumes of lower
-dimensional faces go through integer normal forms.
+All geometry is exact and runs on integers.  With D the lattice denominator
+(N lies in (1/D)Z^n), N/M is held once as the set of residues D*x mod D of
+its elements, and the points of N on the base simplex are the residues of
+coordinate sum D together with the unit points.  Inside the construction and
+the checks a point x is the integer tuple D*x; since D > 0 this keeps the
+lexicographic order, and coordinate permutations commute with it.  Fractions
+appear only at the boundary: the returned simplices, triangulations, orbit
+records and documents carry the vertices x, each converted once.
+
+A maximal simplex of the base simplex has its vertices at height one
+(coordinate sum one), so its normalized volume is |det V| * |N/M| for the
+matrix V of its vertices; scaled by D this is an integer identity.  Every
+other lattice question takes one integer Smith form of N-coordinates: the
+saturation of a span and a basis of N completing it, read off the column
+transform, give the quotient action of an invariant face, and the product of
+the invariant factors gives a sublattice index or a lower dimensional
+volume.
 """
 
 from __future__ import annotations
@@ -31,11 +42,9 @@ from typing import Optional, Sequence
 from .exactmath import (
     IntMat,
     LatticeError,
-    _nullspace,
+    _integer_rows,
     _rational_det,
-    _rational_inverse,
     _solve_in_basis,
-    lattice_index,
     permutation_cycles,
     row_lattice_basis,
     smith_normal_form,
@@ -57,7 +66,6 @@ __all__ = [
     "verify_adjusted",
     "fixed_locus_of",
     "normalized_volume",
-    "sublattice_in_subspace",
     "toric_lefschetz",
     "orbit_records",
     "block_det",
@@ -73,6 +81,7 @@ __all__ = [
 ]
 
 Vec = tuple[Fraction, ...]
+IntVec = tuple[int, ...]  # a point x scaled by the lattice denominator D: D*x
 
 
 class NotSpecialLinear(ValueError):
@@ -118,61 +127,95 @@ class LatticePair:
     basis: tuple[Vec, ...]
     order: int  # index of M in N
 
-    def basis_inverse(self) -> list[list[Fraction]]:
-        cache = getattr(self, "_binv", None)
-        if cache is None:
-            cache = _rational_inverse(self.basis)
-            object.__setattr__(self, "_binv", cache)
-        return cache
-
-    def coords(self, x) -> tuple[Fraction, ...]:
-        """Coordinates of a vector in the N basis (always defined, full rank)."""
-        binv = self.basis_inverse()
-        x = _vec(x)
-        return tuple(
-            sum(x[i] * binv[i][j] for i in range(self.n)) for j in range(self.n)
-        )
-
-    def contains(self, x) -> bool:
-        return all(c.denominator == 1 for c in self.coords(x))
+    def _cached(self, name: str, compute):
+        """The value kept on the instance under ``name``, computed once."""
+        value = self.__dict__.get(name)
+        if value is None:
+            value = compute()
+            object.__setattr__(self, name, value)
+        return value
 
     def denominator(self) -> int:
-        return lcm(*(v.denominator for row in self.basis for v in row))
+        """D, the least common denominator of N, so that N lies in (1/D)Z^n."""
+        return self._cached(
+            "_den", lambda: lcm(*(v.denominator for row in self.basis for v in row))
+        )
+
+    def basis_inverse(self) -> list[list[int]]:
+        """Inverse of the basis matrix: its rows are the N-coordinates of the
+        unit vectors, so it is integral because M = Z^n lies in N.
+
+        With K = D*B for the basis matrix B and the Smith form U K V = S,
+        B^-1 = V (D S^-1) U; D S^-1 is integral exactly when B^-1 is.
+        """
+
+        def compute():
+            d, K = _integer_rows(self.basis)
+            U, S, V = smith_normal_form(IntMat.from_rows(K))
+            s = [S.get(k, k) for k in range(self.n)]
+            if not all(s) or any(d % x for x in s):
+                raise LatticeError("the basis does not span an overlattice of Z^n")
+            rows = [[d // s[k] * x for x in U.row(k)] for k in range(self.n)]
+            return V.mul(IntMat.from_rows(rows)).to_rows()
+
+        return self._cached("_binv", compute)
+
+    def residues(self) -> frozenset[IntVec]:
+        """N/M as the residues D*x mod D of its elements, D the denominator.
+
+        Found by breadth-first search from zero over the residues of the
+        generators.  Raises LatticeError when a generator is not in
+        (1/D)Z^n or the search does not find ``order`` residues.
+        """
+
+        def compute():
+            d = self.denominator()
+            steps = []
+            for vec, m in self.generators:
+                if any(a * d % m for a in vec):
+                    raise LatticeError(f"generator {vec}/{m} is not in (1/{d})Z^{self.n}")
+                steps.append(tuple(a * d // m % d for a in vec))
+            zero = (0,) * self.n
+            seen, frontier = {zero}, [zero]
+            while frontier:
+                nxt = []
+                for r in frontier:
+                    for g in steps:
+                        s = tuple((x + y) % d for x, y in zip(r, g))
+                        if s not in seen:
+                            seen.add(s)
+                            nxt.append(s)
+                frontier = nxt
+            if len(seen) != self.order:
+                raise LatticeError(
+                    f"the generators give {len(seen)} elements of N/M, not the order {self.order}"
+                )
+            return frozenset(seen)
+
+        return self._cached("_residues", compute)
+
+    def contains(self, x) -> bool:
+        """Whether x is in N: D*x is integral and its residue is in N/M."""
+        d = self.denominator()
+        y = [c.numerator * d for c in x]
+        if any(a % c.denominator for a, c in zip(y, x)):
+            return False  # not in (1/D)Z^n
+        return tuple(a // c.denominator % d for a, c in zip(y, x)) in self.residues()
+
+    def scaled_base_points(self) -> list[IntVec]:
+        """D*x for the points x of N on the base simplex, in lexicographic order.
+
+        Such a D*x is a nonnegative integer vector of coordinate sum D, so it
+        is its own residue, unless it is a multiple of D: a unit point.
+        """
+        d = self.denominator()
+        units = [tuple(d * int(i == j) for j in range(self.n)) for i in range(self.n)]
+        return sorted([r for r in self.residues() if sum(r) == d] + units)
 
     def base_points(self) -> list[Vec]:
         """All points of N on the base simplex, in lexicographic order."""
         d = self.denominator()
-        pts = []
-        for comp in _compositions(d, self.n):
-            x = tuple(Fraction(c, d) for c in comp)
-            if self.contains(x):
-                pts.append(x)
-        return sorted(pts)
-
-    def coset_representatives(self) -> list[Vec]:
-        """Representatives of N/M in the half-open unit cube."""
-        reps = {tuple(Fraction(0) for _ in range(self.n))}
-        frontier = list(reps)
-        gens = [tuple(Fraction(a, m) for a in vec) for vec, m in self.generators]
-        while frontier:
-            nxt = []
-            for r in frontier:
-                for g in gens:
-                    s = tuple((x + y) % 1 for x, y in zip(r, g))
-                    if s not in reps:
-                        reps.add(s)
-                        nxt.append(s)
-            frontier = nxt
-        return sorted(reps)
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+        return [tuple(Fraction(c, d) for c in y) for y in self.scaled_base_points()]
 
 
 def build_lattice_pair(n: int, generators: Sequence[tuple[Sequence[int], int]]) -> LatticePair:
@@ -185,7 +228,7 @@ def build_lattice_pair(n: int, generators: Sequence[tuple[Sequence[int], int]]) 
         if sum(vec) % m != 0:
             raise NotSpecialLinear(f"exponents {vec} do not sum to 0 mod {m}")
         gens.append((vec, int(m)))
-    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
     for vec, m in gens:
         rows.append([Fraction(v, m) for v in vec])
     basis = [tuple(r) for r in row_lattice_basis(rows)]
@@ -239,12 +282,6 @@ class PermSymmetry:
     def order(self) -> int:
         return lcm(*(len(c) for c in self.cycles()))
 
-    def matrix(self) -> IntMat:
-        n = self.n
-        return IntMat.from_rows(
-            [[1 if self.perm[j] == i else 0 for j in range(n)] for i in range(n)]
-        )
-
     def preserves(self, lp: LatticePair) -> bool:
         return all(lp.contains(self.apply(row)) for row in lp.basis)
 
@@ -275,13 +312,6 @@ class QSimplex:
     def dim(self) -> int:
         return len(self.vertices) - 1
 
-    def faces(self):
-        """All nonempty faces, including the simplex itself."""
-        vs = self.vertices
-        for k in range(1, len(vs) + 1):
-            for sub in itertools.combinations(vs, k):
-                yield QSimplex(tuple(sub))
-
     def image(self, sym: PermSymmetry) -> QSimplex:
         return QSimplex(tuple(sorted(sym.apply(v) for v in self.vertices)))
 
@@ -304,58 +334,27 @@ class Triangulation:
     def vertex_set(self) -> tuple[Vec, ...]:
         return tuple(sorted({v for s in self.simplices for v in s.vertices}))
 
-    def all_faces(self) -> list[QSimplex]:
-        seen = {}
-        for s in self.simplices:
-            for f in s.faces():
-                seen[f.vertices] = f
-        return [seen[k] for k in sorted(seen)]
-
-    def is_symmetric(self, sym: PermSymmetry) -> bool:
-        have = {s.vertices for s in self.simplices}
-        return all(s.image(sym).vertices in have for s in self.simplices)
-
 
 # ---------------------------------------------------------------------------
 # lattice geometry helpers
 
 
-def _integer_kernel_rows(a: IntMat) -> list[list[int]]:
-    """Basis rows of the left kernel {c : c*a = 0} inside Z^rows."""
-    U, D, _ = smith_normal_form(a)
-    out = []
-    for i in range(a.rows):
-        d = D.get(i, i) if i < min(D.rows, D.cols) else 0
-        if d == 0:
-            out.append(list(U.row(i)))
-    return out
+def _lattice_coords(binv: Sequence[Sequence[int]], y: Sequence[int]) -> list[int]:
+    """N-coordinates of an integer vector y, from the basis inverse."""
+    return [sum(a * row[j] for a, row in zip(y, binv)) for j in range(len(binv))]
 
 
-def sublattice_in_subspace(lp: LatticePair, span_rows: Sequence[Vec]) -> list[Vec]:
-    """Basis of the lattice N intersected with a rational subspace."""
-    n = lp.n
-    if not span_rows:
-        return []
-    complement = _nullspace(span_rows)
-    if not complement:
-        return [tuple(r) for r in lp.basis]
-    cols = []
-    den = 1
-    for y in complement:
-        col = []
-        for i in range(n):
-            v = sum(lp.basis[i][j] * y[j] for j in range(n))
-            col.append(v)
-            den = lcm(den, v.denominator)
-        cols.append(col)
-    mat = IntMat.from_rows(
-        [[int(cols[k][i] * den) for k in range(len(cols))] for i in range(n)]
-    )
-    kernel = _integer_kernel_rows(mat)
-    out = []
-    for c in kernel:
-        out.append(tuple(sum(Fraction(c[i]) * lp.basis[i][j] for i in range(n)) for j in range(n)))
-    return out
+def _saturation_index(lp: LatticePair, rows: Sequence[Sequence[int]]) -> int:
+    """Index of the lattice spanned by independent integer vectors in its
+    saturation, N intersected with their span; 0 when they are dependent.
+
+    It is the product of the Smith invariants of the vectors' N-coordinates.
+    """
+    binv = lp.basis_inverse()
+    _, D, _ = smith_normal_form(IntMat.from_rows([_lattice_coords(binv, y) for y in rows]))
+    if len(rows) > D.cols:
+        return 0
+    return prod(D.get(i, i) for i in range(len(rows)))
 
 
 def normalized_volume(vertices: Sequence[Vec], lp: LatticePair) -> Fraction:
@@ -363,42 +362,18 @@ def normalized_volume(vertices: Sequence[Vec], lp: LatticePair) -> Fraction:
 
     This is the lattice-normalized volume: the number of fundamental cells of
     the induced lattice in the edge parallelepiped.  Zero-dimensional
-    simplices get volume one by convention.  A maximal simplex of the base
-    simplex takes the determinant route of ``_height_one_volume``; lower
-    dimensional faces go through the induced lattice's normal form.
+    simplices get volume one by convention.  With the d edges scaled to
+    integers by L, it is their saturation index divided by L^d.
     """
     verts = [_vec(v) for v in vertices]
     d = len(verts) - 1
     if d == 0:
         return Fraction(1)
-    if d == lp.n - 1 and all(sum(v) == 1 for v in verts):
-        vol = _height_one_volume(verts, lp)
-        if vol == 0:
-            raise ValueError("simplex is degenerate or lattice does not span it")
-        return vol
-    edges = [_vsub(v, verts[0]) for v in verts[1:]]
-    induced = sublattice_in_subspace(lp, edges)
-    if len(induced) != d:
+    den, edges = _integer_rows([_vsub(v, verts[0]) for v in verts[1:]])
+    vol = Fraction(_saturation_index(lp, edges), den**d)
+    if vol == 0:
         raise ValueError("simplex is degenerate or lattice does not span it")
-    coords = []
-    for e in edges:
-        c = _solve_in_basis(e, induced)
-        if c is None:
-            raise ValueError("edge outside induced lattice span")
-        coords.append(c)
-    return abs(_rational_det(coords))
-
-
-def _height_one_volume(verts: Sequence[Vec], lp: LatticePair) -> Fraction:
-    """Normalized volume of n vertices at height one: |det V| * |N/M|.
-
-    The coordinate sum maps N onto Z, so a basis of N can be taken as one
-    height-one vector plus a basis of the height-zero lattice; in it the
-    vertex matrix is block triangular and its determinant is the volume of
-    the edges in the induced lattice.  Changing to the standard basis divides
-    the determinant by the covolume 1/|N/M|.
-    """
-    return abs(_rational_det(verts)) * lp.order
+    return vol
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +387,7 @@ def _orient(a: Vec, b: Vec, c: Vec) -> int:
     return (v > 0) - (v < 0)
 
 
-def _point_in_triangle(p: Vec, tri: tuple[Vec, Vec, Vec]) -> str:
+def _point_in_triangle(p: IntVec, tri: tuple[IntVec, IntVec, IntVec]) -> str:
     """'in', 'edge', or 'out' (exact); a degenerate triangle holds nothing."""
     a, b, c = tri
     s = _orient(a, b, c)
@@ -422,7 +397,9 @@ def _point_in_triangle(p: Vec, tri: tuple[Vec, Vec, Vec]) -> str:
     return "in" if sides == {s} else "edge"
 
 
-def _insert_points(triangles: list[tuple[Vec, Vec, Vec]], points: Sequence[Vec]) -> list[tuple[Vec, Vec, Vec]]:
+def _insert_points(
+    triangles: list[tuple[IntVec, IntVec, IntVec]], points: Sequence[IntVec]
+) -> list[tuple[IntVec, IntVec, IntVec]]:
     """Incremental insertion of points into a planar triangulation.
 
     Each point either splits its containing triangle into three or splits the
@@ -490,11 +467,12 @@ def adjusted_triangulation(
     if insertion_order not in ("lex", "revlex"):
         raise ValueError("insertion_order must be 'lex' or 'revlex'")
 
-    pts = sorted(lp.base_points(), reverse=reverse)
+    d = lp.denominator()
+    pts = sorted(lp.scaled_base_points(), reverse=reverse)
     if lp.n == 2:
-        return Triangulation.of([QSimplex.of(a, b) for a, b in zip(pts, pts[1:])])
+        return _unscaled(zip(pts, pts[1:]), d)
 
-    polygon, core = _fundamental_domain(pts, sym)
+    polygon, core = _fundamental_domain(pts, sym, d)
     # repeated vertices mark sides that have shrunk to a point
     domain = [v for k, v in enumerate(polygon) if v != polygon[k - 1]]
     if len(domain) == 4 and _orient(*domain[:3]) != _orient(domain[0], *domain[2:]):
@@ -505,19 +483,33 @@ def adjusted_triangulation(
     tris = _insert_points(tris, members)
     if reverse:
         tris = _flip_one_diagonal(tris)
-    return _orbit_triangulation(tris, sym, core)
+    return _orbit_triangulation(tris, sym, core, d)
 
 
 def _units(n: int) -> list[Vec]:
     return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
 
 
+def _unscaled(simplices, d: int) -> Triangulation:
+    """The triangulation by the given simplices of scaled points d*x, each
+    simplex once, with every distinct vertex turned back into x once."""
+    keys = sorted({tuple(sorted(s)) for s in simplices})
+    values = [Fraction(c, d) for c in range(d + 1)]  # the coordinates on the base simplex
+    points = {}
+    for key in keys:
+        for y in key:
+            if y not in points:
+                points[y] = tuple(values[c] for c in y)
+    return Triangulation(tuple(QSimplex(tuple(points[y] for y in key)) for key in keys))
+
+
 def _fundamental_domain(
-    pts: Sequence[Vec], sym: PermSymmetry
-) -> tuple[list[Vec], list[QSimplex]]:
+    pts: Sequence[IntVec], sym: PermSymmetry, d: int
+) -> tuple[list[IntVec], list[tuple[IntVec, ...]]]:
     """A fundamental domain of the symmetry on the base triangle T (a polygon
-    in cyclic order, given the lattice points ``pts`` of T) and the invariant
-    core triangle, if any, that the domain and its images surround.
+    in cyclic order, given the lattice points ``pts`` of T scaled by the
+    denominator d) and the invariant core triangle, if any, that the domain
+    and its images surround.
 
     - Identity: T, no core.
     - Reflection in the line x_i = x_j through e_k: the half on the side of
@@ -542,7 +534,7 @@ def _fundamental_domain(
       domain.  If w lies on a side of T, the copies are the corner triangles
       (w, corner, rho w).
     """
-    e = _units(3)
+    e = [tuple(d * int(i == j) for j in range(3)) for i in range(3)]
     if sym.order == 1:
         return e, []
     if sym.order == 2:
@@ -550,11 +542,11 @@ def _fundamental_domain(
         k = 3 - i - j
         w = min((q for q in pts if q[i] == q[j]), key=lambda q: q[k])
         p = min((q for q in pts if q[k] == 0 and q[i] >= q[j]), key=lambda q: q[i])
-        core = [] if p == w else [QSimplex.of(w, p, sym.apply(p))]
+        core = [] if p == w else [(w, p, sym.apply(p))]
         return [e[i], p, w, e[k]], core
-    centre = _vec([Fraction(1, 3)] * 3)
-    w = min(pts, key=lambda q: (sum((a - b) ** 2 for a, b in zip(q, centre)), q))
-    core = [] if w == centre else [QSimplex.of(w, sym.apply(w), sym.apply(sym.apply(w)))]
+    # squared distance to the centre (d/3, d/3, d/3), times nine
+    w = min(pts, key=lambda q: (sum((3 * a - d) ** 2 for a in q), q))
+    core = [] if all(3 * a == d for a in w) else [(w, sym.apply(w), sym.apply(sym.apply(w)))]
     if w.count(0) == 1:
         z = w.index(0)
         return [w, e[sym.perm[sym.perm[z]]], sym.apply(w)], core
@@ -562,19 +554,20 @@ def _fundamental_domain(
     return [w, v, sym.apply(v), sym.apply(w)], core
 
 
-def _orbit_triangulation(tris, sym: PermSymmetry, core) -> Triangulation:
+def _orbit_triangulation(tris, sym: PermSymmetry, core, d: int) -> Triangulation:
     """The invariant core simplices, then each triangle with its images under
     the symmetry, each simplex once."""
-    simplices = {s.vertices: s for s in core}
+    simplices = list(core)
     for t in tris:
-        s = QSimplex.of(*t)
         for _ in range(sym.order):
-            simplices.setdefault(s.vertices, s)
-            s = s.image(sym)
-    return Triangulation.of(simplices.values())
+            simplices.append(t)
+            t = tuple(sym.apply(v) for v in t)
+    return _unscaled(simplices, d)
 
 
-def _flip_one_diagonal(tris: list[tuple[Vec, Vec, Vec]]) -> list[tuple[Vec, Vec, Vec]]:
+def _flip_one_diagonal(
+    tris: list[tuple[IntVec, IntVec, IntVec]]
+) -> list[tuple[IntVec, IntVec, IntVec]]:
     """Flip the first strictly convex interior diagonal, if any.
 
     Flipping preserves vertices, areas, and emptiness of lattice triangles,
@@ -643,35 +636,41 @@ def verify_crepant(tri: Triangulation, lp: LatticePair) -> CrepancyReport:
     """
     failures = []
     n = lp.n
-    den = lp.denominator()
-    scaled = {}
-    for v in sorted({v for s in tri.simplices for v in s.vertices}):
+    # scale is the lattice denominator D unless a vertex lies outside (1/D)Z^n
+    scale, points, keys = _scaled_simplices(tri, lp.denominator())
+    bad = [
+        v
+        for y, v in points.items()
+        if not (len(y) == n and sum(y) == scale and min(y) >= 0 and lp.contains(v))
+    ]
+    for v in sorted(bad):
         if len(v) != n or sum(v) != 1 or any(x < 0 for x in v):
             failures.append(f"vertex {v} outside the base simplex")
-        elif not lp.contains(v):
-            failures.append(f"vertex {v} not in the overlattice")
         else:
-            scaled[v] = [int(x * den) for x in v]
+            failures.append(f"vertex {v} not in the overlattice")
     for s in tri.simplices:
         if s.dim != n - 1:
             failures.append(f"simplex {s.vertices} has dimension {s.dim}")
 
     total = Fraction(0)
     if not failures:
-        full = den**n
-        dets = [IntMat.from_rows([scaled[v] for v in s.vertices]).det() for s in tri.simplices]
+        # normalized volumes are |det| * |N/M| / full; sum their numerators
+        full = scale**n
+        dets = [IntMat.from_rows(key).det() for key in keys]
+        numerators = 0
         for s, det in zip(tri.simplices, dets):
             if det == 0:
                 failures.append(f"degenerate simplex {s.vertices}")
                 continue
-            vol = Fraction(abs(det) * lp.order, full)
-            total += vol
-            if vol != 1:
-                failures.append(f"simplex {s.vertices} has normalized volume {vol}")
+            vol = abs(det) * lp.order
+            numerators += vol
+            if vol != full:
+                failures.append(f"simplex {s.vertices} has normalized volume {Fraction(vol, full)}")
+        total = Fraction(numerators, full)
         if total != lp.order:
             failures.append(f"volumes sum to {total}, expected {lp.order}")
         if all(dets):
-            failures.extend(_facet_pairing_failures(tri.simplices, dets, n))
+            failures.extend(_facet_pairing_failures(keys, dets, n, points))
     return CrepancyReport(
         ok=not failures,
         simplex_count=len(tri.simplices),
@@ -682,34 +681,38 @@ def verify_crepant(tri: Triangulation, lp: LatticePair) -> CrepancyReport:
 
 
 def _facet_pairing_failures(
-    simplices: Sequence[QSimplex], dets: Sequence[int], n: int
+    keys: Sequence[tuple[IntVec, ...]], dets: Sequence[int], n: int, points: dict[IntVec, Vec]
 ) -> list[str]:
     """Facets used the wrong number of times or paired on one side.
 
-    Dropping vertex k from a simplex with sorted vertices leaves its facet in
-    sorted order; moving row k of the vertex matrix to the end takes
-    n - 1 - k transpositions, so the side of the opposite vertex relative to
-    the facet is the determinant's sign times (-1)^(n-1-k).
+    ``keys`` are the simplices in scaled points, ``points`` maps each scaled
+    point back to the vertex that witnesses name.  Dropping vertex k from a
+    simplex with sorted vertices leaves its facet in sorted order; moving row
+    k of the vertex matrix to the end takes n - 1 - k transpositions, so the
+    side of the opposite vertex relative to the facet is the determinant's
+    sign times (-1)^(n-1-k).
     """
-    uses: dict[tuple[Vec, ...], list[tuple[int, int]]] = {}
-    for idx, (s, det) in enumerate(zip(simplices, dets)):
+    uses: dict[tuple[IntVec, ...], list[tuple[int, int]]] = {}
+    for idx, (vs, det) in enumerate(zip(keys, dets)):
         sign = 1 if det > 0 else -1
-        vs = s.vertices
         for k in range(len(vs)):
             side = sign if (n - 1 - k) % 2 == 0 else -sign
             uses.setdefault(vs[:k] + vs[k + 1 :], []).append((idx, side))
     failures = []
     for facet, users in uses.items():
-        owners = [simplices[i].vertices for i, _ in users]
-        boundary = any(all(v[i] == 0 for v in facet) for i in range(n))
+        boundary = any(all(y[i] == 0 for y in facet) for i in range(n))
         kind, want = ("boundary", 1) if boundary else ("interior", 2)
+        if len(users) == want and (boundary or users[0][1] != users[1][1]):
+            continue
+        owners = [tuple(points[y] for y in keys[i]) for i, _ in users]
+        named = tuple(points[y] for y in facet)
         if len(users) != want:
             failures.append(
-                f"{kind} facet {facet} is shared by {len(users)} simplices, expected {want}: {owners}"
+                f"{kind} facet {named} is shared by {len(users)} simplices, expected {want}: {owners}"
             )
-        elif not boundary and users[0][1] == users[1][1]:
+        else:
             failures.append(
-                f"simplices {owners[0]} and {owners[1]} lie on the same side of their facet {facet}"
+                f"simplices {owners[0]} and {owners[1]} lie on the same side of their facet {named}"
             )
     return failures
 
@@ -734,13 +737,16 @@ class OrbitRecord:
 
 
 def _action_in_lattice_coords(lp: LatticePair, sym: PermSymmetry) -> IntMat:
+    """The symmetry's action on N in lattice coordinates: row i holds the
+    N-coordinates of the image of basis vector i."""
+    d, basis = _integer_rows(lp.basis)
+    binv = lp.basis_inverse()
     rows = []
-    for b in lp.basis:
-        img = sym.apply(b)
-        c = lp.coords(img)
-        if any(x.denominator != 1 for x in c):
+    for b, y in zip(lp.basis, basis):
+        scaled = _lattice_coords(binv, sym.apply(y))
+        if any(c % d for c in scaled):
             raise NotInvariant(f"symmetry maps the basis vector {b} out of the lattice")
-        rows.append([int(x) for x in c])
+        rows.append([c // d for c in scaled])
     return IntMat.from_rows(rows)
 
 
@@ -749,37 +755,84 @@ def _quotient_action(lp: LatticePair, S: IntMat, span_vectors: Sequence[Vec]) ->
 
     S is the action on N in lattice coordinates, from _action_in_lattice_coords.
     """
-    n = lp.n
     if not span_vectors:
         return S
-    sat = sublattice_in_subspace(lp, list(span_vectors))
-    r = len(sat)
-    coords = [[int(x) for x in lp.coords(v)] for v in sat]
-    K = IntMat.from_rows(coords)
-    _, D, V = smith_normal_form(K)
-    W = V.inverse_unimodular()  # rows: basis of Z^n whose first r rows span K
-    A = W.mul(S).mul(V)
-    # the saturated span is invariant, so A is block triangular; the
-    # bottom-right block is the quotient action
+    binv = lp.basis_inverse()
+    rows = [_lattice_coords(binv, y) for y in _integer_rows(span_vectors)[1]]
+    return _quotient_block(S, rows, span_vectors)
+
+
+def _quotient_block(S: IntMat, rows: Sequence[Sequence[int]], span: Sequence[Vec]) -> IntMat:
+    """Action induced on N / (N intersect the span of rows), given in
+    N-coordinates; NotInvariant names ``span`` when it is not invariant.
+
+    One Smith form U K V = D of the row matrix K does both jobs: K = U^-1 D
+    V^-1, so the first r rows of V^-1 (r the rank) are a basis of the span's
+    saturation N intersect span, and all n rows complete it to a basis of N.
+    In that basis the action is A = V^-1 S V; an invariant saturation makes
+    it block triangular, and its bottom-right block is the quotient action.
+    """
+    n = S.rows
+    _, D, V = smith_normal_form(IntMat.from_rows(rows))
+    r = sum(1 for i in range(min(D.rows, D.cols)) if D.get(i, i))
+    A = V.inverse_unimodular().mul(S).mul(V)
     q = n - r
     if any(A.get(i, r + j) for i in range(r) for j in range(q)):
-        raise NotInvariant(f"span of {list(span_vectors)} is not invariant under the symmetry")
-    rows = [[A.get(r + i, r + j) for j in range(q)] for i in range(q)]
-    return IntMat.from_rows(rows) if q else IntMat(0, 0, ())
+        raise NotInvariant(f"span of {list(span)} is not invariant under the symmetry")
+    if not q:
+        return IntMat(0, 0, ())
+    return IntMat.from_rows([[A.get(r + i, r + j) for j in range(q)] for i in range(q)])
 
 
 def orbit_records(tri: Triangulation, lp: LatticePair, sym: PermSymmetry) -> list[OrbitRecord]:
-    """Orbit record for every invariant face, including the empty face."""
-    if not tri.is_symmetric(sym):
+    """Orbit record for every invariant face, including the empty face.
+
+    Faces are found on the vertices scaled to integers, and the integer
+    N-coordinates of each distinct vertex are computed once; each invariant
+    face then costs one Smith form (``_quotient_block``).
+    """
+    _, points, keys = _scaled_simplices(tri)
+    image = {y: sym.apply(y) for y in points}
+    have = set(keys)
+    if not all(tuple(sorted(image[y] for y in key)) in have for key in keys):
         raise NotInvariantTriangulation("symmetry does not map the triangulation to itself")
     S = _action_in_lattice_coords(lp, sym)
     records = [OrbitRecord(None, lp.n, S, _det_one_minus(S))]
-    for f in tri.all_faces():
-        if f.image(sym).vertices != f.vertices:
-            continue
-        A = _quotient_action(lp, S, f.vertices)
-        records.append(OrbitRecord(f, A.rows, A, _det_one_minus(A)))
+    faces = set()
+    for key in keys:
+        for f in _subsets(key):
+            if f not in faces and tuple(sorted(image[y] for y in f)) == f:
+                faces.add(f)
+    binv = lp.basis_inverse()
+    coords = {y: _lattice_coords(binv, y) for f in faces for y in f}
+    for f in sorted(faces):
+        face = QSimplex(tuple(points[y] for y in f))
+        A = _quotient_block(S, [coords[y] for y in f], face.vertices)
+        records.append(OrbitRecord(face, A.rows, A, _det_one_minus(A)))
     return records
+
+
+def _scaled_simplices(
+    tri: Triangulation, d: int = 1
+) -> tuple[int, dict[IntVec, Vec], list[tuple[IntVec, ...]]]:
+    """L, the least common multiple of d and the vertex denominators; the map
+    from scaled points L*x back to vertices x; and the simplices in scaled
+    points, each vertex object converted once.  Scaling by L > 0 keeps the
+    order of vertices and commutes with the symmetry."""
+    den = lcm(d, *(x.denominator for s in tri.simplices for v in s.vertices for x in v))
+    memo: dict[int, IntVec] = {}
+    points: dict[IntVec, Vec] = {}
+    keys = []
+    for s in tri.simplices:
+        key = []
+        for v in s.vertices:
+            y = memo.get(id(v))
+            if y is None:
+                y = memo[id(v)] = tuple(x.numerator * (den // x.denominator) for x in v)
+                points.setdefault(y, v)
+            key.append(y)
+        keys.append(tuple(key))
+    return den, points, keys
 
 
 def _det_one_minus(a: IntMat) -> int:
@@ -818,18 +871,13 @@ def block_det(s: int) -> int:
 
 def count_fixed_elements(lp: LatticePair, sym: PermSymmetry) -> int:
     """Number of symmetry-fixed elements of the quotient group N/M."""
-    count = 0
-    for rep in lp.coset_representatives():
-        img = tuple(v % 1 for v in sym.apply(rep))
-        if img == rep:
-            count += 1
-    return count
+    return sum(1 for r in lp.residues() if sym.apply(r) == r)
 
 
 def fixed_sublattice_index(lp: LatticePair, sym: PermSymmetry) -> int:
     """Index of M-in-the-fixed-subspace inside N-in-the-fixed-subspace."""
-    span = fixed_subspace(sym)  # the cycle sums are a basis of M in the subspace
-    return lattice_index(span, sublattice_in_subspace(lp, span))
+    # the cycle sums are a basis of M in the fixed subspace
+    return _saturation_index(lp, _integer_rows(fixed_subspace(sym))[1])
 
 
 # ---------------------------------------------------------------------------
@@ -993,31 +1041,35 @@ def _standard_lattice(n: int) -> LatticePair:
 def verify_adjusted(tri: Triangulation, lp: LatticePair, sym: PermSymmetry) -> bool:
     """Every maximal invariant face of the triangulation is standard, judged
     by ``is_g_standard`` with the simplices that lie inside it."""
-    vertex_sets = [(s, frozenset(s.vertices)) for s in tri.simplices]
-    for f in _maximal_invariant_faces(tri.simplices, sym):
-        inside = frozenset(f.vertices)
-        restricted = Triangulation.of([s for s, vs in vertex_sets if vs <= inside] or [f])
-        if not is_g_standard(f, restricted, sym, lp):
+    _, points, keys = _scaled_simplices(tri)
+    by_set: dict[frozenset, list[QSimplex]] = {}
+    for s, key in zip(tri.simplices, keys):
+        by_set.setdefault(frozenset(key), []).append(s)
+    for f in _maximal_invariant_faces(keys, sym):
+        face = QSimplex(tuple(points[y] for y in f))
+        # the simplices inside f have vertex sets among the subsets of f
+        inside = [s for sub in _subsets(f) for s in by_set.get(frozenset(sub), ())]
+        restricted = Triangulation.of(inside or [face])
+        if not is_g_standard(face, restricted, sym, lp):
             return False
     return True
 
 
-def _maximal_invariant_faces(
-    simplices: Sequence[QSimplex], sym: PermSymmetry
-) -> list[QSimplex]:
-    """The invariant faces of the simplices contained in no larger one.
+def _maximal_invariant_faces(simplices: Sequence[tuple], sym: PermSymmetry) -> list[tuple]:
+    """The invariant faces of the simplices (given as sorted vertex tuples)
+    contained in no larger one.
 
     A face is invariant when the symmetry permutes its vertices.  The
     vertices of a simplex whose whole orbit lies in that simplex span its
     largest invariant face, and every invariant face lies in one simplex, so
     the maximal invariant faces are the maximal sets among these, one per
-    simplex at most.  Faces come in sorted vertex order.
+    simplex at most.  Faces come as sorted vertex tuples, in sorted order.
     """
     largest = set()
     for s in simplices:
         # drop vertices whose image has left the set until none is dropped;
         # the symmetry has finite order, so a whole orbit stays
-        keep = frozenset(s.vertices)
+        keep = frozenset(s)
         while True:
             stay = frozenset(v for v in keep if sym.apply(v) in keep)
             if stay == keep:
@@ -1025,11 +1077,13 @@ def _maximal_invariant_faces(
             keep = stay
         if keep:
             largest.add(keep)
-    return [
-        QSimplex(tuple(sorted(f)))
-        for f in sorted(largest, key=sorted)
-        if not any(f < g for g in largest)
-    ]
+    smaller = {frozenset(sub) for g in largest for sub in _subsets(tuple(g)) if len(sub) < len(g)}
+    return sorted(tuple(sorted(f)) for f in largest - smaller)
+
+
+def _subsets(vertices: tuple) -> list[tuple]:
+    """The nonempty subsets of a vertex tuple, each in the tuple's order."""
+    return [sub for k in range(1, len(vertices) + 1) for sub in itertools.combinations(vertices, k)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crepant.exactmath import (
+    CycloDivisor,
     CycloInt,
     ExactnessError,
     IntMat,
@@ -20,14 +21,12 @@ from crepant.exactmath import (
 )
 from crepant.exactmath import (
     _gauss_reduce,
-    _nullspace,
     _poly_divmod,
     _poly_mul,
     _rational_det,
-    _rational_inverse,
     _solve_in_basis,
 )
-from test_toric import _det_fraction
+from test_toric import _det_fraction, _nullspace, _rational_inverse
 
 
 def test_cyclotomic_polynomial_small():
@@ -88,6 +87,68 @@ def test_exact_division():
     z5 = CycloInt.zeta(5)
     assert cyclo_div_exact(CycloInt.from_int(1, 5), z5) == z5**4
     assert cyclo_div_exact(CycloInt.from_int(3, 5), CycloInt.from_int(2, 5)) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12, 15]),
+    a=st.lists(st.integers(-3, 3), min_size=16, max_size=16),
+    b=st.lists(st.integers(-3, 3), min_size=16, max_size=16),
+)
+def test_prepared_divisor_matches_plain_division(m, a, b):
+    deg = len(cyclotomic_polynomial(m)) - 1
+    a, b = CycloInt(m, tuple(a[:deg])), CycloInt(m, tuple(b[:deg]))
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            CycloDivisor(b)
+        return
+    divisor = CycloDivisor(b)
+    norm = CycloInt.from_int(1, m)
+    for k in range(1, m + 1):
+        if gcd(k, m) == 1:
+            norm = norm * b.galois(k)
+    assert norm == divisor.norm  # the product of all conjugates
+    assert cyclo_div_exact(a * b, divisor) == a
+    assert cyclo_div_exact(a * b, b) == a
+    plus_one = cyclo_div_exact(a * b + 1, divisor)
+    assert plus_one == cyclo_div_exact(a * b + 1, b)
+    assert plus_one is None or plus_one * b == a * b + 1
+
+
+def _unimodular(draw_ops, n):
+    """The identity changed by row additions, swaps and sign flips."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for kind, i, j, q in draw_ops:
+        i, j = i % n, j % n
+        if kind == 0 and i != j:
+            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+        elif kind == 1:
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows[i] = [-x for x in rows[i]]
+    return IntMat.from_rows(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    ops=st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 4), st.integers(0, 4), st.integers(-4, 4)),
+        max_size=25,
+    ),
+)
+def test_integer_unimodular_inverse_matches_rational_inverse(n, ops):
+    a = _unimodular(ops, n)
+    inv = a.inverse_unimodular()
+    assert inv.to_rows() == _rational_inverse(a.to_rows())
+    assert inv.mul(a) == IntMat.identity(n) == a.mul(inv)
+
+
+def test_inverse_unimodular_refuses_other_determinants():
+    with pytest.raises(ValueError, match="not unimodular"):
+        IntMat.from_rows([[2, 0], [0, 1]]).inverse_unimodular()
+    with pytest.raises(ValueError, match="not unimodular"):
+        IntMat.from_rows([[1, 2], [2, 4]]).inverse_unimodular()
 
 
 def test_snf_examples():

@@ -44,13 +44,13 @@ COMMANDS = [
 _WALL_TIME = re.compile(r'"wall_time_ms": \d+')
 
 
-def run_golden_commands(workdir) -> dict:
-    """Run every command from ``workdir``; map stem to exit code and report."""
+def run_golden_commands(workdir, commands=COMMANDS) -> dict:
+    """Run the commands from ``workdir``; map stem to exit code and report."""
     out = {}
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        for stem, argv in COMMANDS:
+        for stem, argv in commands:
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
                 rc = main(argv)
@@ -65,6 +65,36 @@ def test_golden_reports(tmp_path):
     for stem, text in got.items():
         expected = (GOLDEN_DIR / f"{stem}.txt").read_text()
         assert text == expected, f"report of {stem} differs from tests/golden/{stem}.txt"
+
+
+def _interleaved(commands):
+    """The commands dealt round-robin by subcommand (group, toric, orbifold,
+    verify, group, ...), keeping the order within each subcommand."""
+    kinds = {}
+    for stem, argv in commands:
+        kinds.setdefault(argv[0], []).append((stem, argv))
+    queues = list(kinds.values())
+    out = []
+    while any(queues):
+        for q in queues:
+            if q:
+                out.append(q.pop(0))
+    return out
+
+
+def test_one_process_reuses_the_parser_across_subcommands(tmp_path, capsys):
+    """Alternating subcommands in one process give the golden reports, and a
+    malformed argv after successful calls still exits 2."""
+    order = _interleaved(COMMANDS)
+    assert [argv[0] for _, argv in order[:4]] == ["group", "toric", "orbifold", "verify"]
+    got = run_golden_commands(tmp_path, order)
+    for stem, text in got.items():
+        assert text == (GOLDEN_DIR / f"{stem}.txt").read_text(), stem
+    for bad in (["toric", "--n", "three"], ["verify", "--seed"], ["nosuch"], []):
+        assert main(bad) == 2, bad
+    capsys.readouterr()
+    again = run_golden_commands(tmp_path, [COMMANDS[0]])
+    assert again[COMMANDS[0][0]] == (GOLDEN_DIR / f"{COMMANDS[0][0]}.txt").read_text()
 
 
 if __name__ == "__main__":

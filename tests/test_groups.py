@@ -381,9 +381,20 @@ def _assert_matches_reference(group, symmetries):
         assert (act.element_perm, act.classes.classes, act.class_perm) == expected
 
 
-@pytest.mark.parametrize("n", range(1, 31))
+@pytest.mark.parametrize("n", range(1, 61))
 def test_cyclic_matches_reference(n):
     _assert_matches_reference(cyclic_group(n), [cyclic_swap_symmetry(), cyclic_flip_symmetry()])
+
+
+@pytest.mark.parametrize("n", [3, 5, 6, 8, 60])
+def test_non_integral_conjugate_raises_like_reference(n):
+    # det 2: the one divisor prepared per call must refuse the same entries
+    # that dividing entry by entry refuses
+    h = GroupElement.from_matrix([[1, 1], [0, 2]])
+    with pytest.raises(NotNormalizing, match="non-integral entries"):
+        outer_action(cyclic_group(n), h)
+    with pytest.raises(NotNormalizing, match="non-integral entries"):
+        _reference_outer_action(cyclic_group(n), h)
 
 
 @pytest.mark.parametrize("r", range(3, 9))

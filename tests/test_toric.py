@@ -1,12 +1,22 @@
+import itertools
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from crepant import toric
 from crepant.cli import _random_lattice_instance
-from crepant.exactmath import _solve_in_basis
+from crepant.exactmath import (
+    IntMat,
+    LatticeError,
+    _gauss_reduce,
+    _solve_in_basis,
+    smith_normal_form,
+)
 from crepant.toric import (
     NotInvariant,
     NotSpecialLinear,
@@ -30,7 +40,7 @@ from crepant.toric import (
     triangulation_to_document,
     verify_adjusted,
     verify_crepant,
-    sublattice_in_subspace,
+    LatticePair,
     _action_in_lattice_coords,
     _maximal_invariant_faces,
     _orient,
@@ -322,6 +332,71 @@ def _det_fraction(rows):
     return det
 
 
+def _nullspace(rows):
+    """Basis of {y : rows . y = 0} over the rationals, one vector per free column."""
+    if not rows:
+        return []
+    a = [list(r) for r in rows]
+    pivots = _gauss_reduce(a)
+    out = []
+    for j in range(len(a[0])):
+        if j in pivots:
+            continue
+        y = [Fraction(0)] * len(a[0])
+        y[j] = Fraction(1)
+        for r, c in enumerate(pivots):
+            y[c] = -a[r][j]
+        out.append(y)
+    return out
+
+
+def _rational_inverse(rows):
+    """Inverse of a square rational matrix, read off the reduction of [A | I]."""
+    n = len(rows)
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    if _gauss_reduce(aug)[:n] != list(range(n)):
+        raise ZeroDivisionError("matrix is singular")
+    return [r[n:] for r in aug]
+
+
+def _integer_kernel_rows(a):
+    """Basis rows of the left kernel {c : c*a = 0} inside Z^rows."""
+    U, D, _ = smith_normal_form(a)
+    out = []
+    for i in range(a.rows):
+        d = D.get(i, i) if i < min(D.rows, D.cols) else 0
+        if d == 0:
+            out.append(list(U.row(i)))
+    return out
+
+
+def sublattice_in_subspace(lp, span_rows):
+    """Basis of the lattice N intersected with a rational subspace, through a
+    rational complement and the integer kernel of its pairing with N."""
+    n = lp.n
+    if not span_rows:
+        return []
+    complement = _nullspace(span_rows)
+    if not complement:
+        return [tuple(r) for r in lp.basis]
+    cols = []
+    den = 1
+    for y in complement:
+        col = []
+        for i in range(n):
+            v = sum(lp.basis[i][j] * y[j] for j in range(n))
+            col.append(v)
+            den = lcm(den, v.denominator)
+        cols.append(col)
+    mat = IntMat.from_rows(
+        [[int(cols[k][i] * den) for k in range(len(cols))] for i in range(n)]
+    )
+    out = []
+    for c in _integer_kernel_rows(mat):
+        out.append(tuple(sum(Fraction(c[i]) * lp.basis[i][j] for i in range(n)) for j in range(n)))
+    return out
+
+
 def _smith_volume(vertices, lp):
     """Normalized volume through the induced lattice's normal form."""
     edges = [[x - y for x, y in zip(v, vertices[0])] for v in vertices[1:]]
@@ -506,9 +581,20 @@ def test_certificate_rejects_a_fold():
 # differential test: maximal invariant faces per simplex against all pairs
 
 
+def _all_faces(simplices):
+    """Every nonempty face of the simplices, once each, in sorted order."""
+    keys = {
+        sub
+        for s in simplices
+        for k in range(1, len(s.vertices) + 1)
+        for sub in itertools.combinations(s.vertices, k)
+    }
+    return [QSimplex(key) for key in sorted(keys)]
+
+
 def _reference_maximal_invariant_faces(simplices, sym):
     """Every invariant face, compared with every other one."""
-    faces = Triangulation.of(simplices).all_faces()
+    faces = _all_faces(simplices)
     invariant = [frozenset(f.vertices) for f in faces if f.image(sym).vertices == f.vertices]
     return [
         QSimplex(tuple(sorted(f))) for f in invariant if not any(f < g for g in invariant)
@@ -518,10 +604,10 @@ def _reference_maximal_invariant_faces(simplices, sym):
 def _compare_maximal_faces(tri, lp, sym):
     """The per-simplex search finds the reference's faces, and verify_adjusted
     gives the verdict is_g_standard gives on the reference's faces."""
-    got = _maximal_invariant_faces(tri.simplices, sym)
+    got = _maximal_invariant_faces([s.vertices for s in tri.simplices], sym)
     want = _reference_maximal_invariant_faces(tri.simplices, sym)
-    assert len(got) == len({f.vertices for f in got})
-    assert {f.vertices for f in got} == {f.vertices for f in want}, (lp.generators, sym.perm)
+    assert len(got) == len(set(got))
+    assert set(got) == {f.vertices for f in want}, (lp.generators, sym.perm)
     vertex_sets = [(s, frozenset(s.vertices)) for s in tri.simplices]
     verdict = True
     for f in want:
@@ -602,3 +688,221 @@ def test_fundamental_domain_constructor_sweep(monkeypatch):
             assert invariant == _expected_invariant_simplices(lp, sym), case
             builds += 1
     assert builds == 2 * (10 + 2 * 59 + 150 + 1)
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the integer model of N/M against the Fraction routes
+# it replaced
+
+
+def _reference_coords(lp, x, binv=None):
+    """N-coordinates of x through the rational inverse of the basis."""
+    binv = binv or _rational_inverse(lp.basis)
+    return [sum(Fraction(x[i]) * binv[i][j] for i in range(lp.n)) for j in range(lp.n)]
+
+
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def _reference_base_points(lp):
+    """Every point of denominator D on the base simplex, kept when its
+    N-coordinates are integers."""
+    d = lp.denominator()
+    binv = _rational_inverse(lp.basis)
+    pts = []
+    for comp in _compositions(d, lp.n):
+        x = tuple(Fraction(c, d) for c in comp)
+        if all(c.denominator == 1 for c in _reference_coords(lp, x, binv)):
+            pts.append(x)
+    return sorted(pts)
+
+
+def _reference_cosets(lp):
+    """Representatives of N/M in the half-open unit cube, by a search mod 1."""
+    reps = {tuple(Fraction(0) for _ in range(lp.n))}
+    frontier = list(reps)
+    gens = [tuple(Fraction(a, m) for a in vec) for vec, m in lp.generators]
+    while frontier:
+        nxt = []
+        for r in frontier:
+            for g in gens:
+                s = tuple((x + y) % 1 for x, y in zip(r, g))
+                if s not in reps:
+                    reps.add(s)
+                    nxt.append(s)
+        frontier = nxt
+    return reps
+
+
+def _reference_fixed_count(lp, sym):
+    return sum(1 for rep in _reference_cosets(lp) if tuple(v % 1 for v in sym.apply(rep)) == rep)
+
+
+def _reference_action(lp, sym):
+    rows = []
+    for b in lp.basis:
+        c = _reference_coords(lp, sym.apply(b))
+        if any(x.denominator != 1 for x in c):
+            raise NotInvariant("basis vector leaves the lattice")
+        rows.append([int(x) for x in c])
+    return IntMat.from_rows(rows)
+
+
+def _reference_quotient_action(lp, S, span_vectors):
+    """The action on N / (N intersect span): the saturated span from
+    sublattice_in_subspace, completed to a basis of N by a second Smith form."""
+    n = lp.n
+    sat = sublattice_in_subspace(lp, list(span_vectors))
+    r = len(sat)
+    K = IntMat.from_rows([[int(x) for x in _reference_coords(lp, v)] for v in sat])
+    _, _, V = smith_normal_form(K)
+    W = IntMat.from_rows([[int(x) for x in row] for row in _rational_inverse(V.to_rows())])
+    A = W.mul(S).mul(V)
+    q = n - r
+    if any(A.get(i, r + j) for i in range(r) for j in range(q)):
+        raise NotInvariant("span is not invariant")
+    return [[A.get(r + i, r + j) for j in range(q)] for i in range(q)]
+
+
+def _reference_records(tri, lp, sym):
+    """(face vertices, quotient rank, contribution) of every invariant face."""
+    S = _reference_action(lp, sym)
+
+    def contribution(a):
+        q = len(a)
+        return _det_fraction([[int(i == j) - a[i][j] for j in range(q)] for i in range(q)])
+
+    out = [(None, lp.n, contribution(S.to_rows()))]
+    for f in _all_faces(tri.simplices):
+        if f.image(sym).vertices == f.vertices:
+            a = _reference_quotient_action(lp, S, f.vertices)
+            out.append((f.vertices, len(a), contribution(a)))
+    return out
+
+
+def _symmetries(n):
+    syms = [PermSymmetry.identity(n), PermSymmetry.from_cycles(n, [(0, 1)])]
+    return syms + ([ROT3] if n == 3 else [])
+
+
+@st.composite
+def _lattice_pairs(draw):
+    """Lattice pairs with n in {2, 3} and |N/M| up to 150."""
+    n = draw(st.sampled_from([2, 3]))
+    gens = []
+    for bound in (150, 12)[: draw(st.integers(1, 2))]:
+        m = draw(st.integers(1, bound))
+        head = draw(st.lists(st.integers(0, m - 1), min_size=n - 1, max_size=n - 1))
+        gens.append((tuple(head) + ((-sum(head)) % m,), m))
+    lp = build_lattice_pair(n, gens)
+    assume(lp.order <= 150)
+    return lp
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(_lattice_pairs())
+def test_integer_lattice_model_matches_fraction_references(lp):
+    d = lp.denominator()
+    assert lp.base_points() == _reference_base_points(lp)
+    assert {tuple(Fraction(c, d) for c in r) for r in lp.residues()} == _reference_cosets(lp)
+    assert lp.basis_inverse() == [[int(x) for x in row] for row in _rational_inverse(lp.basis)]
+    for sym in _symmetries(lp.n):
+        assert count_fixed_elements(lp, sym) == _reference_fixed_count(lp, sym)
+        if not sym.preserves(lp):
+            with pytest.raises(NotInvariant):
+                _action_in_lattice_coords(lp, sym)
+            continue
+        assert _action_in_lattice_coords(lp, sym) == _reference_action(lp, sym)
+        tri = adjusted_triangulation(lp, sym)
+        got = [
+            (r.face.vertices if r.face else None, r.quotient_rank, r.contribution)
+            for r in orbit_records(tri, lp, sym)
+        ]
+        assert got == _reference_records(tri, lp, sym), (lp.generators, sym.perm)
+
+
+def test_lattice_pair_with_a_wrong_order_raises():
+    lp = build_lattice_pair(3, [((1, 2, 2), 5), ((1, 1, 3), 5)])
+    for order in (5, 24, 26, 125):
+        bad = LatticePair(lp.n, lp.generators, lp.basis, order)
+        with pytest.raises(LatticeError, match=f"not the order {order}"):
+            bad.residues()
+        with pytest.raises(LatticeError):
+            bad.contains((Fraction(1, 5), Fraction(2, 5), Fraction(2, 5)))
+        with pytest.raises(LatticeError):
+            count_fixed_elements(bad, ROT3)
+    # a generator outside the lattice the basis spans
+    units = build_lattice_pair(2, []).basis
+    with pytest.raises(LatticeError, match="not in"):
+        LatticePair(2, (((1, 1), 2),), units, 2).residues()
+
+
+def test_document_vertex_outside_the_lattice_is_named(tmp_path, capsys):
+    from crepant.cli import main
+
+    lp = build_lattice_pair(3, [((1, 1, 5), 7)])
+    doc = triangulation_to_document(adjusted_triangulation(lp, SWAP3), lp)
+    k = doc["vertices"].index("1/7,1/7,5/7")
+    cases = [
+        ("2/7,1/7,4/7", (Fraction(2, 7), Fraction(1, 7), Fraction(4, 7)), "not in the overlattice"),
+        ("1/3,1/3,1/3", (Fraction(1, 3),) * 3, "not in the overlattice"),
+        ("1/7,1/7,1/7", (Fraction(1, 7),) * 3, "outside the base simplex"),
+    ]
+    for text, vertex, what in cases:
+        bad = dict(doc, vertices=doc["vertices"][:k] + [text] + doc["vertices"][k + 1 :])
+        tri, lp2 = triangulation_from_document(json.loads(json.dumps(bad)))
+        rep = verify_crepant(tri, lp2)
+        assert not rep.ok
+        assert f"vertex {vertex} {what}" in rep.failures
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        assert main(["toric", "--load", str(path), "--perm", "(1 2)"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert f"vertex {vertex} {what}" in report["results"]["failures"]
+
+
+# ---------------------------------------------------------------------------
+# the paper's identity on random lattices, for every symmetry and order
+
+
+@st.composite
+def _invariant_lattices(draw):
+    """For each of id, (1 2) and (1 2 3), an n = 3 lattice closed under it
+    with |N/M| up to 150, drawn from the same generators."""
+    # the orbit of a vector under (1 2 3) spans up to m^2 elements
+    m = draw(st.one_of(st.integers(2, 13), st.integers(14, 150)))
+    vecs = []
+    for _ in range(draw(st.integers(1, 2))):
+        a, b = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        vecs.append((a, b, (-a - b) % m))
+    out = []
+    for sym in _symmetries(3):
+        gens = []
+        for v in vecs:
+            for _ in range(sym.order):
+                gens.append((v, m))
+                v = sym.apply(v)
+        lp = build_lattice_pair(3, gens)
+        if lp.order <= 150:
+            out.append((lp, sym))
+    assume(out)
+    return out
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(_invariant_lattices())
+def test_lefschetz_equals_fixed_count_and_index_on_random_lattices(cases):
+    for lp, sym in cases:
+        for order in ("lex", "revlex"):
+            rep = symmetry_report(lp, sym, order)
+            case = (lp.generators, sym.perm, order)
+            assert rep["crepant"] and rep["adjusted"], case
+            assert rep["simplex_count"] == lp.order, case
+            assert rep["lefschetz"] == rep["fixed_count"] == rep["sublattice_index"], case
+            assert rep["equal"], case
