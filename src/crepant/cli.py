@@ -142,10 +142,17 @@ def _digest(payload) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def emit_report(command: list[str], results: dict, checks: dict, started: float, out=None) -> dict:
+def emit_report(
+    command: list[str], results: dict, checks: dict, started: float, out=None, input_bytes=None
+) -> dict:
+    """Print the JSON report.  Its input_digest covers argv and, for a
+    command that reads a document, that document's bytes."""
+    payload = {"command": command}
+    if input_bytes is not None:
+        payload["input_sha256"] = hashlib.sha256(input_bytes).hexdigest()
     report = {
         "command": command,
-        "input_digest": _digest({"command": command}),
+        "input_digest": _digest(payload),
         "results": results,
         "checks": checks,
         "wall_time_ms": int((time.monotonic() - started) * 1000),
@@ -264,8 +271,9 @@ def _toric_inputs(args):
 def cmd_toric(args, command) -> int:
     started = time.monotonic()
     if args.load:
-        with open(args.load) as fh:
-            tri, lp = toric.triangulation_from_document(json.load(fh))
+        with open(args.load, "rb") as fh:
+            data = fh.read()
+        tri, lp = toric.triangulation_from_document(json.loads(data))
         sym = parse_permutation(args.perm or "id", lp.n)
         rep = toric.verify_crepant(tri, lp)
         try:
@@ -280,7 +288,7 @@ def cmd_toric(args, command) -> int:
             "contact_flags": list(rep.contact_flags),
         }
         checks = {"crepant": _status(bool(rep))}
-        emit_report(command, results, checks, started, args.out)
+        emit_report(command, results, checks, started, args.out, data)
         return EXIT_OK if bool(rep) else EXIT_FAIL
 
     lp, sym = _toric_inputs(args)
@@ -320,14 +328,16 @@ def _orbifold_fixture(name: str) -> orbifold.GSpaceSheet:
 
 def cmd_orbifold(args, command) -> int:
     started = time.monotonic()
+    data = None
     if args.fixture:
         sheet = _orbifold_fixture(args.fixture)
     elif args.sheet:
-        with open(args.sheet) as fh:
-            try:
-                sheet = orbifold.sheet_from_document(json.load(fh))
-            except (ValueError, KeyError) as exc:
-                raise ParseError(f"sheet schema violation: {exc}") from exc
+        with open(args.sheet, "rb") as fh:
+            data = fh.read()
+        try:
+            sheet = orbifold.sheet_from_document(json.loads(data))
+        except (ValueError, KeyError) as exc:
+            raise ParseError(f"sheet schema violation: {exc}") from exc
     else:
         raise ParseError("need --fixture or --sheet")
     results = {}
@@ -352,7 +362,7 @@ def cmd_orbifold(args, command) -> int:
         with open(args.save, "w") as fh:
             json.dump(orbifold.sheet_to_document(sheet), fh, sort_keys=True, indent=1)
             fh.write("\n")
-    emit_report(command, results, checks, started, args.out)
+    emit_report(command, results, checks, started, args.out, data)
     return EXIT_OK if all(v == "pass" for v in checks.values()) else EXIT_FAIL
 
 

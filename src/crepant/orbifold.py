@@ -19,6 +19,10 @@ The built-in sheet generators describe two degree-five hypersurface
 involutions and one complete-intersection involution; their geometry reduces
 to exact computations on Fermat-type coordinate sections, done by the
 diagonal-plus-permutation fixed-point engine at the bottom of the module.
+A quintic sheet is built from its pattern types, each computed once per
+call: commuting-pair values per pair of eigenvalue-block partitions,
+section values per block, strata by one pass over the patterns per
+support, and each engine call enumerates its cycle subsets once.
 """
 
 from __future__ import annotations
@@ -58,7 +62,6 @@ __all__ = [
     "section_euler",
     "pair_euler",
     "twisted_fixed_euler",
-    "derived_quotient_lefschetz",
 ]
 
 LIT = "literature"  # value quoted from the source analysis, not recomputed here
@@ -118,6 +121,16 @@ class GSpaceSheet:
     metadata: dict = field(default_factory=dict)
 
     def validate(self) -> None:
+        if self.group_order < 1:
+            raise InconsistentSheet(f"group_order must be positive, not {self.group_order}")
+        labels: set[str] = set()
+        for c in self.classes:
+            if c.label in labels:
+                raise InconsistentSheet(f"class {c.label}: label appears more than once")
+            labels.add(c.label)
+            for key, value in (("size", c.size), ("centralizer_order", c.centralizer_order)):
+                if value < 1:
+                    raise InconsistentSheet(f"class {c.label}: {key} must be positive, not {value}")
         total = sum(c.size for c in self.classes)
         if total != self.group_order:
             raise InconsistentSheet(f"class sizes sum to {total}, not {self.group_order}")
@@ -126,12 +139,15 @@ class GSpaceSheet:
                 raise InconsistentSheet(
                     f"class {c.label}: size*centralizer != group order"
                 )
-        if self.strata:
-            for s in self.strata:
-                if s.con_h > s.stabilizer_order:
-                    raise InconsistentSheet(
-                        f"stratum {s.label}: invariant class count exceeds order"
-                    )
+        for s in self.strata or ():
+            if s.stabilizer_order < 1:
+                raise InconsistentSheet(
+                    f"stratum {s.label}: stabilizer_order must be positive, not {s.stabilizer_order}"
+                )
+            if s.con_h > s.stabilizer_order:
+                raise InconsistentSheet(
+                    f"stratum {s.label}: invariant class count exceeds order"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -573,50 +589,58 @@ def twisted_fixed_euler(
     sum of X^{d*x mod N} is divisible by the minimal polynomial Phi_N of
     zeta_N, which one reduction modulo Phi_N decides exactly
     (`exactmath.zeta_sum_is_zero`).
+
+    Sets of coordinates are bit masks.  Only supports that are unions of
+    cycles can contribute, and only cycles inside such a support can take
+    part, so the rest are dropped first.  Per eigenvalue each set of
+    compatible cycles is then enumerated once, and its union is looked up
+    in the multiset of supports (a support listed twice counts twice).
     """
     cycles = permutation_cycles(src)
-    n_root = q * lcm(*(len(cyc) for cyc in cycles))
+    masks = [sum(1 << i for i in cyc) for cyc in cycles]
+    wanted: dict[int, int] = {}
+    for t in supports:
+        mask = sum(1 << i for i in frozenset(t))
+        if mask and sum(m for m in masks if m & mask == m) == mask:
+            wanted[mask] = wanted.get(mask, 0) + 1
+    useful = [c for c, m in enumerate(masks) if any(m & t == m for t in wanted)]
+    if not useful:
+        return 0
+    n_root = q * lcm(*(len(cycles[c]) for c in useful))
     unit_q = n_root // q  # the residue of zeta_q
-    sums = [sum(exponents[i] for i in cyc) % q for cyc in cycles]
+    sums = {c: sum(exponents[i] for i in cycles[c]) % q for c in useful}
 
     eigenvalues: set[int] = set()
-    for cyc, e in zip(cycles, sums):
-        l = len(cyc)
+    for c in useful:
+        l = len(cycles[c])
         scale = n_root // (q * l)
-        eigenvalues.update((e + q * k) * scale for k in range(l))
+        eigenvalues.update((sums[c] + q * k) * scale for k in range(l))
 
-    cycle_sets = [frozenset(cyc) for cyc in cycles]
-    support_sets = [frozenset(t) for t in supports]
+    # full_support_euler(d, r) for the r cycles a contributing set can have
+    fse = [full_support_euler(d, r) for r in range(len(useful) + 1)]
     total = 0
     for lam in eigenvalues:
-        compatible = [
-            c
-            for c, (cyc, e) in enumerate(zip(cycles, sums))
-            if (len(cyc) * lam - e * unit_q) % n_root == 0
+        inside = [
+            c for c in useful if (len(cycles[c]) * lam - sums[c] * unit_q) % n_root == 0
         ]
-        if not compatible:
-            continue
         kappa_zero = {}
-        for c in compatible:
-            cyc = cycles[c]
+        for c in inside:
             x = 0  # the walk starts at the unit, residue 0
             terms = [0]
-            for i in cyc[:-1]:
+            for i in cycles[c][:-1]:
                 x += lam - exponents[i] * unit_q
                 terms.append(d * x)
             kappa_zero[c] = zeta_sum_is_zero(n_root, terms)
-        for T in support_sets:
-            inside = [c for c in compatible if cycle_sets[c] <= T]
-            for r in range(1, len(inside) + 1):
-                for B in itertools.combinations(inside, r):
-                    if frozenset().union(*[cycle_sets[c] for c in B]) != T:
-                        continue
-                    zeros = sum(1 for c in B if kappa_zero[c])
-                    nonzeros = len(B) - zeros
-                    if zeros == 0:
-                        total += full_support_euler(d, nonzeros)
-                    elif nonzeros == 0 and len(B) == 1:
-                        total += 1
+        for r in range(1, len(inside) + 1):
+            for B in itertools.combinations(inside, r):
+                count = wanted.get(sum(masks[c] for c in B), 0)
+                if not count:
+                    continue
+                zeros = sum(1 for c in B if kappa_zero[c])
+                if zeros == 0:
+                    total += count * fse[r]
+                elif r == 1:
+                    total += count
     return total
 
 
@@ -689,6 +713,11 @@ def quintic_sheet(variant: str = "swap") -> GSpaceSheet:
     Lefschetz values for the compatible classes; the stratum records carry
     exact twisted-sector totals from the Fermat engine.  The commuting-pair
     table lists e(X^g cap X^h) for all 125 x 125 pairs.
+
+    Each value is computed once per type and then looked up: a section
+    value once per block of two or three coordinates (20 blocks), a pair
+    value once per pair of set partitions into eigenvalue blocks (27
+    partitions, 729 pairs), and h-invariance once per pattern.
     """
     d = 5
     inv = _quintic_involution(variant)
@@ -696,27 +725,48 @@ def quintic_sheet(variant: str = "swap") -> GSpaceSheet:
     identity_lefschetz = 8 if variant == "swap" else 0
 
     labels = [_pattern_label(p) for p in patterns]
+    invariant = {p for p in patterns if _conjugate_pattern(p, inv, d) == p}
+    section = {
+        b: _orbit_count_on_section(patterns, b, d) for b in itertools.combinations(range(5), 2)
+    }
+    section.update(
+        (b, _curve_quotient_euler(patterns, b, d)) for b in itertools.combinations(range(5), 3)
+    )
+
+    # pair_euler depends on two patterns only through their set partitions;
+    # fill the table row by row in (label_a, label_b) order from one row per type
+    euler_by_size = [fermat_euler(d, m) for m in range(len(inv) + 1)]
+    keys = [tuple(p.index(x) for x in p) for p in patterns]  # first index of each value
+    types = set(keys)
+    rows = {}
+    for ka in types:
+        by_type = {
+            kb: sum(euler_by_size[size] for size in _common_block_sizes(ka, kb)) for kb in types
+        }
+        rows[ka] = [by_type[kb] for kb in keys]
+    pairs = {}
+    for label_a, ka in zip(labels, keys):
+        pairs.update(zip([(label_a, label_b) for label_b in labels], rows[ka]))
 
     classes = []
-    for p, label in zip(patterns, labels):
-        blocks = _partition_blocks(p)
-        section_blocks = [b for b in blocks if len(b) >= 2]
-        in_ch = _conjugate_pattern(p, inv, d) == p
-        is_identity = all(x == 0 for x in p)
+    for p, label, key in zip(patterns, labels, keys):
+        section_blocks = [b for b in _partition_blocks(p) if len(b) >= 2]
+        in_ch = p in invariant
+        is_identity = not any(p)
         if is_identity:
             fixed_dim = 3
-            euler = None  # filled from the pair table average below
+            # identity-class Euler value: average of its table row
+            euler, rest = divmod(sum(rows[key]), len(patterns))
+            if rest:
+                raise InconsistentSheet(
+                    f"class {label}: pair-table row sum {sum(rows[key])} is not a "
+                    f"multiple of the group order {len(patterns)}"
+                )
         else:
-            dims = [len(b) - 2 for b in section_blocks]
-            fixed_dim = max(dims) if dims else None
-            euler = 0
-            for b in section_blocks:
-                if len(b) == 2:
-                    euler += _orbit_count_on_section(patterns, b, d)
-                elif len(b) == 3:
-                    euler += _curve_quotient_euler(patterns, b, d)
-                else:  # pragma: no cover - no larger proper blocks exist here
-                    raise AssertionError("unexpected block size")
+            # a proper block has two or three coordinates: four equal values
+            # of a pattern summing to zero force the fifth to equal them
+            fixed_dim = max((len(b) - 2 for b in section_blocks), default=None)
+            euler = sum(section[b] for b in section_blocks)
         lefschetz = None
         prov = {"euler_quotient": DERIVED}
         if in_ch:
@@ -726,38 +776,7 @@ def quintic_sheet(variant: str = "swap") -> GSpaceSheet:
             ClassRecord(label, 1, 125, in_ch, euler, lefschetz, prov, fixed_dim)
         )
 
-    # pair_euler with the Fermat Euler characteristics looked up by block size
-    euler_by_size = [fermat_euler(d, m) for m in range(len(inv) + 1)]
-    pairs = {}
-    for a, label_a in zip(patterns, labels):
-        for b, label_b in zip(patterns, labels):
-            pairs[(label_a, label_b)] = sum(
-                euler_by_size[size] for size in _common_block_sizes(a, b)
-            )
-
-    # identity-class Euler value: average of its table row
-    id_label = _pattern_label((0,) * 5)
-    row = sum(pairs[(id_label, label)] for label in labels)
-    if row % len(patterns):
-        raise InconsistentSheet(
-            f"class {id_label}: pair-table row sum {row} is not a multiple of "
-            f"the group order {len(patterns)}"
-        )
-    classes = [
-        ClassRecord(
-            c.label,
-            c.size,
-            c.centralizer_order,
-            c.in_ch,
-            row // len(patterns) if c.label == id_label else c.euler_quotient,
-            c.lefschetz_quotient,
-            c.provenance,
-            c.fixed_dim,
-        )
-        for c in classes
-    ]
-
-    strata = _quintic_strata(patterns, inv, d)
+    strata = _quintic_strata(patterns, invariant, inv, d)
     meta = {
         "variant": variant,
         "identity_lefschetz": identity_lefschetz,
@@ -781,45 +800,48 @@ def quintic_sheet(variant: str = "swap") -> GSpaceSheet:
 
 
 def _quintic_strata(
-    patterns: list[tuple[int, ...]], inv: tuple[int, ...], d: int
+    patterns: list[tuple[int, ...]], invariant: set, inv: tuple[int, ...], d: int
 ) -> tuple[StratumRecord, ...]:
+    """One stratum per support T of size two or three, plus one free stratum
+    aggregating the supports of size four and five, whose stabilizer is
+    trivial.
+
+    Two patterns lie in one coset of the stabilizer of T when they agree on
+    T up to a shift, so one pass over the patterns, keyed by the pattern
+    restricted to T modulo a shift, gives the coset representatives (the
+    first pattern of each key), the stabilizer (the key of zeros) and its
+    h-invariant classes (looked up in `invariant`).
+    """
     n = 5
-    coords = range(n)
-
-    def stabilizer(T):
-        return [p for p in patterns if len({p[i] for i in T}) == 1]
-
     records = []
-    # one stratum per support of size two or three; supports of size four and
-    # five have trivial stabilizer and are aggregated into one free stratum
-    small_supports = [
-        frozenset(T)
-        for size in (2, 3)
-        for T in itertools.combinations(coords, size)
-    ]
-    for T in sorted(small_supports, key=lambda s: (len(s), sorted(s))):
-        stab = stabilizer(T)
-        h_inv = frozenset(inv[i] for i in T) == T
-        euler = full_support_euler(d, len(T))
-        cosets = _coset_reps(patterns, stab, d)
-        lef = 0
-        for g in cosets:
-            lef += twisted_fixed_euler(d, d, g, inv, [T])
-        con = sum(1 for p in stab if _conjugate_pattern(p, inv, d) == p)
-        records.append(
-            StratumRecord(
-                "stab" + "".join(str(i) for i in sorted(T)),
-                len(stab),
-                euler,
-                lef,
-                h_inv,
-                con,
+    for size in (2, 3):
+        for T in itertools.combinations(range(n), size):
+            reps: dict[tuple[int, ...], tuple[int, ...]] = {}
+            stab = con = 0
+            for p in patterns:
+                key = tuple((p[i] - p[T[0]]) % d for i in T)
+                reps.setdefault(key, p)
+                if not any(key):
+                    stab += 1
+                    con += p in invariant
+            support = frozenset(T)
+            lef = 0
+            for g in reps.values():
+                lef += twisted_fixed_euler(d, d, g, inv, [support])
+            records.append(
+                StratumRecord(
+                    "stab" + "".join(str(i) for i in T),
+                    stab,
+                    full_support_euler(d, size),
+                    lef,
+                    frozenset(inv[i] for i in T) == support,
+                    con,
+                )
             )
-        )
     free_supports = [
         frozenset(T)
         for size in (4, 5)
-        for T in itertools.combinations(coords, size)
+        for T in itertools.combinations(range(n), size)
     ]
     euler_free = sum(full_support_euler(d, len(T)) for T in free_supports)
     lef_free = 0
@@ -827,43 +849,6 @@ def _quintic_strata(
         lef_free += twisted_fixed_euler(d, d, g, inv, free_supports)
     records.append(StratumRecord("free", 1, euler_free, lef_free, True, 1))
     return tuple(records)
-
-
-def _coset_reps(
-    patterns: list[tuple[int, ...]], stab: list[tuple[int, ...]], d: int
-) -> list[tuple[int, ...]]:
-    stab_set = set(stab)
-    reps = []
-    seen: set[tuple[int, ...]] = set()
-    for p in patterns:
-        if p in seen:
-            continue
-        reps.append(p)
-        for s in stab_set:
-            seen.add(_normalize_pattern(tuple((x + y) % d for x, y in zip(p, s)), d))
-    return reps
-
-
-def derived_quotient_lefschetz(
-    patterns: Sequence[tuple[int, ...]],
-    class_pattern: tuple[int, ...],
-    inv: Sequence[int],
-    d: int,
-) -> Fraction:
-    """Independent computation of L(h, X^g/G) by averaging twisted sectors.
-
-    The fixed set of g is the union of sections over its eigenvalue blocks of
-    size at least two; the Lefschetz number of h on the quotient is the
-    average over the group of the Euler characteristics of the twisted fixed
-    loci inside that union.
-    """
-    blocks = [b for b in _partition_blocks(class_pattern) if len(b) >= 2]
-    supports = []
-    for b in blocks:
-        for size in range(2, len(b) + 1):
-            supports.extend(frozenset(T) for T in itertools.combinations(b, size))
-    total = sum(twisted_fixed_euler(d, d, g, inv, supports) for g in patterns)
-    return Fraction(total, len(patterns))
 
 
 # ---------------------------------------------------------------------------

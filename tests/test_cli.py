@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -259,6 +260,68 @@ def test_orbifold_sheet_rejects_non_integral_numbers(tmp_path, capsys, setter, v
     assert err.count("\n") == 1 and where in err and repr(value) in err
 
 
+def _zero_group_order(doc):
+    # no classes, so the class sums agree; the chain stage would divide by zero
+    doc.update(group_order=0, classes=[], commuting_pairs=[])
+    return "group_order must be positive, not 0"
+
+
+def _negative_group_order(doc):
+    # sizes and centralizers that multiply to the order and sum to it
+    doc["group_order"] = -2
+    for c in doc["classes"]:
+        c["size"] = -1
+    return "group_order must be positive, not -2"
+
+
+def _duplicate_label(doc):
+    doc["classes"][1]["label"] = "e"
+    del doc["commuting_pairs"]
+    return "class e: label appears more than once"
+
+
+def _non_positive(where, key, value):
+    def mutate(doc):
+        doc[where][-1][key] = value
+        kind = "class" if where == "classes" else "stratum"
+        return f"{kind} {doc[where][-1]['label']}: {key} must be positive, not {value}"
+
+    return mutate
+
+
+def _zero_stabilizer_order(doc):
+    # with no invariant class counted, the stratum passes the con_h check
+    doc["strata"][0]["con_h"] = 0
+    return _non_positive("strata", "stabilizer_order", 0)(doc)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _zero_group_order,
+        _negative_group_order,
+        _duplicate_label,
+        _non_positive("classes", "size", 0),
+        _non_positive("classes", "centralizer_order", -2),
+        _zero_stabilizer_order,
+    ],
+    ids=[
+        "zero_group_order",
+        "negative_group_order",
+        "duplicate_label",
+        "zero_size",
+        "negative_centralizer_order",
+        "zero_stabilizer_order",
+    ],
+)
+def test_orbifold_sheet_rejects_impossible_orders_and_labels(tmp_path, capsys, mutate):
+    doc = _sheet_with_pairs()
+    message = mutate(doc)
+    rc, out, err = _run_sheet(doc, tmp_path, capsys)
+    assert rc == EXIT_PARSE and out == ""
+    assert err.count("\n") == 1 and message in err
+
+
 def test_orbifold_sheet_accepts_integer_and_null_fixed_dim(tmp_path, capsys):
     doc = _sheet_with_pairs()
     doc["classes"][0]["fixed_dim"] = 0
@@ -274,6 +337,39 @@ def test_saved_quintic_sheet_round_trips(tmp_path, capsys):
     rc, again = run(["orbifold", "--sheet", str(path)], capsys)
     assert rc == EXIT_OK
     assert again["results"] == first["results"]
+
+
+def test_input_digest_covers_the_input_document(tmp_path, capsys):
+    # the same path, hence the same argv, with different contents
+    path = tmp_path / "doc.sheet"
+    argv = ["orbifold", "--sheet", str(path)]
+    digests = []
+    for euler in (1, 1, 3):
+        doc = _sheet_with_pairs()
+        doc["strata"][0]["euler_stratum"] = euler
+        path.write_text(json.dumps(doc))
+        rc, rep = run(argv, capsys)
+        assert rc == EXIT_OK
+        digests.append(rep["input_digest"])
+    assert digests[0] == digests[1] != digests[2]
+
+    tri = tmp_path / "tri.json"
+    assert run(["toric", "--fixture", "z5sq-cycle", "--save", str(tri)], capsys)[0] == EXIT_OK
+    loads = []
+    for text in (tri.read_text(), tri.read_text() + "\n"):
+        tri.write_text(text)
+        rc, rep = run(["toric", "--load", str(tri)], capsys)
+        assert rc == EXIT_OK
+        loads.append(rep["input_digest"])
+    assert loads[0] != loads[1]
+
+
+def test_input_digest_of_a_command_without_input_file_hashes_argv_only(capsys):
+    argv = ["orbifold", "--fixture", "point"]
+    rc, rep = run(argv, capsys)
+    assert rc == EXIT_OK
+    blob = json.dumps({"command": ["crepant"] + argv}, sort_keys=True).encode()
+    assert rep["input_digest"] == hashlib.sha256(blob).hexdigest()[:16]
 
 
 def test_orbifold_schema_violation(tmp_path, capsys):

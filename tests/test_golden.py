@@ -3,8 +3,8 @@
 Each command's JSON report must equal the stored one byte for byte, apart
 from the ``wall_time_ms`` value.  The commands run in order from one fresh
 working directory, so ``--save tri.json`` writes the document that
-``--load tri.json`` reads and argv (hence ``input_digest``) is the same on
-every machine.
+``--load tri.json`` reads, and argv and that document (hence
+``input_digest``) are the same on every machine.
 
 To rewrite the stored reports after a deliberate output change:
 

@@ -26,7 +26,6 @@ from crepant.orbifold import (
     complete_intersection_sheet,
     d4_rotation,
     d_diagram,
-    derived_quotient_lefschetz,
     dynkin_lefschetz,
     e6_diagram,
     equivariant_lefschetz,
@@ -134,10 +133,35 @@ def test_identity_reduction(quintic_swap_sheet):
     assert rep.status == "equal"
 
 
+def derived_quotient_lefschetz(patterns, class_pattern, inv, d, memo):
+    """Independent computation of L(h, X^g/G) by averaging twisted sectors.
+
+    The fixed set of g is the union of sections over its eigenvalue blocks of
+    size at least two; the Lefschetz number of h on the quotient is the
+    average over the group of the Euler characteristics of the twisted fixed
+    loci inside that union.  The engine is called through the module, once
+    per (pattern, involution, support set) in ``memo``.
+    """
+    blocks = [b for b in ob._partition_blocks(class_pattern) if len(b) >= 2]
+    supports = []
+    for b in blocks:
+        for size in range(2, len(b) + 1):
+            supports.extend(frozenset(T) for T in itertools.combinations(b, size))
+    support_set = frozenset(supports)
+    total = 0
+    for g in patterns:
+        key = (g, tuple(inv), support_set)
+        if key not in memo:
+            memo[key] = ob.twisted_fixed_euler(d, d, g, inv, supports)
+        total += memo[key]
+    return Fraction(total, len(patterns))
+
+
 def test_derived_lefschetz_matches_quoted(quintic_swap_sheet, quintic_double_sheet):
     # the twisted-sector engine independently reproduces every quoted value,
     # including the identity-class contributions
     pats = ob._quintic_patterns()
+    memo = {}
     for sheet, variant in (
         (quintic_swap_sheet, "swap"),
         (quintic_double_sheet, "swap-two-pairs"),
@@ -147,7 +171,117 @@ def test_derived_lefschetz_matches_quoted(quintic_swap_sheet, quintic_double_she
             if not c.in_ch:
                 continue
             p = tuple(int(ch) for ch in c.label)
-            assert derived_quotient_lefschetz(pats, p, inv, 5) == c.lefschetz_quotient
+            assert derived_quotient_lefschetz(pats, p, inv, 5, memo) == c.lefschetz_quotient
+
+
+# ---------------------------------------------------------------------------
+# the per-type quintic build against per-class, per-pair and per-support loops
+
+_QUINTIC_VARIANTS = ("swap", "swap-two-pairs")
+
+
+@pytest.fixture(scope="module")
+def quintic_sheets(quintic_swap_sheet, quintic_double_sheet):
+    return {"swap": quintic_swap_sheet, "swap-two-pairs": quintic_double_sheet}
+
+
+def _pattern(label):
+    return tuple(int(ch) for ch in label)
+
+
+@pytest.mark.parametrize("variant", _QUINTIC_VARIANTS)
+def test_commuting_pairs_match_pair_euler_on_every_pair(quintic_sheets, variant):
+    pairs = quintic_sheets[variant].commuting_pairs
+    labels = [ob._pattern_label(p) for p in ob._quintic_patterns()]
+    # insertion order is (label_a, label_b) with both in pattern order
+    assert list(pairs) == [(a, b) for a in labels for b in labels]
+    for (a, b), value in pairs.items():
+        assert value == pair_euler(5, _pattern(a), _pattern(b)), (a, b)
+
+
+def _reference_class_record(patterns, p, inv, d):
+    """(in_ch, euler_quotient, fixed_dim) of the class of p, computed for that
+    class alone: section values from its own blocks, and for the identity the
+    average of its commuting-pair row."""
+    in_ch = ob._conjugate_pattern(p, inv, d) == p
+    blocks = [b for b in ob._partition_blocks(p) if len(b) >= 2]
+    if not any(p):
+        row = sum(pair_euler(d, p, g) for g in patterns)
+        assert row % len(patterns) == 0
+        return in_ch, row // len(patterns), 3
+    euler = 0
+    for b in blocks:
+        if len(b) == 2:
+            euler += ob._orbit_count_on_section(patterns, b, d)
+        else:
+            assert len(b) == 3
+            euler += ob._curve_quotient_euler(patterns, b, d)
+    return in_ch, euler, max(len(b) - 2 for b in blocks) if blocks else None
+
+
+@pytest.mark.parametrize("variant", _QUINTIC_VARIANTS)
+def test_class_records_match_per_class_recomputation(quintic_sheets, variant):
+    patterns = ob._quintic_patterns()
+    inv = ob._quintic_involution(variant)
+    classes = quintic_sheets[variant].classes
+    assert [c.label for c in classes] == [ob._pattern_label(p) for p in patterns]
+    for c, p in zip(classes, patterns):
+        expected = _reference_class_record(patterns, p, inv, 5)
+        assert (c.in_ch, c.euler_quotient, c.fixed_dim) == expected, c.label
+
+
+def _reference_quintic_strata(patterns, inv, d):
+    """The stratum records with a stabilizer, a coset loop and a conjugation
+    test per support."""
+
+    def normalize(p):
+        return tuple((x - p[0]) % d for x in p)
+
+    records = []
+    for size in (2, 3):
+        for T in itertools.combinations(range(5), size):
+            stab = [p for p in patterns if len({p[i] for i in T}) == 1]
+            reps, seen = [], set()
+            for p in patterns:
+                if p in seen:
+                    continue
+                reps.append(p)
+                seen.update(normalize(tuple((x + y) % d for x, y in zip(p, s))) for s in stab)
+            lef = sum(ob.twisted_fixed_euler(d, d, g, inv, [frozenset(T)]) for g in reps)
+            con = sum(1 for p in stab if normalize(tuple(p[inv[i]] for i in range(5))) == p)
+            h_inv = {inv[i] for i in T} == set(T)
+            label = "stab" + "".join(map(str, T))
+            records.append(StratumRecord(label, len(stab), full_support_euler(d, size), lef, h_inv, con))
+    free = [frozenset(T) for size in (4, 5) for T in itertools.combinations(range(5), size)]
+    lef_free = sum(ob.twisted_fixed_euler(d, d, g, inv, free) for g in patterns)
+    euler_free = sum(full_support_euler(d, len(T)) for T in free)
+    records.append(StratumRecord("free", 1, euler_free, lef_free, True, 1))
+    return tuple(records)
+
+
+@pytest.mark.parametrize("variant", _QUINTIC_VARIANTS)
+def test_strata_match_per_support_coset_loop(quintic_sheets, variant):
+    expected = _reference_quintic_strata(
+        ob._quintic_patterns(), ob._quintic_involution(variant), 5
+    )
+    assert quintic_sheets[variant].strata == expected
+
+
+def test_engine_counts_a_repeated_support_once_per_listing():
+    # supports form a multiset: a support listed k times counts k times,
+    # on every cycle type and with supports that are not unions of cycles
+    nonzero = 0
+    for src in _CYCLE_TYPE_REPS:
+        cycles = permutation_cycles(src)
+        unions = [frozenset().union(*cycles[: r + 1]) for r in range(len(cycles))]
+        for exponents in ((0, 0, 0, 0, 0), (1, 4, 0, 2, 3), (2, 2, 1, 0, 0)):
+            for T in unions + [frozenset({0, 2})]:
+                once = twisted_fixed_euler(5, 5, exponents, src, [T])
+                thrice = twisted_fixed_euler(5, 5, exponents, src, [T, T, T])
+                assert thrice == 3 * once
+                assert thrice == _reference_twisted_fixed_euler(5, 5, exponents, src, [T, T, T])
+                nonzero += once != 0
+    assert nonzero > 20
 
 
 def test_sheet_in_ch_matches_group_filter(quintic_group, quintic_swap_sheet):
@@ -342,10 +476,11 @@ def test_residue_engine_matches_reference_on_derived_lefschetz(monkeypatch):
     pats = ob._quintic_patterns()
 
     def build():
+        memo = {}
         for variant in ("swap", "swap-two-pairs"):
             inv = ob._quintic_involution(variant)
             for p in pats:
-                derived_quotient_lefschetz(pats, p, inv, 5)
+                derived_quotient_lefschetz(pats, p, inv, 5, memo)
 
     calls = _recorded_calls(monkeypatch, build)
     assert len(calls) > 1000
