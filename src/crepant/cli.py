@@ -4,7 +4,8 @@ construction and verification, and machine-readable reporting.
 Reports are JSON with sorted keys; identical inputs produce byte-identical
 reports apart from the wall_time_ms field.  Exit codes: 0 success, 1 property
 failure, 2 parse, schema or input error (including a symmetry with no valid
-invariant core), 3 closure cap exceeded, 4 unsupported dimension.
+invariant core), 3 closure cap exceeded, 4 unsupported dimension, 5 internal
+error (an exception no other code covers, named on one line).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_UNSUPPORTED = 4
+EXIT_INTERNAL = 5
 
 
 class ParseError(ValueError):
@@ -710,6 +712,10 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

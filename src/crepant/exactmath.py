@@ -2,8 +2,10 @@
 
 Arbitrary-precision integers and rationals, integer-matrix normal forms,
 rational elimination, permutation cycles, and cyclotomic integers with
-decidable equality.  Nothing in this module (or in anything built on it)
-uses floating point.
+decidable equality.  A cyclotomic integer is a sparse map from exponent to
+coefficient in the Zumbroich basis of its conductor, in which every root of
+unity is one table entry.  Nothing in this module (or in anything built on
+it) uses floating point.
 """
 
 from __future__ import annotations
@@ -102,72 +104,154 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return quo
 
 
+# ---------------------------------------------------------------------------
+# cyclotomic integers in the Zumbroich basis
+#
+# For each prime power q = p^e exactly dividing m, write a residue c mod q as
+# a + b*q/p with 0 <= a < q/p.  The powers zeta_q^c with b = 0 (p = 2) or
+# b != 0 (p odd) form an integral basis of Z[zeta_q], and Z[zeta_m] is the
+# tensor product of the Z[zeta_q]; so zeta_m^k is a basis element exactly
+# when every residue k mod q qualifies.  This is the basis GAP uses for its
+# cyclotomics (T. Breuer, "Integral bases for subfields of cyclotomic
+# fields", AAECC 8, 1997).  A residue that does not qualify is minus one
+# basis element (p = 2: zeta_q^{q/2} = -1) or minus the sum of its p - 1
+# companions (p odd: 1 + zeta_p + ... + zeta_p^{p-1} = 0), factor by factor.
+
+
+def _prime_powers(m: int) -> list[tuple[int, int]]:
+    """(p, p^e) for each prime p dividing m, p^e the largest power dividing m."""
+    out = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            q = 1
+            while m % p == 0:
+                m, q = m // p, q * p
+            out.append((p, q))
+        p += 1
+    if m > 1:
+        out.append((m, m))
+    return out
+
+
 @lru_cache(maxsize=None)
-def _phi_degree(m: int) -> int:
-    return len(cyclotomic_polynomial(m)) - 1
+def _expansions(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The Zumbroich expansion of zeta_m^k for k = 0, ..., m-1, built on first use.
+
+    Each is a tuple of (basis exponent, coefficient) pairs sorted by exponent,
+    whose coefficients all equal one sign; a basis element expands to itself.
+    The factors are recombined by the idempotents of Z/m = product of Z/q.
+    """
+    factors = []
+    for p, q in _prime_powers(m):
+        step = q // p
+        local = []
+        for c in range(q):
+            b, a = divmod(c, step)
+            if (b == 0) == (p == 2):
+                local.append((1, (c,)))
+            elif p == 2:
+                local.append((-1, (a,)))
+            else:
+                local.append((-1, tuple(a + j * step for j in range(1, p))))
+        idempotent = (m // q) * pow(m // q, -1, q)  # 1 mod q, 0 mod m/q
+        factors.append((q, idempotent, local))
+    table = []
+    for k in range(m):
+        sign, exps = 1, [0]
+        for q, idempotent, local in factors:
+            s, residues = local[k % q]
+            sign *= s
+            exps = [(e + c * idempotent) % m for e in exps for c in residues]
+        table.append(tuple((e, sign) for e in sorted(exps)))
+    return tuple(table)
 
 
-def _reduce_mod_cyclotomic(coeffs: list[int], m: int) -> tuple[int, ...]:
-    """Reduce a coefficient list modulo the m-th cyclotomic polynomial."""
-    phi = cyclotomic_polynomial(m)
-    deg = len(phi) - 1
-    for i in range(len(coeffs) - 1, deg - 1, -1):
-        c = coeffs[i]
+@lru_cache(maxsize=None)
+def _root_index(m: int) -> dict:
+    """The exponent k of each root of unity zeta_m^k, keyed by its expansion."""
+    return {terms: k for k, terms in enumerate(_expansions(m))}
+
+
+def _collect(m: int, terms) -> tuple[tuple[int, int], ...]:
+    """Canonical coefficients of the sum of c * zeta_m^k over the (k, c) in terms.
+
+    Terms are summed per residue k mod m first, so each residue is expanded
+    once however many terms share it: a product of two values with t terms
+    each costs t*t additions plus at most m expansions.
+    """
+    raw: dict[int, int] = {}
+    for k, c in terms:
+        k %= m
+        raw[k] = raw.get(k, 0) + c
+    table = _expansions(m)
+    acc: dict[int, int] = {}
+    for k, c in raw.items():
         if c:
-            for j in range(len(phi)):
-                coeffs[i - deg + j] -= c * phi[j]
-            coeffs[i] = 0
-    out = coeffs[:deg]
-    out += [0] * (deg - len(out))
-    return tuple(out)
+            for e, s in table[k]:
+                acc[e] = acc.get(e, 0) + c * s
+    return tuple(sorted(item for item in acc.items() if item[1]))
 
 
 def zeta_sum_is_zero(m: int, exponents) -> bool:
-    """Whether the sum of zeta_m^k over the multiset of exponents k is zero.
+    """Whether the sum of zeta_m^k over the multiset of exponents k is zero,
+    i.e. whether the Zumbroich expansions of its terms cancel.
 
-    The sum is the value at zeta_m of the polynomial whose coefficient of
-    X^j counts the exponents congruent to j mod m; it vanishes exactly when
-    the m-th cyclotomic polynomial, the minimal polynomial of zeta_m,
-    divides that polynomial, i.e. when its reduction is zero.
+    The same test as the CycloInt sum being zero, read off the expansion
+    table without building values: these sums have a few terms each, and
+    the twisted-sector engine asks for thousands of them.
     """
-    coeffs = [0] * m
+    table = _expansions(m)
+    acc: dict[int, int] = {}
     for k in exponents:
-        coeffs[k % m] += 1
-    return not any(_reduce_mod_cyclotomic(coeffs, m))
+        for e, s in table[k % m]:
+            acc[e] = acc.get(e, 0) + s
+    return not any(acc.values())
 
 
-@dataclass(frozen=True)
 class CycloInt:
-    """Element of the ring of integers of the m-th cyclotomic field.
+    """Element of Z[zeta_m], the ring of integers of the m-th cyclotomic field.
 
-    Stored as the unique reduction modulo the m-th cyclotomic polynomial at
-    the construction conductor.  Equality lifts both operands to the lcm of
-    their conductors, so values of different conductors compare correctly.
+    ``coeffs`` lists the nonzero coordinates in the Zumbroich basis at the
+    construction conductor m, as (exponent k, coefficient) pairs sorted by k,
+    for the sum of coefficient * zeta_m^k.  The basis is integral, so the form
+    is unique: zero is the empty tuple, and two values at one conductor are
+    equal exactly when their tuples are.  A root of unity is one table entry,
+    so products of roots of unity are lookups.  Equality lifts both operands
+    to the lcm of their conductors, so values of different conductors compare
+    correctly.  No operation modifies a value after construction.
     """
 
-    conductor: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("conductor", "coeffs")
 
-    # equality is structural only after lifting; disable dataclass hashing
+    # equality is structural only after lifting; instances are unhashable
     __hash__ = None  # type: ignore[assignment]
 
-    def __post_init__(self):
-        if len(self.coeffs) != _phi_degree(self.conductor):
-            raise ValueError("coefficient length must equal the cyclotomic degree")
+    def __init__(self, conductor: int, coeffs=()):
+        if conductor < 1:
+            raise ValueError("conductor must be positive")
+        coeffs = tuple((k, c) for k, c in coeffs)
+        table = _expansions(conductor)
+        prev = -1
+        for k, c in coeffs:
+            if not prev < k < conductor or table[k] != ((k, 1),) or not c:
+                raise ValueError(
+                    f"{coeffs!r} is not a sorted tuple of nonzero coordinates in the "
+                    f"Zumbroich basis at conductor {conductor}"
+                )
+            prev = k
+        self.conductor = conductor
+        self.coeffs = coeffs
 
     @staticmethod
     def from_int(value: int, conductor: int = 1) -> CycloInt:
-        c = [0] * _phi_degree(conductor)
-        c[0] = value
-        return CycloInt(conductor, _reduce_mod_cyclotomic(c + [0], conductor))
+        one = _expansions(conductor)[0] if value else ()
+        return _cyclo(conductor, tuple((e, value * s) for e, s in one))
 
     @staticmethod
     def zeta(m: int, k: int = 1) -> CycloInt:
         """The root of unity zeta_m^k."""
-        k %= m
-        c = [0] * (k + 1)
-        c[k] = 1
-        return CycloInt(m, _reduce_mod_cyclotomic(c, m))
+        return _cyclo(m, _expansions(m)[k % m])
 
     def lift(self, conductor: int) -> CycloInt:
         """Rewrite at a larger conductor (must be a multiple of the current one)."""
@@ -176,36 +260,43 @@ class CycloInt:
         if conductor % self.conductor != 0:
             raise ValueError("can only lift to a multiple of the conductor")
         step = conductor // self.conductor
-        c = [0] * ((len(self.coeffs) - 1) * step + 1 if self.coeffs else 1)
-        for i, x in enumerate(self.coeffs):
-            if x:
-                c[i * step] += x
-        return CycloInt(conductor, _reduce_mod_cyclotomic(c, conductor))
+        return _cyclo(conductor, _collect(conductor, ((k * step, c) for k, c in self.coeffs)))
 
     def _pair(self, other) -> tuple[CycloInt, CycloInt]:
         if isinstance(other, int):
-            other = CycloInt.from_int(other)
+            return self, CycloInt.from_int(other, self.conductor)
+        if other.conductor == self.conductor:
+            return self, other
         m = lcm(self.conductor, other.conductor)
         return self.lift(m), other.lift(m)
 
     def __add__(self, other) -> CycloInt:
         a, b = self._pair(other)
-        return CycloInt(a.conductor, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        return _cyclo(a.conductor, _collect(a.conductor, a.coeffs + b.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self) -> CycloInt:
-        return CycloInt(self.conductor, tuple(-x for x in self.coeffs))
+        return _cyclo(self.conductor, tuple((k, -c) for k, c in self.coeffs))
 
     def __sub__(self, other) -> CycloInt:
         a, b = self._pair(other)
-        return CycloInt(a.conductor, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        return a + -b
 
     def __mul__(self, other) -> CycloInt:
         a, b = self._pair(other)
-        prod = list(_poly_mul(a.coeffs, b.coeffs))
-        prod += [0] * (_phi_degree(a.conductor) - len(prod))
-        return CycloInt(a.conductor, _reduce_mod_cyclotomic(prod, a.conductor))
+        m = a.conductor
+        if len(a.coeffs) == 1 == len(b.coeffs):  # two signed roots of unity
+            (i, c), (j, d) = a.coeffs[0], b.coeffs[0]
+            terms = _expansions(m)[(i + j) % m]
+            return _cyclo(m, terms if c * d == 1 else tuple((e, c * d * s) for e, s in terms))
+        # a rational integer has up to phi(m) terms (1 = -sum of the other
+        # p-th roots), so a product with one is a scaling, not a convolution
+        for x, y in ((a, b), (b, a)):
+            n = _rational_value(x)
+            if n is not None:
+                return _cyclo(m, tuple((k, n * c) for k, c in y.coeffs) if n else ())
+        return _cyclo(m, _collect(m, ((i + j, c * d) for i, c in a.coeffs for j, d in b.coeffs)))
 
     __rmul__ = __mul__
 
@@ -223,60 +314,72 @@ class CycloInt:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = CycloInt.from_int(other)
+            other = CycloInt.from_int(other, self.conductor)
         if not isinstance(other, CycloInt):
             return NotImplemented
         a, b = self._pair(other)
         return a.coeffs == b.coeffs
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coeffs)
+        return not self.coeffs
 
     def is_one(self) -> bool:
         return self == 1
-
-    def try_reduce(self, conductor: int) -> CycloInt | None:
-        """Rewrite at another conductor when the value lies in that subfield.
-
-        Solves the integer linear system expressing the value in the power
-        basis of the target field inside the compositum; returns None when the
-        value is not in the target field or is not integral there.
-        """
-        if conductor == self.conductor:
-            return self
-        common = lcm(conductor, self.conductor)
-        target = [CycloInt.zeta(conductor, j).lift(common).coeffs for j in range(_phi_degree(conductor))]
-        coords = _solve_in_basis(self.lift(common).coeffs, target)
-        if coords is None or any(c.denominator != 1 for c in coords):
-            return None
-        return CycloInt(conductor, tuple(int(c) for c in coords))
 
     def galois(self, k: int) -> CycloInt:
         """Image under the field automorphism zeta -> zeta^k, gcd(k, m) = 1."""
         m = self.conductor
         if gcd(k, m) != 1:
             raise ValueError("galois exponent must be coprime to the conductor")
-        c = [0] * m
-        for i, x in enumerate(self.coeffs):
-            c[(i * k) % m] += x
-        return CycloInt(m, _reduce_mod_cyclotomic(c, m))
+        return _cyclo(m, _collect(m, ((i * k, c) for i, c in self.coeffs)))
+
+    def as_root_of_unity(self) -> tuple[int, int] | None:
+        """(s, k) with self = s * zeta_m^k, s = +-1 and 0 <= k < m, or None if
+        this is not a root of unity.
+
+        Every root of unity of the m-th cyclotomic field is +-zeta_m^k, so one
+        lookup of the coefficients, or of their negation, decides.
+        """
+        index = _root_index(self.conductor)
+        k = index.get(self.coeffs)
+        if k is not None:
+            return 1, k
+        k = index.get(tuple((e, -c) for e, c in self.coeffs))
+        return None if k is None else (-1, k)
 
     def root_of_unity_order(self) -> int | None:
-        """Multiplicative order if this is a root of unity, else None.
-
-        Roots of unity in the m-th cyclotomic field have order dividing
-        lcm(2, m), so the search is finite.
-        """
-        bound = lcm(2, self.conductor)
-        x = self
-        for e in range(1, bound + 1):
-            if x.is_one():
-                return e
-            x = x * self
-        return None
+        """Multiplicative order if this is a root of unity, else None."""
+        root = self.as_root_of_unity()
+        if root is None:
+            return None
+        s, k = root
+        m = self.conductor
+        # -zeta_m^k = zeta_2m^(m + 2k)
+        return m // gcd(k, m) if s == 1 else 2 * m // gcd(m + 2 * k, 2 * m)
 
     def __repr__(self):
-        return f"CycloInt(m={self.conductor}, {list(self.coeffs)})"
+        return f"CycloInt(m={self.conductor}, {dict(self.coeffs)})"
+
+
+def _rational_value(x: CycloInt) -> int | None:
+    """n if x is the rational integer n, else None."""
+    if not x.coeffs:
+        return 0
+    one = _expansions(x.conductor)[0]
+    if len(x.coeffs) != len(one) or x.coeffs[0][0] != one[0][0]:
+        return None
+    if x.coeffs == one:
+        return 1
+    n = x.coeffs[0][1] * one[0][1]
+    return n if x.coeffs == tuple((e, n * s) for e, s in one) else None
+
+
+def _cyclo(m: int, coeffs: tuple) -> CycloInt:
+    """A CycloInt from coefficients already in canonical form, unchecked."""
+    x = object.__new__(CycloInt)
+    x.conductor = m
+    x.coeffs = coeffs
+    return x
 
 
 class CycloDivisor:
@@ -297,26 +400,29 @@ class CycloDivisor:
             if gcd(k, m) == 1:
                 cof = cof * b.galois(k)
         norm = b * cof
-        if any(norm.coeffs[1:]):
+        n = _rational_value(norm)
+        if n is None:
             raise ExactnessError(f"norm of {b!r} is not rational: {norm!r}")
-        if norm.coeffs[0] == 0:
+        if n == 0:
             raise ZeroDivisionError("division by zero cyclotomic integer")
         self.conductor = m
         self.cofactor = cof
-        self.norm = norm.coeffs[0]
+        self.norm = n
 
 
 def cyclo_div_exact(a: CycloInt, b: CycloInt | CycloDivisor) -> CycloInt | None:
     """a / b when the quotient is a cyclotomic integer, else None.
 
-    A CycloDivisor b must have a conductor that a's conductor divides.
+    The Zumbroich basis is integral, so the quotient is integral exactly when
+    every coordinate of a * cofactor is divisible by the norm.  A CycloDivisor
+    b must have a conductor that a's conductor divides.
     """
     if isinstance(b, CycloInt):
         b = CycloDivisor(b.lift(lcm(a.conductor, b.conductor)))
     num = a.lift(b.conductor) * b.cofactor
-    if any(x % b.norm for x in num.coeffs):
+    if any(c % b.norm for _, c in num.coeffs):
         return None
-    return CycloInt(b.conductor, tuple(x // b.norm for x in num.coeffs))
+    return _cyclo(b.conductor, tuple((k, c // b.norm) for k, c in num.coeffs))
 
 
 # ---------------------------------------------------------------------------

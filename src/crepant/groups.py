@@ -8,17 +8,19 @@ Matrix arithmetic grows with |G|·|gens|, never with |G|².  Closure multiplies
 each element by each generator once and records the generator columns
 x -> x·g together with a Schreier tree (every element's breadth-first parent
 and the generator that reached it); the multiplication table is then filled by
-integer lookups along the tree.  An outer action conjugates only the stored
-generators and extends the map along the table, proving it a homomorphism on
-every edge x -> x·g.  This is the Schreier-tree/Dimino closure of Holt, Eick
-and O'Brien, *Handbook of Computational Group Theory* (2005), §4.1, and of
-Butler, *Fundamental Algorithms for Permutation Groups* (LNCS 559).
+integer lookups along the tree, each row composed from two rows already
+known.  An outer action conjugates only the stored generators and extends the
+map along the table, proving it a homomorphism on every edge x -> x·g.  This
+is the Schreier-tree/Dimino closure of Holt, Eick and O'Brien, *Handbook of
+Computational Group Theory* (2005), §4.1, and of Butler, *Fundamental
+Algorithms for Permutation Groups* (LNCS 559).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import lcm
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .exactmath import CycloDivisor, CycloInt, cyclo_div_exact
@@ -70,8 +72,9 @@ def _as_cyclo(x) -> CycloInt:
 class GroupElement:
     """Square invertible matrix of cyclotomic integers.
 
-    The canonical key is the conductor-lifted entry coefficient sequence; it
-    drives equality, ordering, and the deterministic element order of a group.
+    The canonical key is the sequence of the entries' Zumbroich coefficient
+    tuples at the element's conductor; it drives equality, ordering, and the
+    deterministic element order of a group.
     """
 
     n: int
@@ -106,23 +109,6 @@ class GroupElement:
             self.n, conductor, tuple(tuple(x.lift(conductor) for x in row) for row in self.entries)
         )
 
-    def try_to_conductor(self, conductor: int) -> Optional[GroupElement]:
-        """Rewrite entries at another conductor; None if any entry is outside."""
-        if conductor == self.conductor:
-            return self
-        if conductor % self.conductor == 0:
-            return self.lift(conductor)
-        rows = []
-        for row in self.entries:
-            out = []
-            for x in row:
-                r = x.try_reduce(conductor)
-                if r is None:
-                    return None
-                out.append(r)
-            rows.append(tuple(out))
-        return GroupElement(self.n, conductor, tuple(rows))
-
     def key(self) -> tuple:
         return tuple(x.coeffs for row in self.entries for x in row)
 
@@ -132,18 +118,18 @@ class GroupElement:
                 f"cannot multiply a {self.n}x{self.n} matrix at conductor {self.conductor} "
                 f"by a {other.n}x{other.n} matrix at conductor {other.conductor}"
             )
-        # products of zero entries are skipped: the matrices of monomial and
-        # diagonal groups are mostly zeros
-        support = [[(j, b) for j, b in enumerate(row) if not b.is_zero()] for row in other.entries]
+        # only nonzero entries take part: the matrices of monomial and
+        # diagonal groups are mostly zeros, and their products single terms
+        support = [[(j, b) for j, b in enumerate(row) if b.coeffs] for row in other.entries]
         zero = CycloInt.from_int(0, self.conductor)
         rows = []
         for row in self.entries:
-            out = [zero] * self.n
+            out: list = [None] * self.n
             for k, a in enumerate(row):
-                if not a.is_zero():
+                if a.coeffs:
                     for j, b in support[k]:
-                        out[j] = out[j] + a * b
-            rows.append(tuple(out))
+                        out[j] = a * b if out[j] is None else out[j] + a * b
+            rows.append(tuple(zero if x is None else x for x in out))
         return GroupElement(self.n, self.conductor, tuple(rows))
 
     def det(self) -> CycloInt:
@@ -152,7 +138,9 @@ class GroupElement:
     def scale(self, c: CycloInt) -> GroupElement:
         c = c.lift(self.conductor)
         return GroupElement(
-            self.n, self.conductor, tuple(tuple(c * x for x in row) for row in self.entries)
+            self.n,
+            self.conductor,
+            tuple(tuple(c * x if x.coeffs else x for x in row) for row in self.entries),
         )
 
     def __eq__(self, other):
@@ -206,13 +194,14 @@ def scalar_normalize(g: GroupElement) -> GroupElement:
     for i in range(g.n):
         d = g.entries[i][i]
         if not d.is_zero():
-            order = d.root_of_unity_order()
-            if order is None:
+            root = d.as_root_of_unity()
+            if root is None:
                 raise ValueError("diagonal entry is not a root of unity")
-            if order == 1:
+            s, k = root
+            if (s, k) == (1, 0):
                 return g
-            inv = d ** (order - 1)
-            return g.scale(inv)
+            inv = CycloInt.zeta(g.conductor, -k)
+            return g.scale(inv if s == 1 else -inv)
     raise ValueError("matrix has no nonzero diagonal entry")
 
 
@@ -248,13 +237,12 @@ class FiniteMatrixGroup:
         return self.mul(self.mul(by, i), self.inv(by))
 
     def index_of(self, g: GroupElement) -> int:
-        m = self.elements[0].conductor if self.elements else g.conductor
-        cand = g.try_to_conductor(m)
-        if cand is not None:
-            idx = self._key_index().get(cand.key())
-            if idx is not None:
-                return idx
-        raise ElementNotInGroup("element is not in the group")
+        """Index of g, compared at the lcm of its and the group's conductor."""
+        m = lcm(self.elements[0].conductor, g.conductor)
+        idx = self._key_index(m).get(g.lift(m).key())
+        if idx is None:
+            raise ElementNotInGroup("element is not in the group")
+        return idx
 
     def contains(self, g: GroupElement) -> bool:
         try:
@@ -263,12 +251,15 @@ class FiniteMatrixGroup:
         except (ElementNotInGroup, ValueError):
             return False
 
-    def _key_index(self) -> dict:
-        cache = getattr(self, "_key_cache", None)
-        if cache is None:
-            cache = {e.key(): i for i, e in enumerate(self.elements)}
-            object.__setattr__(self, "_key_cache", cache)
-        return cache
+    def _key_index(self, conductor: int) -> dict:
+        """Element keys lifted to the conductor, built once per conductor."""
+        cache = self.__dict__.setdefault("_key_cache", {})
+        index = cache.get(conductor)
+        if index is None:
+            index = cache[conductor] = {
+                e.lift(conductor).key(): i for i, e in enumerate(self.elements)
+            }
+        return index
 
     def is_abelian(self) -> bool:
         return all(
@@ -340,9 +331,10 @@ def close_group(
     reached from, b = parent(b)·g.
 
     Elements are then ordered by canonical key, so the result is independent
-    of generator order, and each table row a is filled along the tree in BFS
-    order by a·b = (a·parent(b))·g, one integer lookup per entry.  Inverses
-    are read off the rows.
+    of generator order.  The row of each generator g is filled along the tree
+    by g·b = (g·parent(b))·h, one integer lookup per entry; every other row
+    a = parent(a)·g is then the composition a·x = parent(a)·(g·x) of two rows
+    already known, taken in BFS order.  Inverses are read off the rows.
     """
     if not generators:
         raise ValueError("at least one generator required")
@@ -390,19 +382,24 @@ def close_group(
         pos[i] = r
     columns = [[pos[col[i]] for i in by_key] for col in columns]
     identity_index = pos[0]
+    generator_indices = tuple(col[identity_index] for col in columns)
     steps = [(pos[b], pos[parent[b]], columns[via[b]]) for b in range(1, len(found))]
-    table = []
-    for a in range(len(found)):
+    generator_rows = []
+    for g in generator_indices:
         row = [0] * len(found)
-        row[identity_index] = a
+        row[identity_index] = g
         for b, p, col in steps:
             row[b] = col[row[p]]
-        table.append(tuple(row))
+        generator_rows.append(itemgetter(*row))
+    table: list = [None] * len(found)
+    table[identity_index] = tuple(range(len(found)))
+    for b in range(1, len(found)):
+        table[pos[b]] = generator_rows[via[b]](table[pos[parent[b]]])
     return FiniteMatrixGroup(
         elements=tuple(found[i] for i in by_key),
         table=tuple(table),
         identity_index=identity_index,
-        generators=tuple(col[identity_index] for col in columns),
+        generators=generator_indices,
         normalizer=normalizer,
         _inverse=tuple(row.index(identity_index) for row in table),
     )

@@ -381,10 +381,11 @@ def sheet_from_document(doc: dict) -> GSpaceSheet:
             )
         pairs = None
         if "commuting_pairs" in doc:
-            pairs = {
-                (str(a), str(b)): _json_int(v, f"commuting pair {[a, b]!r}")
-                for a, b, v in doc["commuting_pairs"]
-            }
+            pairs = {}
+            for a, b, v in doc["commuting_pairs"]:
+                if (str(a), str(b)) in pairs:
+                    raise ValueError(f"commuting pair {[a, b]!r} appears more than once")
+                pairs[(str(a), str(b))] = _json_int(v, f"commuting pair {[a, b]!r}")
         sheet = GSpaceSheet(
             _json_int(doc["group_order"], "group_order"),
             classes,
@@ -406,6 +407,12 @@ def sheet_from_document(doc: dict) -> GSpaceSheet:
         for label in pair:
             if label not in labels:
                 raise ValueError(f"commuting pair {list(pair)}: label {label!r} names no class")
+    if pairs is not None:
+        # the table lists every ordered pair of (singleton) classes
+        for a in classes:
+            for b in classes:
+                if (a.label, b.label) not in pairs:
+                    raise ValueError(f"commuting pair {[a.label, b.label]!r} is missing")
     sheet.validate()
     return sheet
 
@@ -585,10 +592,9 @@ def twisted_fixed_euler(
     N-th roots.  So multiplication is addition of residues, a power is a
     multiple, equality is equality mod N, and the candidates deduplicate in
     a set.  The one question that is not about a single root is whether
-    kappa = sum of zeta_N^{d*x} vanishes: that is whether the polynomial
-    sum of X^{d*x mod N} is divisible by the minimal polynomial Phi_N of
-    zeta_N, which one reduction modulo Phi_N decides exactly
-    (`exactmath.zeta_sum_is_zero`).
+    kappa = sum of zeta_N^{d*x} vanishes: that is whether the expansions of
+    its terms in the Zumbroich basis of Q(zeta_N), the table that CycloInt
+    uses, cancel (`exactmath.zeta_sum_is_zero`).
 
     Sets of coordinates are bit masks.  Only supports that are unions of
     cycles can contribute, and only cycles inside such a support can take

@@ -6,6 +6,7 @@ import pytest
 from crepant.cli import (
     EXIT_CAP,
     EXIT_FAIL,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_UNSUPPORTED,
@@ -204,6 +205,23 @@ def test_orbifold_sheet_rejects_pair_naming_no_class(tmp_path, capsys):
     rc, out, err = _run_sheet(doc, tmp_path, capsys)
     assert rc == EXIT_PARSE and out == ""
     assert err.count("\n") == 1 and "label 'nope' names no class" in err
+
+
+def test_orbifold_sheet_rejects_duplicated_pair(tmp_path, capsys):
+    doc = _sheet_with_pairs()
+    # a repeated zero keeps the double count equal; a dict would keep the last
+    doc["commuting_pairs"].append(["g", "e", 0])
+    rc, out, err = _run_sheet(doc, tmp_path, capsys)
+    assert rc == EXIT_PARSE and out == ""
+    assert err.count("\n") == 1 and "commuting pair ['g', 'e'] appears more than once" in err
+
+
+def test_orbifold_sheet_rejects_missing_pair(tmp_path, capsys):
+    doc = _sheet_with_pairs()
+    del doc["commuting_pairs"][2]  # ["g", "e", 0]: the double count stays equal
+    rc, out, err = _run_sheet(doc, tmp_path, capsys)
+    assert rc == EXIT_PARSE and out == ""
+    assert err.count("\n") == 1 and "commuting pair ['g', 'e'] is missing" in err
 
 
 def _set_group_order(doc, value):
@@ -451,3 +469,20 @@ def test_zero_conductor_is_a_parse_error(capsys):
     err = capsys.readouterr().err
     assert rc == EXIT_PARSE
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [ZeroDivisionError("division by zero"), KeyError("g7"), TypeError("bad\noperand")],
+    ids=["zero_division", "key", "type"],
+)
+def test_unmapped_exception_exits_internal_with_one_line(monkeypatch, capsys, exc):
+    def broken(*args):
+        raise exc
+
+    monkeypatch.setattr("crepant.groups.conjugacy_classes", broken)
+    rc = main(["group", "--fixture", "cyclic", "--n", "4"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_INTERNAL == 5 and captured.out == ""
+    name = type(exc).__name__
+    assert captured.err == f"internal error: {name}: {' '.join(str(exc).split())}\n"

@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -20,6 +21,7 @@ from crepant.exactmath import (
     zeta_sum_is_zero,
 )
 from crepant.exactmath import (
+    _expansions,
     _gauss_reduce,
     _poly_divmod,
     _poly_mul,
@@ -27,6 +29,139 @@ from crepant.exactmath import (
     _solve_in_basis,
 )
 from test_toric import _det_fraction, _nullspace, _rational_inverse
+
+
+# ---------------------------------------------------------------------------
+# reference: cyclotomic integers in the dense power basis
+
+
+def _reduce_mod_cyclotomic(coeffs: list[int], m: int) -> tuple[int, ...]:
+    """Reduce a coefficient list modulo the m-th cyclotomic polynomial."""
+    phi = cyclotomic_polynomial(m)
+    deg = len(phi) - 1
+    coeffs = list(coeffs) + [0] * max(deg - len(coeffs), 0)
+    for i in range(len(coeffs) - 1, deg - 1, -1):
+        c = coeffs[i]
+        if c:
+            for j in range(len(phi)):
+                coeffs[i - deg + j] -= c * phi[j]
+            coeffs[i] = 0
+    return tuple(coeffs[:deg])
+
+
+@dataclass(frozen=True)
+class DenseCyclo:
+    """Element of Z[zeta_m] as its reduction modulo Phi_m in the power basis
+    1, zeta_m, ..., zeta_m^(phi(m)-1): the representation CycloInt had before
+    the Zumbroich basis, kept as a slow, independent reference."""
+
+    conductor: int
+    coeffs: tuple[int, ...]
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __post_init__(self):
+        if len(self.coeffs) != len(cyclotomic_polynomial(self.conductor)) - 1:
+            raise ValueError("coefficient length must equal the cyclotomic degree")
+
+    @staticmethod
+    def from_int(value: int, m: int = 1) -> "DenseCyclo":
+        return DenseCyclo(m, _reduce_mod_cyclotomic([value], m))
+
+    @staticmethod
+    def zeta(m: int, k: int = 1) -> "DenseCyclo":
+        c = [0] * (k % m + 1)
+        c[k % m] = 1
+        return DenseCyclo(m, _reduce_mod_cyclotomic(c, m))
+
+    @staticmethod
+    def from_sparse(x: CycloInt) -> "DenseCyclo":
+        out = DenseCyclo.from_int(0, x.conductor)
+        for k, c in x.coeffs:
+            out = out + DenseCyclo.zeta(x.conductor, k) * DenseCyclo.from_int(c)
+        return out
+
+    def to_sparse(self) -> CycloInt:
+        out = CycloInt.from_int(0, self.conductor)
+        for k, c in enumerate(self.coeffs):
+            out = out + CycloInt.zeta(self.conductor, k) * c
+        return out
+
+    def lift(self, m: int) -> "DenseCyclo":
+        step = m // self.conductor
+        c = [0] * ((len(self.coeffs) - 1) * step + 1)
+        for i, x in enumerate(self.coeffs):
+            c[i * step] += x
+        return DenseCyclo(m, _reduce_mod_cyclotomic(c, m))
+
+    def _pair(self, other):
+        if isinstance(other, int):
+            other = DenseCyclo.from_int(other)
+        m = lcm(self.conductor, other.conductor)
+        return self.lift(m), other.lift(m)
+
+    def __add__(self, other):
+        a, b = self._pair(other)
+        return DenseCyclo(a.conductor, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+
+    def __neg__(self):
+        return DenseCyclo(self.conductor, tuple(-x for x in self.coeffs))
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        a, b = self._pair(other)
+        return DenseCyclo(a.conductor, _reduce_mod_cyclotomic(_poly_mul(a.coeffs, b.coeffs), a.conductor))
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            other = DenseCyclo.from_int(other)
+        a, b = self._pair(other)
+        return a.coeffs == b.coeffs
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def galois(self, k: int) -> "DenseCyclo":
+        m = self.conductor
+        c = [0] * m
+        for i, x in enumerate(self.coeffs):
+            c[(i * k) % m] += x
+        return DenseCyclo(m, _reduce_mod_cyclotomic(c, m))
+
+    def div_exact(self, b: "DenseCyclo") -> "DenseCyclo | None":
+        """self / b by the norm and Galois cofactor, coefficient by coefficient."""
+        a, b = self._pair(b)
+        m = a.conductor
+        cof = DenseCyclo.from_int(1, m)
+        for k in range(2, m + 1):
+            if gcd(k, m) == 1:
+                cof = cof * b.galois(k)
+        norm = (b * cof).coeffs
+        if any(norm[1:]) or not norm[0]:
+            raise ZeroDivisionError("zero or non-rational norm")
+        num = (a * cof).coeffs
+        if any(x % norm[0] for x in num):
+            return None
+        return DenseCyclo(m, tuple(x // norm[0] for x in num))
+
+    def try_reduce(self, m: int) -> "DenseCyclo | None":
+        """Rewrite at conductor m when the value lies in Z[zeta_m], else None,
+        by solving for its coordinates in the power basis of that subfield."""
+        common = lcm(m, self.conductor)
+        deg = len(cyclotomic_polynomial(m)) - 1
+        target = [DenseCyclo.zeta(m, j).lift(common).coeffs for j in range(deg)]
+        coords = _solve_in_basis(self.lift(common).coeffs, target)
+        if coords is None or any(c.denominator != 1 for c in coords):
+            return None
+        return DenseCyclo(m, tuple(int(c) for c in coords))
+
+
+def _try_reduce(x: CycloInt, m: int) -> CycloInt | None:
+    """x rewritten at conductor m when it lies in that subfield, else None."""
+    r = DenseCyclo.from_sparse(x).try_reduce(m)
+    return None if r is None else r.to_sparse()
 
 
 def test_cyclotomic_polynomial_small():
@@ -79,7 +214,7 @@ def test_cyclo_ring_axioms(m, ka, kb, kc):
 
 def test_cyclo_reduction_idempotent():
     z9 = CycloInt.zeta(9, 7)
-    lifted = z9.lift(18).try_reduce(9)
+    lifted = _try_reduce(z9.lift(18), 9)
     assert lifted == z9
 
 
@@ -97,7 +232,7 @@ def test_exact_division():
 )
 def test_prepared_divisor_matches_plain_division(m, a, b):
     deg = len(cyclotomic_polynomial(m)) - 1
-    a, b = CycloInt(m, tuple(a[:deg])), CycloInt(m, tuple(b[:deg]))
+    a, b = DenseCyclo(m, tuple(a[:deg])).to_sparse(), DenseCyclo(m, tuple(b[:deg])).to_sparse()
     if b.is_zero():
         with pytest.raises(ZeroDivisionError):
             CycloDivisor(b)
@@ -113,6 +248,128 @@ def test_prepared_divisor_matches_plain_division(m, a, b):
     plus_one = cyclo_div_exact(a * b + 1, divisor)
     assert plus_one == cyclo_div_exact(a * b + 1, b)
     assert plus_one is None or plus_one * b == a * b + 1
+
+
+# ---------------------------------------------------------------------------
+# the Zumbroich basis against the dense reference
+
+# conductors up to 60: prime powers, a prime with a long basis (41), and
+# products of two and three primes (30 = 2*3*5, 42, 60)
+DIFF_CONDUCTORS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 16, 18, 20, 21, 24, 25, 27, 30, 36,
+                   41, 42, 45, 60]
+
+
+@pytest.mark.parametrize("m", range(1, 61))
+def test_zumbroich_table_expands_every_root_in_an_integral_basis(m):
+    table = _expansions(m)
+    basis = [k for k in range(m) if table[k] == ((k, 1),)]
+    # phi(m) basis elements whose power-basis vectors are unimodular: a Z-basis
+    assert len(basis) == len(cyclotomic_polynomial(m)) - 1
+    assert IntMat.from_rows([DenseCyclo.zeta(m, k).coeffs for k in basis]).det() in (1, -1)
+    for k, terms in enumerate(table):
+        assert len({s for _, s in terms}) == 1 and [e for e, _ in terms] == sorted(
+            e for e, _ in terms if e in basis
+        )
+        total = DenseCyclo.from_int(0, m)
+        for e, s in terms:
+            total = total + DenseCyclo.zeta(m, e) * s
+        assert total == DenseCyclo.zeta(m, k)
+
+
+@st.composite
+def _dense_values(draw, m):
+    """A reference value at conductor m: a coefficient vector, a multiple of
+    a root of unity, or an integer."""
+    kind = draw(st.sampled_from(["vector", "root", "int"]))
+    if kind == "root":
+        return DenseCyclo.zeta(m, draw(st.integers(0, m - 1))) * draw(st.sampled_from([1, -1, 2]))
+    if kind == "int":
+        return DenseCyclo.from_int(draw(st.integers(-3, 3)), m)
+    deg = len(cyclotomic_polynomial(m)) - 1
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    return DenseCyclo(m, tuple(draw(st.lists(entries, min_size=deg, max_size=deg))))
+
+
+def _divisors(m):
+    return [d for d in range(1, m + 1) if m % d == 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), m=st.sampled_from(DIFF_CONDUCTORS))
+def test_sparse_ring_operations_match_dense_reference(data, m):
+    d = data.draw(st.sampled_from(_divisors(m)))
+    a, b = data.draw(_dense_values(m)), data.draw(_dense_values(d))
+    sa, sb = a.to_sparse(), b.to_sparse()
+    for x, ref in ((sa, a), (sb, b)):
+        assert CycloInt(x.conductor, x.coeffs).coeffs == x.coeffs  # canonical form
+        assert DenseCyclo.from_sparse(x) == ref
+    k = data.draw(st.sampled_from([k for k in range(1, m + 1) if gcd(k, m) == 1]))
+    step = data.draw(st.integers(1, 4))
+    results = [
+        (sa + sb, a + b),
+        (sa - sb, a - b),
+        (sa * sb, a * b),
+        (2 * sb, b * 2),
+        (3 + sb, b + 3),
+        (-sa, -a),
+        (sa.galois(k), a.galois(k)),
+        (sb.lift(d * step), b.lift(d * step)),
+    ]
+    for got, ref in results:
+        assert got.conductor == ref.conductor
+        assert CycloInt(got.conductor, got.coeffs).coeffs == got.coeffs
+        assert DenseCyclo.from_sparse(got) == ref
+    assert (sa == sb) == (a == b)
+    assert (sb.lift(m) == sa) == (b == a)
+    assert sa == sa.lift(m * step) and sa.lift(m * step) == sa
+    assert sa * sb == sb * sa and sa - sa == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), m=st.sampled_from(DIFF_CONDUCTORS))
+def test_exact_division_matches_dense_reference(data, m):
+    d = data.draw(st.sampled_from(_divisors(m)))
+    a, b = data.draw(_dense_values(m)), data.draw(_dense_values(d))
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            cyclo_div_exact(a.to_sparse(), b.to_sparse())
+        return
+    for num in (a * b, a * b + 1, a):
+        got = cyclo_div_exact(num.to_sparse(), b.to_sparse())
+        ref = num.div_exact(b)
+        assert (got is None) == (ref is None)
+        assert got is None or DenseCyclo.from_sparse(got) == ref
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 9, 10, 12, 15, 30, 41, 60])
+def test_root_of_unity_lookup_matches_repeated_products(m):
+    def by_products(x):
+        y = x
+        for e in range(1, lcm(2, m) + 1):
+            if y == 1:
+                return e
+            y = y * x
+        return None
+
+    values = [CycloInt.zeta(m, k) * s for k in range(m) for s in (1, -1)]
+    values += [CycloInt.from_int(c, m) for c in (0, 2, -3)] + [CycloInt.zeta(m) + 1]
+    for x in values:
+        assert x.root_of_unity_order() == by_products(x)
+        root = x.as_root_of_unity()
+        assert (root is None) == (by_products(x) is None)
+        if root is not None:
+            s, k = root
+            assert x == CycloInt.zeta(m, k) * s and 0 <= k < m
+
+
+def test_constructor_refuses_non_canonical_coefficients():
+    assert CycloInt(5, ((1, 2), (3, -1))) == 2 * CycloInt.zeta(5) - CycloInt.zeta(5, 3)
+    assert CycloInt(5, ()).is_zero()
+    # 0 is no basis exponent at 5 (1 = -z - z^2 - z^3 - z^4); order, repeats,
+    # zero coefficients and exponents past the conductor are refused too
+    for bad in (((0, 1),), ((2, 1), (1, 1)), ((1, 1), (1, 1)), ((1, 0),), ((5, 1),)):
+        with pytest.raises(ValueError, match="Zumbroich basis"):
+            CycloInt(5, bad)
 
 
 def _unimodular(draw_ops, n):
@@ -271,9 +528,11 @@ def test_zeta_sum_matches_cycloint_sum(m, extra, cosets):
         if m % q == 0:
             exponents += [shift + j * (m // q) for j in range(q)]
     total = CycloInt.from_int(0, m)
+    dense = DenseCyclo.from_int(0, m)
     for k in exponents:
         total = total + CycloInt.zeta(m, k)
-    assert zeta_sum_is_zero(m, exponents) == total.is_zero()
+        dense = dense + DenseCyclo.zeta(m, k)
+    assert zeta_sum_is_zero(m, exponents) == total.is_zero() == dense.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +628,7 @@ def test_kernel_keeps_integer_input_exact():
     assert a == [[1, 0], [0, 1]] and all(_all_fractions(r) for r in a)
     assert _solve_in_basis([1, 0], [[3, 0], [0, 1]]) == [Fraction(1, 3), 0]
     assert _all_fractions(_solve_in_basis([1, 0], [[3, 0], [0, 1]]))
-    assert CycloInt.from_int(3, 6).try_reduce(3) == 3
+    assert _try_reduce(CycloInt.from_int(3, 6), 3) == 3
 
 
 def test_permutation_cycles_start_at_least_index():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from crepant.exactmath import CycloInt, cyclo_div_exact
 from crepant.fixtures import (
+    _perm_matrix,
     binary_dihedral,
     binary_dihedral_symmetry,
     binary_tetrahedral,
@@ -458,6 +459,73 @@ def test_diagonal_groups_match_reference(dim, m, exponents, perm):
     h = GroupElement.from_matrix([[int(images[j] == i) for j in range(dim)] for i in range(dim)])
     symmetries = [h] + ([cyclic_swap_symmetry()] if dim == 2 else [])
     _assert_matches_reference(close_group(gens), symmetries)
+
+
+@st.composite
+def _normalized_groups(draw):
+    """A random diagonal or monomial group of dimension 2 or 3 with entries in
+    the m-th roots of unity, and a permutation matrix h that normalizes it:
+    the generators are closed under conjugation by h."""
+    dim = draw(st.integers(2, 3))
+    monomial = draw(st.booleans())
+    m = draw(st.integers(1, 4 if monomial else 8))
+    h = _perm_matrix(tuple(draw(st.permutations(range(dim)))))
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        e = draw(st.lists(st.integers(0, m - 1), min_size=dim, max_size=dim))
+        sigma = draw(st.permutations(range(dim))) if monomial else range(dim)
+        g = GroupElement.from_matrix(
+            [[CycloInt.zeta(m, e[j]) if i == sigma[j] else 0 for j in range(dim)]
+             for i in range(dim)],
+            conductor=m,
+        )
+        c = g
+        while True:  # the orbit of g under conjugation by h
+            gens.append(c)
+            c = h.lift(m).mul(c).mul(_transpose(h).lift(m))
+            if c == g:
+                break
+    return close_group(gens), h
+
+
+def _transpose(g):
+    return GroupElement(g.n, g.conductor, tuple(zip(*g.entries)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_normalized_groups())
+def test_class_equation_on_random_groups(case):
+    group, _ = case
+    classes = conjugacy_classes(group)
+    assert sorted(i for cl in classes.classes for i in cl) == list(range(group.order))
+    for cl in classes.classes:
+        x = cl[0]
+        commuting = sum(1 for y in range(group.order) if group.mul(x, y) == group.mul(y, x))
+        assert len(cl) * commuting == group.order
+    assert centralizer(group, classes.classes[-1][0]).order * len(classes.classes[-1]) == group.order
+
+
+@settings(max_examples=40, deadline=None)
+@given(_normalized_groups())
+def test_outer_action_is_the_conjugation_bijection_on_random_groups(case):
+    group, h = case
+    act = outer_action(group, h)
+    assert sorted(act.element_perm) == list(range(group.order))
+    assert sorted(act.class_perm) == list(range(act.classes.count))
+    m = group.elements[0].conductor
+    hh, hh_inv = h.lift(m), _transpose(h).lift(m)
+    for i, e in enumerate(group.elements):
+        assert hh.mul(e).mul(hh_inv) == group.elements[act.element_perm[i]]
+
+
+def test_index_of_compares_across_conductors():
+    group = binary_dihedral(5)  # conductor 6
+    swap = cyclic_swap_symmetry()  # conductor 1
+    assert group.elements[group.index_of(swap)] == swap
+    for k, e in enumerate(group.elements):
+        assert group.index_of(e.lift(4 * e.conductor)) == k
+    with pytest.raises(ElementNotInGroup):
+        group.index_of(binary_dihedral_symmetry(5))  # an order-12 root, outside
 
 
 def test_not_normalizing_names_second_generator():

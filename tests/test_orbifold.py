@@ -199,6 +199,16 @@ def test_commuting_pairs_match_pair_euler_on_every_pair(quintic_sheets, variant)
         assert value == pair_euler(5, _pattern(a), _pattern(b)), (a, b)
 
 
+@pytest.mark.parametrize("variant", _QUINTIC_VARIANTS)
+def test_built_sheet_lists_every_ordered_pair_and_loads_back(quintic_sheets, variant):
+    sheet = quintic_sheets[variant]
+    labels = [c.label for c in sheet.classes]
+    assert len(sheet.commuting_pairs) == len(labels) ** 2 == 15_625
+    assert set(sheet.commuting_pairs) == {(a, b) for a in labels for b in labels}
+    loaded = ob.sheet_from_document(json.loads(json.dumps(ob.sheet_to_document(sheet))))
+    assert loaded.commuting_pairs == sheet.commuting_pairs
+
+
 def _reference_class_record(patterns, p, inv, d):
     """(in_ch, euler_quotient, fixed_dim) of the class of p, computed for that
     class alone: section values from its own blocks, and for the identity the

@@ -1,0 +1,180 @@
+"""Size sweep: how crepant's run time grows with the input, on two source trees.
+
+Times, best of three, in one interpreter:
+
+* ``cyclic``: closing ``fixtures.cyclic_group(n)`` and its swap
+  ``groups.outer_action``, for n in 300, 1000, 2000;
+* ``zm2-cycle``: ``crepant toric`` on the full group Zm^2 with the coordinate
+  3-cycle, for m in 5, 7, 11, 13, 17;
+* ``line-swap``: ``crepant toric`` on ``1,1,m-2@m`` with ``(1 2)``, for
+  m in 50, 100, 200, 400.
+
+The toric rows time the whole command (build, certificates, Lefschetz
+number, report).  ``--baseline REV`` also times the ``src/`` of a git
+revision, extracted with ``git archive``, in the same interpreter, so the
+two columns differ only in the source.  The trees run alternately, one
+repetition at a time.  Usage, from the repository root:
+
+    python3 tools/sweep.py --baseline HEAD~1 --out BENCH_9.json
+
+This is a record of growth rates, separate from the gated workloads of
+``bench/run.py``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import platform
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CYCLIC_ORDERS = (300, 1000, 2000)
+ZM2_CONDUCTORS = (5, 7, 11, 13, 17)
+LINE_CONDUCTORS = (50, 100, 200, 400)
+REPEATS = 3
+
+
+def _load_crepant(src: Path):
+    """Import crepant from src, dropping any crepant modules imported before."""
+    for name in [n for n in sys.modules if n == "crepant" or n.startswith("crepant.")]:
+        del sys.modules[name]
+    sys.path.insert(0, str(src))
+    try:
+        from crepant import cli, fixtures, groups
+    finally:
+        sys.path.remove(str(src))
+    if Path(cli.__file__).resolve().parent.parent != src.resolve():
+        raise SystemExit(f"error: imported crepant from {cli.__file__}, not from {src}")
+    return cli, fixtures, groups
+
+
+def _time(fn):
+    """(seconds, result) of one call of fn."""
+    start = time.perf_counter()
+    result = fn()
+    return time.perf_counter() - start, result
+
+
+def _toric_argv(family: str, m: int) -> list[str]:
+    if family == "zm2-cycle":
+        gens = [f"1,{m - 1},0@{m}", f"0,1,{m - 1}@{m}"]
+        perm = "(1 2 3)"
+    else:
+        gens = [f"1,1,{m - 2}@{m}"]
+        perm = "(1 2)"
+    argv = ["toric", "--n", "3", "--perm", perm]
+    for g in gens:
+        argv += ["--gen", g]
+    return argv
+
+
+def _one_repetition(src: Path) -> dict:
+    """Seconds of every (family, size, stage) once, on the crepant under src."""
+    cli, fixtures, groups = _load_crepant(src)
+    out = {}
+    for n in CYCLIC_ORDERS:
+        out[("cyclic", n, "close_group")], group = _time(lambda: fixtures.cyclic_group(n))
+        swap = fixtures.cyclic_swap_symmetry()
+        out[("cyclic", n, "outer_action")], _ = _time(lambda: groups.outer_action(group, swap))
+    for family, sizes in (("zm2-cycle", ZM2_CONDUCTORS), ("line-swap", LINE_CONDUCTORS)):
+        for m in sizes:
+            argv = _toric_argv(family, m)
+            with contextlib.redirect_stdout(io.StringIO()):
+                out[(family, m, "command")], code = _time(lambda: cli.main(argv))
+            if code != 0:
+                raise SystemExit(f"error: crepant {' '.join(argv)} exited with {code}")
+    return out
+
+
+def _extract(rev: str, into: Path) -> Path:
+    """The src/ tree of a git revision, written under into."""
+    data = subprocess.run(
+        ["git", "archive", "--format=tar", rev, "src"],
+        cwd=ROOT, capture_output=True, check=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        tar.extractall(into)
+    return into / "src"
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
+def _revision(rev: str) -> str:
+    return _git("rev-parse", rev)
+
+
+def sweep(trees: dict[str, Path]) -> dict[str, list[dict]]:
+    runs = {label: [] for label in trees}
+    for rep in range(REPEATS):
+        order = list(trees) if rep % 2 == 0 else list(reversed(trees))
+        for label in order:
+            runs[label].append(_one_repetition(trees[label]))
+    rows = {label: [] for label in trees}
+    for label, reps in runs.items():
+        for family, size, stage in reps[0]:
+            seconds = [r[(family, size, stage)] for r in reps]
+            rows[label].append({
+                "family": family,
+                "size": size,
+                "stage": stage,
+                "best_s": round(min(seconds), 4),
+                "runs_s": [round(x, 4) for x in seconds],
+            })
+    return rows
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--baseline", help="git revision whose src/ is timed as well")
+    parser.add_argument("--out", help="write the record here as JSON")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {"change": ROOT / "src"}
+        revisions = {"change": _revision("HEAD")}
+        if _git("status", "--porcelain", "src"):
+            revisions["change"] += " with uncommitted changes to src/"
+        if args.baseline:
+            trees = {"baseline": _extract(args.baseline, Path(tmp)), **trees}
+            revisions["baseline"] = _revision(args.baseline)
+        rows = sweep(trees)
+    record = {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "nproc": os.cpu_count(),
+        "repeats": REPEATS,
+        "statistic": "best of the repeats, seconds",
+        "revisions": revisions,
+        # ROADMAP item 3: closing cyclic_group(2000) plus its swap outer action
+        "cyclic_2000_total_s": {
+            label: round(sum(e["best_s"] for e in entries
+                             if e["family"] == "cyclic" and e["size"] == 2000), 4)
+            for label, entries in rows.items()
+        },
+        "cyclic_2000_limit_s": 0.5,
+        "rows": rows,
+    }
+    text = json.dumps(record, indent=1)
+    if args.out:
+        Path(args.out).write_text(text + "\n")
+    for label, entries in rows.items():
+        for e in entries:
+            print(f"{label:9} {e['family']:10} {e['size']:5} {e['stage']:13} {e['best_s']:.4f} s")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
