@@ -235,13 +235,19 @@ def cmd_group(args, command) -> int:
 def _class_equation_holds(group, classes) -> bool:
     """|class| * |centralizer| = |G| for every class, and the classes cover G.
 
-    Only the centralizer's order is needed, so it is counted off the table.
+    Only the centralizer's order is needed, so it is counted off the table,
+    except for a representative that commutes with every generator: its
+    centralizer is the whole group.
     """
+    table = group.table
     total = 0
     for cl in classes.classes:
         i = cl[0]
-        row = group.table[i]
-        cent_order = sum(1 for x, x_row in enumerate(group.table) if x_row[i] == row[x])
+        row = table[i]
+        if all(table[g][i] == row[g] for g in group.generators):
+            cent_order = group.order
+        else:
+            cent_order = sum(1 for x, x_row in enumerate(table) if x_row[i] == row[x])
         if len(cl) * cent_order != group.order:
             return False
         total += len(cl)

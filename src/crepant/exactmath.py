@@ -1,11 +1,13 @@
 """Exact arithmetic foundation.
 
 Arbitrary-precision integers and rationals, integer-matrix normal forms,
-rational elimination, permutation cycles, and cyclotomic integers with
-decidable equality.  A cyclotomic integer is a sparse map from exponent to
-coefficient in the Zumbroich basis of its conductor, in which every root of
-unity is one table entry.  Nothing in this module (or in anything built on
-it) uses floating point.
+permutation cycles, and cyclotomic integers with decidable equality.  A
+rational matrix is scaled to an integer one by its common denominator, so
+every lattice question (a basis, an index, a determinant) is answered by
+Bareiss elimination or the Smith normal form.  A cyclotomic integer is a
+sparse map from exponent to coefficient in the Zumbroich basis of its
+conductor, in which every root of unity is one table entry.  Nothing in this
+module (or in anything built on it) uses floating point.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Sequence
 
 __all__ = [
@@ -531,59 +533,7 @@ class IntMat:
 
 
 # ---------------------------------------------------------------------------
-# rational elimination
-
-
-def _gauss_reduce(a: list[list]) -> list[int]:
-    """In-place reduced row echelon form over the rationals.
-
-    Every entry is converted to Fraction first, so integer input stays exact
-    under division.  Returns the pivot column of each nonzero row; those rows
-    come first, in order, and every later row is zero.  This is the one
-    rational row reduction; the readers below interpret its result.
-    """
-    for i, row in enumerate(a):
-        a[i] = [Fraction(x) for x in row]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    pivots: list[int] = []
-    for c in range(cols):
-        r = len(pivots)
-        if r == rows:
-            break
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-    return pivots
-
-
-def _solve_in_basis(vec: Sequence, basis: Sequence[Sequence]) -> list[Fraction] | None:
-    """Coordinates of vec in the row span of basis, or None if outside.
-
-    The system is consistent exactly when the reduced augmented matrix has no
-    pivot in its last column; coordinates of non-pivot basis rows are zero.
-    """
-    rows = len(basis)
-    aug = [[basis[i][j] for i in range(rows)] + [vec[j]] for j in range(len(vec))]
-    pivots = _gauss_reduce(aug)
-    if rows in pivots:
-        return None
-    coords = [Fraction(0)] * rows
-    for r, c in enumerate(pivots):
-        coords[c] = aug[r][rows]
-    # the recombination is exact by construction; checking it is cheap
-    for j, x in enumerate(vec):
-        if sum(coords[i] * basis[i][j] for i in range(rows)) != x:
-            return None
-    return coords
+# rational matrices through integer ones
 
 
 def _integer_rows(rows: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
@@ -718,26 +668,35 @@ def row_lattice_basis(rows) -> list[list[Fraction]]:
     return basis
 
 
+def _smith_invariants(rows: Sequence[Sequence[int]]) -> list[int]:
+    """The nonzero Smith invariants of an integer matrix given by its rows;
+    there are as many as its rank."""
+    _, D, _ = smith_normal_form(IntMat.from_rows(rows))
+    return [x for x in (D.get(i, i) for i in range(min(D.rows, D.cols))) if x]
+
+
 def lattice_index(sub_basis, super_basis) -> int:
     """Order of (super lattice)/(sub lattice), given row bases over the rationals.
 
     Both bases must span the same rational subspace and the sub lattice must be
-    contained in the super lattice; the index is |det| of the change of basis.
+    contained in the super lattice.  Scaled to integers by one common
+    denominator, a lattice of rank r has r nonzero Smith invariants whose
+    product is its index in its saturation; so the stacked bases generate the
+    super lattice exactly when they have its rank and its product, and the
+    index is the quotient of the two products.
     """
     if len(sub_basis) != len(super_basis):
         raise LatticeError("bases have different ranks")
-    coords = []
-    for v in sub_basis:
-        c = _solve_in_basis(v, super_basis)
-        if c is None:
-            raise LatticeError("bases do not span the same subspace")
-        if any(x.denominator != 1 for x in c):
-            raise LatticeError("sub lattice is not contained in super lattice")
-        coords.append([int(x) for x in c])
-    d = IntMat.from_rows(coords).det() if coords else 1
-    if d == 0:
+    _, rows = _integer_rows([*sub_basis, *super_basis])
+    k = len(sub_basis)
+    sub, sup, both = (_smith_invariants(r) for r in (rows[:k], rows[k:], rows))
+    if len(both) > len(sup):
+        raise LatticeError("bases do not span the same subspace")
+    if prod(both) != prod(sup):
+        raise LatticeError("sub lattice is not contained in super lattice")
+    if len(sub) < k:
         raise LatticeError("sub basis is degenerate")
-    return abs(d)
+    return prod(sub) // prod(sup)
 
 
 # ---------------------------------------------------------------------------
@@ -748,18 +707,24 @@ def permutation_cycles(images: Sequence[int]) -> list[tuple[int, ...]]:
     """Cycles of the permutation i -> images[i].
 
     Each cycle starts at its least index and the cycles come in the order of
-    those indices, so fixed points appear as one-element cycles.
+    those indices, so fixed points appear as one-element cycles.  Raises
+    ValueError naming the first index whose image leaves range(len(images))
+    or repeats an image already met.
     """
+    n = len(images)
     seen: set[int] = set()
     out = []
-    for i in range(len(images)):
+    for i in range(n):
         if i in seen:
             continue
         cyc = [i]
+        seen.add(i)
         j = images[i]
         while j != i:
+            if j not in range(n) or j in seen:
+                raise ValueError(f"not a permutation of range({n}): index {cyc[-1]} maps to {j!r}")
             cyc.append(j)
+            seen.add(j)
             j = images[j]
-        seen.update(cyc)
         out.append(tuple(cyc))
     return out

@@ -18,6 +18,7 @@ Algorithms for Permutation Groups* (LNCS 559).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from math import lcm
 from operator import itemgetter
@@ -262,10 +263,10 @@ class FiniteMatrixGroup:
         return index
 
     def is_abelian(self) -> bool:
+        """Whether the stored generators, which generate the group, commute."""
         return all(
-            self.table[i][j] == self.table[j][i]
-            for i in range(self.order)
-            for j in range(i + 1, self.order)
+            self.table[g][h] == self.table[h][g]
+            for g, h in itertools.combinations(self.generators, 2)
         )
 
     def subgroup(self, indices) -> FiniteMatrixGroup:
@@ -421,8 +422,12 @@ def conjugacy_classes(group: FiniteMatrixGroup) -> ConjClassSet:
     """Exact conjugacy classes; representatives are the minimal canonical keys.
 
     A class is the orbit of an element under conjugation by the generators
-    alone, since those conjugations generate every inner automorphism.
+    alone, since those conjugations generate every inner automorphism.  The
+    classes are kept on the group, computed once.
     """
+    cached = group.__dict__.get("_classes")
+    if cached is not None:
+        return cached
     table = group.table
     conjugators = [(g, group.inv(g)) for g in group.generators]
     assigned = [False] * group.order
@@ -441,7 +446,8 @@ def conjugacy_classes(group: FiniteMatrixGroup) -> ConjClassSet:
         classes.append(tuple(sorted(orbit)))
     classes.sort(key=lambda cl: group.elements[cl[0]].key())
     reps = tuple(cl[0] for cl in classes)
-    return ConjClassSet(tuple(classes), reps)
+    out = group.__dict__["_classes"] = ConjClassSet(tuple(classes), reps)
+    return out
 
 
 def centralizer(group: FiniteMatrixGroup, x) -> FiniteMatrixGroup:

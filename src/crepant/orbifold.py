@@ -120,6 +120,9 @@ class GSpaceSheet:
     commuting_pairs: Optional[dict] = None  # (label_g, label_h) -> euler of double fixed set
     metadata: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
         if self.group_order < 1:
             raise InconsistentSheet(f"group_order must be positive, not {self.group_order}")
@@ -161,7 +164,6 @@ def orbifold_euler(sheet: GSpaceSheet) -> int:
     (1/|G|) * sum of e(X^g cap X^h) over commuting pairs is evaluated as well
     and a disagreement raises InconsistentSheet.
     """
-    sheet.validate()
     vals = []
     for c in sheet.classes:
         if c.euler_quotient is None:
@@ -184,7 +186,6 @@ def orbifold_euler(sheet: GSpaceSheet) -> int:
 
 def equivariant_lefschetz(sheet: GSpaceSheet) -> int:
     """Sum of quotient Lefschetz numbers over the compatible classes."""
-    sheet.validate()
     out = 0
     for c in sheet.classes:
         if not c.in_ch:
@@ -218,7 +219,6 @@ def chain_check(sheet: GSpaceSheet) -> ChainReport:
     h-invariant stabilizer classes; non-invariant strata contribute zero and
     are listed as skipped.
     """
-    sheet.validate()
     stage_classes = equivariant_lefschetz(sheet)
     if not sheet.strata:
         return ChainReport(None, stage_classes, None, (), {})
@@ -386,13 +386,8 @@ def sheet_from_document(doc: dict) -> GSpaceSheet:
                 if (str(a), str(b)) in pairs:
                     raise ValueError(f"commuting pair {[a, b]!r} appears more than once")
                 pairs[(str(a), str(b))] = _json_int(v, f"commuting pair {[a, b]!r}")
-        sheet = GSpaceSheet(
-            _json_int(doc["group_order"], "group_order"),
-            classes,
-            strata,
-            pairs,
-            dict(doc.get("metadata", {})),
-        )
+        group_order = _json_int(doc["group_order"], "group_order")
+        metadata = dict(doc.get("metadata", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed sheet document: {exc}") from exc
     for c in classes:
@@ -413,8 +408,7 @@ def sheet_from_document(doc: dict) -> GSpaceSheet:
             for b in classes:
                 if (a.label, b.label) not in pairs:
                     raise ValueError(f"commuting pair {[a.label, b.label]!r} is missing")
-    sheet.validate()
-    return sheet
+    return GSpaceSheet(group_order, classes, strata, pairs, metadata)
 
 
 def point_sheet(group_order: int = 1, class_count: int = 1) -> GSpaceSheet:
@@ -800,9 +794,7 @@ def quintic_sheet(variant: str = "swap") -> GSpaceSheet:
             "identity_lefschetz": LIT,
         },
     }
-    sheet = GSpaceSheet(125, tuple(classes), strata, pairs, meta)
-    sheet.validate()
-    return sheet
+    return GSpaceSheet(125, tuple(classes), strata, pairs, meta)
 
 
 def _quintic_strata(
@@ -894,12 +886,10 @@ def complete_intersection_sheet() -> GSpaceSheet:
                         3 if is_identity else (0 if in_ch and not is_identity else None),
                     )
                 )
-    sheet = GSpaceSheet(
+    return GSpaceSheet(
         81,
         tuple(classes),
         None,
         None,
         {"curve_section_euler": -18, "provenance_notes": {"curve_section_euler": LIT}},
     )
-    sheet.validate()
-    return sheet

@@ -28,7 +28,10 @@ other lattice question takes one integer Smith form of N-coordinates: the
 saturation of a span and a basis of N completing it, read off the column
 transform, give the quotient action of an invariant face, and the product of
 the invariant factors gives a sublattice index or a lower dimensional
-volume.
+volume.  Such a volume judges an invariant face standard: the simplex on its
+per-cycle vertex averages, integer once scaled by the lcm of the cycle
+lengths, has volume 1/prod(lengths).  A point is in a simplex when it is in
+its span and the simplices with it in place of one vertex sum to the whole.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .exactmath import (
     LatticeError,
     _integer_rows,
     _rational_det,
-    _solve_in_basis,
+    _smith_invariants,
     permutation_cycles,
     row_lattice_basis,
     smith_normal_form,
@@ -64,7 +67,6 @@ __all__ = [
     "adjusted_triangulation",
     "verify_crepant",
     "verify_adjusted",
-    "fixed_locus_of",
     "normalized_volume",
     "toric_lefschetz",
     "orbit_records",
@@ -351,10 +353,8 @@ def _saturation_index(lp: LatticePair, rows: Sequence[Sequence[int]]) -> int:
     It is the product of the Smith invariants of the vectors' N-coordinates.
     """
     binv = lp.basis_inverse()
-    _, D, _ = smith_normal_form(IntMat.from_rows([_lattice_coords(binv, y) for y in rows]))
-    if len(rows) > D.cols:
-        return 0
-    return prod(D.get(i, i) for i in range(len(rows)))
+    invariants = _smith_invariants([_lattice_coords(binv, y) for y in rows])
+    return prod(invariants) if len(invariants) == len(rows) else 0
 
 
 def normalized_volume(vertices: Sequence[Vec], lp: LatticePair) -> Fraction:
@@ -484,10 +484,6 @@ def adjusted_triangulation(
     if reverse:
         tris = _flip_one_diagonal(tris)
     return _orbit_triangulation(tris, sym, core, d)
-
-
-def _units(n: int) -> list[Vec]:
-    return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
 
 
 def _unscaled(simplices, d: int) -> Triangulation:
@@ -750,18 +746,6 @@ def _action_in_lattice_coords(lp: LatticePair, sym: PermSymmetry) -> IntMat:
     return IntMat.from_rows(rows)
 
 
-def _quotient_action(lp: LatticePair, S: IntMat, span_vectors: Sequence[Vec]) -> IntMat:
-    """Action induced on N / (N intersect span), in a completed basis.
-
-    S is the action on N in lattice coordinates, from _action_in_lattice_coords.
-    """
-    if not span_vectors:
-        return S
-    binv = lp.basis_inverse()
-    rows = [_lattice_coords(binv, y) for y in _integer_rows(span_vectors)[1]]
-    return _quotient_block(S, rows, span_vectors)
-
-
 def _quotient_block(S: IntMat, rows: Sequence[Sequence[int]], span: Sequence[Vec]) -> IntMat:
     """Action induced on N / (N intersect the span of rows), given in
     N-coordinates; NotInvariant names ``span`` when it is not invariant.
@@ -914,7 +898,7 @@ def standard_pair(cycle_lengths: Sequence[int], transverse_lengths: Sequence[int
     n = sum(ls) + sum(ms)
     if n == 0:
         raise ValueError("empty cycle data")
-    units = _units(n)
+    units = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
     origin = tuple(Fraction(0) for _ in range(n))
 
     blocks: list[list[int]] = []
@@ -946,28 +930,6 @@ def standard_pair(cycle_lengths: Sequence[int], transverse_lengths: Sequence[int
     return StandardPair(simplex, tri, fixed, perm, tuple(ls), tuple(ms))
 
 
-def fixed_locus_of(simplex: QSimplex, sym: PermSymmetry) -> QSimplex:
-    """Fixed points of the symmetry inside an invariant simplex.
-
-    For an affine action permuting the vertices this is the convex hull of
-    the per-cycle vertex averages.
-    """
-    dim = len(simplex.vertices[0])
-    return QSimplex.of(
-        *(
-            tuple(sum(v[t] for v in cyc) / len(cyc) for t in range(dim))
-            for cyc in _vertex_cycles(simplex, sym)
-        )
-    )
-
-
-def _vertex_cycles(simplex: QSimplex, sym: PermSymmetry) -> list[tuple[Vec, ...]]:
-    """Cycles of the symmetry on the vertices of an invariant simplex."""
-    verts = simplex.vertices
-    images = [verts.index(sym.apply(v)) for v in verts]
-    return [tuple(verts[i] for i in cyc) for cyc in permutation_cycles(images)]
-
-
 def is_g_standard(
     sigma: QSimplex,
     tri: Optional[Triangulation],
@@ -976,81 +938,97 @@ def is_g_standard(
 ) -> bool:
     """Does the invariant simplex look like the standard model of its type?
 
-    Checks, in order: the symmetry permutes the vertices (with every
-    pointwise-fixed vertex on the fixed subspace); the refinement pieces of
-    matching dimension are permuted without a fixed piece when the symmetry
-    acts nontrivially; and the fixed-locus volume equals the reciprocal of
-    the product of the vertex cycle lengths.  Zero-dimensional fixed loci
-    pass the volume check by convention.
+    Checks, in order: the symmetry permutes the vertices; the refinement
+    pieces of matching dimension are permuted without a fixed piece when the
+    symmetry acts nontrivially; and the fixed-locus volume equals the
+    reciprocal of the product of the vertex cycle lengths.  Zero-dimensional
+    fixed loci pass the volume check by convention.  The simplex and the
+    pieces are scaled to integer points once and judged by ``_standard_face``.
     """
-    if sigma.image(sym).vertices != sigma.vertices:
+    pieces = tri.simplices if tri is not None else ()
+    scale, _, keys = _scaled_simplices(Triangulation((sigma, *pieces)))
+    face = keys[0]
+    if tuple(sorted(sym.apply(y) for y in face)) != face:
         raise NotInvariant("simplex is not invariant under the symmetry")
-    lengths = [len(cyc) for cyc in _vertex_cycles(sigma, sym)]
-    fixed = fixed_locus_of(sigma, sym)
-    trivial_action = all(l == 1 for l in lengths)
+    lattice = lp if lp is not None else build_lattice_pair(len(face[0]), [])
+    return _standard_face(face, keys[1:], sym, lattice, scale)
 
-    # pointwise-fixed vertices must sit on the fixed locus
-    for v in sigma.vertices:
-        if sym.apply(v) == v and v not in fixed.vertices:
-            if _solve_in_basis(v, fixed.vertices) is None:
-                return False
 
-    if tri is not None and not trivial_action:
+def _standard_face(
+    face: tuple[IntVec, ...],
+    pieces: Sequence[tuple[IntVec, ...]],
+    sym: PermSymmetry,
+    lp: LatticePair,
+    scale: int,
+) -> bool:
+    """Is the invariant face standard?  The face and its pieces are tuples
+    of points scaled to integers by ``scale``.
+
+    - When the symmetry moves a vertex, the pieces inside the face (vertex
+      set within the face's, or every vertex in it) must be permuted with
+      none fixed, if there are several and the first has one vertex more
+      than there are vertex cycles.
+    - With k >= 2 vertex cycles of lengths l_i and L = lcm(l_i), the cycle
+      averages scaled by L are integer points, and the fixed locus they span
+      must have volume 1/prod(l_i): index * prod(l_i) == (scale * L)^(k-1)
+      for the saturation index of its edges.
+    """
+    index = {y: i for i, y in enumerate(face)}
+    cycles = permutation_cycles([index.get(sym.apply(y)) for y in face])
+    lengths = [len(cyc) for cyc in cycles]
+    if max(lengths) > 1:
+        members = set(face)
         inside = [
-            s
-            for s in tri.simplices
-            if set(s.vertices) <= set(sigma.vertices)
-            or all(_point_in_triangle_nd(v, sigma) for v in s.vertices)
+            s for s in pieces if set(s) <= members or all(_in_simplex(y, face, lp) for y in s)
         ]
-        if len(inside) > 1 and inside and inside[0].dim == fixed.dim + 1:
-            keys = {s.vertices for s in inside}
+        if len(inside) > 1 and len(inside[0]) == len(cycles) + 1:
+            have = set(inside)
             for s in inside:
-                if s.image(sym).vertices not in keys:
+                image = tuple(sorted(sym.apply(y) for y in s))
+                if image not in have or image == s:
                     return False
-                if s.image(sym).vertices == s.vertices:
-                    return False
-
-    if fixed.dim >= 1:
-        lattice = lp if lp is not None else _standard_lattice(len(sigma.vertices[0]))
-        try:
-            vol = normalized_volume(fixed.vertices, lattice)
-        except ValueError:
-            return False
-        if vol != Fraction(1, prod(lengths)):
-            return False
-    return True
+    d = len(cycles) - 1
+    if d == 0:
+        return True
+    big = lcm(*lengths)
+    averages = [
+        [big // len(cyc) * sum(col) for col in zip(*(face[i] for i in cyc))] for cyc in cycles
+    ]
+    edges = [[a - b for a, b in zip(v, averages[0])] for v in averages[1:]]
+    return _saturation_index(lp, edges) * prod(lengths) == (scale * big) ** d
 
 
-def _point_in_triangle_nd(p: Vec, simplex: QSimplex) -> bool:
-    """Barycentric containment test for a point in a simplex of any dimension."""
-    verts = simplex.vertices
-    base = verts[0]
-    edges = [_vsub(v, base) for v in verts[1:]]
-    if not edges:
-        return p == base
-    c = _solve_in_basis(_vsub(p, base), edges)
-    if c is None:
+def _in_simplex(p: IntVec, simplex: Sequence[IntVec], lp: LatticePair) -> bool:
+    """Whether the integer point p lies in the closed, nondegenerate simplex.
+
+    p lies in the affine span when the edges together with p - v_0 are
+    dependent (saturation index 0).  Then the simplex with vertex i replaced
+    by p has |lambda_i| times the lattice volume of the whole, lambda the
+    barycentric coordinates of p, which sum to one; so these volumes sum to
+    the whole exactly when every lambda_i >= 0.
+    """
+
+    def volume(vertices):
+        v0 = vertices[0]
+        return _saturation_index(lp, [[a - b for a, b in zip(v, v0)] for v in vertices[1:]])
+
+    if volume((*simplex, p)):
         return False
-    return all(x >= 0 for x in c) and sum(c) <= 1
-
-
-def _standard_lattice(n: int) -> LatticePair:
-    return LatticePair(n, (), tuple(_units(n)), 1)
+    parts = (volume((*simplex[:i], p, *simplex[i + 1 :])) for i in range(len(simplex)))
+    return sum(parts) == volume(simplex)
 
 
 def verify_adjusted(tri: Triangulation, lp: LatticePair, sym: PermSymmetry) -> bool:
     """Every maximal invariant face of the triangulation is standard, judged
-    by ``is_g_standard`` with the simplices that lie inside it."""
-    _, points, keys = _scaled_simplices(tri)
-    by_set: dict[frozenset, list[QSimplex]] = {}
-    for s, key in zip(tri.simplices, keys):
-        by_set.setdefault(frozenset(key), []).append(s)
+    by ``_standard_face`` on scaled points with the simplices inside it."""
+    scale, _, keys = _scaled_simplices(tri)
+    by_set: dict[frozenset, list[tuple[IntVec, ...]]] = {}
+    for key in keys:
+        by_set.setdefault(frozenset(key), []).append(key)
     for f in _maximal_invariant_faces(keys, sym):
-        face = QSimplex(tuple(points[y] for y in f))
         # the simplices inside f have vertex sets among the subsets of f
-        inside = [s for sub in _subsets(f) for s in by_set.get(frozenset(sub), ())]
-        restricted = Triangulation.of(inside or [face])
-        if not is_g_standard(face, restricted, sym, lp):
+        inside = sorted(s for sub in _subsets(f) for s in by_set.get(frozenset(sub), ()))
+        if not _standard_face(f, inside, sym, lp, scale):
             return False
     return True
 

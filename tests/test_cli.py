@@ -11,6 +11,7 @@ from crepant.cli import (
     EXIT_PARSE,
     EXIT_UNSUPPORTED,
     ParseError,
+    _class_equation_holds,
     main,
     parse_entry,
     parse_h_generator,
@@ -18,6 +19,8 @@ from crepant.cli import (
     parse_permutation,
 )
 from crepant.exactmath import CycloInt
+from crepant.fixtures import binary_dihedral, binary_tetrahedral, cyclic_group, d4_triality
+from crepant.groups import ConjClassSet, conjugacy_classes
 
 
 def run(args, capsys):
@@ -486,3 +489,34 @@ def test_unmapped_exception_exits_internal_with_one_line(monkeypatch, capsys, ex
     assert rc == EXIT_INTERNAL == 5 and captured.out == ""
     name = type(exc).__name__
     assert captured.err == f"internal error: {name}: {' '.join(str(exc).split())}\n"
+
+
+def _class_equation_by_full_scan(group, classes):
+    total = 0
+    for cl in classes.classes:
+        i = cl[0]
+        commuting = sum(1 for x in range(group.order) if group.mul(x, i) == group.mul(i, x))
+        if len(cl) * commuting != group.order:
+            return False
+        total += len(cl)
+    return total == group.order
+
+
+def test_class_equation_check_matches_a_full_scan():
+    # central representatives skip the scan; wrong partitions must still fail
+    for group in (cyclic_group(12), binary_tetrahedral(), binary_dihedral(5), d4_triality()[0]):
+        classes = conjugacy_classes(group).classes
+        big = max(range(len(classes)), key=lambda k: len(classes[k]))
+        partitions = {
+            "classes": classes,
+            "merged": ((*classes[0], *classes[1]),) + classes[2:],
+            "dropped": classes[1:],
+        }
+        if len(classes[big]) > 1:
+            partitions["split"] = (
+                classes[:big] + (classes[big][:1], classes[big][1:]) + classes[big + 1 :]
+            )
+        for kind, parts in partitions.items():
+            cs = ConjClassSet(parts, tuple(cl[0] for cl in parts))
+            want = _class_equation_by_full_scan(group, cs)
+            assert _class_equation_holds(group, cs) == want == (kind == "classes"), kind

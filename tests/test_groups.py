@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 from math import lcm
 
@@ -553,6 +554,61 @@ def test_outer_action_rejects_corrupted_table(tetra_group):
             corrupted = replace(tetra_group, table=tuple(map(tuple, rows)))
             with pytest.raises(NotNormalizing):
                 outer_action(corrupted, h)
+
+
+# ---------------------------------------------------------------------------
+# commutativity from the generators, and classes kept on the group
+
+
+def _all_pairs_abelian(group):
+    pairs = itertools.combinations(range(group.order), 2)
+    return all(group.mul(i, j) == group.mul(j, i) for i, j in pairs)
+
+
+def _fixture_groups():
+    yield close_group([GroupElement.identity(3)])
+    yield quintic_group()
+    yield complete_intersection_group()
+    yield binary_tetrahedral()
+    yield d4_triality()[0]
+    yield _subgroup_q8()
+    for r in range(3, 9):
+        yield binary_dihedral(r)
+    for n in range(1, 13):
+        yield cyclic_group(n)
+
+
+def test_is_abelian_matches_all_pairs_on_fixtures_and_centralizers():
+    seen = set()
+    for group in _fixture_groups():
+        assert group.is_abelian() == _all_pairs_abelian(group)
+        for cl in conjugacy_classes(group).classes:
+            sub = centralizer(group, cl[0])
+            assert sub.is_abelian() == _all_pairs_abelian(sub)
+            seen.add(sub.is_abelian())
+        seen.add(group.is_abelian())
+    assert seen == {True, False}
+
+
+@settings(max_examples=40, deadline=None)
+@given(_normalized_groups())
+def test_is_abelian_matches_all_pairs_on_random_groups(case):
+    group, _ = case
+    assert group.is_abelian() == _all_pairs_abelian(group)
+    x = conjugacy_classes(group).classes[-1][0]
+    assert centralizer(group, x).is_abelian() == _all_pairs_abelian(centralizer(group, x))
+
+
+def test_outer_action_reuses_the_classes_of_its_group():
+    group = binary_dihedral(5)
+    classes = conjugacy_classes(group)
+    assert conjugacy_classes(group) is classes
+    assert outer_action(group, binary_dihedral_symmetry(5)).classes is classes
+    # an equal group built anew computes its own classes, with the same result
+    fresh = replace(group)
+    assert conjugacy_classes(fresh) is not classes
+    assert conjugacy_classes(fresh) == classes
+    assert classes.classes == _reference_conjugacy_classes(group)
 
 
 # ---------------------------------------------------------------------------

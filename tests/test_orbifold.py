@@ -294,6 +294,12 @@ def test_engine_counts_a_repeated_support_once_per_listing():
     assert nonzero > 20
 
 
+def test_engine_refuses_a_non_permutation_source():
+    # src maps two coordinates to 1, so it has no cycles; this walked forever once
+    with pytest.raises(ValueError, match="not a permutation"):
+        twisted_fixed_euler(5, 5, [0, 0, 0], [1, 1, 2], [frozenset({0, 1})])
+
+
 def test_sheet_in_ch_matches_group_filter(quintic_group, quintic_swap_sheet):
     action = outer_action(quintic_group, quintic_symmetry("swap"))
     assert len(compatible_class_filter(quintic_group, action)) == sum(
@@ -313,12 +319,12 @@ def test_ci_sheet(ci_group):
 
 
 def test_sheet_validation_errors():
-    bad = GSpaceSheet(
-        4,
-        (ClassRecord("a", 1, 4, True, 1, 1), ClassRecord("b", 2, 4, True, 1, 1)),
-    )
+    # a sheet is validated once, when it is built
     with pytest.raises(InconsistentSheet):
-        bad.validate()
+        GSpaceSheet(
+            4,
+            (ClassRecord("a", 1, 4, True, 1, 1), ClassRecord("b", 2, 4, True, 1, 1)),
+        )
 
 
 def test_double_count_disagreement_raises():

@@ -2,7 +2,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -13,8 +13,8 @@ from crepant.cli import _random_lattice_instance
 from crepant.exactmath import (
     IntMat,
     LatticeError,
-    _gauss_reduce,
-    _solve_in_basis,
+    _integer_rows,
+    permutation_cycles,
     smith_normal_form,
 )
 from crepant.toric import (
@@ -42,14 +42,150 @@ from crepant.toric import (
     verify_crepant,
     LatticePair,
     _action_in_lattice_coords,
+    _in_simplex,
+    _lattice_coords,
     _maximal_invariant_faces,
     _orient,
-    _quotient_action,
+    _quotient_block,
+    _vsub,
 )
 
 SWAP2 = PermSymmetry.from_cycles(2, [(0, 1)])
 SWAP3 = PermSymmetry.from_cycles(3, [(0, 1)])
 ROT3 = PermSymmetry.from_cycles(3, [(0, 1, 2)])
+
+
+# ---------------------------------------------------------------------------
+# references: rational elimination, and the Fraction route of the
+# standardness test that the integer one replaced
+
+
+def _gauss_reduce(a: list[list]) -> list[int]:
+    """In-place reduced row echelon form over the rationals.
+
+    Every entry is converted to Fraction first, so integer input stays exact
+    under division.  Returns the pivot column of each nonzero row; those rows
+    come first, in order, and every later row is zero.  This is the one
+    rational row reduction; the readers below interpret its result.
+    """
+    for i, row in enumerate(a):
+        a[i] = [Fraction(x) for x in row]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = a[r][c]
+        a[r] = [x / inv for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return pivots
+
+
+def _solve_in_basis(vec, basis) -> list[Fraction] | None:
+    """Coordinates of vec in the row span of basis, or None if outside.
+
+    The system is consistent exactly when the reduced augmented matrix has no
+    pivot in its last column; coordinates of non-pivot basis rows are zero.
+    """
+    rows = len(basis)
+    aug = [[basis[i][j] for i in range(rows)] + [vec[j]] for j in range(len(vec))]
+    pivots = _gauss_reduce(aug)
+    if rows in pivots:
+        return None
+    coords = [Fraction(0)] * rows
+    for r, c in enumerate(pivots):
+        coords[c] = aug[r][rows]
+    # the recombination is exact by construction; checking it is cheap
+    for j, x in enumerate(vec):
+        if sum(coords[i] * basis[i][j] for i in range(rows)) != x:
+            return None
+    return coords
+
+
+def fixed_locus_of(simplex: QSimplex, sym: PermSymmetry) -> QSimplex:
+    """Fixed points of the symmetry inside an invariant simplex.
+
+    For an affine action permuting the vertices this is the convex hull of
+    the per-cycle vertex averages.
+    """
+    dim = len(simplex.vertices[0])
+    return QSimplex.of(
+        *(
+            tuple(sum(v[t] for v in cyc) / len(cyc) for t in range(dim))
+            for cyc in _vertex_cycles(simplex, sym)
+        )
+    )
+
+
+def _vertex_cycles(simplex: QSimplex, sym: PermSymmetry):
+    """Cycles of the symmetry on the vertices of an invariant simplex."""
+    verts = simplex.vertices
+    images = [verts.index(sym.apply(v)) for v in verts]
+    return [tuple(verts[i] for i in cyc) for cyc in permutation_cycles(images)]
+
+
+def _reference_is_g_standard(sigma, tri, sym, lp=None) -> bool:
+    """The standardness test on Fraction vertices, through the fixed-locus
+    simplex, barycentric containment and ``normalized_volume``."""
+    if sigma.image(sym).vertices != sigma.vertices:
+        raise NotInvariant("simplex is not invariant under the symmetry")
+    lengths = [len(cyc) for cyc in _vertex_cycles(sigma, sym)]
+    fixed = fixed_locus_of(sigma, sym)
+    trivial_action = all(l == 1 for l in lengths)
+
+    # pointwise-fixed vertices must sit on the fixed locus
+    for v in sigma.vertices:
+        if sym.apply(v) == v and v not in fixed.vertices:
+            if _solve_in_basis(v, fixed.vertices) is None:
+                return False
+
+    if tri is not None and not trivial_action:
+        inside = [
+            s
+            for s in tri.simplices
+            if set(s.vertices) <= set(sigma.vertices)
+            or all(_point_in_triangle_nd(v, sigma) for v in s.vertices)
+        ]
+        if len(inside) > 1 and inside and inside[0].dim == fixed.dim + 1:
+            keys = {s.vertices for s in inside}
+            for s in inside:
+                if s.image(sym).vertices not in keys:
+                    return False
+                if s.image(sym).vertices == s.vertices:
+                    return False
+
+    if fixed.dim >= 1:
+        lattice = lp if lp is not None else build_lattice_pair(len(sigma.vertices[0]), [])
+        try:
+            vol = normalized_volume(fixed.vertices, lattice)
+        except ValueError:
+            return False
+        if vol != Fraction(1, prod(lengths)):
+            return False
+    return True
+
+
+def _point_in_triangle_nd(p, simplex: QSimplex) -> bool:
+    """Barycentric containment test for a point in a simplex of any dimension."""
+    verts = simplex.vertices
+    base = verts[0]
+    edges = [_vsub(v, base) for v in verts[1:]]
+    if not edges:
+        return p == base
+    c = _solve_in_basis(_vsub(p, base), edges)
+    if c is None:
+        return False
+    return all(x >= 0 for x in c) and sum(c) <= 1
 
 
 def test_build_lattice_pair():
@@ -144,6 +280,104 @@ def test_is_g_standard_not_invariant():
     skew = QSimplex.of((1, 0, 0), (Fraction(1, 2), 0, Fraction(1, 2)), (0, 0, 1))
     with pytest.raises(NotInvariant):
         is_g_standard(skew, None, SWAP3, lp)
+
+
+def test_is_g_standard_refuses_a_repeated_vertex():
+    # the vertex cycles of a simplex with a repeated vertex are no permutation
+    twice = QSimplex(((Fraction(1), Fraction(0)), (Fraction(1), Fraction(0))))
+    with pytest.raises(ValueError, match="not a permutation"):
+        is_g_standard(twice, None, PermSymmetry.identity(2))
+
+
+def _lattice_for(n, data):
+    """The standard lattice Z^n or an overlattice with one drawn generator."""
+    if n < 2 or data.draw(st.booleans()):
+        return build_lattice_pair(n, [])
+    m = data.draw(st.integers(2, 6))
+    head = data.draw(st.lists(st.integers(0, m - 1), min_size=n - 1, max_size=n - 1))
+    return build_lattice_pair(n, [(tuple(head) + ((-sum(head)) % m,), m)])
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.integers(1, 4), st.integers(0, 1), st.data())
+def test_in_simplex_matches_barycentric_reference(k, extra, data):
+    """Points p = sum w_i v_i of the simplex on the vertices W v_i, W = sum
+    w_i > 0, lie inside (all w_i > 0), on a facet (some w_i = 0), or outside
+    (some w_i < 0); a shift out of the span (when the ambient dimension
+    exceeds k) puts them off it."""
+    n = k + extra
+    coords = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    base = [data.draw(coords) for _ in range(k + 1)]
+    edges = [[a - b for a, b in zip(v, base[0])] for v in base[1:]]
+    assume(_rational_rank(edges) == k)
+    kind = data.draw(st.sampled_from(["inside", "facet", "outside", "off-span"]))
+    low = {"inside": 1, "facet": 0, "outside": -3, "off-span": 0}[kind]
+    weights = data.draw(st.lists(st.integers(low, 3), min_size=k + 1, max_size=k + 1))
+    if kind == "facet":
+        weights[data.draw(st.integers(0, k))] = 0
+    if kind == "outside":
+        weights[data.draw(st.integers(0, k))] = -data.draw(st.integers(1, 3))
+    total = sum(weights)
+    assume(total > 0)
+    simplex = tuple(tuple(total * x for x in v) for v in base)
+    p = [sum(w * v[j] for w, v in zip(weights, base)) for j in range(n)]
+    if kind == "off-span":
+        assume(extra)
+        p = [x + y for x, y in zip(p, data.draw(coords))]
+        assume(_rational_rank(edges + [[a - b for a, b in zip(p, simplex[0])]]) > k)
+    p = tuple(p)
+    lp = _lattice_for(n, data)
+    want = _point_in_triangle_nd(p, QSimplex(simplex))
+    assert _in_simplex(p, simplex, lp) == want
+    assert want == (kind in ("inside", "facet"))
+
+
+def _rational_rank(rows):
+    """Rank over the rationals, through the reference row reduction."""
+    if not rows:
+        return 0
+    return len(_gauss_reduce([list(r) for r in rows]))
+
+
+@st.composite
+def _standard_cases(draw):
+    """A standard pair with its simplex, symmetry and pieces, then edited:
+    pieces dropped, reordered, or joined by simplices on points outside the
+    simplex, inside it (barycentres, midpoints) or on both sides; the simplex
+    may be scaled up, and the symmetry replaced by the identity."""
+    ls = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    ms = draw(st.lists(st.integers(1, 2), max_size=2))
+    assume(sum(ls) + sum(ms) <= 5)
+    sp = standard_pair(ls, ms)
+    n = sp.perm.n
+    sym = sp.perm if draw(st.booleans()) else PermSymmetry.identity(n)
+    sigma = sp.simplex
+    if draw(st.integers(0, 3)) == 0:
+        sigma = QSimplex.of(*(tuple(2 * x for x in v) for v in sigma.vertices))
+    pieces = list(sp.triangulation.simplices)
+    if len(pieces) > 1 and draw(st.booleans()):
+        del pieces[draw(st.integers(0, len(pieces) - 1))]
+    inner = list(sigma.vertices) + list(sp.fixed_simplex.vertices)
+    for u, v in itertools.combinations(sigma.vertices, 2):
+        inner.append(tuple((a + b) / 2 for a, b in zip(u, v)))
+    outer = [tuple(Fraction(c * int(i == j)) for j in range(n)) for i in range(n) for c in (2, -1)]
+    size = len(pieces[0].vertices)
+    for _ in range(draw(st.integers(0, 3))):
+        pool = draw(st.sampled_from([inner, outer, inner + outer]))
+        verts = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size, unique=True))
+        pieces.append(QSimplex.of(*verts))
+    pieces = draw(st.permutations(pieces))
+    return sigma, Triangulation(tuple(pieces)), sym
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(_standard_cases(), st.data())
+def test_is_g_standard_matches_fraction_reference(case, data):
+    sigma, tri, sym = case
+    lp = data.draw(st.sampled_from([None, _lattice_for(sym.n, data)]))
+    want = _reference_is_g_standard(sigma, tri, sym, lp)
+    assert is_g_standard(sigma, tri, sym, lp) == want
+    assert is_g_standard(sigma, None, sym, lp) == _reference_is_g_standard(sigma, None, sym, lp)
 
 
 def test_adjusted_n2_full_subdivision():
@@ -556,6 +790,16 @@ def test_volume_routes_agree_on_maximal_simplices():
     assert checked >= 120
 
 
+def _quotient_action(lp, S, span_vectors):
+    """Action induced on N / (N intersect span), in a completed basis, for
+    the action S on N in lattice coordinates."""
+    if not span_vectors:
+        return S
+    binv = lp.basis_inverse()
+    rows = [_lattice_coords(binv, y) for y in _integer_rows(span_vectors)[1]]
+    return _quotient_block(S, rows, span_vectors)
+
+
 def test_symmetry_outside_lattice_raises():
     lp = build_lattice_pair(3, [((1, 0, 2), 3)])
     with pytest.raises(NotInvariant):
@@ -603,7 +847,8 @@ def _reference_maximal_invariant_faces(simplices, sym):
 
 def _compare_maximal_faces(tri, lp, sym):
     """The per-simplex search finds the reference's faces, and verify_adjusted
-    gives the verdict is_g_standard gives on the reference's faces."""
+    gives the verdict the Fraction standardness test gives on the reference's
+    faces."""
     got = _maximal_invariant_faces([s.vertices for s in tri.simplices], sym)
     want = _reference_maximal_invariant_faces(tri.simplices, sym)
     assert len(got) == len(set(got))
@@ -613,7 +858,7 @@ def _compare_maximal_faces(tri, lp, sym):
     for f in want:
         inside = frozenset(f.vertices)
         restricted = Triangulation.of([s for s, vs in vertex_sets if vs <= inside] or [f])
-        verdict = verdict and is_g_standard(f, restricted, sym, lp)
+        verdict = verdict and _reference_is_g_standard(f, restricted, sym, lp)
     assert verify_adjusted(tri, lp, sym) == verdict
 
 
