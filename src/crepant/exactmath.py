@@ -536,6 +536,13 @@ class IntMat:
 # rational matrices through integer ones
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer; a float, a string or a boolean is refused, naming what."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 def _integer_rows(rows: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
     """The common denominator D of rational rows (ints or Fractions) and the
     integer rows D*r."""

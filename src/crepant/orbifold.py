@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Optional, Sequence
 
-from .exactmath import permutation_cycles, zeta_sum_is_zero
+from .exactmath import _json_int, permutation_cycles, zeta_sum_is_zero
 
 __all__ = [
     "ClassRecord",
@@ -334,13 +334,6 @@ def _json_bool(record: dict, key: str) -> bool:
         raise ValueError(
             f"{key} of {record.get('label')!r} must be true or false, not {value!r}"
         )
-    return value
-
-
-def _json_int(value, what: str) -> int:
-    """A JSON integer; a float, a string or a boolean is refused, naming what."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, not {value!r}")
     return value
 
 

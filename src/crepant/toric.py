@@ -15,11 +15,14 @@ faces.
 All geometry is exact and runs on integers.  With D the lattice denominator
 (N lies in (1/D)Z^n), N/M is held once as the set of residues D*x mod D of
 its elements, and the points of N on the base simplex are the residues of
-coordinate sum D together with the unit points.  Inside the construction and
-the checks a point x is the integer tuple D*x; since D > 0 this keeps the
-lexicographic order, and coordinate permutations commute with it.  Fractions
-appear only at the boundary: the returned simplices, triangulations, orbit
-records and documents carry the vertices x, each converted once.
+coordinate sum D together with the unit points.  A ``Triangulation`` holds
+each vertex x as the integer tuple scale*x: the scale is D once built, the
+lcm of the denominators once read from Fractions or a document, and no check
+assumes it is D.  A positive scale keeps the lexicographic order and commutes
+with coordinate permutations.  Fractions appear only in views and reports:
+the ``QSimplex`` view of a triangulation (for tests, failure witnesses and
+orbit records), the integer or ``p/q`` coordinates of a document, and report
+volumes.
 
 A maximal simplex of the base simplex has its vertices at height one
 (coordinate sum one), so its normalized volume is |det V| * |N/M| for the
@@ -37,15 +40,18 @@ its span and the simplices with it in place of one vertex sum to the whole.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 from typing import Optional, Sequence
 
 from .exactmath import (
     IntMat,
     LatticeError,
     _integer_rows,
+    _json_int,
     _rational_det,
     _smith_invariants,
     permutation_cycles,
@@ -100,10 +106,6 @@ class NotInvariant(ValueError):
 
 class NotInvariantTriangulation(ValueError):
     pass
-
-
-def _vec(xs) -> Vec:
-    return tuple(Fraction(x) for x in xs)
 
 
 def _vsub(a: Vec, b: Vec) -> Vec:
@@ -196,13 +198,12 @@ class LatticePair:
 
         return self._cached("_residues", compute)
 
-    def contains(self, x) -> bool:
-        """Whether x is in N: D*x is integral and its residue is in N/M."""
+    def contains(self, y: IntVec, scale: int) -> bool:
+        """Whether x = y/scale is in N: D*x is integral, its residue in N/M."""
         d = self.denominator()
-        y = [c.numerator * d for c in x]
-        if any(a % c.denominator for a, c in zip(y, x)):
+        if any(a * d % scale for a in y):
             return False  # not in (1/D)Z^n
-        return tuple(a // c.denominator % d for a, c in zip(y, x)) in self.residues()
+        return tuple(a * d // scale % d for a in y) in self.residues()
 
     def scaled_base_points(self) -> list[IntVec]:
         """D*x for the points x of N on the base simplex, in lexicographic order.
@@ -226,7 +227,7 @@ def build_lattice_pair(n: int, generators: Sequence[tuple[Sequence[int], int]]) 
     for vec, m in generators:
         vec = tuple(int(v) for v in vec)
         if len(vec) != n or m < 1:
-            raise ValueError("generator shape mismatch")
+            raise ValueError(f"generator {vec}@{m} needs {n} exponents and a modulus m >= 1")
         if sum(vec) % m != 0:
             raise NotSpecialLinear(f"exponents {vec} do not sum to 0 mod {m}")
         gens.append((vec, int(m)))
@@ -285,7 +286,8 @@ class PermSymmetry:
         return lcm(*(len(c) for c in self.cycles()))
 
     def preserves(self, lp: LatticePair) -> bool:
-        return all(lp.contains(self.apply(row)) for row in lp.basis)
+        d, basis = _integer_rows(lp.basis)
+        return all(lp.contains(self.apply(y), d) for y in basis)
 
 
 def fixed_subspace(sym: PermSymmetry) -> list[Vec]:
@@ -308,7 +310,7 @@ class QSimplex:
 
     @staticmethod
     def of(*points) -> QSimplex:
-        return QSimplex(tuple(sorted(_vec(p) for p in points)))
+        return QSimplex(tuple(sorted(tuple(map(Fraction, p)) for p in points)))
 
     @property
     def dim(self) -> int:
@@ -317,24 +319,44 @@ class QSimplex:
     def image(self, sym: PermSymmetry) -> QSimplex:
         return QSimplex(tuple(sorted(sym.apply(v) for v in self.vertices)))
 
-    def centroid(self) -> Vec:
-        k = len(self.vertices)
-        return tuple(sum(col, Fraction(0)) / k for col in zip(*self.vertices))
-
 
 @dataclass(frozen=True)
 class Triangulation:
-    """Set of maximal simplices in sorted vertex order."""
+    """Set of maximal simplices on the integer points scale*x of their
+    vertices x.  ``cells`` are the simplices as sorted tuples of points, in
+    sorted order; a simplex given twice stays twice, for verification to
+    report."""
 
-    simplices: tuple[QSimplex, ...]
+    scale: int
+    cells: tuple[tuple[IntVec, ...], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "cells", tuple(sorted(tuple(sorted(c)) for c in self.cells)))
 
     @staticmethod
     def of(simplices) -> Triangulation:
-        return Triangulation(tuple(sorted(simplices, key=lambda s: s.vertices)))
+        """The triangulation by rational simplices, at the lcm of their denominators."""
+        simplices = [s.vertices for s in simplices]
+        scale, rows = _integer_rows([v for s in simplices for v in s])
+        points = iter(map(tuple, rows))
+        return Triangulation(scale, [[next(points) for _ in s] for s in simplices])
+
+    @cached_property
+    def simplices(self) -> tuple[QSimplex, ...]:
+        """The cells as QSimplexes with rational vertices, built when asked."""
+        return tuple(QSimplex(self.rational(c)) for c in self.cells)
+
+    @cached_property
+    def _values(self) -> dict[int, Fraction]:
+        return {a: Fraction(a, self.scale) for a in {a for c in self.cells for y in c for a in y}}
+
+    def rational(self, points: Sequence[IntVec]) -> tuple[Vec, ...]:
+        """The vertices y/scale of points y of the cells, each value converted once."""
+        return tuple(tuple(map(self._values.__getitem__, y)) for y in points)
 
     @property
-    def vertex_set(self) -> tuple[Vec, ...]:
-        return tuple(sorted({v for s in self.simplices for v in s.vertices}))
+    def vertex_set(self) -> tuple[IntVec, ...]:
+        return tuple(sorted({y for c in self.cells for y in c}))
 
 
 # ---------------------------------------------------------------------------
@@ -365,11 +387,10 @@ def normalized_volume(vertices: Sequence[Vec], lp: LatticePair) -> Fraction:
     simplices get volume one by convention.  With the d edges scaled to
     integers by L, it is their saturation index divided by L^d.
     """
-    verts = [_vec(v) for v in vertices]
-    d = len(verts) - 1
+    d = len(vertices) - 1
     if d == 0:
         return Fraction(1)
-    den, edges = _integer_rows([_vsub(v, verts[0]) for v in verts[1:]])
+    den, edges = _integer_rows([_vsub(v, vertices[0]) for v in vertices[1:]])
     vol = Fraction(_saturation_index(lp, edges), den**d)
     if vol == 0:
         raise ValueError("simplex is degenerate or lattice does not span it")
@@ -470,7 +491,7 @@ def adjusted_triangulation(
     d = lp.denominator()
     pts = sorted(lp.scaled_base_points(), reverse=reverse)
     if lp.n == 2:
-        return _unscaled(zip(pts, pts[1:]), d)
+        return Triangulation(d, zip(pts, pts[1:]))
 
     polygon, core = _fundamental_domain(pts, sym, d)
     # repeated vertices mark sides that have shrunk to a point
@@ -484,19 +505,6 @@ def adjusted_triangulation(
     if reverse:
         tris = _flip_one_diagonal(tris)
     return _orbit_triangulation(tris, sym, core, d)
-
-
-def _unscaled(simplices, d: int) -> Triangulation:
-    """The triangulation by the given simplices of scaled points d*x, each
-    simplex once, with every distinct vertex turned back into x once."""
-    keys = sorted({tuple(sorted(s)) for s in simplices})
-    values = [Fraction(c, d) for c in range(d + 1)]  # the coordinates on the base simplex
-    points = {}
-    for key in keys:
-        for y in key:
-            if y not in points:
-                points[y] = tuple(values[c] for c in y)
-    return Triangulation(tuple(QSimplex(tuple(points[y] for y in key)) for key in keys))
 
 
 def _fundamental_domain(
@@ -552,13 +560,13 @@ def _fundamental_domain(
 
 def _orbit_triangulation(tris, sym: PermSymmetry, core, d: int) -> Triangulation:
     """The invariant core simplices, then each triangle with its images under
-    the symmetry, each simplex once."""
-    simplices = list(core)
+    the symmetry, each simplex once, on the points d*x."""
+    simplices = {tuple(sorted(t)) for t in core}
     for t in tris:
         for _ in range(sym.order):
-            simplices.append(t)
+            simplices.add(tuple(sorted(t)))
             t = tuple(sym.apply(v) for v in t)
-    return _unscaled(simplices, d)
+    return Triangulation(d, simplices)
 
 
 def _flip_one_diagonal(
@@ -596,9 +604,6 @@ class CrepancyReport:
     volume_total: Fraction
     expected_volume: int
     failures: tuple[str, ...]
-    # Non-face-to-face contacts.  Always empty once the certificate passes:
-    # kept so that stored reports keep their shape.
-    contact_flags: tuple[str, ...] = ()
 
     def __bool__(self):
         return self.ok
@@ -627,69 +632,62 @@ def verify_crepant(tri: Triangulation, lp: LatticePair) -> CrepancyReport:
     the base simplex, and the volume sum forces it to be one: the simplices
     tile the base simplex face to face.  Non-face-to-face contacts cannot
     occur either: a unimodular simplex holds no lattice point besides its
-    vertices, so no vertex can lie inside another simplex's edge, and
-    ``contact_flags`` stays empty.  Every failure names its witness.
+    vertices, so no vertex can lie inside another simplex's edge.  The
+    checks hold at any scale of the points, which need not be D.  Every
+    failure names its witness.
     """
     failures = []
     n = lp.n
-    # scale is the lattice denominator D unless a vertex lies outside (1/D)Z^n
-    scale, points, keys = _scaled_simplices(tri, lp.denominator())
-    bad = [
-        v
-        for y, v in points.items()
-        if not (len(y) == n and sum(y) == scale and min(y) >= 0 and lp.contains(v))
-    ]
-    for v in sorted(bad):
-        if len(v) != n or sum(v) != 1 or any(x < 0 for x in v):
-            failures.append(f"vertex {v} outside the base simplex")
-        else:
-            failures.append(f"vertex {v} not in the overlattice")
-    for s in tri.simplices:
-        if s.dim != n - 1:
-            failures.append(f"simplex {s.vertices} has dimension {s.dim}")
+    scale, cells = tri.scale, tri.cells
+    for y in tri.vertex_set:
+        outside = not (len(y) == n and sum(y) == scale and min(y) >= 0)
+        if outside or not lp.contains(y, scale):
+            kind = "outside the base simplex" if outside else "not in the overlattice"
+            failures.append(f"vertex {tri.rational([y])[0]} {kind}")
+    for c in cells:
+        if len(c) != n:
+            failures.append(f"simplex {tri.rational(c)} has dimension {len(c) - 1}")
 
     total = Fraction(0)
     if not failures:
         # normalized volumes are |det| * |N/M| / full; sum their numerators
         full = scale**n
-        dets = [IntMat.from_rows(key).det() for key in keys]
+        dets = [IntMat.from_rows(c).det() for c in cells]
         numerators = 0
-        for s, det in zip(tri.simplices, dets):
+        for c, det in zip(cells, dets):
             if det == 0:
-                failures.append(f"degenerate simplex {s.vertices}")
+                failures.append(f"degenerate simplex {tri.rational(c)}")
                 continue
             vol = abs(det) * lp.order
             numerators += vol
             if vol != full:
-                failures.append(f"simplex {s.vertices} has normalized volume {Fraction(vol, full)}")
+                failures.append(f"simplex {tri.rational(c)} has normalized volume {Fraction(vol, full)}")
         total = Fraction(numerators, full)
         if total != lp.order:
             failures.append(f"volumes sum to {total}, expected {lp.order}")
         if all(dets):
-            failures.extend(_facet_pairing_failures(keys, dets, n, points))
+            failures.extend(_facet_pairing_failures(tri, dets, n))
     return CrepancyReport(
         ok=not failures,
-        simplex_count=len(tri.simplices),
+        simplex_count=len(cells),
         volume_total=total,
         expected_volume=lp.order,
         failures=tuple(failures),
     )
 
 
-def _facet_pairing_failures(
-    keys: Sequence[tuple[IntVec, ...]], dets: Sequence[int], n: int, points: dict[IntVec, Vec]
-) -> list[str]:
-    """Facets used the wrong number of times or paired on one side.
+def _facet_pairing_failures(tri: Triangulation, dets: Sequence[int], n: int) -> list[str]:
+    """Facets used the wrong number of times or paired on one side, given
+    the determinant of every cell.
 
-    ``keys`` are the simplices in scaled points, ``points`` maps each scaled
-    point back to the vertex that witnesses name.  Dropping vertex k from a
-    simplex with sorted vertices leaves its facet in sorted order; moving row
-    k of the vertex matrix to the end takes n - 1 - k transpositions, so the
-    side of the opposite vertex relative to the facet is the determinant's
-    sign times (-1)^(n-1-k).
+    Dropping vertex k from a simplex with sorted vertices leaves its facet in
+    sorted order; moving row k of the vertex matrix to the end takes
+    n - 1 - k transpositions, so the side of the opposite vertex relative to
+    the facet is the determinant's sign times (-1)^(n-1-k).
     """
+    cells = tri.cells
     uses: dict[tuple[IntVec, ...], list[tuple[int, int]]] = {}
-    for idx, (vs, det) in enumerate(zip(keys, dets)):
+    for idx, (vs, det) in enumerate(zip(cells, dets)):
         sign = 1 if det > 0 else -1
         for k in range(len(vs)):
             side = sign if (n - 1 - k) % 2 == 0 else -sign
@@ -700,8 +698,8 @@ def _facet_pairing_failures(
         kind, want = ("boundary", 1) if boundary else ("interior", 2)
         if len(users) == want and (boundary or users[0][1] != users[1][1]):
             continue
-        owners = [tuple(points[y] for y in keys[i]) for i, _ in users]
-        named = tuple(points[y] for y in facet)
+        owners = [tri.rational(cells[i]) for i, _ in users]
+        named = tri.rational(facet)
         if len(users) != want:
             failures.append(
                 f"{kind} facet {named} is shared by {len(users)} simplices, expected {want}: {owners}"
@@ -775,48 +773,24 @@ def orbit_records(tri: Triangulation, lp: LatticePair, sym: PermSymmetry) -> lis
     N-coordinates of each distinct vertex are computed once; each invariant
     face then costs one Smith form (``_quotient_block``).
     """
-    _, points, keys = _scaled_simplices(tri)
-    image = {y: sym.apply(y) for y in points}
-    have = set(keys)
-    if not all(tuple(sorted(image[y] for y in key)) in have for key in keys):
+    image = {y: sym.apply(y) for y in tri.vertex_set}
+    have = set(tri.cells)
+    if not all(tuple(sorted(image[y] for y in key)) in have for key in tri.cells):
         raise NotInvariantTriangulation("symmetry does not map the triangulation to itself")
     S = _action_in_lattice_coords(lp, sym)
     records = [OrbitRecord(None, lp.n, S, _det_one_minus(S))]
     faces = set()
-    for key in keys:
+    for key in tri.cells:
         for f in _subsets(key):
             if f not in faces and tuple(sorted(image[y] for y in f)) == f:
                 faces.add(f)
     binv = lp.basis_inverse()
     coords = {y: _lattice_coords(binv, y) for f in faces for y in f}
     for f in sorted(faces):
-        face = QSimplex(tuple(points[y] for y in f))
+        face = QSimplex(tri.rational(f))
         A = _quotient_block(S, [coords[y] for y in f], face.vertices)
         records.append(OrbitRecord(face, A.rows, A, _det_one_minus(A)))
     return records
-
-
-def _scaled_simplices(
-    tri: Triangulation, d: int = 1
-) -> tuple[int, dict[IntVec, Vec], list[tuple[IntVec, ...]]]:
-    """L, the least common multiple of d and the vertex denominators; the map
-    from scaled points L*x back to vertices x; and the simplices in scaled
-    points, each vertex object converted once.  Scaling by L > 0 keeps the
-    order of vertices and commutes with the symmetry."""
-    den = lcm(d, *(x.denominator for s in tri.simplices for v in s.vertices for x in v))
-    memo: dict[int, IntVec] = {}
-    points: dict[IntVec, Vec] = {}
-    keys = []
-    for s in tri.simplices:
-        key = []
-        for v in s.vertices:
-            y = memo.get(id(v))
-            if y is None:
-                y = memo[id(v)] = tuple(x.numerator * (den // x.denominator) for x in v)
-                points.setdefault(y, v)
-            key.append(y)
-        keys.append(tuple(key))
-    return den, points, keys
 
 
 def _det_one_minus(a: IntMat) -> int:
@@ -906,24 +880,15 @@ def standard_pair(cycle_lengths: Sequence[int], transverse_lengths: Sequence[int
     for l in ls:
         blocks.append(list(range(at, at + l)))
         at += l
-    m_indices = list(range(at, n))
-
     perm = PermSymmetry.from_cycles(n, blocks)
-
-    barys = []
-    for block in blocks:
-        barys.append(tuple(Fraction(1 if i in block else 0, len(block)) for i in range(n)))
-
-    fixed = QSimplex.of(origin, *barys, *[units[i] for i in m_indices])
+    # the barycenters of the blocks and the transverse unit points
+    centres = _fixed_polytope(perm).vertices
+    fixed = QSimplex.of(origin, *centres)
 
     pieces = []
-    for drop in itertools.product(*[block for block in blocks]) if blocks else [()]:
-        verts = [origin]
-        for b, block in enumerate(blocks):
-            verts.extend(units[i] for i in block if i != drop[b])
-        verts.extend(barys)
-        verts.extend(units[i] for i in m_indices)
-        pieces.append(QSimplex.of(*verts))
+    for drop in itertools.product(*blocks):
+        kept = [units[i] for block, d in zip(blocks, drop) for i in block if i != d]
+        pieces.append(QSimplex.of(origin, *kept, *centres))
     tri = Triangulation.of(pieces)
 
     simplex = QSimplex.of(origin, *units)
@@ -943,15 +908,17 @@ def is_g_standard(
     symmetry acts nontrivially; and the fixed-locus volume equals the
     reciprocal of the product of the vertex cycle lengths.  Zero-dimensional
     fixed loci pass the volume check by convention.  The simplex and the
-    pieces are scaled to integer points once and judged by ``_standard_face``.
+    pieces are scaled to integer points at one scale and judged by
+    ``_standard_face``.
     """
-    pieces = tri.simplices if tri is not None else ()
-    scale, _, keys = _scaled_simplices(Triangulation((sigma, *pieces)))
-    face = keys[0]
+    whole = Triangulation.of((sigma, *(tri.simplices if tri is not None else ())))
+    face = tuple(sorted(tuple(int(x * whole.scale) for x in v) for v in sigma.vertices))
+    pieces = list(whole.cells)
+    pieces.remove(face)
     if tuple(sorted(sym.apply(y) for y in face)) != face:
         raise NotInvariant("simplex is not invariant under the symmetry")
     lattice = lp if lp is not None else build_lattice_pair(len(face[0]), [])
-    return _standard_face(face, keys[1:], sym, lattice, scale)
+    return _standard_face(face, pieces, sym, lattice, whole.scale)
 
 
 def _standard_face(
@@ -1021,14 +988,13 @@ def _in_simplex(p: IntVec, simplex: Sequence[IntVec], lp: LatticePair) -> bool:
 def verify_adjusted(tri: Triangulation, lp: LatticePair, sym: PermSymmetry) -> bool:
     """Every maximal invariant face of the triangulation is standard, judged
     by ``_standard_face`` on scaled points with the simplices inside it."""
-    scale, _, keys = _scaled_simplices(tri)
     by_set: dict[frozenset, list[tuple[IntVec, ...]]] = {}
-    for key in keys:
+    for key in tri.cells:
         by_set.setdefault(frozenset(key), []).append(key)
-    for f in _maximal_invariant_faces(keys, sym):
+    for f in _maximal_invariant_faces(tri.cells, sym):
         # the simplices inside f have vertex sets among the subsets of f
         inside = sorted(s for sub in _subsets(f) for s in by_set.get(frozenset(sub), ()))
-        if not _standard_face(f, inside, sym, lp, scale):
+        if not _standard_face(f, inside, sym, lp, tri.scale):
             return False
     return True
 
@@ -1085,12 +1051,7 @@ def symmetry_report(
     index = fixed_sublattice_index(lp, sym)
     cyc = [len(c) for c in sym.cycles() if len(c) > 1]
     fixed_poly = _fixed_polytope(sym)
-    if fixed_poly.dim >= 1:
-        vol = normalized_volume(fixed_poly.vertices, lp)
-        zero_dim = False
-    else:
-        vol = Fraction(1)
-        zero_dim = True
+    vol = normalized_volume(fixed_poly.vertices, lp)
     scale = prod(cyc) * factorial(len(cyc))
     claim_one = vol * scale
     claim_two_rhs = Fraction(fixed_count, scale)
@@ -1104,11 +1065,11 @@ def symmetry_report(
         "crepant": bool(rep),
         "simplex_count": rep.simplex_count,
         "invariant_maximal_simplices": sum(
-            1 for s in tri.simplices if s.image(sym).vertices == s.vertices
+            1 for c in tri.cells if tuple(sorted(sym.apply(y) for y in c)) == c
         ),
         "adjusted": verify_adjusted(tri, lp, sym),
         "fixed_locus_volume": vol,
-        "fixed_locus_zero_dimensional": zero_dim,
+        "fixed_locus_zero_dimensional": fixed_poly.dim == 0,
         "claim_one_value": claim_one,
         "claim_two_value": claim_two_rhs,
         "equal": lef == fixed_count == index,
@@ -1128,32 +1089,73 @@ def _fixed_polytope(sym: PermSymmetry) -> QSimplex:
 # serialization
 
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+def _coordinate_text(a: int, scale: int) -> str:
+    """The coordinate a/scale as an integer or as p/q in lowest terms."""
+    g = gcd(a, scale)
+    return str(a // g) if g == scale else f"{a // g}/{scale // g}"
 
 
 def triangulation_to_document(tri: Triangulation, lp: LatticePair) -> dict:
     """Structured document for a triangulation; round-trips bit-exactly."""
     vertices = tri.vertex_set
-    vindex = {v: i for i, v in enumerate(vertices)}
+    vindex = {y: i for i, y in enumerate(vertices)}
     return {
         "lattice": {
             "n": lp.n,
             "generators": [[list(vec), m] for vec, m in lp.generators],
         },
-        "vertices": [",".join(_frac_str(x) for x in v) for v in vertices],
-        "simplices": [[vindex[v] for v in s.vertices] for s in tri.simplices],
+        "vertices": [",".join(_coordinate_text(a, tri.scale) for a in y) for y in vertices],
+        "simplices": [[vindex[y] for y in c] for c in tri.cells],
     }
+
+
+# an integer, or p/q with q > 0
+_COORDINATE = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
 
 
 def triangulation_from_document(doc: dict) -> tuple[Triangulation, LatticePair]:
     """Inverse of triangulation_to_document.
 
-    The ``certificate`` block (with its ``assignment`` key) that earlier
-    versions wrote is accepted and ignored.
+    A ValueError names the first malformed entry: a missing key, a lattice
+    that is not integers, a vertex that is not a string of n coordinates,
+    each an integer or p/q with q > 0, or a simplex index outside
+    0 <= i < len(vertices).  The coordinates are read straight into integers
+    at the lcm of their denominators.  The ``certificate`` block that earlier
+    versions wrote is ignored.
     """
-    lat = doc["lattice"]
-    lp = build_lattice_pair(lat["n"], [(tuple(v), m) for v, m in lat["generators"]])
-    vertices = [tuple(Fraction(p) for p in s.split(",")) for s in doc["vertices"]]
-    simplices = [QSimplex(tuple(sorted(vertices[i] for i in idx))) for idx in doc["simplices"]]
-    return Triangulation.of(simplices), lp
+    lat = _document_entry(doc, "lattice", dict)
+    n = _json_int(lat.get("n"), "lattice n")
+    gens = []
+    for g in _document_entry(lat, "generators", list):
+        if not (isinstance(g, list) and len(g) == 2 and isinstance(g[0], list)):
+            raise ValueError(f"lattice generator {g!r} is not a pair [exponents, modulus]")
+        what = f"an entry of lattice generator {g!r}"
+        gens.append(([_json_int(a, what) for a in g[0]], _json_int(g[1], what)))
+    lp = build_lattice_pair(n, gens)
+    coords = []
+    for k, text in enumerate(_document_entry(doc, "vertices", list)):
+        matches = [_COORDINATE.fullmatch(c) for c in text.split(",")] if isinstance(text, str) else []
+        if len(matches) != n or None in matches:
+            raise ValueError(
+                f"vertex {k} {text!r} is not {n} coordinates, each an integer or p/q with q > 0"
+            )
+        coords.append([(int(m[1]), int(m[2] or 1)) for m in matches])
+    scale = lcm(*(q for v in coords for _, q in v))
+    points = [tuple(p * (scale // q) for p, q in v) for v in coords]
+    cells = []
+    for k, idx in enumerate(_document_entry(doc, "simplices", list)):
+        if not isinstance(idx, list):
+            raise ValueError(f"simplex {k} {idx!r} is not a list of vertex indices")
+        for i in idx:
+            if _json_int(i, f"index {i!r} of simplex {k}") not in range(len(points)):
+                raise ValueError(f"index {i} of simplex {k} is not in 0 <= i < {len(points)}")
+        cells.append([points[i] for i in idx])
+    return Triangulation(scale, cells), lp
+
+
+def _document_entry(record, key: str, kind: type):
+    """record[key] of a triangulation document, which must be a ``kind``."""
+    value = record.get(key) if isinstance(record, dict) else None
+    if not isinstance(value, kind):
+        raise ValueError(f"the triangulation document needs a JSON {kind.__name__} {key!r}")
+    return value

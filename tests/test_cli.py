@@ -116,6 +116,53 @@ def test_toric_save_and_load(tmp_path, capsys):
     assert rep["results"]["simplices"] == 25
 
 
+def _set_vertex(text):
+    def mutate(doc):
+        doc["vertices"][3] = text
+
+    return mutate
+
+
+def _set_index(value):
+    def mutate(doc):
+        doc["simplices"][2][1] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate,named",
+    [
+        (_set_vertex("1/0,0,1"), "vertex 3 '1/0,0,1'"),
+        (_set_index(99), "index 99 of simplex 2"),
+        (_set_index("a"), "index 'a' of simplex 2"),
+        (lambda doc: doc.pop("lattice"), "'lattice'"),
+        (_set_vertex(5), "vertex 3 5 is not"),
+        (_set_vertex("0,0,0,1"), "vertex 3 '0,0,0,1'"),
+        (_set_index(-1), "index -1 of simplex 2"),
+    ],
+    ids=[
+        "zero-denominator",
+        "index-past-the-end",
+        "index-not-an-integer",
+        "no-lattice",
+        "vertex-not-a-string",
+        "four-coordinates",
+        "negative-index",
+    ],
+)
+def test_toric_load_rejects_a_malformed_document(tmp_path, capsys, mutate, named):
+    path = tmp_path / "tri.json"
+    assert run(["toric", "--fixture", "z5sq-cycle", "--save", str(path)], capsys)[0] == EXIT_OK
+    doc = json.loads(path.read_text())
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    rc = main(["toric", "--load", str(path), "--perm", "(1 2 3)"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_PARSE and captured.out == ""
+    assert captured.err.count("\n") == 1 and named in captured.err
+
+
 def test_orbifold_fixtures(capsys):
     rc, rep = run(["orbifold", "--fixture", "quintic-swap"], capsys)
     assert rc == EXIT_OK

@@ -457,6 +457,45 @@ def test_snf_properties(rows):
     assert back.entries == a.entries
 
 
+def _elementary_operation(rows, op, i, j, k):
+    """Add k times row j to row i (i != j), swap rows i and j, or negate row i."""
+    if op == "add" and i != j:
+        rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+    elif op == "swap":
+        rows[i], rows[j] = rows[j], rows[i]
+    elif op == "negate":
+        rows[i] = [-a for a in rows[i]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_snf_invariants_survive_unimodular_operations(r, c, data):
+    """U A V has the Smith invariants of A for unimodular U and V, drawn as
+    products of elementary row and column operations."""
+    rows = data.draw(
+        st.lists(st.lists(st.integers(-9, 9), min_size=c, max_size=c), min_size=r, max_size=r)
+    )
+    mixed = [list(row) for row in rows]
+    for _ in range(data.draw(st.integers(0, 8))):
+        on_columns = data.draw(st.booleans())
+        size = c if on_columns else r
+        op = data.draw(st.sampled_from(["add", "swap", "negate"]))
+        i, j = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
+        k = data.draw(st.integers(-3, 3))
+        if on_columns:
+            cols = [list(col) for col in zip(*mixed)]
+            _elementary_operation(cols, op, i, j, k)
+            mixed = [list(row) for row in zip(*cols)]
+        else:
+            _elementary_operation(mixed, op, i, j, k)
+
+    def invariants(m):
+        _, d, _ = smith_normal_form(IntMat.from_rows(m))
+        return [d.get(t, t) for t in range(min(r, c))]
+
+    assert invariants(mixed) == invariants(rows)
+
+
 def test_lattice_index_examples():
     assert lattice_index([[2, 0], [0, 3]], [[1, 0], [0, 1]]) == 6
     rows = [

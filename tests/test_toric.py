@@ -188,6 +188,12 @@ def _point_in_triangle_nd(p, simplex: QSimplex) -> bool:
     return all(x >= 0 for x in c) and sum(c) <= 1
 
 
+def centroid(simplex: QSimplex):
+    """The average of the vertices of a simplex."""
+    k = len(simplex.vertices)
+    return tuple(sum(col, Fraction(0)) / k for col in zip(*simplex.vertices))
+
+
 def test_build_lattice_pair():
     assert build_lattice_pair(2, [((1, 1), 2)]).order == 2
     assert build_lattice_pair(3, [((1, 2, 2), 5), ((1, 1, 3), 5)]).order == 25
@@ -366,8 +372,7 @@ def _standard_cases(draw):
         pool = draw(st.sampled_from([inner, outer, inner + outer]))
         verts = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size, unique=True))
         pieces.append(QSimplex.of(*verts))
-    pieces = draw(st.permutations(pieces))
-    return sigma, Triangulation(tuple(pieces)), sym
+    return sigma, Triangulation.of(pieces), sym
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
@@ -418,7 +423,7 @@ def test_adjusted_z5sq(z5sq):
     assert rep.simplex_count == 25
     invariant = [s for s in tri.simplices if s.image(sym).vertices == s.vertices]
     assert len(invariant) == 1
-    assert invariant[0].centroid() == (Fraction(1, 3),) * 3
+    assert centroid(invariant[0]) == (Fraction(1, 3),) * 3
     assert toric_lefschetz(tri, lp, sym) == 1
     assert count_fixed_elements(lp, sym) == 1
     assert fixed_sublattice_index(lp, sym) == 1
@@ -672,6 +677,12 @@ def _triangles_overlap(a, b):
     return len(out) >= 3 and area != 0
 
 
+def _scaled_point(x):
+    """(y, L) with L the lcm of the denominators of x and y = L*x."""
+    den, (y,) = _integer_rows([x])
+    return tuple(y), den
+
+
 def _pairwise_reference(tri, lp):
     """Quadratic crepancy check: vertices in N on the base simplex, every
     triangle unimodular by the Smith route, volumes summing to |N/M|, and no
@@ -680,7 +691,7 @@ def _pairwise_reference(tri, lp):
         if s.dim != 2:
             return False
         for v in s.vertices:
-            if sum(v) != 1 or min(v) < 0 or not lp.contains(v):
+            if sum(v) != 1 or min(v) < 0 or not lp.contains(*_scaled_point(v)):
                 return False
         try:
             if _smith_volume(s.vertices, lp) != 1:
@@ -724,7 +735,7 @@ def _mutations(tri, lp, rng):
     s = sims[i]
     k = rng.randrange(3)
     outside = [p for p in lp.base_points() if p not in s.vertices]
-    target = rng.choice(outside + [tri.simplices[0].centroid()])
+    target = rng.choice(outside + [centroid(tri.simplices[0])])
     moved = QSimplex.of(*s.vertices[:k], target, *s.vertices[k + 1 :])
     yield "moved", sims[:i] + sims[i + 1 :] + [moved]
     flipped = _overlapping_flip(sims)
@@ -744,7 +755,6 @@ def test_certificate_matches_pairwise_reference():
             rep = verify_crepant(mutated, lp)
             assert rep.ok == _pairwise_reference(mutated, lp), (kind, lp.generators)
             assert not rep.ok and rep.failures, (kind, lp.generators)
-            assert rep.contact_flags == ()
             seen[kind] = seen.get(kind, 0) + 1
     assert set(seen) == {"dropped", "duplicated", "moved", "overlap"}
     assert seen["overlap"] >= 12
@@ -773,7 +783,7 @@ def test_volume_routes_agree_on_maximal_simplices():
             verts = rng.sample(pts, 3)
             if rng.random() < 0.3:
                 # off-lattice vertices at height one exercise the scaling
-                verts[0] = QSimplex.of(*verts).centroid()
+                verts[0] = centroid(QSimplex.of(*verts))
             try:
                 smith = _smith_volume(verts, lp)
             except ValueError:
@@ -908,10 +918,10 @@ def _expected_invariant_simplices(lp, sym):
         return lp.order
     if sym.order == 2:
         i, j = next(c for c in sym.cycles() if len(c) == 2)
-        point = tuple(Fraction(int(t in (i, j)), 2) for t in range(3))
+        point, scale = tuple(int(t in (i, j)) for t in range(3)), 2
     else:
-        point = (Fraction(1, 3),) * 3
-    return 0 if lp.contains(point) else 1
+        point, scale = (1, 1, 1), 3
+    return 0 if lp.contains(point, scale) else 1
 
 
 def test_fundamental_domain_constructor_sweep(monkeypatch):
@@ -933,6 +943,91 @@ def test_fundamental_domain_constructor_sweep(monkeypatch):
             assert invariant == _expected_invariant_simplices(lp, sym), case
             builds += 1
     assert builds == 2 * (10 + 2 * 59 + 150 + 1)
+
+
+# ---------------------------------------------------------------------------
+# differential test: the integer triangulation against the Fraction route it
+# replaced, where the construction turned its points into Fraction vertices
+# and every check and the document writer read them back
+
+
+def _unscaled(cells, d):
+    """The simplices on the points d*x as QSimplexes with the vertices x,
+    each simplex once, in sorted order."""
+    keys = sorted({tuple(sorted(c)) for c in cells})
+    values = [Fraction(c, d) for c in range(d + 1)]  # the coordinates on the base simplex
+    return [QSimplex(tuple(tuple(values[c] for c in y) for y in key)) for key in keys]
+
+
+def _scaled_simplices(simplices, d=1):
+    """L, the lcm of d and the vertex denominators, and the simplices on the
+    scaled points L*x."""
+    den = lcm(d, *(x.denominator for s in simplices for v in s.vertices for x in v))
+    return den, [
+        tuple(tuple(x.numerator * (den // x.denominator) for x in v) for v in s.vertices)
+        for s in simplices
+    ]
+
+
+def _reference_document(simplices, lp):
+    """The document of Fraction vertices, sorted as Fractions."""
+    vertices = sorted({v for s in simplices for v in s.vertices})
+    vindex = {v: i for i, v in enumerate(vertices)}
+
+    def text(x):
+        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+
+    return {
+        "lattice": {"n": lp.n, "generators": [[list(vec), m] for vec, m in lp.generators]},
+        "vertices": [",".join(text(x) for x in v) for v in vertices],
+        "simplices": [[vindex[v] for v in s.vertices] for s in simplices],
+    }
+
+
+def _fraction_route_values(lp, sym, simplices):
+    """The report values that depend on the triangulation, with each check
+    fed the Fraction simplices scaled back by the lcm of D and their
+    denominators, and the invariant simplices counted on Fraction vertices."""
+    back = Triangulation(*_scaled_simplices(simplices, lp.denominator()))
+    lef = toric_lefschetz(back, lp, sym)
+    return {
+        "crepant": verify_crepant(back, lp).ok,
+        "simplex_count": len(simplices),
+        "lefschetz": lef,
+        "invariant_maximal_simplices": sum(
+            1 for s in simplices if s.image(sym).vertices == s.vertices
+        ),
+        "adjusted": verify_adjusted(back, lp, sym),
+        "equal": lef == count_fixed_elements(lp, sym) == fixed_sublattice_index(lp, sym),
+    }
+
+
+def _standing_sweep():
+    """The constructor cases, with Zm^2 and the 3-cycle up to m = 17."""
+    yield from _constructor_cases()
+    for m in range(12, 18):
+        yield build_lattice_pair(3, [((1, m - 1, 0), m), ((0, 1, m - 1), m)]), ROT3
+
+
+def test_integer_triangulation_matches_fraction_route():
+    builds = 0
+    for lp, sym in _standing_sweep():
+        for order in ("lex", "revlex"):
+            case = (lp.generators, sym.perm, order)
+            report = symmetry_report(lp, sym, order)
+            tri = report.pop("triangulation")
+            assert tri.scale == lp.denominator(), case
+            simplices = _unscaled(tri.cells, tri.scale)
+            assert list(tri.simplices) == simplices, case
+            assert Triangulation(*_scaled_simplices(simplices, lp.denominator())) == tri, case
+            want = _fraction_route_values(lp, sym, simplices)
+            assert {k: report[k] for k in want} == want, case
+            doc = triangulation_to_document(tri, lp)
+            assert doc == _reference_document(simplices, lp), case
+            back, lp2 = triangulation_from_document(json.loads(json.dumps(doc)))
+            assert back == tri and lp2 == lp, case
+            builds += 1
+    assert builds == 2 * (10 + 2 * 59 + 150 + 1 + 6)
 
 
 # ---------------------------------------------------------------------------
@@ -1079,13 +1174,21 @@ def test_lattice_pair_with_a_wrong_order_raises():
         with pytest.raises(LatticeError, match=f"not the order {order}"):
             bad.residues()
         with pytest.raises(LatticeError):
-            bad.contains((Fraction(1, 5), Fraction(2, 5), Fraction(2, 5)))
+            bad.contains((1, 2, 2), 5)
         with pytest.raises(LatticeError):
             count_fixed_elements(bad, ROT3)
     # a generator outside the lattice the basis spans
     units = build_lattice_pair(2, []).basis
     with pytest.raises(LatticeError, match="not in"):
         LatticePair(2, (((1, 1), 2),), units, 2).residues()
+
+
+def test_contains_reads_scaled_points():
+    lp = build_lattice_pair(3, [((1, 1, 5), 7)])
+    assert lp.contains((1, 1, 5), 7) and lp.contains((2, 2, 10), 14) and lp.contains((0, 0, 3), 3)
+    assert not lp.contains((1, 1, 4), 7)
+    # 7x = (3/2, 1, 5) is not integral, though (1, 1, 5) is the residue of a point of N
+    assert not lp.contains((3, 2, 10), 14)
 
 
 def test_document_vertex_outside_the_lattice_is_named(tmp_path, capsys):
