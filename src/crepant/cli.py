@@ -267,6 +267,8 @@ def _toric_inputs(args):
         raise ParseError(f"unknown toric fixture {args.fixture!r}")
     if args.n is None:
         raise ParseError("need --fixture or --n with --gen/--perm")
+    if args.n < 1:
+        raise ParseError(f"--n {args.n} is not a dimension >= 1")
     gens = []
     for g in args.gen or []:
         if g.strip():
@@ -284,8 +286,8 @@ def cmd_toric(args, command) -> int:
         tri, lp = toric.triangulation_from_document(json.loads(data))
         sym = parse_permutation(args.perm or "id", lp.n)
         rep = toric.verify_crepant(tri, lp)
-        try:
-            lefschetz = toric.toric_lefschetz(tri, lp, sym)
+        try:  # the sum over maximal invariant faces needs a crepant triangulation
+            lefschetz = toric.toric_lefschetz(tri, lp, sym) if rep else None
         except toric.NotInvariantTriangulation:
             lefschetz = None
         results = {

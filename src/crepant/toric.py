@@ -9,8 +9,8 @@ triangulation is built once per symmetry from one fundamental domain,
 triangulated with all of its lattice points, and its images around one
 invariant core triangle; ``verify_crepant`` and ``verify_adjusted`` certify
 the result.  The orbit-sum evaluator computes the Lefschetz number of the
-symmetry on the resolution as a sum of det(I - sigma) terms over invariant
-faces.
+symmetry on the resolution as a sum of det(I - sigma) terms over the maximal
+invariant faces, the only invariant faces whose terms can be nonzero.
 
 All geometry is exact and runs on integers.  With D the lattice denominator
 (N lies in (1/D)Z^n), N/M is held once as the set of residues D*x mod D of
@@ -358,6 +358,13 @@ class Triangulation:
     def vertex_set(self) -> tuple[IntVec, ...]:
         return tuple(sorted({y for c in self.cells for y in c}))
 
+    def _invariant_faces(self, sym: PermSymmetry) -> list[tuple[IntVec, ...]]:
+        """``_maximal_invariant_faces`` of the cells, found once per symmetry."""
+        found = self.__dict__.setdefault("_faces", {})
+        if sym not in found:
+            found[sym] = _maximal_invariant_faces(self.cells, sym)
+        return found[sym]
+
 
 # ---------------------------------------------------------------------------
 # lattice geometry helpers
@@ -601,8 +608,6 @@ def _flip_one_diagonal(
 class CrepancyReport:
     ok: bool
     simplex_count: int
-    volume_total: Fraction
-    expected_volume: int
     failures: tuple[str, ...]
 
     def __bool__(self):
@@ -648,32 +653,22 @@ def verify_crepant(tri: Triangulation, lp: LatticePair) -> CrepancyReport:
         if len(c) != n:
             failures.append(f"simplex {tri.rational(c)} has dimension {len(c) - 1}")
 
-    total = Fraction(0)
     if not failures:
         # normalized volumes are |det| * |N/M| / full; sum their numerators
         full = scale**n
         dets = [IntMat.from_rows(c).det() for c in cells]
-        numerators = 0
         for c, det in zip(cells, dets):
+            vol = abs(det) * lp.order
             if det == 0:
                 failures.append(f"degenerate simplex {tri.rational(c)}")
-                continue
-            vol = abs(det) * lp.order
-            numerators += vol
-            if vol != full:
+            elif vol != full:
                 failures.append(f"simplex {tri.rational(c)} has normalized volume {Fraction(vol, full)}")
-        total = Fraction(numerators, full)
-        if total != lp.order:
-            failures.append(f"volumes sum to {total}, expected {lp.order}")
+        numerators = sum(map(abs, dets)) * lp.order
+        if numerators != lp.order * full:
+            failures.append(f"volumes sum to {Fraction(numerators, full)}, expected {lp.order}")
         if all(dets):
             failures.extend(_facet_pairing_failures(tri, dets, n))
-    return CrepancyReport(
-        ok=not failures,
-        simplex_count=len(cells),
-        volume_total=total,
-        expected_volume=lp.order,
-        failures=tuple(failures),
-    )
+    return CrepancyReport(ok=not failures, simplex_count=len(cells), failures=tuple(failures))
 
 
 def _facet_pairing_failures(tri: Triangulation, dets: Sequence[int], n: int) -> list[str]:
@@ -717,14 +712,14 @@ def _facet_pairing_failures(tri: Triangulation, dets: Sequence[int], n: int) -> 
 
 @dataclass(frozen=True)
 class OrbitRecord:
-    """Torus orbit attached to an invariant face of the triangulation.
+    """Torus orbit attached to a maximal invariant face of the triangulation.
 
     Carries the face, a basis of the quotient of N by the saturated span of
     the cone over the face, the induced action matrix, and its det(I - A)
     contribution.
     """
 
-    face: Optional[QSimplex]  # None encodes the empty face (the dense orbit)
+    face: QSimplex
     quotient_rank: int
     action: IntMat
     contribution: int
@@ -767,28 +762,26 @@ def _quotient_block(S: IntMat, rows: Sequence[Sequence[int]], span: Sequence[Vec
 
 
 def orbit_records(tri: Triangulation, lp: LatticePair, sym: PermSymmetry) -> list[OrbitRecord]:
-    """Orbit record for every invariant face, including the empty face.
+    """Orbit record for every maximal invariant face, the faces that carry
+    the Lefschetz sum (``toric_lefschetz``), in sorted order.
 
-    Faces are found on the vertices scaled to integers, and the integer
-    N-coordinates of each distinct vertex are computed once; each invariant
-    face then costs one Smith form (``_quotient_block``).
+    A whole cell has quotient rank 0 and contributes 1.  Any other face
+    costs one Smith form (``_quotient_block``) on the integer N-coordinates
+    of its vertices; the action on N and the basis inverse are computed only
+    when there is such a face.
     """
     image = {y: sym.apply(y) for y in tri.vertex_set}
     have = set(tri.cells)
     if not all(tuple(sorted(image[y] for y in key)) in have for key in tri.cells):
         raise NotInvariantTriangulation("symmetry does not map the triangulation to itself")
-    S = _action_in_lattice_coords(lp, sym)
-    records = [OrbitRecord(None, lp.n, S, _det_one_minus(S))]
-    faces = set()
-    for key in tri.cells:
-        for f in _subsets(key):
-            if f not in faces and tuple(sorted(image[y] for y in f)) == f:
-                faces.add(f)
-    binv = lp.basis_inverse()
-    coords = {y: _lattice_coords(binv, y) for f in faces for y in f}
-    for f in sorted(faces):
-        face = QSimplex(tri.rational(f))
-        A = _quotient_block(S, [coords[y] for y in f], face.vertices)
+    faces = tri._invariant_faces(sym)
+    if any(len(f) < lp.n for f in faces):
+        S, binv = _action_in_lattice_coords(lp, sym), lp.basis_inverse()
+    records = []
+    for f in faces:
+        face, A = QSimplex(tri.rational(f)), IntMat(0, 0, ())
+        if len(f) < lp.n:
+            A = _quotient_block(S, [_lattice_coords(binv, y) for y in f], face.vertices)
         records.append(OrbitRecord(face, A.rows, A, _det_one_minus(A)))
     return records
 
@@ -803,9 +796,15 @@ def _det_one_minus(a: IntMat) -> int:
 def toric_lefschetz(tri: Triangulation, lp: LatticePair, sym: PermSymmetry) -> int:
     """Lefschetz number of the symmetry on the induced crepant resolution.
 
-    Sums det(I - sigma) over the quotient lattices of all invariant faces;
-    faces lying in the closure of a larger invariant face contribute zero
-    automatically (the quotient retains a fixed direction).
+    The sum of det(I - A_f) over the invariant faces f, A_f the action on N
+    modulo the saturated span of f, taken over the maximal ones alone
+    (``orbit_records``).  For invariant faces f inside g, the vertices of g
+    outside f sum to a fixed vector, nonzero modulo the span of f since the
+    vertices of g are independent, so det(I - A_f) = 0; the empty face lies
+    in the invariant face that holds the fixed centroid of the base simplex.
+
+    Precondition: nondegenerate cells of n vertices, as ``verify_crepant``
+    certifies; a cell on three collinear points counts 1, not 0.
     """
     return sum(r.contribution for r in orbit_records(tri, lp, sym))
 
@@ -991,7 +990,7 @@ def verify_adjusted(tri: Triangulation, lp: LatticePair, sym: PermSymmetry) -> b
     by_set: dict[frozenset, list[tuple[IntVec, ...]]] = {}
     for key in tri.cells:
         by_set.setdefault(frozenset(key), []).append(key)
-    for f in _maximal_invariant_faces(tri.cells, sym):
+    for f in tri._invariant_faces(sym):
         # the simplices inside f have vertex sets among the subsets of f
         inside = sorted(s for sub in _subsets(f) for s in by_set.get(frozenset(sub), ()))
         if not _standard_face(f, inside, sym, lp, tri.scale):
@@ -1045,6 +1044,7 @@ def symmetry_report(
     is lefschetz == fixed_count == sublattice index.
     """
     tri = adjusted_triangulation(lp, sym, insertion_order)
+    faces = tri._invariant_faces(sym)
     rep = verify_crepant(tri, lp)
     lef = toric_lefschetz(tri, lp, sym)
     fixed_count = count_fixed_elements(lp, sym)
@@ -1064,9 +1064,7 @@ def symmetry_report(
         "sublattice_index": index,
         "crepant": bool(rep),
         "simplex_count": rep.simplex_count,
-        "invariant_maximal_simplices": sum(
-            1 for c in tri.cells if tuple(sorted(sym.apply(y) for y in c)) == c
-        ),
+        "invariant_maximal_simplices": sum(1 for f in faces if len(f) == lp.n),
         "adjusted": verify_adjusted(tri, lp, sym),
         "fixed_locus_volume": vol,
         "fixed_locus_zero_dimensional": fixed_poly.dim == 0,

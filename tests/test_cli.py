@@ -454,6 +454,30 @@ def test_exit_codes(capsys):
         run(["toric", "--n", "4", "--gen", "1,1,1,1@2", "--perm", "id"], capsys)[0]
         == EXIT_UNSUPPORTED
     )
+    assert run(["toric", "--n", "1"], capsys)[0] == EXIT_UNSUPPORTED
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_toric_dimension_below_one_is_a_parse_error(capsys, n):
+    rc = main(["toric", "--n", n])
+    captured = capsys.readouterr()
+    assert rc == EXIT_PARSE and captured.out == ""
+    assert captured.err == f"error: --n {n} is not a dimension >= 1\n"
+
+
+def test_toric_load_reports_no_lefschetz_number_for_a_failing_document(tmp_path, capsys):
+    path = tmp_path / "tri.json"
+    argv = ["toric", "--n", "3", "--gen", "1,1,18@20", "--perm", "id"]
+    assert run(argv + ["--save", str(path)], capsys)[0] == EXIT_OK
+    rc, rep = run(["toric", "--load", str(path)], capsys)
+    assert rc == EXIT_OK and rep["results"]["lefschetz"] == 20
+    doc = json.loads(path.read_text())
+    doc["simplices"].pop(7)
+    path.write_text(json.dumps(doc))
+    rc, rep = run(["toric", "--load", str(path)], capsys)
+    assert rc == EXIT_FAIL
+    assert rep["results"]["crepant"] is False and rep["results"]["lefschetz"] is None
+    assert rep["results"]["simplices"] == 19 and rep["results"]["failures"]
 
 
 def test_verify_single_checks(capsys):

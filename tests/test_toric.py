@@ -41,7 +41,10 @@ from crepant.toric import (
     verify_adjusted,
     verify_crepant,
     LatticePair,
+    NotInvariantTriangulation,
+    OrbitRecord,
     _action_in_lattice_coords,
+    _det_one_minus,
     _in_simplex,
     _lattice_coords,
     _maximal_invariant_faces,
@@ -444,10 +447,35 @@ def test_toric_lefschetz_trivial_group():
     assert toric_lefschetz(tri, lp, SWAP2) == 1
 
 
+def _all_faces_orbit_records(tri, lp, sym):
+    """The orbit record of every invariant face, the empty face (None)
+    first: the sum as the paper writes it, which orbit_records restricts to
+    the maximal invariant faces.  Each face takes one Smith form."""
+    image = {y: sym.apply(y) for y in tri.vertex_set}
+    have = set(tri.cells)
+    if not all(tuple(sorted(image[y] for y in key)) in have for key in tri.cells):
+        raise NotInvariantTriangulation("symmetry does not map the triangulation to itself")
+    S = _action_in_lattice_coords(lp, sym)
+    records = [OrbitRecord(None, lp.n, S, _det_one_minus(S))]
+    faces = {
+        f
+        for key in tri.cells
+        for k in range(1, len(key) + 1)
+        for f in itertools.combinations(key, k)
+        if tuple(sorted(image[y] for y in f)) == f
+    }
+    binv = lp.basis_inverse()
+    for f in sorted(faces):
+        face = QSimplex(tri.rational(f))
+        A = _quotient_block(S, [_lattice_coords(binv, y) for y in f], face.vertices)
+        records.append(OrbitRecord(face, A.rows, A, _det_one_minus(A)))
+    return records
+
+
 def test_dense_orbit_contribution_vanishes(z5sq):
     lp, sym = z5sq
     tri = adjusted_triangulation(lp, sym)
-    records = orbit_records(tri, lp, sym)
+    records = _all_faces_orbit_records(tri, lp, sym)
     dense = next(r for r in records if r.face is None)
     assert dense.contribution == 0
 
@@ -457,7 +485,7 @@ def test_enclosed_face_contribution_vanishes():
     # segment, so its orbit contributes zero
     lp = build_lattice_pair(3, [((1, 1, 0), 2)])
     tri = adjusted_triangulation(lp, SWAP3)
-    records = orbit_records(tri, lp, SWAP3)
+    records = _all_faces_orbit_records(tri, lp, SWAP3)
     mid = (Fraction(1, 2), Fraction(1, 2), Fraction(0))
     vertex_rec = next(
         r for r in records if r.face is not None and r.face.vertices == (mid,)
@@ -1031,6 +1059,149 @@ def test_integer_triangulation_matches_fraction_route():
 
 
 # ---------------------------------------------------------------------------
+# differential test: the Lefschetz sum over maximal invariant faces against
+# the sum over every invariant face
+
+
+def _check_maximal_records(records, tri, lp, sym):
+    """The records are the all-faces reference's records of the maximal
+    invariant faces, in order, and sum to the reference's sum."""
+    reference = _all_faces_orbit_records(tri, lp, sym)
+    faces = [r.face.vertices for r in reference[1:]]
+    inner = {sub for f in faces for k in range(1, len(f)) for sub in itertools.combinations(f, k)}
+    assert records == [r for r in reference[1:] if r.face.vertices not in inner]
+    assert sum(r.contribution for r in records) == sum(r.contribution for r in reference)
+
+
+def _lefschetz_sweep():
+    """Zm^2 with the 3-cycle for m <= 17, 1,1,m-2@m for m = 2..119 with the
+    identity and (1 2), and the seed-5 random instances."""
+    for m in range(2, 18):
+        yield build_lattice_pair(3, [((1, m - 1, 0), m), ((0, 1, m - 1), m)]), ROT3
+    for m in range(2, 120):
+        lp = build_lattice_pair(3, [((1, 1, m - 2), m)])
+        yield lp, PermSymmetry.identity(3)
+        yield lp, SWAP3
+    rng = random.Random(5)
+    for _ in range(150):
+        yield _random_lattice_instance(rng)
+
+
+def test_maximal_face_sum_matches_all_faces_reference():
+    builds = 0
+    for lp, sym in _lefschetz_sweep():
+        for order in ("lex", "revlex"):
+            case = (lp.generators, sym.perm, order)
+            report = symmetry_report(lp, sym, order)
+            tri = report["triangulation"]
+            records = orbit_records(tri, lp, sym)
+            _check_maximal_records(records, tri, lp, sym)
+            assert report["lefschetz"] == sum(r.contribution for r in records), case
+            assert report["crepant"] and report["adjusted"] and report["equal"], case
+            builds += 1
+    assert builds == 2 * (16 + 2 * 118 + 150)
+
+
+def test_a_non_maximal_record_fails_the_differential_check(monkeypatch, z5sq):
+    real = toric._maximal_invariant_faces
+    cases = [
+        (build_lattice_pair(3, [((1, 1, 0), 2)]), SWAP3),
+        (build_lattice_pair(3, [((1, 1, 18), 20)]), PermSymmetry.identity(3)),
+        z5sq,
+    ]
+    for lp, sym in cases:
+        tri = adjusted_triangulation(lp, sym)
+        records = orbit_records(tri, lp, sym)
+        _check_maximal_records(records, tri, lp, sym)
+        maximal = [r.face for r in records]
+        extra = next(
+            (r for r in _all_faces_orbit_records(tri, lp, sym)[1:] if r.face not in maximal), None
+        )
+        if extra is None:
+            # the empty face is the only non-maximal invariant face
+            assert sym == ROT3 and _all_faces_orbit_records(tri, lp, sym)[0].contribution == 0
+            continue
+        key = tuple(tuple(int(x * tri.scale) for x in v) for v in extra.face.vertices)
+        monkeypatch.setattr(toric, "_maximal_invariant_faces", lambda c, s: sorted(real(c, s) + [key]))
+        fresh = adjusted_triangulation(lp, sym)
+        mutated = orbit_records(fresh, lp, sym)
+        monkeypatch.setattr(toric, "_maximal_invariant_faces", real)
+        assert extra in mutated and len(mutated) == len(records) + 1
+        # its term is zero, so only the face check can see it
+        assert sum(r.contribution for r in mutated) == sum(r.contribution for r in records)
+        with pytest.raises(AssertionError):
+            _check_maximal_records(mutated, fresh, lp, sym)
+
+
+def _flip_edge(cells, edge):
+    """The cells with ``edge``, the diagonal of a convex quadrilateral made
+    of two cells, replaced by the other diagonal; None for any other edge."""
+    users = [c for c in cells if set(edge) <= set(c)]
+    if len(users) != 2:
+        return None
+    (a, b), (s, t) = edge, users
+    (c,) = set(s) - set(edge)
+    (d,) = set(t) - set(edge)
+    if _orient(a, b, c) * _orient(a, b, d) >= 0 or _orient(c, d, a) * _orient(c, d, b) >= 0:
+        return None
+    return [u for u in cells if u not in users] + [(a, c, d), (b, c, d)]
+
+
+def test_load_reads_flips_of_the_revlex_triangulation(tmp_path, capsys):
+    """One flip leaves a crepant triangulation the symmetry does not keep;
+    flipping the image edge too gives an invariant one that the constructor
+    does not build, with the same L."""
+    from crepant.cli import main
+
+    lp = build_lattice_pair(3, [((0, 1, 4), 5), ((1, 0, 4), 5)])
+    tri = adjusted_triangulation(lp, SWAP3, "revlex")
+    edge = ((0, 0, 5), (1, 3, 1))
+    one = _flip_edge(list(tri.cells), edge)
+    both = _flip_edge(one, ((0, 0, 5), (3, 1, 1)))
+    path = tmp_path / "flip.json"
+    for cells, invariant in ((one, False), (both, True)):
+        flipped = Triangulation(tri.scale, cells)
+        path.write_text(json.dumps(triangulation_to_document(flipped, lp)))
+        assert main(["toric", "--load", str(path), "--perm", "(1 2)"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["crepant"] and results["simplices"] == lp.order == 25
+        if invariant:
+            _check_maximal_records(orbit_records(flipped, lp, SWAP3), flipped, lp, SWAP3)
+            built = [set(adjusted_triangulation(lp, SWAP3, o).cells) for o in ("lex", "revlex")]
+            assert set(flipped.cells) not in built
+            assert verify_adjusted(flipped, lp, SWAP3)
+            assert results["lefschetz"] == count_fixed_elements(lp, SWAP3) == 5
+        else:
+            with pytest.raises(NotInvariantTriangulation):
+                orbit_records(flipped, lp, SWAP3)
+            assert results["lefschetz"] is None
+        assert main(["toric", "--load", str(path), "--perm", "id"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["lefschetz"] == 25
+
+
+def test_load_skips_the_lefschetz_number_of_a_degenerate_cell(tmp_path, capsys):
+    """The maximal-face sum needs nondegenerate cells: a cell on three
+    collinear points adds 1 to it and 0 to the sum over every invariant
+    face, so a document that fails verify_crepant reports no L."""
+    from crepant.cli import main
+
+    lp = build_lattice_pair(3, [((1, 1, 18), 20)])
+    ident = PermSymmetry.identity(3)
+    tri = adjusted_triangulation(lp, ident)
+    # the points of N off the corners lie on the mirror line through e_3
+    line = [y for y in tri.vertex_set if y[0] == y[1]][:3]
+    bad = Triangulation(tri.scale, tri.cells + (tuple(line),))
+    reference = sum(r.contribution for r in _all_faces_orbit_records(bad, lp, ident))
+    assert toric_lefschetz(bad, lp, ident) == reference + 1 == lp.order + 1
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(triangulation_to_document(bad, lp)))
+    assert main(["toric", "--load", str(path), "--perm", "id"]) == 1
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["lefschetz"] is None and not results["crepant"]
+    assert any(f.startswith("degenerate simplex") for f in results["failures"])
+
+
+# ---------------------------------------------------------------------------
 # differential tests: the integer model of N/M against the Fraction routes
 # it replaced
 
@@ -1160,11 +1331,12 @@ def test_integer_lattice_model_matches_fraction_references(lp):
             continue
         assert _action_in_lattice_coords(lp, sym) == _reference_action(lp, sym)
         tri = adjusted_triangulation(lp, sym)
-        got = [
-            (r.face.vertices if r.face else None, r.quotient_rank, r.contribution)
-            for r in orbit_records(tri, lp, sym)
-        ]
-        assert got == _reference_records(tri, lp, sym), (lp.generators, sym.perm)
+        got = [(r.face.vertices, r.quotient_rank, r.contribution) for r in orbit_records(tri, lp, sym)]
+        want = _reference_records(tri, lp, sym)
+        maximal = {f.vertices for f in _reference_maximal_invariant_faces(tri.simplices, sym)}
+        case = (lp.generators, sym.perm)
+        assert got == [r for r in want if r[0] in maximal], case
+        assert sum(r[2] for r in got) == sum(r[2] for r in want), case
 
 
 def test_lattice_pair_with_a_wrong_order_raises():

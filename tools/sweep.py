@@ -7,7 +7,9 @@ Times, best of three, in one interpreter:
 * ``zm2-cycle``: ``crepant toric`` on the full group Zm^2 with the coordinate
   3-cycle, for m in 5, 7, 11, 13, 17;
 * ``line-swap``: ``crepant toric`` on ``1,1,m-2@m`` with ``(1 2)``, for
-  m in 50, 100, 200, 400.
+  m in 50, 100, 200, 400;
+* ``line-id``: ``crepant toric`` on ``1,1,m-2@m`` with ``id``, for m in
+  400, 800, 1600, where every maximal invariant face is a cell.
 
 The toric rows time the whole command (build, certificates, Lefschetz
 number, report).  ``--baseline REV`` also times the ``src/`` of a git
@@ -15,7 +17,7 @@ revision, extracted with ``git archive``, in the same interpreter, so the
 two columns differ only in the source.  The trees run alternately, one
 repetition at a time.  Usage, from the repository root:
 
-    python3 tools/sweep.py --baseline HEAD~1 --out BENCH_9.json
+    python3 tools/sweep.py --baseline HEAD~1 --out BENCH_12.json
 
 This is a record of growth rates, separate from the gated workloads of
 ``bench/run.py``.
@@ -41,6 +43,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CYCLIC_ORDERS = (300, 1000, 2000)
 ZM2_CONDUCTORS = (5, 7, 11, 13, 17)
 LINE_CONDUCTORS = (50, 100, 200, 400)
+LINE_ID_CONDUCTORS = (400, 800, 1600)
 REPEATS = 3
 
 
@@ -71,7 +74,7 @@ def _toric_argv(family: str, m: int) -> list[str]:
         perm = "(1 2 3)"
     else:
         gens = [f"1,1,{m - 2}@{m}"]
-        perm = "(1 2)"
+        perm = "(1 2)" if family == "line-swap" else "id"
     argv = ["toric", "--n", "3", "--perm", perm]
     for g in gens:
         argv += ["--gen", g]
@@ -86,7 +89,12 @@ def _one_repetition(src: Path) -> dict:
         out[("cyclic", n, "close_group")], group = _time(lambda: fixtures.cyclic_group(n))
         swap = fixtures.cyclic_swap_symmetry()
         out[("cyclic", n, "outer_action")], _ = _time(lambda: groups.outer_action(group, swap))
-    for family, sizes in (("zm2-cycle", ZM2_CONDUCTORS), ("line-swap", LINE_CONDUCTORS)):
+    families = (
+        ("zm2-cycle", ZM2_CONDUCTORS),
+        ("line-swap", LINE_CONDUCTORS),
+        ("line-id", LINE_ID_CONDUCTORS),
+    )
+    for family, sizes in families:
         for m in sizes:
             argv = _toric_argv(family, m)
             with contextlib.redirect_stdout(io.StringIO()):
