@@ -104,23 +104,29 @@ def parse_matrix(text: str) -> groups.GroupElement:
 
 
 def parse_permutation(text: str, n: int) -> toric.PermSymmetry:
-    """Cycle notation with 1-based indices: '(1 2)', '(1 2 3)', '(1 2)(3 4)', 'id'."""
+    """Cycle notation with 1-based indices: '(1 2)', '(1 2 3)', '(1 2)(3 4)', 'id'.
+
+    The cycles must be disjoint.  A ParseError names the text.
+    """
     text = text.strip()
     if text in ("", "id", "()"):
         return toric.PermSymmetry.identity(n)
     cycles = []
     i = 0
     while i < len(text):
-        if text[i] != "(":
-            raise ParseError(f"expected '(' in permutation {text!r}")
-        j = text.index(")", i)
+        j = text.find(")", i)
         parts = text[i + 1 : j].replace(",", " ").split()
+        if text[i] != "(" or j < 0 or not all(p.isdecimal() for p in parts):
+            raise ParseError(f"permutation {text!r} is not cycles of indices like (1 2)(3 4)")
         cyc = [int(p) - 1 for p in parts]
         if any(c < 0 or c >= n for c in cyc):
             raise ParseError(f"cycle index out of range in {text!r}")
         cycles.append(cyc)
         i = j + 1
-    return toric.PermSymmetry.from_cycles(n, cycles)
+    try:
+        return toric.PermSymmetry.from_cycles(n, cycles)
+    except ValueError as exc:
+        raise ParseError(f"permutation {text!r} repeats an index: its cycles must be disjoint") from exc
 
 
 def parse_h_generator(text: str) -> tuple[tuple[int, ...], int]:
@@ -178,8 +184,9 @@ def _status(ok: bool) -> str:
 def _group_fixture(args):
     name = args.fixture
     if name == "cyclic":
-        if not args.n:
+        if args.n is None:
             raise ParseError("cyclic fixture needs --n")
+        _at_least("--n", args.n, 1)
         group = fixtures.cyclic_group(args.n, cap=args.cap)
         action = {
             "swap": fixtures.cyclic_swap_symmetry,
@@ -189,7 +196,7 @@ def _group_fixture(args):
             raise ParseError(f"unknown cyclic action {args.action!r}")
         return group, action()
     if name == "binary-dihedral":
-        r = args.r or 4
+        r = 4 if args.r is None else _at_least("--r", args.r, 3)
         return fixtures.binary_dihedral(r, cap=args.cap), fixtures.binary_dihedral_symmetry(r)
     if name == "binary-tetrahedral":
         return fixtures.binary_tetrahedral(cap=args.cap), fixtures.binary_tetrahedral_symmetry()
@@ -205,6 +212,13 @@ def _group_fixture(args):
             fixtures.complete_intersection_symmetry(),
         )
     raise ParseError(f"unknown group fixture {name!r}")
+
+
+def _at_least(flag: str, value: int, least: int) -> int:
+    """The value of a size flag, refused with a ParseError below ``least``."""
+    if value < least:
+        raise ParseError(f"{flag} {value} is below its minimum {least}")
+    return value
 
 
 def cmd_group(args, command) -> int:
@@ -611,6 +625,8 @@ VERIFY_CHECKS = {
 def cmd_verify(args, command) -> int:
     started = time.monotonic()
     rng = random.Random(args.seed)
+    _at_least("--count", args.count, 1)
+    _at_least("--max-n", args.max_n, 1)
     names = [args.only] if args.only else list(VERIFY_CHECKS)
     for name in names:
         if name not in VERIFY_CHECKS:
@@ -694,26 +710,14 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args, ["crepant"] + argv)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (json.JSONDecodeError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except groups.CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except toric.UnsupportedDimension as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (
-        toric.NotSpecialLinear,
-        toric.NotInvariant,
-        toric.NotInvariantTriangulation,
-        orbifold.InconsistentSheet,
-        orbifold.MissingValue,
-        ValueError,
-    ) as exc:
+    except (ValueError, FileNotFoundError) as exc:
+        # a ParseError, malformed JSON, or an input the layers refuse
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except Exception as exc:

@@ -3,8 +3,8 @@
 Arbitrary-precision integers and rationals, integer-matrix normal forms,
 permutation cycles, and cyclotomic integers with decidable equality.  A
 rational matrix is scaled to an integer one by its common denominator, so
-every lattice question (a basis, an index, a determinant) is answered by
-Bareiss elimination or the Smith normal form.  A cyclotomic integer is a
+every lattice question (an index, a determinant) is answered by Bareiss
+elimination or the Smith normal form.  A cyclotomic integer is a
 sparse map from exponent to coefficient in the Zumbroich basis of its
 conductor, in which every root of unity is one table entry.  Nothing in this
 module (or in anything built on it) uses floating point.
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import Sequence
@@ -550,17 +549,6 @@ def _integer_rows(rows: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
     return den, [[x.numerator * (den // x.denominator) for x in r] for r in rows]
 
 
-def _rational_det(rows: Sequence[Sequence]) -> Fraction:
-    """Determinant of a square rational matrix.
-
-    Scaling every entry by the common denominator D keeps the arithmetic in
-    integers (Bareiss elimination in ``IntMat.det``); the determinant of the
-    scaled n-by-n matrix is D^n times the one sought.
-    """
-    den, scaled = _integer_rows(rows)
-    return Fraction(IntMat.from_rows(scaled).det(), den ** len(rows))
-
-
 # ---------------------------------------------------------------------------
 # integer normal forms
 
@@ -650,29 +638,6 @@ def smith_normal_form(a: IntMat) -> tuple[IntMat, IntMat, IntMat]:
             A[i] = [-x for x in A[i]]
             U[i] = [-x for x in U[i]]
     return IntMat.from_rows(U), IntMat.from_rows(A), IntMat.from_rows(V)
-
-
-# ---------------------------------------------------------------------------
-# rational lattice bases
-
-
-def row_lattice_basis(rows) -> list[list[Fraction]]:
-    """Basis of the lattice generated by rational row vectors.
-
-    Scales to an integer matrix, takes the Smith decomposition U*A*V = D, and
-    reads the basis off the nonzero rows of D*V^-1.
-    """
-    if not rows:
-        return []
-    den, scaled = _integer_rows(rows)
-    _, D, V = smith_normal_form(IntMat.from_rows(scaled))
-    DVinv = D.mul(V.inverse_unimodular())
-    basis = []
-    for i in range(DVinv.rows):
-        r = DVinv.row(i)
-        if any(r):
-            basis.append([Fraction(x, den) for x in r])
-    return basis
 
 
 def _smith_invariants(rows: Sequence[Sequence[int]]) -> list[int]:

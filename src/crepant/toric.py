@@ -12,17 +12,19 @@ the result.  The orbit-sum evaluator computes the Lefschetz number of the
 symmetry on the resolution as a sum of det(I - sigma) terms over the maximal
 invariant faces, the only invariant faces whose terms can be nonzero.
 
-All geometry is exact and runs on integers.  With D the lattice denominator
-(N lies in (1/D)Z^n), N/M is held once as the set of residues D*x mod D of
-its elements, and the points of N on the base simplex are the residues of
-coordinate sum D together with the unit points.  A ``Triangulation`` holds
-each vertex x as the integer tuple scale*x: the scale is D once built, the
-lcm of the denominators once read from Fractions or a document, and no check
-assumes it is D.  A positive scale keeps the lexicographic order and commutes
-with coordinate permutations.  Fractions appear only in views and reports:
-the ``QSimplex`` view of a triangulation (for tests, failure witnesses and
-orbit records), the integer or ``p/q`` coordinates of a document, and report
-volumes.
+All geometry is exact and runs on integers.  A ``LatticePair`` is D, the
+lattice denominator (N lies in (1/D)Z^n), with the integer rows D*b of a
+basis b of N; one Smith form of the generators scaled by D gives that basis,
+its inverse and |N/M| at once.  N/M is held once as the set of residues
+D*x mod D of its elements, and the points of N on the base simplex are the
+residues of coordinate sum D together with the unit points.  A
+``Triangulation`` holds each vertex x as the integer tuple scale*x: the
+scale is D once built, the lcm of the denominators once read from Fractions
+or a document, and no check assumes it is D.  A positive scale keeps the
+lexicographic order and commutes with coordinate permutations.  Fractions
+appear only in views and reports: the ``QSimplex`` view of a triangulation
+(for tests, failure witnesses and orbit records), the integer or ``p/q``
+coordinates of a document, and report volumes.
 
 A maximal simplex of the base simplex has its vertices at height one
 (coordinate sum one), so its normalized volume is |det V| * |N/M| for the
@@ -31,10 +33,11 @@ other lattice question takes one integer Smith form of N-coordinates: the
 saturation of a span and a basis of N completing it, read off the column
 transform, give the quotient action of an invariant face, and the product of
 the invariant factors gives a sublattice index or a lower dimensional
-volume.  Such a volume judges an invariant face standard: the simplex on its
-per-cycle vertex averages, integer once scaled by the lcm of the cycle
-lengths, has volume 1/prod(lengths).  A point is in a simplex when it is in
-its span and the simplices with it in place of one vertex sum to the whole.
+volume.  One such volume, of the simplex on per-cycle vertex averages
+(integer once scaled by the lcm of the cycle lengths), is the fixed-locus
+volume of a report and judges an invariant face standard when it is
+1/prod(lengths).  A point is in a simplex when it is in its span and the
+simplices with it in place of one vertex sum to the whole.
 """
 
 from __future__ import annotations
@@ -52,10 +55,8 @@ from .exactmath import (
     LatticeError,
     _integer_rows,
     _json_int,
-    _rational_det,
     _smith_invariants,
     permutation_cycles,
-    row_lattice_basis,
     smith_normal_form,
 )
 
@@ -123,12 +124,14 @@ class LatticePair:
     N is spanned by M together with vectors a/m for the given generator pairs
     (a, m); every generator satisfies sum(a) = 0 mod m, so coordinate sums
     stay integral on N, the lattice counterpart of acting through the special
-    linear torus.
+    linear torus.  N lies in (1/scale)Z^n, and ``basis`` holds the integer
+    rows scale*b of a basis b of N.
     """
 
     n: int
     generators: tuple[tuple[tuple[int, ...], int], ...]
-    basis: tuple[Vec, ...]
+    scale: int  # D, the lattice denominator
+    basis: tuple[IntVec, ...]
     order: int  # index of M in N
 
     def _cached(self, name: str, compute):
@@ -139,33 +142,18 @@ class LatticePair:
             object.__setattr__(self, name, value)
         return value
 
-    def denominator(self) -> int:
-        """D, the least common denominator of N, so that N lies in (1/D)Z^n."""
-        return self._cached(
-            "_den", lambda: lcm(*(v.denominator for row in self.basis for v in row))
-        )
-
     def basis_inverse(self) -> list[list[int]]:
         """Inverse of the basis matrix: its rows are the N-coordinates of the
-        unit vectors, so it is integral because M = Z^n lies in N.
+        unit vectors, so it is integral because M = Z^n lies in N.  It comes
+        from the Smith form that ``build_lattice_pair`` takes."""
 
-        With K = D*B for the basis matrix B and the Smith form U K V = S,
-        B^-1 = V (D S^-1) U; D S^-1 is integral exactly when B^-1 is.
-        """
+        def missing():
+            raise LatticeError("the basis inverse is known only for a pair from build_lattice_pair")
 
-        def compute():
-            d, K = _integer_rows(self.basis)
-            U, S, V = smith_normal_form(IntMat.from_rows(K))
-            s = [S.get(k, k) for k in range(self.n)]
-            if not all(s) or any(d % x for x in s):
-                raise LatticeError("the basis does not span an overlattice of Z^n")
-            rows = [[d // s[k] * x for x in U.row(k)] for k in range(self.n)]
-            return V.mul(IntMat.from_rows(rows)).to_rows()
-
-        return self._cached("_binv", compute)
+        return self._cached("_binv", missing)
 
     def residues(self) -> frozenset[IntVec]:
-        """N/M as the residues D*x mod D of its elements, D the denominator.
+        """N/M as the residues D*x mod D of its elements, D the scale.
 
         Found by breadth-first search from zero over the residues of the
         generators.  Raises LatticeError when a generator is not in
@@ -173,7 +161,7 @@ class LatticePair:
         """
 
         def compute():
-            d = self.denominator()
+            d = self.scale
             steps = []
             for vec, m in self.generators:
                 if any(a * d % m for a in vec):
@@ -200,7 +188,7 @@ class LatticePair:
 
     def contains(self, y: IntVec, scale: int) -> bool:
         """Whether x = y/scale is in N: D*x is integral, its residue in N/M."""
-        d = self.denominator()
+        d = self.scale
         if any(a * d % scale for a in y):
             return False  # not in (1/D)Z^n
         return tuple(a * d // scale % d for a in y) in self.residues()
@@ -211,18 +199,31 @@ class LatticePair:
         Such a D*x is a nonnegative integer vector of coordinate sum D, so it
         is its own residue, unless it is a multiple of D: a unit point.
         """
-        d = self.denominator()
-        units = [tuple(d * int(i == j) for j in range(self.n)) for i in range(self.n)]
-        return sorted([r for r in self.residues() if sum(r) == d] + units)
+        d = self.scale
+        return sorted([r for r in self.residues() if sum(r) == d] + _units(self.n, d))
 
     def base_points(self) -> list[Vec]:
         """All points of N on the base simplex, in lexicographic order."""
-        d = self.denominator()
+        d = self.scale
         return [tuple(Fraction(c, d) for c in y) for y in self.scaled_base_points()]
 
 
+def _units(n: int, d: int) -> list[IntVec]:
+    """The unit points e_i scaled by d."""
+    return [tuple(d * int(i == j) for j in range(n)) for i in range(n)]
+
+
 def build_lattice_pair(n: int, generators: Sequence[tuple[Sequence[int], int]]) -> LatticePair:
-    """Overlattice of Z^n spanned by the given (exponent vector, modulus) pairs."""
+    """Overlattice of Z^n spanned by the given (exponent vector, modulus) pairs.
+
+    D is the lcm of the reduced denominators m/gcd(a_i, m) of the generator
+    entries.  One Smith form U K V = S of the rows D*e_i and D*a/m, with
+    invariants s_1..s_n, gives everything: K = U^-1 S V^-1 spans the same
+    rows as diag(s) V^-1, the basis at scale D; N/M has order D^n/prod(s);
+    and the basis inverse is V diag(D/s_i), integral because each s_i
+    divides D (H. Cohen, A Course in Computational Algebraic Number Theory,
+    1993, section 2.4).
+    """
     gens = []
     for vec, m in generators:
         vec = tuple(int(v) for v in vec)
@@ -231,15 +232,17 @@ def build_lattice_pair(n: int, generators: Sequence[tuple[Sequence[int], int]]) 
         if sum(vec) % m != 0:
             raise NotSpecialLinear(f"exponents {vec} do not sum to 0 mod {m}")
         gens.append((vec, int(m)))
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    for vec, m in gens:
-        rows.append([Fraction(v, m) for v in vec])
-    basis = [tuple(r) for r in row_lattice_basis(rows)]
-    det = _rational_det(basis)
-    order = Fraction(1) / abs(det)
-    if order.denominator != 1:
-        raise LatticeError(f"overlattice covolume {abs(det)} is not the reciprocal of an index")
-    return LatticePair(n, tuple(gens), tuple(basis), int(order))
+    d = lcm(*(m // gcd(a, m) for vec, m in gens for a in vec))
+    rows = _units(n, d) + [[a * d // m for a in vec] for vec, m in gens]
+    _, S, V = smith_normal_form(IntMat.from_rows(rows))
+    s = [S.get(k, k) for k in range(n)]
+    if not all(s) or any(d % x for x in s) or d**n % prod(s):
+        raise LatticeError(f"invariants {s} do not give an overlattice of Z^{n} in (1/{d})Z^{n}")
+    vinv = V.inverse_unimodular()
+    basis = tuple(tuple(s[k] * x for x in vinv.row(k)) for k in range(n))
+    lp = LatticePair(n, tuple(gens), d, basis, d**n // prod(s))
+    lp._cached("_binv", lambda: [[d // s[k] * x for k, x in enumerate(V.row(i))] for i in range(n)])
+    return lp
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +269,13 @@ class PermSymmetry:
 
     @staticmethod
     def from_cycles(n: int, cycles: Sequence[Sequence[int]]) -> PermSymmetry:
-        images = list(range(n))
+        """The product of disjoint cycles; ValueError names a repeated index."""
+        images, seen = list(range(n)), set()
         for cyc in cycles:
             for i, a in enumerate(cyc):
+                if a in seen:
+                    raise ValueError(f"index {a} repeats in the cycles {list(map(tuple, cycles))}")
+                seen.add(a)
                 images[a] = cyc[(i + 1) % len(cyc)]
         return PermSymmetry(tuple(images))
 
@@ -286,8 +293,7 @@ class PermSymmetry:
         return lcm(*(len(c) for c in self.cycles()))
 
     def preserves(self, lp: LatticePair) -> bool:
-        d, basis = _integer_rows(lp.basis)
-        return all(lp.contains(self.apply(y), d) for y in basis)
+        return all(lp.contains(self.apply(y), lp.scale) for y in lp.basis)
 
 
 def fixed_subspace(sym: PermSymmetry) -> list[Vec]:
@@ -495,7 +501,7 @@ def adjusted_triangulation(
     if insertion_order not in ("lex", "revlex"):
         raise ValueError("insertion_order must be 'lex' or 'revlex'")
 
-    d = lp.denominator()
+    d = lp.scale
     pts = sorted(lp.scaled_base_points(), reverse=reverse)
     if lp.n == 2:
         return Triangulation(d, zip(pts, pts[1:]))
@@ -545,7 +551,7 @@ def _fundamental_domain(
       domain.  If w lies on a side of T, the copies are the corner triangles
       (w, corner, rho w).
     """
-    e = [tuple(d * int(i == j) for j in range(3)) for i in range(3)]
+    e = _units(3, d)
     if sym.order == 1:
         return e, []
     if sym.order == 2:
@@ -728,13 +734,13 @@ class OrbitRecord:
 def _action_in_lattice_coords(lp: LatticePair, sym: PermSymmetry) -> IntMat:
     """The symmetry's action on N in lattice coordinates: row i holds the
     N-coordinates of the image of basis vector i."""
-    d, basis = _integer_rows(lp.basis)
-    binv = lp.basis_inverse()
+    d, binv = lp.scale, lp.basis_inverse()
     rows = []
-    for b, y in zip(lp.basis, basis):
+    for y in lp.basis:
         scaled = _lattice_coords(binv, sym.apply(y))
         if any(c % d for c in scaled):
-            raise NotInvariant(f"symmetry maps the basis vector {b} out of the lattice")
+            named = ", ".join(_coordinate_text(a, d) for a in y)
+            raise NotInvariant(f"symmetry maps the basis vector ({named}) out of the lattice")
         rows.append([c // d for c in scaled])
     return IntMat.from_rows(rows)
 
@@ -834,7 +840,7 @@ def count_fixed_elements(lp: LatticePair, sym: PermSymmetry) -> int:
 def fixed_sublattice_index(lp: LatticePair, sym: PermSymmetry) -> int:
     """Index of M-in-the-fixed-subspace inside N-in-the-fixed-subspace."""
     # the cycle sums are a basis of M in the fixed subspace
-    return _saturation_index(lp, _integer_rows(fixed_subspace(sym))[1])
+    return _saturation_index(lp, [[int(i in cyc) for i in range(sym.n)] for cyc in sym.cycles()])
 
 
 # ---------------------------------------------------------------------------
@@ -934,10 +940,9 @@ def _standard_face(
       set within the face's, or every vertex in it) must be permuted with
       none fixed, if there are several and the first has one vertex more
       than there are vertex cycles.
-    - With k >= 2 vertex cycles of lengths l_i and L = lcm(l_i), the cycle
-      averages scaled by L are integer points, and the fixed locus they span
-      must have volume 1/prod(l_i): index * prod(l_i) == (scale * L)^(k-1)
-      for the saturation index of its edges.
+    - With k >= 2 vertex cycles of lengths l_i, the fixed locus spanned by
+      the cycle averages must have volume 1/prod(l_i)
+      (``_cycle_average_volume``).
     """
     index = {y: i for i, y in enumerate(face)}
     cycles = permutation_cycles([index.get(sym.apply(y)) for y in face])
@@ -953,15 +958,30 @@ def _standard_face(
                 image = tuple(sorted(sym.apply(y) for y in s))
                 if image not in have or image == s:
                     return False
+    if len(cycles) == 1:
+        return True
+    return _cycle_average_volume(face, cycles, lp, scale) == Fraction(1, prod(lengths))
+
+
+def _cycle_average_volume(
+    points: Sequence[IntVec], cycles: Sequence[Sequence[int]], lp: LatticePair, scale: int
+) -> Fraction:
+    """Normalized volume of the simplex on the averages of the points (scaled
+    to integers by ``scale``) over each cycle of indices; 1 for one cycle.
+
+    With L the lcm of the cycle lengths, the averages scaled by L are integer
+    points, so the volume is the saturation index of their d edges divided
+    by (scale * L)^d; it is 0 when they are dependent.
+    """
     d = len(cycles) - 1
     if d == 0:
-        return True
-    big = lcm(*lengths)
+        return Fraction(1)
+    big = lcm(*map(len, cycles))
     averages = [
-        [big // len(cyc) * sum(col) for col in zip(*(face[i] for i in cyc))] for cyc in cycles
+        [big // len(cyc) * sum(col) for col in zip(*(points[i] for i in cyc))] for cyc in cycles
     ]
     edges = [[a - b for a, b in zip(v, averages[0])] for v in averages[1:]]
-    return _saturation_index(lp, edges) * prod(lengths) == (scale * big) ** d
+    return Fraction(_saturation_index(lp, edges), (scale * big) ** d)
 
 
 def _in_simplex(p: IntVec, simplex: Sequence[IntVec], lp: LatticePair) -> bool:
@@ -1049,12 +1069,11 @@ def symmetry_report(
     lef = toric_lefschetz(tri, lp, sym)
     fixed_count = count_fixed_elements(lp, sym)
     index = fixed_sublattice_index(lp, sym)
-    cyc = [len(c) for c in sym.cycles() if len(c) > 1]
-    fixed_poly = _fixed_polytope(sym)
-    vol = normalized_volume(fixed_poly.vertices, lp)
-    scale = prod(cyc) * factorial(len(cyc))
-    claim_one = vol * scale
-    claim_two_rhs = Fraction(fixed_count, scale)
+    cycles = sym.cycles()
+    cyc = [len(c) for c in cycles if len(c) > 1]
+    # the fixed polytope: the simplex on the per-cycle barycenters
+    vol = _cycle_average_volume(_units(lp.n, lp.scale), cycles, lp, lp.scale)
+    weight = prod(cyc) * factorial(len(cyc))
     return {
         "dimension": lp.n,
         "group_order": lp.order,
@@ -1067,9 +1086,9 @@ def symmetry_report(
         "invariant_maximal_simplices": sum(1 for f in faces if len(f) == lp.n),
         "adjusted": verify_adjusted(tri, lp, sym),
         "fixed_locus_volume": vol,
-        "fixed_locus_zero_dimensional": fixed_poly.dim == 0,
-        "claim_one_value": claim_one,
-        "claim_two_value": claim_two_rhs,
+        "fixed_locus_zero_dimensional": len(cycles) == 1,
+        "claim_one_value": vol * weight,
+        "claim_two_value": Fraction(fixed_count, weight),
         "equal": lef == fixed_count == index,
         "triangulation": tri,
     }

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -463,6 +464,55 @@ def test_toric_dimension_below_one_is_a_parse_error(capsys, n):
     captured = capsys.readouterr()
     assert rc == EXIT_PARSE and captured.out == ""
     assert captured.err == f"error: --n {n} is not a dimension >= 1\n"
+
+
+# each of these was misread as another permutation or failed with a message
+# that did not name the text: (1 1) as the identity, (1 2)(1 2) as the swap,
+# (1 2 3)(3 2 1) as (2, 0, 1)
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("(1 1)", "repeats an index"),
+        ("(1 2)(1 2)", "repeats an index"),
+        ("(1 2 3)(3 2 1)", "repeats an index"),
+        ("(1 2", "is not cycles of indices"),
+        ("(1 a)", "is not cycles of indices"),
+    ],
+)
+def test_toric_perm_refuses_a_malformed_or_repeating_cycle(capsys, text, message):
+    with pytest.raises(ParseError, match=re.escape(f"permutation {text!r} {message}")):
+        parse_permutation(text, 3)
+    rc = main(["toric", "--n", "3", "--perm", text])
+    captured = capsys.readouterr()
+    assert rc == EXIT_PARSE and captured.out == ""
+    assert captured.err.startswith(f"error: permutation {text!r} {message}")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["group", "--fixture", "cyclic", "--n", "-1"], "--n -1"),
+        (["group", "--fixture", "cyclic", "--n", "0"], "--n 0"),
+        (["group", "--fixture", "binary-dihedral", "--r", "0"], "--r 0"),
+        (["group", "--fixture", "binary-dihedral", "--r", "2"], "--r 2"),
+        (["verify", "--only", "blockdet", "--count", "-1"], "--count -1"),
+        (["verify", "--only", "blockdet", "--count", "0"], "--count 0"),
+        (["verify", "--only", "blockdet", "--max-n", "0"], "--max-n 0"),
+    ],
+)
+def test_a_size_below_its_minimum_is_a_parse_error(capsys, argv, flag):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == EXIT_PARSE and captured.out == ""
+    assert captured.err.startswith(f"error: {flag} is below its minimum")
+    assert captured.err.count("\n") == 1
+
+
+def test_binary_dihedral_defaults_to_r_4_only_without_r(capsys):
+    _, default = run(["group", "--fixture", "binary-dihedral"], capsys)
+    _, four = run(["group", "--fixture", "binary-dihedral", "--r", "4"], capsys)
+    assert default["results"] == four["results"] and default["results"]["order"] == 8
 
 
 def test_toric_load_reports_no_lefschetz_number_for_a_failing_document(tmp_path, capsys):

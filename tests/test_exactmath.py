@@ -16,7 +16,6 @@ from crepant.exactmath import (
     cyclotomic_polynomial,
     lattice_index,
     permutation_cycles,
-    row_lattice_basis,
     smith_normal_form,
     zeta_sum_is_zero,
 )
@@ -24,14 +23,15 @@ from crepant.exactmath import (
     _expansions,
     _poly_divmod,
     _poly_mul,
-    _rational_det,
 )
 from test_toric import (
     _det_fraction,
     _gauss_reduce,
     _nullspace,
+    _rational_det,
     _rational_inverse,
     _solve_in_basis,
+    row_lattice_basis,
 )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -40,11 +41,12 @@ from crepant.toric import (
     triangulation_to_document,
     verify_adjusted,
     verify_crepant,
-    LatticePair,
     NotInvariantTriangulation,
     OrbitRecord,
     _action_in_lattice_coords,
+    _cycle_average_volume,
     _det_one_minus,
+    _fixed_polytope,
     _in_simplex,
     _lattice_coords,
     _maximal_invariant_faces,
@@ -203,6 +205,12 @@ def test_build_lattice_pair():
     assert build_lattice_pair(3, []).order == 1
     with pytest.raises(NotSpecialLinear):
         build_lattice_pair(2, [((1, 0), 2)])
+
+
+def test_from_cycles_names_a_repeated_index():
+    for cycles, index in (([(0, 0)], 0), ([(0, 1), (0, 1)], 0), ([(0, 1, 2), (2, 1, 0)], 2)):
+        with pytest.raises(ValueError, match=f"index {index} repeats"):
+            PermSymmetry.from_cycles(3, cycles)
 
 
 def test_fixed_subspace():
@@ -643,15 +651,16 @@ def sublattice_in_subspace(lp, span_rows):
     n = lp.n
     if not span_rows:
         return []
+    basis = _rational_basis(lp)
     complement = _nullspace(span_rows)
     if not complement:
-        return [tuple(r) for r in lp.basis]
+        return basis
     cols = []
     den = 1
     for y in complement:
         col = []
         for i in range(n):
-            v = sum(lp.basis[i][j] * y[j] for j in range(n))
+            v = sum(basis[i][j] * y[j] for j in range(n))
             col.append(v)
             den = lcm(den, v.denominator)
         cols.append(col)
@@ -660,7 +669,7 @@ def sublattice_in_subspace(lp, span_rows):
     )
     out = []
     for c in _integer_kernel_rows(mat):
-        out.append(tuple(sum(Fraction(c[i]) * lp.basis[i][j] for i in range(n)) for j in range(n)))
+        out.append(tuple(sum(Fraction(c[i]) * basis[i][j] for i in range(n)) for j in range(n)))
     return out
 
 
@@ -840,7 +849,7 @@ def _quotient_action(lp, S, span_vectors):
 
 def test_symmetry_outside_lattice_raises():
     lp = build_lattice_pair(3, [((1, 0, 2), 3)])
-    with pytest.raises(NotInvariant):
+    with pytest.raises(NotInvariant, match=r"basis vector \(1/3, 0, 2/3\) out of the lattice"):
         _action_in_lattice_coords(lp, SWAP3)
     plain = build_lattice_pair(3, [])
     S = _action_in_lattice_coords(plain, SWAP3)
@@ -1016,7 +1025,7 @@ def _fraction_route_values(lp, sym, simplices):
     """The report values that depend on the triangulation, with each check
     fed the Fraction simplices scaled back by the lcm of D and their
     denominators, and the invariant simplices counted on Fraction vertices."""
-    back = Triangulation(*_scaled_simplices(simplices, lp.denominator()))
+    back = Triangulation(*_scaled_simplices(simplices, lp.scale))
     lef = toric_lefschetz(back, lp, sym)
     return {
         "crepant": verify_crepant(back, lp).ok,
@@ -1044,12 +1053,14 @@ def test_integer_triangulation_matches_fraction_route():
             case = (lp.generators, sym.perm, order)
             report = symmetry_report(lp, sym, order)
             tri = report.pop("triangulation")
-            assert tri.scale == lp.denominator(), case
+            assert tri.scale == lp.scale, case
             simplices = _unscaled(tri.cells, tri.scale)
             assert list(tri.simplices) == simplices, case
-            assert Triangulation(*_scaled_simplices(simplices, lp.denominator())) == tri, case
+            assert Triangulation(*_scaled_simplices(simplices, lp.scale)) == tri, case
             want = _fraction_route_values(lp, sym, simplices)
             assert {k: report[k] for k in want} == want, case
+            fixed = normalized_volume(_fixed_polytope(sym).vertices, lp)
+            assert report["fixed_locus_volume"] == fixed, case
             doc = triangulation_to_document(tri, lp)
             assert doc == _reference_document(simplices, lp), case
             back, lp2 = triangulation_from_document(json.loads(json.dumps(doc)))
@@ -1206,9 +1217,56 @@ def test_load_skips_the_lefschetz_number_of_a_degenerate_cell(tmp_path, capsys):
 # it replaced
 
 
+def _rational_basis(lp):
+    """The basis of N as rows of Fractions, the integer rows over the scale."""
+    return [tuple(Fraction(a, lp.scale) for a in y) for y in lp.basis]
+
+
+def row_lattice_basis(rows) -> list[list[Fraction]]:
+    """Basis of the lattice generated by rational row vectors.
+
+    Scales to an integer matrix, takes the Smith decomposition U*A*V = D, and
+    reads the basis off the nonzero rows of D*V^-1.
+    """
+    if not rows:
+        return []
+    den, scaled = _integer_rows(rows)
+    _, D, V = smith_normal_form(IntMat.from_rows(scaled))
+    DVinv = D.mul(V.inverse_unimodular())
+    basis = []
+    for i in range(DVinv.rows):
+        r = DVinv.row(i)
+        if any(r):
+            basis.append([Fraction(x, den) for x in r])
+    return basis
+
+
+def _rational_det(rows) -> Fraction:
+    """Determinant of a square rational matrix, by Bareiss elimination on the
+    rows scaled by their common denominator D, divided by D^n."""
+    den, scaled = _integer_rows(rows)
+    return Fraction(IntMat.from_rows(scaled).det(), den ** len(rows))
+
+
+def _reference_lattice_pair(n, gens):
+    """(D, integer basis rows, order, basis inverse) by the rational route the
+    one Smith form replaced: the rational row basis of the unit vectors and
+    the generators, the order from its determinant, and the inverse from a
+    second Smith form U K V = S of K = D*B, as V (D S^-1) U."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows += [[Fraction(a, m) for a in vec] for vec, m in gens]
+    basis = row_lattice_basis(rows)
+    order = 1 / abs(_rational_det(basis))
+    d, K = _integer_rows(basis)
+    U, S, V = smith_normal_form(IntMat.from_rows(K))
+    s = [S.get(k, k) for k in range(n)]
+    inverse = V.mul(IntMat.from_rows([[d // s[k] * x for x in U.row(k)] for k in range(n)]))
+    return d, [tuple(r) for r in K], order, inverse.to_rows()
+
+
 def _reference_coords(lp, x, binv=None):
     """N-coordinates of x through the rational inverse of the basis."""
-    binv = binv or _rational_inverse(lp.basis)
+    binv = binv or _rational_inverse(_rational_basis(lp))
     return [sum(Fraction(x[i]) * binv[i][j] for i in range(lp.n)) for j in range(lp.n)]
 
 
@@ -1224,8 +1282,8 @@ def _compositions(total, parts):
 def _reference_base_points(lp):
     """Every point of denominator D on the base simplex, kept when its
     N-coordinates are integers."""
-    d = lp.denominator()
-    binv = _rational_inverse(lp.basis)
+    d = lp.scale
+    binv = _rational_inverse(_rational_basis(lp))
     pts = []
     for comp in _compositions(d, lp.n):
         x = tuple(Fraction(c, d) for c in comp)
@@ -1257,7 +1315,7 @@ def _reference_fixed_count(lp, sym):
 
 def _reference_action(lp, sym):
     rows = []
-    for b in lp.basis:
+    for b in _rational_basis(lp):
         c = _reference_coords(lp, sym.apply(b))
         if any(x.denominator != 1 for x in c):
             raise NotInvariant("basis vector leaves the lattice")
@@ -1319,10 +1377,11 @@ def _lattice_pairs(draw):
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(_lattice_pairs())
 def test_integer_lattice_model_matches_fraction_references(lp):
-    d = lp.denominator()
+    d = lp.scale
     assert lp.base_points() == _reference_base_points(lp)
     assert {tuple(Fraction(c, d) for c in r) for r in lp.residues()} == _reference_cosets(lp)
-    assert lp.basis_inverse() == [[int(x) for x in row] for row in _rational_inverse(lp.basis)]
+    want = [[int(x) for x in row] for row in _rational_inverse(_rational_basis(lp))]
+    assert lp.basis_inverse() == want
     for sym in _symmetries(lp.n):
         assert count_fixed_elements(lp, sym) == _reference_fixed_count(lp, sym)
         if not sym.preserves(lp):
@@ -1339,10 +1398,78 @@ def test_integer_lattice_model_matches_fraction_references(lp):
         assert sum(r[2] for r in got) == sum(r[2] for r in want), case
 
 
+# pairs the one Smith form is checked on by name: D = 3 below the modulus 6,
+# a large prime-power-free order, no generators, and dimensions 4 and 5
+_NAMED_PAIRS = [
+    (3, [((1, 1, 398), 400)]),
+    (3, [((2, 4, 0), 6)]),
+    (2, [((1, 19), 20)]),
+    (3, []),
+    (4, [((1, 1, 1, 1), 4)]),
+    (4, [((1, 1, 0, 0), 2), ((0, 0, 1, 1), 2), ((1, 2, 0, 3), 6)]),
+    (5, [((1, 1, 1, 1, 1), 5)]),
+    (5, [((1, 1, 1, 1, 2), 6), ((1, 5, 0, 0, 0), 6)]),
+]
+
+
+@st.composite
+def _generator_lists(draw):
+    """n in {2, ..., 5} and 0 to 3 generators, some of modulus 1 and some
+    not in lowest terms: k*a @ k*m shares the factor k with its modulus."""
+    n = draw(st.integers(2, 5))
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        m = draw(st.integers(1, 12))
+        head = draw(st.lists(st.integers(-m, m), min_size=n - 1, max_size=n - 1))
+        k = draw(st.integers(1, 3))
+        gens.append((tuple(k * a for a in head) + (k * (-sum(head) % m),), k * m))
+    return n, gens
+
+
+def _check_one_smith_form(n, gens):
+    """build_lattice_pair and basis_inverse() take one Smith form together
+    and agree with the rational reference."""
+    want = _reference_lattice_pair(n, gens)
+    real, calls = toric.smith_normal_form, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(toric, "smith_normal_form", lambda a: calls.append(a) or real(a))
+        lp = build_lattice_pair(n, gens)
+        inverse = lp.basis_inverse()
+    assert len(calls) == 1
+    assert (lp.scale, list(lp.basis), lp.order, inverse) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(_generator_lists())
+def test_one_smith_form_matches_the_rational_lattice_pair(case):
+    _check_one_smith_form(*case)
+
+
+@pytest.mark.parametrize("n,gens", _NAMED_PAIRS)
+def test_one_smith_form_matches_the_rational_lattice_pair_on_named_pairs(n, gens):
+    _check_one_smith_form(n, gens)
+
+
+def test_fixed_locus_volume_matches_normalized_volume_in_dimensions_4_and_5():
+    # symmetry_report builds no triangulation for n >= 4, so the volume it
+    # reports is checked here through the routine it calls
+    values = []
+    for n, gens in _NAMED_PAIRS[4:]:
+        lp = build_lattice_pair(n, gens)
+        units = [tuple(lp.scale * int(i == j) for j in range(n)) for i in range(n)]
+        for perm in itertools.permutations(range(n)):
+            sym = PermSymmetry(perm)
+            if sym.preserves(lp):
+                vol = _cycle_average_volume(units, sym.cycles(), lp, lp.scale)
+                assert vol == normalized_volume(_fixed_polytope(sym).vertices, lp), (gens, perm)
+                values.append(vol)
+    assert len(values) > 50 and len(set(values)) > 2
+
+
 def test_lattice_pair_with_a_wrong_order_raises():
     lp = build_lattice_pair(3, [((1, 2, 2), 5), ((1, 1, 3), 5)])
     for order in (5, 24, 26, 125):
-        bad = LatticePair(lp.n, lp.generators, lp.basis, order)
+        bad = dataclasses.replace(lp, order=order)
         with pytest.raises(LatticeError, match=f"not the order {order}"):
             bad.residues()
         with pytest.raises(LatticeError):
@@ -1350,9 +1477,9 @@ def test_lattice_pair_with_a_wrong_order_raises():
         with pytest.raises(LatticeError):
             count_fixed_elements(bad, ROT3)
     # a generator outside the lattice the basis spans
-    units = build_lattice_pair(2, []).basis
+    units = build_lattice_pair(2, [])
     with pytest.raises(LatticeError, match="not in"):
-        LatticePair(2, (((1, 1), 2),), units, 2).residues()
+        dataclasses.replace(units, generators=(((1, 1), 2),), order=2).residues()
 
 
 def test_contains_reads_scaled_points():
