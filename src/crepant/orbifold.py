@@ -21,8 +21,8 @@ to exact computations on Fermat-type coordinate sections, done by the
 diagonal-plus-permutation fixed-point engine at the bottom of the module.
 A quintic sheet is built from its pattern types, each computed once per
 call: commuting-pair values per pair of eigenvalue-block partitions,
-section values per block, strata by one pass over the patterns per
-support, and each engine call enumerates its cycle subsets once.
+section values per block, stratum totals by one engine call per twisted
+class, and each engine call enumerates its cycle subsets once.
 """
 
 from __future__ import annotations
@@ -710,7 +710,9 @@ def quintic_sheet(variant: str = "swap") -> GSpaceSheet:
     Each value is computed once per type and then looked up: a section
     value once per block of two or three coordinates (20 blocks), a pair
     value once per pair of set partitions into eigenvalue blocks (27
-    partitions, 729 pairs), and h-invariance once per pattern.
+    partitions, 729 pairs), h-invariance once per pattern, and a
+    twisted-sector count once per twisted class (conjugation by a diagonal
+    map keeps the hypersurface and each stratum, so it keeps the count).
     """
     d = 5
     inv = _quintic_involution(variant)
@@ -790,6 +792,12 @@ def quintic_sheet(variant: str = "swap") -> GSpaceSheet:
     return GSpaceSheet(125, tuple(classes), strata, pairs, meta)
 
 
+def _twisted_class(g: Sequence[int], cycles: list[tuple[int, ...]], d: int) -> tuple[int, ...]:
+    """The sums of g along the cycles mod d, least over the d scalar shifts of g."""
+    sums = [sum(g[i] for i in c) for c in cycles]
+    return min(tuple((s + k * len(c)) % d for s, c in zip(sums, cycles)) for k in range(d))
+
+
 def _quintic_strata(
     patterns: list[tuple[int, ...]], invariant: set, inv: tuple[int, ...], d: int
 ) -> tuple[StratumRecord, ...]:
@@ -797,47 +805,47 @@ def _quintic_strata(
     aggregating the supports of size four and five, whose stabilizer is
     trivial.
 
-    Two patterns lie in one coset of the stabilizer of T when they agree on
-    T up to a shift, so one pass over the patterns, keyed by the pattern
-    restricted to T modulo a shift, gives the coset representatives (the
-    first pattern of each key), the stabilizer (the key of zeros) and its
-    h-invariant classes (looked up in `invariant`).
+    A pattern fixes T when T lies in one of its eigenvalue blocks, so one
+    pass over the patterns gives the stabilizers and their h-invariant
+    classes.  Each stratum total is a sum over twisted classes: a diagonal t
+    conjugates g*h to (g + t - h.t)*h and keeps the Fermat hypersurface and
+    each support, so the count depends only on the sums of g along the
+    cycles of h mod d, up to a scalar shift (`_twisted_class`).  The classes
+    split the coset representatives evenly; the engine runs once per class.
     """
-    n = 5
-    records = []
-    for size in (2, 3):
-        for T in itertools.combinations(range(n), size):
-            reps: dict[tuple[int, ...], tuple[int, ...]] = {}
-            stab = con = 0
-            for p in patterns:
-                key = tuple((p[i] - p[T[0]]) % d for i in T)
-                reps.setdefault(key, p)
-                if not any(key):
-                    stab += 1
-                    con += p in invariant
-            support = frozenset(T)
-            lef = 0
-            for g in reps.values():
-                lef += twisted_fixed_euler(d, d, g, inv, [support])
-            records.append(
-                StratumRecord(
-                    "stab" + "".join(str(i) for i in T),
-                    stab,
-                    full_support_euler(d, size),
-                    lef,
-                    frozenset(inv[i] for i in T) == support,
-                    con,
-                )
+    n, cycles = 5, permutation_cycles(inv)
+
+    def class_total(vectors, cycs, n_reps, supports, label):
+        reps = {_twisted_class(g, cycs, d): g for g in vectors}  # any member stands for its class
+        per_class, rest = divmod(n_reps, len(reps))
+        if rest:
+            raise InconsistentSheet(
+                f"{label}: {len(reps)} twisted classes do not divide {n_reps} cosets evenly"
             )
-    free_supports = [
-        frozenset(T)
-        for size in (4, 5)
-        for T in itertools.combinations(range(n), size)
-    ]
-    euler_free = sum(full_support_euler(d, len(T)) for T in free_supports)
-    lef_free = 0
-    for g in patterns:
-        lef_free += twisted_fixed_euler(d, d, g, inv, free_supports)
+        return per_class * sum(twisted_fixed_euler(d, d, g, inv, supports) for g in reps.values())
+
+    stab, con = {}, {}
+    for p in patterns:
+        for block in _partition_blocks(p):
+            for T in itertools.chain(*(itertools.combinations(block, r) for r in (2, 3))):
+                stab[T] = stab.get(T, 0) + 1
+                con[T] = con.get(T, 0) + (p in invariant)
+    records = []
+    for T in itertools.chain(*(itertools.combinations(range(n), r) for r in (2, 3))):
+        support, label = frozenset(T), "stab" + "".join(str(i) for i in T)
+        h_inv = frozenset(inv[i] for i in T) == support
+        lef = 0  # a support that is not a union of cycles of h counts nothing
+        if h_inv:
+            inside = [c for c in cycles if support.issuperset(c)]
+            # one vector per tuple of cycle sums, each on the first coordinate of its cycle
+            firsts, sums = [c[0] for c in inside], itertools.product(range(d), repeat=len(inside))
+            vectors = [tuple(dict(zip(firsts, s)).get(i, 0) for i in range(n)) for s in sums]
+            lef = class_total(vectors, inside, len(patterns) // stab[T], [support], label)
+        euler = full_support_euler(d, len(T))
+        records.append(StratumRecord(label, stab[T], euler, lef, h_inv, con[T]))
+    free = [frozenset(T) for size in (4, 5) for T in itertools.combinations(range(n), size)]
+    euler_free = sum(full_support_euler(d, len(T)) for T in free)
+    lef_free = class_total(patterns, cycles, len(patterns), free, "free")
     records.append(StratumRecord("free", 1, euler_free, lef_free, True, 1))
     return tuple(records)
 

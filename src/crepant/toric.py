@@ -269,10 +269,12 @@ class PermSymmetry:
 
     @staticmethod
     def from_cycles(n: int, cycles: Sequence[Sequence[int]]) -> PermSymmetry:
-        """The product of disjoint cycles; ValueError names a repeated index."""
+        """The product of disjoint cycles; ValueError names a repeated or out-of-range index."""
         images, seen = list(range(n)), set()
         for cyc in cycles:
             for i, a in enumerate(cyc):
+                if not 0 <= a < n:
+                    raise ValueError(f"index {a} is out of range for {n} coordinates")
                 if a in seen:
                     raise ValueError(f"index {a} repeats in the cycles {list(map(tuple, cycles))}")
                 seen.add(a)

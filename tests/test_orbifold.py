@@ -483,9 +483,38 @@ def test_residue_engine_matches_reference_on_quintic_sheets(monkeypatch):
     calls = _recorded_calls(
         monkeypatch, lambda: [quintic_sheet(v) for v in ("swap", "swap-two-pairs")]
     )
-    assert len(calls) == 850  # 425 twisted-sector counts per sheet, all distinct
+    assert len(calls) == 98  # 81 + 17 twisted-sector counts, one per twisted class
     assert any(calls.values())
     _assert_matches_reference(calls)
+
+    def reference_strata():
+        for v in _QUINTIC_VARIANTS:
+            _reference_quintic_strata(ob._quintic_patterns(), ob._quintic_involution(v), 5)
+
+    # the per-coset counts of the reference strata, 425 per sheet, all distinct
+    calls = _recorded_calls(monkeypatch, reference_strata)
+    assert len(calls) == 850
+    _assert_matches_reference(calls)
+
+
+@pytest.mark.parametrize("variant, classes", [("swap", 81), ("swap-two-pairs", 17)])
+def test_quintic_sheet_counts_each_twisted_class_once(monkeypatch, variant, classes):
+    calls = []
+    engine = ob.twisted_fixed_euler
+    monkeypatch.setattr(ob, "twisted_fixed_euler", lambda *args: calls.append(args) or engine(*args))
+    quintic_sheet(variant)
+    assert len(calls) == classes
+
+
+def test_a_class_key_without_one_cycle_sum_changes_the_strata(monkeypatch):
+    # the mutant key forgets the last cycle, so it merges classes whose counts differ
+    key = ob._twisted_class
+    monkeypatch.setattr(ob, "_twisted_class", lambda g, cycles, d: key(g, cycles[:-1], d))
+    differs = []
+    for v in _QUINTIC_VARIANTS:
+        expected = _reference_quintic_strata(ob._quintic_patterns(), ob._quintic_involution(v), 5)
+        differs.append(quintic_sheet(v).strata != expected)
+    assert any(differs)
 
 
 def test_residue_engine_matches_reference_on_derived_lefschetz(monkeypatch):
@@ -560,6 +589,19 @@ def test_residue_engine_matches_reference_on_a_grid(src):
                 assert twisted_fixed_euler(d, q, exponents, src, supports) == expected, (
                     q, d, exponents
                 )
+
+
+@pytest.mark.parametrize("src", _CYCLE_TYPE_REPS)
+def test_twisted_count_takes_one_value_per_twisted_class(src):
+    # a diagonal t conjugates g*h to (g + t - h.t)*h and g + c is the same map,
+    # so over all 31 nonempty supports the count depends on the class key alone
+    cycles = permutation_cycles(src)
+    supports = [frozenset(T) for r in range(1, 6) for T in itertools.combinations(range(5), r)]
+    values = {}
+    for g in ob._quintic_patterns():
+        value = twisted_fixed_euler(5, 5, g, src, supports)
+        values.setdefault(ob._twisted_class(g, cycles, 5), set()).add(value)
+    assert all(len(v) == 1 for v in values.values()), values
 
 
 def test_quintic_sheet_makes_no_cyclotomic_products(monkeypatch):

@@ -213,6 +213,12 @@ def test_from_cycles_names_a_repeated_index():
             PermSymmetry.from_cycles(3, cycles)
 
 
+def test_from_cycles_names_an_out_of_range_index():
+    for cycles, index in (([(0, 5)], 5), ([(0, -1)], -1)):
+        with pytest.raises(ValueError, match=f"index {index} is out of range"):
+            PermSymmetry.from_cycles(3, cycles)
+
+
 def test_fixed_subspace():
     assert fixed_subspace(PermSymmetry.identity(2)) == [
         (Fraction(1), Fraction(0)),

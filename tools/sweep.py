@@ -9,15 +9,19 @@ Times, best of three, in one interpreter:
 * ``line-swap``: ``crepant toric`` on ``1,1,m-2@m`` with ``(1 2)``, for
   m in 50, 100, 200, 400;
 * ``line-id``: ``crepant toric`` on ``1,1,m-2@m`` with ``id``, for m in
-  400, 800, 1600, where every maximal invariant face is a cell.
+  400, 800, 1600, where every maximal invariant face is a cell;
+* ``quintic``: ``crepant orbifold --fixture`` on ``quintic-swap`` and
+  ``quintic-swap-two-pairs``, and ``crepant verify --only quintic``, each
+  named in the size column.
 
-The toric rows time the whole command (build, certificates, Lefschetz
-number, report).  ``--baseline REV`` also times the ``src/`` of a git
-revision, extracted with ``git archive``, in the same interpreter, so the
-two columns differ only in the source.  The trees run alternately, one
-repetition at a time.  Usage, from the repository root:
+The toric and quintic rows time the whole command (a toric one builds,
+certifies, takes the Lefschetz number and reports).  ``--baseline REV``
+also times the ``src/`` of a git revision, extracted with ``git archive``,
+in the same interpreter, so the two columns differ only in the source.
+The trees run alternately, one repetition at a time.  Usage, from the
+repository root:
 
-    python3 tools/sweep.py --baseline HEAD~1 --out BENCH_12.json
+    python3 tools/sweep.py --baseline HEAD --out BENCH_14.json
 
 This is a record of growth rates, separate from the gated workloads of
 ``bench/run.py``.
@@ -44,6 +48,11 @@ CYCLIC_ORDERS = (300, 1000, 2000)
 ZM2_CONDUCTORS = (5, 7, 11, 13, 17)
 LINE_CONDUCTORS = (50, 100, 200, 400)
 LINE_ID_CONDUCTORS = (400, 800, 1600)
+QUINTIC_COMMANDS = {
+    "quintic-swap": ["orbifold", "--fixture", "quintic-swap"],
+    "quintic-swap-two-pairs": ["orbifold", "--fixture", "quintic-swap-two-pairs"],
+    "verify-quintic": ["verify", "--only", "quintic"],
+}
 REPEATS = 3
 
 
@@ -89,18 +98,21 @@ def _one_repetition(src: Path) -> dict:
         out[("cyclic", n, "close_group")], group = _time(lambda: fixtures.cyclic_group(n))
         swap = fixtures.cyclic_swap_symmetry()
         out[("cyclic", n, "outer_action")], _ = _time(lambda: groups.outer_action(group, swap))
-    families = (
-        ("zm2-cycle", ZM2_CONDUCTORS),
-        ("line-swap", LINE_CONDUCTORS),
-        ("line-id", LINE_ID_CONDUCTORS),
-    )
-    for family, sizes in families:
-        for m in sizes:
-            argv = _toric_argv(family, m)
-            with contextlib.redirect_stdout(io.StringIO()):
-                out[(family, m, "command")], code = _time(lambda: cli.main(argv))
-            if code != 0:
-                raise SystemExit(f"error: crepant {' '.join(argv)} exited with {code}")
+    commands = [
+        (family, m, _toric_argv(family, m))
+        for family, sizes in (
+            ("zm2-cycle", ZM2_CONDUCTORS),
+            ("line-swap", LINE_CONDUCTORS),
+            ("line-id", LINE_ID_CONDUCTORS),
+        )
+        for m in sizes
+    ]
+    commands += [("quintic", name, argv) for name, argv in QUINTIC_COMMANDS.items()]
+    for family, size, argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            out[(family, size, "command")], code = _time(lambda: cli.main(argv))
+        if code != 0:
+            raise SystemExit(f"error: crepant {' '.join(argv)} exited with {code}")
     return out
 
 
@@ -180,7 +192,7 @@ def main(argv=None) -> int:
         Path(args.out).write_text(text + "\n")
     for label, entries in rows.items():
         for e in entries:
-            print(f"{label:9} {e['family']:10} {e['size']:5} {e['stage']:13} {e['best_s']:.4f} s")
+            print(f"{label:9} {e['family']:10} {e['size']!s:>22} {e['stage']:13} {e['best_s']:.4f} s")
     return 0
 
 
