@@ -357,10 +357,7 @@ def cmd_orbifold(args, command) -> int:
     elif args.sheet:
         with open(args.sheet, "rb") as fh:
             data = fh.read()
-        try:
-            sheet = orbifold.sheet_from_document(json.loads(data))
-        except (ValueError, KeyError) as exc:
-            raise ParseError(f"sheet schema violation: {exc}") from exc
+        sheet = orbifold.sheet_from_document(json.loads(data))
     else:
         raise ParseError("need --fixture or --sheet")
     results = {}

@@ -15,6 +15,10 @@ is invariant in every relevant stabilizer.  The evaluators compute
 and the stratum chain evaluator re-derives the same total from stabilizer
 strata weighted by invariant-class counts.
 
+The record dataclasses are the sheet schema: the document writer, the strict
+reader and the identity variant all go through their fields, and the reader
+checks each value by its field's annotation.
+
 The built-in sheet generators describe two degree-five hypersurface
 involutions and one complete-intersection involution; their geometry reduces
 to exact computations on Fermat-type coordinate sections, done by the
@@ -28,7 +32,7 @@ class, and each engine call enumerates its cycle subsets once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
 from math import comb, lcm
 from typing import Optional, Sequence
@@ -134,6 +138,10 @@ class GSpaceSheet:
             for key, value in (("size", c.size), ("centralizer_order", c.centralizer_order)):
                 if value < 1:
                     raise InconsistentSheet(f"class {c.label}: {key} must be positive, not {value}")
+            if c.fixed_dim is not None and c.fixed_dim < 0:
+                raise InconsistentSheet(
+                    f"class {c.label}: fixed_dim must not be negative, not {c.fixed_dim}"
+                )
         total = sum(c.size for c in self.classes)
         if total != self.group_order:
             raise InconsistentSheet(f"class sizes sum to {total}, not {self.group_order}")
@@ -147,9 +155,18 @@ class GSpaceSheet:
                 raise InconsistentSheet(
                     f"stratum {s.label}: stabilizer_order must be positive, not {s.stabilizer_order}"
                 )
+            if self.group_order % s.stabilizer_order:
+                raise InconsistentSheet(
+                    f"stratum {s.label}: stabilizer_order {s.stabilizer_order} does not divide "
+                    f"group_order {self.group_order}"
+                )
             if s.con_h > s.stabilizer_order:
                 raise InconsistentSheet(
                     f"stratum {s.label}: invariant class count exceeds order"
+                )
+            if s.con_h < 0:
+                raise InconsistentSheet(
+                    f"stratum {s.label}: con_h must not be negative, not {s.con_h}"
                 )
 
 
@@ -257,34 +274,18 @@ def identity_action_variant(sheet: GSpaceSheet) -> GSpaceSheet:
     as invariant.
     """
     classes = tuple(
-        ClassRecord(
-            c.label,
-            c.size,
-            c.centralizer_order,
-            True,
-            c.euler_quotient,
-            c.euler_quotient,
-            dict(c.provenance),
-            c.fixed_dim,
-        )
+        replace(c, in_ch=True, lefschetz_quotient=c.euler_quotient, provenance=dict(c.provenance))
         for c in sheet.classes
     )
     strata = None
     if sheet.strata is not None:
         strata = tuple(
-            StratumRecord(
-                s.label,
-                s.stabilizer_order,
-                s.euler_stratum,
-                s.euler_stratum,
-                True,
-                s.stabilizer_order,
+            replace(
+                s, lefschetz_stratum=s.euler_stratum, h_invariant=True, con_h=s.stabilizer_order
             )
             for s in sheet.strata
         )
-    return GSpaceSheet(
-        sheet.group_order, classes, strata, sheet.commuting_pairs, dict(sheet.metadata)
-    )
+    return replace(sheet, classes=classes, strata=strata, metadata=dict(sheet.metadata))
 
 
 # ---------------------------------------------------------------------------
@@ -294,33 +295,11 @@ def identity_action_variant(sheet: GSpaceSheet) -> GSpaceSheet:
 def sheet_to_document(sheet: GSpaceSheet) -> dict:
     doc = {
         "group_order": sheet.group_order,
-        "classes": [
-            {
-                "label": c.label,
-                "size": c.size,
-                "centralizer_order": c.centralizer_order,
-                "in_ch": c.in_ch,
-                "euler_quotient": c.euler_quotient,
-                "lefschetz_quotient": c.lefschetz_quotient,
-                "provenance": dict(c.provenance),
-                "fixed_dim": c.fixed_dim,
-            }
-            for c in sheet.classes
-        ],
+        "classes": [asdict(c) for c in sheet.classes],
         "metadata": dict(sheet.metadata),
     }
     if sheet.strata is not None:
-        doc["strata"] = [
-            {
-                "label": s.label,
-                "stabilizer_order": s.stabilizer_order,
-                "euler_stratum": s.euler_stratum,
-                "lefschetz_stratum": s.lefschetz_stratum,
-                "h_invariant": s.h_invariant,
-                "con_h": s.con_h,
-            }
-            for s in sheet.strata
-        ]
+        doc["strata"] = [asdict(s) for s in sheet.strata]
     if sheet.commuting_pairs is not None:
         doc["commuting_pairs"] = [
             [a, b, v] for (a, b), v in sorted(sheet.commuting_pairs.items())
@@ -328,61 +307,86 @@ def sheet_to_document(sheet: GSpaceSheet) -> dict:
     return doc
 
 
-def _json_bool(record: dict, key: str) -> bool:
-    value = record[key]
-    if not isinstance(value, bool):
-        raise ValueError(
-            f"{key} of {record.get('label')!r} must be true or false, not {value!r}"
-        )
+def _json_str(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, not {value!r}")
     return value
 
 
-def _json_int_field(record: dict, key: str, optional: bool = False) -> Optional[int]:
-    """An integer field of a labelled record; an optional one may be null or absent."""
-    if optional and record.get(key) is None:
-        return None
-    return _json_int(record[key], f"{key} of {record.get('label')!r}")
+def _json_bool(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{what} must be true or false, not {value!r}")
+    return value
+
+
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object, not {value!r}")
+    return dict(value)
+
+
+def _json_optional_int(value, what: str) -> Optional[int]:
+    return None if value is None else _json_int(value, what)
+
+
+# a record field's annotation -> (reader, whether the key may be absent);
+# an absent key takes the field's default
+_FIELD_READERS = {
+    "str": (_json_str, False),
+    "int": (_json_int, False),
+    "bool": (_json_bool, False),
+    "Optional[int]": (_json_optional_int, True),
+    "dict": (_json_object, True),
+}
+
+
+def _read_records(kind: type, records, key: str) -> tuple:
+    """The ClassRecords or StratumRecords listed under a document key, each
+    field read by the reader of its annotation and named with the label."""
+    if not isinstance(records, list):
+        raise ValueError(f"{key} must be a list of objects, not {records!r}")
+    out = []
+    for i, record in enumerate(records):
+        record = _json_object(record, f"{key}[{i}]")
+        label = record.get("label")
+        owner = repr(label) if isinstance(label, str) else f"{key}[{i}]"
+        values = {}
+        for f in fields(kind):
+            read, may_be_absent = _FIELD_READERS[f.type]
+            if f.name in record:
+                values[f.name] = read(record[f.name], f"{f.name} of {owner}")
+            elif not may_be_absent:
+                raise ValueError(f"{f.name} of {owner} is missing")
+        out.append(kind(**values))
+    return tuple(out)
+
+
+def _read_pairs(entries) -> dict:
+    """The commuting-pair table: each entry an [a, b, value] triple, a pair at most once."""
+    if not isinstance(entries, list):
+        raise ValueError(f"commuting_pairs must be a list of [a, b, value], not {entries!r}")
+    pairs = {}
+    for entry in entries:
+        shaped = isinstance(entry, list) and len(entry) == 3
+        if not (shaped and isinstance(entry[0], str) and isinstance(entry[1], str)):
+            raise ValueError(f"commuting pair {entry!r} is not [a, b, value] with labels a and b")
+        a, b, v = entry
+        if (a, b) in pairs:
+            raise ValueError(f"commuting pair {[a, b]!r} appears more than once")
+        # the name of the pair is built only for a value that is not an integer
+        pairs[(a, b)] = v if type(v) is int else _json_int(v, f"commuting pair {[a, b]!r}")
+    return pairs
 
 
 def sheet_from_document(doc: dict) -> GSpaceSheet:
-    try:
-        classes = tuple(
-            ClassRecord(
-                str(c["label"]),
-                _json_int_field(c, "size"),
-                _json_int_field(c, "centralizer_order"),
-                _json_bool(c, "in_ch"),
-                _json_int_field(c, "euler_quotient", optional=True),
-                _json_int_field(c, "lefschetz_quotient", optional=True),
-                dict(c.get("provenance", {})),
-                _json_int_field(c, "fixed_dim", optional=True),
-            )
-            for c in doc["classes"]
-        )
-        strata = None
-        if "strata" in doc:
-            strata = tuple(
-                StratumRecord(
-                    str(s["label"]),
-                    _json_int_field(s, "stabilizer_order"),
-                    _json_int_field(s, "euler_stratum", optional=True),
-                    _json_int_field(s, "lefschetz_stratum", optional=True),
-                    _json_bool(s, "h_invariant"),
-                    _json_int_field(s, "con_h"),
-                )
-                for s in doc["strata"]
-            )
-        pairs = None
-        if "commuting_pairs" in doc:
-            pairs = {}
-            for a, b, v in doc["commuting_pairs"]:
-                if (str(a), str(b)) in pairs:
-                    raise ValueError(f"commuting pair {[a, b]!r} appears more than once")
-                pairs[(str(a), str(b))] = _json_int(v, f"commuting pair {[a, b]!r}")
-        group_order = _json_int(doc["group_order"], "group_order")
-        metadata = dict(doc.get("metadata", {}))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed sheet document: {exc}") from exc
+    """Inverse of sheet_to_document.  A ValueError names the key, label or
+    pair of the first malformed entry."""
+    doc = _json_object(doc, "a sheet document")
+    classes = _read_records(ClassRecord, doc.get("classes"), "classes")
+    strata = _read_records(StratumRecord, doc["strata"], "strata") if "strata" in doc else None
+    pairs = _read_pairs(doc["commuting_pairs"]) if "commuting_pairs" in doc else None
+    group_order = _json_int(doc.get("group_order"), "group_order")
+    metadata = _json_object(doc.get("metadata", {}), "metadata")
     for c in classes:
         for key, tag in c.provenance.items():
             if tag not in PROVENANCE_TAGS:
@@ -669,26 +673,16 @@ def _pattern_label(p: Sequence[int]) -> str:
     return "".join(str(x) for x in p)
 
 
-def _orbit_count_on_section(
-    patterns: Sequence[tuple[int, ...]], block: tuple[int, ...], d: int
-) -> int:
-    """Number of group orbits on the d-point section of a two-coordinate block."""
-    i, j = block
-    diffs = {(p[i] - p[j]) % d for p in patterns}
-    # the section points form one orbit per coset of the difference image
-    return d // len(diffs)
-
-
 def _curve_quotient_euler(
     patterns: Sequence[tuple[int, ...]], block: tuple[int, ...], d: int
 ) -> int:
-    """Euler characteristic of (plane section)/G for a three-coordinate block,
-    by averaging fixed-set Euler characteristics over the image group."""
-    image = sorted({_normalize_pattern(tuple(p[i] for i in block), d) for p in patterns})
-    total = 0
-    for g in image:
-        blocks = _partition_blocks(g)
-        total += section_euler(d, [len(b) for b in blocks])
+    """Euler characteristic of (section)/G for a block of two or three
+    coordinates, by averaging fixed-set Euler characteristics over the image
+    group (Burnside): for two coordinates the d section points, for three the
+    plane curve."""
+    first = block[0]
+    image = {tuple((p[i] - p[first]) % d for i in block) for p in patterns}
+    total = sum(section_euler(d, [len(b) for b in _partition_blocks(g)]) for g in image)
     if total % len(image):
         raise InconsistentSheet(
             f"block {block}: fixed-set Euler sum {total} is not a multiple of "
@@ -722,11 +716,9 @@ def quintic_sheet(variant: str = "swap") -> GSpaceSheet:
     labels = [_pattern_label(p) for p in patterns]
     invariant = {p for p in patterns if _conjugate_pattern(p, inv, d) == p}
     section = {
-        b: _orbit_count_on_section(patterns, b, d) for b in itertools.combinations(range(5), 2)
+        b: _curve_quotient_euler(patterns, b, d)
+        for b in itertools.chain(*(itertools.combinations(range(5), r) for r in (2, 3)))
     }
-    section.update(
-        (b, _curve_quotient_euler(patterns, b, d)) for b in itertools.combinations(range(5), 3)
-    )
 
     # pair_euler depends on two patterns only through their set partitions;
     # fill the table row by row in (label_a, label_b) order from one row per type

@@ -224,6 +224,8 @@ def build_lattice_pair(n: int, generators: Sequence[tuple[Sequence[int], int]]) 
     divides D (H. Cohen, A Course in Computational Algebraic Number Theory,
     1993, section 2.4).
     """
+    if n < 1:
+        raise ValueError(f"lattice n must be at least 1, not {n}")
     gens = []
     for vec, m in generators:
         vec = tuple(int(v) for v in vec)

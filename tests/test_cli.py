@@ -141,6 +141,8 @@ def _set_index(value):
         (_set_vertex(5), "vertex 3 5 is not"),
         (_set_vertex("0,0,0,1"), "vertex 3 '0,0,0,1'"),
         (_set_index(-1), "index -1 of simplex 2"),
+        (lambda doc: doc["lattice"].update(n=-1), "lattice n must be at least 1, not -1"),
+        (lambda doc: doc["lattice"].update(n=0), "lattice n must be at least 1, not 0"),
     ],
     ids=[
         "zero-denominator",
@@ -150,6 +152,8 @@ def _set_index(value):
         "vertex-not-a-string",
         "four-coordinates",
         "negative-index",
+        "negative-dimension",
+        "zero-dimension",
     ],
 )
 def test_toric_load_rejects_a_malformed_document(tmp_path, capsys, mutate, named):
@@ -364,6 +368,21 @@ def _zero_stabilizer_order(doc):
     return _non_positive("strata", "stabilizer_order", 0)(doc)
 
 
+def _negative_con_h(doc):
+    doc["strata"][0]["con_h"] = -1
+    return "stratum free: con_h must not be negative, not -1"
+
+
+def _stabilizer_not_dividing(doc):
+    doc["strata"][0].update(stabilizer_order=3, con_h=0)
+    return "stratum free: stabilizer_order 3 does not divide group_order 2"
+
+
+def _negative_fixed_dim(doc):
+    doc["classes"][1]["fixed_dim"] = -4
+    return "class g: fixed_dim must not be negative, not -4"
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -373,6 +392,9 @@ def _zero_stabilizer_order(doc):
         _non_positive("classes", "size", 0),
         _non_positive("classes", "centralizer_order", -2),
         _zero_stabilizer_order,
+        _negative_con_h,
+        _stabilizer_not_dividing,
+        _negative_fixed_dim,
     ],
     ids=[
         "zero_group_order",
@@ -381,6 +403,9 @@ def _zero_stabilizer_order(doc):
         "zero_size",
         "negative_centralizer_order",
         "zero_stabilizer_order",
+        "negative_con_h",
+        "stabilizer_not_dividing",
+        "negative_fixed_dim",
     ],
 )
 def test_orbifold_sheet_rejects_impossible_orders_and_labels(tmp_path, capsys, mutate):
@@ -389,6 +414,80 @@ def test_orbifold_sheet_rejects_impossible_orders_and_labels(tmp_path, capsys, m
     rc, out, err = _run_sheet(doc, tmp_path, capsys)
     assert rc == EXIT_PARSE and out == ""
     assert err.count("\n") == 1 and message in err
+
+
+# every container of a sheet document has one shape, and a refusal names its key,
+# label or pair
+@pytest.mark.parametrize(
+    "mutate,named",
+    [
+        (lambda doc: doc.update(strata=None), "strata must be a list of objects, not None"),
+        (lambda doc: doc.update(classes={}), "classes must be a list of objects, not {}"),
+        (lambda doc: doc.pop("classes"), "classes must be a list of objects, not None"),
+        (lambda doc: doc["classes"].append(3), "classes[2] must be an object, not 3"),
+        (lambda doc: doc["strata"].append([]), "strata[1] must be an object, not []"),
+        (lambda doc: doc.update(metadata="x"), "metadata must be an object, not 'x'"),
+        (lambda doc: doc.update(metadata=[]), "metadata must be an object, not []"),
+        (
+            lambda doc: doc["classes"][1].update(provenance="xy"),
+            "provenance of 'g' must be an object, not 'xy'",
+        ),
+        (
+            lambda doc: doc["classes"][1].update(provenance=[["euler_quotient", "derived"]]),
+            "provenance of 'g' must be an object, not [['euler_quotient', 'derived']]",
+        ),
+        (
+            lambda doc: doc["commuting_pairs"][1].append(1),
+            "commuting pair ['e', 'g', 0, 1] is not [a, b, value]",
+        ),
+        (
+            lambda doc: doc["commuting_pairs"].append(["e", 7, 0]),
+            "commuting pair ['e', 7, 0] is not [a, b, value]",
+        ),
+        (
+            lambda doc: doc.update(commuting_pairs={"e": 1}),
+            "commuting_pairs must be a list of [a, b, value], not {'e': 1}",
+        ),
+        (lambda doc: doc["classes"][1].pop("label"), "label of classes[1] is missing"),
+        (
+            lambda doc: doc["classes"][1].update(label=7),
+            "label of classes[1] must be a string, not 7",
+        ),
+        (lambda doc: doc["classes"][1].pop("size"), "size of 'g' is missing"),
+        (lambda doc: doc["strata"][0].pop("h_invariant"), "h_invariant of 'free' is missing"),
+    ],
+    ids=[
+        "null_strata",
+        "object_classes",
+        "absent_classes",
+        "class_not_an_object",
+        "stratum_not_an_object",
+        "string_metadata",
+        "list_metadata",
+        "string_provenance",
+        "pair_list_provenance",
+        "four_entry_pair",
+        "pair_label_not_a_string",
+        "object_pairs",
+        "absent_label",
+        "label_not_a_string",
+        "absent_size",
+        "absent_h_invariant",
+    ],
+)
+def test_orbifold_sheet_refuses_malformed_containers(tmp_path, capsys, mutate, named):
+    doc = _sheet_with_pairs()
+    mutate(doc)
+    rc, out, err = _run_sheet(doc, tmp_path, capsys)
+    assert rc == EXIT_PARSE and out == ""
+    assert err.count("\n") == 1 and named in err
+
+
+def test_orbifold_sheet_error_is_the_reader_line(tmp_path, capsys):
+    doc = _sheet_with_pairs()
+    doc["classes"][1]["size"] = 1.9
+    _, _, err = _run_sheet(doc, tmp_path, capsys)
+    assert err == "error: size of 'g' must be an integer, not 1.9\n"
 
 
 def test_orbifold_sheet_accepts_integer_and_null_fixed_dim(tmp_path, capsys):

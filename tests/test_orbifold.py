@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -222,7 +223,9 @@ def _reference_class_record(patterns, p, inv, d):
     euler = 0
     for b in blocks:
         if len(b) == 2:
-            euler += ob._orbit_count_on_section(patterns, b, d)
+            # the d section points form one orbit per coset of the difference image
+            differences = {(g[b[0]] - g[b[1]]) % d for g in patterns}
+            euler += d // len(differences)
         else:
             assert len(b) == 3
             euler += ob._curve_quotient_euler(patterns, b, d)
@@ -346,6 +349,129 @@ def test_sheet_round_trip(quintic_swap_sheet):
     back = sheet_from_document(json.loads(blob))
     assert json.dumps(sheet_to_document(back), sort_keys=True) == blob
     assert equivariant_lefschetz(back) == 56
+
+
+@pytest.mark.parametrize("kind", [ClassRecord, StratumRecord])
+def test_every_record_field_annotation_has_a_reader(kind):
+    assert {f.type for f in dataclasses.fields(kind)} <= set(ob._FIELD_READERS)
+
+
+_optional_int = st.one_of(st.none(), st.integers(-500, 500))
+
+
+@st.composite
+def _valid_sheets(draw):
+    """Sheets that pass validation, with strata absent, empty or present and
+    with the commuting-pair table absent or complete (a sheet has at least one
+    class, so a valid table is never empty)."""
+    order = draw(st.integers(1, 12))
+    divisors = [k for k in range(1, order + 1) if order % k == 0]
+    sizes = []
+    for size in draw(st.lists(st.sampled_from(divisors), max_size=4)):
+        if sum(sizes) + size <= order:
+            sizes.append(size)
+    sizes += [1] * (order - sum(sizes))  # size one divides every order
+    count = len(sizes)
+    labels = draw(st.lists(st.text(max_size=3), min_size=count, max_size=count, unique=True))
+    tags = st.dictionaries(
+        st.sampled_from([f.name for f in dataclasses.fields(ClassRecord)]),
+        st.sampled_from(ob.PROVENANCE_TAGS),
+    )
+    classes = tuple(
+        ClassRecord(
+            label,
+            size,
+            order // size,
+            draw(st.booleans()),
+            draw(_optional_int),
+            draw(_optional_int),
+            draw(tags),
+            draw(st.one_of(st.none(), st.integers(0, 3))),
+        )
+        for label, size in zip(labels, sizes)
+    )
+    strata = None
+    if draw(st.booleans()):
+        strata = []
+        for label in draw(st.lists(st.text(max_size=3), max_size=3)):
+            stabilizer = draw(st.sampled_from(divisors))
+            strata.append(
+                StratumRecord(
+                    label,
+                    stabilizer,
+                    draw(_optional_int),
+                    draw(_optional_int),
+                    draw(st.booleans()),
+                    draw(st.integers(0, stabilizer)),
+                )
+            )
+        strata = tuple(strata)
+    pairs = None
+    if draw(st.booleans()):
+        pairs = {(a, b): draw(st.integers(-500, 500)) for a in labels for b in labels}
+    metadata = draw(st.dictionaries(st.text(max_size=3), st.one_of(st.integers(), st.text())))
+    return GSpaceSheet(order, classes, strata, pairs, metadata)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_valid_sheets())
+def test_generated_sheets_round_trip_through_json(sheet):
+    blob = json.dumps(sheet_to_document(sheet), sort_keys=True)
+    back = sheet_from_document(json.loads(blob))
+    assert back == sheet
+    assert json.dumps(sheet_to_document(back), sort_keys=True) == blob
+
+
+def _reference_identity_action_variant(sheet):
+    """The identity variant by positional construction of every record."""
+    classes = tuple(
+        ClassRecord(
+            c.label,
+            c.size,
+            c.centralizer_order,
+            True,
+            c.euler_quotient,
+            c.euler_quotient,
+            dict(c.provenance),
+            c.fixed_dim,
+        )
+        for c in sheet.classes
+    )
+    strata = None
+    if sheet.strata is not None:
+        strata = tuple(
+            StratumRecord(
+                s.label,
+                s.stabilizer_order,
+                s.euler_stratum,
+                s.euler_stratum,
+                True,
+                s.stabilizer_order,
+            )
+            for s in sheet.strata
+        )
+    return GSpaceSheet(
+        sheet.group_order, classes, strata, sheet.commuting_pairs, dict(sheet.metadata)
+    )
+
+
+def test_identity_variant_matches_positional_construction(quintic_swap_sheet, quintic_double_sheet):
+    for sheet in (
+        quintic_swap_sheet,
+        quintic_double_sheet,
+        complete_intersection_sheet(),
+        point_sheet(6, 3),
+    ):
+        ident = identity_action_variant(sheet)
+        assert ident == _reference_identity_action_variant(sheet)
+        assert ident.metadata is not sheet.metadata
+        assert all(a.provenance is not b.provenance for a, b in zip(ident.classes, sheet.classes))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_valid_sheets())
+def test_identity_variant_matches_positional_construction_on_generated_sheets(sheet):
+    assert identity_action_variant(sheet) == _reference_identity_action_variant(sheet)
 
 
 def test_pair_euler_identity():

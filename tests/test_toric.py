@@ -203,6 +203,10 @@ def test_build_lattice_pair():
     assert build_lattice_pair(2, [((1, 1), 2)]).order == 2
     assert build_lattice_pair(3, [((1, 2, 2), 5), ((1, 1, 3), 5)]).order == 25
     assert build_lattice_pair(3, []).order == 1
+    assert build_lattice_pair(1, []).order == 1
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"lattice n must be at least 1, not {n}"):
+            build_lattice_pair(n, [])
     with pytest.raises(NotSpecialLinear):
         build_lattice_pair(2, [((1, 0), 2)])
 
