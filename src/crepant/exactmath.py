@@ -286,18 +286,7 @@ class CycloInt:
 
     def __mul__(self, other) -> CycloInt:
         a, b = self._pair(other)
-        m = a.conductor
-        if len(a.coeffs) == 1 == len(b.coeffs):  # two signed roots of unity
-            (i, c), (j, d) = a.coeffs[0], b.coeffs[0]
-            terms = _expansions(m)[(i + j) % m]
-            return _cyclo(m, terms if c * d == 1 else tuple((e, c * d * s) for e, s in terms))
-        # a rational integer has up to phi(m) terms (1 = -sum of the other
-        # p-th roots), so a product with one is a scaling, not a convolution
-        for x, y in ((a, b), (b, a)):
-            n = _rational_value(x)
-            if n is not None:
-                return _cyclo(m, tuple((k, n * c) for k, c in y.coeffs) if n else ())
-        return _cyclo(m, _collect(m, ((i + j, c * d) for i, c in a.coeffs for j, d in b.coeffs)))
+        return _product(a.conductor, a.coeffs, b.coeffs)
 
     __rmul__ = __mul__
 
@@ -362,17 +351,17 @@ class CycloInt:
         return f"CycloInt(m={self.conductor}, {dict(self.coeffs)})"
 
 
-def _rational_value(x: CycloInt) -> int | None:
-    """n if x is the rational integer n, else None."""
-    if not x.coeffs:
+def _rational_value(m: int, coeffs: tuple) -> int | None:
+    """n if the canonical coefficients at conductor m are the rational integer n, else None."""
+    if not coeffs:
         return 0
-    one = _expansions(x.conductor)[0]
-    if len(x.coeffs) != len(one) or x.coeffs[0][0] != one[0][0]:
+    one = _expansions(m)[0]
+    if len(coeffs) != len(one) or coeffs[0][0] != one[0][0]:
         return None
-    if x.coeffs == one:
+    if coeffs == one:
         return 1
-    n = x.coeffs[0][1] * one[0][1]
-    return n if x.coeffs == tuple((e, n * s) for e, s in one) else None
+    n = coeffs[0][1] * one[0][1]
+    return n if coeffs == tuple((e, n * s) for e, s in one) else None
 
 
 def _cyclo(m: int, coeffs: tuple) -> CycloInt:
@@ -381,6 +370,27 @@ def _cyclo(m: int, coeffs: tuple) -> CycloInt:
     x.conductor = m
     x.coeffs = coeffs
     return x
+
+
+@lru_cache(maxsize=1 << 12)
+def _product(m: int, x: tuple, y: tuple) -> CycloInt:
+    """The product of the values with canonical coefficients x and y at conductor m,
+    cached: the tuples determine the values, and group closure multiplies the
+    same few roots of unity over and over."""
+    roots = _root_index(m)
+    if x in roots and y in roots:  # two roots of unity, one lookup
+        return _cyclo(m, _expansions(m)[(roots[x] + roots[y]) % m])
+    if len(x) == 1 == len(y):  # two multiples of basis roots
+        (i, c), (j, d) = x[0], y[0]
+        terms = _expansions(m)[(i + j) % m]
+        return _cyclo(m, terms if c * d == 1 else tuple((e, c * d * s) for e, s in terms))
+    # a rational integer has up to phi(m) terms (1 = -sum of the other
+    # p-th roots), so a product with one is a scaling, not a convolution
+    for u, v in ((x, y), (y, x)):
+        n = _rational_value(m, u)
+        if n is not None:
+            return _cyclo(m, tuple((k, n * c) for k, c in v) if n else ())
+    return _cyclo(m, _collect(m, ((i + j, c * d) for i, c in x for j, d in y)))
 
 
 class CycloDivisor:
@@ -401,7 +411,7 @@ class CycloDivisor:
             if gcd(k, m) == 1:
                 cof = cof * b.galois(k)
         norm = b * cof
-        n = _rational_value(norm)
+        n = _rational_value(m, norm.coeffs)
         if n is None:
             raise ExactnessError(f"norm of {b!r} is not rational: {norm!r}")
         if n == 0:

@@ -4,16 +4,18 @@ Closure from generators, conjugacy classes, centralizers, the action of an
 outer symmetry by conjugation, and counting of invariant classes.  Groups are
 immutable after closure; every query is a pure function of the stored data.
 
-Matrix arithmetic grows with |G|·|gens|, never with |G|².  Closure multiplies
-each element by each generator once and records the generator columns
-x -> x·g together with a Schreier tree (every element's breadth-first parent
-and the generator that reached it); the multiplication table is then filled by
-integer lookups along the tree, each row composed from two rows already
-known.  An outer action conjugates only the stored generators and extends the
-map along the table, proving it a homomorphism on every edge x -> x·g.  This
-is the Schreier-tree/Dimino closure of Holt, Eick and O'Brien, *Handbook of
-Computational Group Theory* (2005), §4.1, and of Butler, *Fundamental
-Algorithms for Permutation Groups* (LNCS 559).
+Closure is Dimino's: the group grows from the subgroup of the first
+generators one right coset at a time, and only coset representatives are
+multiplied by generators, so matrix products number at most |G|·|gens| and
+often far fewer.  The generator columns x -> x·g are integer lookups through
+the table of the previous subgroup, and every multiplication table is filled
+from such columns along a Schreier tree (each element's parent and the
+generator that reached it), each row composed from two rows already known.
+An outer action conjugates only the stored generators and extends the map
+along the table, proving it a homomorphism on every edge x -> x·g.  This is
+the Dimino closure of Butler, *Fundamental Algorithms for Permutation Groups*
+(LNCS 559), and of Holt, Eick and O'Brien, *Handbook of Computational Group
+Theory* (2005), §4.1.
 """
 
 from __future__ import annotations
@@ -111,7 +113,10 @@ class GroupElement:
         )
 
     def key(self) -> tuple:
-        return tuple(x.coeffs for row in self.entries for x in row)
+        key = self.__dict__.get("_key")
+        if key is None:
+            key = self.__dict__["_key"] = tuple(x.coeffs for row in self.entries for x in row)
+        return key
 
     def mul(self, other: GroupElement) -> GroupElement:
         if self.conductor != other.conductor or self.n != other.n:
@@ -121,17 +126,25 @@ class GroupElement:
             )
         # only nonzero entries take part: the matrices of monomial and
         # diagonal groups are mostly zeros, and their products single terms
-        support = [[(j, b) for j, b in enumerate(row) if b.coeffs] for row in other.entries]
+        support = other._support()
         zero = CycloInt.from_int(0, self.conductor)
         rows = []
-        for row in self.entries:
+        for row in self._support():
             out: list = [None] * self.n
-            for k, a in enumerate(row):
-                if a.coeffs:
-                    for j, b in support[k]:
-                        out[j] = a * b if out[j] is None else out[j] + a * b
+            for k, a in row:
+                for j, b in support[k]:
+                    out[j] = a * b if out[j] is None else out[j] + a * b
             rows.append(tuple(zero if x is None else x for x in out))
         return GroupElement(self.n, self.conductor, tuple(rows))
+
+    def _support(self) -> list:
+        """The nonzero entries of each row as (column, entry) pairs, kept on the element."""
+        support = self.__dict__.get("_support_rows")
+        if support is None:
+            support = self.__dict__["_support_rows"] = [
+                [(j, x) for j, x in enumerate(row) if x.coeffs] for row in self.entries
+            ]
+        return support
 
     def det(self) -> CycloInt:
         return _det(self.entries, self.conductor)
@@ -317,6 +330,26 @@ def _span(table, identity: int, generators: Sequence[int]) -> list[int]:
     return queue
 
 
+def _fill_table(columns, tree, identity: int, size: int) -> list[tuple[int, ...]]:
+    """Multiplication table from the generator columns, columns[k][x] = x·g_k,
+    and a Schreier tree listing (b, parent, k) with b = parent·g_k, parents
+    first.  The row of each generator g is filled along the tree by
+    g·b = (g·parent)·g_k, one lookup per entry; every other row is then the
+    composition b·x = parent·(g_k·x) of two rows already known."""
+    generator_rows = []
+    for col in columns:
+        row = [0] * size
+        row[identity] = col[identity]
+        for b, p, k in tree:
+            row[b] = columns[k][row[p]]
+        generator_rows.append(itemgetter(*row))
+    table: list = [None] * size
+    table[identity] = tuple(range(size))
+    for b, p, k in tree:
+        table[b] = generator_rows[k](table[p])
+    return table
+
+
 def close_group(
     generators: Sequence[GroupElement],
     cap: int = 10_000,
@@ -324,18 +357,19 @@ def close_group(
 ) -> FiniteMatrixGroup:
     """Smallest matrix group containing the generators.
 
-    Breadth-first closure under right multiplication; raises CapExceeded when
-    the element count passes the cap.  The search makes the only matrix
-    products, one x·g per element and generator.  It records the generator
-    columns (x -> index of x·g) and a Schreier tree: for every element b
-    but the identity, the element parent(b) and generator g it was first
-    reached from, b = parent(b)·g.
+    Dimino's coset closure: H_i = <g_1, ..., g_i> grows from H = H_{i-1} one
+    right coset H·r at a time, starting from r = 1, unless g_i lies in H.
+    Only coset representatives are multiplied by g_1, ..., g_i; a product r·g
+    outside the cosets so far is a new representative r', and each h·r' is
+    computed once: a cyclic group of order n takes n matrix products and the
+    order-125 quintic group 142, not |G|·|gens|.  CapExceeded is raised
+    before a coset would take the order past the cap.
 
-    Elements are then ordered by canonical key, so the result is independent
-    of generator order.  The row of each generator g is filled along the tree
-    by g·b = (g·parent(b))·h, one integer lookup per entry; every other row
-    a = parent(a)·g is then the composition a·x = parent(a)·(g·x) of two rows
-    already known, taken in BFS order.  Inverses are read off the rows.
+    Columns stay integer lookups: for x = h·r and r·g = h'·r', x·g = (h·h')·r'
+    with h·h' read off the table of H, which _fill_table builds along the
+    Schreier tree (h·r' = (h·r)·g when r' = r·g).  Elements are then ordered
+    by canonical key, so the result is independent of generator order, and
+    the table and the inverses are filled along the tree the same way.
     """
     if not generators:
         raise ValueError("at least one generator required")
@@ -345,64 +379,61 @@ def close_group(
         if g.n != n:
             raise ValueError("generators must share a dimension")
         m = lcm(m, g.conductor)
-    gens = [g.lift(m) for g in generators]
-    if normalizer is not None:
-        gens = [normalizer(g) for g in gens]
+    norm = normalizer or (lambda g: g)
+    gens = [norm(g.lift(m)) for g in generators]
     for g in gens:
         if g.det().is_zero():
             raise ValueError("generators must be invertible")
 
-    ident = GroupElement.identity(n, m)
-    if normalizer is not None:
-        ident = normalizer(ident)
-    found = [ident]  # breadth-first order
-    keys = [ident.key()]
-    index = {keys[0]: 0}
-    parent, via = [-1], [-1]
-    columns: list[list[int]] = [[] for _ in gens]
-    for x_index, x in enumerate(found):  # the list grows while it is scanned
-        for k, g in enumerate(gens):
-            p = x.mul(g)
-            if normalizer is not None:
-                p = normalizer(p)
-            key = p.key()
-            j = index.get(key)
-            if j is None:
-                if len(found) >= cap:
-                    raise CapExceeded(f"closure exceeded cap of {cap}")
-                j = index[key] = len(found)
-                found.append(p)
-                keys.append(key)
-                parent.append(x_index)
-                via.append(k)
-            columns[k].append(j)
+    ident = norm(GroupElement.identity(n, m))
+    # coset c of the current H holds h·r_c at index c·|H| + h, so 0 is the identity
+    elements = [ident]
+    index = {ident.key(): 0}
+    tree: list[tuple[int, int, int]] = []  # (b, parent, k) with b = parent·g_k
+    columns: list[list[int]] = []  # columns[k][x] = index of x·g_k in H
+    for i, g in enumerate(gens):
+        if g.key() in index:
+            continue
+        size = len(elements)
+        by_column = list(zip(*_fill_table(columns, tree, 0, size)))  # [y][h] = h·y
+        reps, reached = [ident], []  # reached[c][k] = (c', y) with r_c·g_k = y·r_c'
+        for c, r in enumerate(reps):  # the list grows while it is scanned
+            row = []
+            for k, s in enumerate(gens[: i + 1]):
+                p = norm(r.mul(s))
+                j = index.get(p.key())
+                if j is None:
+                    if len(elements) + size > cap:
+                        raise CapExceeded(f"closure exceeded cap of {cap}")
+                    j = len(elements)
+                    reps.append(p)
+                    for h in range(size):
+                        x = p if h == 0 else norm(elements[h].mul(p))
+                        index[x.key()] = len(elements)
+                        elements.append(x)
+                        tree.append((j + h, c * size + h, k))
+                row.append(divmod(j, size))
+            reached.append(row)
+        columns = [[c * size + hy for c, y in col for hy in by_column[y]] for col in zip(*reached)]
 
-    by_key = sorted(range(len(found)), key=keys.__getitem__)
-    pos = [0] * len(found)
-    for r, i in enumerate(by_key):
-        pos[i] = r
-    columns = [[pos[col[i]] for i in by_key] for col in columns]
+    by_key = sorted(range(len(elements)), key=lambda i: elements[i].key())
+    pos = {i: r for r, i in enumerate(by_key)}
     identity_index = pos[0]
-    generator_indices = tuple(col[identity_index] for col in columns)
-    steps = [(pos[b], pos[parent[b]], columns[via[b]]) for b in range(1, len(found))]
-    generator_rows = []
-    for g in generator_indices:
-        row = [0] * len(found)
-        row[identity_index] = g
-        for b, p, col in steps:
-            row[b] = col[row[p]]
-        generator_rows.append(itemgetter(*row))
-    table: list = [None] * len(found)
-    table[identity_index] = tuple(range(len(found)))
-    for b in range(1, len(found)):
-        table[pos[b]] = generator_rows[via[b]](table[pos[parent[b]]])
+    tree = [(pos[b], pos[p], k) for b, p, k in tree]
+    columns = [[pos[col[i]] for i in by_key] for col in columns]
+    table = _fill_table(columns, tree, identity_index, len(elements))
+    # b = p·g_k has the inverse g_k^-1·p^-1, and one row scan finds each g_k^-1
+    inverse = [identity_index] * len(elements)
+    generator_inverses = [table[col[identity_index]].index(identity_index) for col in columns]
+    for b, p, k in tree:
+        inverse[b] = table[generator_inverses[k]][inverse[p]]
     return FiniteMatrixGroup(
-        elements=tuple(found[i] for i in by_key),
+        elements=tuple(elements[i] for i in by_key),
         table=tuple(table),
         identity_index=identity_index,
-        generators=generator_indices,
+        generators=tuple(pos[index[g.key()]] for g in gens),
         normalizer=normalizer,
-        _inverse=tuple(row.index(identity_index) for row in table),
+        _inverse=tuple(inverse),
     )
 
 

@@ -150,7 +150,11 @@ class GSpaceSheet:
                 raise InconsistentSheet(
                     f"class {c.label}: size*centralizer != group order"
                 )
+        labels.clear()
         for s in self.strata or ():
+            if s.label in labels:
+                raise InconsistentSheet(f"stratum {s.label}: label appears more than once")
+            labels.add(s.label)
             if s.stabilizer_order < 1:
                 raise InconsistentSheet(
                     f"stratum {s.label}: stabilizer_order must be positive, not {s.stabilizer_order}"
@@ -342,14 +346,19 @@ _FIELD_READERS = {
 
 def _read_records(kind: type, records, key: str) -> tuple:
     """The ClassRecords or StratumRecords listed under a document key, each
-    field read by the reader of its annotation and named with the label."""
+    field read by the reader of its annotation and named with the label; a key
+    that is no field of the record is refused."""
     if not isinstance(records, list):
         raise ValueError(f"{key} must be a list of objects, not {records!r}")
+    names = {f.name for f in fields(kind)}
     out = []
     for i, record in enumerate(records):
         record = _json_object(record, f"{key}[{i}]")
         label = record.get("label")
         owner = repr(label) if isinstance(label, str) else f"{key}[{i}]"
+        for name in record:
+            if name not in names:
+                raise ValueError(f"{name!r} of {owner} is not a {kind.__name__} field")
         values = {}
         for f in fields(kind):
             read, may_be_absent = _FIELD_READERS[f.type]

@@ -353,6 +353,11 @@ def _duplicate_label(doc):
     return "class e: label appears more than once"
 
 
+def _duplicate_stratum_label(doc):
+    doc["strata"].append(dict(doc["strata"][0]))
+    return "stratum free: label appears more than once"
+
+
 def _non_positive(where, key, value):
     def mutate(doc):
         doc[where][-1][key] = value
@@ -389,6 +394,7 @@ def _negative_fixed_dim(doc):
         _zero_group_order,
         _negative_group_order,
         _duplicate_label,
+        _duplicate_stratum_label,
         _non_positive("classes", "size", 0),
         _non_positive("classes", "centralizer_order", -2),
         _zero_stabilizer_order,
@@ -400,6 +406,7 @@ def _negative_fixed_dim(doc):
         "zero_group_order",
         "negative_group_order",
         "duplicate_label",
+        "duplicate_stratum_label",
         "zero_size",
         "negative_centralizer_order",
         "zero_stabilizer_order",
@@ -455,6 +462,18 @@ def test_orbifold_sheet_rejects_impossible_orders_and_labels(tmp_path, capsys, m
         ),
         (lambda doc: doc["classes"][1].pop("size"), "size of 'g' is missing"),
         (lambda doc: doc["strata"][0].pop("h_invariant"), "h_invariant of 'free' is missing"),
+        (
+            lambda doc: doc["classes"][1].update(euler_quotent=0),
+            "'euler_quotent' of 'g' is not a ClassRecord field",
+        ),
+        (
+            lambda doc: doc["strata"][0].update(con=0),
+            "'con' of 'free' is not a StratumRecord field",
+        ),
+        (
+            lambda doc: doc["classes"][1].update(label=7, extra=1),
+            "'extra' of classes[1] is not a ClassRecord field",
+        ),
     ],
     ids=[
         "null_strata",
@@ -473,6 +492,9 @@ def test_orbifold_sheet_rejects_impossible_orders_and_labels(tmp_path, capsys, m
         "label_not_a_string",
         "absent_size",
         "absent_h_invariant",
+        "misspelt_class_key",
+        "misspelt_stratum_key",
+        "unknown_key_of_unlabelled_class",
     ],
 )
 def test_orbifold_sheet_refuses_malformed_containers(tmp_path, capsys, mutate, named):

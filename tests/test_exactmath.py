@@ -20,9 +20,13 @@ from crepant.exactmath import (
     zeta_sum_is_zero,
 )
 from crepant.exactmath import (
+    _collect,
+    _cyclo,
     _expansions,
     _poly_divmod,
     _poly_mul,
+    _product,
+    _rational_value,
 )
 from test_toric import (
     _det_fraction,
@@ -364,6 +368,65 @@ def test_root_of_unity_lookup_matches_repeated_products(m):
         if root is not None:
             s, k = root
             assert x == CycloInt.zeta(m, k) * s and 0 <= k < m
+
+
+# ---------------------------------------------------------------------------
+# reference: the product without its cache
+
+
+def _reference_mul(a: CycloInt, b: CycloInt | int) -> CycloInt:
+    """a * b computed afresh: a lookup for two signed roots of unity, a
+    scaling for a rational factor, otherwise the convolution collected in the
+    Zumbroich basis."""
+    if isinstance(b, int):
+        b = CycloInt.from_int(b, a.conductor)
+    m = lcm(a.conductor, b.conductor)
+    a, b = a.lift(m), b.lift(m)
+    if len(a.coeffs) == 1 == len(b.coeffs):
+        (i, c), (j, d) = a.coeffs[0], b.coeffs[0]
+        return _cyclo(m, tuple((e, c * d * s) for e, s in _expansions(m)[(i + j) % m]))
+    for x, y in ((a, b), (b, a)):
+        n = _rational_value(m, x.coeffs)
+        if n is not None:
+            return _cyclo(m, tuple((k, n * c) for k, c in y.coeffs) if n else ())
+    return _cyclo(m, _collect(m, ((i + j, c * d) for i, c in a.coeffs for j, d in b.coeffs)))
+
+
+@st.composite
+def _sparse_values(draw, m):
+    """A value at conductor m: a rational integer, a signed root of unity, or
+    a dense sum of a few roots."""
+    kind = draw(st.sampled_from(["int", "root", "dense"]))
+    if kind == "int":
+        return CycloInt.from_int(draw(st.integers(-3, 3)), m)
+    if kind == "root":
+        return CycloInt.zeta(m, draw(st.integers(0, m - 1))) * draw(st.sampled_from([1, -1]))
+    terms = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(-2, 2)), max_size=6))
+    return sum((CycloInt.zeta(m, k) * c for k, c in terms), CycloInt.from_int(0, m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), m=st.integers(1, 60))
+def test_cached_product_matches_the_uncached_reference(data, m):
+    d = data.draw(st.sampled_from(_divisors(m)))
+    a, b = data.draw(_sparse_values(m)), data.draw(_sparse_values(d))
+    n = data.draw(st.integers(-3, 3))
+    cases = [
+        (a * b, _reference_mul(a, b)),
+        (b * a, _reference_mul(b, a)),
+        (a.__rmul__(b), _reference_mul(b, a)),
+        (n * b, _reference_mul(b, n)),
+        (b * n, _reference_mul(b, n)),
+    ]
+    power = CycloInt.from_int(1, d)
+    for e in range(4):
+        cases.append((b**e, power))
+        power = _reference_mul(power, b)
+    for got, ref in cases:
+        assert (got.conductor, got.coeffs) == (ref.conductor, ref.coeffs)
+        assert CycloInt(got.conductor, got.coeffs).coeffs == got.coeffs  # canonical
+    assert a * b * b == _reference_mul(_reference_mul(a, b), b)  # a repeated product
+    assert 0 < _product.cache_info().maxsize < float("inf")  # a bounded cache
 
 
 def test_constructor_refuses_non_canonical_coefficients():

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from crepant.exactmath import CycloInt, cyclo_div_exact
 from crepant.fixtures import (
     _perm_matrix,
+    _tetra_t,
+    _tetra_u,
     binary_dihedral,
     binary_dihedral_symmetry,
     binary_tetrahedral,
@@ -463,6 +465,62 @@ def test_diagonal_groups_match_reference(dim, m, exponents, perm):
 
 
 @st.composite
+def _generator_lists(draw):
+    """One or two random diagonal or monomial generators over the m-th roots
+    of unity, then possibly one more that adds nothing: a duplicate, the
+    identity, or the product of the two."""
+    dim = draw(st.integers(2, 3))
+    monomial = draw(st.booleans())
+    m = draw(st.integers(1, (6 if dim == 2 else 3) if monomial else 6))
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        e = draw(st.lists(st.integers(0, m - 1), min_size=dim, max_size=dim))
+        sigma = draw(st.permutations(range(dim))) if monomial else range(dim)
+        gens.append(GroupElement.from_matrix(
+            [[CycloInt.zeta(m, e[j]) if i == sigma[j] else 0 for j in range(dim)]
+             for i in range(dim)],
+            conductor=m,
+        ))
+    extra = draw(st.sampled_from(["none", "duplicate", "identity", "span"]))
+    if extra == "duplicate":
+        gens.append(gens[-1])
+    elif extra == "identity":
+        gens.append(GroupElement.identity(dim, m))
+    elif extra == "span":
+        gens.append(gens[0].mul(gens[-1]))
+    return gens
+
+
+@settings(max_examples=40, deadline=None)
+@given(_generator_lists())
+def test_closure_matches_reference_in_every_generator_order(gens):
+    elements, table, identity, inverse = _reference_close_group(gens)
+    keys = [e.key() for e in elements]
+    for order in itertools.permutations(gens):
+        group = close_group(order)
+        assert [e.key() for e in group.elements] == keys
+        assert group.table == table
+        assert group.identity_index == identity
+        assert group._inverse == inverse
+        assert group.generators == tuple(keys.index(g.key()) for g in order)
+
+
+@pytest.mark.parametrize("build,order", [(quintic_group, 125), (complete_intersection_group, 81)])
+def test_closure_cap_is_the_largest_order_allowed(build, order):
+    with pytest.raises(CapExceeded, match=f"cap of {order - 1}"):
+        build(cap=order - 1)
+    assert build(cap=order).order == order
+
+
+@pytest.mark.parametrize("cap", [50, 10_000])
+def test_infinite_generator_after_finite_ones_hits_the_cap(cap):
+    shear = GroupElement.from_matrix([[1, 1], [0, 1]])
+    for finite in ([GroupElement.from_matrix([[-1, 0], [0, -1]])], [_tetra_u(), _tetra_t()]):
+        with pytest.raises(CapExceeded, match=f"cap of {cap}"):
+            close_group([*finite, shear], cap=cap)
+
+
+@st.composite
 def _normalized_groups(draw):
     """A random diagonal or monomial group of dimension 2 or 3 with entries in
     the m-th roots of unity, and a permutation matrix h that normalizes it:
@@ -612,13 +670,19 @@ def test_outer_action_reuses_the_classes_of_its_group():
 
 
 # ---------------------------------------------------------------------------
-# deterministic work counters: matrix products grow with |G|*|gens|
+# deterministic work counters: Dimino closure makes one matrix product per
+# coset representative and generator and one per other element of a new
+# coset, never more than |G|*|gens|
 
 
 def _subgroup_q8():
     tetra = binary_tetrahedral()
     orders = tetra.element_orders()
     return tetra.subgroup([i for i, o in enumerate(orders) if o in (1, 2, 4)])
+
+
+# the exact count of each fixture, by its order
+_DIMINO_PRODUCTS = {30: 30, 16: 19, 24: 31, 125: 142, 81: 104}
 
 
 @pytest.mark.parametrize(
@@ -643,7 +707,8 @@ def test_matrix_products_counted(monkeypatch, build, h):
     monkeypatch.setattr(GroupElement, "mul", counting_mul)
     group = build()
     if build is not _subgroup_q8:  # a subgroup's generators come from the table
-        assert len(calls) == group.order * len(group.generators)
+        assert len(calls) == _DIMINO_PRODUCTS[group.order]
+        assert len(calls) <= group.order * len(group.generators)
     calls.clear()
     outer_action(group, h)
     assert len(calls) == 2 * len(group.generators)  # h * g * adj(h) per generator

@@ -393,7 +393,7 @@ def _valid_sheets(draw):
     strata = None
     if draw(st.booleans()):
         strata = []
-        for label in draw(st.lists(st.text(max_size=3), max_size=3)):
+        for label in draw(st.lists(st.text(max_size=3), max_size=3, unique=True)):
             stabilizer = draw(st.sampled_from(divisors))
             strata.append(
                 StratumRecord(

@@ -4,6 +4,10 @@ Times, best of three, in one interpreter:
 
 * ``cyclic``: closing ``fixtures.cyclic_group(n)`` and its swap
   ``groups.outer_action``, for n in 300, 1000, 2000;
+* ``diagonal``: closing the three-generator group of 4x4 matrices
+  diag(z_d^a) with exponent sum 0, of order d^3, and its
+  ``groups.outer_action`` under the swap of the first two coordinates, for
+  d in 5, 7, 11 (orders 125, 343, 1331);
 * ``zm2-cycle``: ``crepant toric`` on the full group Zm^2 with the coordinate
   3-cycle, for m in 5, 7, 11, 13, 17;
 * ``line-swap``: ``crepant toric`` on ``1,1,m-2@m`` with ``(1 2)``, for
@@ -21,7 +25,7 @@ in the same interpreter, so the two columns differ only in the source.
 The trees run alternately, one repetition at a time.  Usage, from the
 repository root:
 
-    python3 tools/sweep.py --baseline HEAD --out BENCH_14.json
+    python3 tools/sweep.py --baseline HEAD --out BENCH_16.json
 
 This is a record of growth rates, separate from the gated workloads of
 ``bench/run.py``.
@@ -45,6 +49,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 CYCLIC_ORDERS = (300, 1000, 2000)
+DIAGONAL_CONDUCTORS = (5, 7, 11)
 ZM2_CONDUCTORS = (5, 7, 11, 13, 17)
 LINE_CONDUCTORS = (50, 100, 200, 400)
 LINE_ID_CONDUCTORS = (400, 800, 1600)
@@ -77,6 +82,19 @@ def _time(fn):
     return time.perf_counter() - start, result
 
 
+def _diagonal_family(groups, d: int):
+    """Generators diag(z_d^a) of dimension 4 with exponent sum 0, which
+    generate a group of order d^3, and the swap of the first two coordinates."""
+    def matrix(entry):
+        return groups.GroupElement.from_matrix([[entry(i, j) for j in range(4)] for i in range(4)])
+
+    gens = [
+        matrix(lambda i, j: groups.CycloInt.zeta(d, e[i]) if i == j else 0)
+        for e in ((1, d - 1, 0, 0), (0, 1, d - 1, 0), (0, 0, 1, d - 1))
+    ]
+    return gens, matrix(lambda i, j: int(j == (1, 0, 2, 3)[i]))
+
+
 def _toric_argv(family: str, m: int) -> list[str]:
     if family == "zm2-cycle":
         gens = [f"1,{m - 1},0@{m}", f"0,1,{m - 1}@{m}"]
@@ -98,6 +116,10 @@ def _one_repetition(src: Path) -> dict:
         out[("cyclic", n, "close_group")], group = _time(lambda: fixtures.cyclic_group(n))
         swap = fixtures.cyclic_swap_symmetry()
         out[("cyclic", n, "outer_action")], _ = _time(lambda: groups.outer_action(group, swap))
+    for d in DIAGONAL_CONDUCTORS:
+        gens, swap = _diagonal_family(groups, d)
+        out[("diagonal", d**3, "close_group")], group = _time(lambda: groups.close_group(gens))
+        out[("diagonal", d**3, "outer_action")], _ = _time(lambda: groups.outer_action(group, swap))
     commands = [
         (family, m, _toric_argv(family, m))
         for family, sizes in (
