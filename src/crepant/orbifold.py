@@ -389,8 +389,12 @@ def _read_pairs(entries) -> dict:
 
 def sheet_from_document(doc: dict) -> GSpaceSheet:
     """Inverse of sheet_to_document.  A ValueError names the key, label or
-    pair of the first malformed entry."""
+    pair of the first malformed entry, or a key that is no field of the sheet."""
     doc = _json_object(doc, "a sheet document")
+    names = {f.name for f in fields(GSpaceSheet)}
+    for key in doc:
+        if key not in names:
+            raise ValueError(f"{key!r} is not a GSpaceSheet field")
     classes = _read_records(ClassRecord, doc.get("classes"), "classes")
     strata = _read_records(StratumRecord, doc["strata"], "strata") if "strata" in doc else None
     pairs = _read_pairs(doc["commuting_pairs"]) if "commuting_pairs" in doc else None

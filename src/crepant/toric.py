@@ -9,8 +9,8 @@ triangulation is built once per symmetry from one fundamental domain,
 triangulated with all of its lattice points, and its images around one
 invariant core triangle; ``verify_crepant`` and ``verify_adjusted`` certify
 the result.  The orbit-sum evaluator computes the Lefschetz number of the
-symmetry on the resolution as a sum of det(I - sigma) terms over the maximal
-invariant faces, the only invariant faces whose terms can be nonzero.
+symmetry on the resolution as a sum of det(I - sigma) terms, one per maximal
+invariant face, each read off the cycle types of the symmetry and the face.
 
 All geometry is exact and runs on integers.  A ``LatticePair`` is D, the
 lattice denominator (N lies in (1/D)Z^n), with the integer rows D*b of a
@@ -29,10 +29,8 @@ coordinates of a document, and report volumes.
 A maximal simplex of the base simplex has its vertices at height one
 (coordinate sum one), so its normalized volume is |det V| * |N/M| for the
 matrix V of its vertices; scaled by D this is an integer identity.  Every
-other lattice question takes one integer Smith form of N-coordinates: the
-saturation of a span and a basis of N completing it, read off the column
-transform, give the quotient action of an invariant face, and the product of
-the invariant factors gives a sublattice index or a lower dimensional
+other lattice question takes one integer Smith form of N-coordinates, whose
+invariant factors multiply to a sublattice index or a lower dimensional
 volume.  One such volume, of the simplex on per-cycle vertex averages
 (integer once scaled by the lcm of the cycle lengths), is the fixed-locus
 volume of a report and judges an invariant face standard when it is
@@ -722,78 +720,44 @@ def _facet_pairing_failures(tri: Triangulation, dets: Sequence[int], n: int) -> 
 
 @dataclass(frozen=True)
 class OrbitRecord:
-    """Torus orbit attached to a maximal invariant face of the triangulation.
-
-    Carries the face, a basis of the quotient of N by the saturated span of
-    the cone over the face, the induced action matrix, and its det(I - A)
-    contribution.
-    """
+    """Torus orbit of a maximal invariant face f: the face, the rank n - |f|
+    of N modulo the saturated span of f, and det(I - A_f) for the action A_f
+    there, whose characteristic polynomial is prod(t^l_i - 1) over the cycles
+    of the symmetry divided by prod(t^k_j - 1) over the vertex cycles of f."""
 
     face: QSimplex
     quotient_rank: int
-    action: IntMat
     contribution: int
 
 
-def _action_in_lattice_coords(lp: LatticePair, sym: PermSymmetry) -> IntMat:
-    """The symmetry's action on N in lattice coordinates: row i holds the
-    N-coordinates of the image of basis vector i."""
-    d, binv = lp.scale, lp.basis_inverse()
-    rows = []
-    for y in lp.basis:
-        scaled = _lattice_coords(binv, sym.apply(y))
-        if any(c % d for c in scaled):
-            named = ", ".join(_coordinate_text(a, d) for a in y)
-            raise NotInvariant(f"symmetry maps the basis vector ({named}) out of the lattice")
-        rows.append([c // d for c in scaled])
-    return IntMat.from_rows(rows)
-
-
-def _quotient_block(S: IntMat, rows: Sequence[Sequence[int]], span: Sequence[Vec]) -> IntMat:
-    """Action induced on N / (N intersect the span of rows), given in
-    N-coordinates; NotInvariant names ``span`` when it is not invariant.
-
-    One Smith form U K V = D of the row matrix K does both jobs: K = U^-1 D
-    V^-1, so the first r rows of V^-1 (r the rank) are a basis of the span's
-    saturation N intersect span, and all n rows complete it to a basis of N.
-    In that basis the action is A = V^-1 S V; an invariant saturation makes
-    it block triangular, and its bottom-right block is the quotient action.
-    """
-    n = S.rows
-    _, D, V = smith_normal_form(IntMat.from_rows(rows))
-    r = sum(1 for i in range(min(D.rows, D.cols)) if D.get(i, i))
-    A = V.inverse_unimodular().mul(S).mul(V)
-    q = n - r
-    if any(A.get(i, r + j) for i in range(r) for j in range(q)):
-        raise NotInvariant(f"span of {list(span)} is not invariant under the symmetry")
-    if not q:
-        return IntMat(0, 0, ())
-    return IntMat.from_rows([[A.get(r + i, r + j) for j in range(q)] for i in range(q)])
+def _vertex_cycles(face: tuple[IntVec, ...], sym: PermSymmetry) -> list[tuple[int, ...]]:
+    """Cycles of the symmetry on the vertices of an invariant face, as positions in it."""
+    index = {y: i for i, y in enumerate(face)}
+    return permutation_cycles([index.get(sym.apply(y)) for y in face])
 
 
 def orbit_records(tri: Triangulation, lp: LatticePair, sym: PermSymmetry) -> list[OrbitRecord]:
     """Orbit record for every maximal invariant face, the faces that carry
-    the Lefschetz sum (``toric_lefschetz``), in sorted order.
-
-    A whole cell has quotient rank 0 and contributes 1.  Any other face
-    costs one Smith form (``_quotient_block``) on the integer N-coordinates
-    of its vertices; the action on N and the basis inverse are computed only
-    when there is such a face.
-    """
+    the Lefschetz sum (``toric_lefschetz``), in sorted order.  NotInvariant
+    names the first basis vector of N that the symmetry maps out of N."""
     image = {y: sym.apply(y) for y in tri.vertex_set}
     have = set(tri.cells)
     if not all(tuple(sorted(image[y] for y in key)) in have for key in tri.cells):
         raise NotInvariantTriangulation("symmetry does not map the triangulation to itself")
-    faces = tri._invariant_faces(sym)
-    if any(len(f) < lp.n for f in faces):
-        S, binv = _action_in_lattice_coords(lp, sym), lp.basis_inverse()
-    records = []
-    for f in faces:
-        face, A = QSimplex(tri.rational(f)), IntMat(0, 0, ())
-        if len(f) < lp.n:
-            A = _quotient_block(S, [_lattice_coords(binv, y) for y in f], face.vertices)
-        records.append(OrbitRecord(face, A.rows, A, _det_one_minus(A)))
-    return records
+    for y in lp.basis:
+        if not lp.contains(sym.apply(y), lp.scale):
+            named = ", ".join(_coordinate_text(a, lp.scale) for a in y)
+            raise NotInvariant(f"symmetry maps the basis vector ({named}) out of the lattice")
+    return [
+        OrbitRecord(QSimplex(tri.rational(f)), lp.n - len(f), _face_contribution(f, sym))
+        for f in tri._invariant_faces(sym)
+    ]
+
+
+def _face_contribution(face: tuple[IntVec, ...], sym: PermSymmetry) -> int:
+    """det(I - A_f) of an invariant face f from cycle lengths (``toric_lefschetz``)."""
+    ls, ks = ([len(c) for c in cs] for cs in (sym.cycles(), _vertex_cycles(face, sym)))
+    return prod(ls) // prod(ks) if len(ks) == len(ls) else 0
 
 
 def _det_one_minus(a: IntMat) -> int:
@@ -807,11 +771,19 @@ def toric_lefschetz(tri: Triangulation, lp: LatticePair, sym: PermSymmetry) -> i
     """Lefschetz number of the symmetry on the induced crepant resolution.
 
     The sum of det(I - A_f) over the invariant faces f, A_f the action on N
-    modulo the saturated span of f, taken over the maximal ones alone
-    (``orbit_records``).  For invariant faces f inside g, the vertices of g
-    outside f sum to a fixed vector, nonzero modulo the span of f since the
-    vertices of g are independent, so det(I - A_f) = 0; the empty face lies
-    in the invariant face that holds the fixed centroid of the base simplex.
+    modulo the saturated span of f.  The vertices of f are independent and
+    permuted, so over Q the characteristic polynomial of the symmetry on N,
+    prod(t^l_i - 1) over its cycles, is prod(t^k_j - 1) over the vertex
+    cycles of f times that of A_f.  Cancelling one t - 1 per cycle at t = 1
+    gives det(I - A_f) = prod(l_i) / prod(k_j) when f has as many cycles as
+    the symmetry, and 0 when it has fewer.  The cycles of f sum to
+    independent fixed vectors, so f has no more cycles than the symmetry and
+    fewer than any invariant face that holds it: the sum runs over the
+    maximal invariant faces alone (``orbit_records``); the empty face adds 0.
+
+    NotInvariant: the symmetry maps N off itself, even if every invariant
+    face is a cell.  ``toric --load`` never meets it: the unimodular cells of
+    a crepant triangulation are bases of N, so a symmetry keeping one keeps N.
 
     Precondition: nondegenerate cells of n vertices, as ``verify_crepant``
     certifies; a cell on three collinear points counts 1, not 0.
@@ -948,8 +920,7 @@ def _standard_face(
       the cycle averages must have volume 1/prod(l_i)
       (``_cycle_average_volume``).
     """
-    index = {y: i for i, y in enumerate(face)}
-    cycles = permutation_cycles([index.get(sym.apply(y)) for y in face])
+    cycles = _vertex_cycles(face, sym)
     lengths = [len(cyc) for cyc in cycles]
     if max(lengths) > 1:
         members = set(face)

@@ -474,6 +474,10 @@ def test_orbifold_sheet_rejects_impossible_orders_and_labels(tmp_path, capsys, m
             lambda doc: doc["classes"][1].update(label=7, extra=1),
             "'extra' of classes[1] is not a ClassRecord field",
         ),
+        (
+            lambda doc: doc.update(comuting_pairs=doc.pop("commuting_pairs")),
+            "'comuting_pairs' is not a GSpaceSheet field",
+        ),
     ],
     ids=[
         "null_strata",
@@ -495,6 +499,7 @@ def test_orbifold_sheet_rejects_impossible_orders_and_labels(tmp_path, capsys, m
         "misspelt_class_key",
         "misspelt_stratum_key",
         "unknown_key_of_unlabelled_class",
+        "misspelt_pairs_key",
     ],
 )
 def test_orbifold_sheet_refuses_malformed_containers(tmp_path, capsys, mutate, named):

@@ -43,7 +43,7 @@ from crepant.toric import (
     verify_crepant,
     NotInvariantTriangulation,
     OrbitRecord,
-    _action_in_lattice_coords,
+    _coordinate_text,
     _cycle_average_volume,
     _det_one_minus,
     _fixed_polytope,
@@ -51,7 +51,6 @@ from crepant.toric import (
     _lattice_coords,
     _maximal_invariant_faces,
     _orient,
-    _quotient_block,
     _vsub,
 )
 
@@ -465,16 +464,45 @@ def test_toric_lefschetz_trivial_group():
     assert toric_lefschetz(tri, lp, SWAP2) == 1
 
 
-def _all_faces_orbit_records(tri, lp, sym):
-    """The orbit record of every invariant face, the empty face (None)
-    first: the sum as the paper writes it, which orbit_records restricts to
-    the maximal invariant faces.  Each face takes one Smith form."""
+def _action_in_lattice_coords(lp, sym):
+    """The symmetry's action on N in lattice coordinates: row i holds the
+    N-coordinates of the image of basis vector i."""
+    d, binv = lp.scale, lp.basis_inverse()
+    rows = []
+    for y in lp.basis:
+        scaled = _lattice_coords(binv, sym.apply(y))
+        if any(c % d for c in scaled):
+            named = ", ".join(_coordinate_text(a, d) for a in y)
+            raise NotInvariant(f"symmetry maps the basis vector ({named}) out of the lattice")
+        rows.append([c // d for c in scaled])
+    return IntMat.from_rows(rows)
+
+
+def _quotient_block(S, rows, span):
+    """Action induced on N / (N intersect the span of rows), given in
+    N-coordinates; NotInvariant names ``span`` when it is not invariant.
+
+    One Smith form U K V = D of the row matrix K does both jobs: K = U^-1 D
+    V^-1, so the first r rows of V^-1 (r the rank) are a basis of the span's
+    saturation N intersect span, and all n rows complete it to a basis of N.
+    In that basis the action is A = V^-1 S V; an invariant saturation makes
+    it block triangular, and its bottom-right block is the quotient action.
+    """
+    n = S.rows
+    _, D, V = smith_normal_form(IntMat.from_rows(rows))
+    r = sum(1 for i in range(min(D.rows, D.cols)) if D.get(i, i))
+    A = V.inverse_unimodular().mul(S).mul(V)
+    q = n - r
+    if any(A.get(i, r + j) for i in range(r) for j in range(q)):
+        raise NotInvariant(f"span of {list(span)} is not invariant under the symmetry")
+    if not q:
+        return IntMat(0, 0, ())
+    return IntMat.from_rows([[A.get(r + i, r + j) for j in range(q)] for i in range(q)])
+
+
+def _all_invariant_faces(tri, sym):
+    """Every invariant face of the cells, as a sorted vertex tuple, in sorted order."""
     image = {y: sym.apply(y) for y in tri.vertex_set}
-    have = set(tri.cells)
-    if not all(tuple(sorted(image[y] for y in key)) in have for key in tri.cells):
-        raise NotInvariantTriangulation("symmetry does not map the triangulation to itself")
-    S = _action_in_lattice_coords(lp, sym)
-    records = [OrbitRecord(None, lp.n, S, _det_one_minus(S))]
     faces = {
         f
         for key in tri.cells
@@ -482,11 +510,24 @@ def _all_faces_orbit_records(tri, lp, sym):
         for f in itertools.combinations(key, k)
         if tuple(sorted(image[y] for y in f)) == f
     }
+    return sorted(faces)
+
+
+def _all_faces_orbit_records(tri, lp, sym):
+    """The orbit record of every invariant face, the empty face (None)
+    first: the sum as the paper writes it, which orbit_records restricts to
+    the maximal invariant faces.  Each term is det(I - A_f) of the action
+    on the quotient of N, from one Smith form per face (``_quotient_block``)."""
+    have = set(tri.cells)
+    if not all(tuple(sorted(sym.apply(y) for y in key)) in have for key in tri.cells):
+        raise NotInvariantTriangulation("symmetry does not map the triangulation to itself")
+    S = _action_in_lattice_coords(lp, sym)
+    records = [OrbitRecord(None, lp.n, _det_one_minus(S))]
     binv = lp.basis_inverse()
-    for f in sorted(faces):
+    for f in _all_invariant_faces(tri, sym):
         face = QSimplex(tri.rational(f))
         A = _quotient_block(S, [_lattice_coords(binv, y) for y in f], face.vertices)
-        records.append(OrbitRecord(face, A.rows, A, _det_one_minus(A)))
+        records.append(OrbitRecord(face, A.rows, _det_one_minus(A)))
     return records
 
 
@@ -847,24 +888,32 @@ def test_volume_routes_agree_on_maximal_simplices():
     assert checked >= 120
 
 
-def _quotient_action(lp, S, span_vectors):
-    """Action induced on N / (N intersect span), in a completed basis, for
-    the action S on N in lattice coordinates."""
-    if not span_vectors:
-        return S
-    binv = lp.basis_inverse()
-    rows = [_lattice_coords(binv, y) for y in _integer_rows(span_vectors)[1]]
-    return _quotient_block(S, rows, span_vectors)
+def _unit_cell(n):
+    """The triangulation of the base simplex by the one cell on the unit
+    points, invariant under every coordinate permutation."""
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return Triangulation.of([QSimplex.of(*units)])
 
 
 def test_symmetry_outside_lattice_raises():
+    """The Lefschetz sum refuses a symmetry that maps N off itself, also on
+    a triangulation whose only invariant face is a cell, where it once
+    returned 1; the Smith reference names the same basis vector."""
     lp = build_lattice_pair(3, [((1, 0, 2), 3)])
-    with pytest.raises(NotInvariant, match=r"basis vector \(1/3, 0, 2/3\) out of the lattice"):
+    cell = _unit_cell(3)
+    named = r"basis vector \(1/3, 0, 2/3\) out of the lattice"
+    for evaluate in (orbit_records, toric_lefschetz):
+        with pytest.raises(NotInvariant, match=named):
+            evaluate(cell, lp, SWAP3)
+    with pytest.raises(NotInvariant, match=named):
         _action_in_lattice_coords(lp, SWAP3)
     plain = build_lattice_pair(3, [])
+    assert toric_lefschetz(cell, plain, SWAP3) == 1
+    # the reference refuses a span that the symmetry does not keep
     S = _action_in_lattice_coords(plain, SWAP3)
-    with pytest.raises(NotInvariant):
-        _quotient_action(plain, S, [(Fraction(1), Fraction(0), Fraction(0))])
+    e1 = _lattice_coords(plain.basis_inverse(), (1, 0, 0))
+    with pytest.raises(NotInvariant, match="is not invariant"):
+        _quotient_block(S, [e1], [(Fraction(1), Fraction(0), Fraction(0))])
 
 
 def test_certificate_rejects_a_fold():
@@ -1086,12 +1135,14 @@ def test_integer_triangulation_matches_fraction_route():
 
 def _check_maximal_records(records, tri, lp, sym):
     """The records are the all-faces reference's records of the maximal
-    invariant faces, in order, and sum to the reference's sum."""
+    invariant faces, in order, and sum to the reference's sum.  Returns the
+    reference."""
     reference = _all_faces_orbit_records(tri, lp, sym)
     faces = [r.face.vertices for r in reference[1:]]
     inner = {sub for f in faces for k in range(1, len(f)) for sub in itertools.combinations(f, k)}
     assert records == [r for r in reference[1:] if r.face.vertices not in inner]
     assert sum(r.contribution for r in records) == sum(r.contribution for r in reference)
+    return reference
 
 
 def _lefschetz_sweep():
@@ -1109,18 +1160,26 @@ def _lefschetz_sweep():
 
 
 def test_maximal_face_sum_matches_all_faces_reference():
-    builds = 0
+    builds = faces = zeros = 0
     for lp, sym in _lefschetz_sweep():
         for order in ("lex", "revlex"):
             case = (lp.generators, sym.perm, order)
             report = symmetry_report(lp, sym, order)
             tri = report["triangulation"]
             records = orbit_records(tri, lp, sym)
-            _check_maximal_records(records, tri, lp, sym)
+            reference = _check_maximal_records(records, tri, lp, sym)
             assert report["lefschetz"] == sum(r.contribution for r in records), case
             assert report["crepant"] and report["adjusted"] and report["equal"], case
+            # the cycle-type term of every invariant face, maximal or not,
+            # is the Smith reference's, zero or not
+            for f, r in zip(_all_invariant_faces(tri, sym), reference[1:], strict=True):
+                assert toric._face_contribution(f, sym) == r.contribution, (case, f)
+                faces += 1
+                zeros += r.contribution == 0
             builds += 1
     assert builds == 2 * (16 + 2 * 118 + 150)
+    # 37,550 of the 59,564 terms are zero, so both branches of the rule run
+    assert (faces, zeros) == (59564, 37550)
 
 
 def test_a_non_maximal_record_fails_the_differential_check(monkeypatch, z5sq):
@@ -1395,8 +1454,12 @@ def test_integer_lattice_model_matches_fraction_references(lp):
     for sym in _symmetries(lp.n):
         assert count_fixed_elements(lp, sym) == _reference_fixed_count(lp, sym)
         if not sym.preserves(lp):
-            with pytest.raises(NotInvariant):
+            with pytest.raises(NotInvariant) as reference:
                 _action_in_lattice_coords(lp, sym)
+            for evaluate in (orbit_records, toric_lefschetz):
+                with pytest.raises(NotInvariant) as refused:
+                    evaluate(_unit_cell(lp.n), lp, sym)
+                assert str(refused.value) == str(reference.value)
             continue
         assert _action_in_lattice_coords(lp, sym) == _reference_action(lp, sym)
         tri = adjusted_triangulation(lp, sym)

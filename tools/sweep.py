@@ -1,6 +1,8 @@
 """Size sweep: how crepant's run time grows with the input, on two source trees.
 
-Times, best of three, in one interpreter:
+Times, as the median of five repetitions of the CPU time of this process
+(``time.process_time``, which leaves out the time it waits while other work
+on the host runs), in one interpreter:
 
 * ``cyclic``: closing ``fixtures.cyclic_group(n)`` and its swap
   ``groups.outer_action``, for n in 300, 1000, 2000;
@@ -14,6 +16,10 @@ Times, best of three, in one interpreter:
   m in 50, 100, 200, 400;
 * ``line-id``: ``crepant toric`` on ``1,1,m-2@m`` with ``id``, for m in
   400, 800, 1600, where every maximal invariant face is a cell;
+* ``line-swap`` again, stage ``lefschetz``: ``toric.toric_lefschetz`` alone
+  on a freshly built triangulation of ``1,1,m-2@m`` with ``(1 2)``, so that
+  finding the maximal invariant faces is included, for m in 400, 800, 1600,
+  3200;
 * ``quintic``: ``crepant orbifold --fixture`` on ``quintic-swap`` and
   ``quintic-swap-two-pairs``, and ``crepant verify --only quintic``, each
   named in the size column.
@@ -25,7 +31,7 @@ in the same interpreter, so the two columns differ only in the source.
 The trees run alternately, one repetition at a time.  Usage, from the
 repository root:
 
-    python3 tools/sweep.py --baseline HEAD --out BENCH_16.json
+    python3 tools/sweep.py --baseline HEAD --out BENCH_17.json
 
 This is a record of growth rates, separate from the gated workloads of
 ``bench/run.py``.
@@ -39,6 +45,7 @@ import io
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -53,12 +60,13 @@ DIAGONAL_CONDUCTORS = (5, 7, 11)
 ZM2_CONDUCTORS = (5, 7, 11, 13, 17)
 LINE_CONDUCTORS = (50, 100, 200, 400)
 LINE_ID_CONDUCTORS = (400, 800, 1600)
+LEFSCHETZ_CONDUCTORS = (400, 800, 1600, 3200)
 QUINTIC_COMMANDS = {
     "quintic-swap": ["orbifold", "--fixture", "quintic-swap"],
     "quintic-swap-two-pairs": ["orbifold", "--fixture", "quintic-swap-two-pairs"],
     "verify-quintic": ["verify", "--only", "quintic"],
 }
-REPEATS = 3
+REPEATS = 5
 
 
 def _load_crepant(src: Path):
@@ -67,19 +75,19 @@ def _load_crepant(src: Path):
         del sys.modules[name]
     sys.path.insert(0, str(src))
     try:
-        from crepant import cli, fixtures, groups
+        from crepant import cli, fixtures, groups, toric
     finally:
         sys.path.remove(str(src))
     if Path(cli.__file__).resolve().parent.parent != src.resolve():
         raise SystemExit(f"error: imported crepant from {cli.__file__}, not from {src}")
-    return cli, fixtures, groups
+    return cli, fixtures, groups, toric
 
 
 def _time(fn):
-    """(seconds, result) of one call of fn."""
-    start = time.perf_counter()
+    """(CPU seconds of this process, result) of one call of fn."""
+    start = time.process_time()
     result = fn()
-    return time.perf_counter() - start, result
+    return time.process_time() - start, result
 
 
 def _diagonal_family(groups, d: int):
@@ -110,7 +118,7 @@ def _toric_argv(family: str, m: int) -> list[str]:
 
 def _one_repetition(src: Path) -> dict:
     """Seconds of every (family, size, stage) once, on the crepant under src."""
-    cli, fixtures, groups = _load_crepant(src)
+    cli, fixtures, groups, toric = _load_crepant(src)
     out = {}
     for n in CYCLIC_ORDERS:
         out[("cyclic", n, "close_group")], group = _time(lambda: fixtures.cyclic_group(n))
@@ -120,6 +128,11 @@ def _one_repetition(src: Path) -> dict:
         gens, swap = _diagonal_family(groups, d)
         out[("diagonal", d**3, "close_group")], group = _time(lambda: groups.close_group(gens))
         out[("diagonal", d**3, "outer_action")], _ = _time(lambda: groups.outer_action(group, swap))
+    swap = toric.PermSymmetry.from_cycles(3, [(0, 1)])
+    for m in LEFSCHETZ_CONDUCTORS:
+        lp = toric.build_lattice_pair(3, [((1, 1, m - 2), m)])
+        tri = toric.adjusted_triangulation(lp, swap)
+        out[("line-swap", m, "lefschetz")], _ = _time(lambda: toric.toric_lefschetz(tri, lp, swap))
     commands = [
         (family, m, _toric_argv(family, m))
         for family, sizes in (
@@ -173,7 +186,7 @@ def sweep(trees: dict[str, Path]) -> dict[str, list[dict]]:
                 "family": family,
                 "size": size,
                 "stage": stage,
-                "best_s": round(min(seconds), 4),
+                "median_s": round(statistics.median(seconds), 4),
                 "runs_s": [round(x, 4) for x in seconds],
             })
     return rows
@@ -198,11 +211,11 @@ def main(argv=None) -> int:
         "machine": platform.machine(),
         "nproc": os.cpu_count(),
         "repeats": REPEATS,
-        "statistic": "best of the repeats, seconds",
+        "statistic": "median of the repeats, CPU seconds (time.process_time)",
         "revisions": revisions,
         # ROADMAP item 3: closing cyclic_group(2000) plus its swap outer action
         "cyclic_2000_total_s": {
-            label: round(sum(e["best_s"] for e in entries
+            label: round(sum(e["median_s"] for e in entries
                              if e["family"] == "cyclic" and e["size"] == 2000), 4)
             for label, entries in rows.items()
         },
@@ -214,7 +227,7 @@ def main(argv=None) -> int:
         Path(args.out).write_text(text + "\n")
     for label, entries in rows.items():
         for e in entries:
-            print(f"{label:9} {e['family']:10} {e['size']!s:>22} {e['stage']:13} {e['best_s']:.4f} s")
+            print(f"{label:9} {e['family']:10} {e['size']!s:>22} {e['stage']:13} {e['median_s']:.4f} s")
     return 0
 
 
