@@ -508,6 +508,7 @@ def _check_quintic(args, rng):
             "nonidentity_compatible": nonid,
             "identity_reduction": reduction,
         }
+        del sheet, ident  # one pair table at a time: the next sheet is built without this one
     return {"status": _status(ok), "variants": out}
 
 

@@ -399,17 +399,22 @@ class CycloDivisor:
     a / b = a * c / N(b) for the Galois cofactor c, the product of the
     conjugates of b other than b itself, and the field norm N(b) = b * c.
     Both are computed once here, so dividing many entries by one determinant
-    costs one product each.
+    costs one product each.  For b = s * zeta_m^k, m > 2, the units j and m - j
+    pair off, so N(b) = 1 and the cofactor is 1/b = s * zeta_m^-k, one lookup.
     """
 
     __slots__ = ("conductor", "cofactor", "norm")
 
     def __init__(self, b: CycloInt):
         m = b.conductor
-        cof = CycloInt.from_int(1, m)
-        for k in range(2, m + 1):
-            if gcd(k, m) == 1:
-                cof = cof * b.galois(k)
+        root = b.as_root_of_unity() if m > 2 else None
+        if root is not None:
+            cof = _cyclo(m, tuple((e, root[0] * c) for e, c in _expansions(m)[-root[1] % m]))
+        else:
+            cof = CycloInt.from_int(1, m)
+            for k in range(2, m + 1):
+                if gcd(k, m) == 1:
+                    cof = cof * b.galois(k)
         norm = b * cof
         n = _rational_value(m, norm.coeffs)
         if n is None:

@@ -25,8 +25,8 @@ to exact computations on Fermat-type coordinate sections, done by the
 diagonal-plus-permutation fixed-point engine at the bottom of the module.
 A quintic sheet is built from its pattern types, each computed once per
 call: commuting-pair values per pair of eigenvalue-block partitions,
-section values per block, stratum totals by one engine call per twisted
-class, and each engine call enumerates its cycle subsets once.
+section values per block size, stratum totals by one engine call per
+listed twisted class, and each engine call walks its cycle subsets once.
 """
 
 from __future__ import annotations
@@ -426,17 +426,9 @@ def point_sheet(group_order: int = 1, class_count: int = 1) -> GSpaceSheet:
     if group_order % class_count:
         raise ValueError("class count must divide the group order for this helper")
     size = 1 if group_order == class_count else group_order // class_count
+    prov = {"euler_quotient": TRIVIAL, "lefschetz_quotient": TRIVIAL}
     classes = tuple(
-        ClassRecord(
-            f"c{i}",
-            size,
-            group_order // size,
-            True,
-            1,
-            1,
-            {"euler_quotient": TRIVIAL, "lefschetz_quotient": TRIVIAL},
-            0,
-        )
+        ClassRecord(f"c{i}", size, group_order // size, True, 1, 1, dict(prov), 0)
         for i in range(class_count)
     )
     return GSpaceSheet(group_order, classes, None, None, {"space": "point"})
@@ -715,11 +707,11 @@ def quintic_sheet(variant: str = "swap") -> GSpaceSheet:
     table lists e(X^g cap X^h) for all 125 x 125 pairs.
 
     Each value is computed once per type and then looked up: a section
-    value once per block of two or three coordinates (20 blocks), a pair
-    value once per pair of set partitions into eigenvalue blocks (27
-    partitions, 729 pairs), h-invariance once per pattern, and a
-    twisted-sector count once per twisted class (conjugation by a diagonal
-    map keeps the hypersurface and each stratum, so it keeps the count).
+    value once per block size (the patterns, all sum-zero exponent vectors
+    modulo scalars, are closed under coordinate permutations), a pair value
+    once per pair of set partitions into eigenvalue blocks (27 partitions,
+    729 pairs), h-invariance once per pattern, and a twisted-sector count
+    once per twisted class, each class listed directly (`_quintic_strata`).
     """
     d = 5
     inv = _quintic_involution(variant)
@@ -728,29 +720,24 @@ def quintic_sheet(variant: str = "swap") -> GSpaceSheet:
 
     labels = [_pattern_label(p) for p in patterns]
     invariant = {p for p in patterns if _conjugate_pattern(p, inv, d) == p}
-    section = {
-        b: _curve_quotient_euler(patterns, b, d)
-        for b in itertools.chain(*(itertools.combinations(range(5), r) for r in (2, 3)))
-    }
+    section = {r: _curve_quotient_euler(patterns, tuple(range(r)), d) for r in (2, 3)}
 
-    # pair_euler depends on two patterns only through their set partitions;
-    # fill the table row by row in (label_a, label_b) order from one row per type
-    euler_by_size = [fermat_euler(d, m) for m in range(len(inv) + 1)]
+    # pair_euler depends on two patterns only through their set partitions and
+    # is symmetric; the table chains one row per type in (label_a, label_b) order
+    euler_by_size = [fermat_euler(d, m) for m in range(len(inv) + 1)].__getitem__
     keys = [tuple(p.index(x) for x in p) for p in patterns]  # first index of each value
-    types = set(keys)
-    rows = {}
-    for ka in types:
-        by_type = {
-            kb: sum(euler_by_size[size] for size in _common_block_sizes(ka, kb)) for kb in types
-        }
-        rows[ka] = [by_type[kb] for kb in keys]
-    pairs = {}
-    for label_a, ka in zip(labels, keys):
-        pairs.update(zip([(label_a, label_b) for label_b in labels], rows[ka]))
+    types, value = sorted(set(keys)), {}
+    for i, ka in enumerate(types):
+        for kb in types[i:]:
+            value[ka, kb] = value[kb, ka] = sum(map(euler_by_size, _common_block_sizes(ka, kb)))
+    rows = {ka: [value[ka, kb] for kb in keys] for ka in types}
+    pairs = dict(
+        zip(itertools.product(labels, repeat=2), itertools.chain.from_iterable(map(rows.get, keys)))
+    )
 
+    blocks = [[b for b in _partition_blocks(p) if len(b) >= 2] for p in patterns]
     classes = []
-    for p, label, key in zip(patterns, labels, keys):
-        section_blocks = [b for b in _partition_blocks(p) if len(b) >= 2]
+    for p, label, key, section_blocks in zip(patterns, labels, keys, blocks):
         in_ch = p in invariant
         is_identity = not any(p)
         if is_identity:
@@ -766,7 +753,7 @@ def quintic_sheet(variant: str = "swap") -> GSpaceSheet:
             # a proper block has two or three coordinates: four equal values
             # of a pattern summing to zero force the fifth to equal them
             fixed_dim = max((len(b) - 2 for b in section_blocks), default=None)
-            euler = sum(section[b] for b in section_blocks)
+            euler = sum(section[len(b)] for b in section_blocks)
         lefschetz = None
         prov = {"euler_quotient": DERIVED}
         if in_ch:
@@ -776,7 +763,7 @@ def quintic_sheet(variant: str = "swap") -> GSpaceSheet:
             ClassRecord(label, 1, 125, in_ch, euler, lefschetz, prov, fixed_dim)
         )
 
-    strata = _quintic_strata(patterns, invariant, inv, d)
+    strata = _quintic_strata(patterns, blocks, invariant, inv, d)
     meta = {
         "variant": variant,
         "identity_lefschetz": identity_lefschetz,
@@ -797,41 +784,51 @@ def quintic_sheet(variant: str = "swap") -> GSpaceSheet:
     return GSpaceSheet(125, tuple(classes), strata, pairs, meta)
 
 
-def _twisted_class(g: Sequence[int], cycles: list[tuple[int, ...]], d: int) -> tuple[int, ...]:
-    """The sums of g along the cycles mod d, least over the d scalar shifts of g."""
-    sums = [sum(g[i] for i in c) for c in cycles]
-    return min(tuple((s + k * len(c)) % d for s, c in zip(sums, cycles)) for k in range(d))
+def _class_representatives(keyed, lengths: Sequence[int], d: int) -> list:
+    """The items of (cycle sums, item) pairs whose sums open a twisted class.
+    Adding c to a vector adds c*l mod d to its sum along a cycle of length l,
+    so a class is the orbit of the sums under d shifts, marked when first met."""
+    marked, reps = set(), []
+    for sums, item in keyed:
+        if sums not in marked:
+            marked.update(tuple((s + k * l) % d for s, l in zip(sums, lengths)) for k in range(d))
+            reps.append(item)
+    return reps
 
 
 def _quintic_strata(
-    patterns: list[tuple[int, ...]], invariant: set, inv: tuple[int, ...], d: int
+    patterns: list[tuple[int, ...]], blocks: list, invariant: set, inv: tuple[int, ...], d: int
 ) -> tuple[StratumRecord, ...]:
     """One stratum per support T of size two or three, plus one free stratum
     aggregating the supports of size four and five, whose stabilizer is
     trivial.
 
-    A pattern fixes T when T lies in one of its eigenvalue blocks, so one
-    pass over the patterns gives the stabilizers and their h-invariant
-    classes.  Each stratum total is a sum over twisted classes: a diagonal t
-    conjugates g*h to (g + t - h.t)*h and keeps the Fermat hypersurface and
-    each support, so the count depends only on the sums of g along the
-    cycles of h mod d, up to a scalar shift (`_twisted_class`).  The classes
-    split the coset representatives evenly; the engine runs once per class.
+    A pattern fixes T when T lies in one of its eigenvalue blocks (``blocks``
+    lists those of two or more coordinates per pattern), so one pass gives
+    the stabilizers and their h-invariant classes.  Each stratum total is a
+    sum over twisted classes: a diagonal t conjugates g*h to (g + t - h.t)*h
+    and keeps the Fermat hypersurface and each support, so the count depends
+    only on the sums of g along the cycles of h mod d, up to a scalar shift.
+    The classes split the coset representatives evenly; the engine runs once
+    per class.  A stratum walks the d^k sum tuples of its k cycles and builds
+    a vector (the sums on the first coordinates of the cycles) only for the
+    first tuple of each class; the free stratum walks the sums of the
+    patterns (`_class_representatives`).
     """
     n, cycles = 5, permutation_cycles(inv)
+    fse = [full_support_euler(d, m) for m in range(n + 1)]
 
-    def class_total(vectors, cycs, n_reps, supports, label):
-        reps = {_twisted_class(g, cycs, d): g for g in vectors}  # any member stands for its class
+    def class_total(reps, n_reps, supports, label):
         per_class, rest = divmod(n_reps, len(reps))
         if rest:
             raise InconsistentSheet(
                 f"{label}: {len(reps)} twisted classes do not divide {n_reps} cosets evenly"
             )
-        return per_class * sum(twisted_fixed_euler(d, d, g, inv, supports) for g in reps.values())
+        return per_class * sum(twisted_fixed_euler(d, d, g, inv, supports) for g in reps)
 
     stab, con = {}, {}
-    for p in patterns:
-        for block in _partition_blocks(p):
+    for p, section_blocks in zip(patterns, blocks):
+        for block in section_blocks:
             for T in itertools.chain(*(itertools.combinations(block, r) for r in (2, 3))):
                 stab[T] = stab.get(T, 0) + 1
                 con[T] = con.get(T, 0) + (p in invariant)
@@ -842,15 +839,18 @@ def _quintic_strata(
         lef = 0  # a support that is not a union of cycles of h counts nothing
         if h_inv:
             inside = [c for c in cycles if support.issuperset(c)]
-            # one vector per tuple of cycle sums, each on the first coordinate of its cycle
-            firsts, sums = [c[0] for c in inside], itertools.product(range(d), repeat=len(inside))
-            vectors = [tuple(dict(zip(firsts, s)).get(i, 0) for i in range(n)) for s in sums]
-            lef = class_total(vectors, inside, len(patterns) // stab[T], [support], label)
-        euler = full_support_euler(d, len(T))
+            firsts = [c[0] for c in inside]
+            sums = ((s, s) for s in itertools.product(range(d), repeat=len(inside)))
+            reps = _class_representatives(sums, [len(c) for c in inside], d)
+            vectors = [tuple(dict(zip(firsts, s)).get(i, 0) for i in range(n)) for s in reps]
+            lef = class_total(vectors, len(patterns) // stab[T], [support], label)
+        euler = fse[len(T)]
         records.append(StratumRecord(label, stab[T], euler, lef, h_inv, con[T]))
     free = [frozenset(T) for size in (4, 5) for T in itertools.combinations(range(n), size)]
-    euler_free = sum(full_support_euler(d, len(T)) for T in free)
-    lef_free = class_total(patterns, cycles, len(patterns), free, "free")
+    euler_free = sum(fse[len(T)] for T in free)
+    sums = ((tuple(sum(p[i] for i in c) % d for c in cycles), p) for p in patterns)
+    reps = _class_representatives(sums, [len(c) for c in cycles], d)
+    lef_free = class_total(reps, len(patterns), free, "free")
     records.append(StratumRecord("free", 1, euler_free, lef_free, True, 1))
     return tuple(records)
 
@@ -870,32 +870,13 @@ def complete_intersection_sheet() -> GSpaceSheet:
     unset; Lefschetz values exist exactly where the evaluator needs them.
     """
     classes = []
-    for mu in range(9):
-        for a in range(3):
-            for b in range(3):
-                in_ch = (2 * a) % 3 == mu % 3 and (2 * b) % 3 == mu % 3
-                is_identity = a == 0 and b == 0 and mu == 0
-                lefschetz = None
-                prov = {}
-                if in_ch:
-                    lefschetz = 0 if is_identity else 2
-                    prov["lefschetz_quotient"] = LIT
-                classes.append(
-                    ClassRecord(
-                        f"a{a}b{b}m{mu}",
-                        1,
-                        81,
-                        in_ch,
-                        None,
-                        lefschetz,
-                        prov,
-                        3 if is_identity else (0 if in_ch and not is_identity else None),
-                    )
-                )
-    return GSpaceSheet(
-        81,
-        tuple(classes),
-        None,
-        None,
-        {"curve_section_euler": -18, "provenance_notes": {"curve_section_euler": LIT}},
-    )
+    for mu, a, b in itertools.product(range(9), range(3), range(3)):
+        in_ch = (2 * a) % 3 == mu % 3 == (2 * b) % 3
+        is_identity = a == b == mu == 0
+        lefschetz = (0 if is_identity else 2) if in_ch else None
+        prov = {"lefschetz_quotient": LIT} if in_ch else {}
+        fixed_dim = 3 if is_identity else (0 if in_ch else None)
+        label = f"a{a}b{b}m{mu}"
+        classes.append(ClassRecord(label, 1, 81, in_ch, None, lefschetz, prov, fixed_dim))
+    meta = {"curve_section_euler": -18, "provenance_notes": {"curve_section_euler": LIT}}
+    return GSpaceSheet(81, tuple(classes), None, None, meta)

@@ -41,12 +41,13 @@ simplices with it in place of one vertex sum to the whole.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .exactmath import (
     IntMat,
@@ -258,6 +259,8 @@ class PermSymmetry:
     def __post_init__(self):
         if sorted(self.perm) != list(range(len(self.perm))):
             raise ValueError("not a permutation")
+        inverse = sorted(range(self.n), key=self.perm.__getitem__)  # (sigma x)_j = x_inverse[j]
+        object.__setattr__(self, "_image", operator.itemgetter(*inverse) if self.n > 1 else tuple)
 
     @property
     def n(self) -> int:
@@ -282,10 +285,7 @@ class PermSymmetry:
         return PermSymmetry(tuple(images))
 
     def apply(self, x: Vec) -> Vec:
-        out = [None] * self.n
-        for i, v in enumerate(x):
-            out[self.perm[i]] = v
-        return tuple(out)
+        return self._image(x)
 
     def cycles(self) -> list[tuple[int, ...]]:
         return permutation_cycles(self.perm)
@@ -730,10 +730,10 @@ class OrbitRecord:
     contribution: int
 
 
-def _vertex_cycles(face: tuple[IntVec, ...], sym: PermSymmetry) -> list[tuple[int, ...]]:
-    """Cycles of the symmetry on the vertices of an invariant face, as positions in it."""
+def _vertex_cycles(face: tuple[IntVec, ...], image: Callable) -> list[tuple[int, ...]]:
+    """Cycles of the vertex map image on an invariant face, as positions in it."""
     index = {y: i for i, y in enumerate(face)}
-    return permutation_cycles([index.get(sym.apply(y)) for y in face])
+    return permutation_cycles([index.get(image(y)) for y in face])
 
 
 def orbit_records(tri: Triangulation, lp: LatticePair, sym: PermSymmetry) -> list[OrbitRecord]:
@@ -748,16 +748,16 @@ def orbit_records(tri: Triangulation, lp: LatticePair, sym: PermSymmetry) -> lis
         if not lp.contains(sym.apply(y), lp.scale):
             named = ", ".join(_coordinate_text(a, lp.scale) for a in y)
             raise NotInvariant(f"symmetry maps the basis vector ({named}) out of the lattice")
-    return [
-        OrbitRecord(QSimplex(tri.rational(f)), lp.n - len(f), _face_contribution(f, sym))
-        for f in tri._invariant_faces(sym)
-    ]
+    ls = [len(c) for c in sym.cycles()]
+    terms = ((f, _face_contribution(f, ls, image.get)) for f in tri._invariant_faces(sym))
+    return [OrbitRecord(QSimplex(tri.rational(f)), lp.n - len(f), c) for f, c in terms]
 
 
-def _face_contribution(face: tuple[IntVec, ...], sym: PermSymmetry) -> int:
-    """det(I - A_f) of an invariant face f from cycle lengths (``toric_lefschetz``)."""
-    ls, ks = ([len(c) for c in cs] for cs in (sym.cycles(), _vertex_cycles(face, sym)))
-    return prod(ls) // prod(ks) if len(ks) == len(ls) else 0
+def _face_contribution(face: tuple, lengths: Sequence[int], image: Callable) -> int:
+    """det(I - A_f) of an invariant face f from the cycle lengths of the
+    symmetry and its vertex map image (``toric_lefschetz``)."""
+    ks = [len(c) for c in _vertex_cycles(face, image)]
+    return prod(lengths) // prod(ks) if len(ks) == len(lengths) else 0
 
 
 def _det_one_minus(a: IntMat) -> int:
@@ -920,7 +920,7 @@ def _standard_face(
       the cycle averages must have volume 1/prod(l_i)
       (``_cycle_average_volume``).
     """
-    cycles = _vertex_cycles(face, sym)
+    cycles = _vertex_cycles(face, sym.apply)
     lengths = [len(cyc) for cyc in cycles]
     if max(lengths) > 1:
         members = set(face)
@@ -1003,13 +1003,14 @@ def _maximal_invariant_faces(simplices: Sequence[tuple], sym: PermSymmetry) -> l
     the maximal invariant faces are the maximal sets among these, one per
     simplex at most.  Faces come as sorted vertex tuples, in sorted order.
     """
+    image = {v: sym.apply(v) for v in {v for s in simplices for v in s}}  # once per vertex
     largest = set()
     for s in simplices:
         # drop vertices whose image has left the set until none is dropped;
         # the symmetry has finite order, so a whole orbit stays
         keep = frozenset(s)
         while True:
-            stay = frozenset(v for v in keep if sym.apply(v) in keep)
+            stay = frozenset(v for v in keep if image[v] in keep)
             if stay == keep:
                 break
             keep = stay
@@ -1108,14 +1109,20 @@ _COORDINATE = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
 def triangulation_from_document(doc: dict) -> tuple[Triangulation, LatticePair]:
     """Inverse of triangulation_to_document.
 
-    A ValueError names the first malformed entry: a missing key, a lattice
-    that is not integers, a vertex that is not a string of n coordinates,
-    each an integer or p/q with q > 0, or a simplex index outside
-    0 <= i < len(vertices).  The coordinates are read straight into integers
+    A ValueError names the first malformed entry: a missing or unknown key,
+    a lattice that is not integers, a vertex that is not a string of n
+    coordinates, each an integer or p/q with q > 0, or a simplex index
+    outside 0 <= i < len(vertices).  The coordinates are read straight into integers
     at the lcm of their denominators.  The ``certificate`` block that earlier
     versions wrote is ignored.
     """
+    for key in doc if isinstance(doc, dict) else ():
+        if key not in ("lattice", "vertices", "simplices", "certificate"):
+            raise ValueError(f"{key!r} is not a key of a triangulation document")
     lat = _document_entry(doc, "lattice", dict)
+    for key in lat:
+        if key not in ("n", "generators"):
+            raise ValueError(f"{key!r} is not a key of the lattice of a triangulation document")
     n = _json_int(lat.get("n"), "lattice n")
     gens = []
     for g in _document_entry(lat, "generators", list):

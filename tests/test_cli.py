@@ -143,6 +143,8 @@ def _set_index(value):
         (_set_index(-1), "index -1 of simplex 2"),
         (lambda doc: doc["lattice"].update(n=-1), "lattice n must be at least 1, not -1"),
         (lambda doc: doc["lattice"].update(n=0), "lattice n must be at least 1, not 0"),
+        (lambda doc: doc.update(simplexes=doc["simplices"]), "'simplexes' is not a key"),
+        (lambda doc: doc["lattice"].update(gens=[]), "'gens' is not a key of the lattice"),
     ],
     ids=[
         "zero-denominator",
@@ -154,6 +156,8 @@ def _set_index(value):
         "negative-index",
         "negative-dimension",
         "zero-dimension",
+        "unknown-top-level-key",
+        "unknown-lattice-key",
     ],
 )
 def test_toric_load_rejects_a_malformed_document(tmp_path, capsys, mutate, named):

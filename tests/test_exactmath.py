@@ -284,6 +284,24 @@ def test_zumbroich_table_expands_every_root_in_an_integral_basis(m):
         assert total == DenseCyclo.zeta(m, k)
 
 
+@pytest.mark.parametrize("m", DIFF_CONDUCTORS)
+def test_root_of_unity_divisor_matches_the_galois_product(m):
+    # the closed-form cofactor of +-zeta_m^k against the product of the other
+    # conjugates, and the norm against the product of all of them
+    units = [k for k in range(1, m + 1) if gcd(k, m) == 1]
+    probe = CycloInt.zeta(m, 1) * 3 + 2
+    for k in range(m):
+        for s in (1, -1):
+            b = CycloInt.zeta(m, k) * s
+            cofactor = CycloInt.from_int(1, m)
+            for j in units[1:]:
+                cofactor = cofactor * b.galois(j)
+            divisor = CycloDivisor(b)
+            assert divisor.cofactor == cofactor and (b * cofactor) == divisor.norm, (m, k, s)
+            assert divisor.norm == (1 if m > 2 else s * (-1) ** k)
+            assert cyclo_div_exact(probe * b, divisor) == probe
+
+
 @st.composite
 def _dense_values(draw, m):
     """A reference value at conductor m: a coefficient vector, a multiple of

@@ -519,6 +519,27 @@ def test_mckay_check_report():
     assert not rep2["equal"]
 
 
+def test_quintic_patterns_are_closed_under_coordinate_permutations():
+    patterns = ob._quintic_patterns()
+    assert len(patterns) == 125 == len(set(patterns))
+    normal = set(patterns)
+    for sigma in itertools.permutations(range(5)):
+        for p in patterns:
+            assert ob._normalize_pattern(tuple(p[i] for i in sigma), 5) in normal
+
+
+def test_section_value_of_a_block_depends_on_its_size_alone():
+    # the sheet takes one Burnside quotient per block size; on all 20 blocks
+    # of two or three coordinates it equals the quotient of the block itself
+    patterns = ob._quintic_patterns()
+    blocks = [b for r in (2, 3) for b in itertools.combinations(range(5), r)]
+    assert len(blocks) == 20
+    by_size = {r: ob._curve_quotient_euler(patterns, tuple(range(r)), 5) for r in (2, 3)}
+    assert by_size == {2: 1, 3: 2}
+    for b in blocks:
+        assert ob._curve_quotient_euler(patterns, b, 5) == by_size[len(b)], b
+
+
 def test_burnside_average_must_be_integral():
     # an averaged fixed-set count over a set that is not a group need not be
     # an integer; the block and the sum are named instead of returning junk
@@ -632,10 +653,68 @@ def test_quintic_sheet_counts_each_twisted_class_once(monkeypatch, variant, clas
     assert len(calls) == classes
 
 
+def _twisted_class(g, cycles, d):
+    """The reference class key: the sums of g along the cycles mod d, least
+    over the d scalar shifts of g."""
+    sums = [sum(g[i] for i in c) for c in cycles]
+    return min(tuple((s + k * len(c)) % d for s, c in zip(sums, cycles)) for k in range(d))
+
+
+def _engine_vectors_by_support(monkeypatch, variant):
+    """The vectors the sheet build hands the engine, keyed by its supports."""
+    by_support = {}
+    engine = ob.twisted_fixed_euler
+
+    def recording(d, q, g, src, supports):
+        by_support.setdefault(tuple(supports), []).append(tuple(g))
+        return engine(d, q, g, src, supports)
+
+    monkeypatch.setattr(ob, "twisted_fixed_euler", recording)
+    quintic_sheet(variant)
+    monkeypatch.undo()
+    return by_support
+
+
+@pytest.mark.parametrize("variant", _QUINTIC_VARIANTS)
+def test_class_listing_matches_the_class_key_enumeration(monkeypatch, variant):
+    # every h-invariant support walks all d^k cycle-sum vectors and the free
+    # stratum all patterns; the engine sees one vector per class of the
+    # reference key, and the reference classes are all of the size the sheet
+    # gives each class
+    d, inv, patterns = 5, ob._quintic_involution(variant), ob._quintic_patterns()
+    cycles = permutation_cycles(inv)
+    by_support = _engine_vectors_by_support(monkeypatch, variant)
+    free = tuple(frozenset(T) for r in (4, 5) for T in itertools.combinations(range(5), r))
+    walks = {free: (patterns, cycles)}
+    for T in itertools.chain(*(itertools.combinations(range(5), r) for r in (2, 3))):
+        if {inv[i] for i in T} == set(T):
+            inside = [c for c in cycles if set(c) <= set(T)]
+            vectors = []
+            for sums in itertools.product(range(d), repeat=len(inside)):
+                g = [0] * 5
+                for c, x in zip(inside, sums):
+                    g[c[0]] = x
+                vectors.append(tuple(g))
+            walks[(frozenset(T),)] = (vectors, inside)
+    assert set(by_support) == set(walks)
+    for supports, (vectors, cycs) in walks.items():
+        reference = {}
+        for g in vectors:
+            key = _twisted_class(g, cycs, d)
+            reference[key] = reference.get(key, 0) + 1
+        listed = [_twisted_class(g, cycs, d) for g in by_support[supports]]
+        assert sorted(listed) == sorted(reference), supports
+        assert set(reference.values()) == {len(vectors) // len(listed)}, supports
+
+
 def test_a_class_key_without_one_cycle_sum_changes_the_strata(monkeypatch):
-    # the mutant key forgets the last cycle, so it merges classes whose counts differ
-    key = ob._twisted_class
-    monkeypatch.setattr(ob, "_twisted_class", lambda g, cycles, d: key(g, cycles[:-1], d))
+    # the mutant listing forgets the last cycle, so it merges classes whose counts differ
+    listing = ob._class_representatives
+    monkeypatch.setattr(
+        ob,
+        "_class_representatives",
+        lambda keyed, lengths, d: listing(((s[:-1], x) for s, x in keyed), lengths[:-1], d),
+    )
     differs = []
     for v in _QUINTIC_VARIANTS:
         expected = _reference_quintic_strata(ob._quintic_patterns(), ob._quintic_involution(v), 5)
@@ -726,7 +805,7 @@ def test_twisted_count_takes_one_value_per_twisted_class(src):
     values = {}
     for g in ob._quintic_patterns():
         value = twisted_fixed_euler(5, 5, g, src, supports)
-        values.setdefault(ob._twisted_class(g, cycles, 5), set()).add(value)
+        values.setdefault(_twisted_class(g, cycles, 5), set()).add(value)
     assert all(len(v) == 1 for v in values.values()), values
 
 

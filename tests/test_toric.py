@@ -989,6 +989,33 @@ def test_maximal_invariant_faces_match_all_pairs_reference_2d(m):
         _compare_maximal_faces(adjusted_triangulation(lp, sym), lp, SWAP2)
 
 
+@pytest.mark.parametrize("gens, sym", [
+    ([((1, 1, 198), 200)], SWAP3),
+    ([((1, 1, 198), 200)], PermSymmetry.identity(3)),
+    ([((1, 4, 0), 5), ((0, 1, 4), 5)], ROT3),
+])
+def test_invariant_faces_apply_the_symmetry_once_per_vertex(monkeypatch, gens, sym):
+    lp = build_lattice_pair(3, gens)
+    tri = adjusted_triangulation(lp, sym)
+    calls = []
+    apply = PermSymmetry.apply
+    monkeypatch.setattr(PermSymmetry, "apply", lambda self, x: calls.append(x) or apply(self, x))
+    faces = _maximal_invariant_faces(tri.cells, sym)
+    assert faces and len(calls) == len(set(calls)) == len(tri.vertex_set)
+    calls.clear()
+    # the Lefschetz records: one image map of the vertices, then the basis of N
+    records = orbit_records(tri, lp, sym)
+    assert len(records) == len(faces)
+    assert len(calls) <= 2 * len(tri.vertex_set) + lp.n
+
+
+def test_apply_moves_coordinate_i_to_position_perm_i():
+    sym = PermSymmetry((2, 0, 3, 1))
+    assert sym.apply(("a", "b", "c", "d")) == ("b", "d", "a", "c")
+    assert sym.apply([1, 2, 3, 4]) == (2, 4, 1, 3)
+    assert PermSymmetry((0,)).apply([7]) == (7,) and PermSymmetry(()).apply(()) == ()
+
+
 # ---------------------------------------------------------------------------
 # the fundamental-domain constructor across lattice families
 
@@ -1172,8 +1199,9 @@ def test_maximal_face_sum_matches_all_faces_reference():
             assert report["crepant"] and report["adjusted"] and report["equal"], case
             # the cycle-type term of every invariant face, maximal or not,
             # is the Smith reference's, zero or not
+            lengths = [len(c) for c in sym.cycles()]
             for f, r in zip(_all_invariant_faces(tri, sym), reference[1:], strict=True):
-                assert toric._face_contribution(f, sym) == r.contribution, (case, f)
+                assert toric._face_contribution(f, lengths, sym.apply) == r.contribution, (case, f)
                 faces += 1
                 zeros += r.contribution == 0
             builds += 1

@@ -1,8 +1,9 @@
 """Size sweep: how crepant's run time grows with the input, on two source trees.
 
-Times, as the median of five repetitions of the CPU time of this process
+Times, as the median of eleven repetitions of the CPU time of this process
 (``time.process_time``, which leaves out the time it waits while other work
-on the host runs), in one interpreter:
+on the host runs), in one interpreter; each row also records the minimum
+and the quartiles of its repetitions:
 
 * ``cyclic``: closing ``fixtures.cyclic_group(n)`` and its swap
   ``groups.outer_action``, for n in 300, 1000, 2000;
@@ -28,10 +29,14 @@ The toric and quintic rows time the whole command (a toric one builds,
 certifies, takes the Lefschetz number and reports).  ``--baseline REV``
 also times the ``src/`` of a git revision, extracted with ``git archive``,
 in the same interpreter, so the two columns differ only in the source.
-The trees run alternately, one repetition at a time.  Usage, from the
-repository root:
+The trees run alternately, one repetition at a time.  CPU time still moves
+with what other tenants of a shared host do to caches and clock rates: rows
+of one source have read 10-30% apart between two trees.  So a difference
+between the two columns of a row is evidence of a change only when the
+quartile ranges of the two rows do not overlap; a difference inside both
+columns' quartile ranges is not evidence.  Usage, from the repository root:
 
-    python3 tools/sweep.py --baseline HEAD --out BENCH_17.json
+    python3 tools/sweep.py --baseline HEAD --out BENCH_18.json
 
 This is a record of growth rates, separate from the gated workloads of
 ``bench/run.py``.
@@ -66,7 +71,7 @@ QUINTIC_COMMANDS = {
     "quintic-swap-two-pairs": ["orbifold", "--fixture", "quintic-swap-two-pairs"],
     "verify-quintic": ["verify", "--only", "quintic"],
 }
-REPEATS = 5
+REPEATS = 11
 
 
 def _load_crepant(src: Path):
@@ -182,11 +187,14 @@ def sweep(trees: dict[str, Path]) -> dict[str, list[dict]]:
     for label, reps in runs.items():
         for family, size, stage in reps[0]:
             seconds = [r[(family, size, stage)] for r in reps]
+            q1, median, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
             rows[label].append({
                 "family": family,
                 "size": size,
                 "stage": stage,
-                "median_s": round(statistics.median(seconds), 4),
+                "median_s": round(median, 4),
+                "min_s": round(min(seconds), 4),
+                "quartiles_s": [round(q1, 4), round(q3, 4)],
                 "runs_s": [round(x, 4) for x in seconds],
             })
     return rows
@@ -211,7 +219,8 @@ def main(argv=None) -> int:
         "machine": platform.machine(),
         "nproc": os.cpu_count(),
         "repeats": REPEATS,
-        "statistic": "median of the repeats, CPU seconds (time.process_time)",
+        "statistic": "median, minimum and quartiles of the repeats, CPU seconds "
+                     "(time.process_time); overlapping quartile ranges are no evidence",
         "revisions": revisions,
         # ROADMAP item 3: closing cyclic_group(2000) plus its swap outer action
         "cyclic_2000_total_s": {
@@ -227,7 +236,11 @@ def main(argv=None) -> int:
         Path(args.out).write_text(text + "\n")
     for label, entries in rows.items():
         for e in entries:
-            print(f"{label:9} {e['family']:10} {e['size']!s:>22} {e['stage']:13} {e['median_s']:.4f} s")
+            q1, q3 = e["quartiles_s"]
+            print(
+                f"{label:9} {e['family']:10} {e['size']!s:>22} {e['stage']:13} "
+                f"{e['median_s']:.4f} s  (min {e['min_s']:.4f}, quartiles {q1:.4f}-{q3:.4f})"
+            )
     return 0
 
 
