@@ -488,29 +488,10 @@ class IntMat:
         )
 
     def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
+        """Determinant by fraction-free (Bareiss) elimination (``_bareiss_det``)."""
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        return _bareiss_det(self.to_rows())
 
     def inverse_unimodular(self) -> IntMat:
         """Inverse of a unimodular matrix by integer row reduction of [A | I].
@@ -544,6 +525,24 @@ class IntMat:
                 if q:
                     a[i] = [x - q * y for x, y in zip(a[i], a[c])]
         return IntMat(n, n, tuple(x for r in a for x in r[n:]))
+
+
+def _bareiss_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix, given by its rows, by
+    fraction-free (Bareiss) elimination; 1 for the empty matrix."""
+    a = [list(r) for r in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            i = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if i is None:
+                return 0
+            a[k], a[i], sign = a[i], a[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
 
 
 # ---------------------------------------------------------------------------

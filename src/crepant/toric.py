@@ -52,6 +52,7 @@ from typing import Callable, Optional, Sequence
 from .exactmath import (
     IntMat,
     LatticeError,
+    _bareiss_det,
     _integer_rows,
     _json_int,
     _smith_invariants,
@@ -354,15 +355,14 @@ class Triangulation:
         """The cells as QSimplexes with rational vertices, built when asked."""
         return tuple(QSimplex(self.rational(c)) for c in self.cells)
 
-    @cached_property
-    def _values(self) -> dict[int, Fraction]:
-        return {a: Fraction(a, self.scale) for a in {a for c in self.cells for y in c for a in y}}
-
     def rational(self, points: Sequence[IntVec]) -> tuple[Vec, ...]:
-        """The vertices y/scale of points y of the cells, each value converted once."""
-        return tuple(tuple(map(self._values.__getitem__, y)) for y in points)
+        """The vertices y/scale of points y, each value converted when first asked for."""
+        values = self.__dict__.setdefault("_values", {})
+        for a in {a for y in points for a in y}.difference(values):
+            values[a] = Fraction(a, self.scale)
+        return tuple(tuple(map(values.__getitem__, y)) for y in points)
 
-    @property
+    @cached_property
     def vertex_set(self) -> tuple[IntVec, ...]:
         return tuple(sorted({y for c in self.cells for y in c}))
 
@@ -427,50 +427,82 @@ def _point_in_triangle(p: IntVec, tri: tuple[IntVec, IntVec, IntVec]) -> str:
     """'in', 'edge', or 'out' (exact); a degenerate triangle holds nothing."""
     a, b, c = tri
     s = _orient(a, b, c)
-    sides = {_orient(a, b, p), _orient(b, c, p), _orient(c, a, p)}
+    sides = (_orient(a, b, p), _orient(b, c, p), _orient(c, a, p))
     if s == 0 or -s in sides:
         return "out"
-    return "in" if sides == {s} else "edge"
+    return "edge" if 0 in sides else "in"
 
 
 def _insert_points(
     triangles: list[tuple[IntVec, IntVec, IntVec]], points: Sequence[IntVec]
-) -> list[tuple[IntVec, IntVec, IntVec]]:
-    """Incremental insertion of points into a planar triangulation.
+) -> tuple[list[tuple[IntVec, IntVec, IntVec]], dict[frozenset, list[tuple]]]:
+    """Incremental insertion into a planar triangulation of the distinct
+    points that lie in its triangles; the triangles and the edge map.
 
     Each point either splits its containing triangle into three or splits the
     one or two triangles adjacent to the edge it lies on (the edge whose line
     holds it: a point on the boundary of a triangle, not a vertex, is on one
     edge line only).  Inserting every lattice point of the region leaves only
     empty lattice triangles, which in a planar lattice have normalized area
-    one.
+    one.  ``_walk`` finds a point from the first piece of the last split in
+    the given triangle that holds it.  The result is in list order: pieces
+    replace their triangle in place, and a split edge is directed as in the
+    earlier of its triangles, so each triangle holds the places [label,
+    label + 2^e), which its pieces cut in four, once per point at most.
     """
-    tris = list(triangles)
+    top = 2 * len(points)
+    place, edges = {}, {}  # triangle -> (label, e), edge -> the triangles on it
+
+    def add(t, label, e):
+        place[t] = (label, e)
+        for e in itertools.combinations(t, 2):
+            edges.setdefault(frozenset(e), []).append(t)
+
+    for k, t in enumerate(triangles):
+        add(t, k << top, top)
+    last = list(triangles)  # the first piece of the last split inside each given one
     for p in points:
-        if any(p in t for t in tris):
+        k = next((k for k, t in enumerate(triangles) if _point_in_triangle(p, t) != "out"), None)
+        if k is None or p in triangles[k]:  # a vertex already
             continue
-        for idx, t in enumerate(tris):
-            where = _point_in_triangle(p, t)
-            if where == "in":
-                a, b, c = t
-                tris[idx : idx + 1] = [(a, b, p), (b, c, p), (c, a, p)]
-                break
-            if where == "edge":
-                a, b, c = t
-                edge = next(e for e in ((a, b), (b, c), (c, a)) if _orient(*e, p) == 0)
-                new = []
-                for t2 in tris:
-                    if edge[0] in t2 and edge[1] in t2:
-                        opp2 = next(v for v in t2 if v not in edge)
-                        new.append((edge[0], p, opp2))
-                        new.append((edge[1], p, opp2))
-                    else:
-                        new.append(t2)
-                tris = new
-                break
+        where, t = _walk(p, last[k], edges)
+        if where == "in":
+            a, b, c = t
+            splits = [(t, [(a, b, p), (b, c, p), (c, a, p)])]
         else:
-            raise ValueError(f"point {p} is outside the region being triangulated")
-    return tris
+            edge = frozenset(next(e for e in itertools.combinations(t, 2) if _orient(*e, p) == 0))
+            users = sorted(edges[edge], key=place.__getitem__)
+            e0, e1 = next(e for e in itertools.pairwise(users[0] + users[0][:1]) if set(e) == edge)
+            splits = [(u, [(e0, p, o), (e1, p, o)]) for u in users for o in set(u) - {e0, e1}]
+        for t, pieces in splits:
+            label, e = place.pop(t)
+            for edge in itertools.combinations(t, 2):
+                edges[frozenset(edge)].remove(t)
+            for i, piece in enumerate(pieces):
+                add(piece, label + (i << (e - 2)), e - 2)
+            last[label >> top] = pieces[0]
+    return sorted(place, key=place.__getitem__), edges
+
+
+def _walk(p: IntVec, t: tuple, edges: dict[frozenset, list[tuple]]) -> tuple[str, tuple]:
+    """Where p is in the triangle that holds it (``_point_in_triangle``), and
+    that triangle, by the straight walk over the edge map from the centroid q
+    of t (Devillers, Pion and Teillaud, "Walking in a triangulation", 2002)
+    in a convex region that holds t and p.  A vertex on the line qp counts as
+    left of it, as if the line moved right: the walk crosses only edges."""
+    qx, qy, _ = map(sum, zip(*t))  # 3q: the sides are read at three times the scale
+    dx, dy = 3 * p[0] - qx, 3 * p[1] - qy
+
+    def left(y):
+        return dx * (3 * y[1] - qy) >= dy * (3 * y[0] - qx)
+
+    while (where := _point_in_triangle(p, t)) == "out":
+        # leave t through the edge that the line crosses with p beyond it
+        a, b, c = t
+        edge = next((u, v) for u, v, w in ((a, b, c), (b, c, a), (c, a, b))
+                    if left(u) != left(v) and _orient(u, v, p) == -_orient(u, v, w))
+        t = next(s for s in edges[frozenset(edge)] if s is not t)
+    return where, t
 
 
 # ---------------------------------------------------------------------------
@@ -515,10 +547,9 @@ def adjusted_triangulation(
         # cut the quadrilateral along the diagonal that runs inside it
         domain = domain[1:] + domain[:1]
     tris = [(domain[0], domain[t], domain[t + 1]) for t in range(1, len(domain) - 1)]
-    members = [p for p in pts if any(_point_in_triangle(p, t) != "out" for t in tris)]
-    tris = _insert_points(tris, members)
+    tris, edges = _insert_points(tris, pts)
     if reverse:
-        tris = _flip_one_diagonal(tris)
+        tris = _flip_one_diagonal(tris, edges)
     return _orbit_triangulation(tris, sym, core, d)
 
 
@@ -576,35 +607,25 @@ def _fundamental_domain(
 def _orbit_triangulation(tris, sym: PermSymmetry, core, d: int) -> Triangulation:
     """The invariant core simplices, then each triangle with its images under
     the symmetry, each simplex once, on the points d*x."""
-    simplices = {tuple(sorted(t)) for t in core}
-    for t in tris:
-        for _ in range(sym.order):
-            simplices.add(tuple(sorted(t)))
-            t = tuple(sym.apply(v) for v in t)
-    return Triangulation(d, simplices)
+    orbit = [tris]
+    for _ in range(sym.order - 1):
+        orbit.append([tuple(map(sym.apply, t)) for t in orbit[-1]])
+    return Triangulation(d, {tuple(sorted(t)) for t in itertools.chain(core, *orbit)})
 
 
 def _flip_one_diagonal(
-    tris: list[tuple[IntVec, IntVec, IntVec]]
+    tris: list[tuple[IntVec, IntVec, IntVec]], edges: dict[frozenset, list[tuple]]
 ) -> list[tuple[IntVec, IntVec, IntVec]]:
-    """Flip the first strictly convex interior diagonal, if any.
-
-    Flipping preserves vertices, areas, and emptiness of lattice triangles,
-    so it turns one unimodular triangulation of a region into another.
-    """
-    sets = [frozenset(t) for t in tris]
-    for i, j in itertools.combinations(range(len(tris)), 2):
-        shared = sets[i] & sets[j]
-        if len(shared) == 2:
-            a, b = sorted(shared)
-            (c,) = sets[i] - shared
-            (d,) = sets[j] - shared
-            if (
-                _orient(a, b, c) * _orient(a, b, d) < 0
-                and _orient(c, d, a) * _orient(c, d, b) < 0
-            ):
-                rest = [t for k, t in enumerate(tris) if k not in (i, j)]
-                return rest + [(c, d, a), (c, d, b)]
+    """Flip the first strictly convex interior diagonal, if any: that of the
+    least pair (i, j), i < j, of triangles in list order on one edge of the
+    edge map.  Flipping preserves vertices, areas, and emptiness of lattice
+    triangles, so it turns one unimodular triangulation of a region into another."""
+    index = {t: k for k, t in enumerate(tris)}
+    pairs = ((*sorted(map(index.get, ts)), *sorted(e)) for e, ts in edges.items() if len(ts) == 2)
+    for i, j, a, b in sorted(pairs):
+        (c,), (d,) = set(tris[i]) - {a, b}, set(tris[j]) - {a, b}
+        if _orient(a, b, c) * _orient(a, b, d) < 0 and _orient(c, d, a) * _orient(c, d, b) < 0:
+            return [t for k, t in enumerate(tris) if k not in (i, j)] + [(c, d, a), (c, d, b)]
     return tris
 
 
@@ -647,7 +668,8 @@ def verify_crepant(tri: Triangulation, lp: LatticePair) -> CrepancyReport:
     occur either: a unimodular simplex holds no lattice point besides its
     vertices, so no vertex can lie inside another simplex's edge.  The
     checks hold at any scale of the points, which need not be D.  Every
-    failure names its witness.
+    failure names its witness.  A pass is kept on the triangulation as the
+    certificate for ``lp`` that ``verify_adjusted`` reads.
     """
     failures = []
     n = lp.n
@@ -664,7 +686,7 @@ def verify_crepant(tri: Triangulation, lp: LatticePair) -> CrepancyReport:
     if not failures:
         # normalized volumes are |det| * |N/M| / full; sum their numerators
         full = scale**n
-        dets = [IntMat.from_rows(c).det() for c in cells]
+        dets = list(map(_bareiss_det, cells))
         for c, det in zip(cells, dets):
             vol = abs(det) * lp.order
             if det == 0:
@@ -676,6 +698,8 @@ def verify_crepant(tri: Triangulation, lp: LatticePair) -> CrepancyReport:
             failures.append(f"volumes sum to {Fraction(numerators, full)}, expected {lp.order}")
         if all(dets):
             failures.extend(_facet_pairing_failures(tri, dets, n))
+    if not failures:
+        tri.__dict__.setdefault("_unimodular", set()).add(lp)
     return CrepancyReport(ok=not failures, simplex_count=len(cells), failures=tuple(failures))
 
 
@@ -697,7 +721,7 @@ def _facet_pairing_failures(tri: Triangulation, dets: Sequence[int], n: int) -> 
             uses.setdefault(vs[:k] + vs[k + 1 :], []).append((idx, side))
     failures = []
     for facet, users in uses.items():
-        boundary = any(all(y[i] == 0 for y in facet) for i in range(n))
+        boundary = 0 in map(sum, zip(*facet))  # the vertices are nonnegative
         kind, want = ("boundary", 1) if boundary else ("interior", 2)
         if len(users) == want and (boundary or users[0][1] != users[1][1]):
             continue
@@ -981,11 +1005,18 @@ def _in_simplex(p: IntVec, simplex: Sequence[IntVec], lp: LatticePair) -> bool:
 
 def verify_adjusted(tri: Triangulation, lp: LatticePair, sym: PermSymmetry) -> bool:
     """Every maximal invariant face of the triangulation is standard, judged
-    by ``_standard_face`` on scaled points with the simplices inside it."""
+    by ``_standard_face`` on scaled points with the simplices inside it.  For
+    n <= 3 a cell that ``verify_crepant`` has certified unimodular for ``lp``
+    is: one vertex cycle, or a fixed v and a swapped pair u, w whose fixed
+    locus has volume 1/2, as u + w - 2v is primitive.  Not so at n = 4: two
+    2-cycles give 1/2, not 1/4."""
     by_set: dict[frozenset, list[tuple[IntVec, ...]]] = {}
     for key in tri.cells:
         by_set.setdefault(frozenset(key), []).append(key)
+    certified = lp.n <= 3 and lp in tri.__dict__.get("_unimodular", ())
     for f in tri._invariant_faces(sym):
+        if certified and len(f) == lp.n:
+            continue
         # the simplices inside f have vertex sets among the subsets of f
         inside = sorted(s for sub in _subsets(f) for s in by_set.get(frozenset(sub), ()))
         if not _standard_face(f, inside, sym, lp, tri.scale):

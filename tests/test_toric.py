@@ -14,6 +14,7 @@ from crepant.cli import _random_lattice_instance
 from crepant.exactmath import (
     IntMat,
     LatticeError,
+    _bareiss_det,
     _integer_rows,
     permutation_cycles,
     smith_normal_form,
@@ -1654,3 +1655,275 @@ def test_lefschetz_equals_fixed_count_and_index_on_random_lattices(cases):
             assert rep["simplex_count"] == lp.order, case
             assert rep["lefschetz"] == rep["fixed_count"] == rep["sublattice_index"], case
             assert rep["equal"], case
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the walking point location and the edge-map flip
+# against the scans they replaced, and verify_adjusted on the crepancy
+# certificate against the full check
+
+
+def _scan_insert_points(triangles, points):
+    """Incremental insertion that scans every triangle for each point: the
+    first triangle in list order that holds the point is split in place, and
+    an edge split rebuilds the list, directing the edge as in that triangle."""
+    tris = list(triangles)
+    for p in points:
+        if any(p in t for t in tris):
+            continue
+        for idx, t in enumerate(tris):
+            where = toric._point_in_triangle(p, t)
+            if where == "in":
+                a, b, c = t
+                tris[idx : idx + 1] = [(a, b, p), (b, c, p), (c, a, p)]
+                break
+            if where == "edge":
+                a, b, c = t
+                edge = next(e for e in ((a, b), (b, c), (c, a)) if _orient(*e, p) == 0)
+                new = []
+                for t2 in tris:
+                    if edge[0] in t2 and edge[1] in t2:
+                        opp2 = next(v for v in t2 if v not in edge)
+                        new.append((edge[0], p, opp2))
+                        new.append((edge[1], p, opp2))
+                    else:
+                        new.append(t2)
+                tris = new
+                break
+        else:
+            raise ValueError(f"point {p} is outside the region being triangulated")
+    return tris
+
+
+def _scan_flip_one_diagonal(tris):
+    """The flip that tries every pair (i, j) of triangles in order."""
+    sets = [frozenset(t) for t in tris]
+    for i, j in itertools.combinations(range(len(tris)), 2):
+        shared = sets[i] & sets[j]
+        if len(shared) == 2:
+            a, b = sorted(shared)
+            (c,) = sets[i] - shared
+            (d,) = sets[j] - shared
+            if _orient(a, b, c) * _orient(a, b, d) < 0 and _orient(c, d, a) * _orient(c, d, b) < 0:
+                rest = [t for k, t in enumerate(tris) if k not in (i, j)]
+                return rest + [(c, d, a), (c, d, b)]
+    return tris
+
+
+def _scan_insert(triangles, points):
+    """The scan on the points of the domain, as ``adjusted_triangulation``
+    filtered them before the walk; no edge map."""
+    inside = [p for p in points if any(toric._point_in_triangle(p, t) != "out" for t in triangles)]
+    return _scan_insert_points(triangles, inside), None
+
+
+def _saved_document(tri, lp):
+    """The text that ``toric --save`` writes."""
+    return json.dumps(triangulation_to_document(tri, lp), sort_keys=True, indent=1)
+
+
+def _line_family(sizes):
+    for m in sizes:
+        lp = build_lattice_pair(3, [((1, 1, m - 2), m)])
+        yield lp, PermSymmetry.identity(3)
+        yield lp, SWAP3
+
+
+def test_walk_and_edge_map_flip_match_the_scans_in_list_order(monkeypatch):
+    """The triangle lists themselves, in order and vertex order, since the
+    revlex flip takes the least pair in list order."""
+    real_insert, real_flip = toric._insert_points, toric._flip_one_diagonal
+    seen = {"insert": 0, "flip": 0, "flipped": 0}
+
+    def insert(triangles, points):
+        tris, edges = real_insert(triangles, points)
+        assert tris == _scan_insert(triangles, points)[0]
+        assert set(map(frozenset, tris)) == {frozenset(t) for ts in edges.values() for t in ts}
+        seen["insert"] += 1
+        return tris, edges
+
+    def flip(tris, edges):
+        out = real_flip(tris, edges)
+        assert out == _scan_flip_one_diagonal(tris)
+        seen["flip"] += 1
+        seen["flipped"] += out != tris
+        return out
+
+    monkeypatch.setattr(toric, "_insert_points", insert)
+    monkeypatch.setattr(toric, "_flip_one_diagonal", flip)
+    for lp, sym in _lefschetz_sweep():
+        for order in ("lex", "revlex"):
+            adjusted_triangulation(lp, sym, order)
+    assert seen == {"insert": 2 * (16 + 2 * 118 + 150), "flip": 16 + 2 * 118 + 150, "flipped": 115}
+
+
+def test_walk_and_edge_map_flip_save_the_scans_documents(monkeypatch):
+    """Byte-identical saved documents, lex and revlex, on the standing sweep
+    and on the line family up to m = 3200."""
+    z5sq = build_lattice_pair(3, [((1, 2, 2), 5), ((1, 1, 3), 5)]), ROT3
+    cases = [*_lefschetz_sweep(), *_line_family((400, 800, 1600, 3200)), z5sq]
+    built = {}
+    for lp, sym in cases:
+        for order in ("lex", "revlex"):
+            tri = adjusted_triangulation(lp, sym, order)
+            built[lp.generators, sym.perm, order] = _saved_document(tri, lp)
+    monkeypatch.setattr(toric, "_insert_points", _scan_insert)
+    monkeypatch.setattr(toric, "_flip_one_diagonal", lambda tris, edges: _scan_flip_one_diagonal(tris))
+    for lp, sym in cases:
+        for order in ("lex", "revlex"):
+            case = (lp.generators, sym.perm, order)
+            assert _saved_document(adjusted_triangulation(lp, sym, order), lp) == built[case], case
+    # the independence check still sees two triangulations of z5sq-cycle
+    lp = z5sq[0]
+    assert built[lp.generators, ROT3.perm, "lex"] != built[lp.generators, ROT3.perm, "revlex"]
+
+
+def test_the_sweep_holds_rotation_domains_with_a_reflex_corner():
+    """A rotation domain (w, v, rho v, rho w) can have a reflex corner, where
+    a walk over the whole domain could leave it: the walk stays inside the
+    convex triangle of the domain's fan that holds the point.  The
+    differential tests above reach such domains."""
+    reflex = 0
+    for lp, sym in _lefschetz_sweep():
+        if sym == ROT3:
+            pts = sorted(lp.scaled_base_points())
+            polygon, _ = toric._fundamental_domain(pts, sym, lp.scale)
+            domain = [v for k, v in enumerate(polygon) if v != polygon[k - 1]]
+            turns = {_orient(domain[k - 2], domain[k - 1], domain[k]) for k in range(len(domain))}
+            reflex += turns == {-1, 1}
+    assert reflex == 17
+
+
+def _certified_sweep():
+    """Each build of the standing sweep with verify_crepant passed, and the
+    same cells in a fresh, uncertified Triangulation."""
+    for lp, sym in _lefschetz_sweep():
+        for order in ("lex", "revlex"):
+            tri = adjusted_triangulation(lp, sym, order)
+            assert verify_crepant(tri, lp).ok
+            yield lp, sym, tri, Triangulation(tri.scale, tri.cells)
+
+
+def test_certificate_skip_matches_the_full_check(monkeypatch):
+    """verify_adjusted passes every invariant cell that verify_crepant has
+    certified without judging it; the full check judges it standard too."""
+    real = toric._standard_face
+    judged = []
+    monkeypatch.setattr(toric, "_standard_face", lambda f, *a: judged.append(f) or real(f, *a))
+    cells = 0
+    for lp, sym, tri, fresh in _certified_sweep():
+        case = (lp.generators, sym.perm)
+        invariant = [f for f in tri._invariant_faces(sym) if len(f) == lp.n]
+        del judged[:]
+        assert verify_adjusted(tri, lp, sym), case
+        assert not set(judged) & set(invariant), case
+        del judged[:]
+        assert verify_adjusted(fresh, lp, sym), case
+        assert set(invariant) <= set(judged), case
+        for f in invariant:
+            assert real(f, [f], sym, lp, tri.scale), (case, f)
+            cells += 1
+    # every cell for the identity, one core triangle or none otherwise
+    assert cells == 14610
+
+
+def test_a_certificate_for_one_lattice_does_not_vouch_for_another():
+    """The cells of 1,1,2@4 are unimodular for it but have volume 4 in Z4^2,
+    which holds it: certified for the first, they are judged for the second."""
+    small = build_lattice_pair(3, [((1, 1, 2), 4)])
+    large = build_lattice_pair(3, [((1, 3, 0), 4), ((0, 1, 3), 4)])
+    ident = PermSymmetry.identity(3)
+    tri = adjusted_triangulation(small, ident)
+    assert verify_crepant(tri, small).ok and verify_adjusted(tri, small, ident)
+    assert not verify_crepant(tri, large).ok
+    assert not verify_adjusted(tri, large, ident)
+    # a certificate for the large lattice would hide it: the test can fail
+    tri.__dict__["_unimodular"].add(large)
+    assert verify_adjusted(tri, large, ident)
+
+
+def test_an_uncertified_corrupted_cell_still_fails():
+    """One cell of 1,1,18@20 with a vertex moved to double its volume: the
+    triangulation fails verify_crepant, so verify_adjusted judges every
+    cell and finds it; a certificate would hide it."""
+    lp = build_lattice_pair(3, [((1, 1, 18), 20)])
+    ident = PermSymmetry.identity(3)
+    tri = adjusted_triangulation(lp, ident)
+    a, b, c = tri.cells[0]
+    unit = abs(_bareiss_det(tri.cells[0]))
+    q = next(q for q in lp.scaled_base_points() if abs(_bareiss_det((a, b, q))) == 2 * unit)
+    bad = Triangulation(tri.scale, ((a, b, q),) + tri.cells[1:])
+    assert not verify_crepant(bad, lp).ok
+    assert "_unimodular" not in bad.__dict__
+    assert not verify_adjusted(bad, lp, ident)
+    bad.__dict__["_unimodular"] = {lp}
+    assert verify_adjusted(bad, lp, ident)
+
+
+def test_the_certificate_skip_stops_at_n_3(monkeypatch):
+    """At n = 4 the unimodular unit cell with the cycles (0 1)(2 3) has a
+    fixed locus of volume 1/2, not 1/4: it is not standard, and a skip forced
+    at n = 4 would pass it."""
+    lp = build_lattice_pair(4, [])
+    tri = Triangulation(1, [[tuple(int(i == j) for j in range(4)) for i in range(4)]])
+    (cell,) = tri.cells
+    sym = PermSymmetry.from_cycles(4, [(0, 1), (2, 3)])
+    assert verify_crepant(tri, lp).ok and lp in tri.__dict__["_unimodular"]
+    cycles = toric._vertex_cycles(cell, sym.apply)
+    assert _cycle_average_volume(cell, cycles, lp, 1) == Fraction(1, 2)
+    assert tri._invariant_faces(sym) == [cell]
+    assert not verify_adjusted(tri, lp, sym)
+    real = toric._standard_face
+    monkeypatch.setattr(toric, "_standard_face", lambda f, *a: len(f) == lp.n or real(f, *a))
+    assert verify_adjusted(tri, lp, sym)
+
+
+def _reference_det(rows):
+    """IntMat.det as it was: Bareiss elimination with the pivot search in a
+    for-else."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    a = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+@st.composite
+def _square_matrices(draw):
+    n = draw(st.integers(0, 5))
+    # few distinct entries, zero among them, so that zero pivots are common
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10**6, 10**6))
+    return [tuple(draw(entry) for _ in range(n)) for _ in range(n)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_square_matrices())
+def test_bareiss_det_matches_the_old_intmat_det(rows):
+    want = _reference_det(rows)
+    assert _bareiss_det(rows) == IntMat.from_rows(rows).det() == want == _det_fraction(rows)
+
+
+@pytest.mark.parametrize("rows", [
+    [(0, 1, 0), (1, 0, 0), (0, 0, 1)],  # zero first pivot, one swap
+    [(0, 0, 1), (0, 1, 0), (1, 0, 0)],
+    [(1, 1, 1), (1, 1, 2), (0, 1, 1)],  # a pivot that turns zero on the way
+    [(0, 1, 2), (0, 3, 4), (0, 5, 6)],  # a zero column
+    [(2, 4), (1, 2)],
+])
+def test_bareiss_det_zero_pivots(rows):
+    assert _bareiss_det(rows) == _reference_det(rows) == IntMat.from_rows(rows).det()

@@ -16,11 +16,17 @@ and the quartiles of its repetitions:
 * ``line-swap``: ``crepant toric`` on ``1,1,m-2@m`` with ``(1 2)``, for
   m in 50, 100, 200, 400;
 * ``line-id``: ``crepant toric`` on ``1,1,m-2@m`` with ``id``, for m in
-  400, 800, 1600, where every maximal invariant face is a cell;
+  400, 800, 1600, 3200, where every maximal invariant face is a cell;
+* ``line-id-revlex``: the same with ``--order revlex``, which inserts the
+  points in reverse order and flips one diagonal;
 * ``line-swap`` again, stage ``lefschetz``: ``toric.toric_lefschetz`` alone
   on a freshly built triangulation of ``1,1,m-2@m`` with ``(1 2)``, so that
   finding the maximal invariant faces is included, for m in 400, 800, 1600,
   3200;
+* ``line-id`` and ``line-swap``, stage ``build``: ``toric.adjusted_triangulation``
+  alone (lex), and stage ``verify_adjusted``: ``toric.verify_adjusted`` on a
+  fresh triangulation that ``toric.verify_crepant`` has just passed, with
+  the maximal invariant faces included, for m in 400, 800, 1600, 3200;
 * ``quintic``: ``crepant orbifold --fixture`` on ``quintic-swap`` and
   ``quintic-swap-two-pairs``, and ``crepant verify --only quintic``, each
   named in the size column.
@@ -36,7 +42,7 @@ between the two columns of a row is evidence of a change only when the
 quartile ranges of the two rows do not overlap; a difference inside both
 columns' quartile ranges is not evidence.  Usage, from the repository root:
 
-    python3 tools/sweep.py --baseline HEAD --out BENCH_18.json
+    python3 tools/sweep.py --baseline HEAD --out BENCH_19.json
 
 This is a record of growth rates, separate from the gated workloads of
 ``bench/run.py``.
@@ -64,8 +70,7 @@ CYCLIC_ORDERS = (300, 1000, 2000)
 DIAGONAL_CONDUCTORS = (5, 7, 11)
 ZM2_CONDUCTORS = (5, 7, 11, 13, 17)
 LINE_CONDUCTORS = (50, 100, 200, 400)
-LINE_ID_CONDUCTORS = (400, 800, 1600)
-LEFSCHETZ_CONDUCTORS = (400, 800, 1600, 3200)
+LARGE_LINE_CONDUCTORS = (400, 800, 1600, 3200)
 QUINTIC_COMMANDS = {
     "quintic-swap": ["orbifold", "--fixture", "quintic-swap"],
     "quintic-swap-two-pairs": ["orbifold", "--fixture", "quintic-swap-two-pairs"],
@@ -118,7 +123,7 @@ def _toric_argv(family: str, m: int) -> list[str]:
     argv = ["toric", "--n", "3", "--perm", perm]
     for g in gens:
         argv += ["--gen", g]
-    return argv
+    return argv + (["--order", "revlex"] if family.endswith("revlex") else [])
 
 
 def _one_repetition(src: Path) -> dict:
@@ -134,16 +139,26 @@ def _one_repetition(src: Path) -> dict:
         out[("diagonal", d**3, "close_group")], group = _time(lambda: groups.close_group(gens))
         out[("diagonal", d**3, "outer_action")], _ = _time(lambda: groups.outer_action(group, swap))
     swap = toric.PermSymmetry.from_cycles(3, [(0, 1)])
-    for m in LEFSCHETZ_CONDUCTORS:
+    for m in LARGE_LINE_CONDUCTORS:
         lp = toric.build_lattice_pair(3, [((1, 1, m - 2), m)])
         tri = toric.adjusted_triangulation(lp, swap)
         out[("line-swap", m, "lefschetz")], _ = _time(lambda: toric.toric_lefschetz(tri, lp, swap))
+    for family, sym in (("line-id", toric.PermSymmetry.identity(3)), ("line-swap", swap)):
+        for m in LARGE_LINE_CONDUCTORS:
+            lp = toric.build_lattice_pair(3, [((1, 1, m - 2), m)])
+            out[(family, m, "build")], tri = _time(lambda: toric.adjusted_triangulation(lp, sym))
+            if not toric.verify_crepant(tri, lp):
+                raise SystemExit(f"error: the {family} triangulation at m = {m} is not crepant")
+            out[(family, m, "verify_adjusted")], ok = _time(lambda: toric.verify_adjusted(tri, lp, sym))
+            if not ok:
+                raise SystemExit(f"error: the {family} triangulation at m = {m} is not adjusted")
     commands = [
         (family, m, _toric_argv(family, m))
         for family, sizes in (
             ("zm2-cycle", ZM2_CONDUCTORS),
             ("line-swap", LINE_CONDUCTORS),
-            ("line-id", LINE_ID_CONDUCTORS),
+            ("line-id", LARGE_LINE_CONDUCTORS),
+            ("line-id-revlex", LARGE_LINE_CONDUCTORS),
         )
         for m in sizes
     ]
@@ -238,7 +253,7 @@ def main(argv=None) -> int:
         for e in entries:
             q1, q3 = e["quartiles_s"]
             print(
-                f"{label:9} {e['family']:10} {e['size']!s:>22} {e['stage']:13} "
+                f"{label:9} {e['family']:14} {e['size']!s:>22} {e['stage']:13} "
                 f"{e['median_s']:.4f} s  (min {e['min_s']:.4f}, quartiles {q1:.4f}-{q3:.4f})"
             )
     return 0
