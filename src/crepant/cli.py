@@ -5,15 +5,19 @@ Reports are JSON with sorted keys; identical inputs produce byte-identical
 reports apart from the wall_time_ms field.  Exit codes: 0 success, 1 property
 failure, 2 parse, schema or input error (including a symmetry with no valid
 invariant core), 3 closure cap exceeded, 4 unsupported dimension, 5 internal
-error (an exception no other code covers, named on one line).
+error (an exception no other code covers, named on one line), 141 the reader
+closed standard output before the report was written (as in ``| head``;
+nothing is printed, and 141 is what a shell reports for a SIGPIPE exit).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
+import os
 import random
 import sys
 import time
@@ -27,6 +31,7 @@ EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_UNSUPPORTED = 4
 EXIT_INTERNAL = 5
+EXIT_PIPE = 141
 
 
 class ParseError(ValueError):
@@ -707,7 +712,9 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }
     try:
-        return handlers[args.command](args, ["crepant"] + argv)
+        status = handlers[args.command](args, ["crepant"] + argv)
+        sys.stdout.flush()  # a reader that has gone shows here, not at exit
+        return status
     except groups.CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
@@ -718,6 +725,16 @@ def main(argv=None) -> int:
         # a ParseError, malformed JSON, or an input the layers refuse
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except BrokenPipeError:
+        # the reader has gone, as after `| head`: stop quietly, with stdout on
+        # the null device so that the flush at exit does not meet the closed
+        # pipe again (the SIGPIPE note of the Python `signal` documentation)
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            fd = sys.stdout.fileno()  # a stdout with no descriptor stays as it is
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
+        return EXIT_PIPE
     except Exception as exc:
         message = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)

@@ -170,8 +170,16 @@ def _expansions(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 @lru_cache(maxsize=None)
 def _root_index(m: int) -> dict:
-    """The exponent k of each root of unity zeta_m^k, keyed by its expansion."""
-    return {terms: k for k, terms in enumerate(_expansions(m))}
+    """(s, k) for each root of unity s * zeta_m^k, s = +-1 and 0 <= k < m, keyed
+    by its expansion; s = 1 wherever -zeta_m^k is also some zeta_m^j."""
+    table = _expansions(m)
+    index = {_negated(terms): (-1, k) for k, terms in enumerate(table)}
+    index.update((terms, (1, k)) for k, terms in enumerate(table))
+    return index
+
+
+def _negated(coeffs: tuple) -> tuple:
+    return tuple((e, -c) for e, c in coeffs)
 
 
 def _collect(m: int, terms) -> tuple[tuple[int, int], ...]:
@@ -255,12 +263,20 @@ class CycloInt:
         return _cyclo(m, _expansions(m)[k % m])
 
     def lift(self, conductor: int) -> CycloInt:
-        """Rewrite at a larger conductor (must be a multiple of the current one)."""
+        """Rewrite at a larger conductor (must be a multiple of the current one).
+
+        A signed root of unity s * zeta_m^k is s * zeta_M^(k*M/m), one entry of
+        the expansion table at M; any other value is collected term by term.
+        """
         if conductor == self.conductor:
             return self
         if conductor % self.conductor != 0:
             raise ValueError("can only lift to a multiple of the conductor")
         step = conductor // self.conductor
+        root = _root_index(self.conductor).get(self.coeffs)
+        if root is not None:
+            terms = _expansions(conductor)[root[1] * step]
+            return _cyclo(conductor, terms if root[0] == 1 else _negated(terms))
         return _cyclo(conductor, _collect(conductor, ((k * step, c) for k, c in self.coeffs)))
 
     def _pair(self, other) -> tuple[CycloInt, CycloInt]:
@@ -278,7 +294,7 @@ class CycloInt:
     __radd__ = __add__
 
     def __neg__(self) -> CycloInt:
-        return _cyclo(self.conductor, tuple((k, -c) for k, c in self.coeffs))
+        return _cyclo(self.conductor, _negated(self.coeffs))
 
     def __sub__(self, other) -> CycloInt:
         a, b = self._pair(other)
@@ -328,14 +344,9 @@ class CycloInt:
         this is not a root of unity.
 
         Every root of unity of the m-th cyclotomic field is +-zeta_m^k, so one
-        lookup of the coefficients, or of their negation, decides.
+        lookup of the coefficients decides.
         """
-        index = _root_index(self.conductor)
-        k = index.get(self.coeffs)
-        if k is not None:
-            return 1, k
-        k = index.get(tuple((e, -c) for e, c in self.coeffs))
-        return None if k is None else (-1, k)
+        return _root_index(self.conductor).get(self.coeffs)
 
     def root_of_unity_order(self) -> int | None:
         """Multiplicative order if this is a root of unity, else None."""
@@ -378,8 +389,10 @@ def _product(m: int, x: tuple, y: tuple) -> CycloInt:
     cached: the tuples determine the values, and group closure multiplies the
     same few roots of unity over and over."""
     roots = _root_index(m)
-    if x in roots and y in roots:  # two roots of unity, one lookup
-        return _cyclo(m, _expansions(m)[(roots[x] + roots[y]) % m])
+    if x in roots and y in roots:  # two signed roots of unity, one lookup
+        (s, i), (t, j) = roots[x], roots[y]
+        terms = _expansions(m)[(i + j) % m]
+        return _cyclo(m, terms if s == t else _negated(terms))
     if len(x) == 1 == len(y):  # two multiples of basis roots
         (i, c), (j, d) = x[0], y[0]
         terms = _expansions(m)[(i + j) % m]
@@ -391,6 +404,24 @@ def _product(m: int, x: tuple, y: tuple) -> CycloInt:
         if n is not None:
             return _cyclo(m, tuple((k, n * c) for k, c in v) if n else ())
     return _cyclo(m, _collect(m, ((i + j, c * d) for i, c in x for j, d in y)))
+
+
+def _sum_of_products(m: int, pairs: Sequence[tuple[tuple, tuple]]) -> CycloInt:
+    """The sum of x * y over the (x, y) pairs of canonical coefficient tuples
+    at conductor m.
+
+    Every product comes from the ``_product`` cache, so a single pair is its
+    cached value and the empty sum is the cached zero of the conductor; more
+    pairs are summed by one ``_collect``.  Matrix products, scalings and
+    determinants of group elements run here on their entries' tuples, with
+    no operator dispatch per entry.
+    """
+    if len(pairs) == 1:
+        x, y = pairs[0]
+        return _product(m, x, y)
+    if not pairs:
+        return _product(m, (), ())
+    return _cyclo(m, _collect(m, [t for x, y in pairs for t in _product(m, x, y).coeffs]))
 
 
 class CycloDivisor:

@@ -16,6 +16,11 @@ along the table, proving it a homomorphism on every edge x -> x·g.  This is
 the Dimino closure of Butler, *Fundamental Algorithms for Permutation Groups*
 (LNCS 559), and of Holt, Eick and O'Brien, *Handbook of Computational Group
 Theory* (2005), §4.1.
+
+Element arithmetic runs on the entries' canonical coefficient tuples, not
+through the CycloInt operators: each entry of a product, a scaling or a
+determinant is one ``exactmath._sum_of_products`` of tuple pairs, and every
+product element carries its canonical key from the moment it is built.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from math import lcm
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
-from .exactmath import CycloDivisor, CycloInt, cyclo_div_exact
+from .exactmath import CycloDivisor, CycloInt, _negated, _sum_of_products, cyclo_div_exact
 
 __all__ = [
     "GroupElement",
@@ -126,23 +131,28 @@ class GroupElement:
             )
         # only nonzero entries take part: the matrices of monomial and
         # diagonal groups are mostly zeros, and their products single terms
+        m, n = self.conductor, self.n
         support = other._support()
-        zero = CycloInt.from_int(0, self.conductor)
+        zero = _sum_of_products(m, ())
         rows = []
         for row in self._support():
-            out: list = [None] * self.n
+            pairs: dict = {}
             for k, a in row:
                 for j, b in support[k]:
-                    out[j] = a * b if out[j] is None else out[j] + a * b
-            rows.append(tuple(zero if x is None else x for x in out))
-        return GroupElement(self.n, self.conductor, tuple(rows))
+                    pairs.setdefault(j, []).append((a, b))
+            out = [zero] * n
+            for j, p in pairs.items():
+                out[j] = _sum_of_products(m, p)
+            rows.append(tuple(out))
+        return _element(n, m, rows)
 
     def _support(self) -> list:
-        """The nonzero entries of each row as (column, entry) pairs, kept on the element."""
+        """The nonzero entries of each row as (column, coefficient tuple) pairs,
+        kept on the element."""
         support = self.__dict__.get("_support_rows")
         if support is None:
             support = self.__dict__["_support_rows"] = [
-                [(j, x) for j, x in enumerate(row) if x.coeffs] for row in self.entries
+                [(j, x.coeffs) for j, x in enumerate(row) if x.coeffs] for row in self.entries
             ]
         return support
 
@@ -150,11 +160,12 @@ class GroupElement:
         return _det(self.entries, self.conductor)
 
     def scale(self, c: CycloInt) -> GroupElement:
-        c = c.lift(self.conductor)
-        return GroupElement(
+        m, c = self.conductor, c.lift(self.conductor).coeffs
+        return _element(
             self.n,
-            self.conductor,
-            tuple(tuple(c * x if x.coeffs else x for x in row) for row in self.entries),
+            m,
+            [tuple([_sum_of_products(m, ((c, x.coeffs),)) if x.coeffs else x for x in row])
+             for row in self.entries],
         )
 
     def __eq__(self, other):
@@ -166,20 +177,29 @@ class GroupElement:
     __hash__ = None  # type: ignore[assignment]
 
 
+def _element(n: int, m: int, rows: Sequence[tuple[CycloInt, ...]]) -> GroupElement:
+    """The element with these rows of entries at conductor m, its key read
+    off the rows as they are given."""
+    g = GroupElement(n, m, tuple(rows))
+    g.__dict__["_key"] = tuple([x.coeffs for row in rows for x in row])
+    return g
+
+
 def _det(entries, conductor: int) -> CycloInt:
+    """Determinant by expansion along the first row: its nonzero entries
+    times their signed minors, one sum of products per level."""
     n = len(entries)
     if n == 0:
         return CycloInt.from_int(1, conductor)
     if n == 1:
         return entries[0][0]
-    out = CycloInt.from_int(0, conductor)
-    for j in range(n):
-        if entries[0][j].is_zero():
-            continue
-        minor = tuple(row[:j] + row[j + 1 :] for row in entries[1:])
-        term = entries[0][j] * _det(minor, conductor)
-        out = out + (term if j % 2 == 0 else -term)
-    return out
+    pairs = []
+    for j, x in enumerate(entries[0]):
+        if x.coeffs:
+            minor = _det(tuple(row[:j] + row[j + 1 :] for row in entries[1:]), conductor)
+            if minor.coeffs:
+                pairs.append((x.coeffs if j % 2 == 0 else _negated(x.coeffs), minor.coeffs))
+    return _sum_of_products(conductor, pairs)
 
 
 def _adjugate(g: GroupElement) -> GroupElement:
@@ -192,7 +212,7 @@ def _adjugate(g: GroupElement) -> GroupElement:
             d = _det(minor, g.conductor)
             row.append(d if (i + j) % 2 == 0 else -d)
         cof.append(tuple(row))
-    return GroupElement(n, g.conductor, tuple(cof))
+    return _element(n, g.conductor, cof)
 
 
 Normalizer = Callable[[GroupElement], GroupElement]

@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, lcm
 from typing import Optional, Sequence
 
@@ -563,6 +564,16 @@ def _common_block_sizes(pattern_a: Sequence[int], pattern_b: Sequence[int]):
     return blocks.values()
 
 
+@lru_cache(maxsize=8)
+def _cycle_setup(d: int, src: tuple[int, ...]) -> tuple:
+    """The cycles of src, their coordinate bit masks, and full_support_euler(d, r)
+    for every number r of cycles: what a twisted count needs of (d, src) alone,
+    built once for the many counts of one involution."""
+    cycles = tuple(permutation_cycles(src))
+    masks = tuple(sum(1 << i for i in cyc) for cyc in cycles)
+    return cycles, masks, tuple(full_support_euler(d, r) for r in range(len(cycles) + 1))
+
+
 def twisted_fixed_euler(
     d: int,
     q: int,
@@ -596,10 +607,11 @@ def twisted_fixed_euler(
     cycles can contribute, and only cycles inside such a support can take
     part, so the rest are dropped first.  Per eigenvalue each set of
     compatible cycles is then enumerated once, and its union is looked up
-    in the multiset of supports (a support listed twice counts twice).
+    in the multiset of supports (a support listed twice counts twice).  The
+    cycles, their masks and the full-support Euler numbers depend on (d, src)
+    alone and come from ``_cycle_setup``.
     """
-    cycles = permutation_cycles(src)
-    masks = [sum(1 << i for i in cyc) for cyc in cycles]
+    cycles, masks, fse = _cycle_setup(d, tuple(src))
     wanted: dict[int, int] = {}
     for t in supports:
         mask = sum(1 << i for i in frozenset(t))
@@ -618,8 +630,6 @@ def twisted_fixed_euler(
         scale = n_root // (q * l)
         eigenvalues.update((sums[c] + q * k) * scale for k in range(l))
 
-    # full_support_euler(d, r) for the r cycles a contributing set can have
-    fse = [full_support_euler(d, r) for r in range(len(useful) + 1)]
     total = 0
     for lam in eigenvalues:
         inside = [

@@ -1033,6 +1033,9 @@ def _maximal_invariant_faces(simplices: Sequence[tuple], sym: PermSymmetry) -> l
     largest invariant face, and every invariant face lies in one simplex, so
     the maximal invariant faces are the maximal sets among these, one per
     simplex at most.  Faces come as sorted vertex tuples, in sorted order.
+    Only subsets of the sizes of smaller candidates can hide one, so only
+    those are built: none when every candidate is a whole cell, as for the
+    identity.
     """
     image = {v: sym.apply(v) for v in {v for s in simplices for v in s}}  # once per vertex
     largest = set()
@@ -1047,7 +1050,14 @@ def _maximal_invariant_faces(simplices: Sequence[tuple], sym: PermSymmetry) -> l
             keep = stay
         if keep:
             largest.add(keep)
-    smaller = {frozenset(sub) for g in largest for sub in _subsets(tuple(g)) if len(sub) < len(g)}
+    sizes = {len(g) for g in largest}
+    smaller = {
+        frozenset(sub)
+        for g in largest
+        for k in sizes
+        if k < len(g)
+        for sub in itertools.combinations(g, k)
+    }
     return sorted(tuple(sorted(f)) for f in largest - smaller)
 
 

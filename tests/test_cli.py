@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,7 @@ from crepant.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_PIPE,
     EXIT_UNSUPPORTED,
     ParseError,
     _class_equation_holds,
@@ -740,6 +745,50 @@ def test_unmapped_exception_exits_internal_with_one_line(monkeypatch, capsys, ex
     assert rc == EXIT_INTERNAL == 5 and captured.out == ""
     name = type(exc).__name__
     assert captured.err == f"internal error: {name}: {' '.join(str(exc).split())}\n"
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: a write raises BrokenPipeError, or,
+    when the stdout is buffered, the flush does."""
+
+    def __init__(self, buffered):
+        self.buffered = buffered
+
+    def write(self, text):
+        if not self.buffered:
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["write", "flush"])
+@pytest.mark.parametrize(
+    "argv", [["group", "--fixture", "cyclic", "--n", "4"], ["verify", "--seed", "7", "--only", "ade"]]
+)
+def test_closed_stdout_is_not_an_internal_error(monkeypatch, capsys, argv, buffered):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe(buffered))
+    assert main(argv) == EXIT_PIPE == 141
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_pipe_exits_quietly_in_a_process(unbuffered):
+    # the reader closes its end before the report is written, as `| head` does
+    # after its first line; the flush at exit must not raise a second time
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "crepant.cli", "group", "--fixture", "cyclic", "--n", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_PIPE
+    assert err == b""
 
 
 def _class_equation_by_full_scan(group, classes):

@@ -27,6 +27,7 @@ from crepant.exactmath import (
     _poly_mul,
     _product,
     _rational_value,
+    _sum_of_products,
 )
 from test_toric import (
     _det_fraction,
@@ -445,6 +446,83 @@ def test_cached_product_matches_the_uncached_reference(data, m):
         assert CycloInt(got.conductor, got.coeffs).coeffs == got.coeffs  # canonical
     assert a * b * b == _reference_mul(_reference_mul(a, b), b)  # a repeated product
     assert 0 < _product.cache_info().maxsize < float("inf")  # a bounded cache
+
+
+# ---------------------------------------------------------------------------
+# the tuple kernel against the operator route: sums of products on canonical
+# coefficient tuples, and lifts of signed roots of unity by one table entry
+
+
+# conductors of the group fixtures, and lifts that add a new odd prime
+_KERNEL_CONDUCTORS = (1, 2, 3, 4, 5, 8, 9, 12, 20)
+_LIFTS = ((1, 3), (2, 6), (3, 15), (4, 12), (5, 15), (8, 24), (9, 45), (12, 60), (20, 60))
+
+
+@st.composite
+def _entries(draw, m):
+    """A matrix entry at conductor m: zero, a rational integer, a root of
+    unity, a negated root, or a signed sum of two or three roots like the
+    omega entries of the binary tetrahedral group."""
+    kind = draw(st.sampled_from(["zero", "int", "root", "negated", "sum"]))
+    if kind == "zero":
+        return CycloInt.from_int(0, m)
+    if kind == "int":
+        return CycloInt.from_int(draw(st.integers(-3, 3)), m)
+    root = CycloInt.zeta(m, draw(st.integers(0, m - 1)))
+    if kind != "sum":
+        return root if kind == "root" else -root
+    terms = draw(st.lists(st.tuples(st.integers(0, m - 1), st.sampled_from([1, -1])),
+                          min_size=2, max_size=3))
+    return sum((CycloInt.zeta(m, k) * s for k, s in terms), CycloInt.from_int(0, m))
+
+
+def _collect_lift(x: CycloInt, conductor: int) -> CycloInt:
+    """CycloInt.lift by collecting every term at the larger conductor."""
+    if conductor == x.conductor:
+        return x
+    if conductor % x.conductor:
+        raise ValueError("can only lift to a multiple of the conductor")
+    step = conductor // x.conductor
+    return _cyclo(conductor, _collect(conductor, ((k * step, c) for k, c in x.coeffs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), m=st.sampled_from(_KERNEL_CONDUCTORS), size=st.integers(0, 4))
+def test_sum_of_products_matches_the_operators(data, m, size):
+    pairs = [(data.draw(_entries(m)), data.draw(_entries(m))) for _ in range(size)]
+    got = _sum_of_products(m, [(a.coeffs, b.coeffs) for a, b in pairs])
+    want = sum((a * b for a, b in pairs), CycloInt.from_int(0, m))
+    assert (got.conductor, got.coeffs) == (want.conductor, want.coeffs)
+    assert CycloInt(m, got.coeffs).coeffs == got.coeffs  # canonical
+
+
+def test_sum_of_products_cancels_to_the_shared_zero():
+    w, w2 = CycloInt.zeta(3), CycloInt.zeta(3, 2)
+    one = CycloInt.from_int(1, 3)
+    # w*w2 + w2*w - 2 = 0, and the empty sum is the same zero of conductor 3
+    got = _sum_of_products(3, [(w.coeffs, w2.coeffs), (w2.coeffs, w.coeffs),
+                               ((-2 * one).coeffs, one.coeffs)])
+    assert got.coeffs == () and got.conductor == 3
+    assert _sum_of_products(3, ()) is _sum_of_products(3, ())
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), lift=st.sampled_from(_LIFTS))
+def test_lift_matches_collecting_every_term(data, lift):
+    m, big = lift
+    x = data.draw(_entries(m))
+    for target in (m, big):
+        got, want = x.lift(target), _collect_lift(x, target)
+        assert (got.conductor, got.coeffs) == (want.conductor, want.coeffs)
+
+
+@pytest.mark.parametrize("m, big", _LIFTS)
+def test_lift_of_every_signed_root_is_one_table_entry(m, big):
+    for k in range(m):
+        for s in (1, -1):
+            x = CycloInt.zeta(m, k) * s
+            assert x.lift(big).coeffs == _collect_lift(x, big).coeffs
+            assert x.lift(big).as_root_of_unity() is not None
 
 
 def test_constructor_refuses_non_canonical_coefficients():

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crepant import groups
+from crepant.cli import parse_matrix
 from crepant.exactmath import CycloInt, cyclo_div_exact
 from crepant.fixtures import (
     _perm_matrix,
@@ -31,6 +33,7 @@ from crepant.groups import (
     IncompatibleElements,
     NotNormalizing,
     _adjugate,
+    _det,
     centralizer,
     close_group,
     compatible_class_filter,
@@ -38,6 +41,7 @@ from crepant.groups import (
     invariant_class_count,
     outer_action,
 )
+from test_exactmath import _collect_lift, _entries
 
 
 def test_identity_closure():
@@ -712,3 +716,166 @@ def test_matrix_products_counted(monkeypatch, build, h):
     calls.clear()
     outer_action(group, h)
     assert len(calls) == 2 * len(group.generators)  # h * g * adj(h) per generator
+
+
+# ---------------------------------------------------------------------------
+# the tuple kernel against the operator route: products, scalings,
+# determinants and adjugates of group elements entry by entry through the
+# CycloInt operators, and whole groups and outer actions built either way
+
+
+def _operator_mul(a, b):
+    """a·b over the nonzero entries, with CycloInt products and sums."""
+    if a.conductor != b.conductor or a.n != b.n:
+        raise IncompatibleElements("mismatched elements")
+    zero = CycloInt.from_int(0, a.conductor)
+    support = [[(j, x) for j, x in enumerate(row) if x.coeffs] for row in b.entries]
+    rows = []
+    for row in a.entries:
+        out = [None] * a.n
+        for k, x in enumerate(row):
+            if x.coeffs:
+                for j, y in support[k]:
+                    out[j] = x * y if out[j] is None else out[j] + x * y
+        rows.append(tuple(zero if x is None else x for x in out))
+    return GroupElement(a.n, a.conductor, tuple(rows))
+
+
+def _operator_scale(g, c):
+    c = c.lift(g.conductor)
+    return GroupElement(
+        g.n, g.conductor, tuple(tuple(c * x if x.coeffs else x for x in row) for row in g.entries)
+    )
+
+
+def _operator_det(entries, conductor):
+    n = len(entries)
+    if n == 0:
+        return CycloInt.from_int(1, conductor)
+    if n == 1:
+        return entries[0][0]
+    out = CycloInt.from_int(0, conductor)
+    for j in range(n):
+        if entries[0][j].is_zero():
+            continue
+        minor = tuple(row[:j] + row[j + 1 :] for row in entries[1:])
+        term = entries[0][j] * _operator_det(minor, conductor)
+        out = out + (term if j % 2 == 0 else -term)
+    return out
+
+
+def _operator_adjugate(g):
+    cof = []
+    for i in range(g.n):
+        row = []
+        for j in range(g.n):
+            minor = tuple(r[:i] + r[i + 1 :] for k, r in enumerate(g.entries) if k != j)
+            d = _operator_det(minor, g.conductor)
+            row.append(d if (i + j) % 2 == 0 else -d)
+        cof.append(tuple(row))
+    return GroupElement(g.n, g.conductor, tuple(cof))
+
+
+@st.composite
+def _matrices(draw, m, n):
+    rows = tuple(tuple(draw(_entries(m)) for _ in range(n)) for _ in range(n))
+    return GroupElement(n, m, rows)
+
+
+def _same(a, b):
+    """Equal elements entry by entry, with equal keys, at one conductor."""
+    assert (a.n, a.conductor) == (b.n, b.conductor)
+    assert [[x.coeffs for x in r] for r in a.entries] == [[x.coeffs for x in r] for r in b.entries]
+    assert a.key() == b.key() == tuple(x.coeffs for r in a.entries for x in r)
+
+
+_CONDUCTORS = st.sampled_from([1, 2, 3, 4, 5, 8, 9, 12, 20])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), m=_CONDUCTORS, n=st.integers(1, 4))
+def test_kernel_product_matches_the_operators(data, m, n):
+    a, b = data.draw(_matrices(m, n)), data.draw(_matrices(m, n))
+    _same(a.mul(b), _operator_mul(a, b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), m=_CONDUCTORS, n=st.integers(1, 4))
+def test_kernel_scale_matches_the_operators(data, m, n):
+    g = data.draw(_matrices(m, n))
+    d = data.draw(st.sampled_from([k for k in range(1, m + 1) if m % k == 0]))
+    c = data.draw(_entries(d))  # a scalar of a smaller conductor is lifted first
+    _same(g.scale(c), _operator_scale(g, c))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), m=_CONDUCTORS, n=st.integers(0, 4))
+def test_kernel_det_and_adjugate_match_the_operators(data, m, n):
+    g = data.draw(_matrices(m, n))
+    got, want = _det(g.entries, m), _operator_det(g.entries, m)
+    assert (got.conductor, got.coeffs) == (want.conductor, want.coeffs)
+    if n:
+        _same(_adjugate(g), _operator_adjugate(g))
+
+
+# every group-census item, the SL3 generators there with a conductor-1 symmetry
+_CENSUS = [
+    "quintic", "lt", "binary-tetrahedral", "d4-triality",
+    *(f"cyclic-{n}" for n in (24, 32, 41, 48, 54)),
+    *(f"binary-dihedral-{r}" for r in (8, 12)),
+    "sl3-diag-9",
+]
+
+
+def _census_case(label):
+    """The group of a group-census item and the symmetries it is acted on by."""
+    if label == "quintic":
+        return quintic_group(), [quintic_symmetry(v) for v in ("swap", "swap-two-pairs")]
+    if label == "lt":
+        return complete_intersection_group(), [complete_intersection_symmetry()]
+    if label == "binary-tetrahedral":
+        return binary_tetrahedral(), [binary_tetrahedral_symmetry()]
+    if label == "d4-triality":
+        q8, t = d4_triality()
+        return q8, [t]
+    if label == "sl3-diag-9":
+        gens = [parse_matrix("[[1,0,0],[0,z9^4,0],[0,0,z9^5]]"),
+                parse_matrix("[[z9^5,0,0],[0,1,0],[0,0,z9^4]]")]
+        return close_group(gens), [parse_matrix("[[0,0,1],[1,0,0],[0,1,0]]")]
+    n = int(label.rsplit("-", 1)[1])
+    if label.startswith("cyclic"):
+        return cyclic_group(n), [cyclic_swap_symmetry(), cyclic_flip_symmetry()]
+    return binary_dihedral(n), [binary_dihedral_symmetry(n)]
+
+
+def _built(label):
+    group, symmetries = _census_case(label)
+    actions = [outer_action(group, h) for h in symmetries]
+    return (
+        [e.key() for e in group.elements],
+        group.table,
+        group.identity_index,
+        group._inverse,
+        group.generators,
+        [(a.element_perm, a.class_perm) for a in actions],
+    )
+
+
+@pytest.mark.parametrize("label", _CENSUS)
+def test_census_group_is_the_same_under_the_operator_route(monkeypatch, label):
+    kernel = _built(label)
+    calls = []
+
+    def counted(fn):
+        return lambda *args: calls.append(fn) or fn(*args)
+
+    monkeypatch.setattr(GroupElement, "mul", counted(_operator_mul))
+    monkeypatch.setattr(GroupElement, "scale", counted(_operator_scale))
+    monkeypatch.setattr(groups, "_det", counted(_operator_det))
+    monkeypatch.setattr(groups, "_adjugate", counted(_operator_adjugate))
+    monkeypatch.setattr(CycloInt, "lift", counted(_collect_lift))
+    assert _built(label) == kernel
+    assert {_operator_mul, _operator_det, _operator_adjugate, _collect_lift} <= set(calls)
+    if label == "quintic":  # scalar normalization scales
+        assert _operator_scale in calls
+

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crepant import orbifold as ob
-from crepant.exactmath import CycloInt, permutation_cycles
+from crepant.exactmath import CycloInt, permutation_cycles, zeta_sum_is_zero
 from crepant.fixtures import (
     complete_intersection_symmetry,
     quintic_symmetry,
@@ -642,6 +643,74 @@ def test_residue_engine_matches_reference_on_quintic_sheets(monkeypatch):
     calls = _recorded_calls(monkeypatch, reference_strata)
     assert len(calls) == 850
     _assert_matches_reference(calls)
+
+
+def _per_call_twisted_fixed_euler(d, q, exponents, src, supports):
+    """The residue engine with its setup (cycles, masks, full-support Euler
+    numbers) rebuilt on every call."""
+    cycles = permutation_cycles(src)
+    masks = [sum(1 << i for i in cyc) for cyc in cycles]
+    wanted = {}
+    for t in supports:
+        mask = sum(1 << i for i in frozenset(t))
+        if mask and sum(m for m in masks if m & mask == m) == mask:
+            wanted[mask] = wanted.get(mask, 0) + 1
+    useful = [c for c, m in enumerate(masks) if any(m & t == m for t in wanted)]
+    if not useful:
+        return 0
+    n_root = q * math.lcm(*(len(cycles[c]) for c in useful))
+    unit_q = n_root // q
+    sums = {c: sum(exponents[i] for i in cycles[c]) % q for c in useful}
+    eigenvalues = set()
+    for c in useful:
+        l = len(cycles[c])
+        scale = n_root // (q * l)
+        eigenvalues.update((sums[c] + q * k) * scale for k in range(l))
+    fse = [full_support_euler(d, r) for r in range(len(useful) + 1)]
+    total = 0
+    for lam in eigenvalues:
+        inside = [
+            c for c in useful if (len(cycles[c]) * lam - sums[c] * unit_q) % n_root == 0
+        ]
+        kappa_zero = {}
+        for c in inside:
+            x, terms = 0, [0]
+            for i in cycles[c][:-1]:
+                x += lam - exponents[i] * unit_q
+                terms.append(d * x)
+            kappa_zero[c] = zeta_sum_is_zero(n_root, terms)
+        for r in range(1, len(inside) + 1):
+            for B in itertools.combinations(inside, r):
+                count = wanted.get(sum(masks[c] for c in B), 0)
+                if not count:
+                    continue
+                zeros = sum(1 for c in B if kappa_zero[c])
+                if zeros == 0:
+                    total += count * fse[r]
+                elif r == 1:
+                    total += count
+    return total
+
+
+def test_setup_once_per_involution_matches_the_per_call_engine(monkeypatch):
+    """Every engine call of both quintic sheets, in call order, gives the
+    value of the engine that rebuilds its setup per call."""
+    calls = []
+    engine = ob.twisted_fixed_euler
+
+    def recording(*args):
+        value = engine(*args)
+        calls.append((args, value))
+        return value
+
+    monkeypatch.setattr(ob, "twisted_fixed_euler", recording)
+    for variant in _QUINTIC_VARIANTS:
+        quintic_sheet(variant)
+    assert len(calls) == 81 + 17 and any(value for _, value in calls)
+    for args, value in calls:
+        assert value == _per_call_twisted_fixed_euler(*args), args
+    # the setup is shared by the calls of one involution, and bounded
+    assert ob._cycle_setup.cache_info().currsize <= ob._cycle_setup.cache_info().maxsize
 
 
 @pytest.mark.parametrize("variant, classes", [("swap", 81), ("swap-two-pairs", 17)])

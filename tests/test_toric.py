@@ -1729,6 +1729,42 @@ def _line_family(sizes):
         yield lp, SWAP3
 
 
+def _all_subsets_maximal_invariant_faces(simplices, sym):
+    """The per-simplex candidates, less every proper subset of every
+    candidate, whatever the sizes of the other candidates."""
+    image = {v: sym.apply(v) for v in {v for s in simplices for v in s}}
+    largest = set()
+    for s in simplices:
+        keep = frozenset(s)
+        while True:
+            stay = frozenset(v for v in keep if image[v] in keep)
+            if stay == keep:
+                break
+            keep = stay
+        if keep:
+            largest.add(keep)
+    smaller = {
+        frozenset(sub) for g in largest for sub in toric._subsets(tuple(g)) if len(sub) < len(g)
+    }
+    return sorted(tuple(sorted(f)) for f in largest - smaller), len(largest)
+
+
+def test_maximal_invariant_faces_match_the_all_subsets_reference():
+    """Subsets of candidate sizes only, against every subset, on the standing
+    sweep and the line-id family, lex and revlex."""
+    line_id = [(lp, sym) for lp, sym in _line_family((400, 800, 1600, 3200)) if sym != SWAP3]
+    cases = [*_lefschetz_sweep(), *line_id]
+    hidden = 0
+    for lp, sym in cases:
+        for order in ("lex", "revlex"):
+            cells = adjusted_triangulation(lp, sym, order).cells
+            want, candidates = _all_subsets_maximal_invariant_faces(cells, sym)
+            assert toric._maximal_invariant_faces(cells, sym) == want, (lp.generators, sym.perm)
+            hidden += candidates - len(want)
+    assert len(cases) == 16 + 2 * 118 + 150 + 4
+    assert hidden > 0  # some candidates lie inside others, so the subsets matter
+
+
 def test_walk_and_edge_map_flip_match_the_scans_in_list_order(monkeypatch):
     """The triangle lists themselves, in order and vertex order, since the
     revlex flip takes the least pair in list order."""

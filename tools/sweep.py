@@ -11,6 +11,10 @@ and the quartiles of its repetitions:
   diag(z_d^a) with exponent sum 0, of order d^3, and its
   ``groups.outer_action`` under the swap of the first two coordinates, for
   d in 5, 7, 11 (orders 125, 343, 1331);
+* ``fixtures``: closing ``fixtures.quintic_group()``,
+  ``fixtures.complete_intersection_group()`` (``lt``) and
+  ``fixtures.binary_dihedral(12)``, and the ``groups.outer_action`` of each
+  one's symmetry (the quintic swap), each named in the size column;
 * ``zm2-cycle``: ``crepant toric`` on the full group Zm^2 with the coordinate
   3-cycle, for m in 5, 7, 11, 13, 17;
 * ``line-swap``: ``crepant toric`` on ``1,1,m-2@m`` with ``(1 2)``, for
@@ -42,7 +46,7 @@ between the two columns of a row is evidence of a change only when the
 quartile ranges of the two rows do not overlap; a difference inside both
 columns' quartile ranges is not evidence.  Usage, from the repository root:
 
-    python3 tools/sweep.py --baseline HEAD --out BENCH_19.json
+    python3 tools/sweep.py --baseline HEAD --out BENCH_20.json
 
 This is a record of growth rates, separate from the gated workloads of
 ``bench/run.py``.
@@ -138,6 +142,14 @@ def _one_repetition(src: Path) -> dict:
         gens, swap = _diagonal_family(groups, d)
         out[("diagonal", d**3, "close_group")], group = _time(lambda: groups.close_group(gens))
         out[("diagonal", d**3, "outer_action")], _ = _time(lambda: groups.outer_action(group, swap))
+    for name, build, h in (
+        ("quintic", fixtures.quintic_group, fixtures.quintic_symmetry("swap")),
+        ("lt", fixtures.complete_intersection_group, fixtures.complete_intersection_symmetry()),
+        ("binary-dihedral-12", lambda: fixtures.binary_dihedral(12),
+         fixtures.binary_dihedral_symmetry(12)),
+    ):
+        out[("fixtures", name, "close_group")], group = _time(build)
+        out[("fixtures", name, "outer_action")], _ = _time(lambda: groups.outer_action(group, h))
     swap = toric.PermSymmetry.from_cycles(3, [(0, 1)])
     for m in LARGE_LINE_CONDUCTORS:
         lp = toric.build_lattice_pair(3, [((1, 1, m - 2), m)])
