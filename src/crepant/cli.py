@@ -4,10 +4,11 @@ construction and verification, and machine-readable reporting.
 Reports are JSON with sorted keys; identical inputs produce byte-identical
 reports apart from the wall_time_ms field.  Exit codes: 0 success, 1 property
 failure, 2 parse, schema or input error (including a symmetry with no valid
-invariant core), 3 closure cap exceeded, 4 unsupported dimension, 5 internal
-error (an exception no other code covers, named on one line), 141 the reader
-closed standard output before the report was written (as in ``| head``;
-nothing is printed, and 141 is what a shell reports for a SIGPIPE exit).
+invariant core and a file path that cannot be read or written), 3 closure
+cap exceeded, 4 unsupported dimension, 5 internal error (an exception no
+other code covers, named on one line), 141 the reader closed standard
+output before the report was written (as in ``| head``; nothing is
+printed, and 141 is what a shell reports for a SIGPIPE exit).
 """
 
 from __future__ import annotations
@@ -513,7 +514,6 @@ def _check_quintic(args, rng):
             "nonidentity_compatible": nonid,
             "identity_reduction": reduction,
         }
-        del sheet, ident  # one pair table at a time: the next sheet is built without this one
     return {"status": _status(ok), "variants": out}
 
 
@@ -721,10 +721,6 @@ def main(argv=None) -> int:
     except toric.UnsupportedDimension as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (ValueError, FileNotFoundError) as exc:
-        # a ParseError, malformed JSON, or an input the layers refuse
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except BrokenPipeError:
         # the reader has gone, as after `| head`: stop quietly, with stdout on
         # the null device so that the flush at exit does not meet the closed
@@ -735,6 +731,12 @@ def main(argv=None) -> int:
             os.dup2(null, fd)
             os.close(null)
         return EXIT_PIPE
+    except (ValueError, OSError) as exc:
+        # a ParseError, malformed JSON, an input the layers refuse, or a path
+        # that cannot be read or written (missing, a directory, no permission);
+        # BrokenPipeError, an OSError too, is caught above
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except Exception as exc:
         message = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)

@@ -24,15 +24,20 @@ involutions and one complete-intersection involution; their geometry reduces
 to exact computations on Fermat-type coordinate sections, done by the
 diagonal-plus-permutation fixed-point engine at the bottom of the module.
 A quintic sheet is built from its pattern types, each computed once per
-call: commuting-pair values per pair of eigenvalue-block partitions,
-section values per block size, stratum totals by one engine call per
-listed twisted class, and each engine call walks its cycle subsets once.
+call: commuting-pair values per pair of eigenvalue-block partitions, held
+as a `PairTable` of 27 rows (a loaded table has a row per label, and the
+double count sums each row once, weighted by its labels), section values
+per block size, stratum totals per centralizer type of support by one
+engine call per listed twisted class, and each engine call walks its cycle
+subsets once.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, field, fields, replace
+from collections import Counter
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
@@ -44,6 +49,7 @@ __all__ = [
     "ClassRecord",
     "StratumRecord",
     "GSpaceSheet",
+    "PairTable",
     "DynkinGraph",
     "orbifold_euler",
     "equivariant_lefschetz",
@@ -65,7 +71,6 @@ __all__ = [
     "fermat_euler",
     "full_support_euler",
     "section_euler",
-    "pair_euler",
     "twisted_fixed_euler",
 ]
 
@@ -117,15 +122,64 @@ class StratumRecord:
     con_h: int = 0
 
 
+class PairTable(Mapping):
+    """The commuting-pair table: a read-only mapping from (label_a, label_b)
+    to e(X^a cap X^b) that holds one value row per label type.  ``type_of``
+    maps each label_a to its type, and ``rows[type]`` is a dict from label_b
+    to the value; pairs are listed in the order of ``type_of``, then of rows.
+    """
+
+    __slots__ = ("_type_of", "_rows")
+
+    def __init__(self, type_of: dict, rows):
+        self._type_of = type_of
+        self._rows = rows
+
+    @classmethod
+    def by_label(cls, pairs: Mapping) -> PairTable:
+        """The table of a plain mapping, each label its own type."""
+        rows: dict = {}
+        for (a, b), value in pairs.items():
+            rows.setdefault(a, {})[b] = value
+        return cls({a: a for a in rows}, rows)
+
+    def __getitem__(self, pair):
+        a, b = pair
+        return self._rows[self._type_of[a]][b]
+
+    def __iter__(self):
+        for a, t in self._type_of.items():
+            for b in self._rows[t]:
+                yield a, b
+
+    def __len__(self) -> int:
+        return sum(len(self._rows[t]) for t in self._type_of.values())
+
+    def __repr__(self) -> str:
+        return f"PairTable({dict(self)!r})"
+
+    def triples(self) -> list:
+        """Every [label_a, label_b, value], in the order of the mapping."""
+        return [[a, b, v] for a, t in self._type_of.items() for b, v in self._rows[t].items()]
+
+    def total(self) -> int:
+        """The sum of all values: each row summed once, times the number of
+        labels of its type."""
+        weights = Counter(self._type_of.values())
+        return sum(n * sum(self._rows[t].values()) for t, n in weights.items())
+
+
 @dataclass(frozen=True)
 class GSpaceSheet:
     group_order: int
     classes: tuple[ClassRecord, ...]
     strata: Optional[tuple[StratumRecord, ...]] = None
-    commuting_pairs: Optional[dict] = None  # (label_g, label_h) -> euler of double fixed set
+    commuting_pairs: Optional[Mapping] = None  # a PairTable; a plain mapping is converted
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.commuting_pairs is not None and not isinstance(self.commuting_pairs, PairTable):
+            object.__setattr__(self, "commuting_pairs", PairTable.by_label(self.commuting_pairs))
         self.validate()
 
     def validate(self) -> None:
@@ -197,7 +251,7 @@ def orbifold_euler(sheet: GSpaceSheet) -> int:
             raise InconsistentSheet(
                 "commuting-pair evaluation requires singleton classes"
             )
-        total = sum(sheet.commuting_pairs.values())
+        total = sheet.commuting_pairs.total()
         mid = Fraction(total, sheet.group_order)
         if mid != rhs:
             raise InconsistentSheet(
@@ -279,18 +333,24 @@ def identity_action_variant(sheet: GSpaceSheet) -> GSpaceSheet:
     as invariant.
     """
     classes = tuple(
-        replace(c, in_ch=True, lefschetz_quotient=c.euler_quotient, provenance=dict(c.provenance))
+        ClassRecord(
+            c.label, c.size, c.centralizer_order, True, c.euler_quotient, c.euler_quotient,
+            dict(c.provenance), c.fixed_dim,
+        )
         for c in sheet.classes
     )
     strata = None
     if sheet.strata is not None:
         strata = tuple(
-            replace(
-                s, lefschetz_stratum=s.euler_stratum, h_invariant=True, con_h=s.stabilizer_order
+            StratumRecord(
+                s.label, s.stabilizer_order, s.euler_stratum, s.euler_stratum, True,
+                s.stabilizer_order,
             )
             for s in sheet.strata
         )
-    return replace(sheet, classes=classes, strata=strata, metadata=dict(sheet.metadata))
+    return GSpaceSheet(
+        sheet.group_order, classes, strata, sheet.commuting_pairs, dict(sheet.metadata)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +366,7 @@ def sheet_to_document(sheet: GSpaceSheet) -> dict:
     if sheet.strata is not None:
         doc["strata"] = [asdict(s) for s in sheet.strata]
     if sheet.commuting_pairs is not None:
-        doc["commuting_pairs"] = [
-            [a, b, v] for (a, b), v in sorted(sheet.commuting_pairs.items())
-        ]
+        doc["commuting_pairs"] = sorted(sheet.commuting_pairs.triples())
     return doc
 
 
@@ -372,20 +430,22 @@ def _read_records(kind: type, records, key: str) -> tuple:
 
 
 def _read_pairs(entries) -> dict:
-    """The commuting-pair table: each entry an [a, b, value] triple, a pair at most once."""
+    """The commuting-pair table as rows by label, label_a -> {label_b: value}:
+    each entry an [a, b, value] triple, a pair at most once."""
     if not isinstance(entries, list):
         raise ValueError(f"commuting_pairs must be a list of [a, b, value], not {entries!r}")
-    pairs = {}
+    rows: dict = {}
     for entry in entries:
         shaped = isinstance(entry, list) and len(entry) == 3
         if not (shaped and isinstance(entry[0], str) and isinstance(entry[1], str)):
             raise ValueError(f"commuting pair {entry!r} is not [a, b, value] with labels a and b")
         a, b, v = entry
-        if (a, b) in pairs:
+        row = rows.setdefault(a, {})
+        if b in row:
             raise ValueError(f"commuting pair {[a, b]!r} appears more than once")
         # the name of the pair is built only for a value that is not an integer
-        pairs[(a, b)] = v if type(v) is int else _json_int(v, f"commuting pair {[a, b]!r}")
-    return pairs
+        row[b] = v if type(v) is int else _json_int(v, f"commuting pair {[a, b]!r}")
+    return rows
 
 
 def sheet_from_document(doc: dict) -> GSpaceSheet:
@@ -398,7 +458,7 @@ def sheet_from_document(doc: dict) -> GSpaceSheet:
             raise ValueError(f"{key!r} is not a GSpaceSheet field")
     classes = _read_records(ClassRecord, doc.get("classes"), "classes")
     strata = _read_records(StratumRecord, doc["strata"], "strata") if "strata" in doc else None
-    pairs = _read_pairs(doc["commuting_pairs"]) if "commuting_pairs" in doc else None
+    rows = _read_pairs(doc["commuting_pairs"]) if "commuting_pairs" in doc else None
     group_order = _json_int(doc.get("group_order"), "group_order")
     metadata = _json_object(doc.get("metadata", {}), "metadata")
     for c in classes:
@@ -409,16 +469,19 @@ def sheet_from_document(doc: dict) -> GSpaceSheet:
                     + ", ".join(PROVENANCE_TAGS)
                 )
     labels = {c.label for c in classes}
-    for pair in pairs or ():
-        for label in pair:
-            if label not in labels:
-                raise ValueError(f"commuting pair {list(pair)}: label {label!r} names no class")
-    if pairs is not None:
+    pairs = None
+    if rows is not None:
+        for a, b, _ in doc["commuting_pairs"]:
+            for label in (a, b):
+                if label not in labels:
+                    raise ValueError(f"commuting pair {[a, b]}: label {label!r} names no class")
         # the table lists every ordered pair of (singleton) classes
         for a in classes:
+            row = rows.get(a.label, {})
             for b in classes:
-                if (a.label, b.label) not in pairs:
+                if b.label not in row:
                     raise ValueError(f"commuting pair {[a.label, b.label]!r} is missing")
+        pairs = PairTable({a: a for a in rows}, rows)  # each label its own type
     return GSpaceSheet(group_order, classes, strata, pairs, metadata)
 
 
@@ -551,13 +614,8 @@ def _partition_blocks(pattern: Sequence[int]) -> list[tuple[int, ...]]:
     return [tuple(ix) for ix in by_value.values()]
 
 
-def pair_euler(d: int, pattern_a: Sequence[int], pattern_b: Sequence[int]) -> int:
-    """Euler characteristic of the double fixed set of two commuting diagonal
-    maps: sections indexed by the common refinement of the eigenvalue blocks."""
-    return sum(fermat_euler(d, size) for size in _common_block_sizes(pattern_a, pattern_b))
-
-
 def _common_block_sizes(pattern_a: Sequence[int], pattern_b: Sequence[int]):
+    """Block sizes of the common refinement of two eigenvalue patterns."""
     blocks: dict[tuple[int, int], int] = {}
     for ab in zip(pattern_a, pattern_b):
         blocks[ab] = blocks.get(ab, 0) + 1
@@ -714,14 +772,16 @@ def quintic_sheet(variant: str = "swap") -> GSpaceSheet:
     fixed-set characteristics over the 125 diagonal symmetries) and quoted
     Lefschetz values for the compatible classes; the stratum records carry
     exact twisted-sector totals from the Fermat engine.  The commuting-pair
-    table lists e(X^g cap X^h) for all 125 x 125 pairs.
+    table gives e(X^g cap X^h) for all 125 x 125 pairs as a `PairTable` with
+    one row per pattern type.
 
     Each value is computed once per type and then looked up: a section
     value once per block size (the patterns, all sum-zero exponent vectors
     modulo scalars, are closed under coordinate permutations), a pair value
     once per pair of set partitions into eigenvalue blocks (27 partitions,
-    729 pairs), h-invariance once per pattern, and a twisted-sector count
-    once per twisted class, each class listed directly (`_quintic_strata`).
+    729 pairs), h-invariance once per pattern, and a stratum total once per
+    centralizer type of support, by one twisted-sector count per twisted
+    class, each class listed directly (`_quintic_strata`).
     """
     d = 5
     inv = _quintic_involution(variant)
@@ -732,31 +792,32 @@ def quintic_sheet(variant: str = "swap") -> GSpaceSheet:
     invariant = {p for p in patterns if _conjugate_pattern(p, inv, d) == p}
     section = {r: _curve_quotient_euler(patterns, tuple(range(r)), d) for r in (2, 3)}
 
-    # pair_euler depends on two patterns only through their set partitions and
-    # is symmetric; the table chains one row per type in (label_a, label_b) order
+    # a pair value depends on two patterns only through their set partitions
+    # and is symmetric; the table holds one row per type, in label order
     euler_by_size = [fermat_euler(d, m) for m in range(len(inv) + 1)].__getitem__
     keys = [tuple(p.index(x) for x in p) for p in patterns]  # first index of each value
-    types, value = sorted(set(keys)), {}
+    types = sorted(set(keys))
+    kinds = [types.index(k) for k in keys]  # the type of each pattern, by its position
+    value = [[0] * len(types) for _ in types]
     for i, ka in enumerate(types):
-        for kb in types[i:]:
-            value[ka, kb] = value[kb, ka] = sum(map(euler_by_size, _common_block_sizes(ka, kb)))
-    rows = {ka: [value[ka, kb] for kb in keys] for ka in types}
-    pairs = dict(
-        zip(itertools.product(labels, repeat=2), itertools.chain.from_iterable(map(rows.get, keys)))
-    )
+        for j in range(i, len(types)):
+            value[i][j] = value[j][i] = sum(map(euler_by_size, _common_block_sizes(ka, types[j])))
+    rows = [dict(zip(labels, map(v.__getitem__, kinds))) for v in value]
+    pairs = PairTable(dict(zip(labels, kinds)), rows)
 
     blocks = [[b for b in _partition_blocks(p) if len(b) >= 2] for p in patterns]
     classes = []
-    for p, label, key, section_blocks in zip(patterns, labels, keys, blocks):
+    for p, label, kind, section_blocks in zip(patterns, labels, kinds, blocks):
         in_ch = p in invariant
         is_identity = not any(p)
         if is_identity:
             fixed_dim = 3
             # identity-class Euler value: average of its table row
-            euler, rest = divmod(sum(rows[key]), len(patterns))
+            row_sum = sum(rows[kind].values())
+            euler, rest = divmod(row_sum, len(patterns))
             if rest:
                 raise InconsistentSheet(
-                    f"class {label}: pair-table row sum {sum(rows[key])} is not a "
+                    f"class {label}: pair-table row sum {row_sum} is not a "
                     f"multiple of the group order {len(patterns)}"
                 )
         else:
@@ -824,6 +885,13 @@ def _quintic_strata(
     a vector (the sums on the first coordinates of the cycles) only for the
     first tuple of each class; the free stratum walks the sums of the
     patterns (`_class_representatives`).
+
+    The total of an h-invariant T is computed once per centralizer type, the
+    sorted lengths of the cycles of h inside T: any matching of the cycles of
+    two supports of one type, and of the cycles outside them, is a coordinate
+    permutation s commuting with h.  It keeps the Fermat hypersurface and the
+    patterns, so conjugation by s carries the stratum, stabilizer and twisted
+    sectors of T onto those of s(T), with equal fixed-locus counts.
     """
     n, cycles = 5, permutation_cycles(inv)
     fse = [full_support_euler(d, m) for m in range(n + 1)]
@@ -842,18 +910,21 @@ def _quintic_strata(
             for T in itertools.chain(*(itertools.combinations(block, r) for r in (2, 3))):
                 stab[T] = stab.get(T, 0) + 1
                 con[T] = con.get(T, 0) + (p in invariant)
-    records = []
+    records, by_type = [], {}  # centralizer type of an h-invariant support -> its total
     for T in itertools.chain(*(itertools.combinations(range(n), r) for r in (2, 3))):
         support, label = frozenset(T), "stab" + "".join(str(i) for i in T)
         h_inv = frozenset(inv[i] for i in T) == support
         lef = 0  # a support that is not a union of cycles of h counts nothing
         if h_inv:
             inside = [c for c in cycles if support.issuperset(c)]
-            firsts = [c[0] for c in inside]
-            sums = ((s, s) for s in itertools.product(range(d), repeat=len(inside)))
-            reps = _class_representatives(sums, [len(c) for c in inside], d)
-            vectors = [tuple(dict(zip(firsts, s)).get(i, 0) for i in range(n)) for s in reps]
-            lef = class_total(vectors, len(patterns) // stab[T], [support], label)
+            shape = tuple(sorted(len(c) for c in inside))
+            if shape not in by_type:
+                firsts = [c[0] for c in inside]
+                sums = ((s, s) for s in itertools.product(range(d), repeat=len(inside)))
+                reps = _class_representatives(sums, [len(c) for c in inside], d)
+                vectors = [tuple(dict(zip(firsts, s)).get(i, 0) for i in range(n)) for s in reps]
+                by_type[shape] = class_total(vectors, len(patterns) // stab[T], [support], label)
+            lef = by_type[shape]
         euler = fse[len(T)]
         records.append(StratumRecord(label, stab[T], euler, lef, h_inv, con[T]))
     free = [frozenset(T) for size in (4, 5) for T in itertools.combinations(range(n), size)]

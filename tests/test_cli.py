@@ -593,6 +593,28 @@ def test_exit_codes(capsys):
     assert run(["toric", "--n", "1"], capsys)[0] == EXIT_UNSUPPORTED
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["group", "--fixture", "cyclic", "--n", "4", "--out"],
+        ["toric", "--load"],
+        ["toric", "--n", "2", "--gen", "1,1@2", "--perm", "(1 2)", "--save"],
+        ["toric", "--n", "2", "--gen", "1,1@2", "--perm", "(1 2)", "--out"],
+        ["orbifold", "--sheet"],
+        ["orbifold", "--fixture", "point", "--save"],
+        ["orbifold", "--fixture", "point", "--out"],
+        ["verify", "--seed", "7", "--only", "ade", "--out"],
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[-1:]),
+)
+def test_a_directory_path_is_an_input_error(tmp_path, capsys, argv):
+    # a path that cannot be opened is the caller's error, not an internal one
+    rc = main(argv + [str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_PARSE
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Is a directory" in err
+
+
 @pytest.mark.parametrize("n", ["0", "-1"])
 def test_toric_dimension_below_one_is_a_parse_error(capsys, n):
     rc = main(["toric", "--n", n])

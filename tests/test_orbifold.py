@@ -36,7 +36,6 @@ from crepant.orbifold import (
     identity_action_variant,
     mckay_check,
     orbifold_euler,
-    pair_euler,
     point_sheet,
     quintic_sheet,
     sheet_from_document,
@@ -191,6 +190,16 @@ def _pattern(label):
     return tuple(int(ch) for ch in label)
 
 
+def pair_euler(d, pattern_a, pattern_b):
+    """Euler characteristic of the double fixed set of two commuting diagonal
+    maps, for one pair alone: one Fermat section per block of the common
+    refinement of the two eigenvalue patterns."""
+    blocks = {}
+    for ab in zip(pattern_a, pattern_b):
+        blocks[ab] = blocks.get(ab, 0) + 1
+    return sum(fermat_euler(d, size) for size in blocks.values())
+
+
 @pytest.mark.parametrize("variant", _QUINTIC_VARIANTS)
 def test_commuting_pairs_match_pair_euler_on_every_pair(quintic_sheets, variant):
     pairs = quintic_sheets[variant].commuting_pairs
@@ -209,6 +218,22 @@ def test_built_sheet_lists_every_ordered_pair_and_loads_back(quintic_sheets, var
     assert set(sheet.commuting_pairs) == {(a, b) for a in labels for b in labels}
     loaded = ob.sheet_from_document(json.loads(json.dumps(ob.sheet_to_document(sheet))))
     assert loaded.commuting_pairs == sheet.commuting_pairs
+    # a built table holds one row per pattern type, a loaded one a row per label;
+    # both weigh their rows to the sum over all pairs, |G| times the class sum
+    assert len(sheet.commuting_pairs._rows) == 27 and len(loaded.commuting_pairs._rows) == 125
+    for table in (sheet.commuting_pairs, loaded.commuting_pairs):
+        assert table.total() == sum(table.values()) == 125 * 200
+
+
+def test_a_plain_mapping_becomes_a_pair_table_by_label():
+    classes = (ClassRecord("e", 1, 2, True, 1, 1), ClassRecord("g", 1, 2, True, 1, 1))
+    pairs = {("e", "e"): 4, ("e", "g"): 0, ("g", "e"): 0, ("g", "g"): 0}
+    table = GSpaceSheet(2, classes, None, pairs).commuting_pairs
+    assert isinstance(table, ob.PairTable) and table == pairs and list(table) == list(pairs)
+    assert len(table) == 4 and table["e", "e"] == 4 and ("g", "h") not in table
+    assert table.total() == 4
+    assert repr(table) == f"PairTable({pairs!r})"
+    assert GSpaceSheet(2, classes, None, table).commuting_pairs is table
 
 
 def _reference_class_record(patterns, p, inv, d):
@@ -631,7 +656,9 @@ def test_residue_engine_matches_reference_on_quintic_sheets(monkeypatch):
     calls = _recorded_calls(
         monkeypatch, lambda: [quintic_sheet(v) for v in ("swap", "swap-two-pairs")]
     )
-    assert len(calls) == 98  # 81 + 17 twisted-sector counts, one per twisted class
+    # 61 + 11 twisted-sector counts, one per twisted class of the first
+    # support of each centralizer type and of the free stratum
+    assert len(calls) == 72
     assert any(calls.values())
     _assert_matches_reference(calls)
 
@@ -706,14 +733,14 @@ def test_setup_once_per_involution_matches_the_per_call_engine(monkeypatch):
     monkeypatch.setattr(ob, "twisted_fixed_euler", recording)
     for variant in _QUINTIC_VARIANTS:
         quintic_sheet(variant)
-    assert len(calls) == 81 + 17 and any(value for _, value in calls)
+    assert len(calls) == 61 + 11 and any(value for _, value in calls)
     for args, value in calls:
         assert value == _per_call_twisted_fixed_euler(*args), args
     # the setup is shared by the calls of one involution, and bounded
     assert ob._cycle_setup.cache_info().currsize <= ob._cycle_setup.cache_info().maxsize
 
 
-@pytest.mark.parametrize("variant, classes", [("swap", 81), ("swap-two-pairs", 17)])
+@pytest.mark.parametrize("variant, classes", [("swap", 61), ("swap-two-pairs", 11)])
 def test_quintic_sheet_counts_each_twisted_class_once(monkeypatch, variant, classes):
     calls = []
     engine = ob.twisted_fixed_euler
@@ -746,18 +773,21 @@ def _engine_vectors_by_support(monkeypatch, variant):
 
 @pytest.mark.parametrize("variant", _QUINTIC_VARIANTS)
 def test_class_listing_matches_the_class_key_enumeration(monkeypatch, variant):
-    # every h-invariant support walks all d^k cycle-sum vectors and the free
-    # stratum all patterns; the engine sees one vector per class of the
+    # the first h-invariant support of each centralizer type (the sorted
+    # lengths of the cycles inside it) walks all d^k cycle-sum vectors and the
+    # free stratum all patterns; the engine sees one vector per class of the
     # reference key, and the reference classes are all of the size the sheet
     # gives each class
     d, inv, patterns = 5, ob._quintic_involution(variant), ob._quintic_patterns()
     cycles = permutation_cycles(inv)
     by_support = _engine_vectors_by_support(monkeypatch, variant)
     free = tuple(frozenset(T) for r in (4, 5) for T in itertools.combinations(range(5), r))
-    walks = {free: (patterns, cycles)}
+    walks, shapes = {free: (patterns, cycles)}, set()
     for T in itertools.chain(*(itertools.combinations(range(5), r) for r in (2, 3))):
-        if {inv[i] for i in T} == set(T):
-            inside = [c for c in cycles if set(c) <= set(T)]
+        inside = [c for c in cycles if set(c) <= set(T)]
+        shape = tuple(sorted(len(c) for c in inside))
+        if {inv[i] for i in T} == set(T) and shape not in shapes:
+            shapes.add(shape)
             vectors = []
             for sums in itertools.product(range(d), repeat=len(inside)):
                 g = [0] * 5
@@ -765,6 +795,7 @@ def test_class_listing_matches_the_class_key_enumeration(monkeypatch, variant):
                     g[c[0]] = x
                 vectors.append(tuple(g))
             walks[(frozenset(T),)] = (vectors, inside)
+    assert len(shapes) == {"swap": 4, "swap-two-pairs": 2}[variant]
     assert set(by_support) == set(walks)
     for supports, (vectors, cycs) in walks.items():
         reference = {}
