@@ -229,6 +229,7 @@ def _at_least(flag: str, value: int, least: int) -> int:
 
 def cmd_group(args, command) -> int:
     started = time.monotonic()
+    _at_least("--cap", args.cap, 1)
     if args.fixture:
         group, h = _group_fixture(args)
     elif args.gens:

@@ -329,9 +329,6 @@ class CycloInt:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_one(self) -> bool:
-        return self == 1
-
     def galois(self, k: int) -> CycloInt:
         """Image under the field automorphism zeta -> zeta^k, gcd(k, m) = 1."""
         m = self.conductor
@@ -347,16 +344,6 @@ class CycloInt:
         lookup of the coefficients decides.
         """
         return _root_index(self.conductor).get(self.coeffs)
-
-    def root_of_unity_order(self) -> int | None:
-        """Multiplicative order if this is a root of unity, else None."""
-        root = self.as_root_of_unity()
-        if root is None:
-            return None
-        s, k = root
-        m = self.conductor
-        # -zeta_m^k = zeta_2m^(m + 2k)
-        return m // gcd(k, m) if s == 1 else 2 * m // gcd(m + 2 * k, 2 * m)
 
     def __repr__(self):
         return f"CycloInt(m={self.conductor}, {dict(self.coeffs)})"

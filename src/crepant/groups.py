@@ -326,16 +326,6 @@ class FiniteMatrixGroup:
                 reached = set(_span(table, ident, gens))
         return FiniteMatrixGroup(elements, table, ident, tuple(gens), self.normalizer, inv)
 
-    def element_orders(self) -> list[int]:
-        out = []
-        for i in range(self.order):
-            k, x = 1, i
-            while x != self.identity_index:
-                x = self.mul(x, i)
-                k += 1
-            out.append(k)
-        return out
-
 
 def _span(table, identity: int, generators: Sequence[int]) -> list[int]:
     """Indices reached from the identity by right multiplication, in BFS order."""

@@ -22,8 +22,9 @@ residues of coordinate sum D together with the unit points.  A
 scale is D once built, the lcm of the denominators once read from Fractions
 or a document, and no check assumes it is D.  A positive scale keeps the
 lexicographic order and commutes with coordinate permutations.  Fractions
-appear only in views and reports: the ``QSimplex`` view of a triangulation
-(for tests, failure witnesses and orbit records), the integer or ``p/q``
+appear only in views and reports, never in a check or a sum: the
+``QSimplex`` view of a triangulation (for tests and failure witnesses), the
+faces of the record view ``orbit_records``, the integer or ``p/q``
 coordinates of a document, and report volumes.
 
 A maximal simplex of the base simplex has its vertices at height one
@@ -762,8 +763,17 @@ def _vertex_cycles(face: tuple[IntVec, ...], image: Callable) -> list[tuple[int,
 
 def orbit_records(tri: Triangulation, lp: LatticePair, sym: PermSymmetry) -> list[OrbitRecord]:
     """Orbit record for every maximal invariant face, the faces that carry
-    the Lefschetz sum (``toric_lefschetz``), in sorted order.  NotInvariant
-    names the first basis vector of N that the symmetry maps out of N."""
+    the Lefschetz sum (``toric_lefschetz``), in sorted order: the record
+    view of the terms that the sum adds up."""
+    terms = _face_terms(tri, lp, sym)
+    return [OrbitRecord(QSimplex(tri.rational(f)), lp.n - len(f), c) for f, c in terms]
+
+
+def _face_terms(tri: Triangulation, lp: LatticePair, sym: PermSymmetry):
+    """(f, det(I - A_f)) for every maximal invariant face f, in sorted order,
+    once the symmetry is checked to map the triangulation to itself
+    (NotInvariantTriangulation) and to keep every basis vector of N
+    (NotInvariant names the first one that it maps out of N)."""
     image = {y: sym.apply(y) for y in tri.vertex_set}
     have = set(tri.cells)
     if not all(tuple(sorted(image[y] for y in key)) in have for key in tri.cells):
@@ -773,8 +783,7 @@ def orbit_records(tri: Triangulation, lp: LatticePair, sym: PermSymmetry) -> lis
             named = ", ".join(_coordinate_text(a, lp.scale) for a in y)
             raise NotInvariant(f"symmetry maps the basis vector ({named}) out of the lattice")
     ls = [len(c) for c in sym.cycles()]
-    terms = ((f, _face_contribution(f, ls, image.get)) for f in tri._invariant_faces(sym))
-    return [OrbitRecord(QSimplex(tri.rational(f)), lp.n - len(f), c) for f, c in terms]
+    return ((f, _face_contribution(f, ls, image.get)) for f in tri._invariant_faces(sym))
 
 
 def _face_contribution(face: tuple, lengths: Sequence[int], image: Callable) -> int:
@@ -803,7 +812,9 @@ def toric_lefschetz(tri: Triangulation, lp: LatticePair, sym: PermSymmetry) -> i
     the symmetry, and 0 when it has fewer.  The cycles of f sum to
     independent fixed vectors, so f has no more cycles than the symmetry and
     fewer than any invariant face that holds it: the sum runs over the
-    maximal invariant faces alone (``orbit_records``); the empty face adds 0.
+    maximal invariant faces alone, the empty face adds 0, and each term is
+    an integer read off an integer face of the cells, with no Fraction and
+    no Smith form (``orbit_records`` lists the same terms as records).
 
     NotInvariant: the symmetry maps N off itself, even if every invariant
     face is a cell.  ``toric --load`` never meets it: the unimodular cells of
@@ -812,7 +823,7 @@ def toric_lefschetz(tri: Triangulation, lp: LatticePair, sym: PermSymmetry) -> i
     Precondition: nondegenerate cells of n vertices, as ``verify_crepant``
     certifies; a cell on three collinear points counts 1, not 0.
     """
-    return sum(r.contribution for r in orbit_records(tri, lp, sym))
+    return sum(c for _, c in _face_terms(tri, lp, sym))
 
 
 def block_det(s: int) -> int:
@@ -1005,18 +1016,27 @@ def _in_simplex(p: IntVec, simplex: Sequence[IntVec], lp: LatticePair) -> bool:
 
 def verify_adjusted(tri: Triangulation, lp: LatticePair, sym: PermSymmetry) -> bool:
     """Every maximal invariant face of the triangulation is standard, judged
-    by ``_standard_face`` on scaled points with the simplices inside it.  For
-    n <= 3 a cell that ``verify_crepant`` has certified unimodular for ``lp``
-    is: one vertex cycle, or a fixed v and a swapped pair u, w whose fixed
-    locus has volume 1/2, as u + w - 2v is primitive.  Not so at n = 4: two
-    2-cycles give 1/2, not 1/4."""
-    by_set: dict[frozenset, list[tuple[IntVec, ...]]] = {}
-    for key in tri.cells:
-        by_set.setdefault(frozenset(key), []).append(key)
-    certified = lp.n <= 3 and lp in tri.__dict__.get("_unimodular", ())
+    by ``_standard_face`` on scaled points with the simplices inside it.
+
+    A triangulation that ``verify_crepant`` has certified unimodular for
+    ``lp`` needs no judgement for two kinds of face.  The vertices of a
+    certified cell are a basis of N, so the edges of any of its faces are a
+    primitive system: part of a basis of N.
+    - A face whose vertices are all fixed, in any dimension: its fixed locus
+      is the face itself, of volume 1 = 1/prod(1), and no vertex moves.
+    - For n <= 3, an invariant cell: one vertex cycle, or a fixed v and a
+      swapped pair u, w whose fixed locus has volume 1/2, as u + w - 2v is
+      primitive.  Not so at n = 4: two 2-cycles give 1/2, not 1/4.
+    """
+    certified = lp in tri.__dict__.get("_unimodular", ())
+    by_set: Optional[dict[frozenset, list[tuple[IntVec, ...]]]] = None
     for f in tri._invariant_faces(sym):
-        if certified and len(f) == lp.n:
+        if certified and ((lp.n <= 3 and len(f) == lp.n) or all(sym.apply(y) == y for y in f)):
             continue
+        if by_set is None:  # the cells by vertex set, once a face is judged
+            by_set = {}
+            for key in tri.cells:
+                by_set.setdefault(frozenset(key), []).append(key)
         # the simplices inside f have vertex sets among the subsets of f
         inside = sorted(s for sub in _subsets(f) for s in by_set.get(frozenset(sub), ()))
         if not _standard_face(f, inside, sym, lp, tri.scale):
@@ -1032,33 +1052,27 @@ def _maximal_invariant_faces(simplices: Sequence[tuple], sym: PermSymmetry) -> l
     vertices of a simplex whose whole orbit lies in that simplex span its
     largest invariant face, and every invariant face lies in one simplex, so
     the maximal invariant faces are the maximal sets among these, one per
-    simplex at most.  Faces come as sorted vertex tuples, in sorted order.
-    Only subsets of the sizes of smaller candidates can hide one, so only
-    those are built: none when every candidate is a whole cell, as for the
-    identity.
+    simplex at most.  Faces come as sorted vertex tuples, in sorted order:
+    dropping vertices and taking combinations keep the order of a sorted
+    simplex.  Only subsets of the sizes of smaller candidates can hide one,
+    so only those are built: none when every candidate is a whole cell, as
+    for the identity.
     """
     image = {v: sym.apply(v) for v in {v for s in simplices for v in s}}  # once per vertex
     largest = set()
     for s in simplices:
-        # drop vertices whose image has left the set until none is dropped;
+        # drop vertices whose image has left the face until none is dropped;
         # the symmetry has finite order, so a whole orbit stays
-        keep = frozenset(s)
-        while True:
-            stay = frozenset(v for v in keep if image[v] in keep)
-            if stay == keep:
-                break
+        keep = s
+        while len(stay := tuple(v for v in keep if image[v] in keep)) < len(keep):
             keep = stay
         if keep:
             largest.add(keep)
     sizes = {len(g) for g in largest}
     smaller = {
-        frozenset(sub)
-        for g in largest
-        for k in sizes
-        if k < len(g)
-        for sub in itertools.combinations(g, k)
+        sub for g in largest for k in sizes if k < len(g) for sub in itertools.combinations(g, k)
     }
-    return sorted(tuple(sorted(f)) for f in largest - smaller)
+    return sorted(largest - smaller)
 
 
 def _subsets(vertices: tuple) -> list[tuple]:

@@ -656,6 +656,10 @@ def test_toric_perm_refuses_a_malformed_or_repeating_cycle(capsys, text, message
         (["verify", "--only", "blockdet", "--count", "-1"], "--count -1"),
         (["verify", "--only", "blockdet", "--count", "0"], "--count 0"),
         (["verify", "--only", "blockdet", "--max-n", "0"], "--max-n 0"),
+        (["group", "--fixture", "cyclic", "--n", "5", "--cap", "0"], "--cap 0"),
+        (["group", "--fixture", "cyclic", "--n", "5", "--cap", "-1"], "--cap -1"),
+        (["group", "--gens", "[[z1^0]]", "--cap", "0"], "--cap 0"),
+        (["group", "--gens", "[[z1^0]]", "--cap", "-1"], "--cap -1"),
     ],
 )
 def test_a_size_below_its_minimum_is_a_parse_error(capsys, argv, flag):

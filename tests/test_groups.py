@@ -41,7 +41,19 @@ from crepant.groups import (
     invariant_class_count,
     outer_action,
 )
-from test_exactmath import _collect_lift, _entries
+from test_exactmath import _collect_lift, _entries, _root_of_unity_order
+
+
+def _element_orders(group):
+    """The order of every element, by powers along the table."""
+    out = []
+    for i in range(group.order):
+        k, x = 1, i
+        while x != group.identity_index:
+            x = group.mul(x, i)
+            k += 1
+        out.append(k)
+    return out
 
 
 def test_identity_closure():
@@ -70,7 +82,7 @@ def test_quintic_group_order(quintic_group):
     assert cc.count == 125
     # volume preserving: every determinant is one
     for e in quintic_group.elements:
-        assert e.det().is_one()
+        assert e.det() == 1
 
 
 def test_ci_group_order(ci_group):
@@ -78,7 +90,7 @@ def test_ci_group_order(ci_group):
     # determinants are roots of unity but not all one: the group sits in the
     # general linear torus, with volume preservation holding on the quotient
     for e in ci_group.elements:
-        assert e.det().root_of_unity_order() is not None
+        assert _root_of_unity_order(e.det()) is not None
 
 
 @pytest.mark.parametrize("r", range(3, 9))
@@ -110,7 +122,7 @@ def test_cyclic_swap_invariants(n, expected):
     act = outer_action(g, cyclic_swap_symmetry())
     assert invariant_class_count(act) == expected
     for e in g.elements:  # torus elements of the special linear group
-        assert e.det().is_one()
+        assert e.det() == 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
@@ -137,7 +149,7 @@ def test_centralizer_examples(quintic_group):
     assert centralizer(quintic_group, 3).order == 125
     # quaternion group: an order-four element has centralizer of order four
     q8, _ = d4_triality()
-    orders = q8.element_orders()
+    orders = _element_orders(q8)
     idx = next(i for i, o in enumerate(orders) if o == 4)
     assert centralizer(q8, idx).order == 4
 
@@ -180,7 +192,7 @@ def test_compatible_filter_with_stabilizers(tetra_group):
     # out when the subgroup is supplied as a stabilizer
     h = binary_tetrahedral_symmetry()
     act = outer_action(tetra_group, h)
-    orders = tetra_group.element_orders()
+    orders = _element_orders(tetra_group)
     q8 = tetra_group.subgroup([i for i, o in enumerate(orders) if o in (1, 2, 4)])
     assert q8.order == 8
     unconstrained = compatible_class_filter(tetra_group, act)
@@ -218,7 +230,7 @@ def test_con_count_equal_on_conjugate_subgroups(tetra_group):
     # invariant-class counts agree on conjugate cyclic subgroups
     h = binary_tetrahedral_symmetry()
     act = outer_action(tetra_group, h)
-    order3 = [i for i, o in enumerate(tetra_group.element_orders()) if o == 3]
+    order3 = [i for i, o in enumerate(_element_orders(tetra_group)) if o == 3]
 
     def cyclic_subgroup(i):
         members = {tetra_group.identity_index}
@@ -433,7 +445,7 @@ def test_lt_matches_reference(ci_group):
 
 def test_subgroup_matches_reference(tetra_group):
     h = binary_tetrahedral_symmetry()
-    orders = tetra_group.element_orders()
+    orders = _element_orders(tetra_group)
     q8 = tetra_group.subgroup([i for i, o in enumerate(orders) if o in (1, 2, 4)])
     _assert_matches_reference(q8, [h])
     # an order-six cyclic subgroup, which h moves
@@ -681,7 +693,7 @@ def test_outer_action_reuses_the_classes_of_its_group():
 
 def _subgroup_q8():
     tetra = binary_tetrahedral()
-    orders = tetra.element_orders()
+    orders = _element_orders(tetra)
     return tetra.subgroup([i for i, o in enumerate(orders) if o in (1, 2, 4)])
 
 

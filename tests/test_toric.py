@@ -1288,6 +1288,38 @@ def test_load_reads_flips_of_the_revlex_triangulation(tmp_path, capsys):
         assert json.loads(capsys.readouterr().out)["results"]["lefschetz"] == 25
 
 
+def test_the_lefschetz_sum_builds_no_record_and_no_fraction(monkeypatch, z5sq):
+    """toric_lefschetz sums the integer terms of the integer faces: with
+    OrbitRecord, QSimplex and Triangulation.rational made to raise, it gives
+    the sum of the records on fresh triangulations and still raises
+    NotInvariantTriangulation and NotInvariant."""
+    cases = []
+    for lp, sym in (z5sq, *_line_family((20, 400))):
+        for order in ("lex", "revlex"):
+            tri = adjusted_triangulation(lp, sym, order)
+            want = sum(r.contribution for r in orbit_records(tri, lp, sym))
+            cases.append((Triangulation(tri.scale, tri.cells), lp, sym, want))
+    lp5 = build_lattice_pair(3, [((0, 1, 4), 5), ((1, 0, 4), 5)])
+    revlex = adjusted_triangulation(lp5, SWAP3, "revlex")
+    one_flip = Triangulation(revlex.scale, _flip_edge(list(revlex.cells), ((0, 0, 5), (1, 3, 1))))
+    cell, off = _unit_cell(3), build_lattice_pair(3, [((1, 0, 2), 3)])
+
+    def refuse(*args):
+        raise AssertionError("the Lefschetz sum built a record or a Fraction")
+
+    monkeypatch.setattr(toric, "OrbitRecord", refuse)
+    monkeypatch.setattr(toric, "QSimplex", refuse)
+    monkeypatch.setattr(Triangulation, "rational", refuse)
+    for tri, lp, sym, want in cases:
+        assert toric_lefschetz(tri, lp, sym) == want, (lp.generators, sym.perm)
+    with pytest.raises(NotInvariantTriangulation, match="does not map the triangulation"):
+        toric_lefschetz(one_flip, lp5, SWAP3)
+    with pytest.raises(NotInvariant, match=r"basis vector \(1/3, 0, 2/3\) out of the lattice"):
+        toric_lefschetz(cell, off, SWAP3)
+    with pytest.raises(AssertionError, match="built a record"):
+        orbit_records(cell, build_lattice_pair(3, []), SWAP3)
+
+
 def test_load_skips_the_lefschetz_number_of_a_degenerate_cell(tmp_path, capsys):
     """The maximal-face sum needs nondegenerate cells: a cell on three
     collinear points adds 1 to it and 0 to the sum over every invariant
@@ -1912,6 +1944,45 @@ def test_the_certificate_skip_stops_at_n_3(monkeypatch):
     real = toric._standard_face
     monkeypatch.setattr(toric, "_standard_face", lambda f, *a: len(f) == lp.n or real(f, *a))
     assert verify_adjusted(tri, lp, sym)
+
+
+def test_the_fixed_face_skip_matches_the_full_check(monkeypatch):
+    """verify_adjusted passes an invariant face with every vertex fixed in a
+    certified triangulation without judging it, in any dimension; judged on
+    a fresh, uncertified triangulation with the same cells, which judges
+    every face, each such face is standard.  On the standing sweep and on
+    the line family at m = 400, 1600 and 3200, lex and revlex."""
+    real = toric._standard_face
+    judged = {}
+    monkeypatch.setattr(
+        toric, "_standard_face", lambda f, *a: judged.setdefault(f, real(f, *a))
+    )
+
+    def large_line_builds():
+        for lp, sym in _line_family((400, 1600, 3200)):
+            for order in ("lex", "revlex"):
+                tri = adjusted_triangulation(lp, sym, order)
+                assert verify_crepant(tri, lp).ok
+                yield lp, sym, tri, Triangulation(tri.scale, tri.cells)
+
+    kinds = {"edge": 0, "vertex": 0}
+    for lp, sym, tri, fresh in itertools.chain(_certified_sweep(), large_line_builds()):
+        case = (lp.generators, sym.perm)
+        faces = tri._invariant_faces(sym)
+        judged.clear()
+        assert verify_adjusted(tri, lp, sym), case
+        skipped = [f for f in faces if f not in judged]
+        # the n <= 3 rule passes the invariant cells, the new rule the rest
+        new = [f for f in skipped if len(f) < lp.n]
+        assert all(sym.apply(y) == y for f in new for y in f), case
+        judged.clear()
+        assert verify_adjusted(fresh, lp, sym), case
+        assert set(judged) == set(fresh._invariant_faces(sym)) == set(faces), case
+        assert all(judged[f] for f in skipped), case
+        for f in new:
+            kinds["edge" if len(f) == 2 else "vertex"] += 1
+    # the edges on the mirror of (1 2), and the centre of a 3-cycle in N
+    assert kinds == {"edge": 12540, "vertex": 64}
 
 
 def _reference_det(rows):
