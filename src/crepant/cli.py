@@ -256,19 +256,19 @@ def cmd_group(args, command) -> int:
 def _class_equation_holds(group, classes) -> bool:
     """|class| * |centralizer| = |G| for every class, and the classes cover G.
 
-    Only the centralizer's order is needed, so it is counted off the table,
-    except for a representative that commutes with every generator: its
-    centralizer is the whole group.
+    Only the centralizer's order is needed.  A representative i that
+    commutes with every generator, g·i = i·g read off the generator rows and
+    columns, has the whole group as its centralizer; for any other one the
+    elements x with i·x = x·i are counted off the row and the column of i.
     """
-    table = group.table
+    generator_rows = [group.row(g) for g in group.generators]
     total = 0
     for cl in classes.classes:
         i = cl[0]
-        row = table[i]
-        if all(table[g][i] == row[g] for g in group.generators):
+        if all(row[i] == col[i] for row, col in zip(generator_rows, group.columns)):
             cent_order = group.order
         else:
-            cent_order = sum(1 for x, x_row in enumerate(table) if x_row[i] == row[x])
+            cent_order = sum(1 for ix, xi in zip(group.row(i), group.column(i)) if ix == xi)
         if len(cl) * cent_order != group.order:
             return False
         total += len(cl)

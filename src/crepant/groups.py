@@ -7,15 +7,16 @@ immutable after closure; every query is a pure function of the stored data.
 Closure is Dimino's: the group grows from the subgroup of the first
 generators one right coset at a time, and only coset representatives are
 multiplied by generators, so matrix products number at most |G|·|gens| and
-often far fewer.  The generator columns x -> x·g are integer lookups through
-the table of the previous subgroup, and every multiplication table is filled
-from such columns along a Schreier tree (each element's parent and the
-generator that reached it), each row composed from two rows already known.
-An outer action conjugates only the stored generators and extends the map
-along the table, proving it a homomorphism on every edge x -> x·g.  This is
-the Dimino closure of Butler, *Fundamental Algorithms for Permutation Groups*
-(LNCS 559), and of Holt, Eick and O'Brien, *Handbook of Computational Group
-Theory* (2005), §4.1.
+often far fewer.  A group keeps no multiplication table: it holds one column
+x -> x·g per stored generator, the Schreier tree that reached each element
+(its parent and the generator), and the inverses, all O(|G|·|gens|).  Any
+row x -> b·x is rebuilt from them along the tree in O(|G|), and any column
+x -> x·j as x -> (j^-1·x^-1)^-1.  An outer action conjugates only the stored
+generators and extends the map along the generator columns, proving it a
+homomorphism on every edge x -> x·g.  These are the Dimino closure of
+Butler, *Fundamental Algorithms for Permutation Groups* (LNCS 559), and the
+Schreier structures of Holt, Eick and O'Brien, *Handbook of Computational
+Group Theory* (2005), ch. 4.
 
 Element arithmetic runs on the entries' canonical coefficient tuples, not
 through the CycloInt operators: each entry of a product, a scaling or a
@@ -26,9 +27,9 @@ product element carries its canonical key from the moment it is built.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
-from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .exactmath import CycloDivisor, CycloInt, _negated, _sum_of_products, cyclo_div_exact
@@ -136,13 +137,18 @@ class GroupElement:
         zero = _sum_of_products(m, ())
         rows = []
         for row in self._support():
-            pairs: dict = {}
-            for k, a in row:
-                for j, b in support[k]:
-                    pairs.setdefault(j, []).append((a, b))
             out = [zero] * n
-            for j, p in pairs.items():
-                out[j] = _sum_of_products(m, p)
+            if len(row) == 1:  # a scaling of one right row, one pair per entry
+                (k, a), = row
+                for j, b in support[k]:
+                    out[j] = _sum_of_products(m, ((a, b),))
+            else:
+                pairs: dict = {}
+                for k, a in row:
+                    for j, b in support[k]:
+                        pairs.setdefault(j, []).append((a, b))
+                for j, p in pairs.items():
+                    out[j] = _sum_of_products(m, p)
             rows.append(tuple(out))
         return _element(n, m, rows)
 
@@ -243,23 +249,41 @@ def scalar_normalize(g: GroupElement) -> GroupElement:
 class FiniteMatrixGroup:
     """Closed matrix group with elements ordered by canonical key.
 
-    The multiplication table maps index pairs to indices; inverses are read
-    off the table.  ``generators`` holds the indices of a generating set, the
-    only elements an outer action conjugates as matrices.  An optional
-    normalizer realizes a projective quotient by mapping every raw product to
-    its canonical representative.
+    No multiplication table is stored.  ``columns[k]`` maps x to x·g for the
+    k-th stored generator g, whose index is ``generators[k]``; ``tree`` lists
+    (b, parent, k) with b = parent·g_k, parents first, reaching every element
+    but the identity; ``_inverse`` holds the inverses.  Rows and columns of
+    any element are rebuilt from these in O(|G|), and ``table`` is built
+    from the rows on first use.  The stored generators are the only elements
+    an outer action conjugates as matrices.  An optional normalizer realizes
+    a projective quotient by mapping every raw product to its canonical
+    representative.
     """
 
     elements: tuple[GroupElement, ...]
-    table: tuple[tuple[int, ...], ...]
     identity_index: int
     generators: tuple[int, ...]
+    columns: tuple[tuple[int, ...], ...]
+    tree: tuple[tuple[int, int, int], ...]
+    _inverse: tuple[int, ...]
     normalizer: Optional[Normalizer] = None
-    _inverse: tuple[int, ...] = field(default=())
 
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """The |G|² multiplication table, table[i][j] = index of i·j."""
+        return tuple(tuple(self.row(b)) for b in range(self.order))
+
+    def row(self, b: int) -> list[int]:
+        """x -> b·x, filled along the tree as b·(p·g_k) = (b·p)·g_k."""
+        return _row(self.columns, self.tree, self.identity_index, b)
+
+    def column(self, j: int) -> list[int]:
+        """x -> x·j, read as (j^-1·x^-1)^-1 off the row of j^-1."""
+        return _column(self.columns, self.tree, self.identity_index, self._inverse, j)
 
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
@@ -296,68 +320,93 @@ class FiniteMatrixGroup:
         return index
 
     def is_abelian(self) -> bool:
-        """Whether the stored generators, which generate the group, commute."""
+        """Whether the stored generators, which generate the group, commute:
+        g_a·g_b = col_b[g_a] against g_b·g_a = col_a[g_b]."""
         return all(
-            self.table[g][h] == self.table[h][g]
-            for g, h in itertools.combinations(self.generators, 2)
+            col_b[a] == col_a[b]
+            for (a, col_a), (b, col_b) in itertools.combinations(
+                zip(self.generators, self.columns), 2
+            )
         )
 
     def subgroup(self, indices) -> FiniteMatrixGroup:
         """Subgroup on a closed subset of element indices, reindexed by key.
 
-        Its generators are chosen greedily from the table: each element in
-        index order that the generators so far do not reach joins them.
+        Its generators are chosen greedily: each element in index order that
+        the generators so far do not reach joins them.  As they reach the
+        whole subset from the identity, it is closed exactly when each one's
+        column maps it into itself, so no table is read.
         """
         idx = sorted(set(indices), key=lambda i: self.elements[i].key())
         pos = {g: k for k, g in enumerate(idx)}
-        for i in idx:
-            for j in idx:
-                if self.table[i][j] not in pos:
-                    raise StabilizerNotSubgroup("subset is not closed under products")
-        table = tuple(tuple(pos[self.table[i][j]] for j in idx) for i in idx)
-        elements = tuple(self.elements[i] for i in idx)
+        if self.identity_index not in pos:
+            raise StabilizerNotSubgroup("subset does not contain the identity")
         ident = pos[self.identity_index]
-        inv = tuple(pos[self.inv(i)] for i in idx)
         gens: list[int] = []
+        columns: list[tuple[int, ...]] = []
+        tree: list = []
         reached = {ident}
         for i in range(len(idx)):
             if i not in reached:
+                col = self.column(idx[i])
+                image = tuple(pos.get(col[x]) for x in idx)
+                if None in image:
+                    raise StabilizerNotSubgroup("subset is not closed under products")
                 gens.append(i)
-                reached = set(_span(table, ident, gens))
-        return FiniteMatrixGroup(elements, table, ident, tuple(gens), self.normalizer, inv)
+                columns.append(image)
+                tree = _span(columns, ident)
+                reached.update(b for b, _, _ in tree)
+        elements = tuple(self.elements[i] for i in idx)
+        inv = tuple(pos[self.inv(i)] for i in idx)
+        return FiniteMatrixGroup(
+            elements, ident, tuple(gens), tuple(columns), tuple(tree), inv, self.normalizer
+        )
 
 
-def _span(table, identity: int, generators: Sequence[int]) -> list[int]:
-    """Indices reached from the identity by right multiplication, in BFS order."""
-    queue, seen = [identity], {identity}
+def _span(columns, identity: int) -> list[tuple[int, int, int]]:
+    """The breadth-first Schreier tree from the identity along the columns:
+    (y, x, k) with y = x·g_k, for every element reached, in the order reached."""
+    queue, seen, tree = [identity], {identity}, []
     for x in queue:  # the queue grows while it is scanned
-        row = table[x]
-        for g in generators:
-            y = row[g]
+        for k, col in enumerate(columns):
+            y = col[x]
             if y not in seen:
                 seen.add(y)
                 queue.append(y)
-    return queue
+                tree.append((y, x, k))
+    return tree
 
 
-def _fill_table(columns, tree, identity: int, size: int) -> list[tuple[int, ...]]:
-    """Multiplication table from the generator columns, columns[k][x] = x·g_k,
-    and a Schreier tree listing (b, parent, k) with b = parent·g_k, parents
-    first.  The row of each generator g is filled along the tree by
-    g·b = (g·parent)·g_k, one lookup per entry; every other row is then the
-    composition b·x = parent·(g_k·x) of two rows already known."""
-    generator_rows = []
+def _row(columns, tree, identity: int, b: int) -> list[int]:
+    """x -> b·x from the generator columns along a Schreier tree (y, p, k)
+    with y = p·g_k, parents first: b·y = (b·p)·g_k."""
+    row = [identity] * (len(tree) + 1)
+    row[identity] = b
+    for y, p, k in tree:
+        row[y] = columns[k][row[p]]
+    return row
+
+
+def _column(columns, tree, identity: int, inverse, j: int) -> list[int]:
+    """x -> x·j = (j^-1·x^-1)^-1, from the row of j^-1 and the inverses."""
+    row = _row(columns, tree, identity, inverse[j])
+    return [inverse[row[x_inv]] for x_inv in inverse]
+
+
+def _inverses(columns, tree, identity: int) -> list[int]:
+    """The inverses along the tree: b = p·g_k has b^-1 = g_k^-1·p^-1, read off
+    one row per generator inverse.  g_k^-1 is the last element before the
+    identity on the walk e, g_k, g_k², ... down column k."""
+    rows = []
     for col in columns:
-        row = [0] * size
-        row[identity] = col[identity]
-        for b, p, k in tree:
-            row[b] = columns[k][row[p]]
-        generator_rows.append(itemgetter(*row))
-    table: list = [None] * size
-    table[identity] = tuple(range(size))
+        last, x = identity, col[identity]
+        while x != identity:
+            last, x = x, col[x]
+        rows.append(_row(columns, tree, identity, last))
+    inverse = [identity] * (len(tree) + 1)
     for b, p, k in tree:
-        table[b] = generator_rows[k](table[p])
-    return table
+        inverse[b] = rows[k][inverse[p]]
+    return inverse
 
 
 def close_group(
@@ -375,11 +424,13 @@ def close_group(
     order-125 quintic group 142, not |G|·|gens|.  CapExceeded is raised
     before a coset would take the order past the cap.
 
-    Columns stay integer lookups: for x = h·r and r·g = h'·r', x·g = (h·h')·r'
-    with h·h' read off the table of H, which _fill_table builds along the
-    Schreier tree (h·r' = (h·r)·g when r' = r·g).  Elements are then ordered
-    by canonical key, so the result is independent of generator order, and
-    the table and the inverses are filled along the tree the same way.
+    Columns stay integer lookups: for x = h·r and r·g = y·r', x·g = (h·y)·r',
+    with h -> h·y the column of y in H, rebuilt from H's generator columns,
+    Schreier tree (h·r' = (h·r)·g when r' = r·g) and inverses for just the
+    elements y that occur.  Elements are then ordered by canonical key, so
+    the result is independent of generator order; the inverses are filled
+    along the tree, and a generator that already lay in an earlier subgroup
+    takes its column from them.  The key index built on the way is kept.
     """
     if not generators:
         raise ValueError("at least one generator required")
@@ -405,7 +456,6 @@ def close_group(
         if g.key() in index:
             continue
         size = len(elements)
-        by_column = list(zip(*_fill_table(columns, tree, 0, size)))  # [y][h] = h·y
         reps, reached = [ident], []  # reached[c][k] = (c', y) with r_c·g_k = y·r_c'
         for c, r in enumerate(reps):  # the list grows while it is scanned
             row = []
@@ -424,27 +474,36 @@ def close_group(
                         tree.append((j + h, c * size + h, k))
                 row.append(divmod(j, size))
             reached.append(row)
-        columns = [[c * size + hy for c, y in col for hy in by_column[y]] for col in zip(*reached)]
+        h_tree = tree[: size - 1]  # the edges of H come first
+        h_inverse = _inverses(columns, h_tree, 0)
+        ys = {y for row in reached for _, y in row}
+        h_columns = {y: _column(columns, h_tree, 0, h_inverse, y) for y in ys}  # [y][h] = h·y
+        columns = [[c * size + hy for c, y in col for hy in h_columns[y]] for col in zip(*reached)]
 
     by_key = sorted(range(len(elements)), key=lambda i: elements[i].key())
     pos = {i: r for r, i in enumerate(by_key)}
     identity_index = pos[0]
     tree = [(pos[b], pos[p], k) for b, p, k in tree]
-    columns = [[pos[col[i]] for i in by_key] for col in columns]
-    table = _fill_table(columns, tree, identity_index, len(elements))
-    # b = p·g_k has the inverse g_k^-1·p^-1, and one row scan finds each g_k^-1
-    inverse = [identity_index] * len(elements)
-    generator_inverses = [table[col[identity_index]].index(identity_index) for col in columns]
-    for b, p, k in tree:
-        inverse[b] = table[generator_inverses[k]][inverse[p]]
-    return FiniteMatrixGroup(
+    columns = [tuple([pos[col[i]] for i in by_key]) for col in columns]
+    inverse = _inverses(columns, tree, identity_index)
+    for key, i in index.items():
+        index[key] = pos[i]
+    stored = tuple(index[g.key()] for g in gens)
+    # generators after the last one that grew the group have no column yet
+    columns += [
+        tuple(_column(columns, tree, identity_index, inverse, j)) for j in stored[len(columns) :]
+    ]
+    group = FiniteMatrixGroup(
         elements=tuple(elements[i] for i in by_key),
-        table=tuple(table),
         identity_index=identity_index,
-        generators=tuple(pos[index[g.key()]] for g in gens),
-        normalizer=normalizer,
+        generators=stored,
+        columns=tuple(columns),
+        tree=tuple(tree),
         _inverse=tuple(inverse),
+        normalizer=normalizer,
     )
+    group.__dict__["_key_cache"] = {m: index}
+    return group
 
 
 @dataclass(frozen=True)
@@ -463,14 +522,16 @@ def conjugacy_classes(group: FiniteMatrixGroup) -> ConjClassSet:
     """Exact conjugacy classes; representatives are the minimal canonical keys.
 
     A class is the orbit of an element under conjugation by the generators
-    alone, since those conjugations generate every inner automorphism.  The
+    alone, since those conjugations generate every inner automorphism; each
+    x -> g^-1·x·g is the row of g^-1 followed by the column of g.  The
     classes are kept on the group, computed once.
     """
     cached = group.__dict__.get("_classes")
     if cached is not None:
         return cached
-    table = group.table
-    conjugators = [(g, group.inv(g)) for g in group.generators]
+    conjugators = [
+        (group.row(group.inv(g)), col) for g, col in zip(group.generators, group.columns)
+    ]
     assigned = [False] * group.order
     classes = []
     for a in range(group.order):
@@ -479,8 +540,8 @@ def conjugacy_classes(group: FiniteMatrixGroup) -> ConjClassSet:
         assigned[a] = True
         orbit = [a]
         for x in orbit:  # the orbit grows while it is scanned
-            for g, g_inv in conjugators:
-                y = table[table[g][x]][g_inv]
+            for row, col in conjugators:
+                y = col[row[x]]
                 if not assigned[y]:
                     assigned[y] = True
                     orbit.append(y)
@@ -492,9 +553,10 @@ def conjugacy_classes(group: FiniteMatrixGroup) -> ConjClassSet:
 
 
 def centralizer(group: FiniteMatrixGroup, x) -> FiniteMatrixGroup:
-    """Subgroup of elements commuting with x (an element or an index)."""
+    """Subgroup of elements commuting with x (an element or an index), read
+    off the row and the column of x."""
     i = x if isinstance(x, int) else group.index_of(x)
-    members = [c for c in range(group.order) if group.mul(c, i) == group.mul(i, c)]
+    members = [c for c, (ic, ci) in enumerate(zip(group.row(i), group.column(i))) if ic == ci]
     return group.subgroup(members)
 
 
@@ -521,11 +583,13 @@ def outer_action(group: FiniteMatrixGroup, h: GroupElement) -> OuterAction:
     raises NotNormalizing.  That is the whole normalizing test, because the
     conjugates of the generators generate the conjugate of the group.
 
-    The map is extended along a breadth-first search of the table from the
-    identity by perm[x·g] = perm[x]·perm[g], and the same identity is checked
-    on every edge x -> x·g the search meets.  Since every element is a word
-    in the generators, this proves perm a homomorphism; with the bijection
-    check it is an automorphism, equal to conjugation by h on every element.
+    The map is extended along a breadth-first search of the generator
+    columns from the identity by perm[x·g] = perm[x]·perm[g], reading
+    perm[x]·perm[g] off the column of the image perm[g], and the same identity
+    is checked on every edge x -> x·g the search meets.  Since every element
+    is a word in the generators, this proves perm a homomorphism; with the
+    bijection check it is an automorphism, equal to conjugation by h on every
+    element.
     """
     m = lcm(group.elements[0].conductor, h.conductor)
     hh = h.lift(m)
@@ -556,16 +620,22 @@ def outer_action(group: FiniteMatrixGroup, h: GroupElement) -> OuterAction:
         except ElementNotInGroup:
             raise NotNormalizing(f"conjugate of generator {gi} falls outside the group") from None
 
-    table = group.table
-    order = _span(table, group.identity_index, group.generators)
-    if len(order) != group.order:
+    tree = _span(group.columns, group.identity_index)
+    if len(tree) + 1 != group.order:
         raise ValueError("the stored generators do not generate the group")
+    for g, col in zip(group.generators, group.columns):
+        # image columns are read off rows built from these, so one entry
+        # redirected here could bend an image column to agree with it
+        if len(set(col)) != group.order:
+            raise NotNormalizing(f"the column of generator {g} is not a permutation")
+    edges = list(zip(group.generators, group.columns, map(group.column, images)))
     perm = [-1] * group.order
     perm[group.identity_index] = group.identity_index
-    for x in order:  # breadth-first, so perm[x] is set before x is scanned
-        row, image_row = table[x], table[perm[x]]
-        for g, hg in zip(group.generators, images):
-            y, hy = row[g], image_row[hg]
+    for x in (group.identity_index, *(b for b, _, _ in tree)):
+        # breadth-first, so perm[x] is set before x is scanned
+        px = perm[x]
+        for g, col, image_col in edges:
+            y, hy = col[x], image_col[px]
             if perm[y] < 0:
                 perm[y] = hy
             elif perm[y] != hy:
@@ -599,7 +669,7 @@ def class_in_subgroup_invariant(
     group = action.group
     g = group.elements[element_index]
     gi = sub.index_of(g)
-    cls = {sub.conj(gi, s) for s in range(sub.order)}
+    cls = next(cl for cl in conjugacy_classes(sub).classes if gi in cl)
     cls_ambient = {group.index_of(sub.elements[i]) for i in cls}
     image = {action.element_perm[i] for i in cls_ambient}
     return image == cls_ambient

@@ -20,6 +20,7 @@ import sys
 import tempfile
 
 from crepant.cli import main
+from crepant.groups import FiniteMatrixGroup
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -95,6 +96,25 @@ def test_one_process_reuses_the_parser_across_subcommands(tmp_path, capsys):
     capsys.readouterr()
     again = run_golden_commands(tmp_path, [COMMANDS[0]])
     assert again[COMMANDS[0][0]] == (GOLDEN_DIR / f"{COMMANDS[0][0]}.txt").read_text()
+
+
+def test_no_command_builds_the_multiplication_table(tmp_path, monkeypatch):
+    """The group and verify commands read a group's generator columns and the
+    rows and columns rebuilt from them, never the |G|² table."""
+
+    def refuse(group):
+        raise AssertionError(f"the table of a group of order {group.order} was built")
+
+    monkeypatch.setattr(FiniteMatrixGroup, "table", property(refuse))
+    commands = [(stem, argv) for stem, argv in COMMANDS if argv[0] in ("group", "verify")]
+    got = run_golden_commands(tmp_path, commands)
+    assert "verify-seed-7" in got
+    for stem, text in got.items():
+        assert text == (GOLDEN_DIR / f"{stem}.txt").read_text(), stem
+    argv = ["group", "--fixture", "cyclic", "--n", "2000", "--action", "swap"]
+    text = run_golden_commands(tmp_path, [("cyclic-2000", argv)])["cyclic-2000"]
+    assert text.startswith("exit 0\n")
+    assert '"order": 2000' in text and '"class_equation": "pass"' in text
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ from crepant.groups import (
     GroupElement,
     IncompatibleElements,
     NotNormalizing,
+    StabilizerNotSubgroup,
     _adjugate,
     _det,
     centralizer,
@@ -383,6 +384,36 @@ def _reference_outer_action(group, h):
     return tuple(perm), classes, tuple(class_perm)
 
 
+def _assert_rows_and_columns(group, table):
+    """Every row, every column, the generator columns and the Schreier tree
+    of the group against a full multiplication table."""
+    assert [tuple(group.row(b)) for b in range(group.order)] == list(table)
+    assert [tuple(group.column(j)) for j in range(group.order)] == list(zip(*table))
+    assert group.columns == tuple(tuple(row[g] for row in table) for g in group.generators)
+    reached = sorted(b for b, _, _ in group.tree)
+    assert reached == sorted(set(range(group.order)) - {group.identity_index})
+    assert all(table[p][group.generators[k]] == b for b, p, k in group.tree)
+
+
+def _assert_centralizers_match_table(group, table, inverse, classes):
+    """Each distinct centralizer of a class representative: its elements, and
+    its rows, columns, tree and inverses against the table restricted to it."""
+    seen = set()
+    for cl in classes:
+        members = tuple(c for c in range(group.order) if table[c][cl[0]] == table[cl[0]][c])
+        if members in seen:
+            continue
+        seen.add(members)
+        sub = centralizer(group, cl[0])
+        assert [e.key() for e in sub.elements] == [group.elements[i].key() for i in members]
+        pos = {g: k for k, g in enumerate(members)}
+        sub_table = tuple(tuple(pos[table[i][j]] for j in members) for i in members)
+        assert sub.table == sub_table
+        assert sub._inverse == tuple(pos[inverse[i]] for i in members)
+        assert sub.identity_index == pos[group.identity_index]
+        _assert_rows_and_columns(sub, sub_table)
+
+
 def _assert_matches_reference(group, symmetries):
     gens = [group.elements[i] for i in group.generators]
     elements, table, identity, inverse = _reference_close_group(gens, group.normalizer)
@@ -390,6 +421,10 @@ def _assert_matches_reference(group, symmetries):
     assert group.table == table
     assert group.identity_index == identity
     assert group._inverse == inverse
+    _assert_rows_and_columns(group, table)
+    classes = _reference_conjugacy_classes(group)
+    assert conjugacy_classes(group).classes == classes
+    _assert_centralizers_match_table(group, table, inverse, classes)
     for h in symmetries:
         try:
             expected = _reference_outer_action(group, h)
@@ -459,6 +494,39 @@ def test_subgroup_matches_reference(tetra_group):
     _assert_matches_reference(c6, [h])
 
 
+def test_subgroup_accepts_exactly_the_closed_subsets(tetra_group):
+    # every cyclic subgroup and the whole group, with one or two elements
+    # added or removed: subgroup() refuses a subset exactly when the table
+    # does not close it, and builds the rest as the table restricted to it
+    table, n = tetra_group.table, tetra_group.order
+    bases = {frozenset(range(n))}
+    for x in range(n):
+        powers, y = {tetra_group.identity_index}, x
+        while y not in powers:
+            powers.add(y)
+            y = table[y][x]
+        bases.add(frozenset(powers))
+    closed = 0
+    for base in bases:
+        for toggle in itertools.chain(itertools.combinations(range(n), 1),
+                                      itertools.combinations(range(n), 2)):
+            members = sorted(base.symmetric_difference(toggle))
+            if members and all(table[i][j] in members for i in members for j in members):
+                closed += 1
+                sub = tetra_group.subgroup(members)
+                pos = {g: k for k, g in enumerate(members)}
+                assert [e.key() for e in sub.elements] == [
+                    tetra_group.elements[i].key() for i in members
+                ]
+                _assert_rows_and_columns(
+                    sub, tuple(tuple(pos[table[i][j]] for j in members) for i in members)
+                )
+            else:
+                with pytest.raises(StabilizerNotSubgroup):
+                    tetra_group.subgroup(members)
+    assert closed == 16  # the closed subsets found, so both branches run
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     dim=st.integers(2, 3),
@@ -519,6 +587,7 @@ def test_closure_matches_reference_in_every_generator_order(gens):
         assert group.identity_index == identity
         assert group._inverse == inverse
         assert group.generators == tuple(keys.index(g.key()) for g in order)
+        _assert_rows_and_columns(group, table)
 
 
 @pytest.mark.parametrize("build,order", [(quintic_group, 125), (complete_intersection_group, 81)])
@@ -617,17 +686,24 @@ def test_not_normalizing_names_second_generator():
         _reference_outer_action(g, h)
 
 
-def test_outer_action_rejects_corrupted_table(tetra_group):
-    # redirect one generator edge x -> x*g back to x: the homomorphism check
-    # on the edges, or the bijection check, must notice every such table
+def test_outer_action_rejects_corrupted_columns(tetra_group):
+    # redirect one generator edge x -> x*g back to x, which leaves the column
+    # no permutation; or send x to x*g*g and x*g to itself, which keeps it
+    # one: the checks on the columns, on every edge and on the bijection must
+    # notice every such column
     h = binary_tetrahedral_symmetry()
     for x in range(tetra_group.order):
-        for g in tetra_group.generators:
-            rows = [list(r) for r in tetra_group.table]
-            rows[x][g] = x
-            corrupted = replace(tetra_group, table=tuple(map(tuple, rows)))
-            with pytest.raises(NotNormalizing):
-                outer_action(corrupted, h)
+        for k in range(len(tetra_group.generators)):
+            for swap in (False, True):
+                columns = [list(col) for col in tetra_group.columns]
+                y = columns[k][x]
+                if swap:
+                    columns[k][x], columns[k][y] = columns[k][y], y
+                else:
+                    columns[k][x] = x
+                corrupted = replace(tetra_group, columns=tuple(map(tuple, columns)))
+                with pytest.raises(NotNormalizing):
+                    outer_action(corrupted, h)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,13 @@ on the host runs), in one interpreter; each row also records the minimum
 and the quartiles of its repetitions:
 
 * ``cyclic``: closing ``fixtures.cyclic_group(n)`` and its swap
-  ``groups.outer_action``, for n in 300, 1000, 2000;
+  ``groups.outer_action``, and the command ``crepant group --fixture cyclic
+  --n N --action swap`` run as a child process (its CPU time, interpreter
+  start-up included), for n in 300, 1000, 2000, 4000, 10000.  Each cyclic
+  row also records its peak resident set size: a fresh interpreter runs the
+  row's work (the closure; the closure and the outer action; the command) as
+  its only child and reads ``ru_maxrss`` of ``RUSAGE_CHILDREN``, once per
+  tree for the two in-process stages and on every repetition of the command;
 * ``diagonal``: closing the three-generator group of 4x4 matrices
   diag(z_d^a) with exponent sum 0, of order d^3, and its
   ``groups.outer_action`` under the swap of the first two coordinates, for
@@ -70,7 +76,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-CYCLIC_ORDERS = (300, 1000, 2000)
+CYCLIC_ORDERS = (300, 1000, 2000, 4000, 10_000)
 DIAGONAL_CONDUCTORS = (5, 7, 11)
 ZM2_CONDUCTORS = (5, 7, 11, 13, 17)
 LINE_CONDUCTORS = (50, 100, 200, 400)
@@ -81,6 +87,27 @@ QUINTIC_COMMANDS = {
     "verify-quintic": ["verify", "--only", "quintic"],
 }
 REPEATS = 11
+# A fresh interpreter that runs one cyclic row as its only child and prints
+# that child's CPU seconds and peak RSS in KiB (Linux ru_maxrss of
+# RUSAGE_CHILDREN), so that no other process's peak is counted.
+CHILD_PROGRAM = """
+import json, resource, subprocess, sys
+subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
+usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+print(json.dumps([usage.ru_utime + usage.ru_stime, usage.ru_maxrss]))
+"""
+# The work of a cyclic row: src, stage and n in argv.
+CYCLIC_PROGRAM = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from crepant import cli, fixtures, groups
+stage, n = sys.argv[2], int(sys.argv[3])
+if stage == "command":
+    sys.exit(cli.main(["group", "--fixture", "cyclic", "--n", str(n), "--action", "swap"]))
+group = fixtures.cyclic_group(n)
+if stage == "outer_action":
+    groups.outer_action(group, fixtures.cyclic_swap_symmetry())
+"""
 
 
 def _load_crepant(src: Path):
@@ -102,6 +129,17 @@ def _time(fn):
     start = time.process_time()
     result = fn()
     return time.process_time() - start, result
+
+
+def _cyclic_child(src: Path, stage: str, n: int) -> tuple[float, float]:
+    """(CPU seconds, peak RSS in MB) of one cyclic row run in a child process."""
+    out = subprocess.run(
+        [sys.executable, "-c", CHILD_PROGRAM, sys.executable, "-c", CYCLIC_PROGRAM,
+         str(src), stage, str(n)],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    cpu_s, peak_kib = json.loads(out)
+    return cpu_s, peak_kib / 1024
 
 
 def _diagonal_family(groups, d: int):
@@ -130,14 +168,18 @@ def _toric_argv(family: str, m: int) -> list[str]:
     return argv + (["--order", "revlex"] if family.endswith("revlex") else [])
 
 
-def _one_repetition(src: Path) -> dict:
-    """Seconds of every (family, size, stage) once, on the crepant under src."""
+def _one_repetition(src: Path, peaks: dict) -> dict:
+    """Seconds of every (family, size, stage) once, on the crepant under src;
+    the peak RSS of each child-process row is appended to peaks."""
     cli, fixtures, groups, toric = _load_crepant(src)
     out = {}
     for n in CYCLIC_ORDERS:
         out[("cyclic", n, "close_group")], group = _time(lambda: fixtures.cyclic_group(n))
         swap = fixtures.cyclic_swap_symmetry()
         out[("cyclic", n, "outer_action")], _ = _time(lambda: groups.outer_action(group, swap))
+        del group  # a baseline table of 800 MB is freed before the child runs
+        out[("cyclic", n, "command")], peak = _cyclic_child(src, "command", n)
+        peaks.setdefault(("cyclic", n, "command"), []).append(peak)
     for d in DIAGONAL_CONDUCTORS:
         gens, swap = _diagonal_family(groups, d)
         out[("diagonal", d**3, "close_group")], group = _time(lambda: groups.close_group(gens))
@@ -206,16 +248,22 @@ def _revision(rev: str) -> str:
 
 def sweep(trees: dict[str, Path]) -> dict[str, list[dict]]:
     runs = {label: [] for label in trees}
+    peaks = {label: {} for label in trees}
     for rep in range(REPEATS):
         order = list(trees) if rep % 2 == 0 else list(reversed(trees))
         for label in order:
-            runs[label].append(_one_repetition(trees[label]))
+            runs[label].append(_one_repetition(trees[label], peaks[label]))
+    for label, src in trees.items():
+        for n in CYCLIC_ORDERS:
+            for stage in ("close_group", "outer_action"):
+                peaks[label][("cyclic", n, stage)] = [_cyclic_child(src, stage, n)[1]]
     rows = {label: [] for label in trees}
     for label, reps in runs.items():
-        for family, size, stage in reps[0]:
-            seconds = [r[(family, size, stage)] for r in reps]
+        for key in reps[0]:
+            family, size, stage = key
+            seconds = [r[key] for r in reps]
             q1, median, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
-            rows[label].append({
+            row = {
                 "family": family,
                 "size": size,
                 "stage": stage,
@@ -223,7 +271,10 @@ def sweep(trees: dict[str, Path]) -> dict[str, list[dict]]:
                 "min_s": round(min(seconds), 4),
                 "quartiles_s": [round(q1, 4), round(q3, 4)],
                 "runs_s": [round(x, 4) for x in seconds],
-            })
+            }
+            if key in peaks[label]:
+                row["peak_rss_mb"] = round(statistics.median(peaks[label][key]), 1)
+            rows[label].append(row)
     return rows
 
 
@@ -252,10 +303,18 @@ def main(argv=None) -> int:
         # ROADMAP item 3: closing cyclic_group(2000) plus its swap outer action
         "cyclic_2000_total_s": {
             label: round(sum(e["median_s"] for e in entries
-                             if e["family"] == "cyclic" and e["size"] == 2000), 4)
+                             if (e["family"], e["size"]) == ("cyclic", 2000)
+                             and e["stage"] != "command"), 4)
             for label, entries in rows.items()
         },
         "cyclic_2000_limit_s": 0.5,
+        # the separate command at the closure's default cap, against its limits
+        "cyclic_10000_command": {
+            label: {k: e[k] for k in ("median_s", "peak_rss_mb")}
+            for label, entries in rows.items() for e in entries
+            if (e["family"], e["size"], e["stage"]) == ("cyclic", 10_000, "command")
+        },
+        "cyclic_10000_command_limits": {"cpu_s": 1.5, "peak_rss_mb": 150},
         "rows": rows,
     }
     text = json.dumps(record, indent=1)
@@ -264,9 +323,10 @@ def main(argv=None) -> int:
     for label, entries in rows.items():
         for e in entries:
             q1, q3 = e["quartiles_s"]
+            peak = f", peak {e['peak_rss_mb']} MB" if "peak_rss_mb" in e else ""
             print(
                 f"{label:9} {e['family']:14} {e['size']!s:>22} {e['stage']:13} "
-                f"{e['median_s']:.4f} s  (min {e['min_s']:.4f}, quartiles {q1:.4f}-{q3:.4f})"
+                f"{e['median_s']:.4f} s  (min {e['min_s']:.4f}, quartiles {q1:.4f}-{q3:.4f}{peak})"
             )
     return 0
 
