@@ -13,12 +13,14 @@ module (or in anything built on it) uses floating point.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm, prod
+from types import SimpleNamespace
 from typing import Sequence
 
 __all__ = [
+    "Record",
+    "fields",
     "IntMat",
     "CycloInt",
     "cyclotomic_polynomial",
@@ -460,20 +462,73 @@ def cyclo_div_exact(a: CycloInt, b: CycloInt | CycloDivisor) -> CycloInt | None:
 
 
 # ---------------------------------------------------------------------------
+# read-only records
+
+
+class Record:
+    """Base of the read-only value records of every layer.
+
+    A record's fields are the names its class body annotates, in order; its
+    constructor checks them and fills them into the instance ``__dict__``,
+    which may also keep values computed on first use.  Equality, hashing and
+    ``repr`` read the fields only.  Assigning or deleting an attribute raises
+    AttributeError, and ``replace`` builds a changed copy through the
+    constructor, so its checks run again.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+    def _field_values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._field_values() == other._field_values()
+
+    def __hash__(self):
+        return hash(self._field_values())
+
+    def __repr__(self) -> str:
+        items = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._field_values()))
+        return f"{type(self).__qualname__}({items})"
+
+    def replace(self, **changes):
+        """A record of the same class with the given fields changed."""
+        return type(self)(**dict(zip(self._fields, self._field_values()), **changes))
+
+
+def fields(record) -> tuple:
+    """The fields of a record class or instance in order, each with its
+    ``name`` and its ``type``, the annotation as written."""
+    cls = record if isinstance(record, type) else type(record)
+    return tuple(SimpleNamespace(name=f, type=cls.__annotations__[f]) for f in cls._fields)
+
+
+# ---------------------------------------------------------------------------
 # integer matrices
 
 
-@dataclass(frozen=True)
-class IntMat:
-    """Immutable integer matrix, row-major entries."""
+class IntMat(Record):
+    """Integer matrix (a read-only ``Record``), row-major entries."""
 
     rows: int
     cols: int
     entries: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
+    def __init__(self, rows, cols, entries):
+        if len(entries) != rows * cols:
             raise ValueError("entry count must be rows*cols")
+        self.__dict__.update(rows=rows, cols=cols, entries=entries)
 
     @staticmethod
     def from_rows(rows) -> IntMat:

@@ -1,8 +1,9 @@
 """Explicit finite matrix groups over cyclotomic integers.
 
 Closure from generators, conjugacy classes, centralizers, the action of an
-outer symmetry by conjugation, and counting of invariant classes.  Groups are
-immutable after closure; every query is a pure function of the stored data.
+outer symmetry by conjugation, and counting of invariant classes.  Groups and
+elements are read-only records (``exactmath.Record``); every query is a pure
+function of the stored data.
 
 Closure is Dimino's: the group grows from the subgroup of the first
 generators one right coset at a time, and only coset representatives are
@@ -27,12 +28,12 @@ product element carries its canonical key from the moment it is built.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 from typing import Callable, Optional, Sequence
 
-from .exactmath import CycloDivisor, CycloInt, _negated, _sum_of_products, cyclo_div_exact
+from .exactmath import CycloDivisor, CycloInt, Record, _negated, _sum_of_products, cyclo_div_exact
+from .exactmath import _cyclo, _expansions, _root_index
 
 __all__ = [
     "GroupElement",
@@ -77,18 +78,21 @@ def _as_cyclo(x) -> CycloInt:
     return x if isinstance(x, CycloInt) else CycloInt.from_int(int(x))
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """Square invertible matrix of cyclotomic integers.
+class GroupElement(Record):
+    """Square invertible matrix of cyclotomic integers, a read-only ``Record``.
 
     The canonical key is the sequence of the entries' Zumbroich coefficient
     tuples at the element's conductor; it drives equality, ordering, and the
-    deterministic element order of a group.
+    deterministic element order of a group.  Entries are unhashable, and so
+    is an element.
     """
 
     n: int
     conductor: int
     entries: tuple[tuple[CycloInt, ...], ...]
+
+    def __init__(self, n, conductor, entries):
+        self.__dict__.update(n=n, conductor=conductor, entries=entries)
 
     @staticmethod
     def from_matrix(rows: Sequence[Sequence], conductor: Optional[int] = None) -> GroupElement:
@@ -191,6 +195,34 @@ def _element(n: int, m: int, rows: Sequence[tuple[CycloInt, ...]]) -> GroupEleme
     return g
 
 
+def _descend(g: GroupElement, m: int) -> Optional[GroupElement]:
+    """g at a conductor m dividing its own M, when every entry is 0 or a
+    signed root of unity s·zeta_M^k with M/m dividing k, which is
+    s·zeta_m^(k·m/M); None otherwise.  For even M, s·zeta_M^k is also
+    -s·zeta_M^(k+M/2), so both exponents are tried: -1 lies at every m."""
+    big = g.conductor
+    step, roots, table = big // m, _root_index(big), _expansions(m)
+    zero, rows = _cyclo(m, ()), []
+    for row in g.entries:
+        out = []
+        for x in row:
+            if not x.coeffs:
+                out.append(zero)
+                continue
+            root = roots.get(x.coeffs)
+            if root is None:
+                return None
+            s, k = root
+            if k % step and big % 2 == 0:
+                s, k = -s, (k + big // 2) % big
+            if k % step:
+                return None
+            terms = table[k // step]
+            out.append(_cyclo(m, terms if s == 1 else _negated(terms)))
+        rows.append(tuple(out))
+    return _element(g.n, m, rows)
+
+
 def _det(entries, conductor: int) -> CycloInt:
     """Determinant by expansion along the first row: its nonzero entries
     times their signed minors, one sum of products per level."""
@@ -245,9 +277,9 @@ def scalar_normalize(g: GroupElement) -> GroupElement:
     raise ValueError("matrix has no nonzero diagonal entry")
 
 
-@dataclass(frozen=True)
-class FiniteMatrixGroup:
-    """Closed matrix group with elements ordered by canonical key.
+class FiniteMatrixGroup(Record):
+    """Closed matrix group with elements ordered by canonical key, a
+    read-only ``Record`` that keeps its key indexes and classes once built.
 
     No multiplication table is stored.  ``columns[k]`` maps x to x·g for the
     k-th stored generator g, whose index is ``generators[k]``; ``tree`` lists
@@ -266,7 +298,15 @@ class FiniteMatrixGroup:
     columns: tuple[tuple[int, ...], ...]
     tree: tuple[tuple[int, int, int], ...]
     _inverse: tuple[int, ...]
-    normalizer: Optional[Normalizer] = None
+    normalizer: Optional[Normalizer]
+
+    def __init__(
+        self, elements, identity_index, generators, columns, tree, _inverse, normalizer=None
+    ):
+        self.__dict__.update(
+            elements=elements, identity_index=identity_index, generators=generators,
+            columns=columns, tree=tree, _inverse=_inverse, normalizer=normalizer,
+        )
 
     @property
     def order(self) -> int:
@@ -506,12 +546,14 @@ def close_group(
     return group
 
 
-@dataclass(frozen=True)
-class ConjClassSet:
+class ConjClassSet(Record):
     """Partition of a group's element indices into conjugacy classes."""
 
     classes: tuple[tuple[int, ...], ...]
     representatives: tuple[int, ...]
+
+    def __init__(self, classes, representatives):
+        self.__dict__.update(classes=classes, representatives=representatives)
 
     @property
     def count(self) -> int:
@@ -560,8 +602,7 @@ def centralizer(group: FiniteMatrixGroup, x) -> FiniteMatrixGroup:
     return group.subgroup(members)
 
 
-@dataclass(frozen=True)
-class OuterAction:
+class OuterAction(Record):
     """Conjugation action of a normalizing element h on a group.
 
     h need not belong to the group; it must map the element set to itself by
@@ -573,6 +614,11 @@ class OuterAction:
     element_perm: tuple[int, ...]
     classes: ConjClassSet
     class_perm: tuple[int, ...]
+
+    def __init__(self, group, h, element_perm, classes, class_perm):
+        self.__dict__.update(
+            group=group, h=h, element_perm=element_perm, classes=classes, class_perm=class_perm
+        )
 
 
 def outer_action(group: FiniteMatrixGroup, h: GroupElement) -> OuterAction:
@@ -591,7 +637,8 @@ def outer_action(group: FiniteMatrixGroup, h: GroupElement) -> OuterAction:
     bijection check it is an automorphism, equal to conjugation by h on every
     element.
     """
-    m = lcm(group.elements[0].conductor, h.conductor)
+    group_m = group.elements[0].conductor
+    m = lcm(group_m, h.conductor)
     hh = h.lift(m)
     det = hh.det()
     if det.is_zero():
@@ -615,6 +662,8 @@ def outer_action(group: FiniteMatrixGroup, h: GroupElement) -> OuterAction:
         cand = GroupElement.from_matrix(ent)
         if group.normalizer is not None:
             cand = group.normalizer(cand)
+        if cand.conductor != group_m:  # looked up at the group's conductor when it lies there
+            cand = _descend(cand, group_m) or cand
         try:
             images.append(group.index_of(cand))
         except ElementNotInGroup:

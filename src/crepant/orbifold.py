@@ -15,9 +15,9 @@ is invariant in every relevant stabilizer.  The evaluators compute
 and the stratum chain evaluator re-derives the same total from stabilizer
 strata weighted by invariant-class counts.
 
-The record dataclasses are the sheet schema: the document writer, the strict
-reader and the identity variant all go through their fields, and the reader
-checks each value by its field's annotation.
+The read-only records (``exactmath.Record``) are the sheet schema: the
+document writer, the strict reader and the identity variant all go through
+their fields, and the reader checks each value by its field's annotation.
 
 The built-in sheet generators describe two degree-five hypersurface
 involutions and one complete-intersection involution; their geometry reduces
@@ -37,13 +37,12 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 from typing import Optional, Sequence
 
-from .exactmath import _json_int, permutation_cycles, zeta_sum_is_zero
+from .exactmath import Record, _json_int, fields, permutation_cycles, zeta_sum_is_zero
 
 __all__ = [
     "ClassRecord",
@@ -92,20 +91,28 @@ class InconsistentSheet(ValueError):
 # sheet data model
 
 
-@dataclass(frozen=True)
-class ClassRecord:
+class ClassRecord(Record):
     label: str
     size: int
     centralizer_order: int
     in_ch: bool
-    euler_quotient: Optional[int] = None
-    lefschetz_quotient: Optional[int] = None
-    provenance: dict = field(default_factory=dict)
-    fixed_dim: Optional[int] = None
+    euler_quotient: Optional[int]
+    lefschetz_quotient: Optional[int]
+    provenance: dict
+    fixed_dim: Optional[int]
+
+    def __init__(
+        self, label, size, centralizer_order, in_ch, euler_quotient=None,
+        lefschetz_quotient=None, provenance=None, fixed_dim=None,
+    ):
+        self.__dict__.update(
+            label=label, size=size, centralizer_order=centralizer_order, in_ch=in_ch,
+            euler_quotient=euler_quotient, lefschetz_quotient=lefschetz_quotient,
+            provenance={} if provenance is None else provenance, fixed_dim=fixed_dim,
+        )
 
 
-@dataclass(frozen=True)
-class StratumRecord:
+class StratumRecord(Record):
     """Stabilizer-class stratum with its h-twisted Lefschetz total.
 
     lefschetz_stratum is the sum over twisted sectors of the stratum: the
@@ -116,10 +123,19 @@ class StratumRecord:
 
     label: str
     stabilizer_order: int
-    euler_stratum: Optional[int] = None
-    lefschetz_stratum: Optional[int] = None
-    h_invariant: bool = True
-    con_h: int = 0
+    euler_stratum: Optional[int]
+    lefschetz_stratum: Optional[int]
+    h_invariant: bool
+    con_h: int
+
+    def __init__(
+        self, label, stabilizer_order, euler_stratum=None, lefschetz_stratum=None,
+        h_invariant=True, con_h=0,
+    ):
+        self.__dict__.update(
+            label=label, stabilizer_order=stabilizer_order, euler_stratum=euler_stratum,
+            lefschetz_stratum=lefschetz_stratum, h_invariant=h_invariant, con_h=con_h,
+        )
 
 
 class PairTable(Mapping):
@@ -169,17 +185,20 @@ class PairTable(Mapping):
         return sum(n * sum(self._rows[t].values()) for t, n in weights.items())
 
 
-@dataclass(frozen=True)
-class GSpaceSheet:
+class GSpaceSheet(Record):
     group_order: int
     classes: tuple[ClassRecord, ...]
-    strata: Optional[tuple[StratumRecord, ...]] = None
-    commuting_pairs: Optional[Mapping] = None  # a PairTable; a plain mapping is converted
-    metadata: dict = field(default_factory=dict)
+    strata: Optional[tuple[StratumRecord, ...]]
+    commuting_pairs: Optional[Mapping]  # a PairTable; a plain mapping is converted
+    metadata: dict
 
-    def __post_init__(self):
-        if self.commuting_pairs is not None and not isinstance(self.commuting_pairs, PairTable):
-            object.__setattr__(self, "commuting_pairs", PairTable.by_label(self.commuting_pairs))
+    def __init__(self, group_order, classes, strata=None, commuting_pairs=None, metadata=None):
+        if commuting_pairs is not None and not isinstance(commuting_pairs, PairTable):
+            commuting_pairs = PairTable.by_label(commuting_pairs)
+        self.__dict__.update(
+            group_order=group_order, classes=classes, strata=strata,
+            commuting_pairs=commuting_pairs, metadata={} if metadata is None else metadata,
+        )
         self.validate()
 
     def validate(self) -> None:
@@ -272,13 +291,18 @@ def equivariant_lefschetz(sheet: GSpaceSheet) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(Record):
     stage_strata: Optional[Fraction]
     stage_classes: int
     equal: Optional[bool]
     skipped_strata: tuple[str, ...]
     detail: dict
+
+    def __init__(self, stage_strata, stage_classes, equal, skipped_strata, detail):
+        self.__dict__.update(
+            stage_strata=stage_strata, stage_classes=stage_classes, equal=equal,
+            skipped_strata=skipped_strata, detail=detail,
+        )
 
     @property
     def status(self) -> str:
@@ -360,14 +384,20 @@ def identity_action_variant(sheet: GSpaceSheet) -> GSpaceSheet:
 def sheet_to_document(sheet: GSpaceSheet) -> dict:
     doc = {
         "group_order": sheet.group_order,
-        "classes": [asdict(c) for c in sheet.classes],
+        "classes": [_record_document(c) for c in sheet.classes],
         "metadata": dict(sheet.metadata),
     }
     if sheet.strata is not None:
-        doc["strata"] = [asdict(s) for s in sheet.strata]
+        doc["strata"] = [_record_document(s) for s in sheet.strata]
     if sheet.commuting_pairs is not None:
         doc["commuting_pairs"] = sorted(sheet.commuting_pairs.triples())
     return doc
+
+
+def _record_document(record: Record) -> dict:
+    """A class or stratum record's fields by name, a dict value copied."""
+    values = zip(record._fields, record._field_values())
+    return {f: dict(v) if isinstance(v, dict) else v for f, v in values}
 
 
 def _json_str(value, what: str) -> str:
@@ -409,7 +439,8 @@ def _read_records(kind: type, records, key: str) -> tuple:
     that is no field of the record is refused."""
     if not isinstance(records, list):
         raise ValueError(f"{key} must be a list of objects, not {records!r}")
-    names = {f.name for f in fields(kind)}
+    kind_fields = fields(kind)
+    names = {f.name for f in kind_fields}
     out = []
     for i, record in enumerate(records):
         record = _json_object(record, f"{key}[{i}]")
@@ -419,7 +450,7 @@ def _read_records(kind: type, records, key: str) -> tuple:
             if name not in names:
                 raise ValueError(f"{name!r} of {owner} is not a {kind.__name__} field")
         values = {}
-        for f in fields(kind):
+        for f in kind_fields:
             read, may_be_absent = _FIELD_READERS[f.type]
             if f.name in record:
                 values[f.name] = read(record[f.name], f"{f.name} of {owner}")
@@ -502,11 +533,13 @@ def point_sheet(group_order: int = 1, class_count: int = 1) -> GSpaceSheet:
 # resolution graphs
 
 
-@dataclass(frozen=True)
-class DynkinGraph:
+class DynkinGraph(Record):
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
     automorphism: dict
+
+    def __init__(self, nodes, edges, automorphism):
+        self.__dict__.update(nodes=nodes, edges=edges, automorphism=automorphism)
 
     def validate(self) -> None:
         for a, b in self.edges:

@@ -44,7 +44,6 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
@@ -53,6 +52,7 @@ from typing import Callable, Optional, Sequence
 from .exactmath import (
     IntMat,
     LatticeError,
+    Record,
     _bareiss_det,
     _integer_rows,
     _json_int,
@@ -118,8 +118,7 @@ def _vsub(a: Vec, b: Vec) -> Vec:
 # lattice pairs
 
 
-@dataclass(frozen=True)
-class LatticePair:
+class LatticePair(Record):
     """Sublattice M = Z^n inside an overlattice N with N/M the quotient group.
 
     N is spanned by M together with vectors a/m for the given generator pairs
@@ -135,12 +134,14 @@ class LatticePair:
     basis: tuple[IntVec, ...]
     order: int  # index of M in N
 
+    def __init__(self, n, generators, scale, basis, order):
+        self.__dict__.update(n=n, generators=generators, scale=scale, basis=basis, order=order)
+
     def _cached(self, name: str, compute):
         """The value kept on the instance under ``name``, computed once."""
         value = self.__dict__.get(name)
         if value is None:
-            value = compute()
-            object.__setattr__(self, name, value)
+            value = self.__dict__[name] = compute()
         return value
 
     def basis_inverse(self) -> list[list[int]]:
@@ -252,17 +253,17 @@ def build_lattice_pair(n: int, generators: Sequence[tuple[Sequence[int], int]]) 
 # permutation symmetries
 
 
-@dataclass(frozen=True)
-class PermSymmetry:
+class PermSymmetry(Record):
     """Coordinate permutation acting on points by (sigma x)_i = x at the preimage."""
 
     perm: tuple[int, ...]  # images: coordinate i moves to position perm[i]
 
-    def __post_init__(self):
-        if sorted(self.perm) != list(range(len(self.perm))):
+    def __init__(self, perm):
+        if sorted(perm) != list(range(len(perm))):
             raise ValueError("not a permutation")
-        inverse = sorted(range(self.n), key=self.perm.__getitem__)  # (sigma x)_j = x_inverse[j]
-        object.__setattr__(self, "_image", operator.itemgetter(*inverse) if self.n > 1 else tuple)
+        inverse = sorted(range(len(perm)), key=perm.__getitem__)  # (sigma x)_j = x_inverse[j]
+        image = operator.itemgetter(*inverse) if len(perm) > 1 else tuple
+        self.__dict__.update(perm=perm, _image=image)
 
     @property
     def n(self) -> int:
@@ -312,11 +313,13 @@ def fixed_subspace(sym: PermSymmetry) -> list[Vec]:
 # simplices and triangulations
 
 
-@dataclass(frozen=True)
-class QSimplex:
+class QSimplex(Record):
     """Simplex with rational vertices, stored in sorted order."""
 
     vertices: tuple[Vec, ...]
+
+    def __init__(self, vertices):
+        self.__dict__.update(vertices=vertices)
 
     @staticmethod
     def of(*points) -> QSimplex:
@@ -330,8 +333,7 @@ class QSimplex:
         return QSimplex(tuple(sorted(sym.apply(v) for v in self.vertices)))
 
 
-@dataclass(frozen=True)
-class Triangulation:
+class Triangulation(Record):
     """Set of maximal simplices on the integer points scale*x of their
     vertices x.  ``cells`` are the simplices as sorted tuples of points, in
     sorted order; a simplex given twice stays twice, for verification to
@@ -340,8 +342,8 @@ class Triangulation:
     scale: int
     cells: tuple[tuple[IntVec, ...], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "cells", tuple(sorted(tuple(sorted(c)) for c in self.cells)))
+    def __init__(self, scale, cells):
+        self.__dict__.update(scale=scale, cells=tuple(sorted(tuple(sorted(c)) for c in cells)))
 
     @staticmethod
     def of(simplices) -> Triangulation:
@@ -634,11 +636,13 @@ def _flip_one_diagonal(
 # verification
 
 
-@dataclass(frozen=True)
-class CrepancyReport:
+class CrepancyReport(Record):
     ok: bool
     simplex_count: int
     failures: tuple[str, ...]
+
+    def __init__(self, ok, simplex_count, failures):
+        self.__dict__.update(ok=ok, simplex_count=simplex_count, failures=failures)
 
     def __bool__(self):
         return self.ok
@@ -743,8 +747,7 @@ def _facet_pairing_failures(tri: Triangulation, dets: Sequence[int], n: int) -> 
 # orbit records and the Lefschetz sum
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(Record):
     """Torus orbit of a maximal invariant face f: the face, the rank n - |f|
     of N modulo the saturated span of f, and det(I - A_f) for the action A_f
     there, whose characteristic polynomial is prod(t^l_i - 1) over the cycles
@@ -753,6 +756,9 @@ class OrbitRecord:
     face: QSimplex
     quotient_rank: int
     contribution: int
+
+    def __init__(self, face, quotient_rank, contribution):
+        self.__dict__.update(face=face, quotient_rank=quotient_rank, contribution=contribution)
 
 
 def _vertex_cycles(face: tuple[IntVec, ...], image: Callable) -> list[tuple[int, ...]]:
@@ -858,8 +864,7 @@ def fixed_sublattice_index(lp: LatticePair, sym: PermSymmetry) -> int:
 # standard pairs
 
 
-@dataclass(frozen=True)
-class StandardPair:
+class StandardPair(Record):
     """Model simplex with cyclic symmetry, its reference triangulation, and
     the fixed-locus simplex."""
 
@@ -869,6 +874,14 @@ class StandardPair:
     perm: PermSymmetry
     cycle_lengths: tuple[int, ...]
     transverse_lengths: tuple[int, ...]
+
+    def __init__(
+        self, simplex, triangulation, fixed_simplex, perm, cycle_lengths, transverse_lengths
+    ):
+        self.__dict__.update(
+            simplex=simplex, triangulation=triangulation, fixed_simplex=fixed_simplex, perm=perm,
+            cycle_lengths=cycle_lengths, transverse_lengths=transverse_lengths,
+        )
 
 
 def standard_pair(cycle_lengths: Sequence[int], transverse_lengths: Sequence[int] = ()) -> StandardPair:

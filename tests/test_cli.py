@@ -24,8 +24,15 @@ from crepant.cli import (
     parse_matrix,
     parse_permutation,
 )
-from crepant.exactmath import CycloInt
-from crepant.fixtures import binary_dihedral, binary_tetrahedral, cyclic_group, d4_triality
+from crepant import groups, orbifold, toric
+from crepant.exactmath import CycloInt, IntMat
+from crepant.fixtures import (
+    binary_dihedral,
+    binary_tetrahedral,
+    cyclic_group,
+    cyclic_swap_symmetry,
+    d4_triality,
+)
 from crepant.groups import ConjClassSet, conjugacy_classes
 
 
@@ -846,3 +853,77 @@ def test_class_equation_check_matches_a_full_scan():
             cs = ConjClassSet(parts, tuple(cl[0] for cl in parts))
             want = _class_equation_by_full_scan(group, cs)
             assert _class_equation_holds(group, cs) == want == (kind == "classes"), kind
+
+
+# ---------------------------------------------------------------------------
+# the read-only records of every layer
+
+
+def test_a_cold_import_generates_no_code():
+    # -S keeps site from importing anything first, so what is loaded is
+    # what the import of crepant.cli loads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    program = (
+        f"import sys; sys.path.insert(0, {src!r}); import crepant.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", program], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
+
+
+def _one_record_of_each_class():
+    group = cyclic_group(4)
+    sheet = orbifold.point_sheet()
+    lp = toric.build_lattice_pair(3, [((1, 1, 1), 3)])
+    sym = toric.PermSymmetry.from_cycles(3, [(0, 1, 2)])
+    tri = toric.adjusted_triangulation(lp, sym)
+    return [
+        IntMat.identity(2),
+        group.elements[1],
+        group,
+        conjugacy_classes(group),
+        groups.outer_action(group, cyclic_swap_symmetry()),
+        sheet.classes[0],
+        orbifold.StratumRecord("free", 1),
+        sheet,
+        orbifold.chain_check(sheet),
+        orbifold.a_chain(3),
+        lp,
+        sym,
+        toric.QSimplex.of((1, 0), (0, 1)),
+        tri,
+        toric.verify_crepant(tri, lp),
+        toric.orbit_records(tri, lp, sym)[0],
+        toric.standard_pair([2]),
+    ]
+
+
+def test_every_record_refuses_assignment_and_deletion():
+    records = _one_record_of_each_class()
+    assert len({type(r) for r in records}) == 17
+    for record in records:
+        for name in type(record)._fields:
+            before = getattr(record, name)
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(record, name)
+            assert getattr(record, name) is before
+        with pytest.raises(AttributeError):
+            record.cached_on_the_side = 1
+
+
+def test_record_repr_names_each_field_in_order():
+    assert repr(IntMat(1, 2, (3, 4))) == "IntMat(rows=1, cols=2, entries=(3, 4))"
+    assert repr(orbifold.StratumRecord("free", 1)) == (
+        "StratumRecord(label='free', stabilizer_order=1, euler_stratum=None, "
+        "lefschetz_stratum=None, h_invariant=True, con_h=0)"
+    )
+    for record in _one_record_of_each_class():
+        fields = type(record)._fields
+        text = repr(record)
+        assert text.startswith(f"{type(record).__name__}({fields[0]}=") and text.endswith(")")
+        positions = [text.index(f", {f}=") for f in fields[1:]]
+        assert positions == sorted(positions)

@@ -945,3 +945,13 @@ def test_permutation_cycles_refuses_a_non_permutation():
     for images, bad in (([1, 1], 1), ([0, 0], 1), ([2, 0, 0], 1), ([1, 2, 5], 2), ([1, None], 1)):
         with pytest.raises(ValueError, match=f"index {bad} maps to"):
             permutation_cycles(images)
+
+
+def test_intmat_checks_its_entry_count_when_built_and_replaced():
+    with pytest.raises(ValueError, match="entry count must be rows\\*cols"):
+        IntMat(2, 2, (1, 2, 3))
+    m = IntMat(2, 2, (1, 2, 3, 4))
+    with pytest.raises(ValueError, match="entry count"):
+        m.replace(rows=3)
+    assert m.replace(rows=1, cols=4) == IntMat(1, 4, (1, 2, 3, 4)) != m
+    assert m == IntMat.from_rows([[1, 2], [3, 4]]) and hash(m) == hash(IntMat.identity(2).mul(m))

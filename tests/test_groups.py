@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 from math import lcm
 
 import pytest
@@ -672,6 +671,54 @@ def test_index_of_compares_across_conductors():
         group.index_of(binary_dihedral_symmetry(5))  # an order-12 root, outside
 
 
+@pytest.mark.parametrize("r", range(3, 13))
+def test_outer_action_looks_conjugates_up_at_the_group_conductor(monkeypatch, r):
+    group, h = binary_dihedral(r), binary_dihedral_symmetry(r)
+    m = group.elements[0].conductor
+    assert h.conductor == 2 * m
+    act = outer_action(group, h)
+    assert set(group.__dict__["_key_cache"]) == {m}  # no index at h's conductor
+    # the lift path: every candidate looked up at h's conductor
+    monkeypatch.setattr(groups, "_descend", lambda g, m: None)
+    lifted_group = binary_dihedral(r)
+    lifted = outer_action(lifted_group, h)
+    assert set(lifted_group.__dict__["_key_cache"]) == {m, h.conductor}
+    assert (lifted.element_perm, lifted.class_perm) == (act.element_perm, act.class_perm)
+
+
+def test_descent_takes_signed_roots_down_and_leaves_the_rest():
+    z = CycloInt.zeta
+    # -1 at conductor 4 is zeta_4^2, and -zeta_1^0 at conductor 1
+    g = GroupElement.from_matrix([[0, z(4, 2)], [z(4, 3), 0]])
+    assert groups._descend(g, 2) is None  # zeta_4^3 is not at conductor 2
+    flip = GroupElement.from_matrix([[0, z(4, 2)], [z(4, 0), 0]])
+    down = groups._descend(flip, 1)
+    assert down.conductor == 1 and down == flip and down.key() == down.replace().key()
+    assert groups._descend(GroupElement.from_matrix([[z(12, 2) + 1]]), 6) is None
+    down = groups._descend(GroupElement.from_matrix([[z(12, 10)]]), 6)
+    assert down.conductor == 6 and down == GroupElement.from_matrix([[z(6, 5)]])
+
+
+def test_outer_action_refuses_a_conjugate_outside_the_group_on_both_paths():
+    flip = GroupElement.from_matrix([[0, 1], [1, 0]])
+    minus_one = GroupElement.from_matrix([[-1, 0], [0, -1]])
+    z = CycloInt.zeta
+    # diag(i, -i) conjugates the flip to -flip: at conductor 1, so looked up there
+    h4 = GroupElement.from_matrix([[z(4), 0], [0, z(4, 3)]])
+    group = close_group([flip])
+    with pytest.raises(NotNormalizing, match="falls outside the group"):
+        outer_action(group, h4)
+    assert set(group.__dict__["_key_cache"]) == {1}
+    bigger = close_group([flip, minus_one])
+    assert sorted(outer_action(bigger, h4).element_perm) == list(range(4))
+    assert set(bigger.__dict__["_key_cache"]) == {1}
+    # diag(zeta_8, zeta_8^-1) conjugates it to [[0, -i], [i, 0]], not at conductor 1
+    h8 = GroupElement.from_matrix([[z(8), 0], [0, z(8, 7)]])
+    with pytest.raises(NotNormalizing, match="falls outside the group"):
+        outer_action(bigger, h8)
+    assert set(bigger.__dict__["_key_cache"]) == {1, 8}
+
+
 def test_not_normalizing_names_second_generator():
     # -1 is central, so only the second generator's conjugate leaves the group
     minus_one = GroupElement.from_matrix([[-1, 0], [0, -1]])
@@ -701,7 +748,7 @@ def test_outer_action_rejects_corrupted_columns(tetra_group):
                     columns[k][x], columns[k][y] = columns[k][y], y
                 else:
                     columns[k][x] = x
-                corrupted = replace(tetra_group, columns=tuple(map(tuple, columns)))
+                corrupted = tetra_group.replace(columns=tuple(map(tuple, columns)))
                 with pytest.raises(NotNormalizing):
                     outer_action(corrupted, h)
 
@@ -755,7 +802,7 @@ def test_outer_action_reuses_the_classes_of_its_group():
     assert conjugacy_classes(group) is classes
     assert outer_action(group, binary_dihedral_symmetry(5)).classes is classes
     # an equal group built anew computes its own classes, with the same result
-    fresh = replace(group)
+    fresh = group.replace()
     assert conjugacy_classes(fresh) is not classes
     assert conjugacy_classes(fresh) == classes
     assert classes.classes == _reference_conjugacy_classes(group)

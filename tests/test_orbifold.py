@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -10,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crepant import orbifold as ob
-from crepant.exactmath import CycloInt, permutation_cycles, zeta_sum_is_zero
+from crepant.exactmath import CycloInt, fields, permutation_cycles, zeta_sum_is_zero
 from crepant.fixtures import (
     complete_intersection_symmetry,
     quintic_symmetry,
@@ -356,6 +355,25 @@ def test_sheet_validation_errors():
         )
 
 
+def test_sheets_check_and_convert_their_fields_when_built_and_replaced():
+    classes = (ClassRecord("e", 1, 2, True, 1, 1), ClassRecord("g", 1, 2, True, 1, 1))
+    sheet = GSpaceSheet(2, classes, None, {(a.label, b.label): 1 for a in classes for b in classes})
+    assert isinstance(sheet.commuting_pairs, ob.PairTable) and sheet.metadata == {}
+    with pytest.raises(InconsistentSheet, match="class sizes sum to 2, not 3"):
+        sheet.replace(group_order=3)
+    with pytest.raises(InconsistentSheet, match="label appears more than once"):
+        sheet.replace(classes=classes[:1] * 2)
+    with pytest.raises(InconsistentSheet, match="con_h must not be negative"):
+        sheet.replace(strata=(StratumRecord("s", 1, None, 1, True, -1),))
+    assert sheet.replace(metadata={"space": "two points"}).commuting_pairs == sheet.commuting_pairs
+    # a defaulted dict is a fresh one per record, as before
+    assert ClassRecord("a", 1, 1, True).provenance == {}
+    assert ClassRecord("a", 1, 1, True).provenance is not ClassRecord("a", 1, 1, True).provenance
+    point = (ClassRecord("e", 1, 1, True),)
+    assert GSpaceSheet(1, point).metadata is not GSpaceSheet(1, point).metadata
+    assert ClassRecord("a", 1, 1, True) == ClassRecord("a", 1, 1, True, provenance={})
+
+
 def test_double_count_disagreement_raises():
     classes = (ClassRecord("e", 1, 1, True, 1, 1),)
     sheet = GSpaceSheet(1, classes, None, {("e", "e"): 3})
@@ -379,7 +397,7 @@ def test_sheet_round_trip(quintic_swap_sheet):
 
 @pytest.mark.parametrize("kind", [ClassRecord, StratumRecord])
 def test_every_record_field_annotation_has_a_reader(kind):
-    assert {f.type for f in dataclasses.fields(kind)} <= set(ob._FIELD_READERS)
+    assert {f.type for f in fields(kind)} <= set(ob._FIELD_READERS)
 
 
 _optional_int = st.one_of(st.none(), st.integers(-500, 500))
@@ -400,7 +418,7 @@ def _valid_sheets(draw):
     count = len(sizes)
     labels = draw(st.lists(st.text(max_size=3), min_size=count, max_size=count, unique=True))
     tags = st.dictionaries(
-        st.sampled_from([f.name for f in dataclasses.fields(ClassRecord)]),
+        st.sampled_from([f.name for f in fields(ClassRecord)]),
         st.sampled_from(ob.PROVENANCE_TAGS),
     )
     classes = tuple(

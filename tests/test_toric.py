@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import random
@@ -1603,7 +1602,7 @@ def test_fixed_locus_volume_matches_normalized_volume_in_dimensions_4_and_5():
 def test_lattice_pair_with_a_wrong_order_raises():
     lp = build_lattice_pair(3, [((1, 2, 2), 5), ((1, 1, 3), 5)])
     for order in (5, 24, 26, 125):
-        bad = dataclasses.replace(lp, order=order)
+        bad = lp.replace(order=order)
         with pytest.raises(LatticeError, match=f"not the order {order}"):
             bad.residues()
         with pytest.raises(LatticeError):
@@ -1613,7 +1612,7 @@ def test_lattice_pair_with_a_wrong_order_raises():
     # a generator outside the lattice the basis spans
     units = build_lattice_pair(2, [])
     with pytest.raises(LatticeError, match="not in"):
-        dataclasses.replace(units, generators=(((1, 1), 2),), order=2).residues()
+        units.replace(generators=(((1, 1), 2),), order=2).residues()
 
 
 def test_contains_reads_scaled_points():
@@ -2034,3 +2033,33 @@ def test_bareiss_det_matches_the_old_intmat_det(rows):
 ])
 def test_bareiss_det_zero_pivots(rows):
     assert _bareiss_det(rows) == _reference_det(rows) == IntMat.from_rows(rows).det()
+
+
+# ---------------------------------------------------------------------------
+# lattice pairs, symmetries and triangulations as read-only records
+
+
+def test_lattice_pairs_and_symmetries_compare_and_hash_by_value():
+    gens = [((1, 2, 2), 5), ((1, 1, 3), 5)]
+    a, b = build_lattice_pair(3, gens), build_lattice_pair(3, gens)
+    a.residues()  # a value kept on a, not on b, takes no part
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != a.replace(order=26) and a != build_lattice_pair(3, gens[:1])
+    cycle = PermSymmetry.from_cycles(3, [(0, 1, 2)])
+    assert cycle == PermSymmetry((1, 2, 0)) and hash(cycle) == hash(PermSymmetry((1, 2, 0)))
+    assert {cycle: 1}[PermSymmetry((1, 2, 0))] == 1
+    assert cycle != PermSymmetry.identity(3) and cycle != (1, 2, 0)
+
+
+def test_records_check_their_fields_when_built_and_replaced():
+    with pytest.raises(ValueError, match="not a permutation"):
+        PermSymmetry((0, 2))
+    with pytest.raises(ValueError, match="not a permutation"):
+        PermSymmetry.identity(3).replace(perm=(0, 0, 1))
+    assert PermSymmetry.identity(3).replace(perm=(2, 0, 1)).apply((7, 8, 9)) == (8, 9, 7)
+    # cells are sorted on the way in, each cell's points and the cells alike
+    cells = [[(1, 1, 0), (0, 0, 2)], [(0, 2, 0), (0, 0, 2)]]
+    tri = Triangulation(2, cells)
+    want = (((0, 0, 2), (0, 2, 0)), ((0, 0, 2), (1, 1, 0)))
+    assert tri.cells == want and tri.replace(cells=cells[::-1]).cells == want
+    assert tri == Triangulation(2, want) and tri != Triangulation(1, want)

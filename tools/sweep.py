@@ -39,7 +39,14 @@ and the quartiles of its repetitions:
   the maximal invariant faces included, for m in 400, 800, 1600, 3200;
 * ``quintic``: ``crepant orbifold --fixture`` on ``quintic-swap`` and
   ``quintic-swap-two-pairs``, and ``crepant verify --only quintic``, each
-  named in the size column.
+  named in the size column;
+* ``import``: ``import crepant.cli`` in a fresh interpreter, its CPU time as
+  a child process (interpreter start-up included), on a copy of the tree in
+  two states named in the size column: ``no-cache``, a copy with no
+  bytecode imported with ``PYTHONDONTWRITEBYTECODE=1``, so that every module
+  is compiled on each import, as the set-up of ``bench/run.py`` sees it; and
+  ``warm-cache``, a copy compiled beforehand, as an installed ``crepant``
+  starts.
 
 The toric and quintic rows time the whole command (a toric one builds,
 certifies, takes the Lefschetz number and reports).  ``--baseline REV``
@@ -61,11 +68,13 @@ This is a record of growth rates, separate from the gated workloads of
 from __future__ import annotations
 
 import argparse
+import compileall
 import contextlib
 import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -86,6 +95,7 @@ QUINTIC_COMMANDS = {
     "quintic-swap-two-pairs": ["orbifold", "--fixture", "quintic-swap-two-pairs"],
     "verify-quintic": ["verify", "--only", "quintic"],
 }
+IMPORT_STATES = ("no-cache", "warm-cache")
 REPEATS = 11
 # A fresh interpreter that runs one cyclic row as its only child and prints
 # that child's CPU seconds and peak RSS in KiB (Linux ru_maxrss of
@@ -108,6 +118,10 @@ group = fixtures.cyclic_group(n)
 if stage == "outer_action":
     groups.outer_action(group, fixtures.cyclic_swap_symmetry())
 """
+
+
+# The work of an import row: src in argv.
+IMPORT_PROGRAM = "import sys; sys.path.insert(0, sys.argv[1]); import crepant.cli"
 
 
 def _load_crepant(src: Path):
@@ -142,6 +156,28 @@ def _cyclic_child(src: Path, stage: str, n: int) -> tuple[float, float]:
     return cpu_s, peak_kib / 1024
 
 
+def _import_copies(src: Path, into: Path) -> dict[str, Path]:
+    """Copies of src for the import rows, by state: one without bytecode and
+    one compiled beforehand."""
+    copies = {}
+    for state in IMPORT_STATES:
+        copies[state] = into / state / "src"
+        shutil.copytree(src, copies[state], ignore=shutil.ignore_patterns("__pycache__"))
+    compileall.compile_dir(copies["warm-cache"], quiet=1)
+    return copies
+
+
+def _import_child(src: Path) -> float:
+    """CPU seconds of a child process that imports crepant.cli from src and
+    writes no bytecode."""
+    out = subprocess.run(
+        [sys.executable, "-c", CHILD_PROGRAM, sys.executable, "-c", IMPORT_PROGRAM, str(src)],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    ).stdout
+    return json.loads(out)[0]
+
+
 def _diagonal_family(groups, d: int):
     """Generators diag(z_d^a) of dimension 4 with exponent sum 0, which
     generate a group of order d^3, and the swap of the first two coordinates."""
@@ -168,11 +204,13 @@ def _toric_argv(family: str, m: int) -> list[str]:
     return argv + (["--order", "revlex"] if family.endswith("revlex") else [])
 
 
-def _one_repetition(src: Path, peaks: dict) -> dict:
-    """Seconds of every (family, size, stage) once, on the crepant under src;
-    the peak RSS of each child-process row is appended to peaks."""
+def _one_repetition(src: Path, peaks: dict, import_copies: dict[str, Path]) -> dict:
+    """Seconds of every (family, size, stage) once, on the crepant under src
+    and, for the import rows, on its copies; the peak RSS of each cyclic
+    command is appended to peaks."""
+    out = {("import", state, "import"): _import_child(import_copies[state])
+           for state in IMPORT_STATES}
     cli, fixtures, groups, toric = _load_crepant(src)
-    out = {}
     for n in CYCLIC_ORDERS:
         out[("cyclic", n, "close_group")], group = _time(lambda: fixtures.cyclic_group(n))
         swap = fixtures.cyclic_swap_symmetry()
@@ -246,13 +284,14 @@ def _revision(rev: str) -> str:
     return _git("rev-parse", rev)
 
 
-def sweep(trees: dict[str, Path]) -> dict[str, list[dict]]:
+def sweep(trees: dict[str, Path], into: Path) -> dict[str, list[dict]]:
     runs = {label: [] for label in trees}
     peaks = {label: {} for label in trees}
+    copies = {label: _import_copies(src, into / label) for label, src in trees.items()}
     for rep in range(REPEATS):
         order = list(trees) if rep % 2 == 0 else list(reversed(trees))
         for label in order:
-            runs[label].append(_one_repetition(trees[label], peaks[label]))
+            runs[label].append(_one_repetition(trees[label], peaks[label], copies[label]))
     for label, src in trees.items():
         for n in CYCLIC_ORDERS:
             for stage in ("close_group", "outer_action"):
@@ -291,7 +330,7 @@ def main(argv=None) -> int:
         if args.baseline:
             trees = {"baseline": _extract(args.baseline, Path(tmp)), **trees}
             revisions["baseline"] = _revision(args.baseline)
-        rows = sweep(trees)
+        rows = sweep(trees, Path(tmp) / "import")
     record = {
         "python": platform.python_version(),
         "machine": platform.machine(),
@@ -315,6 +354,11 @@ def main(argv=None) -> int:
             if (e["family"], e["size"], e["stage"]) == ("cyclic", 10_000, "command")
         },
         "cyclic_10000_command_limits": {"cpu_s": 1.5, "peak_rss_mb": 150},
+        # a fresh interpreter's import of crepant.cli, without and with bytecode
+        "import_crepant_cli_s": {
+            label: {e["size"]: e["median_s"] for e in entries if e["family"] == "import"}
+            for label, entries in rows.items()
+        },
         "rows": rows,
     }
     text = json.dumps(record, indent=1)
