@@ -1,14 +1,18 @@
 """Command-line surface: fixture execution, datasheet ingestion, triangulation
 construction and verification, and machine-readable reporting.
 
-Reports are JSON with sorted keys; identical inputs produce byte-identical
-reports apart from the wall_time_ms field.  Exit codes: 0 success, 1 property
-failure, 2 parse, schema or input error (including a symmetry with no valid
-invariant core and a file path that cannot be read or written), 3 closure
-cap exceeded, 4 unsupported dimension, 5 internal error (an exception no
-other code covers, named on one line), 141 the reader closed standard
-output before the report was written (as in ``| head``; nothing is
-printed, and 141 is what a shell reports for a SIGPIPE exit).
+Each command handler returns its results, its checks and the bytes of the
+document it read; reports are emitted only by ``main``, which times the
+command and exits 1 exactly when a check reads "fail".  Reports are JSON with
+sorted keys; identical inputs produce byte-identical reports apart from the
+wall_time_ms field.  Exit codes: 0 success, 1 property failure, 2 parse,
+schema or input error (including a symmetry with no valid invariant core, a
+flag the command would ignore beside another, and a file path that cannot be
+read or written), 3 closure cap exceeded, 4 unsupported dimension, 5
+internal error (an exception no other code covers, named on one line), 141
+the reader closed standard output before the report was written (as in
+``| head``; nothing is printed, and 141 is what a shell reports for a
+SIGPIPE exit).
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -40,59 +45,36 @@ class ParseError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# input grammars
+# input grammars, each one anchored regex over ASCII digits; re compiles and
+# caches a pattern on its first use, so a cold start compiles none
+
+# an entry is a sum of terms, each an integer, z<m> or z<m>^<k>: an optional
+# sign before the first term and exactly one sign before every later one
+_TERM = r"(?:[0-9]+|z[0-9]+(?:\^[0-9]+)?)"
+_ENTRY = rf"[+-]?{_TERM}(?:[+-]{_TERM})*"
+_SIGNED_TERM = rf"([+-]?)({_TERM})"
+# signed integers a_1,...,a_n@m, with whitespace around each number only
+_NUMBER = r"\s*[+-]?[0-9]+\s*"
+_GENERATOR = rf"(?a){_NUMBER}(?:,{_NUMBER})*@{_NUMBER}"
+# cycles (i j ...) side by side, their indices split by whitespace or one comma
+_CYCLES = r"(?a)(?:\(\s*[0-9]+(?:\s*,\s*[0-9]+|\s+[0-9]+)*\s*\))+"
 
 
 def parse_entry(token: str) -> exactmath.CycloInt:
-    """One matrix entry: signed sums of integers and root-of-unity tokens z<m>^<k>."""
+    """One matrix entry: a signed sum of integers and roots of unity z<m>^<k>."""
     token = token.strip()
-    if not token:
-        raise ParseError("empty matrix entry")
+    if not re.fullmatch(_ENTRY, token):
+        raise ParseError(f"matrix entry {token!r} is not a signed sum of integers and z<m>^<k>")
     out = exactmath.CycloInt.from_int(0)
-    i = 0
-    sign = 1
-    started = False
-    while i < len(token):
-        ch = token[i]
-        if ch == "+":
-            sign, i = 1, i + 1
-            continue
-        if ch == "-":
-            sign, i = -1, i + 1
-            continue
-        if ch == "z":
-            j = i + 1
-            while j < len(token) and token[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise ParseError(f"bad root token in {token!r}")
-            m = int(token[i + 1 : j])
-            if m < 1:
-                raise ParseError(f"root of unity z{m} in {token!r} needs a conductor >= 1")
-            k = 1
-            if j < len(token) and token[j] == "^":
-                j += 1
-                start = j
-                while j < len(token) and token[j].isdigit():
-                    j += 1
-                if j == start:
-                    raise ParseError(f"bad exponent in {token!r}")
-                k = int(token[start:j])
-            term = exactmath.CycloInt.zeta(m, k)
-            out = out + (term if sign > 0 else -term)
-            i = j
-        elif ch.isdigit():
-            j = i
-            while j < len(token) and token[j].isdigit():
-                j += 1
-            out = out + sign * int(token[i:j])
-            i = j
+    for sign, term in re.findall(_SIGNED_TERM, token):
+        if term[0] == "z":
+            m, _, k = term[1:].partition("^")
+            if int(m) < 1:
+                raise ParseError(f"root of unity z{int(m)} in {token!r} needs a conductor >= 1")
+            value = exactmath.CycloInt.zeta(int(m), int(k or 1))
         else:
-            raise ParseError(f"unexpected character {ch!r} in entry {token!r}")
-        sign = 1
-        started = True
-    if not started:
-        raise ParseError(f"empty matrix entry {token!r}")
+            value = int(term)
+        out = out - value if sign == "-" else out + value
     return out
 
 
@@ -117,18 +99,11 @@ def parse_permutation(text: str, n: int) -> toric.PermSymmetry:
     text = text.strip()
     if text in ("", "id", "()"):
         return toric.PermSymmetry.identity(n)
-    cycles = []
-    i = 0
-    while i < len(text):
-        j = text.find(")", i)
-        parts = text[i + 1 : j].replace(",", " ").split()
-        if text[i] != "(" or j < 0 or not all(p.isdecimal() for p in parts):
-            raise ParseError(f"permutation {text!r} is not cycles of indices like (1 2)(3 4)")
-        cyc = [int(p) - 1 for p in parts]
-        if any(c < 0 or c >= n for c in cyc):
-            raise ParseError(f"cycle index out of range in {text!r}")
-        cycles.append(cyc)
-        i = j + 1
+    if not re.fullmatch(_CYCLES, text):
+        raise ParseError(f"permutation {text!r} is not cycles of indices like (1 2)(3 4)")
+    cycles = [[int(i) - 1 for i in re.findall("[0-9]+", c)] for c in text.split(")")[:-1]]
+    if any(not 0 <= i < n for cyc in cycles for i in cyc):
+        raise ParseError(f"cycle index out of range in {text!r}")
     try:
         return toric.PermSymmetry.from_cycles(n, cycles)
     except ValueError as exc:
@@ -137,14 +112,10 @@ def parse_permutation(text: str, n: int) -> toric.PermSymmetry:
 
 def parse_h_generator(text: str) -> tuple[tuple[int, ...], int]:
     """Quotient generators as 'a_1,...,a_n@m'."""
-    text = text.strip()
-    if "@" not in text:
-        raise ParseError(f"generator {text!r} must look like a,b,...@m")
-    vec, m = text.rsplit("@", 1)
-    try:
-        return tuple(int(x) for x in vec.split(",")), int(m)
-    except ValueError as exc:
-        raise ParseError(f"bad generator {text!r}: {exc}") from exc
+    if not re.fullmatch(_GENERATOR, text):
+        raise ParseError(f"generator {text.strip()!r} must look like a,b,...@m with integers")
+    vec, m = text.split("@")
+    return tuple(int(x) for x in vec.split(",")), int(m)
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +198,18 @@ def _at_least(flag: str, value: int, least: int) -> int:
     return value
 
 
-def cmd_group(args, command) -> int:
-    started = time.monotonic()
+def _refuse_with(args, flag: str, *ignored: str) -> None:
+    """A ParseError when ``flag`` is given with one of the flags it makes the
+    command ignore."""
+    given = [f for f in ignored if getattr(args, f[2:]) is not None]
+    if given:
+        raise ParseError(f"{flag} cannot be combined with {', '.join(given)}")
+
+
+def cmd_group(args):
     _at_least("--cap", args.cap, 1)
     if args.fixture:
+        _refuse_with(args, "--fixture", "--gens", "--h")
         group, h = _group_fixture(args)
     elif args.gens:
         gens = [parse_matrix(g) for g in args.gens.split(";")]
@@ -249,8 +228,7 @@ def cmd_group(args, command) -> int:
         action = groups.outer_action(group, h)
         results["invariant_classes"] = groups.invariant_class_count(action)
         results["compatible_classes"] = len(groups.compatible_class_filter(group, action))
-    emit_report(command, results, checks, started, args.out)
-    return EXIT_OK if all(v == "pass" for v in checks.values()) else EXIT_FAIL
+    return results, checks, None
 
 
 def _class_equation_holds(group, classes) -> bool:
@@ -281,27 +259,23 @@ def _class_equation_holds(group, classes) -> bool:
 
 def _toric_inputs(args):
     if args.fixture == "z5sq-cycle":
+        _refuse_with(args, "--fixture", "--n", "--gen", "--perm")
         lp = toric.build_lattice_pair(3, [((1, 2, 2), 5), ((1, 1, 3), 5)])
-        sym = toric.PermSymmetry.from_cycles(3, [(0, 1, 2)])
-        return lp, sym
+        return lp, toric.PermSymmetry.from_cycles(3, [(0, 1, 2)])
     if args.fixture:
         raise ParseError(f"unknown toric fixture {args.fixture!r}")
     if args.n is None:
         raise ParseError("need --fixture or --n with --gen/--perm")
     if args.n < 1:
         raise ParseError(f"--n {args.n} is not a dimension >= 1")
-    gens = []
-    for g in args.gen or []:
-        if g.strip():
-            gens.append(parse_h_generator(g))
+    gens = [parse_h_generator(g) for g in args.gen or [] if g.strip()]
     lp = toric.build_lattice_pair(args.n, gens)
-    sym = parse_permutation(args.perm or "id", args.n)
-    return lp, sym
+    return lp, parse_permutation(args.perm or "id", args.n)
 
 
-def cmd_toric(args, command) -> int:
-    started = time.monotonic()
+def cmd_toric(args):
     if args.load:
+        _refuse_with(args, "--load", "--fixture", "--n", "--gen", "--save")
         with open(args.load, "rb") as fh:
             data = fh.read()
         tri, lp = toric.triangulation_from_document(json.loads(data))
@@ -317,9 +291,7 @@ def cmd_toric(args, command) -> int:
             "lefschetz": lefschetz,
             "failures": list(rep.failures),
         }
-        checks = {"crepant": _status(bool(rep))}
-        emit_report(command, results, checks, started, args.out, data)
-        return EXIT_OK if bool(rep) else EXIT_FAIL
+        return results, {"crepant": _status(bool(rep))}, data
 
     lp, sym = _toric_inputs(args)
     audit = toric.symmetry_report(lp, sym, args.order)
@@ -328,16 +300,13 @@ def cmd_toric(args, command) -> int:
         with open(args.save, "w") as fh:
             json.dump(toric.triangulation_to_document(tri, lp), fh, sort_keys=True, indent=1)
             fh.write("\n")
-    results = {
-        k: (str(v) if isinstance(v, Fraction) else v) for k, v in audit.items()
-    }
+    results = {k: (str(v) if isinstance(v, Fraction) else v) for k, v in audit.items()}
     checks = {
         "crepant": _status(audit["crepant"]),
         "adjusted": _status(audit["adjusted"]),
         "lefschetz_equals_fixed_count": _status(audit["equal"]),
     }
-    emit_report(command, results, checks, started, args.out)
-    return EXIT_OK if all(v == "pass" for v in checks.values()) else EXIT_FAIL
+    return results, checks, None
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +325,10 @@ def _orbifold_fixture(name: str) -> orbifold.GSpaceSheet:
     raise ParseError(f"unknown orbifold fixture {name!r}")
 
 
-def cmd_orbifold(args, command) -> int:
-    started = time.monotonic()
+def cmd_orbifold(args):
     data = None
     if args.fixture:
+        _refuse_with(args, "--fixture", "--sheet")
         sheet = _orbifold_fixture(args.fixture)
     elif args.sheet:
         with open(args.sheet, "rb") as fh:
@@ -389,8 +358,7 @@ def cmd_orbifold(args, command) -> int:
         with open(args.save, "w") as fh:
             json.dump(orbifold.sheet_to_document(sheet), fh, sort_keys=True, indent=1)
             fh.write("\n")
-    emit_report(command, results, checks, started, args.out, data)
-    return EXIT_OK if all(v == "pass" for v in checks.values()) else EXIT_FAIL
+    return results, checks, data
 
 
 # ---------------------------------------------------------------------------
@@ -626,8 +594,7 @@ VERIFY_CHECKS = {
 }
 
 
-def cmd_verify(args, command) -> int:
-    started = time.monotonic()
+def cmd_verify(args):
     rng = random.Random(args.seed)
     _at_least("--count", args.count, 1)
     _at_least("--max-n", args.max_n, 1)
@@ -635,15 +602,8 @@ def cmd_verify(args, command) -> int:
     for name in names:
         if name not in VERIFY_CHECKS:
             raise ParseError(f"unknown check {name!r}; choose from {sorted(VERIFY_CHECKS)}")
-    results = {}
-    checks = {}
-    for name in names:
-        out = VERIFY_CHECKS[name](args, rng)
-        results[name] = out
-        checks[name] = out["status"]
-    emit_report(command, results, checks, started, args.out)
-    failed = [n for n, s in checks.items() if s == "fail"]
-    return EXIT_FAIL if failed else EXIT_OK
+    results = {name: VERIFY_CHECKS[name](args, rng) for name in names}
+    return results, {name: out["status"] for name, out in results.items()}, None
 
 
 # ---------------------------------------------------------------------------
@@ -712,10 +672,12 @@ def main(argv=None) -> int:
         "orbifold": cmd_orbifold,
         "verify": cmd_verify,
     }
+    started = time.monotonic()
     try:
-        status = handlers[args.command](args, ["crepant"] + argv)
+        results, checks, input_bytes = handlers[args.command](args)
+        emit_report(["crepant"] + argv, results, checks, started, args.out, input_bytes)
         sys.stdout.flush()  # a reader that has gone shows here, not at exit
-        return status
+        return EXIT_FAIL if "fail" in checks.values() else EXIT_OK
     except groups.CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

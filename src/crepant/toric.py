@@ -110,10 +110,6 @@ class NotInvariantTriangulation(ValueError):
     pass
 
 
-def _vsub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 # ---------------------------------------------------------------------------
 # lattice pairs
 
@@ -397,19 +393,24 @@ def _saturation_index(lp: LatticePair, rows: Sequence[Sequence[int]]) -> int:
     return prod(invariants) if len(invariants) == len(rows) else 0
 
 
+def _volume(points: Sequence[IntVec], scale: int, lp: LatticePair) -> Fraction:
+    """Normalized volume of the simplex on the integer points divided by
+    ``scale``: the saturation index of its d edges over scale^d, 0 when they
+    are dependent, and 1 for a single point."""
+    edges = [[a - b for a, b in zip(v, points[0])] for v in points[1:]]
+    return Fraction(_saturation_index(lp, edges), scale ** len(edges))
+
+
 def normalized_volume(vertices: Sequence[Vec], lp: LatticePair) -> Fraction:
     """Volume of a simplex relative to the lattice induced by N on its span.
 
     This is the lattice-normalized volume: the number of fundamental cells of
     the induced lattice in the edge parallelepiped.  Zero-dimensional
-    simplices get volume one by convention.  With the d edges scaled to
-    integers by L, it is their saturation index divided by L^d.
+    simplices get volume one by convention.  With the vertices scaled to
+    integers by L, it is the saturation index of the d edges divided by L^d.
     """
-    d = len(vertices) - 1
-    if d == 0:
-        return Fraction(1)
-    den, edges = _integer_rows([_vsub(v, vertices[0]) for v in vertices[1:]])
-    vol = Fraction(_saturation_index(lp, edges), den**d)
+    den, points = _integer_rows(vertices)
+    vol = _volume(points, den, lp)
     if vol == 0:
         raise ValueError("simplex is degenerate or lattice does not span it")
     return vol
@@ -996,15 +997,11 @@ def _cycle_average_volume(
     points, so the volume is the saturation index of their d edges divided
     by (scale * L)^d; it is 0 when they are dependent.
     """
-    d = len(cycles) - 1
-    if d == 0:
-        return Fraction(1)
     big = lcm(*map(len, cycles))
     averages = [
         [big // len(cyc) * sum(col) for col in zip(*(points[i] for i in cyc))] for cyc in cycles
     ]
-    edges = [[a - b for a, b in zip(v, averages[0])] for v in averages[1:]]
-    return Fraction(_saturation_index(lp, edges), (scale * big) ** d)
+    return _volume(averages, scale * big, lp)
 
 
 def _in_simplex(p: IntVec, simplex: Sequence[IntVec], lp: LatticePair) -> bool:
@@ -1016,15 +1013,10 @@ def _in_simplex(p: IntVec, simplex: Sequence[IntVec], lp: LatticePair) -> bool:
     barycentric coordinates of p, which sum to one; so these volumes sum to
     the whole exactly when every lambda_i >= 0.
     """
-
-    def volume(vertices):
-        v0 = vertices[0]
-        return _saturation_index(lp, [[a - b for a, b in zip(v, v0)] for v in vertices[1:]])
-
-    if volume((*simplex, p)):
+    if _volume((*simplex, p), 1, lp):
         return False
-    parts = (volume((*simplex[:i], p, *simplex[i + 1 :])) for i in range(len(simplex)))
-    return sum(parts) == volume(simplex)
+    parts = (_volume((*simplex[:i], p, *simplex[i + 1 :]), 1, lp) for i in range(len(simplex)))
+    return sum(parts) == _volume(simplex, 1, lp)
 
 
 def verify_adjusted(tri: Triangulation, lp: LatticePair, sym: PermSymmetry) -> bool:

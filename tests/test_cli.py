@@ -7,7 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crepant import cli
 from crepant.cli import (
     EXIT_CAP,
     EXIT_FAIL,
@@ -50,6 +53,129 @@ def test_parse_entry():
     assert parse_entry("-1") == CycloInt.from_int(-1)
     assert parse_entry("z5^2") == CycloInt.zeta(5, 2)
     assert parse_entry("z3^1-z3^2") == CycloInt.zeta(3) - CycloInt.zeta(3, 2)
+
+
+# ---------------------------------------------------------------------------
+# reference: the hand-written entry scanner that the entry grammar replaced.
+# It reads any run of signs as their product and a term right after another
+# as a sum, so it accepts 'z4^3-', '3z4', 'z4z4' and '--3'.
+
+
+def _reference_parse_entry(token: str) -> CycloInt:
+    token = token.strip()
+    if not token:
+        raise ParseError("empty matrix entry")
+    out = CycloInt.from_int(0)
+    i = 0
+    sign = 1
+    started = False
+    while i < len(token):
+        ch = token[i]
+        if ch == "+":
+            sign, i = 1, i + 1
+            continue
+        if ch == "-":
+            sign, i = -1, i + 1
+            continue
+        if ch == "z":
+            j = i + 1
+            while j < len(token) and token[j].isdigit():
+                j += 1
+            if j == i + 1:
+                raise ParseError(f"bad root token in {token!r}")
+            m = int(token[i + 1 : j])
+            if m < 1:
+                raise ParseError(f"root of unity z{m} in {token!r} needs a conductor >= 1")
+            k = 1
+            if j < len(token) and token[j] == "^":
+                j += 1
+                start = j
+                while j < len(token) and token[j].isdigit():
+                    j += 1
+                if j == start:
+                    raise ParseError(f"bad exponent in {token!r}")
+                k = int(token[start:j])
+            term = CycloInt.zeta(m, k)
+            out = out + (term if sign > 0 else -term)
+            i = j
+        elif ch.isdigit():
+            j = i
+            while j < len(token) and token[j].isdigit():
+                j += 1
+            out = out + sign * int(token[i:j])
+            i = j
+        else:
+            raise ParseError(f"unexpected character {ch!r} in entry {token!r}")
+        sign = 1
+        started = True
+    if not started:
+        raise ParseError(f"empty matrix entry {token!r}")
+    return out
+
+
+_ROOT = st.builds(
+    "z{}{}".format, st.integers(1, 12), st.sampled_from(["", "^0", "^1", "^5", "^17"])
+)
+_TERMS = st.lists(
+    st.one_of(st.integers(0, 999).map(str), st.just("007"), _ROOT), min_size=1, max_size=4
+)
+_SIGNS = st.sampled_from("+-")
+
+
+@st.composite
+def _signed_sum(draw) -> list[str]:
+    """The pieces of a well-formed entry: an optional sign, then terms with
+    one sign before every later term."""
+    terms = draw(_TERMS)
+    pieces = [draw(st.sampled_from(["", "+", "-"])), terms[0]]
+    for term in terms[1:]:
+        pieces += [draw(_SIGNS), term]
+    return pieces
+
+
+@settings(max_examples=200, deadline=None)
+@given(pieces=_signed_sum(), pad=st.sampled_from(["", " ", "\t"]))
+def test_well_formed_entries_parse_as_the_reference_does(pieces, pad):
+    text = pad + "".join(pieces) + pad
+    assert parse_entry(text) == _reference_parse_entry(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pieces=_signed_sum(),
+    root=_ROOT,
+    sign=_SIGNS,
+    fault=st.sampled_from(["juxtaposed", "doubled", "dangling"]),
+    data=st.data(),
+)
+def test_malformed_entries_are_refused_only_by_the_grammar(pieces, root, sign, fault, data):
+    """A root right after a term, two signs in a row and a sign with no term
+    after it: the reference reads each as a value, the grammar refuses it."""
+    terms = len(pieces) // 2
+    if fault == "juxtaposed":
+        pieces.insert(data.draw(st.integers(0, terms - 1)) * 2 + 2, root)  # right after a term
+    elif fault == "doubled":
+        i = data.draw(st.integers(0, terms - 1)) * 2  # the sign before a term
+        pieces[i] = sign + (pieces[i] or sign)
+    else:
+        pieces.append(sign)
+    text = "".join(pieces)
+    _reference_parse_entry(text)
+    try:
+        parse_entry(text)
+    except ParseError as exc:
+        assert str(exc).startswith(f"matrix entry {text!r} is not a signed sum")
+    else:
+        raise AssertionError(f"{text!r} was read as an entry")
+
+
+def test_the_refusal_property_sees_an_empty_sign_between_terms(monkeypatch):
+    # the mutation: a term may follow another with no sign between them
+    mutated = cli._ENTRY.replace(")(?:[+-]", ")(?:[+-]?")
+    assert mutated.count("[+-]?") == 2
+    monkeypatch.setattr(cli, "_ENTRY", mutated)
+    with pytest.raises(AssertionError, match="was read as an entry"):
+        test_malformed_entries_are_refused_only_by_the_grammar()
 
 
 def test_parse_matrix_and_perm():
@@ -590,7 +716,31 @@ def test_orbifold_schema_violation(tmp_path, capsys):
     assert rc == EXIT_PARSE
 
 
-def test_exit_codes(capsys):
+# each of these exited 0: the entry scanner read 'z4^3-' as z4^3, '1z4' as
+# 1 + z4, 'z4z4' as 2 z4 and '--1' as -1, a generator number went through
+# int() ('1_0' as 10, Arabic-Indic digits), and a flag beside --load or
+# --fixture was ignored ('--load ... --save' wrote nothing)
+REFUSED = [
+    (["group", "--gens", "[[z4,0],[0,z4^3-]]"], "matrix entry 'z4^3-' is not a signed sum"),
+    (["group", "--gens", "[[1z4-1]]"], "matrix entry '1z4-1' is not a signed sum"),
+    (["group", "--gens", "[[z4z4-z4]]"], "matrix entry 'z4z4-z4' is not a signed sum"),
+    (["group", "--gens", "[[--1]]"], "matrix entry '--1' is not a signed sum"),
+    (["group", "--gens", "[[1]]", "--h", "[[+-1]]"], "matrix entry '+-1' is not a signed sum"),
+    (["toric", "--n", "3", "--gen", "1_0,1,1@12"], "generator '1_0,1,1@12' must look like"),
+    (["toric", "--n", "3", "--gen", "1,1,1_0@12"], "generator '1,1,1_0@12' must look like"),
+    (["toric", "--n", "3", "--gen", "\u0661,1,1@3"], "generator '\u0661,1,1@3' must look like"),
+    (["group", "--fixture", "quintic", "--gens", "[[1]]"], "--fixture cannot be combined with"),
+    (["group", "--fixture", "quintic", "--h", "[[1]]"], "--fixture cannot be combined with --h"),
+    (["orbifold", "--fixture", "point", "--sheet", "{tri}"], "--fixture cannot be combined with"),
+    (["toric", "--load", "{tri}", "--fixture", "z5sq-cycle"], "--load cannot be combined with"),
+    (["toric", "--load", "{tri}", "--n", "2"], "--load cannot be combined with --n"),
+    (["toric", "--load", "{tri}", "--gen", "1,1@2"], "--load cannot be combined with --gen"),
+    (["toric", "--load", "{tri}", "--save", "{out}"], "--load cannot be combined with --save"),
+    (["toric", "--fixture", "z5sq-cycle", "--perm", "(1 2)"], "--fixture cannot be combined"),
+]
+
+
+def test_exit_codes(tmp_path, capsys):
     assert run(["group", "--gens", "[[zoo]]"], capsys)[0] == EXIT_PARSE
     assert run(["group", "--fixture", "quintic", "--cap", "10"], capsys)[0] == EXIT_CAP
     assert (
@@ -598,6 +748,15 @@ def test_exit_codes(capsys):
         == EXIT_UNSUPPORTED
     )
     assert run(["toric", "--n", "1"], capsys)[0] == EXIT_UNSUPPORTED
+    paths = {"tri": str(tmp_path / "tri.json"), "out": str(tmp_path / "out.json")}
+    rc, _ = run(["toric", "--n", "2", "--gen", "1,1@2", "--save", paths["tri"]], capsys)
+    assert rc == EXIT_OK
+    for argv, message in REFUSED:
+        rc = main([a.format(**paths) for a in argv])
+        captured = capsys.readouterr()
+        assert rc == EXIT_PARSE and captured.out == "", argv
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+    assert not os.path.exists(paths["out"])
 
 
 @pytest.mark.parametrize(
@@ -641,6 +800,10 @@ def test_toric_dimension_below_one_is_a_parse_error(capsys, n):
         ("(1 2 3)(3 2 1)", "repeats an index"),
         ("(1 2", "is not cycles of indices"),
         ("(1 a)", "is not cycles of indices"),
+        ("(1,,2)", "is not cycles of indices"),
+        ("(,1 2)", "is not cycles of indices"),
+        ("(1 2)()", "is not cycles of indices"),
+        ("(\u0661 2)", "is not cycles of indices"),
     ],
 )
 def test_toric_perm_refuses_a_malformed_or_repeating_cycle(capsys, text, message):

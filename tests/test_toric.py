@@ -51,7 +51,6 @@ from crepant.toric import (
     _lattice_coords,
     _maximal_invariant_faces,
     _orient,
-    _vsub,
 )
 
 SWAP2 = PermSymmetry.from_cycles(2, [(0, 1)])
@@ -177,6 +176,10 @@ def _reference_is_g_standard(sigma, tri, sym, lp=None) -> bool:
         if vol != Fraction(1, prod(lengths)):
             return False
     return True
+
+
+def _vsub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def _point_in_triangle_nd(p, simplex: QSimplex) -> bool:
