@@ -43,15 +43,11 @@ from .orbifold import (
 from .toric import (
     LatticePair,
     PermSymmetry,
-    QSimplex,
     Triangulation,
     adjusted_triangulation,
     block_det,
     build_lattice_pair,
     count_fixed_elements,
-    fixed_subspace,
-    is_g_standard,
-    standard_pair,
     symmetry_report,
     toric_lefschetz,
     verify_crepant,

@@ -208,10 +208,14 @@ def _refuse_with(args, flag: str, *ignored: str) -> None:
 
 def cmd_group(args):
     _at_least("--cap", args.cap, 1)
+    # the flags among --n, --r and --action that each fixture reads; --gens reads none
+    reads = {"cyclic": ("--n", "--action"), "binary-dihedral": ("--r",), "quintic": ("--action",)}
+    unread = [f for f in ("--n", "--r", "--action") if f not in reads.get(args.fixture, ())]
     if args.fixture:
-        _refuse_with(args, "--fixture", "--gens", "--h")
+        _refuse_with(args, "--fixture", "--gens", "--h", *unread)
         group, h = _group_fixture(args)
     elif args.gens:
+        _refuse_with(args, "--gens", *unread)
         gens = [parse_matrix(g) for g in args.gens.split(";")]
         group = groups.close_group(gens, cap=args.cap)
         h = parse_matrix(args.h) if args.h else None
@@ -275,7 +279,7 @@ def _toric_inputs(args):
 
 def cmd_toric(args):
     if args.load:
-        _refuse_with(args, "--load", "--fixture", "--n", "--gen", "--save")
+        _refuse_with(args, "--load", "--fixture", "--n", "--gen", "--save", "--order")
         with open(args.load, "rb") as fh:
             data = fh.read()
         tri, lp = toric.triangulation_from_document(json.loads(data))
@@ -294,7 +298,7 @@ def cmd_toric(args):
         return results, {"crepant": _status(bool(rep))}, data
 
     lp, sym = _toric_inputs(args)
-    audit = toric.symmetry_report(lp, sym, args.order)
+    audit = toric.symmetry_report(lp, sym, args.order or "lex")
     tri = audit.pop("triangulation")
     if args.save:
         with open(args.save, "w") as fh:
@@ -632,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--n", type=int)
     t.add_argument("--gen", action="append", help="quotient generator a,b,...@m")
     t.add_argument("--perm", help="coordinate permutation in cycle notation")
-    t.add_argument("--order", default="lex", choices=["lex", "revlex"])
+    t.add_argument("--order", choices=["lex", "revlex"], help="insertion order (default lex)")
     t.add_argument("--load", help="verify a triangulation document")
     t.add_argument("--save", help="write the triangulation document")
     t.add_argument("--out")

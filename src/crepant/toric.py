@@ -19,13 +19,13 @@ its inverse and |N/M| at once.  N/M is held once as the set of residues
 D*x mod D of its elements, and the points of N on the base simplex are the
 residues of coordinate sum D together with the unit points.  A
 ``Triangulation`` holds each vertex x as the integer tuple scale*x: the
-scale is D once built, the lcm of the denominators once read from Fractions
-or a document, and no check assumes it is D.  A positive scale keeps the
-lexicographic order and commutes with coordinate permutations.  Fractions
-appear only in views and reports, never in a check or a sum: the
-``QSimplex`` view of a triangulation (for tests and failure witnesses), the
-faces of the record view ``orbit_records``, the integer or ``p/q``
-coordinates of a document, and report volumes.
+scale is D once built and the lcm of the denominators once read from a
+document, and no check assumes it is D.  A positive scale keeps the
+lexicographic order and commutes with coordinate permutations.  These
+integer cells are the only faces.  Fractions appear only in views and
+reports, never in a check or a sum: ``LatticePair.base_points``, the faces
+of the record view ``orbit_records`` and report volumes.  Documents and
+failure witnesses write each coordinate as an integer or ``p/q``.
 
 A maximal simplex of the base simplex has its vertices at height one
 (coordinate sum one), so its normalized volume is |det V| * |N/M| for the
@@ -54,7 +54,6 @@ from .exactmath import (
     LatticeError,
     Record,
     _bareiss_det,
-    _integer_rows,
     _json_int,
     _smith_invariants,
     permutation_cycles,
@@ -64,18 +63,12 @@ from .exactmath import (
 __all__ = [
     "LatticePair",
     "PermSymmetry",
-    "QSimplex",
     "Triangulation",
     "OrbitRecord",
-    "StandardPair",
     "build_lattice_pair",
-    "fixed_subspace",
-    "standard_pair",
-    "is_g_standard",
     "adjusted_triangulation",
     "verify_crepant",
     "verify_adjusted",
-    "normalized_volume",
     "toric_lefschetz",
     "orbit_records",
     "block_det",
@@ -297,36 +290,8 @@ class PermSymmetry(Record):
         return all(lp.contains(self.apply(y), lp.scale) for y in lp.basis)
 
 
-def fixed_subspace(sym: PermSymmetry) -> list[Vec]:
-    """Basis of the fixed subspace: one cycle-sum vector per cycle."""
-    out = []
-    for cyc in sym.cycles():
-        out.append(tuple(Fraction(1 if i in cyc else 0) for i in range(sym.n)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # simplices and triangulations
-
-
-class QSimplex(Record):
-    """Simplex with rational vertices, stored in sorted order."""
-
-    vertices: tuple[Vec, ...]
-
-    def __init__(self, vertices):
-        self.__dict__.update(vertices=vertices)
-
-    @staticmethod
-    def of(*points) -> QSimplex:
-        return QSimplex(tuple(sorted(tuple(map(Fraction, p)) for p in points)))
-
-    @property
-    def dim(self) -> int:
-        return len(self.vertices) - 1
-
-    def image(self, sym: PermSymmetry) -> QSimplex:
-        return QSimplex(tuple(sorted(sym.apply(v) for v in self.vertices)))
 
 
 class Triangulation(Record):
@@ -340,26 +305,6 @@ class Triangulation(Record):
 
     def __init__(self, scale, cells):
         self.__dict__.update(scale=scale, cells=tuple(sorted(tuple(sorted(c)) for c in cells)))
-
-    @staticmethod
-    def of(simplices) -> Triangulation:
-        """The triangulation by rational simplices, at the lcm of their denominators."""
-        simplices = [s.vertices for s in simplices]
-        scale, rows = _integer_rows([v for s in simplices for v in s])
-        points = iter(map(tuple, rows))
-        return Triangulation(scale, [[next(points) for _ in s] for s in simplices])
-
-    @cached_property
-    def simplices(self) -> tuple[QSimplex, ...]:
-        """The cells as QSimplexes with rational vertices, built when asked."""
-        return tuple(QSimplex(self.rational(c)) for c in self.cells)
-
-    def rational(self, points: Sequence[IntVec]) -> tuple[Vec, ...]:
-        """The vertices y/scale of points y, each value converted when first asked for."""
-        values = self.__dict__.setdefault("_values", {})
-        for a in {a for y in points for a in y}.difference(values):
-            values[a] = Fraction(a, self.scale)
-        return tuple(tuple(map(values.__getitem__, y)) for y in points)
 
     @cached_property
     def vertex_set(self) -> tuple[IntVec, ...]:
@@ -399,21 +344,6 @@ def _volume(points: Sequence[IntVec], scale: int, lp: LatticePair) -> Fraction:
     are dependent, and 1 for a single point."""
     edges = [[a - b for a, b in zip(v, points[0])] for v in points[1:]]
     return Fraction(_saturation_index(lp, edges), scale ** len(edges))
-
-
-def normalized_volume(vertices: Sequence[Vec], lp: LatticePair) -> Fraction:
-    """Volume of a simplex relative to the lattice induced by N on its span.
-
-    This is the lattice-normalized volume: the number of fundamental cells of
-    the induced lattice in the edge parallelepiped.  Zero-dimensional
-    simplices get volume one by convention.  With the vertices scaled to
-    integers by L, it is the saturation index of the d edges divided by L^d.
-    """
-    den, points = _integer_rows(vertices)
-    vol = _volume(points, den, lp)
-    if vol == 0:
-        raise ValueError("simplex is degenerate or lattice does not span it")
-    return vol
 
 
 # ---------------------------------------------------------------------------
@@ -674,8 +604,8 @@ def verify_crepant(tri: Triangulation, lp: LatticePair) -> CrepancyReport:
     occur either: a unimodular simplex holds no lattice point besides its
     vertices, so no vertex can lie inside another simplex's edge.  The
     checks hold at any scale of the points, which need not be D.  Every
-    failure names its witness.  A pass is kept on the triangulation as the
-    certificate for ``lp`` that ``verify_adjusted`` reads.
+    failure names its witness as a document would.  A pass is kept on the
+    triangulation as the certificate for ``lp`` that ``verify_adjusted`` reads.
     """
     failures = []
     n = lp.n
@@ -684,10 +614,10 @@ def verify_crepant(tri: Triangulation, lp: LatticePair) -> CrepancyReport:
         outside = not (len(y) == n and sum(y) == scale and min(y) >= 0)
         if outside or not lp.contains(y, scale):
             kind = "outside the base simplex" if outside else "not in the overlattice"
-            failures.append(f"vertex {tri.rational([y])[0]} {kind}")
+            failures.append(f"vertex {_witness(y, scale)} {kind}")
     for c in cells:
         if len(c) != n:
-            failures.append(f"simplex {tri.rational(c)} has dimension {len(c) - 1}")
+            failures.append(f"simplex {_witness(c, scale)} has dimension {len(c) - 1}")
 
     if not failures:
         # normalized volumes are |det| * |N/M| / full; sum their numerators
@@ -696,9 +626,9 @@ def verify_crepant(tri: Triangulation, lp: LatticePair) -> CrepancyReport:
         for c, det in zip(cells, dets):
             vol = abs(det) * lp.order
             if det == 0:
-                failures.append(f"degenerate simplex {tri.rational(c)}")
+                failures.append(f"degenerate simplex {_witness(c, scale)}")
             elif vol != full:
-                failures.append(f"simplex {tri.rational(c)} has normalized volume {Fraction(vol, full)}")
+                failures.append(f"simplex {_witness(c, scale)} has normalized volume {Fraction(vol, full)}")
         numerators = sum(map(abs, dets)) * lp.order
         if numerators != lp.order * full:
             failures.append(f"volumes sum to {Fraction(numerators, full)}, expected {lp.order}")
@@ -731,11 +661,12 @@ def _facet_pairing_failures(tri: Triangulation, dets: Sequence[int], n: int) -> 
         kind, want = ("boundary", 1) if boundary else ("interior", 2)
         if len(users) == want and (boundary or users[0][1] != users[1][1]):
             continue
-        owners = [tri.rational(cells[i]) for i, _ in users]
-        named = tri.rational(facet)
+        owners = [_witness(cells[i], tri.scale) for i, _ in users]
+        named = _witness(facet, tri.scale)
         if len(users) != want:
             failures.append(
-                f"{kind} facet {named} is shared by {len(users)} simplices, expected {want}: {owners}"
+                f"{kind} facet {named} is shared by {len(users)} simplices, expected {want}: "
+                f"{', '.join(owners)}"
             )
         else:
             failures.append(
@@ -745,7 +676,7 @@ def _facet_pairing_failures(tri: Triangulation, dets: Sequence[int], n: int) -> 
 
 
 # ---------------------------------------------------------------------------
-# orbit records and the Lefschetz sum
+# orbit records, the Lefschetz sum and standard faces
 
 
 class OrbitRecord(Record):
@@ -754,7 +685,7 @@ class OrbitRecord(Record):
     there, whose characteristic polynomial is prod(t^l_i - 1) over the cycles
     of the symmetry divided by prod(t^k_j - 1) over the vertex cycles of f."""
 
-    face: QSimplex
+    face: tuple[Vec, ...]  # the rational vertices y/scale, in sorted order
     quotient_rank: int
     contribution: int
 
@@ -772,8 +703,10 @@ def orbit_records(tri: Triangulation, lp: LatticePair, sym: PermSymmetry) -> lis
     """Orbit record for every maximal invariant face, the faces that carry
     the Lefschetz sum (``toric_lefschetz``), in sorted order: the record
     view of the terms that the sum adds up."""
-    terms = _face_terms(tri, lp, sym)
-    return [OrbitRecord(QSimplex(tri.rational(f)), lp.n - len(f), c) for f, c in terms]
+    return [
+        OrbitRecord(tuple(tuple(Fraction(a, tri.scale) for a in y) for y in f), lp.n - len(f), c)
+        for f, c in _face_terms(tri, lp, sym)
+    ]
 
 
 def _face_terms(tri: Triangulation, lp: LatticePair, sym: PermSymmetry):
@@ -787,8 +720,8 @@ def _face_terms(tri: Triangulation, lp: LatticePair, sym: PermSymmetry):
         raise NotInvariantTriangulation("symmetry does not map the triangulation to itself")
     for y in lp.basis:
         if not lp.contains(sym.apply(y), lp.scale):
-            named = ", ".join(_coordinate_text(a, lp.scale) for a in y)
-            raise NotInvariant(f"symmetry maps the basis vector ({named}) out of the lattice")
+            named = _witness(y, lp.scale)
+            raise NotInvariant(f"symmetry maps the basis vector {named} out of the lattice")
     ls = [len(c) for c in sym.cycles()]
     return ((f, _face_contribution(f, ls, image.get)) for f in tri._invariant_faces(sym))
 
@@ -859,96 +792,6 @@ def fixed_sublattice_index(lp: LatticePair, sym: PermSymmetry) -> int:
     """Index of M-in-the-fixed-subspace inside N-in-the-fixed-subspace."""
     # the cycle sums are a basis of M in the fixed subspace
     return _saturation_index(lp, [[int(i in cyc) for i in range(sym.n)] for cyc in sym.cycles()])
-
-
-# ---------------------------------------------------------------------------
-# standard pairs
-
-
-class StandardPair(Record):
-    """Model simplex with cyclic symmetry, its reference triangulation, and
-    the fixed-locus simplex."""
-
-    simplex: QSimplex
-    triangulation: Triangulation
-    fixed_simplex: QSimplex
-    perm: PermSymmetry
-    cycle_lengths: tuple[int, ...]
-    transverse_lengths: tuple[int, ...]
-
-    def __init__(
-        self, simplex, triangulation, fixed_simplex, perm, cycle_lengths, transverse_lengths
-    ):
-        self.__dict__.update(
-            simplex=simplex, triangulation=triangulation, fixed_simplex=fixed_simplex, perm=perm,
-            cycle_lengths=cycle_lengths, transverse_lengths=transverse_lengths,
-        )
-
-
-def standard_pair(cycle_lengths: Sequence[int], transverse_lengths: Sequence[int] = ()) -> StandardPair:
-    """Model pair for the given cycle data.
-
-    The ambient lattice is a direct sum of cyclically permuted summands; the
-    model simplex is the unit simplex on the origin and the unit points, the
-    reference triangulation is by the pieces obtained by dropping one unit
-    point per permuted summand and adjoining the origin and the per-summand
-    barycenters, and the fixed-locus simplex collects the origin, the
-    barycenters, and the transverse unit points.
-    """
-    ls = [int(x) for x in cycle_lengths]
-    ms = [int(x) for x in transverse_lengths]
-    if any(x < 1 for x in ls + ms):
-        raise ValueError("cycle data must be positive")
-    n = sum(ls) + sum(ms)
-    if n == 0:
-        raise ValueError("empty cycle data")
-    units = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
-    origin = tuple(Fraction(0) for _ in range(n))
-
-    blocks: list[list[int]] = []
-    at = 0
-    for l in ls:
-        blocks.append(list(range(at, at + l)))
-        at += l
-    perm = PermSymmetry.from_cycles(n, blocks)
-    # the barycenters of the blocks and the transverse unit points
-    centres = _fixed_polytope(perm).vertices
-    fixed = QSimplex.of(origin, *centres)
-
-    pieces = []
-    for drop in itertools.product(*blocks):
-        kept = [units[i] for block, d in zip(blocks, drop) for i in block if i != d]
-        pieces.append(QSimplex.of(origin, *kept, *centres))
-    tri = Triangulation.of(pieces)
-
-    simplex = QSimplex.of(origin, *units)
-    return StandardPair(simplex, tri, fixed, perm, tuple(ls), tuple(ms))
-
-
-def is_g_standard(
-    sigma: QSimplex,
-    tri: Optional[Triangulation],
-    sym: PermSymmetry,
-    lp: Optional[LatticePair] = None,
-) -> bool:
-    """Does the invariant simplex look like the standard model of its type?
-
-    Checks, in order: the symmetry permutes the vertices; the refinement
-    pieces of matching dimension are permuted without a fixed piece when the
-    symmetry acts nontrivially; and the fixed-locus volume equals the
-    reciprocal of the product of the vertex cycle lengths.  Zero-dimensional
-    fixed loci pass the volume check by convention.  The simplex and the
-    pieces are scaled to integer points at one scale and judged by
-    ``_standard_face``.
-    """
-    whole = Triangulation.of((sigma, *(tri.simplices if tri is not None else ())))
-    face = tuple(sorted(tuple(int(x * whole.scale) for x in v) for v in sigma.vertices))
-    pieces = list(whole.cells)
-    pieces.remove(face)
-    if tuple(sorted(sym.apply(y) for y in face)) != face:
-        raise NotInvariant("simplex is not invariant under the symmetry")
-    lattice = lp if lp is not None else build_lattice_pair(len(face[0]), [])
-    return _standard_face(face, pieces, sym, lattice, whole.scale)
 
 
 def _standard_face(
@@ -1130,14 +973,6 @@ def symmetry_report(
     }
 
 
-def _fixed_polytope(sym: PermSymmetry) -> QSimplex:
-    """Intersection of the fixed subspace with the base simplex: the simplex
-    on the per-cycle barycenters."""
-    return QSimplex.of(
-        *(tuple(Fraction(int(i in cyc), len(cyc)) for i in range(sym.n)) for cyc in sym.cycles())
-    )
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -1146,6 +981,13 @@ def _coordinate_text(a: int, scale: int) -> str:
     """The coordinate a/scale as an integer or as p/q in lowest terms."""
     g = gcd(a, scale)
     return str(a // g) if g == scale else f"{a // g}/{scale // g}"
+
+
+def _witness(points, scale: int) -> str:
+    """A point y as (a, p/q, ...), y/scale as a document writes it; points as a tuple of those."""
+    if isinstance(points, int):
+        return _coordinate_text(points, scale)
+    return f"({', '.join(_witness(y, scale) for y in points)})"
 
 
 def triangulation_to_document(tri: Triangulation, lp: LatticePair) -> dict:

@@ -3,6 +3,8 @@ import json
 import random
 from fractions import Fraction
 from math import lcm, prod
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -22,7 +24,6 @@ from crepant.toric import (
     NotInvariant,
     NotSpecialLinear,
     PermSymmetry,
-    QSimplex,
     Triangulation,
     UnsupportedDimension,
     adjusted_triangulation,
@@ -30,11 +31,7 @@ from crepant.toric import (
     build_lattice_pair,
     count_fixed_elements,
     fixed_sublattice_index,
-    fixed_subspace,
-    is_g_standard,
-    normalized_volume,
     orbit_records,
-    standard_pair,
     symmetry_report,
     toric_lefschetz,
     triangulation_from_document,
@@ -46,7 +43,6 @@ from crepant.toric import (
     _coordinate_text,
     _cycle_average_volume,
     _det_one_minus,
-    _fixed_polytope,
     _in_simplex,
     _lattice_coords,
     _maximal_invariant_faces,
@@ -56,6 +52,95 @@ from crepant.toric import (
 SWAP2 = PermSymmetry.from_cycles(2, [(0, 1)])
 SWAP3 = PermSymmetry.from_cycles(3, [(0, 1)])
 ROT3 = PermSymmetry.from_cycles(3, [(0, 1, 2)])
+
+
+# ---------------------------------------------------------------------------
+# the rational view of simplices, and the names that read it, each on the
+# integer route of crepant.toric that it calls
+
+
+class QSimplex(NamedTuple):
+    """Simplex with rational vertices, stored in sorted order."""
+
+    vertices: tuple
+
+    @staticmethod
+    def of(*points):
+        return QSimplex(tuple(sorted(tuple(map(Fraction, p)) for p in points)))
+
+    @property
+    def dim(self):
+        return len(self.vertices) - 1
+
+    def image(self, sym):
+        return QSimplex(tuple(sorted(sym.apply(v) for v in self.vertices)))
+
+
+def rational_cells(tri):
+    """The cells of a triangulation as QSimplexes on the vertices y/scale."""
+    return [QSimplex(tuple(tuple(Fraction(a, tri.scale) for a in y) for y in c)) for c in tri.cells]
+
+
+def triangulation_of(simplices, d=1):
+    """The triangulation by QSimplexes on the points L*x, L the lcm of d and
+    the vertex denominators."""
+    den = lcm(d, *(x.denominator for s in simplices for v in s.vertices for x in v))
+    return Triangulation(den, [
+        tuple(tuple(x.numerator * (den // x.denominator) for x in v) for v in s.vertices)
+        for s in simplices
+    ])
+
+
+def normalized_volume(vertices, lp):
+    """``toric._volume`` of a rational simplex; ValueError when it is 0."""
+    den, points = _integer_rows(vertices)
+    vol = toric._volume(points, den, lp)
+    if vol == 0:
+        raise ValueError("simplex is degenerate or lattice does not span it")
+    return vol
+
+
+def is_g_standard(sigma, tri, sym, lp=None):
+    """``toric._standard_face`` of an invariant QSimplex with the cells of
+    ``tri`` (or none) as its pieces, all on integer points at one scale."""
+    whole = triangulation_of([sigma, *(rational_cells(tri) if tri is not None else ())])
+    face = tuple(sorted(tuple(int(x * whole.scale) for x in v) for v in sigma.vertices))
+    pieces = list(whole.cells)
+    pieces.remove(face)
+    if tuple(sorted(sym.apply(y) for y in face)) != face:
+        raise NotInvariant("simplex is not invariant under the symmetry")
+    lattice = lp if lp is not None else build_lattice_pair(len(face[0]), [])
+    return toric._standard_face(face, pieces, sym, lattice, whole.scale)
+
+
+def fixed_subspace(sym):
+    """Basis of the fixed subspace: one cycle-sum vector per cycle."""
+    return [tuple(Fraction(int(i in cyc)) for i in range(sym.n)) for cyc in sym.cycles()]
+
+
+def _fixed_polytope(sym):
+    """The fixed locus of the symmetry in the base simplex."""
+    return fixed_locus_of(rational_cells(_unit_cell(sym.n))[0], sym)
+
+
+def standard_pair(ls, ms=()):
+    """The model pair of cycle lengths ls and transverse lengths ms: the unit
+    simplex on the origin with each block of ls cycled, its pieces (one unit
+    point per block dropped for the barycentres) and its fixed simplex."""
+    n = sum(ls) + sum(ms)
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    ends = list(itertools.accumulate(ls, initial=0))
+    blocks = [range(a, b) for a, b in zip(ends, ends[1:])]
+    perm = PermSymmetry.from_cycles(n, blocks)
+    centres, origin = _fixed_polytope(perm).vertices, (0,) * n
+    pieces = [
+        QSimplex.of(origin, *centres, *(units[i] for i in range(sum(ls)) if i not in drop))
+        for drop in itertools.product(*blocks)
+    ]
+    return SimpleNamespace(
+        simplex=QSimplex.of(origin, *units), triangulation=triangulation_of(pieces),
+        fixed_simplex=QSimplex.of(origin, *centres), perm=perm,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +240,7 @@ def _reference_is_g_standard(sigma, tri, sym, lp=None) -> bool:
     if tri is not None and not trivial_action:
         inside = [
             s
-            for s in tri.simplices
+            for s in rational_cells(tri)
             if set(s.vertices) <= set(sigma.vertices)
             or all(_point_in_triangle_nd(v, sigma) for v in s.vertices)
         ]
@@ -237,16 +322,16 @@ def test_fixed_subspace():
 def test_standard_pair_point():
     sp = standard_pair([1])
     assert sp.fixed_simplex.dim == 1  # origin plus the single unit point
-    assert len(sp.triangulation.simplices) == 1
+    assert len(sp.triangulation.cells) == 1
 
 
 def test_standard_pair_segment():
     sp = standard_pair([2])
     lp = build_lattice_pair(2, [])
     assert normalized_volume(sp.fixed_simplex.vertices, lp) == Fraction(1, 2)
-    assert len(sp.triangulation.simplices) == 2
-    imgs = {s.image(sp.perm).vertices for s in sp.triangulation.simplices}
-    assert imgs == {s.vertices for s in sp.triangulation.simplices}
+    assert len(sp.triangulation.cells) == 2
+    imgs = {s.image(sp.perm).vertices for s in rational_cells(sp.triangulation)}
+    assert imgs == {s.vertices for s in rational_cells(sp.triangulation)}
 
 
 def test_standard_pair_triangle():
@@ -254,12 +339,12 @@ def test_standard_pair_triangle():
     lp = build_lattice_pair(3, [])
     # barycenter fixed locus, three pieces permuted cyclically
     assert (Fraction(1, 3),) * 3 in sp.fixed_simplex.vertices
-    assert len(sp.triangulation.simplices) == 3
-    pieces = {s.vertices for s in sp.triangulation.simplices}
-    for s in sp.triangulation.simplices:
+    assert len(sp.triangulation.cells) == 3
+    pieces = {s.vertices for s in rational_cells(sp.triangulation)}
+    for s in rational_cells(sp.triangulation):
         assert s.image(sp.perm).vertices in pieces
         assert s.image(sp.perm).vertices != s.vertices
-    total = sum(normalized_volume(s.vertices, lp) for s in sp.triangulation.simplices)
+    total = sum(normalized_volume(s.vertices, lp) for s in rational_cells(sp.triangulation))
     assert total == normalized_volume(sp.simplex.vertices, lp)
     # the model simplex itself passes the standardness properties: origin
     # fixed, unit points cycled, fixed segment of normalized length 1/3
@@ -270,14 +355,14 @@ def test_standard_pair_mixed():
     sp = standard_pair([2], [2])
     lp = build_lattice_pair(4, [])
     assert normalized_volume(sp.fixed_simplex.vertices, lp) == Fraction(1, 2)
-    total = sum(normalized_volume(s.vertices, lp) for s in sp.triangulation.simplices)
+    total = sum(normalized_volume(s.vertices, lp) for s in rational_cells(sp.triangulation))
     assert total == normalized_volume(sp.simplex.vertices, lp)
 
 
 def test_is_g_standard_split_segment():
     lp = build_lattice_pair(2, [((1, 1), 2)])
     seg = QSimplex.of((1, 0), (0, 1))
-    halves = Triangulation.of(
+    halves = triangulation_of(
         [
             QSimplex.of((1, 0), (Fraction(1, 2), Fraction(1, 2))),
             QSimplex.of((Fraction(1, 2), Fraction(1, 2)), (0, 1)),
@@ -293,7 +378,7 @@ def test_is_g_standard_orbit_triangle(z5sq):
         (Fraction(2, 5), Fraction(1, 5), Fraction(2, 5)),
         (Fraction(2, 5), Fraction(2, 5), Fraction(1, 5)),
     )
-    assert is_g_standard(core, Triangulation.of([core]), sym, lp)
+    assert is_g_standard(core, triangulation_of([core]), sym, lp)
 
 
 def test_is_g_standard_rejects_long_fixed_segment():
@@ -301,7 +386,7 @@ def test_is_g_standard_rejects_long_fixed_segment():
     # twice the half-length the straddling model requires
     lp = build_lattice_pair(3, [((1, 1, 0), 2)])
     big = QSimplex.of((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert not is_g_standard(big, Triangulation.of([big]), SWAP3, lp)
+    assert not is_g_standard(big, triangulation_of([big]), SWAP3, lp)
 
 
 def test_is_g_standard_not_invariant():
@@ -383,7 +468,7 @@ def _standard_cases(draw):
     sigma = sp.simplex
     if draw(st.integers(0, 3)) == 0:
         sigma = QSimplex.of(*(tuple(2 * x for x in v) for v in sigma.vertices))
-    pieces = list(sp.triangulation.simplices)
+    pieces = rational_cells(sp.triangulation)
     if len(pieces) > 1 and draw(st.booleans()):
         del pieces[draw(st.integers(0, len(pieces) - 1))]
     inner = list(sigma.vertices) + list(sp.fixed_simplex.vertices)
@@ -395,7 +480,7 @@ def _standard_cases(draw):
         pool = draw(st.sampled_from([inner, outer, inner + outer]))
         verts = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size, unique=True))
         pieces.append(QSimplex.of(*verts))
-    return sigma, Triangulation.of(pieces), sym
+    return sigma, triangulation_of(pieces), sym
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
@@ -411,7 +496,7 @@ def test_is_g_standard_matches_fraction_reference(case, data):
 def test_adjusted_n2_full_subdivision():
     lp = build_lattice_pair(2, [((1, 4), 5)])
     tri = adjusted_triangulation(lp, SWAP2)
-    assert len(tri.simplices) == 5
+    assert len(tri.cells) == 5
     assert bool(verify_crepant(tri, lp))
     assert verify_adjusted(tri, lp, SWAP2)
 
@@ -431,7 +516,7 @@ def test_adjusted_straddling_triangle_case():
     assert verify_adjusted(tri, lp, SWAP3)
     straddling = [
         s
-        for s in tri.simplices
+        for s in rational_cells(tri)
         if s.image(SWAP3).vertices == s.vertices
     ]
     assert len(straddling) == 1
@@ -444,7 +529,7 @@ def test_adjusted_z5sq(z5sq):
     rep = verify_crepant(tri, lp)
     assert bool(rep)
     assert rep.simplex_count == 25
-    invariant = [s for s in tri.simplices if s.image(sym).vertices == s.vertices]
+    invariant = [s for s in rational_cells(tri) if s.image(sym).vertices == s.vertices]
     assert len(invariant) == 1
     assert centroid(invariant[0]) == (Fraction(1, 3),) * 3
     assert toric_lefschetz(tri, lp, sym) == 1
@@ -455,7 +540,7 @@ def test_adjusted_z5sq(z5sq):
 
 def test_verify_crepant_detects_bad_volume():
     lp = build_lattice_pair(2, [((1, 1), 2)])
-    coarse = Triangulation.of([QSimplex.of((1, 0), (0, 1))])
+    coarse = triangulation_of([QSimplex.of((1, 0), (0, 1))])
     rep = verify_crepant(coarse, lp)
     assert not rep
     assert any("volume" in f for f in rep.failures)
@@ -528,8 +613,8 @@ def _all_faces_orbit_records(tri, lp, sym):
     records = [OrbitRecord(None, lp.n, _det_one_minus(S))]
     binv = lp.basis_inverse()
     for f in _all_invariant_faces(tri, sym):
-        face = QSimplex(tri.rational(f))
-        A = _quotient_block(S, [_lattice_coords(binv, y) for y in f], face.vertices)
+        face = tuple(tuple(Fraction(a, tri.scale) for a in y) for y in f)
+        A = _quotient_block(S, [_lattice_coords(binv, y) for y in f], face)
         records.append(OrbitRecord(face, A.rows, _det_one_minus(A)))
     return records
 
@@ -550,16 +635,16 @@ def test_enclosed_face_contribution_vanishes():
     records = _all_faces_orbit_records(tri, lp, SWAP3)
     mid = (Fraction(1, 2), Fraction(1, 2), Fraction(0))
     vertex_rec = next(
-        r for r in records if r.face is not None and r.face.vertices == (mid,)
+        r for r in records if r.face is not None and r.face == (mid,)
     )
     assert vertex_rec.contribution == 0
     seg_rec = next(
         r
         for r in records
         if r.face is not None
-        and r.face.dim == 1
-        and mid in r.face.vertices
-        and (Fraction(0), Fraction(0), Fraction(1)) in r.face.vertices
+        and len(r.face) == 2
+        and mid in r.face
+        and (Fraction(0), Fraction(0), Fraction(1)) in r.face
     )
     assert seg_rec.contribution == 2
     assert toric_lefschetz(tri, lp, SWAP3) == 2
@@ -592,7 +677,7 @@ def test_triangulation_choice_independence(z5sq):
     lp, sym = z5sq
     a = adjusted_triangulation(lp, sym, "lex")
     b = adjusted_triangulation(lp, sym, "revlex")
-    assert {s.vertices for s in a.simplices} != {s.vertices for s in b.simplices}
+    assert set(a.cells) != set(b.cells)
     assert toric_lefschetz(a, lp, sym) == toric_lefschetz(b, lp, sym)
     assert bool(verify_crepant(b, lp)) and verify_adjusted(b, lp, sym)
 
@@ -603,7 +688,7 @@ def test_serialization_round_trip(z5sq):
     doc = triangulation_to_document(tri, lp)
     blob = json.dumps(doc, sort_keys=True)
     back, lp2 = triangulation_from_document(json.loads(blob))
-    assert {s.vertices for s in back.simplices} == {s.vertices for s in tri.simplices}
+    assert {s.vertices for s in rational_cells(back)} == {s.vertices for s in rational_cells(tri)}
     assert lp2.order == lp.order
     assert json.dumps(triangulation_to_document(back, lp2), sort_keys=True) == blob
 
@@ -778,7 +863,7 @@ def _pairwise_reference(tri, lp):
     """Quadratic crepancy check: vertices in N on the base simplex, every
     triangle unimodular by the Smith route, volumes summing to |N/M|, and no
     two interiors overlapping."""
-    for s in tri.simplices:
+    for s in rational_cells(tri):
         if s.dim != 2:
             return False
         for v in s.vertices:
@@ -789,9 +874,9 @@ def _pairwise_reference(tri, lp):
                 return False
         except ValueError:
             return False
-    if len(tri.simplices) != lp.order:
+    if len(tri.cells) != lp.order:
         return False
-    sims = tri.simplices
+    sims = rational_cells(tri)
     boxes = [[(min(c), max(c)) for c in list(zip(*s.vertices))[:2]] for s in sims]
     return not any(
         all(max(p[0], q[0]) < min(p[1], q[1]) for p, q in zip(boxes[a], boxes[b]))
@@ -819,14 +904,14 @@ def _overlapping_flip(sims):
 
 
 def _mutations(tri, lp, rng):
-    sims = list(tri.simplices)
+    sims = rational_cells(tri)
     i = rng.randrange(len(sims))
     yield "dropped", sims[:i] + sims[i + 1 :]
     yield "duplicated", sims + [sims[i]]
     s = sims[i]
     k = rng.randrange(3)
     outside = [p for p in lp.base_points() if p not in s.vertices]
-    target = rng.choice(outside + [centroid(tri.simplices[0])])
+    target = rng.choice(outside + [centroid(rational_cells(tri)[0])])
     moved = QSimplex.of(*s.vertices[:k], target, *s.vertices[k + 1 :])
     yield "moved", sims[:i] + sims[i + 1 :] + [moved]
     flipped = _overlapping_flip(sims)
@@ -842,7 +927,7 @@ def test_certificate_matches_pairwise_reference():
         tri = adjusted_triangulation(lp, sym)
         assert verify_crepant(tri, lp).ok and _pairwise_reference(tri, lp)
         for kind, sims in _mutations(tri, lp, rng):
-            mutated = Triangulation.of(sims)
+            mutated = triangulation_of(sims)
             rep = verify_crepant(mutated, lp)
             assert rep.ok == _pairwise_reference(mutated, lp), (kind, lp.generators)
             assert not rep.ok and rep.failures, (kind, lp.generators)
@@ -854,8 +939,8 @@ def test_certificate_matches_pairwise_reference():
 def test_certificate_names_the_facet_witness(z5sq):
     lp, sym = z5sq
     tri = adjusted_triangulation(lp, sym)
-    flipped = _overlapping_flip(list(tri.simplices))
-    rep = verify_crepant(Triangulation.of(flipped), lp)
+    flipped = _overlapping_flip(rational_cells(tri))
+    rep = verify_crepant(triangulation_of(flipped), lp)
     assert not rep.ok
     assert not any("volume" in f for f in rep.failures)
     assert any(
@@ -894,8 +979,7 @@ def test_volume_routes_agree_on_maximal_simplices():
 def _unit_cell(n):
     """The triangulation of the base simplex by the one cell on the unit
     points, invariant under every coordinate permutation."""
-    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    return Triangulation.of([QSimplex.of(*units)])
+    return Triangulation(1, [[tuple(int(i == j) for j in range(n)) for i in range(n)]])
 
 
 def test_symmetry_outside_lattice_raises():
@@ -924,7 +1008,7 @@ def test_certificate_rejects_a_fold():
     # but the covering folds back on itself
     lp = build_lattice_pair(2, [((1, 3), 4)])
     half, quarter = (Fraction(1, 2),) * 2, (Fraction(3, 4), Fraction(1, 4))
-    fold = Triangulation.of([QSimplex.of((1, 0), half), QSimplex.of(quarter, half)])
+    fold = triangulation_of([QSimplex.of((1, 0), half), QSimplex.of(quarter, half)])
     rep = verify_crepant(fold, lp)
     assert not rep.ok
     assert any("lie on the same side of their facet" in f for f in rep.failures)
@@ -958,15 +1042,15 @@ def _compare_maximal_faces(tri, lp, sym):
     """The per-simplex search finds the reference's faces, and verify_adjusted
     gives the verdict the Fraction standardness test gives on the reference's
     faces."""
-    got = _maximal_invariant_faces([s.vertices for s in tri.simplices], sym)
-    want = _reference_maximal_invariant_faces(tri.simplices, sym)
+    got = _maximal_invariant_faces([s.vertices for s in rational_cells(tri)], sym)
+    want = _reference_maximal_invariant_faces(rational_cells(tri), sym)
     assert len(got) == len(set(got))
     assert set(got) == {f.vertices for f in want}, (lp.generators, sym.perm)
-    vertex_sets = [(s, frozenset(s.vertices)) for s in tri.simplices]
+    vertex_sets = [(s, frozenset(s.vertices)) for s in rational_cells(tri)]
     verdict = True
     for f in want:
         inside = frozenset(f.vertices)
-        restricted = Triangulation.of([s for s, vs in vertex_sets if vs <= inside] or [f])
+        restricted = triangulation_of([s for s, vs in vertex_sets if vs <= inside] or [f])
         verdict = verdict and _reference_is_g_standard(f, restricted, sym, lp)
     assert verify_adjusted(tri, lp, sym) == verdict
 
@@ -1065,7 +1149,7 @@ def test_fundamental_domain_constructor_sweep(monkeypatch):
             assert verify_adjusted(tri, lp, sym), case
             lef = toric_lefschetz(tri, lp, sym)
             assert lef == count_fixed_elements(lp, sym) == fixed_sublattice_index(lp, sym), case
-            invariant = sum(1 for s in tri.simplices if s.image(sym).vertices == s.vertices)
+            invariant = sum(1 for s in rational_cells(tri) if s.image(sym).vertices == s.vertices)
             assert invariant == _expected_invariant_simplices(lp, sym), case
             builds += 1
     assert builds == 2 * (10 + 2 * 59 + 150 + 1)
@@ -1083,16 +1167,6 @@ def _unscaled(cells, d):
     keys = sorted({tuple(sorted(c)) for c in cells})
     values = [Fraction(c, d) for c in range(d + 1)]  # the coordinates on the base simplex
     return [QSimplex(tuple(tuple(values[c] for c in y) for y in key)) for key in keys]
-
-
-def _scaled_simplices(simplices, d=1):
-    """L, the lcm of d and the vertex denominators, and the simplices on the
-    scaled points L*x."""
-    den = lcm(d, *(x.denominator for s in simplices for v in s.vertices for x in v))
-    return den, [
-        tuple(tuple(x.numerator * (den // x.denominator) for x in v) for v in s.vertices)
-        for s in simplices
-    ]
 
 
 def _reference_document(simplices, lp):
@@ -1114,7 +1188,7 @@ def _fraction_route_values(lp, sym, simplices):
     """The report values that depend on the triangulation, with each check
     fed the Fraction simplices scaled back by the lcm of D and their
     denominators, and the invariant simplices counted on Fraction vertices."""
-    back = Triangulation(*_scaled_simplices(simplices, lp.scale))
+    back = triangulation_of(simplices, lp.scale)
     lef = toric_lefschetz(back, lp, sym)
     return {
         "crepant": verify_crepant(back, lp).ok,
@@ -1144,8 +1218,8 @@ def test_integer_triangulation_matches_fraction_route():
             tri = report.pop("triangulation")
             assert tri.scale == lp.scale, case
             simplices = _unscaled(tri.cells, tri.scale)
-            assert list(tri.simplices) == simplices, case
-            assert Triangulation(*_scaled_simplices(simplices, lp.scale)) == tri, case
+            assert rational_cells(tri) == simplices, case
+            assert triangulation_of(simplices, lp.scale) == tri, case
             want = _fraction_route_values(lp, sym, simplices)
             assert {k: report[k] for k in want} == want, case
             fixed = normalized_volume(_fixed_polytope(sym).vertices, lp)
@@ -1168,9 +1242,9 @@ def _check_maximal_records(records, tri, lp, sym):
     invariant faces, in order, and sum to the reference's sum.  Returns the
     reference."""
     reference = _all_faces_orbit_records(tri, lp, sym)
-    faces = [r.face.vertices for r in reference[1:]]
+    faces = [r.face for r in reference[1:]]
     inner = {sub for f in faces for k in range(1, len(f)) for sub in itertools.combinations(f, k)}
-    assert records == [r for r in reference[1:] if r.face.vertices not in inner]
+    assert records == [r for r in reference[1:] if r.face not in inner]
     assert sum(r.contribution for r in records) == sum(r.contribution for r in reference)
     return reference
 
@@ -1232,7 +1306,7 @@ def test_a_non_maximal_record_fails_the_differential_check(monkeypatch, z5sq):
             # the empty face is the only non-maximal invariant face
             assert sym == ROT3 and _all_faces_orbit_records(tri, lp, sym)[0].contribution == 0
             continue
-        key = tuple(tuple(int(x * tri.scale) for x in v) for v in extra.face.vertices)
+        key = tuple(tuple(int(x * tri.scale) for x in v) for v in extra.face)
         monkeypatch.setattr(toric, "_maximal_invariant_faces", lambda c, s: sorted(real(c, s) + [key]))
         fresh = adjusted_triangulation(lp, sym)
         mutated = orbit_records(fresh, lp, sym)
@@ -1292,7 +1366,7 @@ def test_load_reads_flips_of_the_revlex_triangulation(tmp_path, capsys):
 
 def test_the_lefschetz_sum_builds_no_record_and_no_fraction(monkeypatch, z5sq):
     """toric_lefschetz sums the integer terms of the integer faces: with
-    OrbitRecord, QSimplex and Triangulation.rational made to raise, it gives
+    OrbitRecord and Fraction made to raise in crepant.toric, it gives
     the sum of the records on fresh triangulations and still raises
     NotInvariantTriangulation and NotInvariant."""
     cases = []
@@ -1310,8 +1384,7 @@ def test_the_lefschetz_sum_builds_no_record_and_no_fraction(monkeypatch, z5sq):
         raise AssertionError("the Lefschetz sum built a record or a Fraction")
 
     monkeypatch.setattr(toric, "OrbitRecord", refuse)
-    monkeypatch.setattr(toric, "QSimplex", refuse)
-    monkeypatch.setattr(Triangulation, "rational", refuse)
+    monkeypatch.setattr(toric, "Fraction", refuse)
     for tri, lp, sym, want in cases:
         assert toric_lefschetz(tri, lp, sym) == want, (lp.generators, sym.perm)
     with pytest.raises(NotInvariantTriangulation, match="does not map the triangulation"):
@@ -1480,7 +1553,7 @@ def _reference_records(tri, lp, sym):
         return _det_fraction([[int(i == j) - a[i][j] for j in range(q)] for i in range(q)])
 
     out = [(None, lp.n, contribution(S.to_rows()))]
-    for f in _all_faces(tri.simplices):
+    for f in _all_faces(rational_cells(tri)):
         if f.image(sym).vertices == f.vertices:
             a = _reference_quotient_action(lp, S, f.vertices)
             out.append((f.vertices, len(a), contribution(a)))
@@ -1526,9 +1599,9 @@ def test_integer_lattice_model_matches_fraction_references(lp):
             continue
         assert _action_in_lattice_coords(lp, sym) == _reference_action(lp, sym)
         tri = adjusted_triangulation(lp, sym)
-        got = [(r.face.vertices, r.quotient_rank, r.contribution) for r in orbit_records(tri, lp, sym)]
+        got = [(r.face, r.quotient_rank, r.contribution) for r in orbit_records(tri, lp, sym)]
         want = _reference_records(tri, lp, sym)
-        maximal = {f.vertices for f in _reference_maximal_invariant_faces(tri.simplices, sym)}
+        maximal = {f.vertices for f in _reference_maximal_invariant_faces(rational_cells(tri), sym)}
         case = (lp.generators, sym.perm)
         assert got == [r for r in want if r[0] in maximal], case
         assert sum(r[2] for r in got) == sum(r[2] for r in want), case
@@ -1633,9 +1706,9 @@ def test_document_vertex_outside_the_lattice_is_named(tmp_path, capsys):
     doc = triangulation_to_document(adjusted_triangulation(lp, SWAP3), lp)
     k = doc["vertices"].index("1/7,1/7,5/7")
     cases = [
-        ("2/7,1/7,4/7", (Fraction(2, 7), Fraction(1, 7), Fraction(4, 7)), "not in the overlattice"),
-        ("1/3,1/3,1/3", (Fraction(1, 3),) * 3, "not in the overlattice"),
-        ("1/7,1/7,1/7", (Fraction(1, 7),) * 3, "outside the base simplex"),
+        ("2/7,1/7,4/7", "(2/7, 1/7, 4/7)", "not in the overlattice"),
+        ("1/3,1/3,1/3", "(1/3, 1/3, 1/3)", "not in the overlattice"),
+        ("1/7,1/7,1/7", "(1/7, 1/7, 1/7)", "outside the base simplex"),
     ]
     for text, vertex, what in cases:
         bad = dict(doc, vertices=doc["vertices"][:k] + [text] + doc["vertices"][k + 1 :])
