@@ -308,18 +308,6 @@ class CycloInt:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> CycloInt:
-        if e < 0:
-            raise ValueError("negative powers are not ring operations")
-        out = CycloInt.from_int(1, self.conductor)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = CycloInt.from_int(other, self.conductor)
@@ -468,18 +456,50 @@ def cyclo_div_exact(a: CycloInt, b: CycloInt | CycloDivisor) -> CycloInt | None:
 class Record:
     """Base of the read-only value records of every layer.
 
-    A record's fields are the names its class body annotates, in order; its
-    constructor checks them and fills them into the instance ``__dict__``,
-    which may also keep values computed on first use.  Equality, hashing and
-    ``repr`` read the fields only.  Assigning or deleting an attribute raises
-    AttributeError, and ``replace`` builds a changed copy through the
-    constructor, so its checks run again.
+    A record's fields are the names its class body annotates, in order, and a
+    field's default is the class attribute of that name, if there is one.
+    The one constructor binds positional, then keyword arguments to the
+    fields and fills them into the instance ``__dict__``, which may also keep
+    values computed on first use; a missing, unknown or repeated field raises
+    TypeError.  A subclass that checks or normalises its fields does so in
+    ``_post_init``, which the constructor calls once they are bound.
+    Equality, hashing and ``repr`` read the fields only.  Assigning or
+    deleting an attribute raises AttributeError, and ``replace`` builds a
+    changed copy through the constructor, so its checks run again.
     """
 
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+    _post_init = None
 
     def __init_subclass__(cls):
-        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields = names = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {f: cls.__dict__[f] for f in names if f in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(names, args))
+        if self._post_init is not None:
+            self._post_init()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values of a call that does not give every field by position."""
+        names, kind = cls._fields, cls.__name__
+        if len(args) > len(names):
+            raise TypeError(f"{kind} takes {len(names)} fields, not {len(args)}")
+        for name in kwargs:
+            if name not in names:
+                raise TypeError(f"{name!r} is not a {kind} field")
+            if names.index(name) < len(args):
+                raise TypeError(f"{kind} got field {name!r} twice")
+        values = {**cls._defaults, **dict(zip(names, args)), **kwargs}
+        for name in names:
+            if name not in values:
+                raise TypeError(f"{kind} is missing field {name!r}")
+        return [values[f] for f in names]
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
@@ -525,10 +545,9 @@ class IntMat(Record):
     cols: int
     entries: tuple[int, ...]
 
-    def __init__(self, rows, cols, entries):
-        if len(entries) != rows * cols:
+    def _post_init(self):
+        if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count must be rows*cols")
-        self.__dict__.update(rows=rows, cols=cols, entries=entries)
 
     @staticmethod
     def from_rows(rows) -> IntMat:
@@ -536,11 +555,11 @@ class IntMat(Record):
         n = len(rows[0]) if rows else 0
         if any(len(r) != n for r in rows):
             raise ValueError("ragged rows")
-        return IntMat(len(rows), n, tuple(x for r in rows for x in r))
+        return _intmat(len(rows), n, tuple(x for r in rows for x in r))
 
     @staticmethod
     def identity(n: int) -> IntMat:
-        return IntMat(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        return _intmat(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     def get(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
@@ -556,7 +575,7 @@ class IntMat(Record):
             raise ValueError("shape mismatch")
         cols = [other.entries[j :: other.cols] for j in range(other.cols)]
         rows = [self.row(i) for i in range(self.rows)]
-        return IntMat(
+        return _intmat(
             self.rows, other.cols, tuple(sum(map(operator.mul, r, c)) for r in rows for c in cols)
         )
 
@@ -597,7 +616,14 @@ class IntMat(Record):
                 q = a[i][c]
                 if q:
                     a[i] = [x - q * y for x, y in zip(a[i], a[c])]
-        return IntMat(n, n, tuple(x for r in a for x in r[n:]))
+        return _intmat(n, n, tuple(x for r in a for x in r[n:]))
+
+
+def _intmat(rows: int, cols: int, entries: tuple[int, ...]) -> IntMat:
+    """An IntMat whose entries are rows*cols long by construction, unchecked."""
+    a = object.__new__(IntMat)
+    a.__dict__.update(rows=rows, cols=cols, entries=entries)
+    return a
 
 
 def _bareiss_det(rows: Sequence[Sequence[int]]) -> int:

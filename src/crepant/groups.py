@@ -28,7 +28,6 @@ product element carries its canonical key from the moment it is built.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 from math import lcm
 from typing import Callable, Optional, Sequence
 
@@ -90,9 +89,6 @@ class GroupElement(Record):
     n: int
     conductor: int
     entries: tuple[tuple[CycloInt, ...], ...]
-
-    def __init__(self, n, conductor, entries):
-        self.__dict__.update(n=n, conductor=conductor, entries=entries)
 
     @staticmethod
     def from_matrix(rows: Sequence[Sequence], conductor: Optional[int] = None) -> GroupElement:
@@ -188,10 +184,12 @@ class GroupElement(Record):
 
 
 def _element(n: int, m: int, rows: Sequence[tuple[CycloInt, ...]]) -> GroupElement:
-    """The element with these rows of entries at conductor m, its key read
-    off the rows as they are given."""
-    g = GroupElement(n, m, tuple(rows))
-    g.__dict__["_key"] = tuple([x.coeffs for row in rows for x in row])
+    """The element with these rows of entries at conductor m, unchecked, its
+    key read off the rows as they are given."""
+    g = object.__new__(GroupElement)
+    g.__dict__.update(
+        n=n, conductor=m, entries=tuple(rows), _key=tuple([x.coeffs for row in rows for x in row])
+    )
     return g
 
 
@@ -285,9 +283,9 @@ class FiniteMatrixGroup(Record):
     k-th stored generator g, whose index is ``generators[k]``; ``tree`` lists
     (b, parent, k) with b = parent·g_k, parents first, reaching every element
     but the identity; ``_inverse`` holds the inverses.  Rows and columns of
-    any element are rebuilt from these in O(|G|), and ``table`` is built
-    from the rows on first use.  The stored generators are the only elements
-    an outer action conjugates as matrices.  An optional normalizer realizes
+    any element are rebuilt from these in O(|G|), and they are the group's
+    only product structure.  The stored generators are the only elements an
+    outer action conjugates as matrices.  An optional normalizer realizes
     a projective quotient by mapping every raw product to its canonical
     representative.
     """
@@ -298,24 +296,11 @@ class FiniteMatrixGroup(Record):
     columns: tuple[tuple[int, ...], ...]
     tree: tuple[tuple[int, int, int], ...]
     _inverse: tuple[int, ...]
-    normalizer: Optional[Normalizer]
-
-    def __init__(
-        self, elements, identity_index, generators, columns, tree, _inverse, normalizer=None
-    ):
-        self.__dict__.update(
-            elements=elements, identity_index=identity_index, generators=generators,
-            columns=columns, tree=tree, _inverse=_inverse, normalizer=normalizer,
-        )
+    normalizer: Optional[Normalizer] = None
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    @cached_property
-    def table(self) -> tuple[tuple[int, ...], ...]:
-        """The |G|² multiplication table, table[i][j] = index of i·j."""
-        return tuple(tuple(self.row(b)) for b in range(self.order))
 
     def row(self, b: int) -> list[int]:
         """x -> b·x, filled along the tree as b·(p·g_k) = (b·p)·g_k."""
@@ -325,14 +310,8 @@ class FiniteMatrixGroup(Record):
         """x -> x·j, read as (j^-1·x^-1)^-1 off the row of j^-1."""
         return _column(self.columns, self.tree, self.identity_index, self._inverse, j)
 
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
     def inv(self, i: int) -> int:
         return self._inverse[i]
-
-    def conj(self, i: int, by: int) -> int:
-        return self.mul(self.mul(by, i), self.inv(by))
 
     def index_of(self, g: GroupElement) -> int:
         """Index of g, compared at the lcm of its and the group's conductor."""
@@ -341,13 +320,6 @@ class FiniteMatrixGroup(Record):
         if idx is None:
             raise ElementNotInGroup("element is not in the group")
         return idx
-
-    def contains(self, g: GroupElement) -> bool:
-        try:
-            self.index_of(g)
-            return True
-        except (ElementNotInGroup, ValueError):
-            return False
 
     def _key_index(self, conductor: int) -> dict:
         """Element keys lifted to the conductor, built once per conductor."""
@@ -534,13 +506,8 @@ def close_group(
         tuple(_column(columns, tree, identity_index, inverse, j)) for j in stored[len(columns) :]
     ]
     group = FiniteMatrixGroup(
-        elements=tuple(elements[i] for i in by_key),
-        identity_index=identity_index,
-        generators=stored,
-        columns=tuple(columns),
-        tree=tuple(tree),
-        _inverse=tuple(inverse),
-        normalizer=normalizer,
+        tuple(elements[i] for i in by_key), identity_index, stored, tuple(columns), tuple(tree),
+        tuple(inverse), normalizer,
     )
     group.__dict__["_key_cache"] = {m: index}
     return group
@@ -551,9 +518,6 @@ class ConjClassSet(Record):
 
     classes: tuple[tuple[int, ...], ...]
     representatives: tuple[int, ...]
-
-    def __init__(self, classes, representatives):
-        self.__dict__.update(classes=classes, representatives=representatives)
 
     @property
     def count(self) -> int:
@@ -614,11 +578,6 @@ class OuterAction(Record):
     element_perm: tuple[int, ...]
     classes: ConjClassSet
     class_perm: tuple[int, ...]
-
-    def __init__(self, group, h, element_perm, classes, class_perm):
-        self.__dict__.update(
-            group=group, h=h, element_perm=element_perm, classes=classes, class_perm=class_perm
-        )
 
 
 def outer_action(group: FiniteMatrixGroup, h: GroupElement) -> OuterAction:

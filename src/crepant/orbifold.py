@@ -96,20 +96,14 @@ class ClassRecord(Record):
     size: int
     centralizer_order: int
     in_ch: bool
-    euler_quotient: Optional[int]
-    lefschetz_quotient: Optional[int]
-    provenance: dict
-    fixed_dim: Optional[int]
+    euler_quotient: Optional[int] = None
+    lefschetz_quotient: Optional[int] = None
+    provenance: dict = None  # None is read as {}
+    fixed_dim: Optional[int] = None
 
-    def __init__(
-        self, label, size, centralizer_order, in_ch, euler_quotient=None,
-        lefschetz_quotient=None, provenance=None, fixed_dim=None,
-    ):
-        self.__dict__.update(
-            label=label, size=size, centralizer_order=centralizer_order, in_ch=in_ch,
-            euler_quotient=euler_quotient, lefschetz_quotient=lefschetz_quotient,
-            provenance={} if provenance is None else provenance, fixed_dim=fixed_dim,
-        )
+    def _post_init(self):
+        if self.provenance is None:
+            self.__dict__["provenance"] = {}
 
 
 class StratumRecord(Record):
@@ -123,19 +117,10 @@ class StratumRecord(Record):
 
     label: str
     stabilizer_order: int
-    euler_stratum: Optional[int]
-    lefschetz_stratum: Optional[int]
-    h_invariant: bool
-    con_h: int
-
-    def __init__(
-        self, label, stabilizer_order, euler_stratum=None, lefschetz_stratum=None,
-        h_invariant=True, con_h=0,
-    ):
-        self.__dict__.update(
-            label=label, stabilizer_order=stabilizer_order, euler_stratum=euler_stratum,
-            lefschetz_stratum=lefschetz_stratum, h_invariant=h_invariant, con_h=con_h,
-        )
+    euler_stratum: Optional[int] = None
+    lefschetz_stratum: Optional[int] = None
+    h_invariant: bool = True
+    con_h: int = 0
 
 
 class PairTable(Mapping):
@@ -188,17 +173,16 @@ class PairTable(Mapping):
 class GSpaceSheet(Record):
     group_order: int
     classes: tuple[ClassRecord, ...]
-    strata: Optional[tuple[StratumRecord, ...]]
-    commuting_pairs: Optional[Mapping]  # a PairTable; a plain mapping is converted
-    metadata: dict
+    strata: Optional[tuple[StratumRecord, ...]] = None
+    commuting_pairs: Optional[Mapping] = None  # a PairTable; a plain mapping is converted
+    metadata: dict = None  # None is read as {}
 
-    def __init__(self, group_order, classes, strata=None, commuting_pairs=None, metadata=None):
-        if commuting_pairs is not None and not isinstance(commuting_pairs, PairTable):
-            commuting_pairs = PairTable.by_label(commuting_pairs)
-        self.__dict__.update(
-            group_order=group_order, classes=classes, strata=strata,
-            commuting_pairs=commuting_pairs, metadata={} if metadata is None else metadata,
-        )
+    def _post_init(self):
+        pairs = self.commuting_pairs
+        if pairs is not None and not isinstance(pairs, PairTable):
+            self.__dict__["commuting_pairs"] = PairTable.by_label(pairs)
+        if self.metadata is None:
+            self.__dict__["metadata"] = {}
         self.validate()
 
     def validate(self) -> None:
@@ -297,12 +281,6 @@ class ChainReport(Record):
     equal: Optional[bool]
     skipped_strata: tuple[str, ...]
     detail: dict
-
-    def __init__(self, stage_strata, stage_classes, equal, skipped_strata, detail):
-        self.__dict__.update(
-            stage_strata=stage_strata, stage_classes=stage_classes, equal=equal,
-            skipped_strata=skipped_strata, detail=detail,
-        )
 
     @property
     def status(self) -> str:
@@ -537,9 +515,6 @@ class DynkinGraph(Record):
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
     automorphism: dict
-
-    def __init__(self, nodes, edges, automorphism):
-        self.__dict__.update(nodes=nodes, edges=edges, automorphism=automorphism)
 
     def validate(self) -> None:
         for a, b in self.edges:

@@ -123,9 +123,6 @@ class LatticePair(Record):
     basis: tuple[IntVec, ...]
     order: int  # index of M in N
 
-    def __init__(self, n, generators, scale, basis, order):
-        self.__dict__.update(n=n, generators=generators, scale=scale, basis=basis, order=order)
-
     def _cached(self, name: str, compute):
         """The value kept on the instance under ``name``, computed once."""
         value = self.__dict__.get(name)
@@ -247,12 +244,12 @@ class PermSymmetry(Record):
 
     perm: tuple[int, ...]  # images: coordinate i moves to position perm[i]
 
-    def __init__(self, perm):
+    def _post_init(self):
+        perm = self.perm
         if sorted(perm) != list(range(len(perm))):
             raise ValueError("not a permutation")
         inverse = sorted(range(len(perm)), key=perm.__getitem__)  # (sigma x)_j = x_inverse[j]
-        image = operator.itemgetter(*inverse) if len(perm) > 1 else tuple
-        self.__dict__.update(perm=perm, _image=image)
+        self.__dict__["_image"] = operator.itemgetter(*inverse) if len(perm) > 1 else tuple
 
     @property
     def n(self) -> int:
@@ -303,8 +300,8 @@ class Triangulation(Record):
     scale: int
     cells: tuple[tuple[IntVec, ...], ...]
 
-    def __init__(self, scale, cells):
-        self.__dict__.update(scale=scale, cells=tuple(sorted(tuple(sorted(c)) for c in cells)))
+    def _post_init(self):
+        self.__dict__["cells"] = tuple(sorted(tuple(sorted(c)) for c in self.cells))
 
     @cached_property
     def vertex_set(self) -> tuple[IntVec, ...]:
@@ -572,9 +569,6 @@ class CrepancyReport(Record):
     simplex_count: int
     failures: tuple[str, ...]
 
-    def __init__(self, ok, simplex_count, failures):
-        self.__dict__.update(ok=ok, simplex_count=simplex_count, failures=failures)
-
     def __bool__(self):
         return self.ok
 
@@ -688,9 +682,6 @@ class OrbitRecord(Record):
     face: tuple[Vec, ...]  # the rational vertices y/scale, in sorted order
     quotient_rank: int
     contribution: int
-
-    def __init__(self, face, quotient_rank, contribution):
-        self.__dict__.update(face=face, quotient_rank=quotient_rank, contribution=contribution)
 
 
 def _vertex_cycles(face: tuple[IntVec, ...], image: Callable) -> list[tuple[int, ...]]:

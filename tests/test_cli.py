@@ -995,7 +995,8 @@ def _class_equation_by_full_scan(group, classes):
     total = 0
     for cl in classes.classes:
         i = cl[0]
-        commuting = sum(1 for x in range(group.order) if group.mul(x, i) == group.mul(i, x))
+        row, col = group.row(i), group.column(i)
+        commuting = sum(1 for x in range(group.order) if col[x] == row[x])
         if len(cl) * commuting != group.order:
             return False
         total += len(cl)
@@ -1095,3 +1096,89 @@ def test_record_repr_names_each_field_in_order():
         assert text.startswith(f"{type(record).__name__}({fields[0]}=") and text.endswith(")")
         positions = [text.index(f", {f}=") for f in fields[1:]]
         assert positions == sorted(positions)
+
+
+# the defaults of every record field that has one, as the constructor binds them
+RECORD_DEFAULTS = {
+    "FiniteMatrixGroup": {"normalizer": None},
+    "ClassRecord": {
+        "euler_quotient": None, "lefschetz_quotient": None, "provenance": {}, "fixed_dim": None,
+    },
+    "StratumRecord": {
+        "euler_stratum": None, "lefschetz_stratum": None, "h_invariant": True, "con_h": 0,
+    },
+    "GSpaceSheet": {"strata": None, "commuting_pairs": None, "metadata": {}},
+}
+
+
+def test_every_record_binds_by_position_keyword_and_default():
+    # one sample of every record class, as the assignment test checks
+    records = _one_record_of_each_class()
+    assert {c.__name__: tuple(c._defaults) for c in map(type, records) if c._defaults} == {
+        name: tuple(defaults) for name, defaults in RECORD_DEFAULTS.items()
+    }
+    for record in records:
+        kind, names, values = type(record), type(record)._fields, record._field_values()
+        by_name = dict(zip(names, values))
+        assert kind(*values) == kind(**by_name) == kind(values[0], **dict(zip(names[1:], values[1:])))
+        assert kind(*values) == record and record.replace() == record
+        # the fields without a default, by name: the others take their defaults
+        defaults = RECORD_DEFAULTS.get(kind.__name__, {})
+        bare = kind(**{f: v for f, v in by_name.items() if f not in defaults})
+        assert {f: getattr(bare, f) for f in defaults} == defaults
+        with pytest.raises(TypeError, match=f"{kind.__name__} is missing field '{names[0]}'"):
+            kind(**dict(zip(names[1:], values[1:])))
+        with pytest.raises(TypeError, match=f"'no_such_field' is not a {kind.__name__} field"):
+            kind(*values, no_such_field=1)
+        with pytest.raises(TypeError, match=f"{kind.__name__} takes {len(names)} fields, not"):
+            kind(*values, None)
+        with pytest.raises(TypeError, match=f"{kind.__name__} got field '{names[-1]}' twice"):
+            kind(*values, **{names[-1]: values[-1]})
+    stratum = orbifold.StratumRecord("free", 1)
+    assert (stratum.h_invariant, stratum.con_h) == (True, 0)
+    assert stratum.replace(con_h=1) == orbifold.StratumRecord("free", 1, None, None, True, 1)
+
+
+def test_record_checks_run_on_every_route():
+    # each check of a record's own constructor, by position, by keyword and
+    # through replace
+    with pytest.raises(ValueError, match="entry count"):
+        IntMat(1, 2, (3,))
+    with pytest.raises(ValueError, match="entry count"):
+        IntMat(rows=1, cols=2, entries=(3,))
+    with pytest.raises(ValueError, match="entry count"):
+        IntMat.identity(2).replace(rows=1)
+    sym = toric.PermSymmetry((1, 0, 2))
+    assert sym.apply((7, 8, 9)) == (8, 7, 9) and sym == toric.PermSymmetry(perm=(1, 0, 2))
+    for perm in ((0, 0), (1, 2)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            toric.PermSymmetry(perm)
+        with pytest.raises(ValueError, match="not a permutation"):
+            sym.replace(perm=perm)
+    sheet = orbifold.point_sheet()
+    for changes in ({"group_order": 0}, {"group_order": 2}):
+        with pytest.raises(orbifold.InconsistentSheet):
+            sheet.replace(**changes)
+        with pytest.raises(orbifold.InconsistentSheet):
+            orbifold.GSpaceSheet(**{"classes": sheet.classes, **changes})
+    # the normalising constructors: sorted cells, a plain pair mapping kept as
+    # a PairTable, and None read as an empty dict
+    cells = [((0, 3), (3, 0)), ((3, 0), (0, 0))]
+    assert toric.Triangulation(3, cells).cells == (((0, 0), (3, 0)), ((0, 3), (3, 0)))
+    paired = sheet.replace(commuting_pairs={("c0", "c0"): 1})
+    assert isinstance(paired.commuting_pairs, orbifold.PairTable)
+    assert dict(paired.commuting_pairs) == {("c0", "c0"): 1}
+    assert orbifold.GSpaceSheet(1, sheet.classes, metadata=None).metadata == {}
+    assert orbifold.ClassRecord("c0", 1, 1, True, provenance=None).provenance == {}
+    # the sheet reader builds each record by keyword, absent fields defaulted
+    read = orbifold._read_records(
+        orbifold.ClassRecord, [{"label": "c0", "size": 1, "centralizer_order": 1, "in_ch": True}],
+        "classes",
+    )
+    assert read == (orbifold.ClassRecord("c0", 1, 1, True, None, None, {}, None),)
+    strata = orbifold._read_records(
+        orbifold.StratumRecord,
+        [{"label": "free", "stabilizer_order": 1, "h_invariant": False, "con_h": 1}], "strata",
+    )
+    assert strata == (orbifold.StratumRecord("free", 1, h_invariant=False, con_h=1),)
+    assert orbifold.sheet_from_document(orbifold.sheet_to_document(sheet)) == sheet

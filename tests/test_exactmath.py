@@ -193,7 +193,7 @@ def test_cyclotomic_product_identity(m):
 
 def test_root_of_unity_products():
     z5 = CycloInt.zeta(5)
-    assert z5 * z5**4 == 1
+    assert z5 * _reference_power(z5, 4) == 1
     z4 = CycloInt.zeta(4)
     assert z4 * z4 == -1
     # lift both factors to conductor 9 and reduce
@@ -229,7 +229,7 @@ def test_cyclo_reduction_idempotent():
 
 def test_exact_division():
     z5 = CycloInt.zeta(5)
-    assert cyclo_div_exact(CycloInt.from_int(1, 5), z5) == z5**4
+    assert cyclo_div_exact(CycloInt.from_int(1, 5), z5) == _reference_power(z5, 4)
     assert cyclo_div_exact(CycloInt.from_int(3, 5), CycloInt.from_int(2, 5)) is None
 
 
@@ -404,6 +404,14 @@ def test_root_of_unity_lookup_matches_repeated_products(m):
 # reference: the product without its cache
 
 
+def _reference_power(b: CycloInt, e: int) -> CycloInt:
+    """b**e as e products through ``_reference_mul``, from 1 at b's conductor."""
+    out = CycloInt.from_int(1, b.conductor)
+    for _ in range(e):
+        out = _reference_mul(out, b)
+    return out
+
+
 def _reference_mul(a: CycloInt, b: CycloInt | int) -> CycloInt:
     """a * b computed afresh: a lookup for two signed roots of unity, a
     scaling for a rational factor, otherwise the convolution collected in the
@@ -450,8 +458,8 @@ def test_cached_product_matches_the_uncached_reference(data, m):
     ]
     power = CycloInt.from_int(1, d)
     for e in range(4):
-        cases.append((b**e, power))
-        power = _reference_mul(power, b)
+        cases.append((power, _reference_power(b, e)))
+        power = power * b
     for got, ref in cases:
         assert (got.conductor, got.coeffs) == (ref.conductor, ref.coeffs)
         assert CycloInt(got.conductor, got.coeffs).coeffs == got.coeffs  # canonical

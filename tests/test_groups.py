@@ -44,13 +44,18 @@ from crepant.groups import (
 from test_exactmath import _collect_lift, _entries, _root_of_unity_order
 
 
+def _table(group):
+    """The |G|² multiplication table, table[i][j] = index of i·j, from the rows."""
+    return tuple(tuple(group.row(b)) for b in range(group.order))
+
+
 def _element_orders(group):
-    """The order of every element, by powers along the table."""
+    """The order of every element, by powers along its column."""
     out = []
     for i in range(group.order):
-        k, x = 1, i
+        k, x, col = 1, i, group.column(i)
         while x != group.identity_index:
-            x = group.mul(x, i)
+            x = col[x]
             k += 1
         out.append(k)
     return out
@@ -237,7 +242,7 @@ def test_con_count_equal_on_conjugate_subgroups(tetra_group):
         x = i
         while x not in members:
             members.add(x)
-            x = tetra_group.mul(x, i)
+            x = tetra_group.row(x)[i]
         return tetra_group.subgroup(members)
 
     def con(sub):
@@ -255,9 +260,11 @@ def test_con_count_equal_on_conjugate_subgroups(tetra_group):
 
     base = cyclic_subgroup(order3[0])
     values = set()
+    table = _table(tetra_group)
     for j in range(tetra_group.order):
+        j_inv = tetra_group.inv(j)
         conj = tetra_group.subgroup(
-            {tetra_group.conj(tetra_group.index_of(e), j) for e in base.elements}
+            {table[table[j][tetra_group.index_of(e)]][j_inv] for e in base.elements}
         )
         c = con(conj)
         if c is not None:
@@ -339,11 +346,12 @@ def _reference_close_group(generators, normalizer=None):
 
 def _reference_conjugacy_classes(group):
     """Classes as orbits under conjugation by every element."""
+    table = _table(group)
     remaining = set(range(group.order))
     classes = []
     while remaining:
         a = min(remaining)
-        orbit = {group.conj(a, b) for b in range(group.order)}
+        orbit = {table[table[b][a]][group.inv(b)] for b in range(group.order)}
         remaining -= orbit
         classes.append(tuple(sorted(orbit)))
     classes.sort(key=lambda cl: group.elements[cl[0]].key())
@@ -407,7 +415,7 @@ def _assert_centralizers_match_table(group, table, inverse, classes):
         assert [e.key() for e in sub.elements] == [group.elements[i].key() for i in members]
         pos = {g: k for k, g in enumerate(members)}
         sub_table = tuple(tuple(pos[table[i][j]] for j in members) for i in members)
-        assert sub.table == sub_table
+        assert _table(sub) == sub_table
         assert sub._inverse == tuple(pos[inverse[i]] for i in members)
         assert sub.identity_index == pos[group.identity_index]
         _assert_rows_and_columns(sub, sub_table)
@@ -417,7 +425,7 @@ def _assert_matches_reference(group, symmetries):
     gens = [group.elements[i] for i in group.generators]
     elements, table, identity, inverse = _reference_close_group(gens, group.normalizer)
     assert [e.key() for e in group.elements] == [e.key() for e in elements]
-    assert group.table == table
+    assert _table(group) == table
     assert group.identity_index == identity
     assert group._inverse == inverse
     _assert_rows_and_columns(group, table)
@@ -487,7 +495,7 @@ def test_subgroup_matches_reference(tetra_group):
     members, x = {tetra_group.identity_index}, six
     while x not in members:
         members.add(x)
-        x = tetra_group.mul(x, six)
+        x = tetra_group.row(x)[six]
     c6 = tetra_group.subgroup(members)
     assert c6.order == 6
     _assert_matches_reference(c6, [h])
@@ -497,7 +505,7 @@ def test_subgroup_accepts_exactly_the_closed_subsets(tetra_group):
     # every cyclic subgroup and the whole group, with one or two elements
     # added or removed: subgroup() refuses a subset exactly when the table
     # does not close it, and builds the rest as the table restricted to it
-    table, n = tetra_group.table, tetra_group.order
+    table, n = _table(tetra_group), tetra_group.order
     bases = {frozenset(range(n))}
     for x in range(n):
         powers, y = {tetra_group.identity_index}, x
@@ -582,7 +590,7 @@ def test_closure_matches_reference_in_every_generator_order(gens):
     for order in itertools.permutations(gens):
         group = close_group(order)
         assert [e.key() for e in group.elements] == keys
-        assert group.table == table
+        assert _table(group) == table
         assert group.identity_index == identity
         assert group._inverse == inverse
         assert group.generators == tuple(keys.index(g.key()) for g in order)
@@ -643,7 +651,8 @@ def test_class_equation_on_random_groups(case):
     assert sorted(i for cl in classes.classes for i in cl) == list(range(group.order))
     for cl in classes.classes:
         x = cl[0]
-        commuting = sum(1 for y in range(group.order) if group.mul(x, y) == group.mul(y, x))
+        row, col = group.row(x), group.column(x)
+        commuting = sum(1 for y in range(group.order) if row[y] == col[y])
         assert len(cl) * commuting == group.order
     assert centralizer(group, classes.classes[-1][0]).order * len(classes.classes[-1]) == group.order
 
@@ -758,8 +767,9 @@ def test_outer_action_rejects_corrupted_columns(tetra_group):
 
 
 def _all_pairs_abelian(group):
+    table = _table(group)
     pairs = itertools.combinations(range(group.order), 2)
-    return all(group.mul(i, j) == group.mul(j, i) for i, j in pairs)
+    return all(table[i][j] == table[j][i] for i, j in pairs)
 
 
 def _fixture_groups():
@@ -988,7 +998,7 @@ def _built(label):
     actions = [outer_action(group, h) for h in symmetries]
     return (
         [e.key() for e in group.elements],
-        group.table,
+        _table(group),
         group.identity_index,
         group._inverse,
         group.generators,

@@ -61,3 +61,45 @@ def test_every_name_in_all_resolves():
         names = getattr(module, "__all__", ())
         missing += [f"{module.__name__}.{n}" for n in names if not hasattr(module, n)]
     assert not missing, "\n".join(missing)
+
+
+def _is_self_dict(node) -> bool:
+    return (
+        isinstance(node, ast.Attribute) and node.attr == "__dict__"
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+    )
+
+
+def _copies_parameters(stmt, params) -> bool:
+    """Whether a statement only copies parameters into ``self.__dict__``, by
+    ``update`` or by item assignment."""
+    if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
+        call = stmt.value
+        func, values = call.func, [*call.args, *(k.value for k in call.keywords)]
+        writes = isinstance(func, ast.Attribute) and func.attr == "update" and _is_self_dict(func.value)
+    elif isinstance(stmt, ast.Assign):
+        values = [stmt.value]
+        writes = all(isinstance(t, ast.Subscript) and _is_self_dict(t.value) for t in stmt.targets)
+    else:
+        return False
+    return writes and all(isinstance(v, ast.Name) and v.id in params for v in values)
+
+
+def test_no_record_writes_out_its_binding():
+    """A Record subclass binds its fields through ``Record.__init__``: its own
+    ``__init__``, if any, checks or normalises, and does not only copy its
+    parameters into ``__dict__``."""
+    found = []
+    for site, node in _nodes():
+        bases = {getattr(b, "id", getattr(b, "attr", None)) for b in getattr(node, "bases", ())}
+        if not isinstance(node, ast.ClassDef) or "Record" not in bases:
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                args = item.args
+                params = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+                body = [s for s in item.body if not isinstance(s, ast.Expr)
+                        or not isinstance(s.value, ast.Constant)]  # a docstring aside
+                if all(_copies_parameters(s, params - {"self"}) for s in body):
+                    found.append(f"{site.rsplit(':', 1)[0]}:{item.lineno} {node.name}.__init__")
+    assert not found, "\n".join(found)
