@@ -45,6 +45,7 @@ from .toric import (
     PermSymmetry,
     Triangulation,
     adjusted_triangulation,
+    audit_triangulation,
     block_det,
     build_lattice_pair,
     count_fixed_elements,

@@ -7,10 +7,11 @@ overlattice N; unimodular triangulations correspond to crepant resolutions,
 and a coordinate-permutation symmetry acts on everything.  The symmetric
 triangulation is built once per symmetry from one fundamental domain,
 triangulated with all of its lattice points, and its images around one
-invariant core triangle; ``verify_crepant`` and ``verify_adjusted`` certify
-the result.  The orbit-sum evaluator computes the Lefschetz number of the
-symmetry on the resolution as a sum of det(I - sigma) terms, one per maximal
-invariant face, each read off the cycle types of the symmetry and the face.
+invariant core triangle; ``audit_triangulation`` checks it, or a loaded one
+in any dimension, and names a witness for every failure.  The orbit-sum
+evaluator computes the Lefschetz number of the symmetry on the resolution
+as a sum of det(I - sigma) terms, one per maximal invariant face, each read
+off the cycle types of the symmetry and the face.
 
 All geometry is exact and runs on integers.  A ``LatticePair`` is D, the
 lattice denominator (N lies in (1/D)Z^n), with the integer rows D*b of a
@@ -41,6 +42,7 @@ simplices with it in place of one vertex sum to the whole.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import operator
 import re
@@ -74,6 +76,7 @@ __all__ = [
     "block_det",
     "count_fixed_elements",
     "fixed_sublattice_index",
+    "audit_triangulation",
     "symmetry_report",
     "triangulation_to_document",
     "triangulation_from_document",
@@ -564,7 +567,11 @@ def _flip_one_diagonal(
 # verification
 
 
-class CrepancyReport(Record):
+class Certificate(Record):
+    """The verdict of ``verify_crepant`` or ``verify_adjusted``: truthy
+    exactly on a pass, with the number of simplices checked and one witness
+    per failure, named as a document would name it."""
+
     ok: bool
     simplex_count: int
     failures: tuple[str, ...]
@@ -573,7 +580,7 @@ class CrepancyReport(Record):
         return self.ok
 
 
-def verify_crepant(tri: Triangulation, lp: LatticePair) -> CrepancyReport:
+def verify_crepant(tri: Triangulation, lp: LatticePair) -> Certificate:
     """Check that a triangulation of the base simplex induces a crepant resolution.
 
     The certificate is linear in the number of simplices and uses integer
@@ -630,7 +637,7 @@ def verify_crepant(tri: Triangulation, lp: LatticePair) -> CrepancyReport:
             failures.extend(_facet_pairing_failures(tri, dets, n))
     if not failures:
         tri.__dict__.setdefault("_unimodular", set()).add(lp)
-    return CrepancyReport(ok=not failures, simplex_count=len(cells), failures=tuple(failures))
+    return Certificate(ok=not failures, simplex_count=len(cells), failures=tuple(failures))
 
 
 def _facet_pairing_failures(tri: Triangulation, dets: Sequence[int], n: int) -> list[str]:
@@ -791,7 +798,7 @@ def _standard_face(
     sym: PermSymmetry,
     lp: LatticePair,
     scale: int,
-) -> bool:
+) -> Certificate:
     """Is the invariant face standard?  The face and its pieces are tuples
     of points scaled to integers by ``scale``.
 
@@ -802,7 +809,14 @@ def _standard_face(
     - With k >= 2 vertex cycles of lengths l_i, the fixed locus spanned by
       the cycle averages must have volume 1/prod(l_i)
       (``_cycle_average_volume``).
+
+    A failing verdict names the face and the test it fails.
     """
+
+    def verdict(why=""):
+        named = f"invariant face {_witness(face, scale)} is not standard: {why}"
+        return Certificate(not why, len(pieces), (named,) if why else ())
+
     cycles = _vertex_cycles(face, sym.apply)
     lengths = [len(cyc) for cyc in cycles]
     if max(lengths) > 1:
@@ -815,10 +829,13 @@ def _standard_face(
             for s in inside:
                 image = tuple(sorted(sym.apply(y) for y in s))
                 if image not in have or image == s:
-                    return False
-    if len(cycles) == 1:
-        return True
-    return _cycle_average_volume(face, cycles, lp, scale) == Fraction(1, prod(lengths))
+                    why = f"{_witness(s, scale)} maps to {'itself' if image == s else 'no piece'}"
+                    return verdict(f"its pieces are not permuted with none fixed: {why}")
+    if len(cycles) > 1:
+        volume, want = _cycle_average_volume(face, cycles, lp, scale), Fraction(1, prod(lengths))
+        if volume != want:
+            return verdict(f"its fixed locus has volume {volume}, expected {want}")
+    return verdict()
 
 
 def _cycle_average_volume(
@@ -853,9 +870,10 @@ def _in_simplex(p: IntVec, simplex: Sequence[IntVec], lp: LatticePair) -> bool:
     return sum(parts) == _volume(simplex, 1, lp)
 
 
-def verify_adjusted(tri: Triangulation, lp: LatticePair, sym: PermSymmetry) -> bool:
+def verify_adjusted(tri: Triangulation, lp: LatticePair, sym: PermSymmetry) -> Certificate:
     """Every maximal invariant face of the triangulation is standard, judged
-    by ``_standard_face`` on scaled points with the simplices inside it.
+    by ``_standard_face`` on scaled points with the simplices inside it.  A
+    failure names the first face that is not, and the test it fails.
 
     A triangulation that ``verify_crepant`` has certified unimodular for
     ``lp`` needs no judgement for two kinds of face.  The vertices of a
@@ -878,9 +896,10 @@ def verify_adjusted(tri: Triangulation, lp: LatticePair, sym: PermSymmetry) -> b
                 by_set.setdefault(frozenset(key), []).append(key)
         # the simplices inside f have vertex sets among the subsets of f
         inside = sorted(s for sub in _subsets(f) for s in by_set.get(frozenset(sub), ()))
-        if not _standard_face(f, inside, sym, lp, tri.scale):
-            return False
-    return True
+        verdict = _standard_face(f, inside, sym, lp, tri.scale)
+        if not verdict:
+            return Certificate(False, len(tri.cells), verdict.failures)
+    return Certificate(True, len(tri.cells), ())
 
 
 def _maximal_invariant_faces(simplices: Sequence[tuple], sym: PermSymmetry) -> list[tuple]:
@@ -923,22 +942,29 @@ def _subsets(vertices: tuple) -> list[tuple]:
 # the combined audit
 
 
-def symmetry_report(
-    lp: LatticePair, sym: PermSymmetry, insertion_order: str = "lex"
-) -> dict:
-    """Build the adjusted triangulation and evaluate every symmetry invariant.
-
-    Reports the orbit-sum Lefschetz number, the count of fixed quotient
-    elements, the fixed-sublattice index, the crepancy check, and the
-    cycle/volume bookkeeping of the fixed locus; the authoritative equality
-    is lefschetz == fixed_count == sublattice index.
-    """
-    tri = adjusted_triangulation(lp, sym, insertion_order)
-    faces = tri._invariant_faces(sym)
+def audit_triangulation(tri: Triangulation, lp: LatticePair, sym: PermSymmetry) -> dict:
+    """Every symmetry invariant of a built or loaded triangulation: the
+    crepancy check, the fixed quotient elements, the fixed-sublattice index
+    and the fixed locus.  The Lefschetz number, the adjusted check and the
+    authoritative equality lefschetz == fixed_count == sublattice_index need
+    a crepant triangulation that the symmetry keeps, and are None without
+    one.  ``failures`` names the witnesses of the two checks, then the three
+    values when they differ."""
     rep = verify_crepant(tri, lp)
-    lef = toric_lefschetz(tri, lp, sym)
     fixed_count = count_fixed_elements(lp, sym)
     index = fixed_sublattice_index(lp, sym)
+    failures = list(rep.failures)
+    lef = adjusted = equal = None
+    if rep:  # the sum over maximal invariant faces needs a crepant triangulation
+        with contextlib.suppress(NotInvariantTriangulation):
+            lef = toric_lefschetz(tri, lp, sym)
+    if lef is not None:
+        verdict = verify_adjusted(tri, lp, sym)
+        adjusted, equal = bool(verdict), lef == fixed_count == index
+        failures += verdict.failures
+        if not equal:
+            named = f"lefschetz {lef}, fixed_count {fixed_count}, sublattice_index {index}"
+            failures.append(f"{named} are not equal")
     cycles = sym.cycles()
     cyc = [len(c) for c in cycles if len(c) > 1]
     # the fixed polytope: the simplex on the per-cycle barycenters
@@ -953,15 +979,21 @@ def symmetry_report(
         "sublattice_index": index,
         "crepant": bool(rep),
         "simplex_count": rep.simplex_count,
-        "invariant_maximal_simplices": sum(1 for f in faces if len(f) == lp.n),
-        "adjusted": verify_adjusted(tri, lp, sym),
+        "invariant_maximal_simplices": sum(1 for f in tri._invariant_faces(sym) if len(f) == lp.n),
+        "adjusted": adjusted,
         "fixed_locus_volume": vol,
         "fixed_locus_zero_dimensional": len(cycles) == 1,
         "claim_one_value": vol * weight,
         "claim_two_value": Fraction(fixed_count, weight),
-        "equal": lef == fixed_count == index,
-        "triangulation": tri,
+        "equal": equal,
+        "failures": failures,
     }
+
+
+def symmetry_report(lp: LatticePair, sym: PermSymmetry, insertion_order: str = "lex") -> dict:
+    """``audit_triangulation`` of the adjusted triangulation, with it as ``triangulation``."""
+    tri = adjusted_triangulation(lp, sym, insertion_order)
+    return {**audit_triangulation(tri, lp, sym), "triangulation": tri}
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from crepant.cli import (
     parse_matrix,
     parse_permutation,
 )
-from crepant import groups, orbifold, toric
+from crepant import exactmath, groups, orbifold, toric
 from crepant.exactmath import CycloInt, IntMat, Record
 from crepant.fixtures import (
     binary_dihedral,
@@ -863,6 +863,81 @@ def test_toric_load_reports_no_lefschetz_number_for_a_failing_document(tmp_path,
     assert rc == EXIT_FAIL
     assert rep["results"]["crepant"] is False and rep["results"]["lefschetz"] is None
     assert rep["results"]["simplices"] == 19 and rep["results"]["failures"]
+
+
+# the unit simplex of dimension 4 as a one-cell document: crepant, and for
+# (1 2)(3 4) not adjusted, its fixed locus having volume 1/2, not 1/4
+UNIT_CELL_4 = {
+    "lattice": {"n": 4, "generators": []},
+    "vertices": ["1,0,0,0", "0,1,0,0", "0,0,1,0", "0,0,0,1"],
+    "simplices": [[0, 1, 2, 3]],
+}
+
+
+@pytest.mark.parametrize("perm, code", [("(1 2)(3 4)", EXIT_FAIL), ("id", EXIT_OK)])
+def test_toric_load_audits_adjustedness_in_dimension_4(tmp_path, capsys, perm, code):
+    path = tmp_path / "cell.json"
+    path.write_text(json.dumps(UNIT_CELL_4))
+    rc, rep = run(["toric", "--load", str(path), "--perm", perm], capsys)
+    res = rep["results"]
+    assert rc == code and res["crepant"] is True and res["dimension"] == 4
+    assert res["lefschetz"] == res["fixed_count"] == res["sublattice_index"] == 1
+    assert res["adjusted"] is (code == EXIT_OK)
+    assert rep["checks"]["adjusted"] == ("pass" if code == EXIT_OK else "fail")
+    assert rep["checks"]["lefschetz_equals_fixed_count"] == "pass"
+    if code == EXIT_OK:
+        assert res["failures"] == []
+    else:
+        assert res["failures"] == [
+            "invariant face ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)) is not "
+            "standard: its fixed locus has volume 1/2, expected 1/4"
+        ]
+
+
+def test_toric_load_names_unequal_values(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "tri.json"
+    assert run(["toric", "--fixture", "z5sq-cycle", "--save", str(path)], capsys)[0] == EXIT_OK
+    monkeypatch.setattr(toric, "toric_lefschetz", lambda *args: 2)
+    rc, rep = run(["toric", "--load", str(path), "--perm", "(1 2 3)"], capsys)
+    assert rc == EXIT_FAIL and rep["checks"]["lefschetz_equals_fixed_count"] == "fail"
+    assert rep["results"]["equal"] is False and rep["results"]["adjusted"] is True
+    assert rep["results"]["failures"] == [
+        "lefschetz 2, fixed_count 1, sublattice_index 1 are not equal"
+    ]
+
+
+def test_loading_a_certified_build_judges_no_face(tmp_path, capsys, monkeypatch):
+    """The maximal invariant faces of 1,1,3198@3200 with (1 2) are the 1,600
+    fixed edges on the mirror: the load passes them on the crepancy
+    certificate, with no call of ``_standard_face``."""
+    path = tmp_path / "tri.json"
+    argv = ["toric", "--n", "3", "--gen", "1,1,3198@3200", "--perm", "(1 2)"]
+    assert run(argv + ["--save", str(path)], capsys)[0] == EXIT_OK
+    judged = []
+    real = toric._standard_face
+    monkeypatch.setattr(toric, "_standard_face", lambda f, *a: judged.append(f) or real(f, *a))
+    rc, rep = run(["toric", "--load", str(path), "--perm", "(1 2)"], capsys)
+    assert rc == EXIT_OK and rep["results"]["adjusted"] is True and judged == []
+    assert rep["results"]["lefschetz"] == rep["results"]["fixed_count"] == 3200
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [(TypeError("bad operand"), EXIT_INTERNAL), (exactmath.LatticeError("no lattice"), EXIT_FAIL)],
+    ids=["bug", "refusal"],
+)
+def test_toric3d_random_rows_only_the_refusals_of_the_library(monkeypatch, capsys, exc, code):
+    def broken(*args):
+        raise exc
+
+    monkeypatch.setattr(toric, "audit_triangulation", broken)
+    rc, rep = run(["verify", "--only", "toric3d-random", "--count", "2"], capsys)
+    assert rc == code
+    if code == EXIT_FAIL:
+        (row,) = rep["results"]["toric3d-random"]["failures"]
+        assert row["error"] == "no lattice"
+    else:
+        assert rep is None
 
 
 def test_verify_single_checks(capsys):

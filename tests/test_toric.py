@@ -27,6 +27,7 @@ from crepant.toric import (
     Triangulation,
     UnsupportedDimension,
     adjusted_triangulation,
+    audit_triangulation,
     block_det,
     build_lattice_pair,
     count_fixed_elements,
@@ -102,7 +103,8 @@ def normalized_volume(vertices, lp):
 
 def is_g_standard(sigma, tri, sym, lp=None):
     """``toric._standard_face`` of an invariant QSimplex with the cells of
-    ``tri`` (or none) as its pieces, all on integer points at one scale."""
+    ``tri`` (or none) as its pieces, all on integer points at one scale, as
+    a bool."""
     whole = triangulation_of([sigma, *(rational_cells(tri) if tri is not None else ())])
     face = tuple(sorted(tuple(int(x * whole.scale) for x in v) for v in sigma.vertices))
     pieces = list(whole.cells)
@@ -110,7 +112,7 @@ def is_g_standard(sigma, tri, sym, lp=None):
     if tuple(sorted(sym.apply(y) for y in face)) != face:
         raise NotInvariant("simplex is not invariant under the symmetry")
     lattice = lp if lp is not None else build_lattice_pair(len(face[0]), [])
-    return toric._standard_face(face, pieces, sym, lattice, whole.scale)
+    return bool(toric._standard_face(face, pieces, sym, lattice, whole.scale))
 
 
 def fixed_subspace(sym):
@@ -387,6 +389,30 @@ def test_is_g_standard_rejects_long_fixed_segment():
     lp = build_lattice_pair(3, [((1, 1, 0), 2)])
     big = QSimplex.of((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert not is_g_standard(big, triangulation_of([big]), SWAP3, lp)
+
+
+def test_a_face_that_is_not_standard_names_the_test_it_fails():
+    # the segment from e_2 to e_1 at scale 3, cut at its lattice points of
+    # 1,2@3: the middle piece is fixed by the swap; without it, the first
+    # piece maps onto none
+    lp = build_lattice_pair(2, [((1, 2), 3)])
+    face = ((0, 3), (3, 0))
+    ends, middle = [((0, 3), (1, 2)), ((2, 1), (3, 0))], ((1, 2), (2, 1))
+    named = "invariant face ((0, 1), (1, 0)) is not standard: "
+    pieces = "its pieces are not permuted with none fixed: "
+    verdict = toric._standard_face(face, [ends[0], middle, ends[1]], SWAP2, lp, 3)
+    assert not verdict and verdict.simplex_count == 3
+    assert verdict.failures == (named + pieces + "((1/3, 2/3), (2/3, 1/3)) maps to itself",)
+    verdict = toric._standard_face(face, [ends[0], ((1, 2), (3, 0))], SWAP2, lp, 3)
+    assert verdict.failures == (named + pieces + "((0, 1), (1/3, 2/3)) maps to no piece",)
+    assert toric._standard_face(face, ends, SWAP2, lp, 3) == toric.Certificate(True, 2, ())
+    # the long fixed segment above, through verify_adjusted
+    lp = build_lattice_pair(3, [((1, 1, 0), 2)])
+    big = Triangulation(1, [[(1, 0, 0), (0, 1, 0), (0, 0, 1)]])
+    assert verify_adjusted(big, lp, SWAP3).failures == (
+        "invariant face ((0, 0, 1), (0, 1, 0), (1, 0, 0)) is not standard: "
+        "its fixed locus has volume 1, expected 1/2",
+    )
 
 
 def test_is_g_standard_not_invariant():
@@ -1052,7 +1078,7 @@ def _compare_maximal_faces(tri, lp, sym):
         inside = frozenset(f.vertices)
         restricted = triangulation_of([s for s, vs in vertex_sets if vs <= inside] or [f])
         verdict = verdict and _reference_is_g_standard(f, restricted, sym, lp)
-    assert verify_adjusted(tri, lp, sym) == verdict
+    assert bool(verify_adjusted(tri, lp, sym)) == verdict
 
 
 def test_maximal_invariant_faces_match_all_pairs_reference_3d():
@@ -1197,7 +1223,7 @@ def _fraction_route_values(lp, sym, simplices):
         "invariant_maximal_simplices": sum(
             1 for s in simplices if s.image(sym).vertices == s.vertices
         ),
-        "adjusted": verify_adjusted(back, lp, sym),
+        "adjusted": bool(verify_adjusted(back, lp, sym)),
         "equal": lef == count_fixed_elements(lp, sym) == fixed_sublattice_index(lp, sym),
     }
 
@@ -1228,6 +1254,8 @@ def test_integer_triangulation_matches_fraction_route():
             assert doc == _reference_document(simplices, lp), case
             back, lp2 = triangulation_from_document(json.loads(json.dumps(doc)))
             assert back == tri and lp2 == lp, case
+            # the loaded document audits as the build did
+            assert audit_triangulation(back, lp2, sym) == report, case
             builds += 1
     assert builds == 2 * (10 + 2 * 59 + 150 + 1 + 6)
 
