@@ -37,6 +37,16 @@ EXIT_CAP = 3
 EXIT_UNSUPPORTED = 4
 EXIT_INTERNAL = 5
 EXIT_PIPE = 141
+# exit codes by the qualified name of an error's class or its nearest base
+# named here, so that telling the errors apart loads no layer.  ValueError
+# and OSError: a ParseError, malformed JSON, an input the layers refuse, or
+# a path that cannot be read or written; BrokenPipeError is caught before
+EXIT_BY_ERROR = {
+    "crepant.groups.CapExceeded": EXIT_CAP,
+    "crepant.toric.UnsupportedDimension": EXIT_UNSUPPORTED,
+    "builtins.ValueError": EXIT_PARSE,
+    "builtins.OSError": EXIT_PARSE,
+}
 
 
 class ParseError(ValueError):
@@ -425,6 +435,7 @@ def _check_toric3d_random(args, rng):
                     "lefschetz": rep["lefschetz"],
                     "fixed": rep["fixed_count"],
                     "index": rep["sublattice_index"],
+                    "failures": rep["failures"][:1],
                 }
             )
     return {
@@ -672,12 +683,6 @@ def main(argv=None) -> int:
         emit_report(["crepant"] + argv, results, checks, started, args.out, input_bytes)
         sys.stdout.flush()  # a reader that has gone shows here, not at exit
         return EXIT_FAIL if "fail" in checks.values() else EXIT_OK
-    except groups.CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except toric.UnsupportedDimension as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
     except BrokenPipeError:
         # the reader has gone, as after `| head`: stop quietly, with stdout on
         # the null device so that the flush at exit does not meet the closed
@@ -688,16 +693,15 @@ def main(argv=None) -> int:
             os.dup2(null, fd)
             os.close(null)
         return EXIT_PIPE
-    except (ValueError, OSError) as exc:
-        # a ParseError, malformed JSON, an input the layers refuse, or a path
-        # that cannot be read or written (missing, a directory, no permission);
-        # BrokenPipeError, an OSError too, is caught above
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except Exception as exc:
-        message = " ".join(str(exc).split())
-        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
-        return EXIT_INTERNAL
+        names = [f"{cls.__module__}.{cls.__qualname__}" for cls in type(exc).__mro__]
+        code = next((EXIT_BY_ERROR[n] for n in names if n in EXIT_BY_ERROR), EXIT_INTERNAL)
+        if code == EXIT_INTERNAL:
+            message = " ".join(str(exc).split())
+            print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        else:
+            print(f"error: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -763,6 +764,14 @@ def test_exit_codes(tmp_path, capsys):
     assert not os.path.exists(paths["out"])
 
 
+@pytest.mark.parametrize("qualname", sorted(cli.EXIT_BY_ERROR))
+def test_every_error_with_an_exit_code_is_an_exception_class(qualname):
+    # a class renamed or moved would silently turn its exit code into 5
+    module, _, name = qualname.rpartition(".")
+    cls = getattr(importlib.import_module(module), name)
+    assert isinstance(cls, type) and issubclass(cls, Exception)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -921,23 +930,45 @@ def test_loading_a_certified_build_judges_no_face(tmp_path, capsys, monkeypatch)
     assert rep["results"]["lefschetz"] == rep["results"]["fixed_count"] == 3200
 
 
-@pytest.mark.parametrize(
-    "exc, code",
-    [(TypeError("bad operand"), EXIT_INTERNAL), (exactmath.LatticeError("no lattice"), EXIT_FAIL)],
-    ids=["bug", "refusal"],
-)
-def test_toric3d_random_rows_only_the_refusals_of_the_library(monkeypatch, capsys, exc, code):
+def _raising(exc):
     def broken(*args):
         raise exc
 
-    monkeypatch.setattr(toric, "audit_triangulation", broken)
+    return broken
+
+
+WITNESSES = ("invariant face ((0, 0, 1),) is not standard", "a second witness")
+
+
+@pytest.mark.parametrize(
+    "name, replacement, code",
+    [
+        ("audit_triangulation", _raising(TypeError("bad operand")), EXIT_INTERNAL),
+        ("audit_triangulation", _raising(exactmath.LatticeError("no lattice")), EXIT_FAIL),
+        # an audit that fails with witnesses: the row names the first
+        (
+            "verify_adjusted",
+            lambda tri, lp, sym: toric.Certificate(False, len(tri.cells), WITNESSES),
+            EXIT_FAIL,
+        ),
+    ],
+    ids=["bug", "refusal", "witness"],
+)
+def test_toric3d_random_rows_only_the_refusals_of_the_library(
+    monkeypatch, capsys, name, replacement, code
+):
+    monkeypatch.setattr(toric, name, replacement)
     rc, rep = run(["verify", "--only", "toric3d-random", "--count", "2"], capsys)
     assert rc == code
-    if code == EXIT_FAIL:
-        (row,) = rep["results"]["toric3d-random"]["failures"]
-        assert row["error"] == "no lattice"
-    else:
+    if code == EXIT_INTERNAL:
         assert rep is None
+        return
+    (row,) = rep["results"]["toric3d-random"]["failures"]
+    if name == "verify_adjusted":
+        assert row["failures"] == [WITNESSES[0]]
+        assert row["lefschetz"] == row["fixed"] == row["index"]
+    else:
+        assert row["error"] == "no lattice"
 
 
 def test_verify_single_checks(capsys):
@@ -1114,6 +1145,83 @@ def test_a_cold_import_generates_no_code():
         [sys.executable, "-S", "-c", program], capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+# Runs `crepant <argv>` as `python -m crepant.cli` does (or, with no argv, only
+# `import crepant.cli`) and prints, as its last stderr line, the exit code and
+# the crepant files whose code ran.  An "exec" audit event carries the code
+# object of every module body, whether compiled from source or read from a
+# .pyc, and the import system names the source file in it either way.
+LAYER_LOAD_PROGRAM = """
+import json, os, runpy, sys
+package, argv, ran = os.path.join(sys.argv[1], "crepant"), sys.argv[2:], set()
+
+def record(event, args):
+    if event == "exec" and os.path.dirname(args[0].co_filename) == package:
+        ran.add(os.path.basename(args[0].co_filename))
+
+sys.addaudithook(record)
+sys.path.insert(0, sys.argv[1])
+code = 0
+try:
+    if argv:
+        sys.argv = ["crepant", *argv]
+        runpy.run_module("crepant.cli", run_name="__main__", alter_sys=True)
+    else:
+        import crepant.cli
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(ran)]), file=sys.stderr)
+"""
+COLD = ["__init__.py", "cli.py"]
+
+
+@pytest.fixture(scope="module")
+def pycache_prefixes(tmp_path_factory):
+    """A bytecode cache for src/crepant by state: ``no-cache`` stays empty
+    (nothing is written to it) and ``warm-cache`` is compiled beforehand."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    prefixes = {s: tmp_path_factory.mktemp(s) for s in ("no-cache", "warm-cache")}
+    env = {**os.environ, "PYTHONPYCACHEPREFIX": str(prefixes["warm-cache"])}
+    program = f"import compileall; compileall.compile_dir({str(src / 'crepant')!r}, quiet=1)"
+    subprocess.run([sys.executable, "-c", program], env=env, check=True)
+    return src, prefixes
+
+
+@pytest.mark.parametrize("cache", ["no-cache", "warm-cache"])
+@pytest.mark.parametrize(
+    "argv, code, layers",
+    [
+        pytest.param([], 0, [], id="import"),
+        pytest.param(
+            ["group", "--fixture", "quintic"], 0, ["exactmath.py", "fixtures.py", "groups.py"],
+            id="group",
+        ),
+        pytest.param(["toric", "--fixture", "z5sq-cycle"], 0, ["exactmath.py", "toric.py"], id="toric"),
+        pytest.param(
+            ["orbifold", "--fixture", "quintic-swap"], 0, ["exactmath.py", "orbifold.py"],
+            id="orbifold",
+        ),
+        pytest.param(["verify", "--only", "quintic"], 0, ["exactmath.py", "orbifold.py"], id="verify"),
+        # a refusal is told apart from a cap or a dimension error without
+        # loading the layers that raise those
+        pytest.param(
+            ["toric", "--n", "3", "--gen", "1,2,3@5"], 2, ["exactmath.py", "toric.py"],
+            id="toric-refused",
+        ),
+        pytest.param(["orbifold", "--fixture", "nope"], 2, [], id="orbifold-refused"),
+    ],
+)
+def test_a_command_runs_only_the_layers_it_calls(pycache_prefixes, cache, argv, code, layers):
+    src, prefixes = pycache_prefixes
+    env = {**os.environ, "PYTHONPYCACHEPREFIX": str(prefixes[cache])}
+    if cache == "no-cache":
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", LAYER_LOAD_PROGRAM, str(src), *argv],
+        capture_output=True, text=True, env=env,
+    )
+    assert json.loads(proc.stderr.splitlines()[-1]) == [code, sorted(COLD + layers)]
 
 
 def _one_record_of_each_class():

@@ -8,6 +8,8 @@ from collections import Counter
 
 import pytest
 
+import crepant
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "crepant").rglob("*.py"))
 
@@ -61,6 +63,10 @@ def test_every_name_in_all_resolves():
         names = getattr(module, "__all__", ())
         missing += [f"{module.__name__}.{n}" for n in names if not hasattr(module, n)]
     assert not missing, "\n".join(missing)
+
+
+def test_the_package_lists_the_names_it_reads_on_first_use():
+    assert set(crepant.__all__) <= set(dir(crepant))
 
 
 def _is_self_dict(node) -> bool:

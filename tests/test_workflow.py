@@ -1,7 +1,7 @@
-"""The `toric --load` checks of the workflow's `python -O` step as tier-1
-cases: each runs `python -O -m crepant.cli` in a child process, so the
-invariants hold with asserts stripped, with the step's argv and
-expectations (exit code, one stderr line, no output file)."""
+"""Checks of the workflow's `python -O` step as tier-1 cases: each runs
+`python -O -m crepant.cli` in a child process, so the invariants hold with
+asserts stripped, with the step's argv and expectations (exit code, and for
+`toric --load` one stderr line and no output file)."""
 
 import json
 import os
@@ -81,3 +81,35 @@ def test_toric_load_under_python_O(tmp_path, source, edit, tail, code):
     else:
         assert report["checks"] == {"crepant": "fail"}
         assert report["results"]["lefschetz"] is None and report["results"]["failures"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # group closures and outer actions on Zumbroich-basis cyclotomic integers
+        pytest.param(["--fixture", "quintic"], 0, id="quintic"),
+        pytest.param(["--fixture", "lt"], 0, id="lt"),
+        pytest.param(["--fixture", "binary-dihedral", "--r", "12"], 0, id="binary-dihedral-12"),
+        pytest.param(["--fixture", "binary-dihedral", "--r", "8"], 0, id="binary-dihedral-8"),
+        # diagonal SL3 generators at conductor 9 with a conductor-1 symmetry lifted to 9
+        pytest.param(
+            ["--gens", "[[1,0,0],[0,z9^4,0],[0,0,z9^5]];[[z9^5,0,0],[0,1,0],[0,0,z9^4]]",
+             "--h", "[[0,0,1],[1,0,0],[0,1,0]]"],
+            0, id="sl3-gens",
+        ),
+        pytest.param(["--fixture", "cyclic", "--n", "300"], 0, id="cyclic-300"),
+        # the closure cap is the largest order allowed: the order-125 quintic
+        # group exceeds a cap of 124 (exit 3) and closes under a cap of 125
+        pytest.param(["--fixture", "quintic", "--cap", "124"], 3, id="quintic-cap-124"),
+        pytest.param(["--fixture", "quintic", "--cap", "125"], 0, id="quintic-cap-125"),
+        # a cap below 1 is malformed input: exit 2
+        pytest.param(["--fixture", "quintic", "--cap", "0"], 2, id="quintic-cap-0"),
+    ],
+)
+def test_group_under_python_O(argv, code):
+    assert _cli("group", *argv).returncode == code
+
+
+@pytest.mark.parametrize("fixture", ["quintic-swap", "quintic-swap-two-pairs"])
+def test_orbifold_fixture_under_python_O(fixture):
+    assert _cli("orbifold", "--fixture", fixture).returncode == 0

@@ -46,7 +46,17 @@ and the quartiles of its repetitions:
   bytecode imported with ``PYTHONDONTWRITEBYTECODE=1``, so that every module
   is compiled on each import, as the set-up of ``bench/run.py`` sees it; and
   ``warm-cache``, a copy compiled beforehand, as an installed ``crepant``
-  starts.
+  starts.  Stage ``command``: ``crepant group --fixture quintic``, ``toric
+  --fixture z5sq-cycle``, ``orbifold --fixture quintic-swap`` and ``verify
+  --seed 7`` (the state and the command named in the size column), each a
+  one-shot command in a fresh interpreter on the same copies, run as
+  ``python -m crepant.cli`` runs it (``runpy``).  The child times itself
+  from before ``import crepant.cli`` to the command's exit, so the row holds
+  all that crepant does, the loading of every layer it calls included, and
+  leaves out the interpreter's own start-up: that is the same on both trees
+  and moves by tens of milliseconds from run to run on a shared host, more
+  than a layer takes to load.  One repetition of a command row is the
+  median of five such children;
 
 The toric and quintic rows time the whole command (a toric one builds,
 certifies, takes the Lefschetz number and reports).  ``--baseline REV``
@@ -96,7 +106,14 @@ QUINTIC_COMMANDS = {
     "verify-quintic": ["verify", "--only", "quintic"],
 }
 IMPORT_STATES = ("no-cache", "warm-cache")
+COLD_COMMANDS = {
+    "group": ["group", "--fixture", "quintic"],
+    "toric": ["toric", "--fixture", "z5sq-cycle"],
+    "orbifold": ["orbifold", "--fixture", "quintic-swap"],
+    "verify": ["verify", "--seed", "7"],
+}
 REPEATS = 11
+COMMAND_RUNS = 5
 # A fresh interpreter that runs one cyclic row as its only child and prints
 # that child's CPU seconds and peak RSS in KiB (Linux ru_maxrss of
 # RUSAGE_CHILDREN), so that no other process's peak is counted.
@@ -122,6 +139,19 @@ if stage == "outer_action":
 
 # The work of an import row: src in argv.
 IMPORT_PROGRAM = "import sys; sys.path.insert(0, sys.argv[1]); import crepant.cli"
+# The work of an import command row: src, then the command's argv, in argv;
+# prints the CPU seconds from before the import of crepant.cli to the exit.
+COMMAND_PROGRAM = """
+import runpy, sys, time
+start = time.process_time()
+sys.path.insert(0, sys.argv.pop(1))
+try:
+    runpy.run_module("crepant.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    if exc.code:
+        raise
+print(time.process_time() - start, file=sys.stderr)
+"""
 
 
 def _load_crepant(src: Path):
@@ -178,6 +208,18 @@ def _import_child(src: Path) -> float:
     return json.loads(out)[0]
 
 
+def _command_child(src: Path, argv: list[str]) -> float:
+    """CPU seconds of crepant in a child process that runs ``python -m
+    crepant.cli`` with argv from src and writes no bytecode, from before
+    the import of crepant.cli to the command's exit."""
+    err = subprocess.run(
+        [sys.executable, "-c", COMMAND_PROGRAM, str(src), *argv],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, check=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    ).stderr
+    return float(err.split()[-1])
+
+
 def _diagonal_family(groups, d: int):
     """Generators diag(z_d^a) of dimension 4 with exponent sum 0, which
     generate a group of order d^3, and the swap of the first two coordinates."""
@@ -208,8 +250,12 @@ def _one_repetition(src: Path, peaks: dict, import_copies: dict[str, Path]) -> d
     """Seconds of every (family, size, stage) once, on the crepant under src
     and, for the import rows, on its copies; the peak RSS of each cyclic
     command is appended to peaks."""
-    out = {("import", state, "import"): _import_child(import_copies[state])
-           for state in IMPORT_STATES}
+    out = {}
+    for state in IMPORT_STATES:
+        out[("import", state, "import")] = _import_child(import_copies[state])
+        for name, argv in COLD_COMMANDS.items():
+            out[("import", f"{state} {name}", "command")] = statistics.median(
+                [_command_child(import_copies[state], argv) for _ in range(COMMAND_RUNS)])
     cli, fixtures, groups, toric = _load_crepant(src)
     for n in CYCLIC_ORDERS:
         out[("cyclic", n, "close_group")], group = _time(lambda: fixtures.cyclic_group(n))
@@ -356,7 +402,15 @@ def main(argv=None) -> int:
         "cyclic_10000_command_limits": {"cpu_s": 1.5, "peak_rss_mb": 150},
         # a fresh interpreter's import of crepant.cli, without and with bytecode
         "import_crepant_cli_s": {
-            label: {e["size"]: e["median_s"] for e in entries if e["family"] == "import"}
+            label: {e["size"]: e["median_s"] for e in entries
+                    if (e["family"], e["stage"]) == ("import", "import")}
+            for label, entries in rows.items()
+        },
+        # crepant's part of a fresh interpreter's one-shot command, without
+        # and with bytecode
+        "cold_command_s": {
+            label: {e["size"]: e["median_s"] for e in entries
+                    if (e["family"], e["stage"]) == ("import", "command")}
             for label, entries in rows.items()
         },
         "rows": rows,
