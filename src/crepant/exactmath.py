@@ -389,9 +389,9 @@ def _sum_of_products(m: int, pairs: Sequence[tuple[tuple, tuple]]) -> CycloInt:
 
     Every product comes from the ``_product`` cache, so a single pair is its
     cached value and the empty sum is the cached zero of the conductor; more
-    pairs are summed by one ``_collect``.  Matrix products, scalings and
-    determinants of group elements run here on their entries' tuples, with
-    no operator dispatch per entry.
+    pairs are summed by one ``_collect``.  Matrix products and determinants
+    of group elements run here, or on ``_product`` for a single pair, on
+    their entries' tuples, with no operator dispatch per entry.
     """
     if len(pairs) == 1:
         x, y = pairs[0]

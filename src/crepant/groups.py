@@ -19,10 +19,12 @@ Butler, *Fundamental Algorithms for Permutation Groups* (LNCS 559), and the
 Schreier structures of Holt, Eick and O'Brien, *Handbook of Computational
 Group Theory* (2005), ch. 4.
 
-Element arithmetic runs on the entries' canonical coefficient tuples, not
-through the CycloInt operators: each entry of a product, a scaling or a
-determinant is one ``exactmath._sum_of_products`` of tuple pairs, and every
-product element carries its canonical key from the moment it is built.
+An element is stored once, as sparse rows of the (column, coefficient
+tuple) pairs of its nonzero entries, and those rows are its canonical key.
+Products, scalings, determinants and the conjugations of an outer action
+read and write them, not the CycloInt operators: each nonzero entry of a
+result is one ``exactmath._sum_of_products`` of tuple pairs, and zero
+entries take no work.  Dense entries are built only when read.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from math import lcm
 from typing import Callable, Optional, Sequence
 
 from .exactmath import CycloDivisor, CycloInt, Record, _negated, _sum_of_products, cyclo_div_exact
-from .exactmath import _cyclo, _expansions, _root_index
+from .exactmath import _cyclo, _expansions, _product, _root_index
 
 __all__ = [
     "GroupElement",
@@ -80,15 +82,39 @@ def _as_cyclo(x) -> CycloInt:
 class GroupElement(Record):
     """Square invertible matrix of cyclotomic integers, a read-only ``Record``.
 
-    The canonical key is the sequence of the entries' Zumbroich coefficient
-    tuples at the element's conductor; it drives equality, ordering, and the
-    deterministic element order of a group.  Entries are unhashable, and so
-    is an element.
+    Stored as sparse ``rows``: each row lists the (-j, coefficient tuple)
+    pairs of its nonzero entries in column order j, the tuples being the
+    entries' Zumbroich coordinates at the element's conductor.  The rows are
+    the canonical key: they drive equality, the key indexes and the
+    deterministic element order of a group, which is the order of the dense
+    entries row by row, since a column read as -j puts a row with a zero
+    entry, whose next stored column lies further right, before a row with a
+    nonzero entry there.  ``entries``, the dense matrix of CycloInt values, is
+    built on first read.  The rows make the arithmetic skip zero entries.
+    Entries are unhashable, and so is an element.
     """
 
     n: int
     conductor: int
     entries: tuple[tuple[CycloInt, ...], ...]
+
+    def _post_init(self):
+        self.__dict__["rows"] = tuple(
+            tuple((-j, x.coeffs) for j, x in enumerate(row) if x.coeffs) for row in self.entries
+        )
+
+    def __getattr__(self, name):  # reached only when the attribute is missing
+        if name != "entries":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        m, dense = self.conductor, [[_cyclo(self.conductor, ())] * self.n for _ in self.rows]
+        for out, row in zip(dense, self.rows):
+            for j, x in row:
+                out[-j] = _cyclo(m, x)
+        entries = self.__dict__["entries"] = tuple(map(tuple, dense))
+        return entries
+
+    def _field_values(self) -> tuple:
+        return self.n, self.conductor, self.entries
 
     @staticmethod
     def from_matrix(rows: Sequence[Sequence], conductor: Optional[int] = None) -> GroupElement:
@@ -105,24 +131,19 @@ class GroupElement(Record):
 
     @staticmethod
     def identity(n: int, conductor: int = 1) -> GroupElement:
-        one = CycloInt.from_int(1, conductor)
-        zero = CycloInt.from_int(0, conductor)
-        return GroupElement(
-            n, conductor, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-        )
+        one = CycloInt.from_int(1, conductor).coeffs
+        return _element(n, conductor, tuple(((-i, one),) for i in range(n)))
 
     def lift(self, conductor: int) -> GroupElement:
         if conductor == self.conductor:
             return self
-        return GroupElement(
-            self.n, conductor, tuple(tuple(x.lift(conductor) for x in row) for row in self.entries)
-        )
+        m = self.conductor
+        return _element(self.n, conductor, tuple(
+            tuple([(j, _cyclo(m, x).lift(conductor).coeffs) for j, x in row]) for row in self.rows
+        ))
 
     def key(self) -> tuple:
-        key = self.__dict__.get("_key")
-        if key is None:
-            key = self.__dict__["_key"] = tuple(x.coeffs for row in self.entries for x in row)
-        return key
+        return self.rows
 
     def mul(self, other: GroupElement) -> GroupElement:
         if self.conductor != other.conductor or self.n != other.n:
@@ -132,64 +153,48 @@ class GroupElement(Record):
             )
         # only nonzero entries take part: the matrices of monomial and
         # diagonal groups are mostly zeros, and their products single terms
-        m, n = self.conductor, self.n
-        support = other._support()
-        zero = _sum_of_products(m, ())
+        m, right = self.conductor, other.rows
         rows = []
-        for row in self._support():
-            out = [zero] * n
-            if len(row) == 1:  # a scaling of one right row, one pair per entry
+        for row in self.rows:
+            if len(row) == 1:  # a scaling of one right row; nonzero times nonzero is nonzero
                 (k, a), = row
-                for j, b in support[k]:
-                    out[j] = _sum_of_products(m, ((a, b),))
+                if len(right[-k]) == 1:  # monomial times monomial
+                    (j, b), = right[-k]
+                    rows.append(((j, _product(m, a, b).coeffs),))
+                else:
+                    rows.append(tuple([(j, _product(m, a, b).coeffs) for j, b in right[-k]]))
             else:
                 pairs: dict = {}
                 for k, a in row:
-                    for j, b in support[k]:
+                    for j, b in right[-k]:
                         pairs.setdefault(j, []).append((a, b))
-                for j, p in pairs.items():
-                    out[j] = _sum_of_products(m, p)
-            rows.append(tuple(out))
-        return _element(n, m, rows)
-
-    def _support(self) -> list:
-        """The nonzero entries of each row as (column, coefficient tuple) pairs,
-        kept on the element."""
-        support = self.__dict__.get("_support_rows")
-        if support is None:
-            support = self.__dict__["_support_rows"] = [
-                [(j, x.coeffs) for j, x in enumerate(row) if x.coeffs] for row in self.entries
-            ]
-        return support
+                sums = [(j, _sum_of_products(m, pairs[j]).coeffs) for j in sorted(pairs)[::-1]]
+                rows.append(tuple([(j, x) for j, x in sums if x]))
+        return _element(self.n, m, tuple(rows))
 
     def det(self) -> CycloInt:
-        return _det(self.entries, self.conductor)
+        return _det(self.rows, self.conductor, tuple(range(0, -self.n, -1)))
 
     def scale(self, c: CycloInt) -> GroupElement:
         m, c = self.conductor, c.lift(self.conductor).coeffs
-        return _element(
-            self.n,
-            m,
-            [tuple([_sum_of_products(m, ((c, x.coeffs),)) if x.coeffs else x for x in row])
-             for row in self.entries],
-        )
+        return _element(self.n, m, tuple(
+            tuple([(j, p) for j, x in row if (p := _product(m, c, x).coeffs)]) for row in self.rows
+        ))
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
             return NotImplemented
         m = lcm(self.conductor, other.conductor)
-        return self.lift(m).key() == other.lift(m).key()
+        return self.lift(m).rows == other.lift(m).rows
 
     __hash__ = None  # type: ignore[assignment]
 
 
-def _element(n: int, m: int, rows: Sequence[tuple[CycloInt, ...]]) -> GroupElement:
-    """The element with these rows of entries at conductor m, unchecked, its
-    key read off the rows as they are given."""
+def _element(n: int, m: int, rows: tuple) -> GroupElement:
+    """The element with these sparse rows at conductor m, unchecked; its dense
+    entries are built only when read."""
     g = object.__new__(GroupElement)
-    g.__dict__.update(
-        n=n, conductor=m, entries=tuple(rows), _key=tuple([x.coeffs for row in rows for x in row])
-    )
+    g.__dict__.update(n=n, conductor=m, rows=rows)
     return g
 
 
@@ -200,14 +205,11 @@ def _descend(g: GroupElement, m: int) -> Optional[GroupElement]:
     -s·zeta_M^(k+M/2), so both exponents are tried: -1 lies at every m."""
     big = g.conductor
     step, roots, table = big // m, _root_index(big), _expansions(m)
-    zero, rows = _cyclo(m, ()), []
-    for row in g.entries:
+    rows = []
+    for row in g.rows:
         out = []
-        for x in row:
-            if not x.coeffs:
-                out.append(zero)
-                continue
-            root = roots.get(x.coeffs)
+        for j, x in row:
+            root = roots.get(x)
             if root is None:
                 return None
             s, k = root
@@ -216,39 +218,40 @@ def _descend(g: GroupElement, m: int) -> Optional[GroupElement]:
             if k % step:
                 return None
             terms = table[k // step]
-            out.append(_cyclo(m, terms if s == 1 else _negated(terms)))
+            out.append((j, terms if s == 1 else _negated(terms)))
         rows.append(tuple(out))
-    return _element(g.n, m, rows)
+    return _element(g.n, m, tuple(rows))
 
 
-def _det(entries, conductor: int) -> CycloInt:
-    """Determinant by expansion along the first row: its nonzero entries
-    times their signed minors, one sum of products per level."""
-    n = len(entries)
-    if n == 0:
+def _det(rows, conductor: int, cols: tuple) -> CycloInt:
+    """Determinant of sparse rows over the column keys cols, in column order,
+    by expansion along the first row: its nonzero entries times their signed
+    minors, one sum of products per level; a zero row makes it zero at once."""
+    if not rows:
         return CycloInt.from_int(1, conductor)
-    if n == 1:
-        return entries[0][0]
     pairs = []
-    for j, x in enumerate(entries[0]):
-        if x.coeffs:
-            minor = _det(tuple(row[:j] + row[j + 1 :] for row in entries[1:]), conductor)
-            if minor.coeffs:
-                pairs.append((x.coeffs if j % 2 == 0 else _negated(x.coeffs), minor.coeffs))
+    for k, x in rows[0] if all(rows) else ():
+        p = cols.index(k)
+        rest = [tuple(e for e in r if e[0] != k) for r in rows[1:]]
+        minor = _det(rest, conductor, cols[:p] + cols[p + 1 :])
+        if minor.coeffs:
+            pairs.append((x if p % 2 == 0 else _negated(x), minor.coeffs))
     return _sum_of_products(conductor, pairs)
 
 
 def _adjugate(g: GroupElement) -> GroupElement:
-    n = g.n
-    cof = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = tuple(r[:i] + r[i + 1 :] for k, r in enumerate(g.entries) if k != j)
-            d = _det(minor, g.conductor)
-            row.append(d if (i + j) % 2 == 0 else -d)
-        cof.append(tuple(row))
-    return _element(n, g.conductor, cof)
+    """The transposed cofactors: entry (i, j) is (-1)^(i+j) times the minor
+    of g without row j and column i."""
+    cols, rows = tuple(range(0, -g.n, -1)), []
+    for i, k in enumerate(cols):
+        rest = [tuple(e for e in r if e[0] != k) for r in g.rows]
+        minor_cols, row = cols[:i] + cols[i + 1 :], []
+        for j in range(g.n):
+            d = _det(rest[:j] + rest[j + 1 :], g.conductor, minor_cols).coeffs
+            if d:
+                row.append((-j, d if (i + j) % 2 == 0 else _negated(d)))
+        rows.append(tuple(row))
+    return _element(g.n, g.conductor, tuple(rows))
 
 
 Normalizer = Callable[[GroupElement], GroupElement]
@@ -261,10 +264,10 @@ def scalar_normalize(g: GroupElement) -> GroupElement:
     diagonal entry equal to one.  Realizes faithfully-acting quotients of
     diagonal symmetry groups as honest matrix groups.
     """
-    for i in range(g.n):
-        d = g.entries[i][i]
-        if not d.is_zero():
-            root = d.as_root_of_unity()
+    for i, row in enumerate(g.rows):
+        d = dict(row).get(-i)
+        if d:
+            root = _root_index(g.conductor).get(d)
             if root is None:
                 raise ValueError("diagonal entry is not a root of unity")
             s, k = root
@@ -606,19 +609,16 @@ def outer_action(group: FiniteMatrixGroup, h: GroupElement) -> OuterAction:
     divisor = CycloDivisor(det)
     images = []
     for gi in group.generators:
-        num = hh.mul(group.elements[gi].lift(m)).mul(adj)
-        ent = []
-        for row in num.entries:
-            out_row = []
-            for x in row:
-                q = cyclo_div_exact(x, divisor)
+        rows = []
+        for row in hh.mul(group.elements[gi].lift(m)).mul(adj).rows:
+            out = []
+            for j, x in row:  # zero entries are not stored: they divide to zero
+                q = cyclo_div_exact(_cyclo(m, x), divisor)
                 if q is None:
-                    raise NotNormalizing(
-                        f"conjugate of generator {gi} has non-integral entries"
-                    )
-                out_row.append(q)
-            ent.append(tuple(out_row))
-        cand = GroupElement.from_matrix(ent)
+                    raise NotNormalizing(f"conjugate of generator {gi} has non-integral entries")
+                out.append((j, q.coeffs))
+            rows.append(tuple(out))
+        cand = _element(hh.n, m, tuple(rows))
         if group.normalizer is not None:
             cand = group.normalizer(cand)
         if cand.conductor != group_m:  # looked up at the group's conductor when it lies there

@@ -42,7 +42,6 @@ simplices with it in place of one vertex sum to the whole.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import operator
 import re
@@ -714,8 +713,11 @@ def _face_terms(tri: Triangulation, lp: LatticePair, sym: PermSymmetry):
     (NotInvariant names the first one that it maps out of N)."""
     image = {y: sym.apply(y) for y in tri.vertex_set}
     have = set(tri.cells)
-    if not all(tuple(sorted(image[y] for y in key)) in have for key in tri.cells):
-        raise NotInvariantTriangulation("symmetry does not map the triangulation to itself")
+    moved = next((c for c in tri.cells if tuple(sorted(map(image.get, c))) not in have), None)
+    if moved is not None:
+        cells = [_witness(c, tri.scale) for c in (moved, sorted(map(image.get, moved)))]
+        why = "the cell {} maps to {}".format(*cells)
+        raise NotInvariantTriangulation(f"symmetry does not map the triangulation to itself: {why}")
     for y in lp.basis:
         if not lp.contains(sym.apply(y), lp.scale):
             named = _witness(y, lp.scale)
@@ -948,16 +950,18 @@ def audit_triangulation(tri: Triangulation, lp: LatticePair, sym: PermSymmetry) 
     and the fixed locus.  The Lefschetz number, the adjusted check and the
     authoritative equality lefschetz == fixed_count == sublattice_index need
     a crepant triangulation that the symmetry keeps, and are None without
-    one.  ``failures`` names the witnesses of the two checks, then the three
-    values when they differ."""
+    one.  ``failures`` names the witnesses of the two checks, or the first
+    cell whose image is not a cell, then the three values when they differ."""
     rep = verify_crepant(tri, lp)
     fixed_count = count_fixed_elements(lp, sym)
     index = fixed_sublattice_index(lp, sym)
     failures = list(rep.failures)
     lef = adjusted = equal = None
     if rep:  # the sum over maximal invariant faces needs a crepant triangulation
-        with contextlib.suppress(NotInvariantTriangulation):
+        try:
             lef = toric_lefschetz(tri, lp, sym)
+        except NotInvariantTriangulation as exc:  # it names the first cell not mapped to a cell
+            failures.append(str(exc))
     if lef is not None:
         verdict = verify_adjusted(tri, lp, sym)
         adjusted, equal = bool(verdict), lef == fixed_count == index

@@ -874,6 +874,28 @@ def test_toric_load_reports_no_lefschetz_number_for_a_failing_document(tmp_path,
     assert rep["results"]["simplices"] == 19 and rep["results"]["failures"]
 
 
+def test_toric_load_names_the_first_cell_the_symmetry_does_not_keep(tmp_path, capsys):
+    """A crepant document that the symmetry does not map to itself gets no
+    Lefschetz number, adjusted check or equality, and its failures name the
+    first cell whose image is not a cell, in document coordinates; the exit
+    code and the checks are those of the crepancy check alone."""
+    path = tmp_path / "tri.json"
+    argv = ["toric", "--n", "3", "--gen", "1,1,18@20", "--perm", "id", "--order", "revlex"]
+    assert run(argv + ["--save", str(path)], capsys)[0] == EXIT_OK
+    rc, rep = run(["toric", "--load", str(path), "--perm", "(1 3)"], capsys)
+    assert rc == EXIT_OK and rep["checks"] == {"crepant": "pass"}
+    res = rep["results"]
+    assert (res["lefschetz"], res["adjusted"], res["equal"]) == (None, None, None)
+    assert res["failures"] == [
+        "symmetry does not map the triangulation to itself: the cell ((0, 0, 1), (0, 1, 0), "
+        "(1/20, 1/20, 9/10)) maps to ((0, 1, 0), (9/10, 1/20, 1/20), (1, 0, 0))"
+    ]
+    doc = json.loads(path.read_text())
+    cells = {frozenset(doc["vertices"][i] for i in s) for s in doc["simplices"]}
+    assert frozenset(["0,0,1", "0,1,0", "1/20,1/20,9/10"]) in cells
+    assert frozenset(["0,1,0", "9/10,1/20,1/20", "1,0,0"]) not in cells
+
+
 # the unit simplex of dimension 4 as a one-cell document: crepant, and for
 # (1 2)(3 4) not adjusted, its fixed locus having volume 1/2, not 1/4
 UNIT_CELL_4 = {

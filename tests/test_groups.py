@@ -33,7 +33,6 @@ from crepant.groups import (
     NotNormalizing,
     StabilizerNotSubgroup,
     _adjugate,
-    _det,
     centralizer,
     close_group,
     compatible_class_filter,
@@ -283,20 +282,31 @@ def test_mul_rejects_mismatched_elements():
 @given(
     st.sampled_from([1, 4, 5, 12]),
     st.lists(st.tuples(st.integers(-2, 2), st.integers(0, 11)), min_size=18, max_size=18),
+    st.sampled_from(["dense", "monomial", "1x1"]),
+    st.permutations(range(3)),
+    st.sampled_from([1, 2, 3]),
 )
-def test_mul_matches_the_dense_product(m, spec):
-    """The product that skips zero entries equals the sum over every k."""
+def test_mul_matches_the_dense_product(m, spec, shape, sigma, lift):
+    """The product that skips zero entries equals the sum over every k: for
+    dense 3x3 operands, monomial ones (row i nonzero in column sigma[i] at
+    most) and 1x1 ones, each built at conductor m and lifted to lift·m."""
+    n = 1 if shape == "1x1" else 3
     entries = [CycloInt.zeta(m, k) * c for c, k in spec]
-    a, b = (
-        GroupElement(3, m, tuple(tuple(entries[s + r : s + r + 3]) for r in (0, 3, 6)))
-        for s in (0, 9)
-    )
-    zero = CycloInt.from_int(0, m)
+    if shape == "monomial":
+        entries = [x if s % 3 == sigma[s // 3 % 3] else 0 * x for s, x in enumerate(entries)]
+    rows = [
+        tuple(tuple(entries[s + r : s + r + n]) for r in range(0, n * n, n)) for s in (0, 9)
+    ]
+    big = lift * m
+    a, b = (GroupElement(n, m, r).lift(big) for r in rows)
+    (ra, rb) = ([[x.lift(big) for x in row] for row in r] for r in rows)
+    zero = CycloInt.from_int(0, big)
     dense = tuple(
-        tuple(sum((a.entries[i][k] * b.entries[k][j] for k in range(3)), zero) for j in range(3))
-        for i in range(3)
+        tuple(sum((ra[i][k] * rb[k][j] for k in range(n)), zero) for j in range(n))
+        for i in range(n)
     )
     assert a.mul(b).entries == dense
+    assert a.mul(b).conductor == big and a.mul(b).key() == _sparse_key(dense)
 
 
 # ---------------------------------------------------------------------------
@@ -909,6 +919,10 @@ def _operator_det(entries, conductor):
     return out
 
 
+def _operator_element_det(g):
+    return _operator_det(g.entries, g.conductor)
+
+
 def _operator_adjugate(g):
     cof = []
     for i in range(g.n):
@@ -927,11 +941,17 @@ def _matrices(draw, m, n):
     return GroupElement(n, m, rows)
 
 
+def _sparse_key(entries):
+    """The key an element with these dense entries stores: per row, the
+    (-column, coefficient tuple) pairs of the nonzero entries, left to right."""
+    return tuple(tuple((-j, x.coeffs) for j, x in enumerate(r) if x.coeffs) for r in entries)
+
+
 def _same(a, b):
     """Equal elements entry by entry, with equal keys, at one conductor."""
     assert (a.n, a.conductor) == (b.n, b.conductor)
     assert [[x.coeffs for x in r] for r in a.entries] == [[x.coeffs for x in r] for r in b.entries]
-    assert a.key() == b.key() == tuple(x.coeffs for r in a.entries for x in r)
+    assert a.key() == b.key() == _sparse_key(a.entries)
 
 
 _CONDUCTORS = st.sampled_from([1, 2, 3, 4, 5, 8, 9, 12, 20])
@@ -957,7 +977,7 @@ def test_kernel_scale_matches_the_operators(data, m, n):
 @given(data=st.data(), m=_CONDUCTORS, n=st.integers(0, 4))
 def test_kernel_det_and_adjugate_match_the_operators(data, m, n):
     g = data.draw(_matrices(m, n))
-    got, want = _det(g.entries, m), _operator_det(g.entries, m)
+    got, want = g.det(), _operator_det(g.entries, m)
     assert (got.conductor, got.coeffs) == (want.conductor, want.coeffs)
     if n:
         _same(_adjugate(g), _operator_adjugate(g))
@@ -1016,11 +1036,68 @@ def test_census_group_is_the_same_under_the_operator_route(monkeypatch, label):
 
     monkeypatch.setattr(GroupElement, "mul", counted(_operator_mul))
     monkeypatch.setattr(GroupElement, "scale", counted(_operator_scale))
-    monkeypatch.setattr(groups, "_det", counted(_operator_det))
+    monkeypatch.setattr(GroupElement, "det", counted(_operator_element_det))
     monkeypatch.setattr(groups, "_adjugate", counted(_operator_adjugate))
     monkeypatch.setattr(CycloInt, "lift", counted(_collect_lift))
     assert _built(label) == kernel
-    assert {_operator_mul, _operator_det, _operator_adjugate, _collect_lift} <= set(calls)
+    assert {_operator_mul, _operator_element_det, _operator_adjugate, _collect_lift} <= set(calls)
     if label == "quintic":  # scalar normalization scales
         assert _operator_scale in calls
 
+
+# ---------------------------------------------------------------------------
+# the sparse rows as the key: the element order and the conjugate lookups of
+# the dense keys, every entry's coefficient tuple in row-major order
+
+
+def _dense_key(e):
+    return tuple(x.coeffs for row in e.entries for x in row)
+
+
+def _assert_dense_key_order(group):
+    """The elements are in strictly increasing dense-key order, and each
+    one's key is its sparse rows, read off its dense entries."""
+    dense = [_dense_key(e) for e in group.elements]
+    assert dense == sorted(dense) and len(set(dense)) == group.order
+    assert [e.key() for e in group.elements] == [_sparse_key(e.entries) for e in group.elements]
+
+
+def _assert_conjugates_by_dense_keys(group, h):
+    """The outer action of h sends each element to the one whose dense key
+    is that of h·e·h^-1 = h·e·adj(h) / det(h), built entry by entry with the
+    CycloInt operators at the lcm of the conductors."""
+    big = lcm(group.elements[0].conductor, h.conductor)
+    hh = h.lift(big)
+    det, adj = _operator_det(hh.entries, big), _operator_adjugate(hh)
+    index = {_dense_key(e.lift(big)): i for i, e in enumerate(group.elements)}
+    perm = outer_action(group, h).element_perm
+    for i, e in enumerate(group.elements):
+        num = _operator_mul(_operator_mul(hh, e.lift(big)), adj)
+        conj = GroupElement.from_matrix([[cyclo_div_exact(x, det) for x in r] for r in num.entries])
+        if group.normalizer is not None:
+            conj = group.normalizer(conj)
+        assert index[_dense_key(conj)] == perm[i]
+
+
+_FIXTURES = [
+    *(f"cyclic-{n}" for n in range(1, 61)),
+    *(f"binary-dihedral-{r}" for r in range(3, 13)),
+    "binary-tetrahedral", "d4-triality", "quintic", "lt", "sl3-diag-9",
+]
+
+
+@pytest.mark.parametrize("label", _FIXTURES)
+def test_fixture_groups_keep_the_dense_key_order(label):
+    group, symmetries = _census_case(label)
+    _assert_dense_key_order(group)
+    for h in symmetries:
+        _assert_conjugates_by_dense_keys(group, h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_generator_lists(), _normalized_groups())
+def test_random_groups_keep_the_dense_key_order(gens, case):
+    _assert_dense_key_order(close_group(gens))
+    group, h = case
+    _assert_dense_key_order(group)
+    _assert_conjugates_by_dense_keys(group, h)

@@ -1,7 +1,8 @@
 """Checks of the workflow's `python -O` step as tier-1 cases: each runs
 `python -O -m crepant.cli` in a child process, so the invariants hold with
-asserts stripped, with the step's argv and expectations (exit code, and for
-`toric --load` one stderr line and no output file)."""
+asserts stripped, with the step's argv and expectations (exit code, for
+`toric --load` one stderr line and no output file, and a peak memory bound
+for a group at the default cap)."""
 
 import json
 import os
@@ -113,3 +114,25 @@ def test_group_under_python_O(argv, code):
 @pytest.mark.parametrize("fixture", ["quintic-swap", "quintic-swap-two-pairs"])
 def test_orbifold_fixture_under_python_O(fixture):
     assert _cli("orbifold", "--fixture", fixture).returncode == 0
+
+
+# a fresh interpreter that runs its argv as its only child and prints that
+# child's peak RSS in KiB (Linux ru_maxrss of RUSAGE_CHILDREN), so that no
+# other child of the test session is counted
+PEAK_PROGRAM = """
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_group_at_the_default_cap_peaks_under_150_mb():
+    """A group at the default cap is held without its |G|^2 table: the
+    command peaks under 150 MB."""
+    argv = ["group", "--fixture", "cyclic", "--n", "10000", "--action", "swap"]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    command = [sys.executable, "-c", PEAK_PROGRAM, sys.executable, "-O", "-m", "crepant.cli", *argv]
+    proc = subprocess.run(command, capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = int(proc.stdout) / 1024
+    assert peak_mb < 150, f"peak RSS {peak_mb:.1f} MB is not under 150 MB"
