@@ -187,7 +187,7 @@ def _group_fixture(args):
     if name == "binary-tetrahedral":
         return fixtures.binary_tetrahedral(cap=args.cap), fixtures.binary_tetrahedral_symmetry()
     if name == "d4-triality":
-        return fixtures.d4_triality()
+        return fixtures.d4_triality(cap=args.cap)
     if name == "quintic":
         return fixtures.quintic_group(cap=args.cap), fixtures.quintic_symmetry(
             args.action or "swap"

@@ -585,39 +585,6 @@ class IntMat(Record):
             raise ValueError("determinant of non-square matrix")
         return _bareiss_det(self.to_rows())
 
-    def inverse_unimodular(self) -> IntMat:
-        """Inverse of a unimodular matrix by integer row reduction of [A | I].
-
-        Euclidean row steps clear each column below its pivot; with
-        determinant +-1 every pivot ends as +-1, so back substitution stays in
-        the integers.  A pivot of any other size raises ExactnessError.
-        """
-        d = self.det()
-        if d not in (1, -1):
-            raise ValueError("matrix is not unimodular")
-        n = self.rows
-        a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.to_rows())]
-        for c in range(n):
-            while True:
-                p = min((i for i in range(c, n) if a[i][c]), key=lambda i: abs(a[i][c]))
-                a[c], a[p] = a[p], a[c]
-                rest = [i for i in range(c + 1, n) if a[i][c]]
-                if not rest:
-                    break
-                for i in rest:
-                    q = a[i][c] // a[c][c]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[c])]
-            if a[c][c] not in (1, -1):
-                raise ExactnessError(f"pivot {a[c][c]} in column {c} of a unimodular matrix")
-            if a[c][c] == -1:
-                a[c] = [-x for x in a[c]]
-        for c in range(n - 1, -1, -1):
-            for i in range(c):
-                q = a[i][c]
-                if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[c])]
-        return _intmat(n, n, tuple(x for r in a for x in r[n:]))
-
 
 def _intmat(rows: int, cols: int, entries: tuple[int, ...]) -> IntMat:
     """An IntMat whose entries are rows*cols long by construction, unchecked."""

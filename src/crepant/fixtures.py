@@ -106,9 +106,9 @@ def binary_tetrahedral_symmetry() -> GroupElement:
     return _mat([[one, theta], [theta, -one]])
 
 
-def d4_triality() -> tuple[FiniteMatrixGroup, GroupElement]:
+def d4_triality(cap: int = 10_000) -> tuple[FiniteMatrixGroup, GroupElement]:
     """The quaternion group together with its order-three rotation symmetry."""
-    group = close_group([_tetra_u(), _tetra_v()])
+    group = close_group([_tetra_u(), _tetra_v()], cap=cap)
     return group, _tetra_t()
 
 

@@ -24,7 +24,7 @@ tuple) pairs of its nonzero entries, and those rows are its canonical key.
 Products, scalings, determinants and the conjugations of an outer action
 read and write them, not the CycloInt operators: each nonzero entry of a
 result is one ``exactmath._sum_of_products`` of tuple pairs, and zero
-entries take no work.  Dense entries are built only when read.
+entries take no work.
 """
 
 from __future__ import annotations
@@ -89,32 +89,14 @@ class GroupElement(Record):
     deterministic element order of a group, which is the order of the dense
     entries row by row, since a column read as -j puts a row with a zero
     entry, whose next stored column lies further right, before a row with a
-    nonzero entry there.  ``entries``, the dense matrix of CycloInt values, is
-    built on first read.  The rows make the arithmetic skip zero entries.
-    Entries are unhashable, and so is an element.
+    nonzero entry there.  The rows make the arithmetic skip zero entries.
+    Rows hold tuples, but an element is unhashable, as equality lifts both
+    sides to a common conductor.
     """
 
     n: int
     conductor: int
-    entries: tuple[tuple[CycloInt, ...], ...]
-
-    def _post_init(self):
-        self.__dict__["rows"] = tuple(
-            tuple((-j, x.coeffs) for j, x in enumerate(row) if x.coeffs) for row in self.entries
-        )
-
-    def __getattr__(self, name):  # reached only when the attribute is missing
-        if name != "entries":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        m, dense = self.conductor, [[_cyclo(self.conductor, ())] * self.n for _ in self.rows]
-        for out, row in zip(dense, self.rows):
-            for j, x in row:
-                out[-j] = _cyclo(m, x)
-        entries = self.__dict__["entries"] = tuple(map(tuple, dense))
-        return entries
-
-    def _field_values(self) -> tuple:
-        return self.n, self.conductor, self.entries
+    rows: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
 
     @staticmethod
     def from_matrix(rows: Sequence[Sequence], conductor: Optional[int] = None) -> GroupElement:
@@ -126,8 +108,9 @@ class GroupElement(Record):
         for row in ent:
             for x in row:
                 m = lcm(m, x.conductor)
-        ent = tuple(tuple(x.lift(m) for x in row) for row in ent)
-        return GroupElement(n, m, ent)
+        return GroupElement(n, m, tuple(
+            tuple((-j, c) for j, x in enumerate(row) if (c := x.lift(m).coeffs)) for row in ent
+        ))
 
     @staticmethod
     def identity(n: int, conductor: int = 1) -> GroupElement:
@@ -191,8 +174,8 @@ class GroupElement(Record):
 
 
 def _element(n: int, m: int, rows: tuple) -> GroupElement:
-    """The element with these sparse rows at conductor m, unchecked; its dense
-    entries are built only when read."""
+    """``GroupElement(n, m, rows)`` without the constructor's field binding,
+    for the product path."""
     g = object.__new__(GroupElement)
     g.__dict__.update(n=n, conductor=m, rows=rows)
     return g

@@ -136,14 +136,6 @@ class PairTable(Mapping):
         self._type_of = type_of
         self._rows = rows
 
-    @classmethod
-    def by_label(cls, pairs: Mapping) -> PairTable:
-        """The table of a plain mapping, each label its own type."""
-        rows: dict = {}
-        for (a, b), value in pairs.items():
-            rows.setdefault(a, {})[b] = value
-        return cls({a: a for a in rows}, rows)
-
     def __getitem__(self, pair):
         a, b = pair
         return self._rows[self._type_of[a]][b]
@@ -174,13 +166,14 @@ class GSpaceSheet(Record):
     group_order: int
     classes: tuple[ClassRecord, ...]
     strata: Optional[tuple[StratumRecord, ...]] = None
-    commuting_pairs: Optional[Mapping] = None  # a PairTable; a plain mapping is converted
+    commuting_pairs: Optional[PairTable] = None
     metadata: dict = None  # None is read as {}
 
     def _post_init(self):
         pairs = self.commuting_pairs
         if pairs is not None and not isinstance(pairs, PairTable):
-            self.__dict__["commuting_pairs"] = PairTable.by_label(pairs)
+            kind = type(pairs).__name__
+            raise TypeError(f"commuting_pairs must be a PairTable or None, not a {kind}")
         if self.metadata is None:
             self.__dict__["metadata"] = {}
         self.validate()
@@ -494,17 +487,12 @@ def sheet_from_document(doc: dict) -> GSpaceSheet:
     return GSpaceSheet(group_order, classes, strata, pairs, metadata)
 
 
-def point_sheet(group_order: int = 1, class_count: int = 1) -> GSpaceSheet:
-    """Sheet for the one-point space: every class contributes one."""
-    if group_order % class_count:
-        raise ValueError("class count must divide the group order for this helper")
-    size = 1 if group_order == class_count else group_order // class_count
+def point_sheet() -> GSpaceSheet:
+    """Sheet for the one-point space under the trivial group: its one class
+    contributes one."""
     prov = {"euler_quotient": TRIVIAL, "lefschetz_quotient": TRIVIAL}
-    classes = tuple(
-        ClassRecord(f"c{i}", size, group_order // size, True, 1, 1, dict(prov), 0)
-        for i in range(class_count)
-    )
-    return GSpaceSheet(group_order, classes, None, None, {"space": "point"})
+    classes = (ClassRecord("c0", 1, 1, True, 1, 1, prov, 0),)
+    return GSpaceSheet(1, classes, None, None, {"space": "point"})
 
 
 # ---------------------------------------------------------------------------
@@ -530,33 +518,28 @@ def dynkin_lefschetz(graph: DynkinGraph) -> int:
     return 1 + sum(1 for n in graph.nodes if graph.automorphism[n] == n)
 
 
-def a_chain(k: int, reversal: bool = True) -> DynkinGraph:
+def a_chain(k: int) -> DynkinGraph:
+    """The A_k chain with its reversal."""
     nodes = tuple(f"a{i}" for i in range(1, k + 1))
     edges = tuple((f"a{i}", f"a{i+1}") for i in range(1, k))
-    if reversal:
-        auto = {f"a{i}": f"a{k + 1 - i}" for i in range(1, k + 1)}
-    else:
-        auto = {n: n for n in nodes}
-    return DynkinGraph(nodes, edges, auto)
+    return DynkinGraph(nodes, edges, {f"a{i}": f"a{k + 1 - i}" for i in range(1, k + 1)})
 
 
-def d_diagram(r: int, swap_forks: bool = True) -> DynkinGraph:
+def d_diagram(r: int) -> DynkinGraph:
+    """The D_r diagram with its two forks swapped."""
     chain = [f"c{i}" for i in range(1, r - 1)]
     nodes = tuple(chain + ["f1", "f2"])
     edges = [(chain[i], chain[i + 1]) for i in range(len(chain) - 1)]
     edges += [(chain[-1], "f1"), (chain[-1], "f2")]
-    auto = {n: n for n in chain}
-    auto.update({"f1": "f2", "f2": "f1"} if swap_forks else {"f1": "f1", "f2": "f2"})
+    auto = {**{n: n for n in chain}, "f1": "f2", "f2": "f1"}
     return DynkinGraph(nodes, tuple(edges), auto)
 
 
-def e6_diagram(flip: bool = True) -> DynkinGraph:
+def e6_diagram() -> DynkinGraph:
+    """The E_6 diagram with its flip."""
     nodes = ("a1", "a2", "a3", "a4", "a5", "b")
     edges = (("a1", "a2"), ("a2", "a3"), ("a3", "a4"), ("a4", "a5"), ("a3", "b"))
-    if flip:
-        auto = {"a1": "a5", "a2": "a4", "a3": "a3", "a4": "a2", "a5": "a1", "b": "b"}
-    else:
-        auto = {n: n for n in nodes}
+    auto = {"a1": "a5", "a2": "a4", "a3": "a3", "a4": "a2", "a5": "a1", "b": "b"}
     return DynkinGraph(nodes, edges, auto)
 
 

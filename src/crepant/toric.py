@@ -208,11 +208,11 @@ def build_lattice_pair(n: int, generators: Sequence[tuple[Sequence[int], int]]) 
 
     D is the lcm of the reduced denominators m/gcd(a_i, m) of the generator
     entries.  One Smith form U K V = S of the rows D*e_i and D*a/m, with
-    invariants s_1..s_n, gives everything: K = U^-1 S V^-1 spans the same
-    rows as diag(s) V^-1, the basis at scale D; N/M has order D^n/prod(s);
-    and the basis inverse is V diag(D/s_i), integral because each s_i
-    divides D (H. Cohen, A Course in Computational Algebraic Number Theory,
-    1993, section 2.4).
+    invariants s_1..s_n, gives everything: U K = S V^-1, so the first n rows
+    of U K are diag(s) V^-1, the basis at scale D, spanning the rows of K as
+    U is unimodular; N/M has order D^n/prod(s); and the basis inverse is
+    V diag(D/s_i), integral because each s_i divides D (H. Cohen, A Course
+    in Computational Algebraic Number Theory, 1993, section 2.4).
     """
     if n < 1:
         raise ValueError(f"lattice n must be at least 1, not {n}")
@@ -226,12 +226,13 @@ def build_lattice_pair(n: int, generators: Sequence[tuple[Sequence[int], int]]) 
         gens.append((vec, int(m)))
     d = lcm(*(m // gcd(a, m) for vec, m in gens for a in vec))
     rows = _units(n, d) + [[a * d // m for a in vec] for vec, m in gens]
-    _, S, V = smith_normal_form(IntMat.from_rows(rows))
+    K = IntMat.from_rows(rows)
+    U, S, V = smith_normal_form(K)
     s = [S.get(k, k) for k in range(n)]
     if not all(s) or any(d % x for x in s) or d**n % prod(s):
         raise LatticeError(f"invariants {s} do not give an overlattice of Z^{n} in (1/{d})Z^{n}")
-    vinv = V.inverse_unimodular()
-    basis = tuple(tuple(s[k] * x for x in vinv.row(k)) for k in range(n))
+    UK = U.mul(K)
+    basis = tuple(UK.row(k) for k in range(n))
     lp = LatticePair(n, tuple(gens), d, basis, d**n // prod(s))
     lp._cached("_binv", lambda: [[d // s[k] * x for k, x in enumerate(V.row(i))] for i in range(n)])
     return lp
@@ -801,11 +802,11 @@ def _standard_face(
     lp: LatticePair,
     scale: int,
 ) -> Certificate:
-    """Is the invariant face standard?  The face and its pieces are tuples
-    of points scaled to integers by ``scale``.
+    """Is the invariant face standard?  The face and its pieces, the
+    simplices of the triangulation inside it, are tuples of points scaled
+    to integers by ``scale``.
 
-    - When the symmetry moves a vertex, the pieces inside the face (vertex
-      set within the face's, or every vertex in it) must be permuted with
+    - When the symmetry moves a vertex, the pieces must be permuted with
       none fixed, if there are several and the first has one vertex more
       than there are vertex cycles.
     - With k >= 2 vertex cycles of lengths l_i, the fixed locus spanned by
@@ -821,18 +822,13 @@ def _standard_face(
 
     cycles = _vertex_cycles(face, sym.apply)
     lengths = [len(cyc) for cyc in cycles]
-    if max(lengths) > 1:
-        members = set(face)
-        inside = [
-            s for s in pieces if set(s) <= members or all(_in_simplex(y, face, lp) for y in s)
-        ]
-        if len(inside) > 1 and len(inside[0]) == len(cycles) + 1:
-            have = set(inside)
-            for s in inside:
-                image = tuple(sorted(sym.apply(y) for y in s))
-                if image not in have or image == s:
-                    why = f"{_witness(s, scale)} maps to {'itself' if image == s else 'no piece'}"
-                    return verdict(f"its pieces are not permuted with none fixed: {why}")
+    if max(lengths) > 1 and len(pieces) > 1 and len(pieces[0]) == len(cycles) + 1:
+        have = set(pieces)
+        for s in pieces:
+            image = tuple(sorted(sym.apply(y) for y in s))
+            if image not in have or image == s:
+                why = f"{_witness(s, scale)} maps to {'itself' if image == s else 'no piece'}"
+                return verdict(f"its pieces are not permuted with none fixed: {why}")
     if len(cycles) > 1:
         volume, want = _cycle_average_volume(face, cycles, lp, scale), Fraction(1, prod(lengths))
         if volume != want:
@@ -855,21 +851,6 @@ def _cycle_average_volume(
         [big // len(cyc) * sum(col) for col in zip(*(points[i] for i in cyc))] for cyc in cycles
     ]
     return _volume(averages, scale * big, lp)
-
-
-def _in_simplex(p: IntVec, simplex: Sequence[IntVec], lp: LatticePair) -> bool:
-    """Whether the integer point p lies in the closed, nondegenerate simplex.
-
-    p lies in the affine span when the edges together with p - v_0 are
-    dependent (saturation index 0).  Then the simplex with vertex i replaced
-    by p has |lambda_i| times the lattice volume of the whole, lambda the
-    barycentric coordinates of p, which sum to one; so these volumes sum to
-    the whole exactly when every lambda_i >= 0.
-    """
-    if _volume((*simplex, p), 1, lp):
-        return False
-    parts = (_volume((*simplex[:i], p, *simplex[i + 1 :]), 1, lp) for i in range(len(simplex)))
-    return sum(parts) == _volume(simplex, 1, lp)
 
 
 def verify_adjusted(tri: Triangulation, lp: LatticePair, sym: PermSymmetry) -> Certificate:

@@ -1366,13 +1366,14 @@ def test_record_checks_run_on_every_route():
             sheet.replace(**changes)
         with pytest.raises(orbifold.InconsistentSheet):
             orbifold.GSpaceSheet(**{"classes": sheet.classes, **changes})
-    # the normalising constructors: sorted cells, a plain pair mapping kept as
-    # a PairTable, and None read as an empty dict
+    # the normalising constructors: sorted cells and None read as an empty
+    # dict; a pair table is a PairTable, and a plain mapping is refused
     cells = [((0, 3), (3, 0)), ((3, 0), (0, 0))]
     assert toric.Triangulation(3, cells).cells == (((0, 0), (3, 0)), ((0, 3), (3, 0)))
-    paired = sheet.replace(commuting_pairs={("c0", "c0"): 1})
-    assert isinstance(paired.commuting_pairs, orbifold.PairTable)
-    assert dict(paired.commuting_pairs) == {("c0", "c0"): 1}
+    table = orbifold.PairTable({"c0": "c0"}, {"c0": {"c0": 1}})
+    assert sheet.replace(commuting_pairs=table).commuting_pairs is table
+    with pytest.raises(TypeError, match="commuting_pairs must be a PairTable or None, not a dict"):
+        sheet.replace(commuting_pairs={("c0", "c0"): 1})
     assert orbifold.GSpaceSheet(1, sheet.classes, metadata=None).metadata == {}
     assert orbifold.ClassRecord("c0", 1, 1, True, provenance=None).provenance == {}
     # the sheet reader builds each record by keyword, absent fields defaulted

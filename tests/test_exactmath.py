@@ -37,6 +37,7 @@ from test_toric import (
     _rational_inverse,
     _solve_in_basis,
     row_lattice_basis,
+    unimodular_inverse,
 )
 
 
@@ -554,42 +555,6 @@ def test_constructor_refuses_non_canonical_coefficients():
             CycloInt(5, bad)
 
 
-def _unimodular(draw_ops, n):
-    """The identity changed by row additions, swaps and sign flips."""
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    for kind, i, j, q in draw_ops:
-        i, j = i % n, j % n
-        if kind == 0 and i != j:
-            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
-        elif kind == 1:
-            rows[i], rows[j] = rows[j], rows[i]
-        else:
-            rows[i] = [-x for x in rows[i]]
-    return IntMat.from_rows(rows)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    n=st.integers(1, 5),
-    ops=st.lists(
-        st.tuples(st.integers(0, 2), st.integers(0, 4), st.integers(0, 4), st.integers(-4, 4)),
-        max_size=25,
-    ),
-)
-def test_integer_unimodular_inverse_matches_rational_inverse(n, ops):
-    a = _unimodular(ops, n)
-    inv = a.inverse_unimodular()
-    assert inv.to_rows() == _rational_inverse(a.to_rows())
-    assert inv.mul(a) == IntMat.identity(n) == a.mul(inv)
-
-
-def test_inverse_unimodular_refuses_other_determinants():
-    with pytest.raises(ValueError, match="not unimodular"):
-        IntMat.from_rows([[2, 0], [0, 1]]).inverse_unimodular()
-    with pytest.raises(ValueError, match="not unimodular"):
-        IntMat.from_rows([[1, 2], [2, 4]]).inverse_unimodular()
-
-
 def test_snf_examples():
     _, d1, _ = smith_normal_form(IntMat.identity(2))
     assert [d1.get(i, i) for i in range(2)] == [1, 1]
@@ -631,7 +596,7 @@ def test_snf_properties(rows):
             if i != j:
                 assert d.get(i, j) == 0
     # recomposition recovers the input
-    back = u.inverse_unimodular().mul(d).mul(v.inverse_unimodular())
+    back = unimodular_inverse(u).mul(d).mul(unimodular_inverse(v))
     assert back.entries == a.entries
 
 

@@ -43,6 +43,16 @@ from crepant.groups import (
 from test_exactmath import _collect_lift, _entries, _root_of_unity_order
 
 
+def dense(g):
+    """The dense matrix of an element: a CycloInt at its conductor per entry,
+    zero where its sparse rows store none."""
+    out = [[CycloInt(g.conductor)] * g.n for _ in range(g.n)]
+    for i, row in enumerate(g.rows):
+        for j, x in row:
+            out[i][-j] = CycloInt(g.conductor, x)
+    return tuple(map(tuple, out))
+
+
 def _table(group):
     """The |G|² multiplication table, table[i][j] = index of i·j, from the rows."""
     return tuple(tuple(group.row(b)) for b in range(group.order))
@@ -219,9 +229,7 @@ def test_invariant_count_stable_under_central_twist(tetra_group):
     # multiplying the symmetry by a central element does not change the action
     h = binary_tetrahedral_symmetry()
     minus_one = next(
-        e
-        for e in tetra_group.elements
-        if e.entries[0][0] == -1 and e.entries[0][1].is_zero() and e.entries[1][1] == -1
+        e for e in tetra_group.elements if e == GroupElement.from_matrix([[-1, 0], [0, -1]])
     )
     twisted = h.lift(3).mul(minus_one)
     act1 = outer_action(tetra_group, h)
@@ -298,15 +306,15 @@ def test_mul_matches_the_dense_product(m, spec, shape, sigma, lift):
         tuple(tuple(entries[s + r : s + r + n]) for r in range(0, n * n, n)) for s in (0, 9)
     ]
     big = lift * m
-    a, b = (GroupElement(n, m, r).lift(big) for r in rows)
+    a, b = (GroupElement.from_matrix(r, m).lift(big) for r in rows)
     (ra, rb) = ([[x.lift(big) for x in row] for row in r] for r in rows)
     zero = CycloInt.from_int(0, big)
-    dense = tuple(
+    want = tuple(
         tuple(sum((ra[i][k] * rb[k][j] for k in range(n)), zero) for j in range(n))
         for i in range(n)
     )
-    assert a.mul(b).entries == dense
-    assert a.mul(b).conductor == big and a.mul(b).key() == _sparse_key(dense)
+    assert dense(a.mul(b)) == want
+    assert a.mul(b).conductor == big and a.mul(b).key() == _sparse_key(want)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +386,7 @@ def _reference_outer_action(group, h):
     for e in group.elements:
         num = hh.mul(e.lift(m)).mul(adj)
         ent = []
-        for row in num.entries:
+        for row in dense(num):
             out_row = []
             for x in row:
                 q = cyclo_div_exact(x, det)
@@ -650,7 +658,7 @@ def _normalized_groups(draw):
 
 
 def _transpose(g):
-    return GroupElement(g.n, g.conductor, tuple(zip(*g.entries)))
+    return GroupElement.from_matrix(tuple(zip(*dense(g))), g.conductor)
 
 
 @settings(max_examples=40, deadline=None)
@@ -884,22 +892,22 @@ def _operator_mul(a, b):
     if a.conductor != b.conductor or a.n != b.n:
         raise IncompatibleElements("mismatched elements")
     zero = CycloInt.from_int(0, a.conductor)
-    support = [[(j, x) for j, x in enumerate(row) if x.coeffs] for row in b.entries]
+    support = [[(j, x) for j, x in enumerate(row) if x.coeffs] for row in dense(b)]
     rows = []
-    for row in a.entries:
+    for row in dense(a):
         out = [None] * a.n
         for k, x in enumerate(row):
             if x.coeffs:
                 for j, y in support[k]:
                     out[j] = x * y if out[j] is None else out[j] + x * y
         rows.append(tuple(zero if x is None else x for x in out))
-    return GroupElement(a.n, a.conductor, tuple(rows))
+    return GroupElement.from_matrix(rows, a.conductor)
 
 
 def _operator_scale(g, c):
     c = c.lift(g.conductor)
-    return GroupElement(
-        g.n, g.conductor, tuple(tuple(c * x if x.coeffs else x for x in row) for row in g.entries)
+    return GroupElement.from_matrix(
+        [[c * x if x.coeffs else x for x in row] for row in dense(g)], g.conductor
     )
 
 
@@ -920,7 +928,7 @@ def _operator_det(entries, conductor):
 
 
 def _operator_element_det(g):
-    return _operator_det(g.entries, g.conductor)
+    return _operator_det(dense(g), g.conductor)
 
 
 def _operator_adjugate(g):
@@ -928,17 +936,17 @@ def _operator_adjugate(g):
     for i in range(g.n):
         row = []
         for j in range(g.n):
-            minor = tuple(r[:i] + r[i + 1 :] for k, r in enumerate(g.entries) if k != j)
+            minor = tuple(r[:i] + r[i + 1 :] for k, r in enumerate(dense(g)) if k != j)
             d = _operator_det(minor, g.conductor)
             row.append(d if (i + j) % 2 == 0 else -d)
         cof.append(tuple(row))
-    return GroupElement(g.n, g.conductor, tuple(cof))
+    return GroupElement.from_matrix(cof, g.conductor)
 
 
 @st.composite
 def _matrices(draw, m, n):
     rows = tuple(tuple(draw(_entries(m)) for _ in range(n)) for _ in range(n))
-    return GroupElement(n, m, rows)
+    return GroupElement.from_matrix(rows, m)
 
 
 def _sparse_key(entries):
@@ -950,8 +958,8 @@ def _sparse_key(entries):
 def _same(a, b):
     """Equal elements entry by entry, with equal keys, at one conductor."""
     assert (a.n, a.conductor) == (b.n, b.conductor)
-    assert [[x.coeffs for x in r] for r in a.entries] == [[x.coeffs for x in r] for r in b.entries]
-    assert a.key() == b.key() == _sparse_key(a.entries)
+    assert [[x.coeffs for x in r] for r in dense(a)] == [[x.coeffs for x in r] for r in dense(b)]
+    assert a.key() == b.key() == _sparse_key(dense(a))
 
 
 _CONDUCTORS = st.sampled_from([1, 2, 3, 4, 5, 8, 9, 12, 20])
@@ -977,7 +985,7 @@ def test_kernel_scale_matches_the_operators(data, m, n):
 @given(data=st.data(), m=_CONDUCTORS, n=st.integers(0, 4))
 def test_kernel_det_and_adjugate_match_the_operators(data, m, n):
     g = data.draw(_matrices(m, n))
-    got, want = g.det(), _operator_det(g.entries, m)
+    got, want = g.det(), _operator_det(dense(g), m)
     assert (got.conductor, got.coeffs) == (want.conductor, want.coeffs)
     if n:
         _same(_adjugate(g), _operator_adjugate(g))
@@ -1051,15 +1059,23 @@ def test_census_group_is_the_same_under_the_operator_route(monkeypatch, label):
 
 
 def _dense_key(e):
-    return tuple(x.coeffs for row in e.entries for x in row)
+    return tuple(x.coeffs for row in dense(e) for x in row)
 
 
 def _assert_dense_key_order(group):
     """The elements are in strictly increasing dense-key order, and each
-    one's key is its sparse rows, read off its dense entries."""
-    dense = [_dense_key(e) for e in group.elements]
-    assert dense == sorted(dense) and len(set(dense)) == group.order
-    assert [e.key() for e in group.elements] == [_sparse_key(e.entries) for e in group.elements]
+    one's key is its sparse rows, read off its dense entries.  The record
+    constructor, the unchecked one and ``from_matrix`` of the dense entries
+    give each element the same fields."""
+    keys = [_dense_key(e) for e in group.elements]
+    assert keys == sorted(keys) and len(set(keys)) == group.order
+    assert [e.key() for e in group.elements] == [_sparse_key(dense(e)) for e in group.elements]
+    for e in group.elements:
+        built = GroupElement(e.n, e.conductor, e.rows)
+        unchecked = groups._element(e.n, e.conductor, e.rows)
+        read = GroupElement.from_matrix(dense(e), e.conductor)
+        assert vars(built) == vars(unchecked) == vars(read) == vars(e)
+        assert built == unchecked == read == e
 
 
 def _assert_conjugates_by_dense_keys(group, h):
@@ -1068,12 +1084,12 @@ def _assert_conjugates_by_dense_keys(group, h):
     CycloInt operators at the lcm of the conductors."""
     big = lcm(group.elements[0].conductor, h.conductor)
     hh = h.lift(big)
-    det, adj = _operator_det(hh.entries, big), _operator_adjugate(hh)
+    det, adj = _operator_det(dense(hh), big), _operator_adjugate(hh)
     index = {_dense_key(e.lift(big)): i for i, e in enumerate(group.elements)}
     perm = outer_action(group, h).element_perm
     for i, e in enumerate(group.elements):
         num = _operator_mul(_operator_mul(hh, e.lift(big)), adj)
-        conj = GroupElement.from_matrix([[cyclo_div_exact(x, det) for x in r] for r in num.entries])
+        conj = GroupElement.from_matrix([[cyclo_div_exact(x, det) for x in r] for r in dense(num)])
         if group.normalizer is not None:
             conj = group.normalizer(conj)
         assert index[_dense_key(conj)] == perm[i]

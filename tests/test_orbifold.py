@@ -51,11 +51,32 @@ def test_fermat_euler_table():
     assert [full_support_euler(5, m) for m in range(1, 6)] == [0, 5, -25, 125, -625]
 
 
+def _point_sheet(group_order, class_count):
+    """The one-point space under a group with class_count classes of one
+    size: every class contributes one."""
+    size = group_order // class_count
+    prov = {"euler_quotient": ob.TRIVIAL, "lefschetz_quotient": ob.TRIVIAL}
+    classes = tuple(
+        ClassRecord(f"c{i}", size, class_count, True, 1, 1, dict(prov), 0)
+        for i in range(class_count)
+    )
+    return GSpaceSheet(group_order, classes, None, None, {"space": "point"})
+
+
+def _pair_table(pairs):
+    """The PairTable of a plain mapping from label pairs, each label its own type."""
+    rows = {}
+    for (a, b), value in pairs.items():
+        rows.setdefault(a, {})[b] = value
+    return ob.PairTable({a: a for a in rows}, rows)
+
+
 def test_point_sheet():
     sheet = point_sheet()
+    assert sheet == _point_sheet(1, 1)
     assert orbifold_euler(sheet) == 1
     assert equivariant_lefschetz(sheet) == 1
-    many = point_sheet(6, 3)
+    many = _point_sheet(6, 3)
     assert orbifold_euler(many) == 3  # one per conjugacy class
 
 
@@ -225,15 +246,19 @@ def test_built_sheet_lists_every_ordered_pair_and_loads_back(quintic_sheets, var
         assert table.total() == sum(table.values()) == 125 * 200
 
 
-def test_a_plain_mapping_becomes_a_pair_table_by_label():
+def test_commuting_pairs_is_a_pair_table_or_none():
     classes = (ClassRecord("e", 1, 2, True, 1, 1), ClassRecord("g", 1, 2, True, 1, 1))
     pairs = {("e", "e"): 4, ("e", "g"): 0, ("g", "e"): 0, ("g", "g"): 0}
-    table = GSpaceSheet(2, classes, None, pairs).commuting_pairs
-    assert isinstance(table, ob.PairTable) and table == pairs and list(table) == list(pairs)
+    table = _pair_table(pairs)
+    assert table == pairs and list(table) == list(pairs)
     assert len(table) == 4 and table["e", "e"] == 4 and ("g", "h") not in table
     assert table.total() == 4
     assert repr(table) == f"PairTable({pairs!r})"
     assert GSpaceSheet(2, classes, None, table).commuting_pairs is table
+    assert GSpaceSheet(2, classes, None, None).commuting_pairs is None
+    for other in (pairs, sorted(table.triples())):
+        with pytest.raises(TypeError, match="commuting_pairs must be a PairTable or None"):
+            GSpaceSheet(2, classes, None, other)
 
 
 def _reference_class_record(patterns, p, inv, d):
@@ -358,7 +383,9 @@ def test_sheet_validation_errors():
 
 def test_sheets_check_and_convert_their_fields_when_built_and_replaced():
     classes = (ClassRecord("e", 1, 2, True, 1, 1), ClassRecord("g", 1, 2, True, 1, 1))
-    sheet = GSpaceSheet(2, classes, None, {(a.label, b.label): 1 for a in classes for b in classes})
+    sheet = GSpaceSheet(
+        2, classes, None, _pair_table({(a.label, b.label): 1 for a in classes for b in classes})
+    )
     assert isinstance(sheet.commuting_pairs, ob.PairTable) and sheet.metadata == {}
     with pytest.raises(InconsistentSheet, match="class sizes sum to 2, not 3"):
         sheet.replace(group_order=3)
@@ -377,7 +404,7 @@ def test_sheets_check_and_convert_their_fields_when_built_and_replaced():
 
 def test_double_count_disagreement_raises():
     classes = (ClassRecord("e", 1, 1, True, 1, 1),)
-    sheet = GSpaceSheet(1, classes, None, {("e", "e"): 3})
+    sheet = GSpaceSheet(1, classes, None, _pair_table({("e", "e"): 3}))
     with pytest.raises(InconsistentSheet):
         orbifold_euler(sheet)
 
@@ -453,7 +480,7 @@ def _valid_sheets(draw):
         strata = tuple(strata)
     pairs = None
     if draw(st.booleans()):
-        pairs = {(a, b): draw(st.integers(-500, 500)) for a in labels for b in labels}
+        pairs = _pair_table({(a, b): draw(st.integers(-500, 500)) for a in labels for b in labels})
     metadata = draw(st.dictionaries(st.text(max_size=3), st.one_of(st.integers(), st.text())))
     return GSpaceSheet(order, classes, strata, pairs, metadata)
 
@@ -505,7 +532,7 @@ def test_identity_variant_matches_positional_construction(quintic_swap_sheet, qu
         quintic_swap_sheet,
         quintic_double_sheet,
         complete_intersection_sheet(),
-        point_sheet(6, 3),
+        _point_sheet(6, 3),
     ):
         ident = identity_action_variant(sheet)
         assert ident == _reference_identity_action_variant(sheet)
@@ -533,6 +560,9 @@ def test_twisted_engine_fixed_point_of_plain_swap():
     assert val == 1  # the point (1, -1, 0, 0, 0)
 
 
+A4 = a_chain(4)
+
+
 @pytest.mark.parametrize(
     "graph,expected",
     [
@@ -543,7 +573,7 @@ def test_twisted_engine_fixed_point_of_plain_swap():
         (d_diagram(8), 7),
         (e6_diagram(), 3),
         (d4_rotation(), 2),
-        (a_chain(4, reversal=False), 5),
+        (ob.DynkinGraph(A4.nodes, A4.edges, {n: n for n in A4.nodes}), 5),  # fixing every node
     ],
 )
 def test_dynkin_lefschetz(graph, expected):

@@ -44,7 +44,6 @@ from crepant.toric import (
     _coordinate_text,
     _cycle_average_volume,
     _det_one_minus,
-    _in_simplex,
     _lattice_coords,
     _maximal_invariant_faces,
     _orient,
@@ -101,10 +100,27 @@ def normalized_volume(vertices, lp):
     return vol
 
 
+def _in_simplex(p, simplex, lp):
+    """Whether the integer point p lies in the closed, nondegenerate simplex.
+
+    p lies in the affine span when the edges together with p - v_0 are
+    dependent (saturation index 0).  Then the simplex with vertex i replaced
+    by p has |lambda_i| times the lattice volume of the whole, lambda the
+    barycentric coordinates of p, which sum to one; so these volumes sum to
+    the whole exactly when every lambda_i >= 0.
+    """
+    if toric._volume((*simplex, p), 1, lp):
+        return False
+    replaced = ((*simplex[:i], p, *simplex[i + 1 :]) for i in range(len(simplex)))
+    parts = (toric._volume(s, 1, lp) for s in replaced)
+    return sum(parts) == toric._volume(simplex, 1, lp)
+
+
 def is_g_standard(sigma, tri, sym, lp=None):
     """``toric._standard_face`` of an invariant QSimplex with the cells of
-    ``tri`` (or none) as its pieces, all on integer points at one scale, as
-    a bool."""
+    ``tri`` (or none) inside it as its pieces, all on integer points at one
+    scale, as a bool.  A cell is inside when its vertex set lies within the
+    face's, or every vertex lies in the face (``_in_simplex``)."""
     whole = triangulation_of([sigma, *(rational_cells(tri) if tri is not None else ())])
     face = tuple(sorted(tuple(int(x * whole.scale) for x in v) for v in sigma.vertices))
     pieces = list(whole.cells)
@@ -112,6 +128,9 @@ def is_g_standard(sigma, tri, sym, lp=None):
     if tuple(sorted(sym.apply(y) for y in face)) != face:
         raise NotInvariant("simplex is not invariant under the symmetry")
     lattice = lp if lp is not None else build_lattice_pair(len(face[0]), [])
+    pieces = [
+        s for s in pieces if set(s) <= set(face) or all(_in_simplex(y, face, lattice) for y in s)
+    ]
     return bool(toric._standard_face(face, pieces, sym, lattice, whole.scale))
 
 
@@ -605,7 +624,7 @@ def _quotient_block(S, rows, span):
     n = S.rows
     _, D, V = smith_normal_form(IntMat.from_rows(rows))
     r = sum(1 for i in range(min(D.rows, D.cols)) if D.get(i, i))
-    A = V.inverse_unimodular().mul(S).mul(V)
+    A = unimodular_inverse(V).mul(S).mul(V)
     q = n - r
     if any(A.get(i, r + j) for i in range(r) for j in range(q)):
         raise NotInvariant(f"span of {list(span)} is not invariant under the symmetry")
@@ -797,6 +816,14 @@ def _rational_inverse(rows):
     if _gauss_reduce(aug)[:n] != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
     return [r[n:] for r in aug]
+
+
+def unimodular_inverse(a):
+    """The inverse of a unimodular IntMat, from ``_rational_inverse``."""
+    inverse = _rational_inverse(a.to_rows())
+    if any(x.denominator != 1 for r in inverse for x in r):
+        raise ValueError("matrix is not unimodular")
+    return IntMat.from_rows([[int(x) for x in r] for r in inverse])
 
 
 def _integer_kernel_rows(a):
@@ -1465,7 +1492,7 @@ def row_lattice_basis(rows) -> list[list[Fraction]]:
         return []
     den, scaled = _integer_rows(rows)
     _, D, V = smith_normal_form(IntMat.from_rows(scaled))
-    DVinv = D.mul(V.inverse_unimodular())
+    DVinv = D.mul(unimodular_inverse(V))
     basis = []
     for i in range(DVinv.rows):
         r = DVinv.row(i)
@@ -1650,10 +1677,10 @@ _NAMED_PAIRS = [
 
 
 @st.composite
-def _generator_lists(draw):
-    """n in {2, ..., 5} and 0 to 3 generators, some of modulus 1 and some
-    not in lowest terms: k*a @ k*m shares the factor k with its modulus."""
-    n = draw(st.integers(2, 5))
+def _generator_lists(draw, least=2, most=5):
+    """n in {least, ..., most} and 0 to 3 generators, some of modulus 1 and
+    some not in lowest terms: k*a @ k*m shares the factor k with its modulus."""
+    n = draw(st.integers(least, most))
     gens = []
     for _ in range(draw(st.integers(0, 3))):
         m = draw(st.integers(1, 12))
@@ -1685,6 +1712,22 @@ def test_one_smith_form_matches_the_rational_lattice_pair(case):
 @pytest.mark.parametrize("n,gens", _NAMED_PAIRS)
 def test_one_smith_form_matches_the_rational_lattice_pair_on_named_pairs(n, gens):
     _check_one_smith_form(n, gens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_generator_lists(1, 4))
+def test_lattice_basis_is_diag_s_times_v_inverse(case):
+    """The basis, the first n rows of U·K, is diag(s)·V^-1 for the Smith
+    form U·K·V = S of the rows D*e_i and D*a/m, with V^-1 the rational
+    inverse: U·K = S·V^-1, integer for integer."""
+    n, gens = case
+    lp = build_lattice_pair(n, gens)
+    d = lp.scale
+    rows = [[d * int(i == j) for j in range(n)] for i in range(n)]
+    rows += [[a * d // m for a in vec] for vec, m in lp.generators]
+    _, S, V = smith_normal_form(IntMat.from_rows(rows))
+    vinv = _rational_inverse(V.to_rows())
+    assert list(lp.basis) == [tuple(S.get(k, k) * x for x in vinv[k]) for k in range(n)]
 
 
 def test_fixed_locus_volume_matches_normalized_volume_in_dimensions_4_and_5():

@@ -1,8 +1,9 @@
-"""Checks of the workflow's `python -O` step as tier-1 cases: each runs
+"""CLI checks under `python -O` as tier-1 cases: each runs
 `python -O -m crepant.cli` in a child process, so the invariants hold with
-asserts stripped, with the step's argv and expectations (exit code, for
-`toric --load` one stderr line and no output file, and a peak memory bound
-for a group at the default cap)."""
+asserts stripped.  Each case has its argv and expectations: an exit code;
+for malformed input one stderr line, and for `toric --load` no output file;
+a sheet that saves back to the same bytes; no stderr when the reader closes
+the report early; and a peak memory bound for a group at the default cap."""
 
 import json
 import os
@@ -15,11 +16,13 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
+ENV = {**os.environ, "PYTHONPATH": str(SRC)}
+CLI = [sys.executable, "-O", "-m", "crepant.cli"]
+
+
 def _cli(*argv):
     """``python -O -m crepant.cli`` with argv in a child process."""
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    command = [sys.executable, "-O", "-m", "crepant.cli", *argv]
-    return subprocess.run(command, capture_output=True, text=True, env=env)
+    return subprocess.run([*CLI, *argv], capture_output=True, text=True, env=ENV)
 
 
 def _drop_last_simplex(doc):
@@ -105,15 +108,105 @@ def test_toric_load_under_python_O(tmp_path, source, edit, tail, code):
         pytest.param(["--fixture", "quintic", "--cap", "125"], 0, id="quintic-cap-125"),
         # a cap below 1 is malformed input: exit 2
         pytest.param(["--fixture", "quintic", "--cap", "0"], 2, id="quintic-cap-0"),
+        # the order-8 quaternion group of d4-triality reads the cap too
+        pytest.param(["--fixture", "d4-triality", "--cap", "7"], 3, id="d4-triality-cap-7"),
+        pytest.param(["--fixture", "d4-triality", "--cap", "8"], 0, id="d4-triality-cap-8"),
+        # a fixture size below its minimum is malformed input: exit 2
+        pytest.param(["--fixture", "cyclic", "--n", "-1"], 2, id="cyclic-n-minus-1"),
     ],
 )
 def test_group_under_python_O(argv, code):
     assert _cli("group", *argv).returncode == code
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # crepant, adjusted and L = fixed count = index at |N/M| = 400
+        pytest.param(["--n", "3", "--gen", "1,1,398@400", "--perm", "id"], 0, id="400-id"),
+        # a lattice denominator D = 3 below the modulus 6
+        pytest.param(["--n", "3", "--gen", "2,4,0@6", "--perm", "(1 2)"], 0, id="6-swap"),
+        # a dimension below one is malformed input: exit 2
+        pytest.param(["--n", "0"], 2, id="n-0"),
+        # cycles that repeat an index are malformed input: exit 2
+        pytest.param(["--n", "3", "--perm", "(1 2)(1 2)"], 2, id="repeated-cycle"),
+    ],
+)
+def test_toric_build_under_python_O(argv, code):
+    assert _cli("toric", *argv).returncode == code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["group", "--gens", "[[z4,0],[0,z4^3-]]"], id="entry-ending-in-a-sign"),
+        pytest.param(["toric", "--n", "3", "--gen", "1_0,1,1@12"], id="underscore-in-a-number"),
+    ],
+)
+def test_malformed_input_exits_2_with_one_stderr_line(argv):
+    proc = _cli(*argv)
+    assert proc.returncode == 2 and proc.stderr.count("\n") == 1, proc.stderr
+
+
 @pytest.mark.parametrize("fixture", ["quintic-swap", "quintic-swap-two-pairs"])
 def test_orbifold_fixture_under_python_O(fixture):
     assert _cli("orbifold", "--fixture", fixture).returncode == 0
+
+
+@pytest.mark.parametrize("fixture", ["quintic-swap", "quintic-swap-two-pairs"])
+def test_saved_sheet_loads_and_saves_to_the_same_bytes(tmp_path, fixture):
+    """A built pair table and a loaded one serialize alike."""
+    sheet, again = tmp_path / "sheet.json", tmp_path / "again.json"
+    assert _cli("orbifold", "--fixture", fixture, "--save", str(sheet)).returncode == 0
+    assert _cli("orbifold", "--sheet", str(sheet), "--save", str(again)).returncode == 0
+    assert sheet.read_bytes() == again.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a negative invariant class count in a stratum
+        pytest.param(
+            '{"group_order": 1, "classes": [{"label": "e", "size": 1, "centralizer_order": 1, '
+            '"in_ch": true, "lefschetz_quotient": 1}], "strata": [{"label": "s", '
+            '"stabilizer_order": 1, "lefschetz_stratum": 1, "h_invariant": true, "con_h": -1}]}',
+            id="negative-con-h",
+        ),
+        # a misspelt record key is refused, not ignored
+        pytest.param(
+            '{"group_order": 1, "classes": [{"label": "e", "size": 1, "centralizer_order": 1, '
+            '"in_ch": true, "euler_quotent": 0}]}',
+            id="misspelt-record-key",
+        ),
+        # a misspelt top-level key is refused too, so its table is not dropped
+        pytest.param(
+            '{"group_order": 1, "classes": [{"label": "e", "size": 1, "centralizer_order": 1, '
+            '"in_ch": true, "euler_quotient": 1, "lefschetz_quotient": 1}], '
+            '"comuting_pairs": [["e", "e", 5]]}',
+            id="misspelt-top-level-key",
+        ),
+    ],
+)
+def test_malformed_sheet_exits_2_under_python_O(tmp_path, text):
+    sheet = tmp_path / "sheet.json"
+    sheet.write_text(text + "\n")
+    assert _cli("orbifold", "--sheet", str(sheet)).returncode == 2
+
+
+def test_verify_under_python_O():
+    proc = _cli("verify", "--seed", "7")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_verify_to_a_reader_that_closes_early_writes_no_stderr():
+    """A reader that closes the pipe after one byte is no internal error:
+    nothing on stderr, whatever the exit code."""
+    command = [*CLI, "verify", "--seed", "7"]
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=ENV) as proc:
+        proc.stdout.read(1)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert "internal error" not in err and err == ""
 
 
 # a fresh interpreter that runs its argv as its only child and prints that
@@ -130,9 +223,8 @@ def test_group_at_the_default_cap_peaks_under_150_mb():
     """A group at the default cap is held without its |G|^2 table: the
     command peaks under 150 MB."""
     argv = ["group", "--fixture", "cyclic", "--n", "10000", "--action", "swap"]
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    command = [sys.executable, "-c", PEAK_PROGRAM, sys.executable, "-O", "-m", "crepant.cli", *argv]
-    proc = subprocess.run(command, capture_output=True, text=True, env=env)
+    command = [sys.executable, "-c", PEAK_PROGRAM, *CLI, *argv]
+    proc = subprocess.run(command, capture_output=True, text=True, env=ENV)
     assert proc.returncode == 0, proc.stderr
     peak_mb = int(proc.stdout) / 1024
     assert peak_mb < 150, f"peak RSS {peak_mb:.1f} MB is not under 150 MB"
