@@ -192,7 +192,7 @@ def _group_fixture(args):
         return fixtures.quintic_group(cap=args.cap), fixtures.quintic_symmetry(
             args.action or "swap"
         )
-    if name in ("lt", "lt-complete-intersection", "complete-intersection"):
+    if name == "lt":
         return (
             fixtures.complete_intersection_group(cap=args.cap),
             fixtures.complete_intersection_symmetry(),
@@ -320,9 +320,9 @@ def cmd_toric(args):
 def _orbifold_fixture(name: str) -> orbifold.GSpaceSheet:
     if name == "quintic-swap":
         return orbifold.quintic_sheet("swap")
-    if name in ("quintic-swap-two-pairs", "quintic-double-swap"):
+    if name == "quintic-swap-two-pairs":
         return orbifold.quintic_sheet("swap-two-pairs")
-    if name in ("lt-complete-intersection", "complete-intersection"):
+    if name == "lt-complete-intersection":
         return orbifold.complete_intersection_sheet()
     if name == "point":
         return orbifold.point_sheet()
@@ -375,45 +375,46 @@ def _check_blockdet(args, rng):
     return {"status": _status(ok), "values": details}
 
 
+def _invariant_classes(group, h) -> int:
+    """The number of conjugacy classes of the group that h keeps."""
+    return groups.invariant_class_count(groups.outer_action(group, h))
+
+
+def _line_pair(m: int):
+    """The pair of 1,m-1@m in dimension 2 (no generator at m = 1) with the swap."""
+    lp = toric.build_lattice_pair(2, [((1, m - 1), m)] if m > 1 else [])
+    return lp, toric.PermSymmetry.from_cycles(2, [(0, 1)])
+
+
 def _check_mckay2d(args, rng):
     rows = []
     ok = True
     for m in range(1, args.max_n + 1):
-        lp = toric.build_lattice_pair(2, [((1, m - 1), m)] if m > 1 else [])
-        sym = toric.PermSymmetry.from_cycles(2, [(0, 1)])
+        lp, sym = _line_pair(m)
         tri = toric.adjusted_triangulation(lp, sym)
         lef = toric.toric_lefschetz(tri, lp, sym)
         fixed = toric.count_fixed_elements(lp, sym)
-        group = fixtures.cyclic_group(m)
-        action = groups.outer_action(group, fixtures.cyclic_swap_symmetry())
-        inv = groups.invariant_class_count(action)
+        inv = _invariant_classes(fixtures.cyclic_group(m), fixtures.cyclic_swap_symmetry())
         rows.append({"n": m, "lefschetz": lef, "fixed": fixed, "invariant_classes": inv})
         ok = ok and lef == fixed == inv
     return {"status": _status(ok), "rows": rows}
 
 
 def _random_lattice_instance(rng):
-    order = rng.choice([2, 3])
-    sym = (
-        toric.PermSymmetry.from_cycles(3, [(0, 1)])
-        if order == 2
-        else toric.PermSymmetry.from_cycles(3, [(0, 1, 2)])
-    )
-    while True:
-        m = rng.randint(2, 7)
-        gens = []
-        for _ in range(rng.randint(1, 2)):
-            a, b = rng.randint(0, m - 1), rng.randint(0, m - 1)
-            vec = [a, b, (-(a + b)) % m]
-            for _ in range(order):
-                gens.append((tuple(vec), m))
-                vec = sym.apply(vec)
-        try:
-            lp = toric.build_lattice_pair(3, gens)
-        except toric.NotSpecialLinear:
-            continue
-        if lp.order <= 49 and sym.preserves(lp):
-            return lp, sym
+    """A random lattice pair in dimension 3 with a transposition or a 3-cycle
+    that keeps it: each exponent vector sums to 0 mod m <= 7, the generators
+    are closed under the symmetry, and |N/M| <= m^2, as N/M lies among the
+    m^2 points of (1/m)Z^3 / Z^3 with an integral coordinate sum."""
+    sym = toric.PermSymmetry.from_cycles(3, [(0, 1)] if rng.choice([2, 3]) == 2 else [(0, 1, 2)])
+    m = rng.randint(2, 7)
+    gens = []
+    for _ in range(rng.randint(1, 2)):
+        a, b = rng.randint(0, m - 1), rng.randint(0, m - 1)
+        vec = (a, b, (-(a + b)) % m)
+        for _ in range(sym.order):
+            gens.append((vec, m))
+            vec = sym.apply(vec)
+    return toric.build_lattice_pair(3, gens), sym
 
 
 def _check_toric3d_random(args, rng):
@@ -454,9 +455,7 @@ def _check_parity43(args, rng):
     """
     rows = []
     for m in (2, 3, 4, 5, 6, 7):
-        group = fixtures.cyclic_group(m)
-        action = groups.outer_action(group, fixtures.cyclic_flip_symmetry())
-        engine = groups.invariant_class_count(action)
+        engine = _invariant_classes(fixtures.cyclic_group(m), fixtures.cyclic_flip_symmetry())
         quoted = 1 if m % 2 == 0 else 2
         rows.append(
             {
@@ -508,31 +507,23 @@ def _check_ade(args, rng):
     rows = []
     ok = True
     for m in (2, 4, 6, 8):
-        group = fixtures.cyclic_group(m)
-        inv = groups.invariant_class_count(
-            groups.outer_action(group, fixtures.cyclic_swap_symmetry())
-        )
+        inv = _invariant_classes(fixtures.cyclic_group(m), fixtures.cyclic_swap_symmetry())
         rep = orbifold.mckay_check(inv, orbifold.a_chain(m - 1))
         rows.append({"case": f"cyclic-{m}", **rep})
         ok = ok and rep["equal"] and inv == 2
     for r in range(3, 9):
-        group = fixtures.binary_dihedral(r)
-        inv = groups.invariant_class_count(
-            groups.outer_action(group, fixtures.binary_dihedral_symmetry(r))
-        )
+        inv = _invariant_classes(fixtures.binary_dihedral(r), fixtures.binary_dihedral_symmetry(r))
         rep = orbifold.mckay_check(inv, orbifold.d_diagram(r))
         rows.append({"case": f"binary-dihedral-{r}", **rep})
         ok = ok and rep["equal"] and inv == r - 1
     group = fixtures.binary_tetrahedral()
     classes = groups.conjugacy_classes(group)
-    inv = groups.invariant_class_count(
-        groups.outer_action(group, fixtures.binary_tetrahedral_symmetry())
-    )
+    inv = _invariant_classes(group, fixtures.binary_tetrahedral_symmetry())
     rep = orbifold.mckay_check(inv, orbifold.e6_diagram())
     rows.append({"case": "binary-tetrahedral", "classes": classes.count, **rep})
     ok = ok and rep["equal"] and inv == 3 and classes.count == 7
     q8, tri = fixtures.d4_triality()
-    inv = groups.invariant_class_count(groups.outer_action(q8, tri))
+    inv = _invariant_classes(q8, tri)
     rep = orbifold.mckay_check(inv, orbifold.d4_rotation())
     rows.append({"case": "d4-triality", **rep})
     ok = ok and rep["equal"] and inv == 2
@@ -570,8 +561,7 @@ def _check_independence(args, rng):
     rows = []
     ok = True
     for m in range(1, 21):
-        lp = toric.build_lattice_pair(2, [((1, m - 1), m)] if m > 1 else [])
-        sym = toric.PermSymmetry.from_cycles(2, [(0, 1)])
+        lp, sym = _line_pair(m)
         a = toric.toric_lefschetz(toric.adjusted_triangulation(lp, sym, "lex"), lp, sym)
         b = toric.toric_lefschetz(toric.adjusted_triangulation(lp, sym, "revlex"), lp, sym)
         ok = ok and a == b

@@ -13,11 +13,11 @@ evaluator computes the Lefschetz number of the symmetry on the resolution
 as a sum of det(I - sigma) terms, one per maximal invariant face, each read
 off the cycle types of the symmetry and the face.
 
-All geometry is exact and runs on integers.  A ``LatticePair`` is D, the
-lattice denominator (N lies in (1/D)Z^n), with the integer rows D*b of a
-basis b of N; one Smith form of the generators scaled by D gives that basis,
-its inverse and |N/M| at once.  N/M is held once as the set of residues
-D*x mod D of its elements, and the points of N on the base simplex are the
+All geometry is exact and runs on integers.  A ``LatticePair`` is its
+generators: when it is built, one Smith form of them scaled by D, the
+lattice denominator (N lies in (1/D)Z^n), gives the integer rows D*b of a
+basis b of N, its inverse, |N/M| and N/M itself, as the set of residues
+D*x mod D of its elements.  The points of N on the base simplex are the
 residues of coordinate sum D together with the unit points.  A
 ``Triangulation`` holds each vertex x as the integer tuple scale*x: the
 scale is D once built and the lcm of the denominators once read from a
@@ -112,76 +112,66 @@ class NotInvariantTriangulation(ValueError):
 class LatticePair(Record):
     """Sublattice M = Z^n inside an overlattice N with N/M the quotient group.
 
-    N is spanned by M together with vectors a/m for the given generator pairs
-    (a, m); every generator satisfies sum(a) = 0 mod m, so coordinate sums
-    stay integral on N, the lattice counterpart of acting through the special
-    linear torus.  N lies in (1/scale)Z^n, and ``basis`` holds the integer
-    rows scale*b of a basis b of N.
+    N is spanned by M together with vectors a/m for the generator pairs
+    (a, m).  Each has n integer exponents summing to 0 mod a modulus m >= 1
+    (else ValueError or NotSpecialLinear), so coordinate sums stay integral
+    on N: the lattice counterpart of acting through the special linear
+    torus.  The two fields define the pair.  When it is built or replaced,
+    the generators are checked and stored as tuples, and one Smith form
+    U K V = S of the rows D*e_i and D*a/m, with invariants s_k, gives the
+    rest as plain attributes (H. Cohen, A Course in Computational Algebraic
+    Number Theory, 1993, section 2.4):
+
+    - ``scale``: D, the lcm of the reduced denominators m/gcd(a_i, m), so N
+      lies in (1/D)Z^n;
+    - ``basis``: the rows D*b of a basis b of N, the first n rows of
+      U K = S V^-1 (they span the rows of K, as U is unimodular);
+    - ``order``: |N/M| = D^n/prod(s);
+    - ``basis_inverse``: V diag(D/s), the N-coordinates of the unit
+      vectors, integral as each s_k divides D (else LatticeError);
+    - ``residues``: N/M as the residues D*x mod D of its elements.  M is
+      diag(D/s) Z^n in N-coordinates, so they are the sums of c_k times
+      basis row k mod D with 0 <= c_k < D/s_k, each element once.
     """
 
     n: int
     generators: tuple[tuple[tuple[int, ...], int], ...]
-    scale: int  # D, the lattice denominator
-    basis: tuple[IntVec, ...]
-    order: int  # index of M in N
 
-    def _cached(self, name: str, compute):
-        """The value kept on the instance under ``name``, computed once."""
-        value = self.__dict__.get(name)
-        if value is None:
-            value = self.__dict__[name] = compute()
-        return value
-
-    def basis_inverse(self) -> list[list[int]]:
-        """Inverse of the basis matrix: its rows are the N-coordinates of the
-        unit vectors, so it is integral because M = Z^n lies in N.  It comes
-        from the Smith form that ``build_lattice_pair`` takes."""
-
-        def missing():
-            raise LatticeError("the basis inverse is known only for a pair from build_lattice_pair")
-
-        return self._cached("_binv", missing)
-
-    def residues(self) -> frozenset[IntVec]:
-        """N/M as the residues D*x mod D of its elements, D the scale.
-
-        Found by breadth-first search from zero over the residues of the
-        generators.  Raises LatticeError when a generator is not in
-        (1/D)Z^n or the search does not find ``order`` residues.
-        """
-
-        def compute():
-            d = self.scale
-            steps = []
-            for vec, m in self.generators:
-                if any(a * d % m for a in vec):
-                    raise LatticeError(f"generator {vec}/{m} is not in (1/{d})Z^{self.n}")
-                steps.append(tuple(a * d // m % d for a in vec))
-            zero = (0,) * self.n
-            seen, frontier = {zero}, [zero]
-            while frontier:
-                nxt = []
-                for r in frontier:
-                    for g in steps:
-                        s = tuple((x + y) % d for x, y in zip(r, g))
-                        if s not in seen:
-                            seen.add(s)
-                            nxt.append(s)
-                frontier = nxt
-            if len(seen) != self.order:
-                raise LatticeError(
-                    f"the generators give {len(seen)} elements of N/M, not the order {self.order}"
-                )
-            return frozenset(seen)
-
-        return self._cached("_residues", compute)
+    def _post_init(self):
+        n, gens = self.n, []
+        if n < 1:
+            raise ValueError(f"lattice n must be at least 1, not {n}")
+        for vec, m in self.generators:
+            vec = tuple(int(v) for v in vec)
+            if len(vec) != n or m < 1:
+                raise ValueError(f"generator {vec}@{m} needs {n} exponents and a modulus m >= 1")
+            if sum(vec) % m != 0:
+                raise NotSpecialLinear(f"exponents {vec} do not sum to 0 mod {m}")
+            gens.append((vec, int(m)))
+        self.__dict__["generators"] = tuple(gens)
+        d = lcm(*(m // gcd(a, m) for vec, m in gens for a in vec))
+        K = IntMat.from_rows(_units(n, d) + [[a * d // m for a in vec] for vec, m in gens])
+        U, S, V = smith_normal_form(K)
+        s = [S.get(k, k) for k in range(n)]
+        if not all(s) or any(d % x for x in s):
+            raise LatticeError(f"invariants {s} give no overlattice of Z^{n} in (1/{d})Z^{n}")
+        basis = tuple(map(tuple, U.mul(K).to_rows()[:n]))
+        found = [(0,) * n]  # the sums of c_k * basis_k mod D, 0 <= c_k < D/s_k
+        for b, x in zip(basis, s):
+            if x < d:  # a row with s_k = D adds only 0
+                steps = [tuple(c * y for y in b) for c in range(d // x)]
+                found = [tuple((a + y) % d for a, y in zip(r, t)) for r in found for t in steps]
+        self.__dict__.update(
+            scale=d, basis=basis, order=d**n // prod(s), residues=frozenset(found),
+            basis_inverse=tuple(tuple(d // x * v for x, v in zip(s, V.row(i))) for i in range(n)),
+        )
 
     def contains(self, y: IntVec, scale: int) -> bool:
         """Whether x = y/scale is in N: D*x is integral, its residue in N/M."""
         d = self.scale
         if any(a * d % scale for a in y):
             return False  # not in (1/D)Z^n
-        return tuple(a * d // scale % d for a in y) in self.residues()
+        return tuple(a * d // scale % d for a in y) in self.residues
 
     def scaled_base_points(self) -> list[IntVec]:
         """D*x for the points x of N on the base simplex, in lexicographic order.
@@ -190,7 +180,7 @@ class LatticePair(Record):
         is its own residue, unless it is a multiple of D: a unit point.
         """
         d = self.scale
-        return sorted([r for r in self.residues() if sum(r) == d] + _units(self.n, d))
+        return sorted([r for r in self.residues if sum(r) == d] + _units(self.n, d))
 
     def base_points(self) -> list[Vec]:
         """All points of N on the base simplex, in lexicographic order."""
@@ -204,38 +194,8 @@ def _units(n: int, d: int) -> list[IntVec]:
 
 
 def build_lattice_pair(n: int, generators: Sequence[tuple[Sequence[int], int]]) -> LatticePair:
-    """Overlattice of Z^n spanned by the given (exponent vector, modulus) pairs.
-
-    D is the lcm of the reduced denominators m/gcd(a_i, m) of the generator
-    entries.  One Smith form U K V = S of the rows D*e_i and D*a/m, with
-    invariants s_1..s_n, gives everything: U K = S V^-1, so the first n rows
-    of U K are diag(s) V^-1, the basis at scale D, spanning the rows of K as
-    U is unimodular; N/M has order D^n/prod(s); and the basis inverse is
-    V diag(D/s_i), integral because each s_i divides D (H. Cohen, A Course
-    in Computational Algebraic Number Theory, 1993, section 2.4).
-    """
-    if n < 1:
-        raise ValueError(f"lattice n must be at least 1, not {n}")
-    gens = []
-    for vec, m in generators:
-        vec = tuple(int(v) for v in vec)
-        if len(vec) != n or m < 1:
-            raise ValueError(f"generator {vec}@{m} needs {n} exponents and a modulus m >= 1")
-        if sum(vec) % m != 0:
-            raise NotSpecialLinear(f"exponents {vec} do not sum to 0 mod {m}")
-        gens.append((vec, int(m)))
-    d = lcm(*(m // gcd(a, m) for vec, m in gens for a in vec))
-    rows = _units(n, d) + [[a * d // m for a in vec] for vec, m in gens]
-    K = IntMat.from_rows(rows)
-    U, S, V = smith_normal_form(K)
-    s = [S.get(k, k) for k in range(n)]
-    if not all(s) or any(d % x for x in s) or d**n % prod(s):
-        raise LatticeError(f"invariants {s} do not give an overlattice of Z^{n} in (1/{d})Z^{n}")
-    UK = U.mul(K)
-    basis = tuple(UK.row(k) for k in range(n))
-    lp = LatticePair(n, tuple(gens), d, basis, d**n // prod(s))
-    lp._cached("_binv", lambda: [[d // s[k] * x for k, x in enumerate(V.row(i))] for i in range(n)])
-    return lp
+    """Overlattice of Z^n spanned by the given (exponent vector, modulus) pairs."""
+    return LatticePair(n, generators)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +247,20 @@ class PermSymmetry(Record):
         return lcm(*(len(c) for c in self.cycles()))
 
     def preserves(self, lp: LatticePair) -> bool:
-        return all(lp.contains(self.apply(y), lp.scale) for y in lp.basis)
+        return _moved_basis_vector(lp, self) is None
+
+
+def _moved_basis_vector(lp: LatticePair, sym: PermSymmetry) -> Optional[IntVec]:
+    """The first basis row of N that the symmetry maps out of N, or None."""
+    return next((y for y in lp.basis if not lp.contains(sym.apply(y), lp.scale)), None)
+
+
+def _require_lattice_kept(lp: LatticePair, sym: PermSymmetry) -> None:
+    """NotInvariant naming the first basis vector that the symmetry maps out of N."""
+    y = _moved_basis_vector(lp, sym)
+    if y is not None:
+        named = _witness(y, lp.scale)
+        raise NotInvariant(f"symmetry maps the basis vector {named} out of the lattice")
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +306,7 @@ def _saturation_index(lp: LatticePair, rows: Sequence[Sequence[int]]) -> int:
 
     It is the product of the Smith invariants of the vectors' N-coordinates.
     """
-    binv = lp.basis_inverse()
-    invariants = _smith_invariants([_lattice_coords(binv, y) for y in rows])
+    invariants = _smith_invariants([_lattice_coords(lp.basis_inverse, y) for y in rows])
     return prod(invariants) if len(invariants) == len(rows) else 0
 
 
@@ -462,8 +434,7 @@ def adjusted_triangulation(
         raise UnsupportedDimension("base simplex needs dimension >= 2")
     if lp.n >= 4:
         raise UnsupportedDimension("construction is limited to dimensions 2 and 3")
-    if not sym.preserves(lp):
-        raise NotInvariant("symmetry does not preserve the lattice")
+    _require_lattice_kept(lp, sym)
 
     reverse = insertion_order == "revlex"
     if insertion_order not in ("lex", "revlex"):
@@ -719,10 +690,7 @@ def _face_terms(tri: Triangulation, lp: LatticePair, sym: PermSymmetry):
         cells = [_witness(c, tri.scale) for c in (moved, sorted(map(image.get, moved)))]
         why = "the cell {} maps to {}".format(*cells)
         raise NotInvariantTriangulation(f"symmetry does not map the triangulation to itself: {why}")
-    for y in lp.basis:
-        if not lp.contains(sym.apply(y), lp.scale):
-            named = _witness(y, lp.scale)
-            raise NotInvariant(f"symmetry maps the basis vector {named} out of the lattice")
+    _require_lattice_kept(lp, sym)
     ls = [len(c) for c in sym.cycles()]
     return ((f, _face_contribution(f, ls, image.get)) for f in tri._invariant_faces(sym))
 
@@ -786,7 +754,7 @@ def block_det(s: int) -> int:
 
 def count_fixed_elements(lp: LatticePair, sym: PermSymmetry) -> int:
     """Number of symmetry-fixed elements of the quotient group N/M."""
-    return sum(1 for r in lp.residues() if sym.apply(r) == r)
+    return sum(1 for r in lp.residues if sym.apply(r) == r)
 
 
 def fixed_sublattice_index(lp: LatticePair, sym: PermSymmetry) -> int:

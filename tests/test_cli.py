@@ -742,6 +742,17 @@ REFUSED = [
     (["group", "--gens", "[[z4^1,0],[0,z4^3]]", "--action", "flip", "--r", "7"], "--gens cannot"),
     (["group", "--fixture", "quintic", "--n", "5", "--r", "9"], "--fixture cannot be combined"),
     (["group", "--fixture", "binary-tetrahedral", "--action", "flip"], "--fixture cannot be"),
+    # fixture aliases that were removed
+    (["group", "--fixture", "lt-complete-intersection"], "unknown group fixture 'lt-complete-"),
+    (["group", "--fixture", "complete-intersection"], "unknown group fixture 'complete-"),
+    (["orbifold", "--fixture", "complete-intersection"], "unknown orbifold fixture 'complete-"),
+    (["orbifold", "--fixture", "quintic-double-swap"], "unknown orbifold fixture 'quintic-"),
+    # the construction names the basis vector that the symmetry maps out of N,
+    # as the Lefschetz sum does
+    (
+        ["toric", "--n", "3", "--gen", "1,0,2@3", "--perm", "(1 2)"],
+        "symmetry maps the basis vector (1/3, 0, 2/3) out of the lattice\n",
+    ),
 ]
 
 

@@ -498,12 +498,21 @@ def _rational_rank(rows):
     return len(_gauss_reduce([list(r) for r in rows]))
 
 
+def _orbit(p, sym):
+    """The points that the powers of the symmetry map p to, sorted."""
+    orbit = [p]
+    while (q := sym.apply(orbit[-1])) != p:
+        orbit.append(q)
+    return tuple(sorted(orbit))
+
+
 @st.composite
 def _standard_cases(draw):
     """A standard pair with its simplex, symmetry and pieces, then edited:
     pieces dropped, reordered, or joined by simplices on points outside the
-    simplex, inside it (barycentres, midpoints) or on both sides; the simplex
-    may be scaled up, and the symmetry replaced by the identity."""
+    simplex, inside it (barycentres, midpoints) or on both sides, or by a
+    piece that the symmetry fixes, a union of orbits of the points inside;
+    the simplex may be scaled up, and the symmetry replaced by the identity."""
     ls = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
     ms = draw(st.lists(st.integers(1, 2), max_size=2))
     assume(sum(ls) + sum(ms) <= 5)
@@ -521,10 +530,18 @@ def _standard_cases(draw):
         inner.append(tuple((a + b) / 2 for a, b in zip(u, v)))
     outer = [tuple(Fraction(c * int(i == j)) for j in range(n)) for i in range(n) for c in (2, -1)]
     size = len(pieces[0].vertices)
-    for _ in range(draw(st.integers(0, 3))):
-        pool = draw(st.sampled_from([inner, outer, inner + outer]))
-        verts = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size, unique=True))
-        pieces.append(QSimplex.of(*verts))
+    if draw(st.booleans()):
+        fixed = []
+        for orbit in draw(st.permutations(sorted({_orbit(p, sym) for p in inner}))):
+            if len(fixed) + len(orbit) <= size:
+                fixed += orbit
+        if len(fixed) == size:
+            pieces.append(QSimplex.of(*fixed))
+    else:
+        for _ in range(draw(st.integers(0, 3))):
+            pool = draw(st.sampled_from([inner, outer, inner + outer]))
+            verts = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size, unique=True))
+            pieces.append(QSimplex.of(*verts))
     return sigma, triangulation_of(pieces), sym
 
 
@@ -600,7 +617,7 @@ def test_toric_lefschetz_trivial_group():
 def _action_in_lattice_coords(lp, sym):
     """The symmetry's action on N in lattice coordinates: row i holds the
     N-coordinates of the image of basis vector i."""
-    d, binv = lp.scale, lp.basis_inverse()
+    d, binv = lp.scale, lp.basis_inverse
     rows = []
     for y in lp.basis:
         scaled = _lattice_coords(binv, sym.apply(y))
@@ -656,7 +673,7 @@ def _all_faces_orbit_records(tri, lp, sym):
         raise NotInvariantTriangulation("symmetry does not map the triangulation to itself")
     S = _action_in_lattice_coords(lp, sym)
     records = [OrbitRecord(None, lp.n, _det_one_minus(S))]
-    binv = lp.basis_inverse()
+    binv = lp.basis_inverse
     for f in _all_invariant_faces(tri, sym):
         face = tuple(tuple(Fraction(a, tri.scale) for a in y) for y in f)
         A = _quotient_block(S, [_lattice_coords(binv, y) for y in f], face)
@@ -1038,7 +1055,8 @@ def _unit_cell(n):
 def test_symmetry_outside_lattice_raises():
     """The Lefschetz sum refuses a symmetry that maps N off itself, also on
     a triangulation whose only invariant face is a cell, where it once
-    returned 1; the Smith reference names the same basis vector."""
+    returned 1; the construction and the Smith reference name the same
+    basis vector."""
     lp = build_lattice_pair(3, [((1, 0, 2), 3)])
     cell = _unit_cell(3)
     named = r"basis vector \(1/3, 0, 2/3\) out of the lattice"
@@ -1046,12 +1064,15 @@ def test_symmetry_outside_lattice_raises():
         with pytest.raises(NotInvariant, match=named):
             evaluate(cell, lp, SWAP3)
     with pytest.raises(NotInvariant, match=named):
+        adjusted_triangulation(lp, SWAP3)
+    assert not SWAP3.preserves(lp) and ROT3.preserves(build_lattice_pair(3, [((1, 1, 1), 3)]))
+    with pytest.raises(NotInvariant, match=named):
         _action_in_lattice_coords(lp, SWAP3)
     plain = build_lattice_pair(3, [])
     assert toric_lefschetz(cell, plain, SWAP3) == 1
     # the reference refuses a span that the symmetry does not keep
     S = _action_in_lattice_coords(plain, SWAP3)
-    e1 = _lattice_coords(plain.basis_inverse(), (1, 0, 0))
+    e1 = _lattice_coords(plain.basis_inverse, (1, 0, 0))
     with pytest.raises(NotInvariant, match="is not invariant"):
         _quotient_block(S, [e1], [(Fraction(1), Fraction(0), Fraction(0))])
 
@@ -1508,6 +1529,20 @@ def _rational_det(rows) -> Fraction:
     return Fraction(IntMat.from_rows(scaled).det(), den ** len(rows))
 
 
+def _breadth_first_residues(lp):
+    """N/M as the residues D*x mod D of its elements, by breadth-first search
+    from zero over the residues of the generators: the route that the
+    enumeration over the Smith form replaced."""
+    d = lp.scale
+    steps = [tuple(a * d // m % d for a in vec) for vec, m in lp.generators]
+    seen = frontier = {(0,) * lp.n}
+    while frontier:
+        frontier = {tuple((x + y) % d for x, y in zip(r, g)) for r in frontier for g in steps}
+        frontier -= seen
+        seen = seen | frontier
+    return frozenset(seen)
+
+
 def _reference_lattice_pair(n, gens):
     """(D, integer basis rows, order, basis inverse) by the rational route the
     one Smith form replaced: the rational row basis of the unit vectors and
@@ -1639,9 +1674,9 @@ def _lattice_pairs(draw):
 def test_integer_lattice_model_matches_fraction_references(lp):
     d = lp.scale
     assert lp.base_points() == _reference_base_points(lp)
-    assert {tuple(Fraction(c, d) for c in r) for r in lp.residues()} == _reference_cosets(lp)
+    assert {tuple(Fraction(c, d) for c in r) for r in lp.residues} == _reference_cosets(lp)
     want = [[int(x) for x in row] for row in _rational_inverse(_rational_basis(lp))]
-    assert lp.basis_inverse() == want
+    assert list(map(list, lp.basis_inverse)) == want
     for sym in _symmetries(lp.n):
         assert count_fixed_elements(lp, sym) == _reference_fixed_count(lp, sym)
         if not sym.preserves(lp):
@@ -1691,16 +1726,15 @@ def _generator_lists(draw, least=2, most=5):
 
 
 def _check_one_smith_form(n, gens):
-    """build_lattice_pair and basis_inverse() take one Smith form together
-    and agree with the rational reference."""
+    """build_lattice_pair takes one Smith form for the basis, its inverse,
+    the order and the residues, and agrees with the rational reference."""
     want = _reference_lattice_pair(n, gens)
     real, calls = toric.smith_normal_form, []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(toric, "smith_normal_form", lambda a: calls.append(a) or real(a))
         lp = build_lattice_pair(n, gens)
-        inverse = lp.basis_inverse()
     assert len(calls) == 1
-    assert (lp.scale, list(lp.basis), lp.order, inverse) == want
+    assert (lp.scale, list(lp.basis), lp.order, list(map(list, lp.basis_inverse))) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -1730,6 +1764,17 @@ def test_lattice_basis_is_diag_s_times_v_inverse(case):
     assert list(lp.basis) == [tuple(S.get(k, k) * x for x in vinv[k]) for k in range(n)]
 
 
+@settings(max_examples=150, deadline=None)
+@given(_generator_lists(1, 4))
+def test_residues_match_the_breadth_first_search(case):
+    """N/M enumerated over the Smith form, sums of c_k times basis row k
+    with 0 <= c_k < D/s_k, is the set that breadth-first search over the
+    generators finds, each element once: its size is the order D^n/prod(s)."""
+    lp = build_lattice_pair(*case)
+    assert lp.residues == _breadth_first_residues(lp), case
+    assert len(lp.residues) == lp.order, case
+
+
 def test_fixed_locus_volume_matches_normalized_volume_in_dimensions_4_and_5():
     # symmetry_report builds no triangulation for n >= 4, so the volume it
     # reports is checked here through the routine it calls
@@ -1746,20 +1791,43 @@ def test_fixed_locus_volume_matches_normalized_volume_in_dimensions_4_and_5():
     assert len(values) > 50 and len(set(values)) > 2
 
 
-def test_lattice_pair_with_a_wrong_order_raises():
-    lp = build_lattice_pair(3, [((1, 2, 2), 5), ((1, 1, 3), 5)])
-    for order in (5, 24, 26, 125):
-        bad = lp.replace(order=order)
-        with pytest.raises(LatticeError, match=f"not the order {order}"):
-            bad.residues()
-        with pytest.raises(LatticeError):
-            bad.contains((1, 2, 2), 5)
-        with pytest.raises(LatticeError):
-            count_fixed_elements(bad, ROT3)
-    # a generator outside the lattice the basis spans
-    units = build_lattice_pair(2, [])
-    with pytest.raises(LatticeError, match="not in"):
-        units.replace(generators=(((1, 1), 2),), order=2).residues()
+def _derived(lp):
+    """The values that a pair reads off its generators when it is built."""
+    return lp.scale, lp.basis, lp.order, lp.basis_inverse, lp.residues
+
+
+def test_a_lattice_pair_is_its_generators():
+    """Everything else is read off the generators when the pair is built: a
+    value that disagrees with them cannot be set, and replacing the
+    generators builds the pair afresh."""
+    gens = (((1, 2, 2), 5), ((1, 1, 3), 5))
+    lp = build_lattice_pair(3, gens)
+    assert type(lp)._fields == ("n", "generators")
+    for name in ("scale", "basis", "order", "basis_inverse", "residues"):
+        with pytest.raises(TypeError, match=f"'{name}' is not a LatticePair field"):
+            lp.replace(**{name: getattr(lp, name)})
+    for n, other in ((3, gens[:1]), (3, gens[1:]), (3, ()), (2, (((1, 1), 2),))):
+        fresh, moved = build_lattice_pair(n, other), lp.replace(n=n, generators=other)
+        assert moved == fresh and _derived(moved) == _derived(fresh)
+    # the generators are checked and stored as tuples however they are given
+    assert lp.replace(generators=[[[1, 2, 2], 5], [(1, 1, 3), 5]]) == lp
+    with pytest.raises(NotSpecialLinear, match=r"exponents \(1, 2, 3\) do not sum to 0 mod 5"):
+        lp.replace(generators=(((1, 2, 3), 5),))
+    with pytest.raises(ValueError, match="needs 3 exponents"):
+        toric.LatticePair(3, (((1, 1), 2),))
+
+
+def test_invariants_that_give_no_overlattice_raise(monkeypatch):
+    # a Smith form whose invariants do not all divide D is refused by name
+    real = toric.smith_normal_form
+
+    def doubled(a):
+        U, S, V = real(a)
+        return U, IntMat.from_rows([[2 * x for x in r] for r in S.to_rows()]), V
+
+    monkeypatch.setattr(toric, "smith_normal_form", doubled)
+    with pytest.raises(LatticeError, match=r"invariants \[2, 10, 10\] give no overlattice of Z\^3"):
+        build_lattice_pair(3, [((1, 4, 0), 5)])
 
 
 def test_contains_reads_scaled_points():
@@ -2189,9 +2257,8 @@ def test_bareiss_det_zero_pivots(rows):
 def test_lattice_pairs_and_symmetries_compare_and_hash_by_value():
     gens = [((1, 2, 2), 5), ((1, 1, 3), 5)]
     a, b = build_lattice_pair(3, gens), build_lattice_pair(3, gens)
-    a.residues()  # a value kept on a, not on b, takes no part
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-    assert a != a.replace(order=26) and a != build_lattice_pair(3, gens[:1])
+    assert a != build_lattice_pair(3, gens[:1])
     cycle = PermSymmetry.from_cycles(3, [(0, 1, 2)])
     assert cycle == PermSymmetry((1, 2, 0)) and hash(cycle) == hash(PermSymmetry((1, 2, 0)))
     assert {cycle: 1}[PermSymmetry((1, 2, 0))] == 1
