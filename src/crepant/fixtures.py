@@ -9,12 +9,7 @@ quintic symmetry quotient, and the order-81 complete-intersection group.
 from __future__ import annotations
 
 from .exactmath import CycloInt
-from .groups import (
-    FiniteMatrixGroup,
-    GroupElement,
-    close_group,
-    scalar_normalize,
-)
+from .groups import FiniteMatrixGroup, GroupElement, close_group
 
 __all__ = [
     "cyclic_group",
@@ -115,17 +110,20 @@ def d4_triality(cap: int = 10_000) -> tuple[FiniteMatrixGroup, GroupElement]:
 def quintic_group(cap: int = 10_000) -> FiniteMatrixGroup:
     """Faithfully-acting diagonal symmetry quotient of the quintic, order 125.
 
-    Diagonal matrices diag(w^a0..w^a4) with exponent sum divisible by five,
-    taken modulo scalars via scalar normalization.
+    The diagonal matrices diag(w^a0..w^a4) with exponent sum divisible by
+    five, modulo scalars, realized as the subgroup with a2 = 0: it has order
+    125 and meets the scalars only in the identity, so it maps onto the
+    quotient isomorphically.  Both quintic involutions fix coordinate 2, so
+    they normalize it and act on it by plain conjugation.
     """
     gens = []
-    for pattern in [(0, 1, 4, 0, 0), (0, 1, 0, 4, 0), (0, 1, 0, 0, 4)]:
+    for pattern in [(1, 4, 0, 0, 0), (1, 0, 0, 4, 0), (1, 0, 0, 0, 4)]:
         zero = CycloInt.from_int(0, 5)
         rows = [
             [(_z(5, pattern[i]) if i == j else zero) for j in range(5)] for i in range(5)
         ]
         gens.append(GroupElement.from_matrix(rows))
-    return close_group(gens, cap=cap, normalizer=scalar_normalize)
+    return close_group(gens, cap=cap)
 
 
 def _perm_matrix(images: tuple[int, ...]) -> GroupElement:

@@ -3,7 +3,9 @@
 Closure from generators, conjugacy classes, centralizers, the action of an
 outer symmetry by conjugation, and counting of invariant classes.  Groups and
 elements are read-only records (``exactmath.Record``); every query is a pure
-function of the stored data.
+function of the stored data.  A group is closed from its matrices alone and
+acted on by plain conjugation: a quotient, such as a diagonal group modulo
+scalars, enters as a matrix subgroup that maps onto it.
 
 Closure is Dimino's: the group grows from the subgroup of the first
 generators one right coset at a time, and only coset representatives are
@@ -21,17 +23,17 @@ Group Theory* (2005), ch. 4.
 
 An element is stored once, as sparse rows of the (column, coefficient
 tuple) pairs of its nonzero entries, and those rows are its canonical key.
-Products, scalings, determinants and the conjugations of an outer action
-read and write them, not the CycloInt operators: each nonzero entry of a
-result is one ``exactmath._sum_of_products`` of tuple pairs, and zero
-entries take no work.
+Products, determinants and the conjugations of an outer action read and
+write them, not the CycloInt operators: each nonzero entry of a result is
+one ``exactmath._sum_of_products`` of tuple pairs, and zero entries take no
+work.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import lcm
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .exactmath import CycloDivisor, CycloInt, Record, _negated, _sum_of_products, cyclo_div_exact
 from .exactmath import _cyclo, _expansions, _product, _root_index
@@ -158,12 +160,6 @@ class GroupElement(Record):
     def det(self) -> CycloInt:
         return _det(self.rows, self.conductor, tuple(range(0, -self.n, -1)))
 
-    def scale(self, c: CycloInt) -> GroupElement:
-        m, c = self.conductor, c.lift(self.conductor).coeffs
-        return _element(self.n, m, tuple(
-            tuple([(j, p) for j, x in row if (p := _product(m, c, x).coeffs)]) for row in self.rows
-        ))
-
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
             return NotImplemented
@@ -237,30 +233,6 @@ def _adjugate(g: GroupElement) -> GroupElement:
     return _element(g.n, g.conductor, tuple(rows))
 
 
-Normalizer = Callable[[GroupElement], GroupElement]
-
-
-def scalar_normalize(g: GroupElement) -> GroupElement:
-    """Canonical representative of a projective class of a matrix of roots of unity.
-
-    Multiplies by the unique scalar root of unity making the first nonzero
-    diagonal entry equal to one.  Realizes faithfully-acting quotients of
-    diagonal symmetry groups as honest matrix groups.
-    """
-    for i, row in enumerate(g.rows):
-        d = dict(row).get(-i)
-        if d:
-            root = _root_index(g.conductor).get(d)
-            if root is None:
-                raise ValueError("diagonal entry is not a root of unity")
-            s, k = root
-            if (s, k) == (1, 0):
-                return g
-            inv = CycloInt.zeta(g.conductor, -k)
-            return g.scale(inv if s == 1 else -inv)
-    raise ValueError("matrix has no nonzero diagonal entry")
-
-
 class FiniteMatrixGroup(Record):
     """Closed matrix group with elements ordered by canonical key, a
     read-only ``Record`` that keeps its key indexes and classes once built.
@@ -271,9 +243,8 @@ class FiniteMatrixGroup(Record):
     but the identity; ``_inverse`` holds the inverses.  Rows and columns of
     any element are rebuilt from these in O(|G|), and they are the group's
     only product structure.  The stored generators are the only elements an
-    outer action conjugates as matrices.  An optional normalizer realizes
-    a projective quotient by mapping every raw product to its canonical
-    representative.
+    outer action conjugates as matrices.  Elements are the matrices
+    themselves: a product is the plain matrix product.
     """
 
     elements: tuple[GroupElement, ...]
@@ -282,7 +253,6 @@ class FiniteMatrixGroup(Record):
     columns: tuple[tuple[int, ...], ...]
     tree: tuple[tuple[int, int, int], ...]
     _inverse: tuple[int, ...]
-    normalizer: Optional[Normalizer] = None
 
     @property
     def order(self) -> int:
@@ -356,9 +326,7 @@ class FiniteMatrixGroup(Record):
                 reached.update(b for b, _, _ in tree)
         elements = tuple(self.elements[i] for i in idx)
         inv = tuple(pos[self.inv(i)] for i in idx)
-        return FiniteMatrixGroup(
-            elements, ident, tuple(gens), tuple(columns), tuple(tree), inv, self.normalizer
-        )
+        return FiniteMatrixGroup(elements, ident, tuple(gens), tuple(columns), tuple(tree), inv)
 
 
 def _span(columns, identity: int) -> list[tuple[int, int, int]]:
@@ -407,11 +375,7 @@ def _inverses(columns, tree, identity: int) -> list[int]:
     return inverse
 
 
-def close_group(
-    generators: Sequence[GroupElement],
-    cap: int = 10_000,
-    normalizer: Optional[Normalizer] = None,
-) -> FiniteMatrixGroup:
+def close_group(generators: Sequence[GroupElement], cap: int = 10_000) -> FiniteMatrixGroup:
     """Smallest matrix group containing the generators.
 
     Dimino's coset closure: H_i = <g_1, ..., g_i> grows from H = H_{i-1} one
@@ -438,13 +402,12 @@ def close_group(
         if g.n != n:
             raise ValueError("generators must share a dimension")
         m = lcm(m, g.conductor)
-    norm = normalizer or (lambda g: g)
-    gens = [norm(g.lift(m)) for g in generators]
+    gens = [g.lift(m) for g in generators]
     for g in gens:
         if g.det().is_zero():
             raise ValueError("generators must be invertible")
 
-    ident = norm(GroupElement.identity(n, m))
+    ident = GroupElement.identity(n, m)
     # coset c of the current H holds h·r_c at index c·|H| + h, so 0 is the identity
     elements = [ident]
     index = {ident.key(): 0}
@@ -458,7 +421,7 @@ def close_group(
         for c, r in enumerate(reps):  # the list grows while it is scanned
             row = []
             for k, s in enumerate(gens[: i + 1]):
-                p = norm(r.mul(s))
+                p = r.mul(s)
                 j = index.get(p.key())
                 if j is None:
                     if len(elements) + size > cap:
@@ -466,7 +429,7 @@ def close_group(
                     j = len(elements)
                     reps.append(p)
                     for h in range(size):
-                        x = p if h == 0 else norm(elements[h].mul(p))
+                        x = p if h == 0 else elements[h].mul(p)
                         index[x.key()] = len(elements)
                         elements.append(x)
                         tree.append((j + h, c * size + h, k))
@@ -493,7 +456,7 @@ def close_group(
     ]
     group = FiniteMatrixGroup(
         tuple(elements[i] for i in by_key), identity_index, stored, tuple(columns), tuple(tree),
-        tuple(inverse), normalizer,
+        tuple(inverse),
     )
     group.__dict__["_key_cache"] = {m: index}
     return group
@@ -602,8 +565,6 @@ def outer_action(group: FiniteMatrixGroup, h: GroupElement) -> OuterAction:
                 out.append((j, q.coeffs))
             rows.append(tuple(out))
         cand = _element(hh.n, m, tuple(rows))
-        if group.normalizer is not None:
-            cand = group.normalizer(cand)
         if cand.conductor != group_m:  # looked up at the group's conductor when it lies there
             cand = _descend(cand, group_m) or cand
         try:

@@ -467,7 +467,7 @@ def sheet_from_document(doc: dict) -> GSpaceSheet:
         for key, tag in c.provenance.items():
             if tag not in PROVENANCE_TAGS:
                 raise ValueError(
-                    f"class {c.label!r}: provenance tag {tag!r} of {key} is not one of "
+                    f"class {c.label!r}: provenance tag {tag!r} of {key!r} is not one of "
                     + ", ".join(PROVENANCE_TAGS)
                 )
     labels = {c.label for c in classes}

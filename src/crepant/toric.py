@@ -246,9 +246,6 @@ class PermSymmetry(Record):
     def order(self) -> int:
         return lcm(*(len(c) for c in self.cycles()))
 
-    def preserves(self, lp: LatticePair) -> bool:
-        return _moved_basis_vector(lp, self) is None
-
 
 def _moved_basis_vector(lp: LatticePair, sym: PermSymmetry) -> Optional[IntVec]:
     """The first basis row of N that the symmetry maps out of N, or None."""

@@ -1,5 +1,8 @@
+import contextlib
+import copy
 import hashlib
 import importlib
+import io
 import json
 import os
 import re
@@ -394,6 +397,10 @@ def test_orbifold_sheet_rejects_unknown_provenance_tag(tmp_path, capsys):
     rc, out, err = _run_sheet(doc, tmp_path, capsys)
     assert rc == EXIT_PARSE and out == ""
     assert err.count("\n") == 1 and "class 'g'" in err and "'quoted'" in err
+    # the key is quoted too, so a key that holds a line break stays on the one line
+    doc["classes"][1]["provenance"] = {"euler\nquotient": "quoted"}
+    rc, out, err = _run_sheet(doc, tmp_path, capsys)
+    assert rc == EXIT_PARSE and err.count("\n") == 1 and "'euler\\nquotient'" in err
 
 
 def test_orbifold_sheet_rejects_pair_naming_no_class(tmp_path, capsys):
@@ -675,6 +682,87 @@ def test_saved_quintic_sheet_round_trips(tmp_path, capsys):
     rc, again = run(["orbifold", "--sheet", str(path)], capsys)
     assert rc == EXIT_OK
     assert again["results"] == first["results"]
+
+
+# the document-mutation property: one node of a saved document replaced or
+# deleted, and the document read back through main
+
+
+_LOADERS = {
+    "toric": ["toric", "--load", "{}", "--perm", "(1 2 3)"],
+    "sheet": ["orbifold", "--sheet", "{}"],
+}
+_DELETE = object()
+# replacement values: any JSON, with strings that read as coordinates among
+# them.  Integers stay small: a replaced modulus sets |N/M|, which grows as a
+# power of it, and the property is about malformed documents, not large ones.
+_COORDINATE = st.integers(-2, 7).map(str) | st.builds(
+    "{}/{}".format, st.integers(-2, 7), st.integers(-1, 7)
+)
+_COORDINATES = st.lists(_COORDINATE, min_size=1, max_size=4).map(",".join)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 60) | st.floats() | st.text(max_size=8)
+    | _COORDINATES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _node_paths(node, path=()):
+    """The path of every node of a JSON tree, the root's () first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for k, child in items:
+            yield from _node_paths(child, path + (k,))
+
+
+def _mutated(doc, path, value):
+    """A copy of doc with the node at path replaced by value, or deleted for _DELETE."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def saved_documents(tmp_path_factory):
+    """A folder and the saved z5sq-cycle triangulation and point sheet, parsed."""
+    folder = tmp_path_factory.mktemp("documents")
+    saves = {
+        "toric": ["toric", "--fixture", "z5sq-cycle", "--save"],
+        "sheet": ["orbifold", "--fixture", "point", "--save"],
+    }
+    docs = {}
+    for kind, argv in saves.items():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, str(folder / kind)]) == EXIT_OK
+        docs[kind] = json.loads((folder / kind).read_text())
+    return folder, docs
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(_LOADERS)))
+def test_a_mutated_document_exits_with_a_verdict(saved_documents, data, kind):
+    folder, docs = saved_documents
+    path = data.draw(st.sampled_from(list(_node_paths(docs[kind]))))
+    value = data.draw(_JSON_VALUES | st.just(_DELETE) if path else _JSON_VALUES)
+    target = folder / f"mutated-{kind}"
+    target.write_text(json.dumps(_mutated(docs[kind], path, value)))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main([a.format(target) for a in _LOADERS[kind]])
+    assert rc in (EXIT_OK, EXIT_FAIL, EXIT_PARSE), (path, value, err.getvalue())
+    if rc == EXIT_PARSE:
+        assert err.getvalue().endswith("\n") and err.getvalue().count("\n") == 1, err.getvalue()
 
 
 def test_input_digest_covers_the_input_document(tmp_path, capsys):
@@ -1316,7 +1404,6 @@ def test_record_repr_names_each_field_in_order():
 
 # the defaults of every record field that has one, as the constructor binds them
 RECORD_DEFAULTS = {
-    "FiniteMatrixGroup": {"normalizer": None},
     "ClassRecord": {
         "euler_quotient": None, "lefschetz_quotient": None, "provenance": {}, "fixed_dim": None,
     },

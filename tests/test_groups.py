@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from crepant import groups
 from crepant.cli import parse_matrix
-from crepant.exactmath import CycloInt, cyclo_div_exact
+from crepant.exactmath import CycloInt, _root_index, cyclo_div_exact
 from crepant.fixtures import (
     _perm_matrix,
     _tetra_t,
@@ -322,7 +322,7 @@ def test_mul_matches_the_dense_product(m, spec, shape, sigma, lift):
 # quadratic routines they replaced
 
 
-def _reference_close_group(generators, normalizer=None):
+def _reference_close_group(generators):
     """Closure filling the table with |G|^2 matrix products.
 
     Returns (elements, table, identity index, inverses) in key order.
@@ -330,9 +330,6 @@ def _reference_close_group(generators, normalizer=None):
     m = lcm(*(g.conductor for g in generators))
     gens = [g.lift(m) for g in generators]
     ident = GroupElement.identity(gens[0].n, m)
-    if normalizer is not None:
-        gens = [normalizer(g) for g in gens]
-        ident = normalizer(ident)
     seen = {ident.key(): ident}
     frontier = [ident]
     while frontier:
@@ -340,8 +337,6 @@ def _reference_close_group(generators, normalizer=None):
         for x in frontier:
             for g in gens:
                 p = x.mul(g)
-                if normalizer is not None:
-                    p = normalizer(p)
                 if p.key() not in seen:
                     seen[p.key()] = p
                     nxt.append(p)
@@ -352,10 +347,7 @@ def _reference_close_group(generators, normalizer=None):
     for a in elements:
         row = []
         for b in elements:
-            p = a.mul(b)
-            if normalizer is not None:
-                p = normalizer(p)
-            row.append(index[p.key()])
+            row.append(index[a.mul(b).key()])
         table.append(tuple(row))
     identity = index[ident.key()]
     inverse = tuple(row.index(identity) for row in table)
@@ -395,8 +387,6 @@ def _reference_outer_action(group, h):
                 out_row.append(q)
             ent.append(out_row)
         cand = GroupElement.from_matrix(ent)
-        if group.normalizer is not None:
-            cand = group.normalizer(cand)
         try:
             perm.append(group.index_of(cand))
         except ElementNotInGroup:
@@ -441,7 +431,7 @@ def _assert_centralizers_match_table(group, table, inverse, classes):
 
 def _assert_matches_reference(group, symmetries):
     gens = [group.elements[i] for i in group.generators]
-    elements, table, identity, inverse = _reference_close_group(gens, group.normalizer)
+    elements, table, identity, inverse = _reference_close_group(gens)
     assert [e.key() for e in group.elements] == [e.key() for e in elements]
     assert _table(group) == table
     assert group.identity_index == identity
@@ -882,9 +872,9 @@ def test_matrix_products_counted(monkeypatch, build, h):
 
 
 # ---------------------------------------------------------------------------
-# the tuple kernel against the operator route: products, scalings,
-# determinants and adjugates of group elements entry by entry through the
-# CycloInt operators, and whole groups and outer actions built either way
+# the tuple kernel against the operator route: products, determinants and
+# adjugates of group elements entry by entry through the CycloInt
+# operators, and whole groups and outer actions built either way
 
 
 def _operator_mul(a, b):
@@ -902,13 +892,6 @@ def _operator_mul(a, b):
                     out[j] = x * y if out[j] is None else out[j] + x * y
         rows.append(tuple(zero if x is None else x for x in out))
     return GroupElement.from_matrix(rows, a.conductor)
-
-
-def _operator_scale(g, c):
-    c = c.lift(g.conductor)
-    return GroupElement.from_matrix(
-        [[c * x if x.coeffs else x for x in row] for row in dense(g)], g.conductor
-    )
 
 
 def _operator_det(entries, conductor):
@@ -973,15 +956,6 @@ def test_kernel_product_matches_the_operators(data, m, n):
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), m=_CONDUCTORS, n=st.integers(1, 4))
-def test_kernel_scale_matches_the_operators(data, m, n):
-    g = data.draw(_matrices(m, n))
-    d = data.draw(st.sampled_from([k for k in range(1, m + 1) if m % k == 0]))
-    c = data.draw(_entries(d))  # a scalar of a smaller conductor is lifted first
-    _same(g.scale(c), _operator_scale(g, c))
-
-
-@settings(max_examples=150, deadline=None)
 @given(data=st.data(), m=_CONDUCTORS, n=st.integers(0, 4))
 def test_kernel_det_and_adjugate_match_the_operators(data, m, n):
     g = data.draw(_matrices(m, n))
@@ -1043,14 +1017,11 @@ def test_census_group_is_the_same_under_the_operator_route(monkeypatch, label):
         return lambda *args: calls.append(fn) or fn(*args)
 
     monkeypatch.setattr(GroupElement, "mul", counted(_operator_mul))
-    monkeypatch.setattr(GroupElement, "scale", counted(_operator_scale))
     monkeypatch.setattr(GroupElement, "det", counted(_operator_element_det))
     monkeypatch.setattr(groups, "_adjugate", counted(_operator_adjugate))
     monkeypatch.setattr(CycloInt, "lift", counted(_collect_lift))
     assert _built(label) == kernel
     assert {_operator_mul, _operator_element_det, _operator_adjugate, _collect_lift} <= set(calls)
-    if label == "quintic":  # scalar normalization scales
-        assert _operator_scale in calls
 
 
 # ---------------------------------------------------------------------------
@@ -1090,8 +1061,6 @@ def _assert_conjugates_by_dense_keys(group, h):
     for i, e in enumerate(group.elements):
         num = _operator_mul(_operator_mul(hh, e.lift(big)), adj)
         conj = GroupElement.from_matrix([[cyclo_div_exact(x, det) for x in r] for r in dense(num)])
-        if group.normalizer is not None:
-            conj = group.normalizer(conj)
         assert index[_dense_key(conj)] == perm[i]
 
 
@@ -1117,3 +1086,96 @@ def test_random_groups_keep_the_dense_key_order(gens, case):
     group, h = case
     _assert_dense_key_order(group)
     _assert_conjugates_by_dense_keys(group, h)
+
+
+# ---------------------------------------------------------------------------
+# the quintic quotient by scalars on the projective route, the generators
+# with a0 = 0 closed with every product scaled to its first diagonal entry
+# one, as the reference for the fixture's matrix subgroup with a2 = 0
+
+
+def _scaled(g, c):
+    """c·g entry by entry with the CycloInt operators."""
+    c = c.lift(g.conductor)
+    return GroupElement.from_matrix(
+        [[c * x if x.coeffs else x for x in row] for row in dense(g)], g.conductor
+    )
+
+
+def _scalar_normalize(g):
+    """Canonical representative of a projective class of a matrix of roots of
+    unity: g times the unique scalar root of unity that makes its first
+    nonzero diagonal entry one."""
+    for i, row in enumerate(g.rows):
+        d = dict(row).get(-i)
+        if d:
+            s, k = _root_index(g.conductor)[d]
+            inv = CycloInt.zeta(g.conductor, -k)
+            return _scaled(g, inv if s == 1 else -inv)
+    raise ValueError("matrix has no nonzero diagonal entry")
+
+
+def _normalized_closure(generators):
+    """Keys to elements of the closure under products taken modulo scalars."""
+    ident = _scalar_normalize(GroupElement.identity(generators[0].n, generators[0].conductor))
+    found, queue = {ident.key(): ident}, [ident]
+    for x in queue:  # the queue grows while it is scanned
+        for g in generators:
+            p = _scalar_normalize(x.mul(g))
+            if p.key() not in found:
+                found[p.key()] = p
+                queue.append(p)
+    return found
+
+
+def _quintic_diagonal(a):
+    zero = CycloInt.from_int(0, 5)
+    return GroupElement.from_matrix(
+        [[CycloInt.zeta(5, a[i]) if i == j else zero for j in range(5)] for i in range(5)]
+    )
+
+
+def test_quintic_group_is_the_scalar_quotient(quintic_group):
+    gens = [_quintic_diagonal(a) for a in ((0, 1, 4, 0, 0), (0, 1, 0, 4, 0), (0, 1, 0, 0, 4))]
+    quotient = _normalized_closure(gens)
+    ident = _scalar_normalize(GroupElement.identity(5, 5))
+
+    def conj(h, e):  # h·e·h^-1 modulo scalars, for a permutation matrix h = h^-1
+        return _scalar_normalize(h.mul(e).mul(h))
+
+    def phi(e):  # e scaled by zeta^-a0
+        _, a0 = _root_index(5)[dict(e.rows[0])[0]]
+        return _scaled(e, CycloInt.zeta(5, -a0))
+
+    # scaling by zeta^-a0 is a bijection onto the quotient
+    images = [phi(e) for e in quintic_group.elements]
+    assert len({e.key() for e in images}) == quintic_group.order == len(quotient) == 125
+    assert {e.key() for e in images} == set(quotient)
+    assert all(_scalar_normalize(e) == e for e in images)
+    # classes modulo scalars: orbits under conjugation by the generators
+    conjugators = [
+        (g, next(y for y in quotient.values() if _scalar_normalize(g.mul(y)) == ident))
+        for g in gens
+    ]
+    classes = set()
+    for e in quotient.values():
+        orbit, queue = {e.key()}, [e]
+        for x in queue:  # the queue grows while it is scanned
+            for g, g_inv in conjugators:
+                y = _scalar_normalize(g.mul(x).mul(g_inv))
+                if y.key() not in orbit:
+                    orbit.add(y.key())
+                    queue.append(y)
+        classes.add(frozenset(orbit))
+    assert conjugacy_classes(quintic_group).count == len(classes)
+    for variant in ("swap", "swap-two-pairs"):
+        h = quintic_symmetry(variant).lift(5)
+        act = outer_action(quintic_group, h)
+        # phi commutes with conjugation by h: plain conjugation is the outer action
+        for i, e in enumerate(images):
+            assert phi(quintic_group.elements[act.element_perm[i]]) == conj(h, e)
+        invariant = sum(
+            1 for cl in classes if frozenset(conj(h, quotient[x]).key() for x in cl) == cl
+        )
+        assert invariant_class_count(act) == invariant, variant
+        assert len(compatible_class_filter(quintic_group, act)) == invariant, variant

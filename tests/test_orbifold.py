@@ -354,11 +354,22 @@ def test_engine_refuses_a_non_permutation_source():
         twisted_fixed_euler(5, 5, [0, 0, 0], [1, 1, 2], [frozenset({0, 1})])
 
 
-def test_sheet_in_ch_matches_group_filter(quintic_group, quintic_swap_sheet):
-    action = outer_action(quintic_group, quintic_symmetry("swap"))
-    assert len(compatible_class_filter(quintic_group, action)) == sum(
-        1 for c in quintic_swap_sheet.classes if c.in_ch
-    )
+def _quintic_label(e):
+    """The sheet's label of a diagonal element diag(zeta_5^a): its exponents
+    less a0, as the patterns are normalized at coordinate 0."""
+    roots = [CycloInt.zeta(5, k).coeffs for k in range(5)]
+    a = [roots.index(dict(row)[-i]) for i, row in enumerate(e.rows)]
+    return ob._pattern_label([(x - a[0]) % 5 for x in a])
+
+
+def test_sheet_in_ch_matches_group_filter(quintic_group, quintic_sheets):
+    # the group lives on a2 = 0 and the patterns on a0 = 0: the classes the
+    # filter keeps are the sheet's in_ch classes, label by label
+    for variant, sheet in quintic_sheets.items():
+        action = outer_action(quintic_group, quintic_symmetry(variant))
+        kept = compatible_class_filter(quintic_group, action)
+        reps = [quintic_group.elements[action.classes.representatives[k]] for k in kept]
+        assert sorted(map(_quintic_label, reps)) == sorted(c.label for c in sheet.classes if c.in_ch)
 
 
 def test_ci_sheet(ci_group):
